@@ -4,7 +4,7 @@ contact timing.
 Submodules:
   autodiff       forward-mode automatic differentiation (dual numbers)
   nlp            block-sparse augmented-Lagrangian NLP solver
-  hybrid         hybrid-system definition (flow, guard, reset)
+  hybrid         hybrid-system definition (flow, guard)
   transcription  multiple-shooting transcription of the three formulations
   pipeline       staged (warm-started) solving of the branched problems
   simulation     RK4 + impulse-event contact simulator

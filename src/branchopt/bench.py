@@ -20,7 +20,6 @@ import numpy as np
 
 from . import config as cfgmod
 from . import control
-from . import nlp
 from . import pipeline
 from . import simulation
 from . import transcription as tr
@@ -163,10 +162,11 @@ def evaluate_trial(trace, spec: TrialSpec, tolerances, params,
 
 
 def _solve_condition(args):
-    """Solve the unbranched and branched problems for one initial condition.
+    """Solve the branched problem for one initial condition.
 
-    Returns picklable reference material: the unbranched trajectory, the
-    robust single reference, and the full branched bundle.
+    Returns picklable reference material: the unbranched trajectory (the
+    solution of the branched solve's first stage), the robust single
+    reference, and the full branched bundle.
     """
     plant_dict, env_dict, tcfg_dict, solver_dict, x_init = args
     run = cfgmod.RunConfig(
@@ -180,14 +180,8 @@ def _solve_condition(args):
         raise RuntimeError(
             f"branched solve failed ({res.solution.status}) for "
             f"condition {np.array2string(np.asarray(x_init))}")
-    nom_cfg = pipeline.nominal_stage_config(cfg)
-    nom = pipeline.solve_nominal(adapter, nom_cfg, opts)
-    if nom.solution.status != "converged":
-        raise RuntimeError(
-            f"unbranched solve failed ({nom.solution.status}) for "
-            f"condition {np.array2string(np.asarray(x_init))}")
     robust = tr.robust_nominal_branch(res.bundle, dt_impact=p.dt_impact)
-    return nom.bundle.common, robust, res.bundle
+    return res.nominal.common, robust, res.bundle
 
 
 def _run_trial(args):
@@ -254,7 +248,7 @@ def montecarlo(run: cfgmod.RunConfig, progress=None) -> MonteCarloReport:
     plant_dict = dict(run.plant.get("params", {}) or {})
     env_dict = dict(run.plant.get("env", {}) or {})
 
-    # references: one branched + one unbranched solve per condition
+    # references: one staged (unbranched, then branched) solve per condition
     solve_args = [
         (plant_dict, env_dict, dict(run.transcription), dict(run.solver),
          [float(v) for v in state])

@@ -4,7 +4,8 @@ A run is described by one YAML file with five sections — ``plant``,
 ``transcription``, ``solver``, ``controller``, ``experiment`` — each
 optional; omitted keys fall back to the defaults below.  The same file
 drives every CLI verb, so a study is reproducible from the config plus
-a master seed.
+a master seed.  Keys of ``transcription`` and ``solver`` that are not
+fields of ``TranscriptionConfig`` and ``SolverOpts`` are ignored.
 
 Schema (version 1)::
 
@@ -21,6 +22,7 @@ Schema (version 1)::
       n_rejoin: 7
       n_branch_full: 100
       d_fixed: 0.05
+      d_bounds: null                # [d_min, d_max] makes d a variable
       dt_min: 1.0e-3
       dt_max: 5.0e-2
     solver:
@@ -30,6 +32,8 @@ Schema (version 1)::
     controller:
       q_diag: [10, 0, 10, 0]
       r: 0.1
+      arm_kp: 80.0                  # catch-speed sweep tracking gains
+      arm_kd: 12.0
     experiment:
       seed: 0
       workers: 4
@@ -41,8 +45,10 @@ Schema (version 1)::
       debounce_window: 0.05
       final_tol: [0.05, 0.05, 0.1, 0.1]
       conditions: [[x, theta, xdot, thetadot], ...]
-      n_r_values: [7, 12, 20, 40, 70, 100]
+      n_r_values: [7, 12, 20, 40, 70]
       post_impact_budget: 100
+      catch_target: [0.0, 0.3]
+      sweep_d: 0.20
       sweep_heights: 11
       sweep_half_range: 0.2
 """
@@ -184,6 +190,4 @@ def transcription_config(cfg: RunConfig, variant, x_init, x_end,
 
 
 def solver_opts(cfg: RunConfig) -> nlp.SolverOpts:
-    base = {"max_inner": 600}
-    base.update(cfg.solver)
-    return nlp.SolverOpts.from_dict(base)
+    return nlp.SolverOpts.from_dict(cfg.solver)

@@ -3,9 +3,9 @@
 Contact coordinates are (normal, tangential).  Given the Delassus matrix
 G = Jc M^-1 Jc^T and the pre-impact contact-point velocity g, both
 solvers return the impulse F with f_n >= 0 and |f_t| <= mu f_n such that
-the post-impact velocity g + G F meets the restitution target -e*g
-(componentwise by default; normal component only when
-``normal_only_restitution`` is set).
+the post-impact velocity g + G F meets the restitution target -e*g in
+both components.  An optional ``bias`` adds a known velocity change that
+acts alongside the impulse (the drift of a finite impact interval).
 """
 
 from __future__ import annotations
@@ -15,18 +15,14 @@ import numpy as np
 _SINGULAR_TOL = 1e-12
 
 
-def _restitution_bias(g_vel, e, normal_only_restitution, bias):
-    g_vel = np.asarray(g_vel, dtype=float)
-    if normal_only_restitution:
-        b = np.array([(1.0 + e) * g_vel[0], g_vel[1]])
-    else:
-        b = (1.0 + e) * g_vel
+def _restitution_bias(g_vel, e, bias):
+    b = (1.0 + e) * np.asarray(g_vel, dtype=float)
     if bias is not None:
         b = b + np.asarray(bias, dtype=float)
     return b
 
 
-def pgs_solve(G, g_vel, e, mu, n_iter=30, normal_only_restitution=False, bias=None):
+def pgs_solve(G, g_vel, e, mu, n_iter=30, bias=None):
     """Projected Gauss-Seidel sweep over the 2x2 contact problem.
 
     Each sweep performs a normal step clamped at f_n >= 0 followed by a
@@ -37,7 +33,7 @@ def pgs_solve(G, g_vel, e, mu, n_iter=30, normal_only_restitution=False, bias=No
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
     G = np.asarray(G, dtype=float)
-    b = _restitution_bias(g_vel, e, normal_only_restitution, bias)
+    b = _restitution_bias(g_vel, e, bias)
     fn = 0.0
     ft = 0.0
     g00, g01, g11 = G[0, 0], G[0, 1], G[1, 1]
@@ -51,14 +47,14 @@ def pgs_solve(G, g_vel, e, mu, n_iter=30, normal_only_restitution=False, bias=No
     return np.array([fn, ft])
 
 
-def exact_cone_impulse(G, g_vel, e, mu, normal_only_restitution=False, bias=None):
+def exact_cone_impulse(G, g_vel, e, mu, bias=None):
     """Closed-form solution of the 2x2 contact complementarity problem.
 
     Enumerates the separating / sticking / sliding cases; this is the
     fixed point that ``pgs_solve`` converges to.
     """
     G = np.asarray(G, dtype=float)
-    b = _restitution_bias(g_vel, e, normal_only_restitution, bias)
+    b = _restitution_bias(g_vel, e, bias)
     tol = 1e-12
     # separating contact
     if b[0] >= -tol:
@@ -86,5 +82,4 @@ def exact_cone_impulse(G, g_vel, e, mu, normal_only_restitution=False, bias=None
         if s * r_t <= tol:
             return cand
     # numerically ambiguous corner; fall back to a long PGS polish
-    return pgs_solve(G, g_vel, e, mu, n_iter=2000,
-                     normal_only_restitution=normal_only_restitution, bias=bias)
+    return pgs_solve(G, g_vel, e, mu, n_iter=2000, bias=bias)

@@ -11,7 +11,7 @@ exactly once — to the nearest subsequent branch.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "sample_reference",
     "pd_feedforward",
     "TrajectoryScheduler",
-    "schedule",
 ]
 
 DEFAULT_Q = np.diag([10.0, 0.0, 10.0, 0.0])
@@ -280,13 +279,3 @@ class TrackingController:
         else:
             tau = pd_feedforward(self.reference, state, self.gains, t)
         return np.atleast_1d(tau)
-
-
-def schedule(bundle, state: Optional[SchedulerState], contact_event, t):
-    """Functional wrapper: returns (active reference, updated state)."""
-    sched = TrajectoryScheduler(bundle)
-    if state is not None:
-        sched.state = state
-    if contact_event is not None:
-        sched.observe_contact(contact_event)
-    return sched.state.reference, sched.state

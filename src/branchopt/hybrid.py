@@ -1,9 +1,14 @@
-"""Hybrid dynamical system abstraction: flow, guard, reset.
+"""Hybrid dynamical system abstraction: flow and guard.
 
-The same definition object is consumed by the transcription builders and
-by the contact simulator, so both sides share one set of impact
-semantics.  The guard is positive during free motion and crosses zero
-exactly at contact; the reset leaves positions unchanged.
+The definition object is consumed by the contact simulator and by the
+tracking-gain design.  The guard is positive during free motion and
+crosses zero exactly at contact.
+
+The definition carries no impact law.  The simulator applies an
+instantaneous impulse from a fixed number of projected Gauss-Seidel
+sweeps.  The OCP side (``PlantOcp`` adapters, ``cartpole.impact_map``)
+instead models the impact as a constant force over ``dt_impact``, which
+adds that interval's free-motion drift; the two laws differ by it.
 """
 
 from __future__ import annotations
@@ -13,30 +18,21 @@ from typing import Any, Callable
 
 import numpy as np
 
-GUARD_TOL = 1e-6
-
-
-class ResetError(ValueError):
-    """Reset requested on a state that is not at the guard surface."""
-
 
 @dataclass(frozen=True)
 class HybridSystemDef:
-    """Plant definition shared by transcription and simulation.
+    """Plant definition for simulation and control design.
 
-    ``free_dynamics(q, qd, u) -> qdd`` and
-    ``contact_dynamics(q, qd, u, F) -> qdd`` operate on plain arrays;
+    ``free_dynamics(q, qd, u) -> qdd`` operates on plain arrays;
     ``guard(state, env)`` returns the signed clearance (positive in free
-    motion); ``reset(state, u, env) -> (post_state, impulse)`` applies the
-    impact map with positions frozen.
+    motion); ``contact_jacobian(q)`` maps velocities to the contact
+    point's (normal, tangential) velocity.
     """
 
     n_q: int
     n_u: int
     free_dynamics: Callable
-    contact_dynamics: Callable
     guard: Callable
-    reset: Callable
     contact_jacobian: Callable
     params: Any
     default_env: Any = None
@@ -46,30 +42,3 @@ class HybridSystemDef:
         q, qd = state[: self.n_q], state[self.n_q :]
         qdd = self.free_dynamics(q, qd, u)
         return np.concatenate([qd, qdd])
-
-
-def euler_step(sys: HybridSystemDef, state, u, dt):
-    """Forward-Euler update: positions advance by qd*dt, velocities by qdd*dt."""
-    n_q = sys.n_q
-    q, qd = state[:n_q], state[n_q:]
-    qdd = sys.free_dynamics(q, qd, u)
-    out = np.array(state, dtype=float)
-    out[:n_q] += np.asarray(qd) * dt
-    out[n_q:] += np.asarray(qdd) * dt
-    return out
-
-
-def guard_eval(sys: HybridSystemDef, state, env=None):
-    return sys.guard(state, env if env is not None else sys.default_env)
-
-
-def reset_eval(sys: HybridSystemDef, state, u=None, env=None, guard_tol=GUARD_TOL):
-    """Apply the impact map; only admissible at the guard surface."""
-    env = env if env is not None else sys.default_env
-    g = sys.guard(state, env)
-    if g > guard_tol:
-        raise ResetError(f"reset on separated state (guard={g:.3e} > {guard_tol:.0e})")
-    if u is None:
-        u = np.zeros(sys.n_u)
-    post, _ = sys.reset(state, u, env)
-    return post

@@ -1,5 +1,5 @@
 """Constrained NLP solver: augmented Lagrangian outer loop with
-trust-region Gauss-Newton inner solves.
+projected Levenberg-Marquardt inner solves.
 
 Problems are expressed as *blocks*: a block evaluates the same small
 callback at many slices of the decision vector simultaneously (one row
@@ -14,9 +14,13 @@ Each outer iteration minimizes the augmented Lagrangian
                      + rho/2 ||max(0, c_ineq + mu/rho)||^2
 
 which is itself a bound-constrained nonlinear least-squares problem;
-the inner solver is scipy's trust-region reflective method fed with the
-exact block-sparse Jacobian.  Variables with equal lower and upper
-bounds are eliminated from the inner problem.
+the inner solver is a projected Levenberg-Marquardt method
+(``_bounded_lm``) on the exact block-sparse Jacobian.  Variables with
+equal lower and upper bounds are eliminated from the inner problem.
+The restoration phase, which minimizes the constraint violation alone,
+runs scipy's trust-region reflective method (``least_squares``) and,
+when that leaves the violation high, a second unit-scaled pass polished
+by the same LM method.
 """
 
 from __future__ import annotations
@@ -125,7 +129,7 @@ class SolverOpts:
     tol_ineq: float = 1e-6
     tol_stat: float = 1e-4
     max_outer: int = 60
-    max_inner: int = 200
+    max_inner: int = 600
     rho0: float = 10.0
     rho_max: float = 1e8
     rho_factor: float = 10.0
@@ -138,7 +142,6 @@ class SolverOpts:
     # the stationarity measure stays noisy (large ill-conditioned problems)
     obj_stall_rtol: float = 1e-4
     obj_stall_iters: int = 3
-    verbose: bool = False
 
     @classmethod
     def from_dict(cls, d):
@@ -257,32 +260,6 @@ def kkt_residual(problem: NlpProblem, x, multipliers_eq, multipliers_ineq):
 
 
 # -- augmented Lagrangian ---------------------------------------------------
-
-
-def _al_value_and_grad(problem, x, lam, mu, rho):
-    """Augmented-Lagrangian value and gradient (reference implementation)."""
-    f = 0.0
-    grad = np.zeros(problem.n_vars)
-    for b in problem.cost_blocks:
-        vals, jac = block_values_and_jac(b, x)
-        f += float(np.sum(vals * vals))
-        grad += _scatter(jac, 2.0 * vals, b.indices, problem.n_vars)
-    off = 0
-    for b in problem.eq_blocks:
-        vals, jac = block_values_and_jac(b, x)
-        lb = lam[off : off + b.size].reshape(b.batch, b.n_out)
-        f += float(np.sum(lb * vals) + 0.5 * rho * np.sum(vals * vals))
-        grad += _scatter(jac, lb + rho * vals, b.indices, problem.n_vars)
-        off += b.size
-    off = 0
-    for b in problem.ineq_blocks:
-        vals, jac = block_values_and_jac(b, x)
-        mb = mu[off : off + b.size].reshape(b.batch, b.n_out)
-        active = np.clip(mb + rho * vals, 0.0, None)
-        f += float(np.sum(active * active - mb * mb) / (2.0 * rho))
-        grad += _scatter(jac, active, b.indices, problem.n_vars)
-        off += b.size
-    return f, grad
 
 
 class _AlResiduals:
@@ -578,13 +555,6 @@ def solve(problem: NlpProblem, x0, opts: SolverOpts = None) -> NlpSolution:
         viol = max(eq_viol, ineq_viol)
         kkt = kkt_residual(problem, x, lam, mu)
         obj = eval_objective(problem, x)
-        if opts.verbose:
-            print(
-                f"  outer {outer_done:3d}: obj {obj:12.5f}"
-                f"  viol {viol:9.2e}  stat {kkt.stationarity:9.2e}"
-                f"  rho {rho:8.1e}  inner {nfev}",
-                flush=True,
-            )
         if best is None or viol <= best[0]:
             best = (viol, x.copy(), lam.copy(), mu.copy(), kkt)
         feasible = eq_viol <= opts.tol_eq and ineq_viol <= opts.tol_ineq

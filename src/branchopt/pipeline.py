@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -36,6 +37,8 @@ class PipelineResult:
     bundle: tr.SolutionBundle
     layout: tr.TranscriptionLayout
     problem: nlp.NlpProblem
+    # branched solves: the unbranched stage's solution they started from
+    nominal: Optional[tr.SolutionBundle] = None
 
 
 def nominal_stage_config(cfg: tr.TranscriptionConfig) -> tr.TranscriptionConfig:
@@ -206,16 +209,19 @@ def _solve_branched(adapter, cfg, build, transfer_factory, opts, nominal_cfg):
     nom_cfg = nominal_cfg if nominal_cfg is not None else nominal_stage_config(cfg)
     nom_problem, nom_layout = tr.build_nominal(adapter, nom_cfg)
     problem, layout = build(adapter, cfg)
+    nominal = None
 
     def transfer(x_nom):
-        bundle = tr.extract_solution(nom_layout, x_nom)
-        return transfer_factory(layout, bundle, nom_cfg)
+        nonlocal nominal
+        nominal = tr.extract_solution(nom_layout, x_nom)
+        return transfer_factory(layout, nominal, nom_cfg)
 
     x0 = tr.default_initial_guess(adapter, nom_layout)
     sol = nlp.warm_start_chain(
         [(nom_problem, None), (problem, transfer)], x0, opts
     )
-    return PipelineResult(sol, tr.extract_solution(layout, sol.x), layout, problem)
+    return PipelineResult(sol, tr.extract_solution(layout, sol.x), layout,
+                          problem, nominal)
 
 
 def solve_sure(adapter, cfg, opts=None, nominal_cfg=None) -> PipelineResult:

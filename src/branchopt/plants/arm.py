@@ -13,12 +13,11 @@ z), gravity along -z.  Absolute link angles are measured from +x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .. import autodiff as ad
-from ..hybrid import HybridSystemDef
 
 __all__ = [
     "ArmCatchParams",
@@ -33,7 +32,6 @@ __all__ = [
     "ball_state",
     "fall_time",
     "level_configuration",
-    "make_system",
 ]
 
 
@@ -247,55 +245,3 @@ def level_configuration(p_target, p: ArmCatchParams, elbow_up=True):
     q1 = math.atan2(wz, wx) - math.atan2(l2 * s2, l1 + l2 * c2)
     q3 = alpha - q1 - q2
     return np.array([q1, q2, q3])
-
-
-# -- hybrid system definition ---------------------------------------------------
-
-
-@dataclass
-class ArmEnv:
-    """Per-trial environment: the ball's release state.
-
-    ``ball_z``/``ball_vz`` hold the ball's current vertical state during
-    a rollout (updated externally each step, since the guard callback
-    sees only the arm state).
-    """
-
-    release_height: float = 1.0
-    ball_z: float = 1.0
-    ball_vz: float = 0.0
-
-
-def make_system(p: ArmCatchParams = None) -> HybridSystemDef:
-    p = p if p is not None else ArmCatchParams()
-
-    def free_dyn(q, qd, u):
-        return forward_dynamics(q, qd, u, p)
-
-    def contact_dyn(q, qd, u, F):
-        # negligible ball mass: contact does not alter the arm dynamics
-        return forward_dynamics(q, qd, u, p)
-
-    def guard(state, env):
-        bz = env.ball_z if env is not None else p.p_ball0[1]
-        _, pz, _ = fk(state[:3], p)
-        return bz - p.r_ball - pz
-
-    def reset(state, u, env):
-        return np.array(state, dtype=float), np.zeros(2)
-
-    def contact_jac(q):
-        row_x, row_z = translational_jacobian(np.asarray(q, float), p)
-        return np.array([row_z, row_x], dtype=float)
-
-    return HybridSystemDef(
-        n_q=3,
-        n_u=3,
-        free_dynamics=free_dyn,
-        contact_dynamics=contact_dyn,
-        guard=guard,
-        reset=reset,
-        contact_jacobian=contact_jac,
-        params=p,
-        default_env=ArmEnv(release_height=p.p_ball0[1], ball_z=p.p_ball0[1]),
-    )

@@ -58,11 +58,8 @@ class ArmCatchOcp(PlantOcp):
     def running_cost(self, x, u, dt):
         return self._smoothness(x, u, ad.sqrt(dt))
 
-    def branch_node_cost(self, x, u, dt, weight, time_scaled):
-        scale = np.sqrt(weight)
-        if time_scaled:
-            scale = ad.sqrt(dt) * scale
-        return self._smoothness(x, u, scale)
+    def branch_node_cost(self, x, u, dt, weight):
+        return self._smoothness(x, u, ad.sqrt(dt) * np.sqrt(weight))
 
     # -- guard (needs the accumulated time) ------------------------------------
 
@@ -171,8 +168,7 @@ class ArmCatchOcp(PlantOcp):
 
     # -- transition: the ball attaches, the arm state carries over --------------
 
-    def emit_transition(self, builder, layout, cfg, pre_nodes, post_idx_rows,
-                        branch_rows):
+    def emit_transition(self, builder, layout, cfg, pre_nodes, post_idx_rows):
         rows = [
             list(layout.x_idx(i)) + post
             for i, post in zip(pre_nodes, post_idx_rows)

@@ -79,10 +79,9 @@ def accel(theta, thetadot, tau, fx, fy, p: CartPoleParams):
     return xdd, thdd
 
 
-def forward_dynamics(q, qd, u, F=None, p: CartPoleParams = None):
+def forward_dynamics(q, qd, u, p: CartPoleParams = None):
     tau = u[0] if np.ndim(u) else u
-    fx, fy = (0.0, 0.0) if F is None else (F[0], F[1])
-    xdd, thdd = accel(q[1], qd[1], tau, fx, fy, p)
+    xdd, thdd = accel(q[1], qd[1], tau, 0.0, 0.0, p)
     return np.array([xdd, thdd])
 
 
@@ -142,8 +141,7 @@ def tip_velocity(state, p: CartPoleParams):
 # -- impact map -------------------------------------------------------------
 
 
-def impact_map(state, tau, env: CartPoleEnv, p: CartPoleParams,
-               normal_only_restitution=False):
+def impact_map(state, tau, env: CartPoleEnv, p: CartPoleParams):
     """Closed-form restitution map at the guard surface.
 
     Solves the velocity-level contact problem over the assumed impact
@@ -156,20 +154,10 @@ def impact_map(state, tau, env: CartPoleEnv, p: CartPoleParams,
     G = J @ Minv @ J.T
     v = J @ qd
     drift = Minv @ (np.array([tau, 0.0]) - bias_vector(q, qd, p)) * p.dt_impact
-    impulse = exact_cone_impulse(
-        G, v, env.e, env.mu,
-        normal_only_restitution=normal_only_restitution,
-        bias=J @ drift,
-    )
+    impulse = exact_cone_impulse(G, v, env.e, env.mu, bias=J @ drift)
     qd_post = qd + Minv @ (J.T @ impulse) + drift
     post = np.concatenate([q, qd_post])
     return post, impulse
-
-
-def _reset(state, u, env, p, normal_only_restitution=False):
-    tau = u[0] if np.ndim(u) else u
-    return impact_map(state, tau, env, p,
-                      normal_only_restitution=normal_only_restitution)
 
 
 def make_system(p: CartPoleParams = None, env: CartPoleEnv = None) -> HybridSystemDef:
@@ -178,10 +166,8 @@ def make_system(p: CartPoleParams = None, env: CartPoleEnv = None) -> HybridSyst
     return HybridSystemDef(
         n_q=2,
         n_u=1,
-        free_dynamics=lambda q, qd, u: forward_dynamics(q, qd, u, None, p),
-        contact_dynamics=lambda q, qd, u, F: forward_dynamics(q, qd, u, F, p),
+        free_dynamics=lambda q, qd, u: forward_dynamics(q, qd, u, p),
         guard=lambda state, e: guard(state, e, p),
-        reset=lambda state, u, e: _reset(state, u, e, p),
         contact_jacobian=lambda q: contact_jacobian(q, p),
         params=p,
         default_env=env,

@@ -13,7 +13,8 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..transcription import PlantOcp, STRICT_EPS
-from .cartpole import CartPoleEnv, CartPoleParams, X_EQ, accel, env_from_params
+from .cartpole import (CartPoleEnv, CartPoleParams, X_EQ, accel,
+                       env_from_params, impact_map)
 
 CONE_SMOOTHING = 1e-8
 
@@ -21,7 +22,6 @@ CONE_SMOOTHING = 1e-8
 class CartPoleOcp(PlantOcp):
     n_x = 4
     n_u = 1
-    clearance_after_rejoin = True
 
     def __init__(self, params: CartPoleParams = None, env: CartPoleEnv = None,
                  w_state=(10.0, 10.0, 1.0, 1.0), w_tau=1.0):
@@ -47,11 +47,8 @@ class CartPoleOcp(PlantOcp):
     def running_cost(self, x, u, dt):
         return self._quad_residuals(x, u, ad.sqrt(dt))
 
-    def branch_node_cost(self, x, u, dt, weight, time_scaled):
-        scale = np.sqrt(weight)
-        if time_scaled:
-            scale = ad.sqrt(dt) * scale
-        return self._quad_residuals(x, u, scale)
+    def branch_node_cost(self, x, u, dt, weight):
+        return self._quad_residuals(x, u, ad.sqrt(dt) * np.sqrt(weight))
 
     def dynamics_defect(self, x, u, dt, x_next):
         # semi-implicit Euler: velocities first, then positions
@@ -79,14 +76,10 @@ class CartPoleOcp(PlantOcp):
     # -- impact transition ----------------------------------------------------
 
     def register_variables(self, lb, cfg, variant):
-        if not cfg.contact_enabled:
-            return
         n_contacts = 1 if variant == "nominal" else cfg.n_branches
         lb.add("F", (n_contacts, 2))
 
     def configure_bounds(self, builder, layout, cfg):
-        if "F" not in layout.arrays:
-            return
         F = layout.arrays["F"]
         builder.set_bounds(F[:, 0], STRICT_EPS, np.inf)  # normal force pushes
 
@@ -112,21 +105,7 @@ class CartPoleOcp(PlantOcp):
         fx, fy = v[0], v[1]
         return [ad.sqrt(fy * fy + CONE_SMOOTHING) - self.env.mu * fx]
 
-    def emit_transition(self, builder, layout, cfg, pre_nodes, post_idx_rows,
-                        branch_rows):
-        if not cfg.contact_enabled:
-            if cfg.variant == "nominal":
-                return
-            # contact-free branching still needs the branch roots tied down
-            rows = [
-                list(layout.x_idx(i)) + post
-                for i, post in zip(pre_nodes, post_idx_rows)
-            ]
-            builder.add_eq(
-                "branch_root_state_continuity",
-                lambda v: [v[j] - v[4 + j] for j in range(4)],
-                np.array(rows, dtype=int), 4)
-            return
+    def emit_transition(self, builder, layout, cfg, pre_nodes, post_idx_rows):
         F = layout.arrays["F"]
         rows = []
         cone_rows = []
@@ -143,19 +122,11 @@ class CartPoleOcp(PlantOcp):
             "impact_friction_cone", self._cone_residual,
             np.array(cone_rows, dtype=int), 1)
 
-    def emit_extra_blocks(self, builder, layout, cfg, variant):
-        pass
-
     def branch_seed(self, x_pre, u_pre, cfg):
-        if not cfg.contact_enabled:
-            return np.asarray(x_pre, dtype=float).copy(), {}
-        from .cartpole import impact_map
-
         post, impulse = impact_map(
             np.asarray(x_pre, dtype=float), float(u_pre[0]), self.env, self.p
         )
         return post, {"F": impulse / self.p.dt_impact}
 
     def initial_guess_extras(self, layout, cfg, x0):
-        if "F" in layout.arrays:
-            x0[layout.arrays["F"][:, 0]] = 1.0
+        x0[layout.arrays["F"][:, 0]] = 1.0

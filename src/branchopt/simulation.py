@@ -21,6 +21,8 @@ from .hybrid import HybridSystemDef
 __all__ = ["SimTrace", "ContactEvent", "rk4_step", "detect_crossing",
            "pgs_solve", "simulate"]
 
+PGS_ITERS = 30  # projected Gauss-Seidel sweeps per impact
+
 
 class NoCrossingError(ValueError):
     pass
@@ -126,15 +128,13 @@ def detect_crossing(guard, state_a, state_b, t_a, t_b,
     return t_a + s * (t_b - t_a), interp(s)
 
 
-def _apply_impulse(sys: HybridSystemDef, state, env, pgs_iters,
-                   normal_only_restitution):
+def _apply_impulse(sys: HybridSystemDef, state, env):
     q, qd = state[: sys.n_q], state[sys.n_q :]
     J = sys.contact_jacobian(q)
     Minv = np.linalg.inv(_mass_matrix(sys, q))
     G = J @ Minv @ J.T
     v = J @ qd
-    impulse = pgs_solve(G, v, env.e, env.mu, n_iter=pgs_iters,
-                        normal_only_restitution=normal_only_restitution)
+    impulse = pgs_solve(G, v, env.e, env.mu, n_iter=PGS_ITERS)
     post = np.array(state, dtype=float)
     post[sys.n_q :] = qd + Minv @ (J.T @ impulse)
     return post, impulse
@@ -148,8 +148,7 @@ def _mass_matrix(sys: HybridSystemDef, q):
 
 
 def simulate(sys: HybridSystemDef, controller, x0, env=None, horizon=10.0,
-             dt_sim=1e-3, pgs_iters=30, normal_only_restitution=False,
-             stop_condition=None):
+             dt_sim=1e-3, stop_condition=None):
     """Closed-loop rollout with guard-triggered impulse events.
 
     ``controller(t, state) -> u`` supplies the input, held constant over
@@ -191,8 +190,7 @@ def simulate(sys: HybridSystemDef, controller, x0, env=None, horizon=10.0,
         g_new = guard_fn(x_new)
         if guards[k] > 0.0 >= g_new:
             t_hit, x_hit = detect_crossing(guard_fn, x, x_new, t, t_new)
-            post, impulse = _apply_impulse(sys, x_hit, env, pgs_iters,
-                                           normal_only_restitution)
+            post, impulse = _apply_impulse(sys, x_hit, env)
             events.append(ContactEvent(t_hit, x_hit, post, impulse))
             if hasattr(controller, "notify_contact"):
                 controller.notify_contact(t_hit)

@@ -18,7 +18,7 @@ scaffolding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -43,15 +43,11 @@ class TranscriptionConfig:
     x_end: np.ndarray = None
     d_fixed: Optional[float] = 0.05
     d_bounds: Optional[tuple] = None  # (d_min, d_max) => d is a decision var
-    branch_weight_mode: str = "average"  # average | sum
-    branch_cost_time_scaled: bool = True
-    contact_enabled: bool = True
-    weights: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.variant not in ("nominal", "sure", "tree"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "nominal" and self.contact_enabled:
+        if self.variant == "nominal":
             if self.contact_node is None or not 0 < self.contact_node < self.N:
                 raise ValueError("contact_node must lie strictly inside (0, N)")
         if self.variant in ("sure", "tree"):
@@ -74,8 +70,6 @@ class TranscriptionConfig:
 
     @property
     def branch_weight(self):
-        if self.branch_weight_mode == "sum":
-            return 1.0
         return 1.0 / self.n_branches
 
 
@@ -276,7 +270,7 @@ class PlantOcp:
     def running_cost(self, x, u, dt):
         raise NotImplementedError
 
-    def branch_node_cost(self, x, u, dt, weight, time_scaled):
+    def branch_node_cost(self, x, u, dt, weight):
         raise NotImplementedError
 
     def guard_local_indices(self, layout, i):
@@ -290,8 +284,7 @@ class PlantOcp:
         """List of (name, fun(x_vars)->outputs, n_out) state-only path ineqs."""
         return []
 
-    def emit_transition(self, builder, layout, cfg, pre_nodes, post_idx_rows,
-                        branch_rows):
+    def emit_transition(self, builder, layout, cfg, pre_nodes, post_idx_rows):
         """Impact/reset blocks from common pre-impact nodes to post states."""
         raise NotImplementedError
 
@@ -383,7 +376,7 @@ def _skip_node(cfg):
     excluded from the running cost and pinned by the builder.
     """
     if cfg.variant == "nominal":
-        return cfg.contact_node if cfg.contact_enabled else None
+        return cfg.contact_node
     if cfg.variant == "sure":
         return cfg.k_last
     return None
@@ -415,16 +408,8 @@ def _emit_dynamics(builder, adapter, layout, cfg):
         x_next = v[n_x + n_u + 1 :]
         return adapter.dynamics_defect(x, u, dt, x_next)
 
-    variant = cfg.variant
-    if variant == "nominal":
-        skip = {cfg.contact_node} if cfg.contact_enabled else set()
-        nodes = [i for i in range(layout.n_common) if i not in skip]
-    elif variant == "sure":
-        nodes = [i for i in range(layout.n_common) if i != cfg.k_last]
-    else:
-        nodes = list(range(layout.n_common))  # 0 .. k_last-1
-    if nodes:
-        builder.add_eq("common_dynamics", defect, _dynamics_rows(adapter, layout, nodes), n_x)
+    nodes = [i for i in range(layout.n_common) if i != _skip_node(cfg)]
+    builder.add_eq("common_dynamics", defect, _dynamics_rows(adapter, layout, nodes), n_x)
 
     if layout.n_branches:
         rows = []
@@ -454,9 +439,7 @@ def _emit_costs(builder, adapter, layout, cfg):
 
         def branch_cost(v):
             return adapter.branch_node_cost(
-                v[:n_x], v[n_x : n_x + n_u], v[n_x + n_u], w,
-                cfg.branch_cost_time_scaled,
-            )
+                v[:n_x], v[n_x : n_x + n_u], v[n_x + n_u], w)
 
         rows = []
         for k in range(layout.n_branches):
@@ -469,24 +452,9 @@ def _emit_costs(builder, adapter, layout, cfg):
                          adapter.n_branch_residuals)
 
 
-def _guard_block_fun(adapter, offset=0.0, sign=1.0, d_col=None):
-    """guard(x)*sign - offset - sign_d*d as a residual callback."""
-
-    def fun(v):
-        g = adapter.guard_expr(v if d_col is None else v[:d_col])
-        expr = g * sign - offset
-        if d_col is not None:
-            expr = expr - v[d_col]
-        return [expr]
-
-    return fun
-
-
 def _emit_guard_blocks(builder, adapter, layout, cfg):
     variant = cfg.variant
     if variant == "nominal":
-        if not cfg.contact_enabled:
-            return
         c = cfg.contact_node
         builder.add_eq(
             "guard_zero_at_contact",
@@ -517,8 +485,6 @@ def _emit_guard_blocks(builder, adapter, layout, cfg):
         if d_decision:
             row = row + [layout.d_idx]
         return _stack_rows([row])
-
-    d_col = len(adapter.guard_local_indices(layout, cfg.k_first)) if d_decision else None
 
     if d_decision:
         builder.add_eq(
@@ -589,7 +555,7 @@ def _emit_rejoin(builder, adapter, layout, cfg):
 # -- builders -----------------------------------------------------------------
 
 
-def _build(adapter: PlantOcp, cfg: TranscriptionConfig):
+def build(adapter: PlantOcp, cfg: TranscriptionConfig):
     layout = _make_layout(adapter, cfg)
     builder = ProblemBuilder(layout.n_vars)
 
@@ -616,20 +582,18 @@ def _build(adapter: PlantOcp, cfg: TranscriptionConfig):
     _emit_guard_blocks(builder, adapter, layout, cfg)
     _emit_path_constraints(builder, adapter, layout, cfg)
 
-    if cfg.variant == "nominal" and cfg.contact_enabled:
+    if cfg.variant == "nominal":
         adapter.emit_transition(
             builder, layout, cfg,
             pre_nodes=[cfg.contact_node],
             post_idx_rows=[list(layout.x_idx(cfg.contact_node + 1))],
-            branch_rows=None,
         )
-    elif cfg.variant in ("sure", "tree"):
+    else:
         adapter.emit_transition(
             builder, layout, cfg,
             pre_nodes=cfg.branch_nodes,
             post_idx_rows=[list(layout.bx_idx(k, 0))
                            for k in range(layout.n_branches)],
-            branch_rows=list(range(layout.n_branches)),
         )
         if cfg.variant == "sure":
             _emit_rejoin(builder, adapter, layout, cfg)
@@ -642,23 +606,19 @@ def _build(adapter: PlantOcp, cfg: TranscriptionConfig):
 def build_nominal(adapter: PlantOcp, cfg: TranscriptionConfig):
     if cfg.variant != "nominal":
         raise ValueError("cfg.variant must be 'nominal'")
-    return _build(adapter, cfg)
+    return build(adapter, cfg)
 
 
 def build_sure(adapter: PlantOcp, cfg: TranscriptionConfig):
     if cfg.variant != "sure":
         raise ValueError("cfg.variant must be 'sure'")
-    return _build(adapter, cfg)
+    return build(adapter, cfg)
 
 
 def build_tree(adapter: PlantOcp, cfg: TranscriptionConfig):
     if cfg.variant != "tree":
         raise ValueError("cfg.variant must be 'tree'")
-    return _build(adapter, cfg)
-
-
-def build(adapter: PlantOcp, cfg: TranscriptionConfig):
-    return _build(adapter, cfg)
+    return build(adapter, cfg)
 
 
 # -- packing / extraction -----------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from branchopt import autodiff as ad
 from branchopt.plants import arm
 from branchopt.plants.arm import ArmCatchParams
+from branchopt.plants.arm_ocp import ArmCatchOcp
 
 
 P = ArmCatchParams()
@@ -236,26 +237,27 @@ def test_level_configuration_out_of_reach():
         arm.level_configuration((5.0, 5.0), P)
 
 
-# -- hybrid system wrapper ---------------------------------------------------------
+# -- catch transition (OCP adapter) ------------------------------------------------
 
 
 def test_guard_is_ball_to_container_gap():
-    sysd = arm.make_system(P)
+    ocp = ArmCatchOcp(P)
     q = arm.level_configuration((0.0, 0.3), P)
-    state = np.concatenate([q, np.zeros(3)])
-    env = arm.ArmEnv(release_height=1.0, ball_z=1.0)
-    # ball at 1.0 m, container top at 0.3: gap = 1.0 - r_ball - 0.3
-    assert float(sysd.guard(state, env)) == pytest.approx(0.7 - P.r_ball)
-    env.ball_z = 0.3 + P.r_ball
-    assert float(sysd.guard(state, env)) == pytest.approx(0.0, abs=1e-12)
+    state = list(np.concatenate([q, np.zeros(3)]))
+    # at t=0 the ball is at its 1.0 m release height, container top at 0.3
+    assert float(ocp.guard_expr(state + [0.0])) == pytest.approx(
+        0.7 - P.r_ball)
+    t_touch = arm.fall_time(P.p_ball0[1], 0.3 + P.r_ball, g=P.g)
+    assert float(ocp.guard_expr(state + [t_touch])) == pytest.approx(
+        0.0, abs=1e-12)
 
 
 def test_reset_leaves_arm_state_unchanged():
-    sysd = arm.make_system(P)
+    ocp = ArmCatchOcp(P)
     state = np.array([0.4, -0.8, 0.3, 0.5, -0.2, 0.1])
-    post, impulse = sysd.reset(state, np.zeros(3), sysd.default_env)
+    post, extras = ocp.branch_seed(state, np.zeros(3), cfg=None)
     assert post == pytest.approx(state)
-    assert impulse == pytest.approx(np.zeros(2))
+    assert extras == {}
 
 
 def test_param_validation():

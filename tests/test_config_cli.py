@@ -1,0 +1,49 @@
+"""Run configuration loading and the command-line entry point."""
+
+import pytest
+
+from branchopt import cli, config
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    return str(path)
+
+
+def test_defaults_without_a_file():
+    run = config.load_config(None)
+    assert run.plant_name == "cartpole"
+    assert run.seed == 0
+    assert len(run.conditions) == 4
+
+
+def test_rejects_other_schema_version(tmp_path):
+    with pytest.raises(ValueError, match="schema_version"):
+        config.load_config(_write(tmp_path, "schema_version: 2\n"))
+
+
+def test_rejects_non_mapping_section(tmp_path):
+    with pytest.raises(ValueError, match="solver"):
+        config.load_config(_write(tmp_path, "solver: [1, 2]\n"))
+
+
+def test_overrides_replace_experiment_keys(tmp_path):
+    path = _write(tmp_path, "experiment:\n  seed: 3\n  workers: 2\n")
+    run = config.load_config(path, {"seed": 9, "workers": None})
+    assert run.seed == 9
+    assert run.workers == 2  # a None override leaves the file's value
+
+
+def test_solver_opts_pass_yaml_keys_through(tmp_path):
+    path = _write(tmp_path, "solver:\n  tol_eq: 1.0e-8\n  max_outer: 7\n")
+    opts = config.solver_opts(config.load_config(path))
+    assert opts.tol_eq == 1e-8
+    assert opts.max_outer == 7
+    assert opts.max_inner == 600
+
+
+def test_cli_gains_prints_gains(capsys):
+    assert cli.main(["gains"]) == 0
+    out = capsys.readouterr().out
+    assert "k_p:" in out and "k_d:" in out

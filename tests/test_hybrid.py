@@ -1,11 +1,10 @@
-"""Hybrid-system abstraction: flow, guard, reset admissibility."""
+"""Hybrid-system definition: flow and guard; the cart-pole impact map."""
 
 import math
 
 import numpy as np
 import pytest
 
-from branchopt import hybrid
 from branchopt.plants import cartpole
 
 
@@ -22,18 +21,9 @@ def test_state_derivative_layout(sys_def):
     assert ds[:2] == pytest.approx(state[2:])
 
 
-def test_euler_step_matches_manual(sys_def):
-    state = np.array([0.0, 3.1, 0.1, -0.4])
-    u = np.array([0.2])
-    dt = 1e-3
-    qdd = sys_def.free_dynamics(state[:2], state[2:], u)
-    expected = state + dt * np.concatenate([state[2:], qdd])
-    assert hybrid.euler_step(sys_def, state, u, dt) == pytest.approx(expected)
-
-
 def test_guard_positive_in_free_motion(sys_def):
     # upright pole at the origin, wall at -0.5: clearly separated
-    assert hybrid.guard_eval(sys_def, cartpole.X_EQ) > 0
+    assert sys_def.guard(cartpole.X_EQ, sys_def.default_env) > 0
 
 
 def test_guard_zero_at_touching_configuration(sys_def):
@@ -43,12 +33,7 @@ def test_guard_zero_at_touching_configuration(sys_def):
     theta = 3.6
     x = env.x_wall - p.l * math.sin(theta)
     state = np.array([x, theta, 0.0, 0.0])
-    assert hybrid.guard_eval(sys_def, state) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_reset_requires_guard_surface(sys_def):
-    with pytest.raises(hybrid.ResetError):
-        hybrid.reset_eval(sys_def, cartpole.X_EQ)
+    assert sys_def.guard(state, env) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reset_freezes_positions_and_flips_normal_velocity(sys_def):
@@ -57,9 +42,9 @@ def test_reset_freezes_positions_and_flips_normal_velocity(sys_def):
     theta = 3.6
     x = env.x_wall - p.l * math.sin(theta)
     pre = np.array([x, theta, -1.0, 2.0])
-    g_pre = hybrid.guard_eval(sys_def, pre)
+    g_pre = sys_def.guard(pre, env)
     assert abs(g_pre) < 1e-9
-    post = hybrid.reset_eval(sys_def, pre)
+    post, _ = cartpole.impact_map(pre, 0.0, env, p)
     # positions unchanged
     assert post[:2] == pytest.approx(pre[:2])
     # normal (guard-direction) velocity reverses with restitution e
@@ -68,16 +53,6 @@ def test_reset_freezes_positions_and_flips_normal_velocity(sys_def):
     vn_post = float(J[0] @ post[2:])
     assert vn_pre < 0  # approaching
     assert vn_post == pytest.approx(-env.e * vn_pre, rel=1e-6)
-
-
-def test_reset_tolerance_band(sys_def):
-    p = sys_def.params
-    env = sys_def.default_env
-    theta = 3.6
-    x = env.x_wall - p.l * math.sin(theta) + 0.5 * hybrid.GUARD_TOL
-    pre = np.array([x, theta, -1.0, 0.0])
-    post = hybrid.reset_eval(sys_def, pre)  # within tolerance: allowed
-    assert post.shape == (4,)
 
 
 def test_extras_provide_mass_matrix(sys_def):

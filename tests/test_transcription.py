@@ -9,6 +9,7 @@ and acceptance tests cover.
 import numpy as np
 import pytest
 
+from branchopt import nlp
 from branchopt import transcription as tr
 from branchopt.plants.cartpole_ocp import CartPoleOcp
 from branchopt.transcription import SolutionBundle, Trajectory
@@ -101,7 +102,6 @@ def test_branch_properties():
     assert cfg.branch_nodes == [4, 5, 6]
     assert cfg.n_branches == 3
     assert cfg.branch_weight == pytest.approx(1.0 / 3.0)
-    assert _cfg("sure", branch_weight_mode="sum").branch_weight == 1.0
 
 
 # -- boundary conditions and bounds ----------------------------------------------
@@ -257,3 +257,67 @@ def test_robust_nominal_branch_plays_middle_branch():
     assert robust.states.shape[0] == 6 + 4 + 5
     assert robust.states[:6] == pytest.approx(bundle.common.states[:6])
     assert robust.states[6:10] == pytest.approx(bundle.branches[1].states)
+
+
+# -- residual values at the default guess ------------------------------------------
+
+# Objective and, per block in emission order, (size, 2-norm, index-weighted
+# sum) of the residuals at the default initial guess of the _cfg problems.
+# The values are recorded, so a change in the order or content of the
+# transcription's arithmetic fails here even when the solver still converges.
+RECORDED_AT_DEFAULT_GUESS = {
+    "nominal": (3.219419270833334, [
+        ("common_running_cost", 55, 1.7942740233401735, 104.95440840550721),
+        ("common_dynamics", 44, 1.5468868996455873, -133.41212499999992),
+        ("guard_zero_at_contact", 1, 0.5, 0.5),
+        ("impact_restitution_map", 5, 2.3535643241215607, -13.368333333333332),
+        ("guard_clearance", 11, 1.6583090785529095, -32.999934),
+        ("cart_body_wall_clearance", 13, 1.65854998116216, -41.85990900000001),
+        ("impact_friction_cone", 1, 0.6999, -0.6999),
+    ]),
+    "sure": (3.943972125771605, [
+        ("common_running_cost", 55, 1.8135758301396352, 107.07691736210393),
+        ("branch_running_cost", 45, 0.8092680854358081, 54.426044112885684),
+        ("common_dynamics", 44, 1.547460774891043, -133.66924999999992),
+        ("branch_dynamics", 36, 1.0150985463900044, -55.243374999999915),
+        ("guard_pin_window_entry", 1, 0.45, 0.45),
+        ("guard_pin_window_exit", 1, 0.55, 0.55),
+        ("impact_restitution_map", 15, 4.026445299516684, -65.9025),
+        ("branch_rejoin_pinning", 12, 0.0, 0.0),
+        ("guard_clearance_beyond_window", 10, 1.4230217847981104,
+         -24.749944999999997),
+        ("cart_body_wall_clearance", 25, 2.2999950000000005,
+         -149.49967500000002),
+        ("impact_friction_cone", 3, 1.2122623602174571, -4.1994),
+    ]),
+    "tree": (2.0636959635416674, [
+        ("common_running_cost", 30, 1.3963755165904814, 37.91240136265881),
+        ("branch_running_cost", 120, 0.33738906355768755, 33.08664017110985),
+        ("common_dynamics", 24, 2.2564104709785546, -81.25424999999998),
+        ("branch_dynamics", 96, 0.7306720958795724, -85.7757083333328),
+        ("guard_pin_window_entry", 1, 0.45, 0.45),
+        ("guard_pin_window_exit", 1, 0.55, 0.55),
+        ("impact_restitution_map", 15, 1.474469989521659, -13.1025),
+        ("guard_clearance_beyond_window", 4, 0.899998, -4.4999899999999995),
+        ("cart_body_wall_clearance", 34, 2.6822320406769435, -273.699405),
+        ("impact_friction_cone", 3, 1.2122623602174571, -4.1994),
+    ]),
+}
+
+
+@pytest.mark.parametrize("variant", ["nominal", "sure", "tree"])
+def test_residuals_at_default_guess_match_recorded(variant):
+    adapter = CartPoleOcp()
+    problem, layout = getattr(tr, f"build_{variant}")(adapter, _cfg(variant))
+    x0 = tr.default_initial_guess(adapter, layout)
+    objective, blocks = RECORDED_AT_DEFAULT_GUESS[variant]
+    assert nlp.eval_objective(problem, x0) == pytest.approx(objective,
+                                                            rel=1e-12)
+    got = []
+    for b in problem.cost_blocks + problem.eq_blocks + problem.ineq_blocks:
+        v = nlp.block_values(b, x0).ravel()
+        got.append((b.name, v.size, float(np.sqrt(v @ v)),
+                    float(v @ np.arange(1, v.size + 1))))
+    assert [g[:2] for g in got] == [b[:2] for b in blocks]
+    for g, want in zip(got, blocks):
+        assert g[2:] == pytest.approx(want[2:], rel=1e-12, abs=1e-12), g[0]

@@ -185,13 +185,14 @@ def _solve_condition(args):
 
 
 def _run_trial(args):
-    (plant_dict, spec, reference, gains_kp, gains_kd,
+    (plant_dict, env_dict, spec, reference, gains_kp, gains_kd,
      horizon, dt_sim, tolerances, debounce_window, x_end) = args
     from .plants import cartpole
 
     p = dataclasses.replace(cartpole.CartPoleParams(), **plant_dict)
     env = dataclasses.replace(
-        cartpole.env_from_params(p), x_wall=spec.x_wall, e=spec.e)
+        cartpole.env_from_params(p),
+        **{**env_dict, "x_wall": spec.x_wall, "e": spec.e})
     sys = cartpole.make_system(p, env)
     gains = control.Gains(np.asarray(gains_kp), np.asarray(gains_kd))
     controller = control.TrackingController(reference, gains)
@@ -273,7 +274,7 @@ def montecarlo(run: cfgmod.RunConfig, progress=None) -> MonteCarloReport:
     for s in specs:
         s.validate(x_wall_range, e_range)
     trial_args = [
-        (plant_dict, s, ref_by_cond[s.condition_id][s.reference],
+        (plant_dict, env_dict, s, ref_by_cond[s.condition_id][s.reference],
          gains.k_p, gains.k_d, horizon, dt_sim, tolerances, debounce,
          list(X_END))
         for s in specs
@@ -320,13 +321,13 @@ def _pmap(fn, items, workers):
 
 def _tradeoff_cell(args):
     """One (condition, formulation) solve for the trade-off sweep."""
-    plant_dict, env_dict, tcfg_dict, solver_dict, x_init, kind, n_r = args
+    (plant_dict, env_dict, tcfg_dict, solver_dict, x_init, kind, n_r,
+     budget) = args
     run = cfgmod.RunConfig(
         plant={"name": "cartpole", "params": plant_dict, "env": env_dict},
         transcription=tcfg_dict, solver=solver_dict)
     adapter, p, env = cfgmod.build_plant(run)
     opts = cfgmod.solver_opts(run)
-    budget = int(tcfg_dict.get("post_impact_budget", 100))
     k_first = int(tcfg_dict.get("k_first", 18))
     k_last = int(tcfg_dict.get("k_last", 22))
     if kind == "sure":
@@ -367,7 +368,7 @@ def tradeoff(run: cfgmod.RunConfig, include_baseline=False, progress=None):
     conditions = run.conditions
     n_r_values = [int(v) for v in run.exp("n_r_values", (7, 12, 20, 40, 70))]
     tdict = dict(run.transcription)
-    tdict["post_impact_budget"] = int(run.exp("post_impact_budget", 100))
+    budget = int(run.exp("post_impact_budget", 100))
     plant_dict = dict(run.plant.get("params", {}) or {})
     env_dict = dict(run.plant.get("env", {}) or {})
 
@@ -376,15 +377,15 @@ def tradeoff(run: cfgmod.RunConfig, include_baseline=False, progress=None):
         x0 = [float(v) for v in state]
         for n_r in n_r_values:
             cells.append((plant_dict, env_dict, tdict, dict(run.solver),
-                          x0, "sure", n_r))
+                          x0, "sure", n_r, budget))
         cells.append((plant_dict, env_dict, tdict, dict(run.solver),
-                      x0, "tree", tdict["post_impact_budget"]))
+                      x0, "tree", budget, budget))
         if include_baseline:
             k_first = int(tdict.get("k_first", 18))
             k_last = int(tdict.get("k_last", 22))
             for node in range(k_first, k_last + 1):
                 cells.append((plant_dict, env_dict, tdict, dict(run.solver),
-                              x0, "baseline", node))
+                              x0, "baseline", node, budget))
     results = _pmap(_tradeoff_cell, cells, run.workers)
     if progress:
         for r in results:
@@ -396,7 +397,7 @@ def tradeoff(run: cfgmod.RunConfig, include_baseline=False, progress=None):
         cell = [r for r in results if r["kind"] == "sure" and r["n_r"] == n_r]
         rows.append(_avg_row("sure", n_r, cell))
     tree_rows = [r for r in results if r["kind"] == "tree"]
-    tree = _avg_row("tree", tdict["post_impact_budget"], tree_rows)
+    tree = _avg_row("tree", budget, tree_rows)
     out = {"rows": rows, "tree": tree,
            "paper_comparison": {"cost_pct": 4.87, "time_pct": -55.85}}
     if include_baseline:

@@ -93,15 +93,13 @@ def cmd_simulate(args):
     run = _load(args)
     with open(args.solution) as fh:
         payload = json.load(fh)
-    if payload.get("plant", "cartpole") != "cartpole":
+    if (payload.get("plant", "cartpole") != "cartpole"
+            or run.plant_name != "cartpole"):
         raise SystemExit("simulate supports the cart-pole plant")
     bundle = tr.bundle_from_dict(payload["bundle"])
     from .plants import cartpole
     import dataclasses as dc
-    p = dc.replace(cartpole.CartPoleParams(),
-                   **(run.plant.get("params", {}) or {}))
-    env = dc.replace(cartpole.env_from_params(p),
-                     **(run.plant.get("env", {}) or {}))
+    _, p, env = cfgmod.build_plant(run)
     if args.x_wall is not None:
         env = dc.replace(env, x_wall=args.x_wall)
     if args.e is not None:

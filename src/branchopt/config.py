@@ -4,8 +4,8 @@ A run is described by one YAML file with five sections — ``plant``,
 ``transcription``, ``solver``, ``controller``, ``experiment`` — each
 optional; omitted keys fall back to the defaults below.  The same file
 drives every CLI verb, so a study is reproducible from the config plus
-a master seed.  Keys of ``transcription`` and ``solver`` that are not
-fields of ``TranscriptionConfig`` and ``SolverOpts`` are ignored.
+a master seed.  A key of ``transcription`` or ``solver`` that is not a
+field of ``TranscriptionConfig`` or ``SolverOpts`` raises ``ValueError``.
 
 Schema (version 1)::
 
@@ -21,8 +21,7 @@ Schema (version 1)::
       k_last: 22
       n_rejoin: 7
       n_branch_full: 100
-      d_fixed: 0.05
-      d_bounds: null                # [d_min, d_max] makes d a variable
+      d_fixed: 0.05                 # guard half-width at the window edges
       dt_min: 1.0e-3
       dt_max: 5.0e-2
     solver:
@@ -179,8 +178,9 @@ def transcription_config(cfg: RunConfig, variant, x_init, x_end,
         base.setdefault("k_first", 18)
         base.setdefault("k_last", 22)
         base.pop("contact_node", None)
-    known = tr.TranscriptionConfig.__dataclass_fields__
-    base = {k: v for k, v in base.items() if k in known}
+    unknown = sorted(set(base) - set(tr.TranscriptionConfig.__dataclass_fields__))
+    if unknown:
+        raise ValueError(f"unknown transcription keys: {unknown}")
     return tr.TranscriptionConfig(
         variant=variant,
         x_init=np.asarray(x_init, dtype=float),

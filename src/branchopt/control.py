@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from . import autodiff as ad
-from .transcription import SolutionBundle, Trajectory
+from .transcription import SolutionBundle, Trajectory, post_contact_reference
 
 __all__ = [
     "Gains",
@@ -181,20 +181,6 @@ class SchedulerState:
     reference: Trajectory = None
 
 
-def _post_contact_reference(bundle: SolutionBundle, pos) -> Trajectory:
-    """Branch `pos` followed by the common post-rejoin segment."""
-    br = bundle.branches[pos]
-    if bundle.rejoin_index is None:
-        return br
-    com = bundle.common
-    j = bundle.rejoin_index
-    return Trajectory(
-        states=np.vstack([br.states, com.states[j + 1 :]]),
-        inputs=np.vstack([br.inputs, com.inputs[j:]]),
-        dts=np.concatenate([br.dts, com.dts[j:]]),
-    )
-
-
 class TrajectoryScheduler:
     """Plays the common reference, switching once on observed contact.
 
@@ -237,7 +223,7 @@ class TrajectoryScheduler:
             branch_index=self.bundle.branch_nodes[pos],
             contact_time=float(t_c),
             clock_offset=float(t_c),
-            reference=_post_contact_reference(self.bundle, pos),
+            reference=post_contact_reference(self.bundle, pos),
         )
         return self.state
 

@@ -145,8 +145,10 @@ class SolverOpts:
 
     @classmethod
     def from_dict(cls, d):
-        known = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
-        return cls(**known)
+        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown solver keys: {unknown}")
+        return cls(**d)
 
 
 # -- block evaluation -------------------------------------------------------

@@ -104,61 +104,35 @@ def _seed_branch_extras(layout, x0, k, extras):
             x0[layout.arrays[name][k]] = row
 
 
-def sure_guess_from_nominal(adapter, layout, nominal_bundle, contact_node=None):
-    """Initial vector for the rejoining formulation from an unbranched solve.
+def sure_guess_from_nominal(adapter, layout, nominal_bundle, contact_node):
+    """Initial vector for the rejoining formulation from an unbranched solve
+    on the same horizon.
 
-    The unbranched horizon may exceed the branched common horizon (e.g. a
-    single branch standing in for the whole post-contact tail); the extra
-    tail is then re-gridded into the branches.
+    Each branch is seeded with the plant's transition at its own root,
+    interpolated linearly onto the rejoin state.
     """
     cfg = layout.cfg
     nom = nominal_bundle.common
-    n_nom = len(nom.dts)
     x0 = tr.default_initial_guess(adapter, layout)
-    x0[layout.arrays["x"]] = nom.states[: cfg.N + 1]
-    x0[layout.arrays["u"]] = nom.inputs[: cfg.N]
-    x0[layout.arrays["dt"]] = nom.dts[: cfg.N]
-    tail_mode = n_nom > cfg.N
-    if tail_mode:
-        # rejoin node sits at the truncated horizon's end; keep its
-        # boundary value rather than the unbranched mid-trajectory state
-        x0[layout.x_idx(cfg.N)] = np.asarray(cfg.x_end, dtype=float)
+    x0[layout.arrays["x"]] = nom.states
+    x0[layout.arrays["u"]] = nom.inputs
+    x0[layout.arrays["dt"]] = nom.dts
     rejoin = x0[layout.x_idx(cfg.k_last + 1)]
-    c = contact_node if contact_node is not None else tr.middle_branch_index(
-        cfg.k_first, cfg.k_last
-    )
-    if not tail_mode and cfg.k_last > c:
-        free = _window_free_states(adapter, nom, c, cfg.k_last)
-        for i in range(c + 1, cfg.k_last + 1):
-            x0[layout.x_idx(i)] = free[i]
-    else:
-        free = nom.states
+    c = contact_node
+    free = _window_free_states(adapter, nom, c, cfg.k_last)
+    for i in range(c + 1, cfg.k_last + 1):
+        x0[layout.x_idx(i)] = free[i]
     # recompute plant-specific slots (elapsed times, force seeds, ...) from
     # the transplanted time steps before the per-branch seeds overwrite them
     adapter.initial_guess_extras(layout, cfg, x0)
     for k, i in enumerate(cfg.branch_nodes):
         post, extras = adapter.branch_seed(free[i], nom.inputs[i], cfg)
-        if tail_mode:
-            # branch node 0 is the post-transition state, standing in for
-            # the unbranched node c+1; the rest follows the unbranched tail
-            seq_x = np.vstack([post, nom.states[c + 2 :]])
-            seq_u = nom.inputs[c + 1 :]
-            seq_dt = nom.dts[c + 1 :]
-            bx, bu, bdt = _resample(
-                seq_x, seq_u, seq_dt, layout.branch_len, cfg.dt_min, cfg.dt_max
-            )
-            x0[layout.arrays["bx"][k]] = bx
-            x0[layout.arrays["bu"][k]] = bu
-            x0[layout.arrays["bdt"][k]] = bdt
-        else:
-            for j in range(layout.branch_len + 1):
-                s = j / max(layout.branch_len, 1)
-                x0[layout.bx_idx(k, j)] = (1 - s) * post + s * rejoin
-            x0[layout.arrays["bu"][k]] = nom.inputs[min(i, n_nom - 1)]
-            x0[layout.arrays["bdt"][k]] = nom.dts[min(i, n_nom - 1)]
+        for j in range(layout.branch_len + 1):
+            s = j / max(layout.branch_len, 1)
+            x0[layout.bx_idx(k, j)] = (1 - s) * post + s * rejoin
+        x0[layout.arrays["bu"][k]] = nom.inputs[i]
+        x0[layout.arrays["bdt"][k]] = nom.dts[i]
         _seed_branch_extras(layout, x0, k, extras)
-    if layout.d_idx is not None:
-        x0[layout.d_idx] = 0.5 * (cfg.d_bounds[0] + cfg.d_bounds[1])
     return x0
 
 
@@ -192,8 +166,6 @@ def tree_guess_from_nominal(adapter, layout, nominal_bundle, contact_node):
         x0[layout.arrays["bu"][k]] = bu
         x0[layout.arrays["bdt"][k]] = bdt
         _seed_branch_extras(layout, x0, k, extras)
-    if layout.d_idx is not None:
-        x0[layout.d_idx] = 0.5 * (cfg.d_bounds[0] + cfg.d_bounds[1])
     return x0
 
 
@@ -205,8 +177,8 @@ def solve_nominal(adapter, cfg, opts=None, x0=None) -> PipelineResult:
     return PipelineResult(sol, tr.extract_solution(layout, sol.x), layout, problem)
 
 
-def _solve_branched(adapter, cfg, build, transfer_factory, opts, nominal_cfg):
-    nom_cfg = nominal_cfg if nominal_cfg is not None else nominal_stage_config(cfg)
+def _solve_branched(adapter, cfg, build, guess_from_nominal, opts):
+    nom_cfg = nominal_stage_config(cfg)
     nom_problem, nom_layout = tr.build_nominal(adapter, nom_cfg)
     problem, layout = build(adapter, cfg)
     nominal = None
@@ -214,7 +186,7 @@ def _solve_branched(adapter, cfg, build, transfer_factory, opts, nominal_cfg):
     def transfer(x_nom):
         nonlocal nominal
         nominal = tr.extract_solution(nom_layout, x_nom)
-        return transfer_factory(layout, nominal, nom_cfg)
+        return guess_from_nominal(adapter, layout, nominal, nom_cfg.contact_node)
 
     x0 = tr.default_initial_guess(adapter, nom_layout)
     sol = nlp.warm_start_chain(
@@ -224,23 +196,13 @@ def _solve_branched(adapter, cfg, build, transfer_factory, opts, nominal_cfg):
                           problem, nominal)
 
 
-def solve_sure(adapter, cfg, opts=None, nominal_cfg=None) -> PipelineResult:
+def solve_sure(adapter, cfg, opts=None) -> PipelineResult:
     """Unbranched solve, then the rejoining formulation warm-started from it."""
-
-    def factory(layout, bundle, nom_cfg):
-        return sure_guess_from_nominal(
-            adapter, layout, bundle, nom_cfg.contact_node
-        )
-
-    return _solve_branched(adapter, cfg, tr.build_sure, factory, opts, nominal_cfg)
+    return _solve_branched(adapter, cfg, tr.build_sure,
+                           sure_guess_from_nominal, opts)
 
 
-def solve_tree(adapter, cfg, opts=None, nominal_cfg=None) -> PipelineResult:
+def solve_tree(adapter, cfg, opts=None) -> PipelineResult:
     """Unbranched solve, then the tree formulation warm-started from it."""
-
-    def factory(layout, bundle, nom_cfg):
-        return tree_guess_from_nominal(
-            adapter, layout, bundle, nom_cfg.contact_node
-        )
-
-    return _solve_branched(adapter, cfg, tr.build_tree, factory, opts, nominal_cfg)
+    return _solve_branched(adapter, cfg, tr.build_tree,
+                           tree_guess_from_nominal, opts)

@@ -43,7 +43,6 @@ class ArmCatchParams:
     p_ball0: tuple = (0.0, 1.0)  # drop line (x) and nominal release height (z)
     v_ball0: tuple = (0.0, 0.0)
     r_ball: float = 0.05
-    d: float = 0.20  # half-width of the release-height uncertainty
     eps: float = 1e-3  # orientation / alignment inequality tolerance
     w_a: float = 1e-2  # accumulated joint-acceleration weight
     level_angle: float = 0.0  # absolute tool angle at which the container is level
@@ -53,8 +52,8 @@ class ArmCatchParams:
             raise ValueError("three links required")
         if min(self.lengths) <= 0 or min(self.masses) <= 0:
             raise ValueError("lengths and masses must be positive")
-        if self.r_ball < 0 or self.d < 0 or self.eps <= 0:
-            raise ValueError("r_ball, d must be >= 0 and eps > 0")
+        if self.r_ball < 0 or self.eps <= 0:
+            raise ValueError("r_ball must be >= 0 and eps > 0")
 
 
 def _abs_angles(q):

@@ -27,10 +27,8 @@ V_LIM_FLOOR = 1e-6  # keeps the sqrt cost residual differentiable
 class ArmCatchOcp(PlantOcp):
     n_x = 6
     n_u = 3
-    n_running_residuals = 3  # one smoothness residual per joint
-    n_branch_residuals = 3
-    clearance_after_rejoin = False  # the ball attaches; no post-catch guard
-    clearance_after_contact = False
+    n_cost_residuals = 3  # one smoothness residual per joint
+    clearance_after_contact = False  # the ball attaches; no post-catch guard
 
     def __init__(self, params: ArmCatchParams = None):
         self.p = params if params is not None else ArmCatchParams()
@@ -50,16 +48,10 @@ class ArmCatchOcp(PlantOcp):
             out.append(x_next[3 + k] - (x[3 + k] + qdd[k] * dt))
         return out
 
-    def _smoothness(self, x, u, scale):
+    def node_cost(self, x, u, scale):
         qdd = self._qdd(x, u)
         w = np.sqrt(self.p.w_a)
         return [w * scale * qdd[k] for k in range(3)]
-
-    def running_cost(self, x, u, dt):
-        return self._smoothness(x, u, ad.sqrt(dt))
-
-    def branch_node_cost(self, x, u, dt, weight):
-        return self._smoothness(x, u, ad.sqrt(dt) * np.sqrt(weight))
 
     # -- guard (needs the accumulated time) ------------------------------------
 
@@ -103,9 +95,9 @@ class ArmCatchOcp(PlantOcp):
         last = cfg.contact_node if cfg.variant == "nominal" else cfg.k_last
         return last + 1
 
-    def register_variables(self, lb, cfg, variant):
+    def register_variables(self, lb, cfg):
         lb.add("t", (self._n_time_nodes(cfg),))
-        if variant in ("sure", "tree"):
+        if cfg.variant in ("sure", "tree"):
             lb.add("vlim", (1,))
 
     def configure_bounds(self, builder, layout, cfg):
@@ -115,7 +107,7 @@ class ArmCatchOcp(PlantOcp):
         if "vlim" in layout.arrays:
             builder.set_bounds(layout.arrays["vlim"], V_LIM_FLOOR, np.inf)
 
-    def emit_extra_blocks(self, builder, layout, cfg, variant):
+    def emit_extra_blocks(self, builder, layout, cfg):
         t_idx = layout.arrays["t"]
         n_t = len(t_idx)
         rows = [
@@ -128,7 +120,7 @@ class ArmCatchOcp(PlantOcp):
             np.array(rows, dtype=int),
             1,
         )
-        if variant == "nominal":
+        if cfg.variant == "nominal":
             c = cfg.contact_node
             row = list(layout.x_idx(c)) + [int(t_idx[c])]
 
@@ -191,6 +183,3 @@ class ArmCatchOcp(PlantOcp):
             x0[t_idx[i + 1]] = acc
         if "vlim" in layout.arrays:
             x0[layout.arrays["vlim"]] = 1.0
-
-    def branch_seed(self, x_pre, u_pre, cfg):
-        return np.asarray(x_pre, dtype=float).copy(), {}

@@ -33,22 +33,15 @@ class CartPoleOcp(PlantOcp):
 
     # -- shared hooks --------------------------------------------------------
 
-    n_running_residuals = 5
-    n_branch_residuals = 5
+    n_cost_residuals = 5
 
-    def _quad_residuals(self, x, u, scale):
+    def node_cost(self, x, u, scale):
         out = [
             scale * np.sqrt(self.w_state[i]) * (x[i] - self.x_eq[i])
             for i in range(4)
         ]
         out.append(scale * np.sqrt(self.w_tau) * u[0])
         return out
-
-    def running_cost(self, x, u, dt):
-        return self._quad_residuals(x, u, ad.sqrt(dt))
-
-    def branch_node_cost(self, x, u, dt, weight):
-        return self._quad_residuals(x, u, ad.sqrt(dt) * np.sqrt(weight))
 
     def dynamics_defect(self, x, u, dt, x_next):
         # semi-implicit Euler: velocities first, then positions
@@ -75,8 +68,8 @@ class CartPoleOcp(PlantOcp):
 
     # -- impact transition ----------------------------------------------------
 
-    def register_variables(self, lb, cfg, variant):
-        n_contacts = 1 if variant == "nominal" else cfg.n_branches
+    def register_variables(self, lb, cfg):
+        n_contacts = 1 if cfg.variant == "nominal" else cfg.n_branches
         lb.add("F", (n_contacts, 2))
 
     def configure_bounds(self, builder, layout, cfg):

@@ -18,11 +18,12 @@ scaffolding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import autodiff as ad
 from .nlp import Block, NlpProblem
 
 STRICT_EPS = 1e-6  # strict inequalities g > a become g >= a + STRICT_EPS
@@ -41,8 +42,7 @@ class TranscriptionConfig:
     dt_max: float = 5e-2
     x_init: np.ndarray = None
     x_end: np.ndarray = None
-    d_fixed: Optional[float] = 0.05
-    d_bounds: Optional[tuple] = None  # (d_min, d_max) => d is a decision var
+    d_fixed: float = 0.05  # guard half-width at the branching-window edges
 
     def __post_init__(self):
         if self.variant not in ("nominal", "sure", "tree"):
@@ -55,10 +55,6 @@ class TranscriptionConfig:
                 raise ValueError("branching window (k_first, k_last) required")
             if not 0 < self.k_first <= self.k_last < self.N:
                 raise ValueError("need 0 < k_first <= k_last < N")
-            if self.variant == "sure" and self.k_last + 1 > self.N:
-                raise ValueError("rejoin node k_last+1 exceeds horizon")
-        if self.d_bounds is not None and self.d_bounds[0] > self.d_bounds[1]:
-            raise ValueError("d bounds must satisfy d_min <= d_max")
 
     @property
     def branch_nodes(self):
@@ -117,11 +113,6 @@ class TranscriptionLayout:
         return self.arrays["bdt"][k, j]
 
     @property
-    def d_idx(self):
-        arr = self.arrays.get("d")
-        return int(arr[0]) if arr is not None else None
-
-    @property
     def n_branches(self):
         return self.arrays["bx"].shape[0] if "bx" in self.arrays else 0
 
@@ -154,7 +145,6 @@ class SolutionBundle:
     rejoin_index: Optional[int]
     d: Optional[float]
     cost: Optional[float] = None
-    extras: dict = field(default_factory=dict)
 
 
 def _traj_to_dict(traj: Trajectory):
@@ -183,8 +173,6 @@ def bundle_to_dict(bundle: SolutionBundle) -> dict:
                          else int(bundle.rejoin_index)),
         "d": None if bundle.d is None else float(bundle.d),
         "cost": None if bundle.cost is None else float(bundle.cost),
-        "extras": {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                   for k, v in bundle.extras.items()},
     }
 
 
@@ -196,7 +184,6 @@ def bundle_from_dict(d) -> SolutionBundle:
         rejoin_index=d["rejoin_index"],
         d=d["d"],
         cost=d.get("cost"),
-        extras=dict(d.get("extras", {})),
     )
 
 
@@ -243,22 +230,32 @@ class ProblemBuilder:
 class PlantOcp:
     """Adapter interface a plant implements to participate in transcription.
 
-    Subclasses provide the residual callbacks (all dual-evaluable) plus
-    the plant-specific transition machinery.
+    Residual callbacks receive dual-evaluable values.  The hooks:
+
+    * ``n_cost_residuals`` -- outputs of ``node_cost`` per node.
+    * ``clearance_after_contact`` -- whether the guard stays positive
+      after contact (after the contact node of the unbranched problem,
+      after the rejoin node of the rejoining one); False for plants whose
+      guard loses meaning after contact (attachment).
+    * ``register_variables`` -- claim auxiliary variables in the layout.
+    * ``configure_bounds`` -- bounds and fixes of those variables.
+    * ``dynamics_defect`` -- one interval's explicit-step defect.
+    * ``node_cost`` -- least-squares cost residuals of one node, scaled.
+    * ``guard_local_indices`` / ``guard_expr`` -- the contact guard g and
+      the decision variables it reads at a common node.
+    * ``path_constraints`` -- state-only inequalities at every node.
+    * ``emit_transition`` -- the impact blocks from pre- to post-states.
+    * ``emit_extra_blocks`` -- anything beyond the shared scaffolding.
+    * ``branch_seed`` -- post-transition guess for warm starts.
+    * ``initial_guess_extras`` -- guesses of the auxiliary variables.
     """
 
     n_x: int
     n_u: int
-    # outputs per cost block row; costs are least-squares residuals
-    n_running_residuals: int = 1
-    n_branch_residuals: int = 1
-    # inequality clearance after the rejoin node (g > d for i > k_last)
-    clearance_after_rejoin = True
-    # inequality clearance at post-contact nodes of the unbranched problem;
-    # False for plants whose guard loses meaning after contact (attachment)
+    n_cost_residuals: int = 1
     clearance_after_contact = True
 
-    def register_variables(self, lb: LayoutBuilder, cfg, variant):
+    def register_variables(self, lb: LayoutBuilder, cfg):
         """Claim plant-specific auxiliary variables (forces, times, ...)."""
 
     def configure_bounds(self, builder, layout, cfg):
@@ -267,10 +264,8 @@ class PlantOcp:
     def dynamics_defect(self, x, u, dt, x_next):
         raise NotImplementedError
 
-    def running_cost(self, x, u, dt):
-        raise NotImplementedError
-
-    def branch_node_cost(self, x, u, dt, weight):
+    def node_cost(self, x, u, scale):
+        """Cost residuals of one node, each multiplied by ``scale``."""
         raise NotImplementedError
 
     def guard_local_indices(self, layout, i):
@@ -288,7 +283,7 @@ class PlantOcp:
         """Impact/reset blocks from common pre-impact nodes to post states."""
         raise NotImplementedError
 
-    def emit_extra_blocks(self, builder, layout, cfg, variant):
+    def emit_extra_blocks(self, builder, layout, cfg):
         """Anything beyond the shared scaffolding (time chains, v_lim, ...)."""
 
     def branch_seed(self, x_pre, u_pre, cfg):
@@ -333,9 +328,7 @@ def _make_layout(adapter: PlantOcp, cfg: TranscriptionConfig):
         lb.add("bx", (K, branch_len + 1, adapter.n_x))
         lb.add("bu", (K, branch_len, adapter.n_u))
         lb.add("bdt", (K, branch_len))
-        if cfg.d_bounds is not None:
-            lb.add("d", (1,))
-    adapter.register_variables(lb, cfg, variant)
+    adapter.register_variables(lb, cfg)
     return TranscriptionLayout(
         cfg=cfg,
         n_x=adapter.n_x,
@@ -353,13 +346,12 @@ def core_variable_count(cfg: TranscriptionConfig, n_x, n_u):
         return (cfg.N + 1) * n_x + cfg.N * n_u + cfg.N
     if cfg.variant == "sure":
         n = (cfg.N + 1) * n_x + cfg.N * n_u + cfg.N
-        n += cfg.n_branches * ((cfg.n_rejoin + 1) * n_x + cfg.n_rejoin * (n_u + 1))
-        return n + (1 if cfg.d_bounds is not None else 0)
+        return n + cfg.n_branches * (
+            (cfg.n_rejoin + 1) * n_x + cfg.n_rejoin * (n_u + 1))
     n = (cfg.k_last + 1) * n_x + (cfg.k_last + 1) * n_u + cfg.k_last
-    n += cfg.n_branches * (
+    return n + cfg.n_branches * (
         (cfg.n_branch_full + 1) * n_x + cfg.n_branch_full * (n_u + 1)
     )
-    return n + (1 if cfg.d_bounds is not None else 0)
 
 
 # -- shared scaffolding -------------------------------------------------------
@@ -382,7 +374,7 @@ def _skip_node(cfg):
     return None
 
 
-def _dynamics_rows(adapter, layout, nodes, branch=None):
+def _dynamics_rows(layout, nodes, branch=None):
     rows = []
     for i in nodes:
         if branch is None:
@@ -409,13 +401,13 @@ def _emit_dynamics(builder, adapter, layout, cfg):
         return adapter.dynamics_defect(x, u, dt, x_next)
 
     nodes = [i for i in range(layout.n_common) if i != _skip_node(cfg)]
-    builder.add_eq("common_dynamics", defect, _dynamics_rows(adapter, layout, nodes), n_x)
+    builder.add_eq("common_dynamics", defect, _dynamics_rows(layout, nodes), n_x)
 
     if layout.n_branches:
         rows = []
         for k in range(layout.n_branches):
             rows.extend(
-                _dynamics_rows(adapter, layout, range(layout.branch_len), branch=k)
+                _dynamics_rows(layout, range(layout.branch_len), branch=k)
             )
         builder.add_eq("branch_dynamics", defect, _stack_rows(rows), n_x)
 
@@ -424,7 +416,8 @@ def _emit_costs(builder, adapter, layout, cfg):
     n_x, n_u = adapter.n_x, adapter.n_u
 
     def running(v):
-        return adapter.running_cost(v[:n_x], v[n_x : n_x + n_u], v[n_x + n_u])
+        return adapter.node_cost(
+            v[:n_x], v[n_x : n_x + n_u], ad.sqrt(v[n_x + n_u]))
 
     nodes = [i for i in range(layout.n_common) if i != _skip_node(cfg)]
     rows = [
@@ -432,14 +425,15 @@ def _emit_costs(builder, adapter, layout, cfg):
         for i in nodes
     ]
     builder.add_cost("common_running_cost", running, _stack_rows(rows),
-                     adapter.n_running_residuals)
+                     adapter.n_cost_residuals)
 
     if layout.n_branches:
         w = cfg.branch_weight
 
         def branch_cost(v):
-            return adapter.branch_node_cost(
-                v[:n_x], v[n_x : n_x + n_u], v[n_x + n_u], w)
+            return adapter.node_cost(
+                v[:n_x], v[n_x : n_x + n_u],
+                ad.sqrt(v[n_x + n_u]) * np.sqrt(w))
 
         rows = []
         for k in range(layout.n_branches):
@@ -449,7 +443,7 @@ def _emit_costs(builder, adapter, layout, cfg):
                     + [layout.bdt_idx(k, j)]
                 )
         builder.add_cost("branch_running_cost", branch_cost, _stack_rows(rows),
-                         adapter.n_branch_residuals)
+                         adapter.n_cost_residuals)
 
 
 def _emit_guard_blocks(builder, adapter, layout, cfg):
@@ -478,53 +472,27 @@ def _emit_guard_blocks(builder, adapter, layout, cfg):
 
     # sure / tree: guard pinned to +d / -d at the window edges, clearance
     # beyond the broadened region elsewhere.
-    d_decision = cfg.d_bounds is not None
+    d = cfg.d_fixed
 
     def pin_rows(i):
-        row = adapter.guard_local_indices(layout, i)
-        if d_decision:
-            row = row + [layout.d_idx]
-        return _stack_rows([row])
+        return _stack_rows([adapter.guard_local_indices(layout, i)])
 
-    if d_decision:
-        builder.add_eq(
-            "guard_pin_window_entry",
-            lambda v: [adapter.guard_expr(v[:-1]) - v[-1]],
-            pin_rows(cfg.k_first), 1)
-        builder.add_eq(
-            "guard_pin_window_exit",
-            lambda v: [adapter.guard_expr(v[:-1]) + v[-1]],
-            pin_rows(cfg.k_last), 1)
-    else:
-        d = cfg.d_fixed
-        builder.add_eq(
-            "guard_pin_window_entry",
-            lambda v: [adapter.guard_expr(v) - d], pin_rows(cfg.k_first), 1)
-        builder.add_eq(
-            "guard_pin_window_exit",
-            lambda v: [adapter.guard_expr(v) + d], pin_rows(cfg.k_last), 1)
+    builder.add_eq(
+        "guard_pin_window_entry",
+        lambda v: [adapter.guard_expr(v) - d], pin_rows(cfg.k_first), 1)
+    builder.add_eq(
+        "guard_pin_window_exit",
+        lambda v: [adapter.guard_expr(v) + d], pin_rows(cfg.k_last), 1)
 
     clear_nodes = list(range(cfg.k_first))
-    if adapter.clearance_after_rejoin and cfg.variant == "sure":
+    if adapter.clearance_after_contact and cfg.variant == "sure":
         clear_nodes += list(range(cfg.k_last + 1, cfg.N + 1))
     if clear_nodes:
-        rows = []
-        for i in clear_nodes:
-            row = adapter.guard_local_indices(layout, i)
-            if d_decision:
-                row = row + [layout.d_idx]
-            rows.append(row)
-        if d_decision:
-            builder.add_ineq(
-                "guard_clearance_beyond_window",
-                lambda v: [v[-1] + STRICT_EPS - adapter.guard_expr(v[:-1])],
-                _stack_rows(rows), 1)
-        else:
-            d = cfg.d_fixed
-            builder.add_ineq(
-                "guard_clearance_beyond_window",
-                lambda v: [d + STRICT_EPS - adapter.guard_expr(v)],
-                _stack_rows(rows), 1)
+        rows = [adapter.guard_local_indices(layout, i) for i in clear_nodes]
+        builder.add_ineq(
+            "guard_clearance_beyond_window",
+            lambda v: [d + STRICT_EPS - adapter.guard_expr(v)],
+            _stack_rows(rows), 1)
 
 
 def _emit_path_constraints(builder, adapter, layout, cfg):
@@ -567,8 +535,6 @@ def build(adapter: PlantOcp, cfg: TranscriptionConfig):
         builder.fix(layout.dt_idx(skip), cfg.dt_min)
     for k in range(layout.n_branches):
         builder.set_bounds(layout.arrays["bdt"][k], cfg.dt_min, cfg.dt_max)
-    if layout.d_idx is not None:
-        builder.set_bounds(layout.d_idx, cfg.d_bounds[0], cfg.d_bounds[1])
     builder.fix(layout.x_idx(0), np.asarray(cfg.x_init, dtype=float))
     if cfg.variant in ("nominal", "sure"):
         builder.fix(layout.x_idx(cfg.N), np.asarray(cfg.x_end, dtype=float))
@@ -599,7 +565,7 @@ def build(adapter: PlantOcp, cfg: TranscriptionConfig):
             _emit_rejoin(builder, adapter, layout, cfg)
 
     adapter.configure_bounds(builder, layout, cfg)
-    adapter.emit_extra_blocks(builder, layout, cfg, cfg.variant)
+    adapter.emit_extra_blocks(builder, layout, cfg)
     return builder.finish(layout), layout
 
 
@@ -648,8 +614,6 @@ def default_initial_guess(adapter: PlantOcp, layout: TranscriptionLayout):
             s = j / max(layout.branch_len, 1)
             x0[layout.bx_idx(k, j)] = (1 - s) * start + s * target
         x0[layout.arrays["bdt"][k]] = dt_mid
-    if layout.d_idx is not None:
-        x0[layout.d_idx] = 0.5 * (cfg.d_bounds[0] + cfg.d_bounds[1])
     adapter.initial_guess_extras(layout, cfg, x0)
     return x0
 
@@ -677,18 +641,12 @@ def extract_solution(layout: TranscriptionLayout, x_raw) -> SolutionBundle:
                     dts=x_raw[layout.arrays["bdt"][k]].copy(),
                 )
             )
-    if layout.d_idx is not None:
-        d = float(x_raw[layout.d_idx])
-    elif cfg.variant in ("sure", "tree"):
-        d = cfg.d_fixed
-    else:
-        d = None
     return SolutionBundle(
         common=common,
         branches=branches,
         branch_nodes=cfg.branch_nodes if layout.n_branches else [],
         rejoin_index=cfg.k_last + 1 if cfg.variant == "sure" else None,
-        d=d,
+        d=cfg.d_fixed if layout.n_branches else None,
     )
 
 
@@ -701,8 +659,6 @@ def pack_solution(layout: TranscriptionLayout, bundle: SolutionBundle):
         x[layout.arrays["bx"][k]] = br.states
         x[layout.arrays["bu"][k]] = br.inputs
         x[layout.arrays["bdt"][k]] = br.dts
-    if layout.d_idx is not None and bundle.d is not None:
-        x[layout.d_idx] = bundle.d
     return x
 
 
@@ -720,28 +676,31 @@ def robust_nominal_branch(bundle: SolutionBundle, dt_impact=1e-3) -> Trajectory:
     """
     if not bundle.branches:
         raise ValueError("bundle has no branches")
-    if len(bundle.branches) == 1:
-        k_mid = bundle.branch_nodes[0]
-    else:
-        k_mid = middle_branch_index(bundle.branch_nodes[0], bundle.branch_nodes[-1])
+    k_mid = middle_branch_index(bundle.branch_nodes[0], bundle.branch_nodes[-1])
     return branch_reference(bundle, k_mid, dt_impact)
+
+
+def post_contact_reference(bundle: SolutionBundle, pos) -> Trajectory:
+    """Branch `pos` followed by the common post-rejoin segment."""
+    br = bundle.branches[pos]
+    if bundle.rejoin_index is None:
+        return br
+    com = bundle.common
+    j = bundle.rejoin_index
+    return Trajectory(
+        states=np.vstack([br.states, com.states[j + 1 :]]),
+        inputs=np.vstack([br.inputs, com.inputs[j:]]),
+        dts=np.concatenate([br.dts, com.dts[j:]]),
+    )
 
 
 def branch_reference(bundle: SolutionBundle, branch_node, dt_impact=1e-3):
     """Playable reference that follows the branch departing at branch_node."""
-    k = bundle.branch_nodes.index(branch_node)
-    br = bundle.branches[k]
+    post = post_contact_reference(bundle, bundle.branch_nodes.index(branch_node))
     com = bundle.common
     i = branch_node
-    if bundle.rejoin_index is not None:
-        r = bundle.rejoin_index
-        states = np.vstack([com.states[: i + 1], br.states, com.states[r + 1 :]])
-        inputs = np.vstack(
-            [com.inputs[:i], com.inputs[i : i + 1], br.inputs, com.inputs[r:]]
-        )
-        dts = np.concatenate([com.dts[:i], [dt_impact], br.dts, com.dts[r:]])
-    else:
-        states = np.vstack([com.states[: i + 1], br.states])
-        inputs = np.vstack([com.inputs[:i], com.inputs[i : i + 1], br.inputs])
-        dts = np.concatenate([com.dts[:i], [dt_impact], br.dts])
-    return Trajectory(states=states, inputs=inputs, dts=dts)
+    return Trajectory(
+        states=np.vstack([com.states[: i + 1], post.states]),
+        inputs=np.vstack([com.inputs[: i + 1], post.inputs]),
+        dts=np.concatenate([com.dts[:i], [dt_impact], post.dts]),
+    )

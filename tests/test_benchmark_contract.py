@@ -1,21 +1,26 @@
-"""The names the benchmark's tracer patches still exist.
+"""What the benchmark uses of the program still exists.
 
-``perfbench/tracing.py`` wraps program functions by attribute name; a
-renamed or deleted one would otherwise only fail in a traced benchmark
-run.  Each context manager below looks up and restores every name it
-patches.
+``perfbench/tracing.py`` wraps program functions by attribute name, and
+``perfbench/workloads.py`` builds its cases through the config, the
+pipeline's solve signatures and the reference fixtures; a renamed or
+deleted one would otherwise only fail in a benchmark run.  Each context
+manager below looks up and restores every name it patches.
 """
 
+import inspect
 import os
 import sys
 
-from branchopt import nlp, simulation
+import pytest
+
+from branchopt import nlp, pipeline, simulation
 from branchopt.plants import cartpole
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "perfbench"))
 
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_solver_layers_patch_and_restore():
@@ -39,3 +44,15 @@ def test_traced_system_wraps_derivative_and_guard():
     sys_def.extras["fast_derivative"](tuple(cartpole.X_EQ), 0.0)
     assert tracer.spans["plants.cartpole.guard"][0] == 1
     assert tracer.spans["plants.cartpole.derivative"][0] == 1
+
+
+@pytest.mark.parametrize("kind", ["sure", "tree"])
+def test_solve_cases_build_and_bind_to_the_pipeline(kind):
+    case = workloads.setup_solve(kind)
+    solver = getattr(pipeline, f"solve_{kind}")
+    inspect.signature(solver).bind(case.adapter, case.cfg, case.opts)
+
+
+def test_rollout_setup_reads_every_reference_fixture():
+    setup = workloads.setup_rollouts()
+    assert len(setup.refs) == 3 * len(setup.conditions)

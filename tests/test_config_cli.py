@@ -43,6 +43,19 @@ def test_solver_opts_pass_yaml_keys_through(tmp_path):
     assert opts.max_inner == 600
 
 
+def test_rejects_removed_transcription_key(tmp_path):
+    path = _write(tmp_path, "transcription:\n  d_bounds: [0.01, 0.1]\n")
+    run = config.load_config(path)
+    with pytest.raises(ValueError, match="d_bounds"):
+        config.transcription_config(run, "sure", [0.0] * 4, [0.0] * 4)
+
+
+def test_rejects_removed_solver_key(tmp_path):
+    path = _write(tmp_path, "solver:\n  verbose: true\n")
+    with pytest.raises(ValueError, match="verbose"):
+        config.solver_opts(config.load_config(path))
+
+
 def test_cli_gains_prints_gains(capsys):
     assert cli.main(["gains"]) == 0
     out = capsys.readouterr().out

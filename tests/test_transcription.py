@@ -11,11 +11,19 @@ import pytest
 
 from branchopt import nlp
 from branchopt import transcription as tr
+from branchopt.plants import arm
+from branchopt.plants.arm_ocp import ArmCatchOcp
 from branchopt.plants.cartpole_ocp import CartPoleOcp
 from branchopt.transcription import SolutionBundle, Trajectory
 
 X_INIT = np.array([0.0, np.pi, 0.0, 5.5])
 X_END = np.array([0.0, np.pi, 0.0, 0.0])
+# arm: level container moved from (0, 0.3) to (0.05, 0.35), at rest
+_ARM_P = arm.ArmCatchParams()
+ARM_INIT = np.concatenate([arm.level_configuration((0.0, 0.3), _ARM_P),
+                           np.zeros(3)])
+ARM_END = np.concatenate([arm.level_configuration((0.05, 0.35), _ARM_P),
+                          np.zeros(3)])
 
 
 def _cfg(variant, **kw):
@@ -69,17 +77,6 @@ def test_layout_covers_all_variables():
         assert layout.covers_all_variables()
 
 
-def test_d_as_decision_variable_adds_one_slot():
-    cfg_fixed = _cfg("sure", d_fixed=0.05)
-    cfg_free = _cfg("sure", d_fixed=None, d_bounds=(0.01, 0.1))
-    _, lay_fixed = tr.build_sure(CartPoleOcp(), cfg_fixed)
-    problem, lay_free = tr.build_sure(CartPoleOcp(), cfg_free)
-    assert lay_free.n_vars == lay_fixed.n_vars + 1
-    d = np.asarray(lay_free.d_idx).ravel()[0]
-    assert problem.lower[d] == pytest.approx(0.01)
-    assert problem.upper[d] == pytest.approx(0.1)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         tr.TranscriptionConfig(N=10, variant="nominal", contact_node=10,
@@ -92,9 +89,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         tr.TranscriptionConfig(N=10, variant="mystery", contact_node=5,
                                x_init=X_INIT, x_end=X_END)
-    with pytest.raises(ValueError):
-        tr.TranscriptionConfig(N=10, variant="sure", k_first=3, k_last=5,
-                               d_bounds=(0.2, 0.1), x_init=X_INIT, x_end=X_END)
 
 
 def test_branch_properties():
@@ -302,15 +296,73 @@ RECORDED_AT_DEFAULT_GUESS = {
         ("cart_body_wall_clearance", 34, 2.6822320406769435, -273.699405),
         ("impact_friction_cone", 3, 1.2122623602174571, -4.1994),
     ]),
+    # the arm has its own cost hook and no guard clearance after contact
+    "arm_nominal": (6.7644119122048005, [
+        ("common_running_cost", 33, 2.2803451080000587, 16.348125672986804),
+        ("catch_relative_velocity", 2, 1.2507750000000002, 2.5015500000000004),
+        ("common_dynamics", 66, 3.642329764701929, -56.81760129798191),
+        ("guard_zero_at_contact", 1, 0.548391937177576, 0.548391937177576),
+        ("catch_state_continuity", 6, 0.024555864519174735,
+         -0.0299755832987465),
+        ("elapsed_time_chain", 5, 1.2018516789897274e-17,
+         -4.163336342344337e-17),
+        ("guard_clearance", 5, 1.391966794525203, -9.158574538074228),
+        ("container_level", 13, 0.0036055512754639895, -0.091),
+        ("drop_line_alignment", 13, 0.002967115289770503,
+         0.019706056817623892),
+    ]),
+    "arm_sure": (7.613509589238164, [
+        ("common_running_cost", 33, 2.27883638516746, 16.259149316253133),
+        ("branch_running_cost", 27, 1.1918113604405136, 5.937328200097192),
+        ("relative_speed_bound", 1, 1.0, 1.0),
+        ("common_dynamics", 66, 3.6399211302899155, -56.55477058112608),
+        ("branch_dynamics", 54, 3.2968141432264972, -36.6814419271517),
+        ("guard_pin_window_entry", 1, 0.5313660538620236, 0.5313660538620236),
+        ("guard_pin_window_exit", 1, 0.5590965709073428, 0.5590965709073428),
+        ("catch_state_continuity", 18, 0.0, 0.0),
+        ("branch_rejoin_pinning", 18, 0.0, 0.0),
+        ("elapsed_time_chain", 6, 1.3877787807814457e-17,
+         -8.326672684688674e-17),
+        ("guard_clearance_beyond_window", 4, 1.164782099345759,
+         -5.751749268764112),
+        ("container_level", 25, 0.005, -0.325),
+        ("drop_line_alignment", 25, 0.003405161460490353,
+         -0.08192286143627564),
+        ("relative_speed_within_bound", 3, 1.3740730909116547,
+         4.8884891803500015),
+    ]),
+    "arm_tree": (7.881943163495762, [
+        ("common_running_cost", 18, 1.6776345128484194, 4.2854078107048075),
+        ("branch_running_cost", 72, 2.0168008341915193, 54.45909716378732),
+        ("relative_speed_bound", 1, 1.0, 1.0),
+        ("common_dynamics", 36, 2.6816671207031284, -16.088688487337198),
+        ("branch_dynamics", 144, 5.578330606273899, -309.1114894386776),
+        ("guard_pin_window_entry", 1, 0.5146468289594601, 0.5146468289594601),
+        ("guard_pin_window_exit", 1, 0.5351788550000001, 0.5351788550000001),
+        ("catch_state_continuity", 18, 0.0, 0.0),
+        ("elapsed_time_chain", 6, 1.3877787807814457e-17,
+         -8.326672684688674e-17),
+        ("guard_clearance_beyond_window", 4, 1.1521191066909853,
+         -5.665577007385761),
+        ("container_level", 34, 0.0058309518948452994, -0.5950000000000001),
+        ("drop_line_alignment", 34, 0.006541785748483809, 0.7042727483129315),
+        ("relative_speed_within_bound", 3, 1.3740730909116547,
+         4.8884891803500015),
+    ]),
 }
 
 
-@pytest.mark.parametrize("variant", ["nominal", "sure", "tree"])
-def test_residuals_at_default_guess_match_recorded(variant):
-    adapter = CartPoleOcp()
-    problem, layout = getattr(tr, f"build_{variant}")(adapter, _cfg(variant))
+@pytest.mark.parametrize("key", list(RECORDED_AT_DEFAULT_GUESS))
+def test_residuals_at_default_guess_match_recorded(key):
+    plant, _, variant = key.rpartition("_")
+    if plant == "arm":
+        adapter = ArmCatchOcp()
+        cfg = _cfg(variant, x_init=ARM_INIT, x_end=ARM_END)
+    else:
+        adapter, cfg = CartPoleOcp(), _cfg(variant)
+    problem, layout = getattr(tr, f"build_{variant}")(adapter, cfg)
     x0 = tr.default_initial_guess(adapter, layout)
-    objective, blocks = RECORDED_AT_DEFAULT_GUESS[variant]
+    objective, blocks = RECORDED_AT_DEFAULT_GUESS[key]
     assert nlp.eval_objective(problem, x0) == pytest.approx(objective,
                                                             rel=1e-12)
     got = []

@@ -14,6 +14,7 @@ same callback code runs on plain floats/arrays and on duals.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,20 +171,29 @@ def seed(x):
     return [Dual(x[i], eye[i]) for i in range(n)]
 
 
+@functools.lru_cache(maxsize=256)
+def _identity_seeds(batch, k):
+    """k read-only (batch, k) arrays; the j-th is one in column j."""
+    seeds = []
+    for j in range(k):
+        d = np.zeros((batch, k))
+        d[:, j] = 1.0
+        d.flags.writeable = False
+        seeds.append(d)
+    return tuple(seeds)
+
+
 def seed_batch(values):
     """Identity-seeded duals for a (batch, k) array of local variables.
 
     Returns k duals whose values are the columns of ``values`` and whose
-    derivative arrays have shape (batch, k).
+    derivative arrays have shape (batch, k).  The derivative arrays are
+    shared, read-only and cached per (batch, k).
     """
     values = np.asarray(values, dtype=float)
     batch, k = values.shape
-    duals = []
-    for j in range(k):
-        d = np.zeros((batch, k))
-        d[:, j] = 1.0
-        duals.append(Dual(values[:, j], d))
-    return duals
+    return [Dual(values[:, j], d)
+            for j, d in enumerate(_identity_seeds(batch, k))]
 
 
 def jacobian(f, x):

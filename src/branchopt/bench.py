@@ -25,8 +25,8 @@ from . import simulation
 from . import transcription as tr
 
 __all__ = [
-    "TrialSpec", "TrialReport", "MonteCarloReport",
-    "evaluate_trial", "montecarlo", "tradeoff", "velocity_sweep", "export",
+    "TrialSpec", "TrialReport", "MonteCarloReport", "evaluate_trial",
+    "pole_fell", "montecarlo", "tradeoff", "velocity_sweep", "export",
     "REFERENCE_TYPES", "PAPER_TOTALS",
 ]
 
@@ -184,6 +184,13 @@ def _solve_condition(args):
     return res.nominal.common, robust, res.bundle
 
 
+def pole_fell(t, state, n_events):
+    """Stop condition of cart-pole rollouts: the pole left the upper half."""
+    if abs(_wrap_angle(state[1] - math.pi)) > 0.5 * math.pi:
+        return "fell"
+    return None
+
+
 def _run_trial(args):
     (plant_dict, env_dict, spec, reference, gains_kp, gains_kd,
      horizon, dt_sim, tolerances, debounce_window, x_end) = args
@@ -197,14 +204,9 @@ def _run_trial(args):
     gains = control.Gains(np.asarray(gains_kp), np.asarray(gains_kd))
     controller = control.TrackingController(reference, gains)
 
-    def stop(t, state, n_events):
-        if abs(_wrap_angle(state[1] - math.pi)) > 0.5 * math.pi:
-            return "fell"
-        return None
-
     trace = simulation.simulate(
         sys, controller, spec.condition_state, env=env,
-        horizon=horizon, dt_sim=dt_sim, stop_condition=stop)
+        horizon=horizon, dt_sim=dt_sim, stop_condition=pole_fell)
     return evaluate_trial(trace, spec, tolerances, p, x_end,
                           debounce_window).to_dict()
 

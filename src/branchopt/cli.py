@@ -115,7 +115,8 @@ def cmd_simulate(args):
     trace = simulation.simulate(
         sys_def, controller, x0, env=env,
         horizon=float(run.exp("horizon", 10.0)),
-        dt_sim=float(run.exp("dt_sim", 1e-3)))
+        dt_sim=float(run.exp("dt_sim", 1e-3)),
+        stop_condition=bench.pole_fell)
     trace.to_csv(args.out)
     _progress(f"{len(trace.contact_events)} contact event(s), "
               f"termination: {trace.termination}")

@@ -55,7 +55,8 @@ class Block:
 
     ``fun`` receives one entry per local variable (column of ``indices``),
     each a float array of shape (batch,) or a Dual with batched value, and
-    returns ``n_out`` outputs of the same batch shape.
+    returns ``n_out`` outputs of the same batch shape.  A row of
+    ``indices`` names each variable at most once.
     """
 
     name: str
@@ -67,6 +68,9 @@ class Block:
         self.indices = np.asarray(self.indices, dtype=int)
         if self.indices.ndim != 2:
             raise ValueError(f"block {self.name}: indices must be 2-D")
+        s = np.sort(self.indices, axis=1)
+        if np.any(s[:, 1:] == s[:, :-1]):
+            raise ValueError(f"block {self.name}: a row repeats a variable")
 
     @property
     def batch(self):
@@ -155,11 +159,10 @@ class SolverOpts:
 
 
 def _outputs_to_arrays(outs, batch):
-    cols = []
-    for y in outs:
-        v = np.asarray(ad.value_of(y), dtype=float)
-        cols.append(np.broadcast_to(v, (batch,)))
-    return np.column_stack(cols) if cols else np.zeros((batch, 0))
+    values = np.empty((batch, len(outs)))
+    for i, y in enumerate(outs):
+        values[:, i] = ad.value_of(y)
+    return values
 
 
 def block_values(block: Block, x):
@@ -178,7 +181,7 @@ def block_values_and_jac(block: Block, x):
     jac = np.zeros((batch, block.n_out, k))
     for i, y in enumerate(outs):
         if isinstance(y, ad.Dual):
-            jac[:, i, :] = np.broadcast_to(y.derivs, (batch, k))
+            jac[:, i, :] = y.derivs
     return values, jac
 
 
@@ -221,16 +224,17 @@ def _scatter(jac, w, indices, n):
     return out
 
 
-def _block_triplets(block, jac, row_offset, scale=None):
-    """COO triplets for a block jacobian placed at row_offset."""
-    batch, m, k = jac.shape
+def _block_coords(block, row_offset):
+    """Row and column of each entry of a block jacobian placed at
+    row_offset, in the order of ``jac.ravel()``."""
+    batch, k = block.indices.shape
+    m = block.n_out
     rows = row_offset + (
         np.arange(batch)[:, None, None] * m + np.arange(m)[None, :, None]
     )
     rows = np.broadcast_to(rows, (batch, m, k))
     cols = np.broadcast_to(block.indices[:, None, :], (batch, m, k))
-    data = jac if scale is None else jac * scale[:, :, None]
-    return rows.ravel(), cols.ravel(), data.ravel()
+    return rows.ravel(), cols.ravel()
 
 
 # -- KKT --------------------------------------------------------------------
@@ -270,6 +274,15 @@ class _AlResiduals:
     Residuals: [cost residuals; sqrt(rho/2)(c_eq + lam/rho);
     sqrt(rho/2) max(0, c_ineq + mu/rho)].  Fixed variables (equal
     bounds) are substituted and removed from the column space.
+
+    The Jacobian's sparsity pattern depends only on the blocks' indices
+    and the free mask, so it is built once: the CSR ``indptr`` and
+    ``indices`` on the free columns, and ``_perm``, which gathers the
+    concatenated block jacobians (``jac.ravel()`` per block, in residual
+    order) into CSR order.  A block never repeats a variable within a
+    row, so every CSR entry is exactly one block-jacobian entry and an
+    evaluation only computes the data.  Entries of inactive inequality
+    rows stay in the pattern as explicit zeros.
     """
 
     def __init__(self, problem, lam, mu, rho, free, x_template):
@@ -279,11 +292,26 @@ class _AlResiduals:
         self.rho = rho
         self.free = free
         self.template = x_template
-        self.n_res = (
-            sum(b.size for b in problem.cost_blocks)
-            + problem.n_eq
-            + problem.n_ineq
-        )
+        empty = np.zeros(0, dtype=int)
+        rows, cols, row = [empty], [empty], 0
+        for b in problem.cost_blocks + problem.eq_blocks + problem.ineq_blocks:
+            r, c = _block_coords(b, row)
+            rows.append(r)
+            cols.append(c)
+            row += b.size
+        self.n_res = row
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        keep = np.flatnonzero(free[cols])
+        rows, cols = rows[keep], (np.cumsum(free) - 1)[cols[keep]]
+        order = np.lexsort((cols, rows))
+        self._perm = keep[order]
+        counts = np.bincount(rows, minlength=row)
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        # scipy picks the index dtype once, here
+        pattern = sp.csr_matrix((np.zeros(order.size), cols[order], indptr),
+                                shape=(row, int(np.sum(free))))
+        self._indices, self._indptr = pattern.indices, pattern.indptr
+        self._shape = pattern.shape
         self._cache_key = None
         self._cache = None
 
@@ -299,22 +327,17 @@ class _AlResiduals:
         x = self.full_x(z)
         p = self.problem
         sq = np.sqrt(self.rho / 2.0)
-        res_parts, trip_r, trip_c, trip_d = [], [], [], []
-        row = 0
+        res_parts, jac_parts = [np.zeros(0)], [np.zeros(0)]
         for b in p.cost_blocks:
             vals, jac = block_values_and_jac(b, x)
             res_parts.append(vals.ravel())
-            r, c, d = _block_triplets(b, jac, row)
-            trip_r.append(r); trip_c.append(c); trip_d.append(d)
-            row += b.size
+            jac_parts.append(jac.ravel())
         off = 0
         for b in p.eq_blocks:
             vals, jac = block_values_and_jac(b, x)
             lb = self.lam[off : off + b.size].reshape(b.batch, b.n_out)
             res_parts.append((sq * (vals + lb / self.rho)).ravel())
-            r, c, d = _block_triplets(b, jac * sq, row)
-            trip_r.append(r); trip_c.append(c); trip_d.append(d)
-            row += b.size
+            jac_parts.append((jac * sq).ravel())
             off += b.size
         off = 0
         for b in p.ineq_blocks:
@@ -323,21 +346,13 @@ class _AlResiduals:
             shifted = vals + mb / self.rho
             active = (shifted > 0).astype(float)
             res_parts.append((sq * np.clip(shifted, 0.0, None)).ravel())
-            r, c, d = _block_triplets(b, jac * sq, row, scale=active)
-            trip_r.append(r); trip_c.append(c); trip_d.append(d)
-            row += b.size
+            jac_parts.append(((jac * sq) * active[:, :, None]).ravel())
             off += b.size
-        res = (np.concatenate(res_parts) if res_parts else np.zeros(0))
-        if trip_r:
-            J = sp.coo_matrix(
-                (np.concatenate(trip_d),
-                 (np.concatenate(trip_r), np.concatenate(trip_c))),
-                shape=(self.n_res, p.n_vars),
-            ).tocsc()[:, self.free].tocsr()
-        else:
-            J = sp.csr_matrix((self.n_res, int(np.sum(self.free))))
+        data = np.concatenate(jac_parts)[self._perm]
+        J = sp.csr_matrix((data, self._indices, self._indptr),
+                          shape=self._shape)
         self._cache_key = key
-        self._cache = (res, J)
+        self._cache = (np.concatenate(res_parts), J)
         return self._cache
 
     def residuals(self, z):

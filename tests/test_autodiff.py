@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from branchopt import autodiff as ad
+from branchopt import nlp
 
 
 def test_dual_arithmetic_scalar():
@@ -72,6 +73,34 @@ def test_seed_batch_block_jacobian():
     y = a * b  # d/da = b, d/db = a
     assert y.value == pytest.approx(pts[:, 0] * pts[:, 1])
     assert y.derivs == pytest.approx(np.column_stack([pts[:, 1], pts[:, 0]]))
+
+
+def test_seed_batch_seeds_are_shared_and_read_only():
+    pts = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    a, b = ad.seed_batch(pts)
+    a2, b2 = ad.seed_batch(pts + 1.0)
+    assert a2.derivs is a.derivs and b2.derivs is b.derivs
+    assert np.array_equal(a.derivs, [[1.0, 0.0]] * 3)
+    assert np.array_equal(b.derivs, [[0.0, 1.0]] * 3)
+    with pytest.raises(ValueError):
+        a.derivs[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        b.derivs += 1.0
+
+
+def test_repeated_block_evaluation_is_identical():
+    block = nlp.Block(
+        "f", lambda v: [v[0] * v[1], ad.sin(v[0]) / v[1], v[1], 2.0],
+        np.array([[0, 1], [2, 1], [1, 0]]), 4)
+    x = np.array([0.3, -1.7, 2.5])
+    vals, jac = nlp.block_values_and_jac(block, x)
+    vals2, jac2 = nlp.block_values_and_jac(block, x)
+    assert vals.tobytes() == vals2.tobytes()
+    assert jac.tobytes() == jac2.tobytes()
+    # the output that is a seeded input is copied out, not aliased
+    assert jac[:, 2, :].tolist() == [[0.0, 1.0]] * 3
+    jac[:, 2, :] = 5.0
+    assert nlp.block_values_and_jac(block, x)[1].tobytes() == jac2.tobytes()
 
 
 def test_check_gradient_random_functions():

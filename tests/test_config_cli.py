@@ -1,5 +1,9 @@
 """Run configuration loading and the command-line entry point."""
 
+import csv
+import json
+import os
+
 import pytest
 
 from branchopt import cli, config
@@ -60,3 +64,22 @@ def test_cli_gains_prints_gains(capsys):
     assert cli.main(["gains"]) == 0
     out = capsys.readouterr().out
     assert "k_p:" in out and "k_d:" in out
+
+
+def test_cli_simulate_stops_a_falling_rollout(tmp_path, capsys):
+    # the scheduling reference of condition 0 against a wall at -0.6 m
+    # tips the pole over; the rollout stops instead of diverging
+    refs = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "fixtures", "refs_c0.json")
+    with open(refs) as fh:
+        bundle = json.load(fh)["scheduling"]
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps({"plant": "cartpole", "bundle": bundle}))
+    out = tmp_path / "trace.csv"
+    assert cli.main(["simulate", "--solution", str(solution),
+                     "--x-wall", "-0.6", "--out", str(out)]) == 0
+    assert "termination: fell" in capsys.readouterr().err
+    with open(out) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][:2] == ["t", "x0"]
+    assert 1 < len(rows) - 1 < 10_000  # stopped well before the 10 s horizon

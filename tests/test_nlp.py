@@ -1,10 +1,19 @@
 """Augmented-Lagrangian solver on small problems with known solutions."""
 
+import json
+import os
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from branchopt import autodiff as ad
-from branchopt import nlp
+from branchopt import bench, config, nlp, pipeline
+from branchopt import transcription as tr
+from branchopt.plants.arm_ocp import ArmCatchOcp
+from branchopt.plants.cartpole_ocp import CartPoleOcp
+
+from test_transcription import ARM_END, ARM_INIT, _cfg
 
 
 def _problem(n, cost=(), eq=(), ineq=(), lower=None, upper=None):
@@ -175,3 +184,121 @@ def test_x0_dimension_checked():
     p = _problem(2, cost=[_block("r", lambda v: [v[0]], [[0]], 1)])
     with pytest.raises(ValueError):
         nlp.solve(p, np.zeros(3))
+
+
+def test_block_rejects_a_repeated_variable():
+    with pytest.raises(ValueError, match="repeats"):
+        _block("r", lambda v: [v[0] - v[1]], [[0, 1], [2, 2]], 1)
+
+
+# -- AL Jacobian assembly ---------------------------------------------------
+
+
+def _coo_al_residuals(problem, lam, mu, rho, free, x):
+    """The AL residuals and Jacobian assembled from COO triplets through
+    COO -> CSC -> free-column slice -> CSR, the reference for the fixed
+    pattern of ``_AlResiduals``."""
+    sq = np.sqrt(rho / 2.0)
+    res, rows, cols, data = [], [], [], []
+    row, off_eq, off_ineq = 0, 0, 0
+    for kind, blocks in (("cost", problem.cost_blocks),
+                         ("eq", problem.eq_blocks),
+                         ("ineq", problem.ineq_blocks)):
+        for b in blocks:
+            vals, jac = nlp.block_values_and_jac(b, x)
+            if kind == "cost":
+                res.append(vals.ravel())
+            elif kind == "eq":
+                lb = lam[off_eq:off_eq + b.size].reshape(vals.shape)
+                res.append((sq * (vals + lb / rho)).ravel())
+                jac = jac * sq
+                off_eq += b.size
+            else:
+                mb = mu[off_ineq:off_ineq + b.size].reshape(vals.shape)
+                shifted = vals + mb / rho
+                active = (shifted > 0).astype(float)
+                res.append((sq * np.clip(shifted, 0.0, None)).ravel())
+                jac = (jac * sq) * active[:, :, None]
+                off_ineq += b.size
+            batch, m, k = jac.shape
+            r = row + np.arange(batch * m).reshape(batch, m, 1)
+            rows.append(np.broadcast_to(r, jac.shape).ravel())
+            cols.append(np.broadcast_to(b.indices[:, None, :],
+                                        jac.shape).ravel())
+            data.append(jac.ravel())
+            row += b.size
+    J = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(row, problem.n_vars),
+    ).tocsc()[:, free].tocsr()
+    return np.concatenate(res), J
+
+
+def _plant_problems():
+    for variant in ("nominal", "sure", "tree"):
+        for adapter, kw in ((CartPoleOcp(), {}),
+                            (ArmCatchOcp(), dict(x_init=ARM_INIT,
+                                                 x_end=ARM_END))):
+            cfg = _cfg(variant, **kw)
+            problem, layout = getattr(tr, f"build_{variant}")(adapter, cfg)
+            yield problem, tr.default_initial_guess(adapter, layout)
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+def test_al_jacobian_is_bit_identical_to_coo_assembly(freeze):
+    rng = np.random.default_rng(7)
+    n_active = n_inactive = 0
+    for problem, x0 in _plant_problems():
+        free = problem.lower < problem.upper
+        if freeze:
+            # as restoration's touched-column freeze: some free columns
+            # are held at their current value
+            free = free.copy()
+            free[np.flatnonzero(free)[::4]] = False
+        for scale in (0.0, 0.05):
+            x = np.clip(x0 + scale * rng.standard_normal(x0.size),
+                        problem.lower, problem.upper)
+            lam = rng.standard_normal(problem.n_eq)
+            mu = np.abs(rng.standard_normal(problem.n_ineq))
+            rho = 100.0
+            helper = nlp._AlResiduals(problem, lam, mu, rho, free, x)
+            res, J = helper.residuals(x[free]), helper.jac(x[free])
+            want_res, want_J = _coo_al_residuals(problem, lam, mu, rho,
+                                                 free, x)
+            shifted = nlp.eval_constraints(problem.ineq_blocks, x) + mu / rho
+            n_active += int(np.sum(shifted > 0))
+            n_inactive += int(np.sum(shifted <= 0))
+            assert np.array_equal(res, want_res)
+            assert J.shape == want_J.shape
+            assert np.array_equal(J.indptr, want_J.indptr)
+            assert np.array_equal(J.indices, want_J.indices)
+            assert np.array_equal(J.data, want_J.data)
+            assert np.signbit(J.data).tolist() == \
+                np.signbit(want_J.data).tolist()
+    # both kinds of inequality rows were exercised
+    assert n_active > 0 and n_inactive > 0
+
+
+# -- determinism ------------------------------------------------------------
+
+
+def test_short_solve_matches_recorded_bit_for_bit():
+    # A short solve of the benchmark's cart-pole nominal stage (N=30) from
+    # the default guess: restoration plus one outer iteration.  The solver
+    # does not absorb a 1-ulp change in its arithmetic, so the iterate,
+    # the evaluation count and the objective are compared exactly.
+    run = config.load_config(None)
+    adapter, _, _ = config.build_plant(run)
+    cfg = pipeline.nominal_stage_config(config.transcription_config(
+        run, "sure", run.conditions[0], bench.X_END, N=30, dt_max=0.1,
+        k_first=9, k_last=11, n_rejoin=4, n_branch_full=18))
+    problem, layout = tr.build_nominal(adapter, cfg)
+    sol = nlp.solve(problem, tr.default_initial_guess(adapter, layout),
+                    nlp.SolverOpts(max_outer=1, max_inner=5))
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "short_nominal_solve.json")
+    with open(path) as fh:
+        recorded = json.load(fh)
+    assert sol.inner_iterations == recorded["inner_iterations"]
+    assert sol.objective_value == recorded["objective_value"]
+    assert sol.x.tolist() == recorded["x"]

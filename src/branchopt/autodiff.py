@@ -33,8 +33,6 @@ __all__ = [
     "sqrt",
     "exp",
     "smooth_abs",
-    "smooth_max",
-    "smooth_min",
 ]
 
 SMOOTHING_EPS = 1e-8
@@ -150,14 +148,6 @@ def exp(x):
 def smooth_abs(x, eps=SMOOTHING_EPS):
     """|x| ~ sqrt(x^2 + eps), differentiable everywhere."""
     return sqrt(x * x + eps)
-
-
-def smooth_max(a, b, eps=SMOOTHING_EPS):
-    return (a + b + smooth_abs(a - b, eps)) * 0.5
-
-
-def smooth_min(a, b, eps=SMOOTHING_EPS):
-    return (a + b - smooth_abs(a - b, eps)) * 0.5
 
 
 # -- seeding and jacobians -------------------------------------------------

@@ -26,7 +26,8 @@ from . import transcription as tr
 
 __all__ = [
     "TrialSpec", "TrialReport", "MonteCarloReport", "evaluate_trial",
-    "pole_fell", "montecarlo", "tradeoff", "velocity_sweep", "export",
+    "pole_fell", "cartpole_rollout", "montecarlo", "tradeoff",
+    "velocity_sweep", "export",
     "REFERENCE_TYPES", "PAPER_TOTALS",
 ]
 
@@ -168,10 +169,7 @@ def _solve_condition(args):
     solution of the branched solve's first stage), the robust single
     reference, and the full branched bundle.
     """
-    plant_dict, env_dict, tcfg_dict, solver_dict, x_init = args
-    run = cfgmod.RunConfig(
-        plant={"name": "cartpole", "params": plant_dict, "env": env_dict},
-        transcription=tcfg_dict, solver=solver_dict)
+    run, x_init = args
     adapter, p, env = cfgmod.build_plant(run)
     opts = cfgmod.solver_opts(run)
     cfg = cfgmod.transcription_config(run, "sure", x_init, X_END)
@@ -191,24 +189,32 @@ def pole_fell(t, state, n_events):
     return None
 
 
-def _run_trial(args):
-    (plant_dict, env_dict, spec, reference, gains_kp, gains_kd,
-     horizon, dt_sim, tolerances, debounce_window, x_end) = args
+def cartpole_rollout(run: cfgmod.RunConfig, reference, x0, gains, **env_over):
+    """Closed-loop rollout of the configured cart-pole tracking ``reference``.
+
+    ``env_over`` replaces fields of the configured env (e.g. a sampled
+    ``x_wall``/``e``); the experiment's ``horizon`` and ``dt_sim`` set the
+    rollout, which stops when the pole falls.  Returns (trace, params).
+    """
     from .plants import cartpole
 
-    p = dataclasses.replace(cartpole.CartPoleParams(), **plant_dict)
-    env = dataclasses.replace(
-        cartpole.env_from_params(p),
-        **{**env_dict, "x_wall": spec.x_wall, "e": spec.e})
-    sys = cartpole.make_system(p, env)
-    gains = control.Gains(np.asarray(gains_kp), np.asarray(gains_kd))
-    controller = control.TrackingController(reference, gains)
-
+    _, p, env = cfgmod.build_plant(run)
+    env = dataclasses.replace(env, **env_over)
     trace = simulation.simulate(
-        sys, controller, spec.condition_state, env=env,
-        horizon=horizon, dt_sim=dt_sim, stop_condition=pole_fell)
-    return evaluate_trial(trace, spec, tolerances, p, x_end,
-                          debounce_window).to_dict()
+        cartpole.make_system(p, env),
+        control.TrackingController(reference, gains), x0, env=env,
+        horizon=float(run.exp("horizon", 10.0)),
+        dt_sim=float(run.exp("dt_sim", 1e-3)), stop_condition=pole_fell)
+    return trace, p
+
+
+def _run_trial(args):
+    run, spec, reference, gains = args
+    trace, p = cartpole_rollout(run, reference, spec.condition_state, gains,
+                                x_wall=spec.x_wall, e=spec.e)
+    return evaluate_trial(
+        trace, spec, list(run.exp("final_tol", (0.05, 0.05, 0.1, 0.1))), p,
+        debounce_window=float(run.exp("debounce_window", 0.05))).to_dict()
 
 
 @dataclass(frozen=True)
@@ -240,23 +246,14 @@ def montecarlo(run: cfgmod.RunConfig, progress=None) -> MonteCarloReport:
     -loop rollouts are run against environments sampled uniformly from
     the configured box, and the four-criteria success rate is aggregated.
     """
+    _require_cartpole(run, "montecarlo")
     conditions = run.conditions
     n_samples = int(run.exp("n_samples", 200))
     x_wall_range = tuple(run.exp("x_wall_range", (-0.7, -0.3)))
     e_range = tuple(run.exp("e_range", (0.7, 0.9)))
-    horizon = float(run.exp("horizon", 10.0))
-    dt_sim = float(run.exp("dt_sim", 1e-3))
-    tolerances = list(run.exp("final_tol", (0.05, 0.05, 0.1, 0.1)))
-    debounce = float(run.exp("debounce_window", 0.05))
-    plant_dict = dict(run.plant.get("params", {}) or {})
-    env_dict = dict(run.plant.get("env", {}) or {})
 
     # references: one staged (unbranched, then branched) solve per condition
-    solve_args = [
-        (plant_dict, env_dict, dict(run.transcription), dict(run.solver),
-         [float(v) for v in state])
-        for state in conditions
-    ]
+    solve_args = [(run, [float(v) for v in state]) for state in conditions]
     refs = _pmap(_solve_condition, solve_args, run.workers)
     ref_by_cond = {}
     for ci, (nominal_traj, robust_traj, bundle) in enumerate(refs):
@@ -275,12 +272,8 @@ def montecarlo(run: cfgmod.RunConfig, progress=None) -> MonteCarloReport:
                           x_wall_range, e_range)
     for s in specs:
         s.validate(x_wall_range, e_range)
-    trial_args = [
-        (plant_dict, env_dict, s, ref_by_cond[s.condition_id][s.reference],
-         gains.k_p, gains.k_d, horizon, dt_sim, tolerances, debounce,
-         list(X_END))
-        for s in specs
-    ]
+    trial_args = [(run, s, ref_by_cond[s.condition_id][s.reference], gains)
+                  for s in specs]
     results = _pmap(_run_trial, trial_args, run.workers)
     results.sort(key=lambda d: (d["spec"]["condition_id"],
                                 d["spec"]["reference"], d["spec"]["index"]))
@@ -299,6 +292,12 @@ def montecarlo(run: cfgmod.RunConfig, progress=None) -> MonteCarloReport:
     return MonteCarloReport(
         seed=run.seed, n_samples=n_samples, totals=totals,
         per_condition=per_condition, samples=results)
+
+
+def _require_cartpole(run: cfgmod.RunConfig, study):
+    if run.plant_name != "cartpole":
+        raise ValueError(f"{study} is defined for the cart-pole plant, "
+                         f"not {run.plant_name!r}")
 
 
 def _controller_gains(run: cfgmod.RunConfig, p, env):
@@ -323,15 +322,11 @@ def _pmap(fn, items, workers):
 
 def _tradeoff_cell(args):
     """One (condition, formulation) solve for the trade-off sweep."""
-    (plant_dict, env_dict, tcfg_dict, solver_dict, x_init, kind, n_r,
-     budget) = args
-    run = cfgmod.RunConfig(
-        plant={"name": "cartpole", "params": plant_dict, "env": env_dict},
-        transcription=tcfg_dict, solver=solver_dict)
-    adapter, p, env = cfgmod.build_plant(run)
+    run, x_init, kind, n_r, budget = args
+    adapter, _, _ = cfgmod.build_plant(run)
     opts = cfgmod.solver_opts(run)
-    k_first = int(tcfg_dict.get("k_first", 18))
-    k_last = int(tcfg_dict.get("k_last", 22))
+    k_first = int(run.transcription.get("k_first", 18))
+    k_last = int(run.transcription.get("k_last", 22))
     if kind == "sure":
         n_final = budget - n_r
         cfg = cfgmod.transcription_config(
@@ -367,27 +362,22 @@ def tradeoff(run: cfgmod.RunConfig, include_baseline=False, progress=None):
     cumulative (warm-start included) wall times are averaged over the
     configured initial conditions.
     """
+    _require_cartpole(run, "tradeoff")
     conditions = run.conditions
     n_r_values = [int(v) for v in run.exp("n_r_values", (7, 12, 20, 40, 70))]
-    tdict = dict(run.transcription)
     budget = int(run.exp("post_impact_budget", 100))
-    plant_dict = dict(run.plant.get("params", {}) or {})
-    env_dict = dict(run.plant.get("env", {}) or {})
 
     cells = []
     for state in conditions:
         x0 = [float(v) for v in state]
         for n_r in n_r_values:
-            cells.append((plant_dict, env_dict, tdict, dict(run.solver),
-                          x0, "sure", n_r, budget))
-        cells.append((plant_dict, env_dict, tdict, dict(run.solver),
-                      x0, "tree", budget, budget))
+            cells.append((run, x0, "sure", n_r, budget))
+        cells.append((run, x0, "tree", budget, budget))
         if include_baseline:
-            k_first = int(tdict.get("k_first", 18))
-            k_last = int(tdict.get("k_last", 22))
+            k_first = int(run.transcription.get("k_first", 18))
+            k_last = int(run.transcription.get("k_last", 22))
             for node in range(k_first, k_last + 1):
-                cells.append((plant_dict, env_dict, tdict, dict(run.solver),
-                              x0, "baseline", node, budget))
+                cells.append((run, x0, "baseline", node, budget))
     results = _pmap(_tradeoff_cell, cells, run.workers)
     if progress:
         for r in results:
@@ -424,57 +414,59 @@ def _avg_row(kind, n_r, cell):
 # -- catch-speed sweep (arm plant) -------------------------------------------
 
 
-def _arm_rollout(p, reference, gains, z0, dt_sim=1e-3, horizon=1.5):
+def _catch_speed(p, reference, gains, z0, dt_sim):
     """Track ``reference`` while a ball falls from height ``z0``.
 
-    The ball follows its closed form; the guard (ball above the
-    end-effector) is monitored directly so contact timing reflects the
-    actual drop height, not the planned one.
+    Returns the contact time and the relative speed of ball and end
+    effector there, or (None, None) when the ball is not caught within
+    1.5 s.  The ball follows its closed form, so contact timing
+    reflects the actual drop height, not the planned one.
     """
     from .plants import arm
 
-    n_q = 3
-    state = np.concatenate([reference.states[0][:n_q],
-                            reference.states[0][n_q:]])
-    p0 = (p.p_ball0[0], z0)
+    env = dataclasses.replace(p, p_ball0=(p.p_ball0[0], z0))
 
-    def guard_at(t, s):
-        (_, bz), _ = arm.ball_state(t, p0, p.v_ball0, p.g)
-        _, _, (_, pz) = arm.tip_positions(s[:n_q], p)
-        return float(bz) - p.r_ball - float(pz)
+    def controller(t, state):
+        q_des, qd_des, tau_des = control.sample_reference(reference, t, 3)
+        return (gains.k_p * (q_des - state[:3])
+                + gains.k_d * (qd_des - state[3:]) + tau_des)
 
-    def deriv(s, u):
-        qdd = arm.forward_dynamics(s[:n_q], s[n_q:], u, p)
-        return np.concatenate([s[n_q:], qdd])
+    def caught(t, state, n_events):
+        return "caught" if n_events else None
 
-    t = 0.0
-    g_prev = guard_at(t, state)
-    n_steps = int(round(horizon / dt_sim))
-    for _ in range(n_steps):
-        q_des, qd_des, tau_des = control.sample_reference(reference, t, n_q)
-        tau = (gains.k_p * (q_des - state[:n_q])
-               + gains.k_d * (qd_des - state[n_q:]) + tau_des)
-        new = simulation.rk4_step(deriv, state, tau, dt_sim)
-        t_new = t + dt_sim
-        g_new = guard_at(t_new, new)
-        if g_prev > 0.0 >= g_new:
-            # bisect the crossing time on linearly interpolated states
-            lo, hi = t, t_new
-            s_lo, s_hi = state, new
-            for _ in range(60):
-                tm = 0.5 * (lo + hi)
-                sm = s_lo + (tm - t) / dt_sim * (s_hi - s_lo)
-                if guard_at(tm, sm) > 0:
-                    lo = tm
-                else:
-                    hi = tm
-            tc = 0.5 * (lo + hi)
-            sc = state + (tc - t) / dt_sim * (new - state)
-            (_, _), (bvx, bvz) = arm.ball_state(tc, p0, p.v_ball0, p.g)
-            vx, vz = arm.ee_velocity(sc[:n_q], sc[n_q:], p)
-            return tc, float(math.hypot(bvx - vx, bvz - vz))
-        state, t, g_prev = new, t_new, g_new
-    return None, None
+    trace = simulation.simulate(
+        arm.make_system(p), controller, reference.states[0], env=env,
+        horizon=1.5, dt_sim=dt_sim, stop_condition=caught)
+    if not trace.contact_events:
+        return None, None
+    ev = trace.contact_events[0]
+    _, (bvx, bvz) = arm.ball_state(ev.time, env.p_ball0, env.v_ball0, env.g)
+    vx, vz = arm.ee_velocity(ev.pre_state[:3], ev.pre_state[3:], p)
+    return ev.time, float(math.hypot(bvx - vx, bvz - vz))
+
+
+def _replay_drops(p, refs, gains, heights, dt_sim, progress=None):
+    """Catch each reference's ball from every drop height.
+
+    Returns the table rows and each reference's largest catch speed;
+    raises RuntimeError when a reference catches at no height.
+    """
+    rows = []
+    max_dv = {}
+    for name, ref in refs.items():
+        for h0 in heights:
+            tc, dv = _catch_speed(p, ref, gains, float(h0), dt_sim)
+            rows.append({"reference": name, "h0": round(float(h0), 6),
+                         "contact_time": tc, "dv": dv})
+            if progress:
+                progress(f"{name} h0={h0:.3f}: t_c={tc} |dv|={dv}")
+        caught = [r["dv"] for r in rows
+                  if r["reference"] == name and r["dv"] is not None]
+        if not caught:
+            raise RuntimeError(f"the {name} reference catches the ball at "
+                               f"no drop height")
+        max_dv[name] = max(caught)
+    return rows, max_dv
 
 
 def velocity_sweep(run: cfgmod.RunConfig, progress=None):
@@ -534,25 +526,13 @@ def velocity_sweep(run: cfgmod.RunConfig, progress=None):
                           np.full(3, float(run.controller.get("arm_kd", 12.0))))
     z_nom = p.p_ball0[1]
     heights = np.linspace(z_nom - half, z_nom + half, n_heights)
-    rows = []
-    for name, ref in refs.items():
-        for h0 in heights:
-            tc, dv = _arm_rollout(p, ref, gains, float(h0), dt_sim)
-            rows.append({"reference": name, "h0": round(float(h0), 6),
-                         "contact_time": tc, "dv": dv})
-            if progress:
-                progress(f"{name} h0={h0:.3f}: t_c={tc} |dv|={dv}")
-    result = {
+    rows, max_dv = _replay_drops(p, refs, gains, heights, dt_sim, progress)
+    return {
         "rows": rows,
         "v_lim": v_lim,
-        "max_dv": {
-            name: max(r["dv"] for r in rows
-                      if r["reference"] == name and r["dv"] is not None)
-            for name in refs
-        },
+        "max_dv": max_dv,
         "paper_comparison": {"nominal": 3.93, "robust_nominal": 2.67},
     }
-    return result
 
 
 # -- persistence --------------------------------------------------------------

@@ -24,9 +24,7 @@ import numpy as np
 
 from . import bench
 from . import config as cfgmod
-from . import control
 from . import pipeline
-from . import simulation
 from . import transcription as tr
 
 
@@ -97,26 +95,16 @@ def cmd_simulate(args):
             or run.plant_name != "cartpole"):
         raise SystemExit("simulate supports the cart-pole plant")
     bundle = tr.bundle_from_dict(payload["bundle"])
-    from .plants import cartpole
-    import dataclasses as dc
     _, p, env = cfgmod.build_plant(run)
-    if args.x_wall is not None:
-        env = dc.replace(env, x_wall=args.x_wall)
-    if args.e is not None:
-        env = dc.replace(env, e=args.e)
-    sys_def = cartpole.make_system(p, env)
     gains = bench._controller_gains(run, p, env)
     ref = bundle if args.reference == "scheduling" else (
         tr.robust_nominal_branch(bundle, dt_impact=p.dt_impact)
         if args.reference == "robust_nominal" and bundle.branches
         else bundle.common)
-    controller = control.TrackingController(ref, gains)
-    x0 = run.conditions[args.condition]
-    trace = simulation.simulate(
-        sys_def, controller, x0, env=env,
-        horizon=float(run.exp("horizon", 10.0)),
-        dt_sim=float(run.exp("dt_sim", 1e-3)),
-        stop_condition=bench.pole_fell)
+    env_over = {name: value for name, value in
+                (("x_wall", args.x_wall), ("e", args.e)) if value is not None}
+    trace, _ = bench.cartpole_rollout(run, ref, run.conditions[args.condition],
+                                      gains, **env_over)
     trace.to_csv(args.out)
     _progress(f"{len(trace.contact_events)} contact event(s), "
               f"termination: {trace.termination}")

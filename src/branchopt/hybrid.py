@@ -1,14 +1,17 @@
-"""Hybrid dynamical system abstraction: flow and guard.
+"""Hybrid dynamical system abstraction: flow, guard and impact law.
 
 The definition object is consumed by the contact simulator and by the
-tracking-gain design.  The guard is positive during free motion and
-crosses zero exactly at contact.
+tracking-gain design.  The guard sees time as well as the state (the
+arm's falling ball moves on its own clock); it is positive during free
+motion and crosses zero exactly at contact.
 
-The definition carries no impact law.  The simulator applies an
-instantaneous impulse from a fixed number of projected Gauss-Seidel
-sweeps.  The OCP side (``PlantOcp`` adapters, ``cartpole.impact_map``)
-instead models the impact as a constant force over ``dt_impact``, which
-adds that interval's free-motion drift; the two laws differ by it.
+The definition carries the simulator's impact law.  The cart-pole's
+applies an instantaneous impulse from a fixed number of projected
+Gauss-Seidel sweeps (``simulation.rigid_impact``); the arm's leaves the
+state unchanged, since the massless ball attaches.  The OCP side
+(``PlantOcp`` adapters, ``cartpole.impact_map``) instead models the
+cart-pole impact as a constant force over ``dt_impact``, which adds that
+interval's free-motion drift; the two laws differ by it.
 """
 
 from __future__ import annotations
@@ -24,16 +27,16 @@ class HybridSystemDef:
     """Plant definition for simulation and control design.
 
     ``free_dynamics(q, qd, u) -> qdd`` operates on plain arrays;
-    ``guard(state, env)`` returns the signed clearance (positive in free
-    motion); ``contact_jacobian(q)`` maps velocities to the contact
-    point's (normal, tangential) velocity.
+    ``guard(t, state, env)`` returns the signed clearance (positive in
+    free motion); ``impact(state, env) -> (post_state, impulse)`` maps a
+    state on the guard surface to the state after contact.
     """
 
     n_q: int
     n_u: int
     free_dynamics: Callable
     guard: Callable
-    contact_jacobian: Callable
+    impact: Callable
     params: Any
     default_env: Any = None
     extras: dict = field(default_factory=dict)

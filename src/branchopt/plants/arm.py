@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import autodiff as ad
+from ..hybrid import HybridSystemDef
 
 __all__ = [
     "ArmCatchParams",
@@ -31,6 +32,8 @@ __all__ = [
     "total_energy",
     "ball_state",
     "fall_time",
+    "guard",
+    "make_system",
     "level_configuration",
 ]
 
@@ -218,6 +221,36 @@ def fall_time(z0, z_target, v0z=0.0, g=9.81):
         raise ValueError("target above release height")
     disc = v0z * v0z + 2.0 * g * drop
     return (v0z + math.sqrt(disc)) / g
+
+
+def guard(t, state, env: ArmCatchParams):
+    """Height of the ball's bottom above the container at time t.
+
+    ``env`` gives the ball's release (``p_ball0``, ``v_ball0``) and the
+    arm geometry; works on duals.
+    """
+    (_, bz), _ = ball_state(t, env.p_ball0, env.v_ball0, env.g)
+    _, pz, _ = fk(state[:3], env)
+    return bz - env.r_ball - pz
+
+
+def _attach(state, env):
+    """The massless ball attaches: the arm state passes unchanged."""
+    return np.array(state, dtype=float), np.zeros(2)
+
+
+def make_system(p: ArmCatchParams) -> HybridSystemDef:
+    """The arm for the simulator; its env is the ball release, given as
+    ``p`` with ``p_ball0`` replaced."""
+    return HybridSystemDef(
+        n_q=3,
+        n_u=3,
+        free_dynamics=lambda q, qd, u: forward_dynamics(q, qd, u, p),
+        guard=guard,
+        impact=_attach,
+        params=p,
+        default_env=p,
+    )
 
 
 # -- inverse kinematics for boundary configurations ----------------------------

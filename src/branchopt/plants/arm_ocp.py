@@ -19,6 +19,7 @@ from .arm import (
     ee_velocity,
     fk,
     forward_dynamics,
+    guard,
 )
 
 V_LIM_FLOOR = 1e-6  # keeps the sqrt cost residual differentiable
@@ -60,9 +61,7 @@ class ArmCatchOcp(PlantOcp):
 
     def guard_expr(self, v):
         # v = [q(3), qd(3), t]
-        (_, bz), _ = ball_state(v[6], self.p.p_ball0, self.p.v_ball0, self.p.g)
-        _, pz, _ = fk(v[:3], self.p)
-        return bz - self.p.r_ball - pz
+        return guard(v[6], v, self.p)
 
     def _rel_velocity(self, v):
         # v = [q(3), qd(3), t] -> end-effector minus ball velocity

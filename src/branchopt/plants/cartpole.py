@@ -16,6 +16,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..contact2d import exact_cone_impulse
 from ..hybrid import HybridSystemDef
+from ..simulation import rigid_impact
 
 X_EQ = np.array([0.0, math.pi, 0.0, 0.0])
 
@@ -167,15 +168,12 @@ def make_system(p: CartPoleParams = None, env: CartPoleEnv = None) -> HybridSyst
         n_q=2,
         n_u=1,
         free_dynamics=lambda q, qd, u: forward_dynamics(q, qd, u, p),
-        guard=lambda state, e: guard(state, e, p),
-        contact_jacobian=lambda q: contact_jacobian(q, p),
+        guard=lambda t, state, e: guard(state, e, p),
+        impact=rigid_impact(lambda q: contact_jacobian(q, p),
+                            lambda q: mass_matrix(q, p)),
         params=p,
         default_env=env,
-        extras={
-            "x_eq": X_EQ.copy(),
-            "mass_matrix": lambda q: mass_matrix(q, p),
-            "fast_derivative": _make_fast_derivative(p),
-        },
+        extras={"fast_derivative": _make_fast_derivative(p)},
     )
 
 

@@ -1,16 +1,18 @@
-"""Contact simulation: RK4 flow, guard-crossing detection, impulse events.
+"""Contact simulation: RK4 flow, guard-crossing detection, impact events.
 
 This is the physics oracle the optimized trajectories are evaluated
-against.  Free motion is integrated with classical RK4; when the guard
-crosses zero within a step the event is located by bisection, a
-projected-Gauss-Seidel impulse is applied with positions frozen, and
-integration continues from the post-impact state.
+against, and the one rollout loop of both plants.  Free motion is
+integrated with classical RK4; when the guard, which sees time and
+state, crosses zero within a step the event is located by bisection,
+the plant definition's impact law maps the state across it, and
+integration continues from the post-impact state.  ``rigid_impact``
+builds the cart-pole's law: a projected-Gauss-Seidel impulse with
+positions frozen.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +21,7 @@ from .contact2d import pgs_solve
 from .hybrid import HybridSystemDef
 
 __all__ = ["SimTrace", "ContactEvent", "rk4_step", "detect_crossing",
-           "pgs_solve", "simulate"]
+           "pgs_solve", "rigid_impact", "simulate"]
 
 PGS_ITERS = 30  # projected Gauss-Seidel sweeps per impact
 
@@ -63,24 +65,6 @@ class SimTrace:
                     + [repr(float(self.guards[k]))]
                 )
 
-    def to_json(self, path, verdicts=None):
-        payload = {
-            "termination": self.termination,
-            "events": [
-                {
-                    "time": ev.time,
-                    "pre_state": [float(v) for v in ev.pre_state],
-                    "post_state": [float(v) for v in ev.post_state],
-                    "impulse": [float(v) for v in ev.impulse],
-                }
-                for ev in self.contact_events
-            ],
-        }
-        if verdicts is not None:
-            payload["verdicts"] = verdicts
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-
 
 def rk4_step(dynamics, state, u, dt):
     """Classical 4th-order Runge-Kutta step with the input held constant."""
@@ -95,61 +79,65 @@ def rk4_step(dynamics, state, u, dt):
 
 
 def detect_crossing(guard, state_a, state_b, t_a, t_b,
-                    tol=1e-8, max_bisect=60, interp=None):
+                    tol=1e-8, max_bisect=60):
     """Locate the guard zero between two states bracketing a crossing.
 
-    Bisects on states interpolated between the endpoints (linear by
-    default; pass ``interp(s)`` for s in [0,1] to refine with the actual
-    flow).  Requires guard(state_a) > 0 >= guard(state_b).
+    Bisects time and state together, on states interpolated linearly
+    between the endpoints.  Requires
+    guard(t_a, state_a) > 0 >= guard(t_b, state_b).
     """
     state_a = np.asarray(state_a, dtype=float)
     state_b = np.asarray(state_b, dtype=float)
-    g_a = guard(state_a)
-    g_b = guard(state_b)
+    g_a = guard(t_a, state_a)
+    g_b = guard(t_b, state_b)
     if g_a <= 0 and g_a > -tol and abs(g_a) <= abs(g_b):
         return t_a, state_a
     if not (g_a > 0 >= g_b):
         raise NoCrossingError(f"no sign change: guard {g_a:.3e} -> {g_b:.3e}")
-    if interp is None:
-        interp = lambda s: state_a + s * (state_b - state_a)
     lo, hi = 0.0, 1.0
-    state_mid = state_b
     for _ in range(max_bisect):
         mid = 0.5 * (lo + hi)
-        state_mid = interp(mid)
-        g_mid = guard(state_mid)
+        t_mid = t_a + mid * (t_b - t_a)
+        state_mid = state_a + mid * (state_b - state_a)
+        g_mid = guard(t_mid, state_mid)
         if abs(g_mid) <= tol:
-            return t_a + mid * (t_b - t_a), state_mid
+            return t_mid, state_mid
         if g_mid > 0:
             lo = mid
         else:
             hi = mid
     s = 0.5 * (lo + hi)
-    return t_a + s * (t_b - t_a), interp(s)
+    return t_a + s * (t_b - t_a), state_a + s * (state_b - state_a)
 
 
-def _apply_impulse(sys: HybridSystemDef, state, env):
-    q, qd = state[: sys.n_q], state[sys.n_q :]
-    J = sys.contact_jacobian(q)
-    Minv = np.linalg.inv(_mass_matrix(sys, q))
-    G = J @ Minv @ J.T
-    v = J @ qd
-    impulse = pgs_solve(G, v, env.e, env.mu, n_iter=PGS_ITERS)
-    post = np.array(state, dtype=float)
-    post[sys.n_q :] = qd + Minv @ (J.T @ impulse)
-    return post, impulse
+def rigid_impact(contact_jacobian, mass_matrix):
+    """Impact law of a rigid point contact, for ``HybridSystemDef.impact``.
 
+    ``contact_jacobian(q)`` maps velocities to the contact point's
+    (normal, tangential) velocity and ``mass_matrix(q)`` is the plant's
+    inertia.  The impulse comes from ``PGS_ITERS`` projected Gauss-Seidel
+    sweeps with the env's restitution ``e`` and friction ``mu``;
+    positions stay frozen.
+    """
 
-def _mass_matrix(sys: HybridSystemDef, q):
-    mm = sys.extras.get("mass_matrix")
-    if mm is not None:
-        return mm(q)
-    raise NotImplementedError("plant does not expose a mass matrix")
+    def impact(state, env):
+        n_q = len(state) // 2
+        q, qd = state[:n_q], state[n_q:]
+        J = contact_jacobian(q)
+        Minv = np.linalg.inv(mass_matrix(q))
+        G = J @ Minv @ J.T
+        v = J @ qd
+        impulse = pgs_solve(G, v, env.e, env.mu, n_iter=PGS_ITERS)
+        post = np.array(state, dtype=float)
+        post[n_q:] = qd + Minv @ (J.T @ impulse)
+        return post, impulse
+
+    return impact
 
 
 def simulate(sys: HybridSystemDef, controller, x0, env=None, horizon=10.0,
              dt_sim=1e-3, stop_condition=None):
-    """Closed-loop rollout with guard-triggered impulse events.
+    """Closed-loop rollout with guard-triggered impact events.
 
     ``controller(t, state) -> u`` supplies the input, held constant over
     each step; controllers may expose ``notify_contact(t)`` to receive
@@ -171,40 +159,39 @@ def simulate(sys: HybridSystemDef, controller, x0, env=None, horizon=10.0,
     events = []
 
     fast_deriv = sys.extras.get("fast_derivative")
-    guard_fn = lambda s: sys.guard(s, env)
+    if fast_deriv is not None:
+        def step(x, u, dt):
+            return _rk4_fast(fast_deriv, x, float(u[0]), dt)
+    else:
+        def step(x, u, dt):
+            return rk4_step(sys.state_derivative, x, u, dt)
+    guard_fn = lambda t, s: sys.guard(t, s, env)
 
     times[0] = 0.0
     states[0] = x
-    guards[0] = guard_fn(x)
+    guards[0] = guard_fn(0.0, x)
     termination = "horizon"
     k = 0
     t = 0.0
     while k < n_steps:
         u = np.atleast_1d(controller(t, x))
         inputs[k] = u
-        if fast_deriv is not None:
-            x_new = _rk4_fast(fast_deriv, x, float(u[0]), dt_sim)
-        else:
-            x_new = rk4_step(sys.state_derivative, x, u, dt_sim)
+        x_new = step(x, u, dt_sim)
         t_new = t + dt_sim
-        g_new = guard_fn(x_new)
+        g_new = guard_fn(t_new, x_new)
         if guards[k] > 0.0 >= g_new:
             t_hit, x_hit = detect_crossing(guard_fn, x, x_new, t, t_new)
-            post, impulse = _apply_impulse(sys, x_hit, env)
+            post, impulse = sys.impact(x_hit, env)
             events.append(ContactEvent(t_hit, x_hit, post, impulse))
             if hasattr(controller, "notify_contact"):
                 controller.notify_contact(t_hit)
             # finish the step from the post-impact state
             rem = t_new - t_hit
             if rem > 1e-12:
-                u_rem = np.atleast_1d(controller(t_hit, post))
-                if fast_deriv is not None:
-                    x_new = _rk4_fast(fast_deriv, post, float(u_rem[0]), rem)
-                else:
-                    x_new = rk4_step(sys.state_derivative, post, u_rem, rem)
+                x_new = step(post, np.atleast_1d(controller(t_hit, post)), rem)
             else:
                 x_new = post
-            g_new = guard_fn(x_new)
+            g_new = guard_fn(t_new, x_new)
         x = x_new
         t = t_new
         k += 1

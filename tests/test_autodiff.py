@@ -47,11 +47,6 @@ def test_smooth_abs_differentiable_at_zero():
     assert np.isfinite(y.derivs).all()
 
 
-def test_smooth_max_min_limits():
-    assert ad.smooth_max(3.0, 1.0) == pytest.approx(3.0, abs=1e-4)
-    assert ad.smooth_min(3.0, 1.0) == pytest.approx(1.0, abs=1e-4)
-
-
 def test_jacobian_against_closed_form():
     def f(v):
         x, y = v

@@ -1,9 +1,21 @@
-"""Monte-Carlo trial set-up."""
+"""Monte-Carlo trial set-up, recorded rollouts of both plants, and the
+studies' input checks."""
+
+import hashlib
+import json
+import os
 
 import numpy as np
+import pytest
 
-from branchopt import bench, simulation
+from branchopt import bench, config, control, simulation
+from branchopt import transcription as tr
+from branchopt.plants import arm
 from branchopt.transcription import Trajectory
+
+with open(os.path.join(os.path.dirname(__file__), "data",
+                       "recorded_rollouts.json")) as _fh:
+    RECORDED = json.load(_fh)
 
 
 def test_run_trial_simulates_the_configured_env(monkeypatch):
@@ -21,6 +33,67 @@ def test_run_trial_simulates_the_configured_env(monkeypatch):
                               condition_state=state)
     ref = Trajectory(states=np.array([state, state]),
                      inputs=np.zeros((1, 1)), dts=np.array([0.01]))
-    bench._run_trial(({}, {"mu": 0.3}, spec, ref, np.zeros(2), np.zeros(2),
-                      0.005, 1e-3, [0.05] * 4, 0.05, list(bench.X_END)))
+    run = config.RunConfig(plant={"env": {"mu": 0.3}},
+                           experiment={"horizon": 0.005})
+    bench._run_trial((run, spec, ref, control.Gains(np.zeros(2), np.zeros(2))))
     assert [(e.mu, e.x_wall, e.e) for e in seen] == [(0.3, -0.6, 0.75)]
+
+
+@pytest.mark.parametrize("case", RECORDED["cartpole"],
+                         ids=lambda c: c["termination"])
+def test_cartpole_rollout_matches_recorded_bit_for_bit(case):
+    # the scheduling reference of condition 0 for 2 s: at the default wall
+    # it makes one contact and balances, at -0.6 m the pole falls
+    run = config.RunConfig(experiment={"horizon": 2.0})
+    _, p, env = config.build_plant(run)
+    bundle = tr.bundle_from_dict(RECORDED["scheduling_bundle"])
+    env_over = {} if case["x_wall"] is None else {"x_wall": case["x_wall"]}
+    trace, _ = bench.cartpole_rollout(
+        run, bundle, run.conditions[0], bench._controller_gains(run, p, env),
+        **env_over)
+    assert trace.termination == case["termination"]
+    assert len(trace.times) - 1 == case["steps"]
+    assert [float(v) for v in trace.states[-1]] == case["final_state"]
+    for name, digest in case["sha256"].items():
+        data = np.ascontiguousarray(getattr(trace, name)).tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+    events = [{"time": ev.time,
+               "pre_state": [float(v) for v in ev.pre_state],
+               "post_state": [float(v) for v in ev.post_state],
+               "impulse": [float(v) for v in ev.impulse]}
+              for ev in trace.contact_events]
+    assert events == case["events"]
+
+
+def _held_level_reference(p):
+    q0 = arm.level_configuration((0.0, 0.3), p)
+    x0 = np.concatenate([q0, np.zeros(3)])
+    return Trajectory(states=np.array([x0, x0]),
+                      inputs=arm.gravity_torque(q0, p)[None, :],
+                      dts=np.array([1.5]))
+
+
+def test_catch_speed_matches_the_recorded_arm_rollouts():
+    rec = RECORDED["arm_held_level"]
+    p = arm.ArmCatchParams()
+    gains = control.Gains(np.full(3, rec["kp"]), np.full(3, rec["kd"]))
+    ref = _held_level_reference(p)
+    for row in rec["drop_heights"]:
+        tc, dv = bench._catch_speed(p, ref, gains, row["h0"], rec["dt_sim"])
+        assert tc == pytest.approx(row["contact_time"], abs=1e-8)
+        assert dv == pytest.approx(row["dv"], abs=1e-6)
+
+
+def test_sweep_without_a_catch_names_the_reference():
+    # released below the container, the ball is never caught
+    p = arm.ArmCatchParams()
+    gains = control.Gains(np.full(3, 80.0), np.full(3, 1.0))
+    with pytest.raises(RuntimeError, match="held"):
+        bench._replay_drops(p, {"held": _held_level_reference(p)}, gains,
+                            [0.2], 1e-3)
+
+
+@pytest.mark.parametrize("study", [bench.montecarlo, bench.tradeoff])
+def test_cartpole_studies_reject_the_arm(study):
+    with pytest.raises(ValueError, match="cart-pole"):
+        study(config.RunConfig(plant={"name": "arm"}))

@@ -40,7 +40,7 @@ def test_simulation_layers_patch_and_restore():
 def test_traced_system_wraps_derivative_and_guard():
     tracer = tracing.Tracer()
     sys_def = tracing.traced_system(tracer, cartpole.make_system())
-    sys_def.guard(cartpole.X_EQ, sys_def.default_env)
+    sys_def.guard(0.0, cartpole.X_EQ, sys_def.default_env)
     sys_def.extras["fast_derivative"](tuple(cartpole.X_EQ), 0.0)
     assert tracer.spans["plants.cartpole.guard"][0] == 1
     assert tracer.spans["plants.cartpole.derivative"][0] == 1

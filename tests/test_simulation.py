@@ -33,15 +33,25 @@ def test_rk4_rejects_bad_dt():
 def test_detect_crossing_linear_guard():
     # guard g(x) = x[0]; states from 1 to -1 -> crossing at midpoint
     t, state = simulation.detect_crossing(
-        lambda s: s[0], np.array([1.0]), np.array([-1.0]), 0.0, 1.0)
+        lambda t, s: s[0], np.array([1.0]), np.array([-1.0]), 0.0, 1.0)
     assert t == pytest.approx(0.5, abs=1e-9)
     assert state[0] == pytest.approx(0.0, abs=1e-8)
+
+
+def test_detect_crossing_bisects_time_with_the_state():
+    # g(t, x) = 0.3 - t + x[0] with x moving from 0 to 0.2 over [0, 1]:
+    # zero where 0.3 - t + 0.2 t = 0, at t = 0.375
+    t, state = simulation.detect_crossing(
+        lambda t, s: 0.3 - t + s[0], np.array([0.0]), np.array([0.2]),
+        0.0, 1.0)
+    assert t == pytest.approx(0.375, abs=1e-8)
+    assert state[0] == pytest.approx(0.2 * t, abs=1e-15)
 
 
 def test_detect_crossing_requires_sign_change():
     with pytest.raises(ValueError):
         simulation.detect_crossing(
-            lambda s: s[0], np.array([1.0]), np.array([2.0]), 0.0, 1.0)
+            lambda t, s: s[0], np.array([1.0]), np.array([2.0]), 0.0, 1.0)
 
 
 # -- PGS contact solver ------------------------------------------------------
@@ -196,16 +206,11 @@ def test_simulate_trace_export_roundtrip(tmp_path):
     trace = simulation.simulate(sys_def, lambda t, x: np.zeros(1),
                                 np.array([0, 3.0, 0, 0]), horizon=0.05)
     csv_path = tmp_path / "trace.csv"
-    json_path = tmp_path / "trace.json"
     trace.to_csv(csv_path)
-    trace.to_json(json_path)
     import csv as csvmod
-    import json as jsonmod
     rows = list(csvmod.reader(open(csv_path)))
     assert rows[0][:2] == ["t", "x0"]
     assert len(rows) - 1 == len(trace.times)
-    payload = jsonmod.load(open(json_path))
-    assert payload["termination"] == "horizon"
 
 
 def test_simulate_rejects_bad_dt():

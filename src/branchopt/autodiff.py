@@ -8,7 +8,7 @@ axis of length ``n_dirs``.
 
 All elementary operations used by the dynamics, cost and constraint
 callbacks are provided as module-level functions (``sin``, ``cos``,
-``sqrt``, ``smooth_abs``, ...) that dispatch on the argument type, so the
+``sqrt``, ``exp``) that dispatch on the argument type, so the
 same callback code runs on plain floats/arrays and on duals.
 """
 
@@ -32,10 +32,7 @@ __all__ = [
     "cos",
     "sqrt",
     "exp",
-    "smooth_abs",
 ]
-
-SMOOTHING_EPS = 1e-8
 
 
 class Dual:
@@ -143,11 +140,6 @@ def exp(x):
         e = np.exp(x.value)
         return Dual(e, _col(e) * x.derivs)
     return np.exp(x)
-
-
-def smooth_abs(x, eps=SMOOTHING_EPS):
-    """|x| ~ sqrt(x^2 + eps), differentiable everywhere."""
-    return sqrt(x * x + eps)
 
 
 # -- seeding and jacobians -------------------------------------------------

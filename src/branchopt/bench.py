@@ -27,7 +27,7 @@ from . import transcription as tr
 __all__ = [
     "TrialSpec", "TrialReport", "MonteCarloReport", "evaluate_trial",
     "pole_fell", "cartpole_rollout", "montecarlo", "tradeoff",
-    "velocity_sweep", "export",
+    "catch_pose", "velocity_sweep", "export",
     "REFERENCE_TYPES", "PAPER_TOTALS",
 ]
 
@@ -426,16 +426,12 @@ def _catch_speed(p, reference, gains, z0, dt_sim):
 
     env = dataclasses.replace(p, p_ball0=(p.p_ball0[0], z0))
 
-    def controller(t, state):
-        q_des, qd_des, tau_des = control.sample_reference(reference, t, 3)
-        return (gains.k_p * (q_des - state[:3])
-                + gains.k_d * (qd_des - state[3:]) + tau_des)
-
     def caught(t, state, n_events):
         return "caught" if n_events else None
 
     trace = simulation.simulate(
-        arm.make_system(p), controller, reference.states[0], env=env,
+        arm.make_system(p), control.TrackingController(reference, gains),
+        reference.states[0], env=env,
         horizon=1.5, dt_sim=dt_sim, stop_condition=caught)
     if not trace.contact_events:
         return None, None
@@ -469,6 +465,15 @@ def _replay_drops(p, refs, gains, heights, dt_sim, progress=None):
     return rows, max_dv
 
 
+def catch_pose(run: cfgmod.RunConfig, p):
+    """The arm at rest with its level tool at the configured catch target:
+    the boundary state of every arm solve."""
+    from .plants import arm
+
+    q = arm.level_configuration(tuple(run.exp("catch_target", (0.0, 0.3))), p)
+    return np.concatenate([q, np.zeros(3)])
+
+
 def velocity_sweep(run: cfgmod.RunConfig, progress=None):
     """Catch speed over a range of drop heights, planned vs. robust.
 
@@ -477,8 +482,6 @@ def velocity_sweep(run: cfgmod.RunConfig, progress=None):
     heights spanning the configured half-range, recording the relative
     speed at contact.
     """
-    from .plants import arm
-
     arm_params = (run.plant.get("params", {}) or {}
                   if run.plant_name == "arm" else {})
     arm_run = cfgmod.RunConfig(plant={"name": "arm", "params": arm_params})
@@ -488,9 +491,7 @@ def velocity_sweep(run: cfgmod.RunConfig, progress=None):
     half = float(run.exp("sweep_half_range", 0.2))
     dt_sim = float(run.exp("dt_sim", 1e-3))
 
-    q0 = arm.level_configuration(
-        tuple(run.exp("catch_target", (0.0, 0.3))), p)
-    x0 = np.concatenate([q0, np.zeros(3)])
+    x0 = catch_pose(run, p)
     tdefaults = dict(N=40, contact_node=20, dt_min=1e-3, dt_max=5e-2)
     tdefaults.update(run.transcription)
     nom_cfg = cfgmod.transcription_config(
@@ -522,8 +523,9 @@ def velocity_sweep(run: cfgmod.RunConfig, progress=None):
         "robust_nominal": tr.robust_nominal_branch(sure.bundle,
                                                    dt_impact=1e-3),
     }
-    gains = control.Gains(np.full(3, float(run.controller.get("arm_kp", 80.0))),
-                          np.full(3, float(run.controller.get("arm_kd", 12.0))))
+    gains = control.Gains(
+        np.diag(np.full(3, float(run.controller.get("arm_kp", 80.0)))),
+        np.diag(np.full(3, float(run.controller.get("arm_kd", 12.0)))))
     z_nom = p.p_ball0[1]
     heights = np.linspace(z_nom - half, z_nom + half, n_heights)
     rows, max_dv = _replay_drops(p, refs, gains, heights, dt_sim, progress)

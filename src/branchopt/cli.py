@@ -50,12 +50,10 @@ def _progress(msg):
 def cmd_solve(args):
     run = _load(args)
     adapter, p, env = cfgmod.build_plant(run)
-    conditions = run.conditions
-    x_init = conditions[args.condition]
     if run.plant_name == "cartpole":
-        x_end = bench.X_END
+        x_init, x_end = run.conditions[args.condition], bench.X_END
     else:
-        x_end = x_init
+        x_init = x_end = bench.catch_pose(run, p)
     cfg = cfgmod.transcription_config(run, args.variant, x_init, x_end)
     opts = cfgmod.solver_opts(run)
     if args.variant == "nominal":
@@ -185,7 +183,7 @@ def build_parser():
     sp.add_argument("--variant", choices=["nominal", "sure", "tree"],
                     default="sure")
     sp.add_argument("--condition", type=int, default=0,
-                    help="index into experiment.conditions")
+                    help="index into experiment.conditions (cart-pole)")
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("simulate", help="roll out a saved solution")

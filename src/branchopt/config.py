@@ -24,10 +24,12 @@ Schema (version 1)::
       d_fixed: 0.05                 # guard half-width at the window edges
       dt_min: 1.0e-3
       dt_max: 5.0e-2
-    solver:
-      tol_eq: 1.0e-6
-      max_inner: 600
-      ...                           # any SolverOpts field
+    solver:                         # the five SolverOpts fields
+      tol_eq: 1.0e-6                # acceptance: equality violation
+      tol_ineq: 1.0e-6              #   inequality violation
+      tol_stat: 1.0e-4              #   stationarity
+      max_outer: 60                 # augmented-Lagrangian iterations
+      max_inner: 600                # LM iterations per inner solve
     controller:
       q_diag: [10, 0, 10, 0]
       r: 0.1

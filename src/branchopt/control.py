@@ -1,18 +1,19 @@
-"""Reference tracking and trajectory scheduling.
+"""Reference tracking with a branch switch on contact.
 
-Tracking is a PD controller with feedforward compensation whose gains
-come from an LQR design around the target equilibrium: linearize the
-plant, solve the continuous-time algebraic Riccati equation, and read
-the proportional/derivative gains off the feedback row.  The scheduler
-plays the common trajectory until contact is observed, then switches —
-exactly once — to the nearest subsequent branch.
+One controller, ``TrackingController``, serves both plants: a PD law
+with feedforward, τ = K_p (q_des − q) + K_d (q̇_des − q̇) + τ_des.  The
+cart-pole's gains come from an LQR design around the target
+equilibrium: linearize the plant, solve the continuous-time algebraic
+Riccati equation, and read the proportional/derivative gains off the
+feedback row.  Given a branched solution, the controller plays the
+common trajectory until contact is observed, then switches — exactly
+once — to the nearest subsequent branch.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -22,14 +23,13 @@ from .transcription import SolutionBundle, Trajectory, post_contact_reference
 
 __all__ = [
     "Gains",
-    "SchedulerState",
     "linearize",
     "solve_care",
     "lqr_gains",
     "design_gains",
     "sample_reference",
     "pd_feedforward",
-    "TrajectoryScheduler",
+    "TrackingController",
 ]
 
 DEFAULT_Q = np.diag([10.0, 0.0, 10.0, 0.0])
@@ -38,7 +38,12 @@ DEFAULT_R = 0.1
 
 @dataclass
 class Gains:
-    """Per-coordinate proportional and derivative tracking gains."""
+    """Proportional and derivative tracking gains.
+
+    ``k_p`` and ``k_d`` map position and velocity errors to inputs
+    through ``@``: a 1-D row for a single-input plant, an (n_u, n_q)
+    matrix otherwise.
+    """
 
     k_p: np.ndarray
     k_d: np.ndarray
@@ -56,7 +61,10 @@ def _interleave_permutation(n_q):
     return perm
 
 
-def linearize(sys, x_eq, u_eq, eq_tol=1e-10):
+EQ_TOL = 1e-10  # largest |f(x_eq, u_eq)| accepted as an equilibrium
+
+
+def linearize(sys, x_eq, u_eq):
     """First-order model at an equilibrium, in interleaved state order.
 
     Returns (A, B) for the state [q1, q̇1, q2, q̇2, ...]; differentiation
@@ -65,9 +73,9 @@ def linearize(sys, x_eq, u_eq, eq_tol=1e-10):
     x_eq = np.asarray(x_eq, dtype=float)
     u_eq = np.asarray(u_eq, dtype=float)
     resid = np.max(np.abs(sys.state_derivative(x_eq, u_eq)))
-    if resid > eq_tol:
+    if resid > EQ_TOL:
         raise ValueError(
-            f"not an equilibrium: |f(x_eq, u_eq)| = {resid:.3e} > {eq_tol:.0e}"
+            f"not an equilibrium: |f(x_eq, u_eq)| = {resid:.3e} > {EQ_TOL:.0e}"
         )
     n = x_eq.size
 
@@ -122,25 +130,22 @@ def lqr_gains(A, b, Q=None, r=DEFAULT_R) -> Gains:
     return Gains(k_p=K[0::2], k_d=K[1::2])
 
 
-def design_gains(sys, x_eq, u_eq=None, Q=None, r=DEFAULT_R) -> Gains:
-    """LQR-designed tracking gains for a plant at an equilibrium."""
-    if u_eq is None:
-        u_eq = np.zeros(sys.n_u)
-    A, b = linearize(sys, x_eq, u_eq)
+def design_gains(sys, x_eq, Q=None, r=DEFAULT_R) -> Gains:
+    """LQR-designed tracking gains for a plant at an unforced equilibrium."""
+    A, b = linearize(sys, x_eq, np.zeros(sys.n_u))
     return lqr_gains(A, b, Q, r)
 
 
 # -- reference sampling and the PD + feedforward law --------------------------
 
 
-def sample_reference(ref: Trajectory, t, n_q=None):
+def sample_reference(ref: Trajectory, t):
     """(q_des, q̇_des, τ_des) at time t, linearly interpolated over nodes.
 
     Past the horizon the terminal setpoint is held (with the last input
     as feedforward); before t=0 the initial node is held.
     """
-    if n_q is None:
-        n_q = ref.states.shape[1] // 2
+    n_q = ref.states.shape[1] // 2
     times = ref.node_times
     t = float(np.clip(t, times[0], times[-1]))
     q = np.array([np.interp(t, times, ref.states[:, j]) for j in range(n_q)])
@@ -160,54 +165,45 @@ def sample_reference(ref: Trajectory, t, n_q=None):
 
 
 def pd_feedforward(ref: Trajectory, state, gains: Gains, t):
-    """τ(t) = k_p·(q_des − q) + k_d·(q̇_des − q̇) + τ_des."""
+    """τ(t) = k_p @ (q_des − q) + k_d @ (q̇_des − q̇) + τ_des."""
     state = np.asarray(state, dtype=float)
-    n_q = gains.k_p.size
-    q, qd = state[:n_q], state[n_q : 2 * n_q]
-    q_des, qd_des, tau_des = sample_reference(ref, t, n_q)
+    n_q = len(state) // 2
+    q, qd = state[:n_q], state[n_q:]
+    q_des, qd_des, tau_des = sample_reference(ref, t)
     fb = gains.k_p @ (q_des - q) + gains.k_d @ (qd_des - qd)
     return fb + tau_des
 
 
-# -- trajectory scheduling -----------------------------------------------------
+# -- the tracking controller ---------------------------------------------------
 
 
-@dataclass
-class SchedulerState:
-    active_reference: str = "common"  # "common" | "branch <i>"
-    branch_index: Optional[int] = None  # common-node index the branch leaves
-    contact_time: Optional[float] = None
-    clock_offset: float = 0.0  # reference time = t - clock_offset
-    reference: Trajectory = None
+class TrackingController:
+    """Closed-loop PD + feedforward tracker usable by the simulator.
 
-
-class TrajectoryScheduler:
-    """Plays the common reference, switching once on observed contact.
-
-    On contact at time t_c the nearest subsequent branch — the first
-    branch whose departure-node time is ≥ t_c — becomes the reference,
-    with its node 0 aligned to t_c.  Contact after the last branching
-    node selects the last branch; contact before the first one selects
-    the first branch and warns (outside the planned uncertainty window).
+    Tracks a plain Trajectory (fixed reference) or the common trajectory
+    of a SolutionBundle.  When the simulator reports contact at t_c via
+    ``notify_contact``, a bundle's controller switches, once, to the
+    nearest subsequent branch — the first branch whose departure-node
+    time is ≥ t_c — with the branch's node 0 aligned to t_c.  Contact
+    after the last branching node selects the last branch; contact
+    before the first one selects the first branch and warns (outside the
+    planned uncertainty window).
     """
 
-    def __init__(self, bundle: SolutionBundle):
-        self.bundle = bundle
-        self.state = SchedulerState(reference=bundle.common)
+    def __init__(self, reference, gains: Gains):
+        self.bundle = reference if isinstance(reference, SolutionBundle) else None
+        self.reference = (reference.common if self.bundle is not None
+                          else reference)
+        self.gains = gains
+        self.clock_offset = 0.0  # reference time = t - clock_offset
+        self.branch_node = None  # common-node index the active branch leaves
 
-    @property
-    def switched(self):
-        return self.state.contact_time is not None
-
-    def branch_departure_times(self):
-        times = self.bundle.common.node_times
-        return np.array([times[i] for i in self.bundle.branch_nodes])
-
-    def observe_contact(self, t_c):
-        """Select the post-contact reference; idempotent after the first call."""
-        if self.switched or not self.bundle.branches:
-            return self.state
-        dep = self.branch_departure_times()
+    def notify_contact(self, t_c):
+        """Switch to the post-contact branch; no-op after the first switch."""
+        if (self.bundle is None or not self.bundle.branches
+                or self.branch_node is not None):
+            return
+        dep = self.bundle.common.node_times[self.bundle.branch_nodes]
         if t_c < dep[0]:
             warnings.warn(
                 "contact observed before the first branching node; "
@@ -218,50 +214,10 @@ class TrajectoryScheduler:
         else:
             later = np.nonzero(dep >= t_c)[0]
             pos = int(later[0]) if later.size else len(dep) - 1
-        self.state = SchedulerState(
-            active_reference=f"branch {self.bundle.branch_nodes[pos]}",
-            branch_index=self.bundle.branch_nodes[pos],
-            contact_time=float(t_c),
-            clock_offset=float(t_c),
-            reference=post_contact_reference(self.bundle, pos),
-        )
-        return self.state
-
-    def reference_at(self, t):
-        """(q_des, q̇_des, τ_des) under the currently active reference."""
-        return sample_reference(
-            self.state.reference, t - self.state.clock_offset
-        )
-
-    def control(self, state, gains: Gains, t):
-        return pd_feedforward(
-            self.state.reference, state, gains, t - self.state.clock_offset
-        )
-
-
-class TrackingController:
-    """Closed-loop PD + feedforward tracker usable by the simulator.
-
-    Accepts a plain Trajectory (fixed reference) or a SolutionBundle
-    (scheduler-backed: switches to a branch when the simulator reports
-    contact via ``notify_contact``).
-    """
-
-    def __init__(self, reference, gains: Gains):
-        if isinstance(reference, SolutionBundle):
-            self.scheduler = TrajectoryScheduler(reference)
-        else:
-            self.scheduler = None
-            self.reference = reference
-        self.gains = gains
-
-    def notify_contact(self, t):
-        if self.scheduler is not None:
-            self.scheduler.observe_contact(t)
+        self.branch_node = self.bundle.branch_nodes[pos]
+        self.clock_offset = float(t_c)
+        self.reference = post_contact_reference(self.bundle, pos)
 
     def __call__(self, t, state):
-        if self.scheduler is not None:
-            tau = self.scheduler.control(state, self.gains, t)
-        else:
-            tau = pd_feedforward(self.reference, state, self.gains, t)
-        return np.atleast_1d(tau)
+        return np.atleast_1d(pd_feedforward(
+            self.reference, state, self.gains, t - self.clock_offset))

@@ -37,7 +37,6 @@ class HybridSystemDef:
     free_dynamics: Callable
     guard: Callable
     impact: Callable
-    params: Any
     default_env: Any = None
     extras: dict = field(default_factory=dict)
 

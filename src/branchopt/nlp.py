@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,7 +89,6 @@ class NlpProblem:
     cost_blocks: list
     eq_blocks: list
     ineq_blocks: list
-    layout: Any = None
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float)
@@ -127,25 +126,30 @@ class NlpSolution:
     status: str  # converged | max_iter | infeasible
 
 
+# fixed parameters of the augmented-Lagrangian outer loop
+RHO0 = 10.0
+RHO_MAX = 1e8
+RHO_FACTOR = 10.0
+VIOL_DROP_FACTOR = 4.0
+INNER_GTOL = 1e-9
+# penalty level anchoring the iterate after a restoration phase
+RHO_RESTORE = 1e5
+STALL_LIMIT = 5
+# feasible iterates whose objective stops moving are accepted even if
+# the stationarity measure stays noisy (large ill-conditioned problems)
+OBJ_STALL_RTOL = 1e-4
+OBJ_STALL_ITERS = 3
+
+
 @dataclass
 class SolverOpts:
+    """Acceptance tolerances and iteration limits, the solver's settings."""
+
     tol_eq: float = 1e-6
     tol_ineq: float = 1e-6
     tol_stat: float = 1e-4
     max_outer: int = 60
     max_inner: int = 600
-    rho0: float = 10.0
-    rho_max: float = 1e8
-    rho_factor: float = 10.0
-    viol_drop_factor: float = 4.0
-    inner_gtol: float = 1e-9
-    # penalty level anchoring the iterate after a restoration phase
-    rho_restore: float = 1e5
-    stall_limit: int = 5
-    # feasible iterates whose objective stops moving are accepted even if
-    # the stationarity measure stays noisy (large ill-conditioned problems)
-    obj_stall_rtol: float = 1e-4
-    obj_stall_iters: int = 3
 
     @classmethod
     def from_dict(cls, d):
@@ -431,7 +435,7 @@ def _inner_solve(problem, x, lam, mu, rho, opts):
     helper = _AlResiduals(problem, lam, mu, rho, free, template)
     z, nfev = _bounded_lm(
         helper, x[free], problem.lower[free], problem.upper[free],
-        opts.max_inner, opts.inner_gtol,
+        opts.max_inner, INNER_GTOL,
     )
     return helper.full_x(z), nfev
 
@@ -541,7 +545,7 @@ def solve(problem: NlpProblem, x0, opts: SolverOpts = None) -> NlpSolution:
         raise ValueError("x0 has wrong dimension")
     lam = np.zeros(problem.n_eq)
     mu = np.zeros(problem.n_ineq)
-    rho = opts.rho0
+    rho = RHO0
     prev_viol = np.inf
     prev_obj = None
     obj_stall = 0
@@ -557,7 +561,7 @@ def solve(problem: NlpProblem, x0, opts: SolverOpts = None) -> NlpSolution:
         x, nfev = _restoration(problem, x, opts)
         inner_total += nfev
         restored = True
-        rho = max(rho, opts.rho_restore)
+        rho = max(rho, RHO_RESTORE)
 
     for outer in range(opts.max_outer):
         x, nfev = _inner_solve(problem, x, lam, mu, rho, opts)
@@ -579,17 +583,17 @@ def solve(problem: NlpProblem, x0, opts: SolverOpts = None) -> NlpSolution:
             status = "converged"
             break
         if (feasible and prev_obj is not None
-                and abs(obj - prev_obj) <= opts.obj_stall_rtol * max(1.0, abs(obj))):
+                and abs(obj - prev_obj) <= OBJ_STALL_RTOL * max(1.0, abs(obj))):
             obj_stall += 1
-            if obj_stall >= opts.obj_stall_iters:
+            if obj_stall >= OBJ_STALL_ITERS:
                 status = "converged"
                 break
         else:
             obj_stall = 0
         prev_obj = obj if feasible else None
-        if viol > prev_viol / opts.viol_drop_factor:
-            rho = min(rho * opts.rho_factor, opts.rho_max)
-        if rho >= opts.rho_max and viol > max(opts.tol_eq, opts.tol_ineq):
+        if viol > prev_viol / VIOL_DROP_FACTOR:
+            rho = min(rho * RHO_FACTOR, RHO_MAX)
+        if rho >= RHO_MAX and viol > max(opts.tol_eq, opts.tol_ineq):
             stall += 1
             if stall == 1 and not restored:
                 x, nfev = _restoration(problem, x, opts)
@@ -598,7 +602,7 @@ def solve(problem: NlpProblem, x0, opts: SolverOpts = None) -> NlpSolution:
                 # multipliers accumulated off-manifold are stale
                 lam = np.zeros(problem.n_eq)
                 mu = np.zeros(problem.n_ineq)
-            if stall >= opts.stall_limit:
+            if stall >= STALL_LIMIT:
                 status = "infeasible"
                 break
         else:

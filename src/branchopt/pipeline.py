@@ -169,10 +169,9 @@ def tree_guess_from_nominal(adapter, layout, nominal_bundle, contact_node):
     return x0
 
 
-def solve_nominal(adapter, cfg, opts=None, x0=None) -> PipelineResult:
+def solve_nominal(adapter, cfg, opts=None) -> PipelineResult:
     problem, layout = tr.build_nominal(adapter, cfg)
-    if x0 is None:
-        x0 = tr.default_initial_guess(adapter, layout)
+    x0 = tr.default_initial_guess(adapter, layout)
     sol = nlp.solve(problem, x0, opts)
     return PipelineResult(sol, tr.extract_solution(layout, sol.x), layout, problem)
 

@@ -248,7 +248,6 @@ def make_system(p: ArmCatchParams) -> HybridSystemDef:
         free_dynamics=lambda q, qd, u: forward_dynamics(q, qd, u, p),
         guard=guard,
         impact=_attach,
-        params=p,
         default_env=p,
     )
 
@@ -256,11 +255,11 @@ def make_system(p: ArmCatchParams) -> HybridSystemDef:
 # -- inverse kinematics for boundary configurations ----------------------------
 
 
-def level_configuration(p_target, p: ArmCatchParams, elbow_up=True):
+def level_configuration(p_target, p: ArmCatchParams):
     """Joint angles putting the end effector at p_target with a level tool.
 
-    Closed-form two-link inverse kinematics for the wrist, with the third
-    joint absorbing the remaining tool angle.
+    Closed-form elbow-up two-link inverse kinematics for the wrist, with
+    the third joint absorbing the remaining tool angle.
     """
     l1, l2, l3 = p.lengths
     alpha = p.level_angle
@@ -270,9 +269,7 @@ def level_configuration(p_target, p: ArmCatchParams, elbow_up=True):
     c2 = (r2 - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
     if not -1.0 <= c2 <= 1.0:
         raise ValueError("target out of reach")
-    s2 = math.sqrt(1.0 - c2 * c2)
-    if elbow_up:
-        s2 = -s2
+    s2 = -math.sqrt(1.0 - c2 * c2)  # elbow up
     q2 = math.atan2(s2, c2)
     q1 = math.atan2(wz, wx) - math.atan2(l2 * s2, l1 + l2 * c2)
     q3 = alpha - q1 - q2

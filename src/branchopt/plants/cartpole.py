@@ -171,7 +171,6 @@ def make_system(p: CartPoleParams = None, env: CartPoleEnv = None) -> HybridSyst
         guard=lambda t, state, e: guard(state, e, p),
         impact=rigid_impact(lambda q: contact_jacobian(q, p),
                             lambda q: mass_matrix(q, p)),
-        params=p,
         default_env=env,
         extras={"fast_derivative": _make_fast_derivative(p)},
     )

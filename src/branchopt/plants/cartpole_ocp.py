@@ -17,18 +17,18 @@ from .cartpole import (CartPoleEnv, CartPoleParams, X_EQ, accel,
                        env_from_params, impact_map)
 
 CONE_SMOOTHING = 1e-8
+# running-cost weights on the state's deviation from upright and the input
+W_STATE = np.array([10.0, 10.0, 1.0, 1.0])
+W_TAU = 1.0
 
 
 class CartPoleOcp(PlantOcp):
     n_x = 4
     n_u = 1
 
-    def __init__(self, params: CartPoleParams = None, env: CartPoleEnv = None,
-                 w_state=(10.0, 10.0, 1.0, 1.0), w_tau=1.0):
+    def __init__(self, params: CartPoleParams = None, env: CartPoleEnv = None):
         self.p = params if params is not None else CartPoleParams()
         self.env = env if env is not None else env_from_params(self.p)
-        self.w_state = np.asarray(w_state, dtype=float)
-        self.w_tau = float(w_tau)
         self.x_eq = X_EQ.copy()
 
     # -- shared hooks --------------------------------------------------------
@@ -37,10 +37,10 @@ class CartPoleOcp(PlantOcp):
 
     def node_cost(self, x, u, scale):
         out = [
-            scale * np.sqrt(self.w_state[i]) * (x[i] - self.x_eq[i])
+            scale * np.sqrt(W_STATE[i]) * (x[i] - self.x_eq[i])
             for i in range(4)
         ]
-        out.append(scale * np.sqrt(self.w_tau) * u[0])
+        out.append(scale * np.sqrt(W_TAU) * u[0])
         return out
 
     def dynamics_defect(self, x, u, dt, x_next):

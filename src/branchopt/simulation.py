@@ -24,6 +24,8 @@ __all__ = ["SimTrace", "ContactEvent", "rk4_step", "detect_crossing",
            "pgs_solve", "rigid_impact", "simulate"]
 
 PGS_ITERS = 30  # projected Gauss-Seidel sweeps per impact
+CROSSING_TOL = 1e-8  # |guard| accepted as the contact surface
+MAX_BISECT = 60
 
 
 class NoCrossingError(ValueError):
@@ -78,8 +80,7 @@ def rk4_step(dynamics, state, u, dt):
     return state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def detect_crossing(guard, state_a, state_b, t_a, t_b,
-                    tol=1e-8, max_bisect=60):
+def detect_crossing(guard, state_a, state_b, t_a, t_b):
     """Locate the guard zero between two states bracketing a crossing.
 
     Bisects time and state together, on states interpolated linearly
@@ -90,17 +91,17 @@ def detect_crossing(guard, state_a, state_b, t_a, t_b,
     state_b = np.asarray(state_b, dtype=float)
     g_a = guard(t_a, state_a)
     g_b = guard(t_b, state_b)
-    if g_a <= 0 and g_a > -tol and abs(g_a) <= abs(g_b):
+    if g_a <= 0 and g_a > -CROSSING_TOL and abs(g_a) <= abs(g_b):
         return t_a, state_a
     if not (g_a > 0 >= g_b):
         raise NoCrossingError(f"no sign change: guard {g_a:.3e} -> {g_b:.3e}")
     lo, hi = 0.0, 1.0
-    for _ in range(max_bisect):
+    for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
         t_mid = t_a + mid * (t_b - t_a)
         state_mid = state_a + mid * (state_b - state_a)
         g_mid = guard(t_mid, state_mid)
-        if abs(g_mid) <= tol:
+        if abs(g_mid) <= CROSSING_TOL:
             return t_mid, state_mid
         if g_mid > 0:
             lo = mid

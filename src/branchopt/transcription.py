@@ -215,7 +215,7 @@ class ProblemBuilder:
         self.lower[idx] = values
         self.upper[idx] = values
 
-    def finish(self, layout):
+    def finish(self):
         return NlpProblem(
             n_vars=self.n_vars,
             lower=self.lower,
@@ -223,7 +223,6 @@ class ProblemBuilder:
             cost_blocks=self.cost_blocks,
             eq_blocks=self.eq_blocks,
             ineq_blocks=self.ineq_blocks,
-            layout=layout,
         )
 
 
@@ -566,7 +565,7 @@ def build(adapter: PlantOcp, cfg: TranscriptionConfig):
 
     adapter.configure_bounds(builder, layout, cfg)
     adapter.emit_extra_blocks(builder, layout, cfg)
-    return builder.finish(layout), layout
+    return builder.finish(), layout
 
 
 def build_nominal(adapter: PlantOcp, cfg: TranscriptionConfig):

@@ -76,7 +76,8 @@ def _held_level_reference(p):
 def test_catch_speed_matches_the_recorded_arm_rollouts():
     rec = RECORDED["arm_held_level"]
     p = arm.ArmCatchParams()
-    gains = control.Gains(np.full(3, rec["kp"]), np.full(3, rec["kd"]))
+    gains = control.Gains(np.diag(np.full(3, rec["kp"])),
+                          np.diag(np.full(3, rec["kd"])))
     ref = _held_level_reference(p)
     for row in rec["drop_heights"]:
         tc, dv = bench._catch_speed(p, ref, gains, row["h0"], rec["dt_sim"])
@@ -87,7 +88,7 @@ def test_catch_speed_matches_the_recorded_arm_rollouts():
 def test_sweep_without_a_catch_names_the_reference():
     # released below the container, the ball is never caught
     p = arm.ArmCatchParams()
-    gains = control.Gains(np.full(3, 80.0), np.full(3, 1.0))
+    gains = control.Gains(np.diag(np.full(3, 80.0)), np.diag(np.full(3, 1.0)))
     with pytest.raises(RuntimeError, match="held"):
         bench._replay_drops(p, {"held": _held_level_reference(p)}, gains,
                             [0.2], 1e-3)

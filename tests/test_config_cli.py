@@ -55,15 +55,30 @@ def test_rejects_removed_transcription_key(tmp_path):
 
 
 def test_rejects_removed_solver_key(tmp_path):
-    path = _write(tmp_path, "solver:\n  verbose: true\n")
-    with pytest.raises(ValueError, match="verbose"):
-        config.solver_opts(config.load_config(path))
+    for key in ("verbose", "rho0"):
+        path = _write(tmp_path, f"solver:\n  {key}: 1\n")
+        with pytest.raises(ValueError, match=key):
+            config.solver_opts(config.load_config(path))
 
 
 def test_cli_gains_prints_gains(capsys):
     assert cli.main(["gains"]) == 0
     out = capsys.readouterr().out
     assert "k_p:" in out and "k_d:" in out
+
+
+def test_cli_solve_takes_the_arm_boundary_from_the_catch_pose(tmp_path):
+    path = _write(tmp_path, "plant: {name: arm}\n"
+                  "transcription: {N: 12, contact_node: 6}\n"
+                  "solver: {max_outer: 1, max_inner: 5}\n")
+    out = tmp_path / "solution.json"
+    cli.main(["solve", "--config", path, "--variant", "nominal",
+              "--out", str(out)])
+    with open(out) as fh:
+        payload = json.load(fh)
+    assert payload["plant"] == "arm"
+    states = payload["bundle"]["common"]["states"]
+    assert len(states) == 13 and {len(row) for row in states} == {6}
 
 
 def test_cli_simulate_stops_a_falling_rollout(tmp_path, capsys):

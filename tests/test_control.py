@@ -1,14 +1,17 @@
-"""Tracking-controller and scheduler tests.
+"""Tracking-controller tests.
 
 The Riccati solve is checked against two independent oracles: a scalar
 closed form and Kleinman's Newton iteration built only on Lyapunov
-solves.  Scheduler behavior is exercised on a hand-built bundle.
+solves.  The controller's branch switch is exercised on a hand-built
+bundle.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchopt import control
 from branchopt.plants import cartpole
@@ -149,7 +152,7 @@ def test_pd_feedforward_formula():
     assert control.pd_feedforward(ref, state, gains, t) == pytest.approx(expect)
 
 
-# -- scheduler -----------------------------------------------------------------
+# -- the tracking controller's branch switch ----------------------------------
 
 
 def _toy_bundle():
@@ -170,61 +173,95 @@ def _toy_bundle():
                           branch_nodes=branch_nodes, rejoin_index=6, d=0.05)
 
 
+TOY_GAINS = control.Gains(k_p=[1.0, 1.0], k_d=[0.1, 0.1])
+
+
+def _toy_controller():
+    return control.TrackingController(_toy_bundle(), TOY_GAINS)
+
+
+def _reference_at(ctl, t):
+    return control.sample_reference(ctl.reference, t - ctl.clock_offset)
+
+
 def test_scheduler_plays_common_until_contact():
-    sched = control.TrajectoryScheduler(_toy_bundle())
-    assert not sched.switched
-    assert sched.state.active_reference == "common"
-    q, _, _ = sched.reference_at(0.25)
+    bundle = _toy_bundle()
+    ctl = control.TrackingController(bundle, TOY_GAINS)
+    assert ctl.branch_node is None
+    assert ctl.reference is bundle.common
+    q, _, _ = _reference_at(ctl, 0.25)
     assert q[0] == pytest.approx(0.25)
 
 
 def test_scheduler_picks_nearest_subsequent_branch():
     # branch departure times are 0.3, 0.4, 0.5
-    sched = control.TrajectoryScheduler(_toy_bundle())
-    sched.observe_contact(0.33)
-    assert sched.state.branch_index == 4
-    assert sched.state.contact_time == pytest.approx(0.33)
+    ctl = _toy_controller()
+    ctl.notify_contact(0.33)
+    assert ctl.branch_node == 4
+    assert ctl.clock_offset == pytest.approx(0.33)
     # branch reference realigned: its node 0 plays at t = t_c
-    q, _, _ = sched.reference_at(0.33)
+    q, _, _ = _reference_at(ctl, 0.33)
     assert q[0] == pytest.approx(4.0)
 
 
 def test_scheduler_contact_at_departure_time_takes_that_branch():
-    sched = control.TrajectoryScheduler(_toy_bundle())
-    sched.observe_contact(0.4)
-    assert sched.state.branch_index == 4
+    ctl = _toy_controller()
+    ctl.notify_contact(0.4)
+    assert ctl.branch_node == 4
 
 
 def test_scheduler_contact_after_last_branch_takes_last():
-    sched = control.TrajectoryScheduler(_toy_bundle())
-    sched.observe_contact(0.9)
-    assert sched.state.branch_index == 5
+    ctl = _toy_controller()
+    ctl.notify_contact(0.9)
+    assert ctl.branch_node == 5
 
 
 def test_scheduler_contact_before_window_warns_and_takes_first():
-    sched = control.TrajectoryScheduler(_toy_bundle())
+    ctl = _toy_controller()
     with pytest.warns(UserWarning):
-        sched.observe_contact(0.1)
-    assert sched.state.branch_index == 3
+        ctl.notify_contact(0.1)
+    assert ctl.branch_node == 3
 
 
 def test_scheduler_switches_exactly_once():
-    sched = control.TrajectoryScheduler(_toy_bundle())
-    sched.observe_contact(0.42)
-    first = sched.state
-    sched.observe_contact(0.9)
-    assert sched.state is first
+    ctl = _toy_controller()
+    ctl.notify_contact(0.42)
+    first = (ctl.reference, ctl.branch_node, ctl.clock_offset)
+    ctl.notify_contact(0.9)
+    assert ctl.reference is first[0]
+    assert (ctl.branch_node, ctl.clock_offset) == first[1:]
 
 
 def test_post_contact_reference_appends_post_rejoin_tail():
-    bundle = _toy_bundle()
-    sched = control.TrajectoryScheduler(bundle)
-    sched.observe_contact(0.45)  # branch at node 5
-    ref = sched.state.reference
+    ctl = _toy_controller()
+    ctl.notify_contact(0.45)  # branch at node 5
+    ref = ctl.reference
     # 3 branch states + common states after the rejoin node (7, 8)
     assert ref.states.shape[0] == 3 + 2
     assert ref.states[-1, 0] == pytest.approx(0.8)
     assert ref.dts.shape[0] == 2 + 2
+
+
+_TOY_DEPARTURES = _toy_bundle().common.node_times[[3, 4, 5]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(t_c=st.floats(min_value=float(_TOY_DEPARTURES[0]), max_value=2.0),
+       x=st.floats(min_value=-1.0, max_value=1.0))
+def test_switch_takes_first_branch_departing_at_or_after_contact(t_c, x):
+    bundle = _toy_bundle()
+    ctl = control.TrackingController(bundle, TOY_GAINS)
+    ctl.notify_contact(t_c)
+    later = [k for k, dep in zip(bundle.branch_nodes, _TOY_DEPARTURES)
+             if dep >= t_c]
+    assert ctl.branch_node == (later[0] if later else bundle.branch_nodes[-1])
+    # the new reference's node 0 plays at t_c
+    state = np.full(4, x)
+    q, qd, tau = control.sample_reference(ctl.reference, 0.0)
+    expect = (TOY_GAINS.k_p @ (q - state[:2]) + TOY_GAINS.k_d @ (qd - state[2:])
+              + tau)
+    assert ctl(t_c, state).tobytes() == expect.tobytes()
+    assert q[0] == float(ctl.branch_node)
 
 
 def test_tracking_controller_switches_on_notification():
@@ -244,3 +281,22 @@ def test_tracking_controller_fixed_reference():
     state = np.zeros(4)
     assert ctl(0.25, state) == pytest.approx(
         control.pd_feedforward(ref, state, gains, 0.25))
+    ctl.notify_contact(0.1)  # a fixed reference never switches
+    assert ctl.reference is ref and ctl.clock_offset == 0.0
+
+
+def test_arm_law_matches_the_elementwise_pd_expression():
+    # three joints, three inputs: diagonal gain matrices act joint by joint
+    rng = np.random.default_rng(7)
+    ref = Trajectory(states=rng.normal(size=(6, 6)),
+                     inputs=rng.normal(size=(5, 3)),
+                     dts=rng.uniform(0.05, 0.2, size=5))
+    kp, kd = rng.uniform(1.0, 100.0, size=3), rng.uniform(0.1, 10.0, size=3)
+    ctl = control.TrackingController(ref, control.Gains(np.diag(kp),
+                                                        np.diag(kd)))
+    for _ in range(200):
+        t = rng.uniform(-0.1, ref.duration + 0.1)
+        state = rng.normal(size=6)
+        q_des, qd_des, tau_des = control.sample_reference(ref, t)
+        expect = kp * (q_des - state[:3]) + kd * (qd_des - state[3:]) + tau_des
+        assert ctl(t, state).tobytes() == expect.tobytes()

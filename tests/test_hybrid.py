@@ -27,7 +27,7 @@ def test_guard_positive_in_free_motion(sys_def):
 
 
 def test_guard_zero_at_touching_configuration(sys_def):
-    p = sys_def.params
+    p = cartpole.CartPoleParams()
     env = sys_def.default_env
     # place the cart so the tip sits exactly on the wall: x + l sin(th) = x_wall
     theta = 3.6
@@ -37,7 +37,7 @@ def test_guard_zero_at_touching_configuration(sys_def):
 
 
 def test_reset_freezes_positions_and_flips_normal_velocity(sys_def):
-    p = sys_def.params
+    p = cartpole.CartPoleParams()
     env = sys_def.default_env
     theta = 3.6
     x = env.x_wall - p.l * math.sin(theta)
@@ -56,6 +56,7 @@ def test_reset_freezes_positions_and_flips_normal_velocity(sys_def):
 
 
 def test_mass_matrix_shape_and_symmetry(sys_def):
-    mm = cartpole.mass_matrix(np.array([0.0, 3.0]), sys_def.params)
+    mm = cartpole.mass_matrix(np.array([0.0, 3.0]),
+                              cartpole.CartPoleParams())
     assert mm.shape == (2, 2)
     assert mm == pytest.approx(mm.T)

@@ -169,7 +169,7 @@ def test_simulate_records_contact_and_continues():
     assert len(trace.contact_events) >= 1
     ev = trace.contact_events[0]
     assert abs(cartpole.guard(ev.pre_state, sys_def.default_env,
-                              sys_def.params)) < 1e-6
+                              cartpole.CartPoleParams())) < 1e-6
     # post-impact state separates (guard grows right after the event)
     k = np.searchsorted(trace.times, ev.time)
     assert trace.guards[min(k + 5, len(trace.guards) - 1)] > 0

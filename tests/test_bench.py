@@ -39,18 +39,7 @@ def test_run_trial_simulates_the_configured_env(monkeypatch):
     assert [(e.mu, e.x_wall, e.e) for e in seen] == [(0.3, -0.6, 0.75)]
 
 
-@pytest.mark.parametrize("case", RECORDED["cartpole"],
-                         ids=lambda c: c["termination"])
-def test_cartpole_rollout_matches_recorded_bit_for_bit(case):
-    # the scheduling reference of condition 0 for 2 s: at the default wall
-    # it makes one contact and balances, at -0.6 m the pole falls
-    run = config.RunConfig(experiment={"horizon": 2.0})
-    _, p, env = config.build_plant(run)
-    bundle = tr.bundle_from_dict(RECORDED["scheduling_bundle"])
-    env_over = {} if case["x_wall"] is None else {"x_wall": case["x_wall"]}
-    trace, _ = bench.cartpole_rollout(
-        run, bundle, run.conditions[0], bench._controller_gains(run, p, env),
-        **env_over)
+def _assert_matches_recorded(trace, case):
     assert trace.termination == case["termination"]
     assert len(trace.times) - 1 == case["steps"]
     assert [float(v) for v in trace.states[-1]] == case["final_state"]
@@ -63,6 +52,34 @@ def test_cartpole_rollout_matches_recorded_bit_for_bit(case):
                "impulse": [float(v) for v in ev.impulse]}
               for ev in trace.contact_events]
     assert events == case["events"]
+
+
+@pytest.mark.parametrize("case", RECORDED["cartpole"],
+                         ids=lambda c: c["termination"])
+def test_cartpole_rollout_matches_recorded_bit_for_bit(case):
+    # the scheduling reference of condition 0 for 2 s: at the default wall
+    # it makes one contact and balances, at -0.6 m the pole falls
+    run = config.RunConfig(experiment={"horizon": 2.0})
+    _, p, env = config.build_plant(run)
+    bundle = tr.bundle_from_dict(RECORDED["scheduling_bundle"])
+    env_over = {} if case["x_wall"] is None else {"x_wall": case["x_wall"]}
+    trace, _ = bench.cartpole_rollout(
+        run, bundle, run.conditions[0], bench._controller_gains(run, p, env),
+        **env_over)
+    _assert_matches_recorded(trace, case)
+
+
+@pytest.mark.parametrize("case", RECORDED["fixed_references"],
+                         ids=lambda c: c["reference"])
+def test_fixed_reference_rollout_matches_recorded_bit_for_bit(case):
+    # the condition-0 nominal (the pole falls) and robust_nominal (one
+    # contact, then it balances) references for 2 s at the default wall
+    run = config.RunConfig(experiment={"horizon": 2.0})
+    _, p, env = config.build_plant(run)
+    ref = tr._traj_from_dict(RECORDED[f"{case['reference']}_reference"])
+    trace, _ = bench.cartpole_rollout(
+        run, ref, run.conditions[0], bench._controller_gains(run, p, env))
+    _assert_matches_recorded(trace, case)
 
 
 def _held_level_reference(p):

@@ -474,6 +474,25 @@ def catch_pose(run: cfgmod.RunConfig, p):
     return np.concatenate([q, np.zeros(3)])
 
 
+def _rk4_growth(p, pose, gains: control.Gains, dt_sim):
+    """Largest RK4 amplification of the PD-tracked arm held at ``pose``.
+
+    Linearizes the arm about ``pose`` under its gravity torque, closes
+    the loop with τ = −K_p δq − K_d δq̇, and returns max |R(λ·dt_sim)|
+    over the closed loop's eigenvalues λ, where
+    R(z) = 1 + z + z²/2 + z³/6 + z⁴/24 is RK4's stability function.
+    Above 1, a rollout at dt_sim grows without bound.
+    """
+    from .plants import arm
+
+    A, B = control.linearize(arm.make_system(p), pose,
+                             arm.gravity_torque(pose[:3], p))
+    K = np.empty((3, 6))  # linearize's interleaved [q1, q̇1, q2, ...] order
+    K[:, 0::2], K[:, 1::2] = gains.k_p, gains.k_d
+    z = np.linalg.eigvals(A - B @ K) * dt_sim
+    return float(np.max(np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)))
+
+
 def velocity_sweep(run: cfgmod.RunConfig, progress=None):
     """Catch speed over a range of drop heights, planned vs. robust.
 
@@ -492,6 +511,16 @@ def velocity_sweep(run: cfgmod.RunConfig, progress=None):
     dt_sim = float(run.exp("dt_sim", 1e-3))
 
     x0 = catch_pose(run, p)
+    kp = float(run.controller.get("arm_kp", 80.0))
+    kd = float(run.controller.get("arm_kd", 12.0))
+    gains = control.Gains(np.diag(np.full(3, kp)), np.diag(np.full(3, kd)))
+    growth = _rk4_growth(p, x0, gains, dt_sim)
+    if growth > 1.0:
+        raise ValueError(
+            f"the arm's tracking loop is unstable under RK4: arm_kp {kp}, "
+            f"arm_kd {kd} at dt_sim {dt_sim} give |R(λ·dt_sim)| = "
+            f"{growth:.3g} > 1 at the catch pose")
+
     tdefaults = dict(N=40, contact_node=20, dt_min=1e-3, dt_max=5e-2)
     tdefaults.update(run.transcription)
     nom_cfg = cfgmod.transcription_config(
@@ -523,9 +552,6 @@ def velocity_sweep(run: cfgmod.RunConfig, progress=None):
         "robust_nominal": tr.robust_nominal_branch(sure.bundle,
                                                    dt_impact=1e-3),
     }
-    gains = control.Gains(
-        np.diag(np.full(3, float(run.controller.get("arm_kp", 80.0)))),
-        np.diag(np.full(3, float(run.controller.get("arm_kd", 12.0)))))
     z_nom = p.p_ball0[1]
     heights = np.linspace(z_nom - half, z_nom + half, n_heights)
     rows, max_dv = _replay_drops(p, refs, gains, heights, dt_sim, progress)

@@ -8,11 +8,17 @@ Riccati equation, and read the proportional/derivative gains off the
 feedback row.  Given a branched solution, the controller plays the
 common trajectory until contact is observed, then switches — exactly
 once — to the nearest subsequent branch.
+
+References are sampled from their ``Trajectory.sample_table``: node
+times, rows and per-interval slopes, built once per reference and held
+in read-only arrays.  A sample is a clamp, one ``bisect`` and one row
+expression, the float expression ``np.interp`` evaluates for a scalar.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,33 +145,44 @@ def design_gains(sys, x_eq, Q=None, r=DEFAULT_R) -> Gains:
 # -- reference sampling and the PD + feedforward law --------------------------
 
 
+def _lerp(times, rows, slopes, t):
+    """Row at t ∈ [times[0], times[-1]]; a node's time gives its row.
+
+    The row expression is the one ``np.interp`` evaluates for a scalar,
+    so the result is the same to the bit.
+    """
+    j = bisect_right(times, t) - 1
+    if times[j] == t:
+        return rows[j]
+    return slopes[j] * (t - times[j]) + rows[j]
+
+
 def sample_reference(ref: Trajectory, t):
     """(q_des, q̇_des, τ_des) at time t, linearly interpolated over nodes.
 
     Past the horizon the terminal setpoint is held (with the last input
-    as feedforward); before t=0 the initial node is held.
+    as feedforward); before t=0 the initial node is held.  Reads the
+    reference's cached ``sample_table``; a result that is a row of the
+    table is a read-only view of it.
     """
-    n_q = ref.states.shape[1] // 2
-    times = ref.node_times
-    t = float(np.clip(t, times[0], times[-1]))
-    q = np.array([np.interp(t, times, ref.states[:, j]) for j in range(n_q)])
-    qd = np.array(
-        [np.interp(t, times, ref.states[:, n_q + j]) for j in range(n_q)]
-    )
-    n_int = len(ref.dts)
-    if n_int == 0 or len(ref.inputs) == 0:
-        tau = np.zeros(ref.inputs.shape[1] if ref.inputs.ndim == 2 else 1)
+    tab = ref.sample_table
+    times = tab.times
+    t = min(max(float(t), times[0]), times[-1])
+    x = _lerp(times, tab.states, tab.slopes, t)
+    if tab.u_times:
+        tau = _lerp(tab.u_times, tab.inputs, tab.u_slopes,
+                    min(t, tab.u_times[-1]))
     else:
-        t_u = times[:n_int]
-        u = ref.inputs[:n_int]
-        tau = np.array(
-            [np.interp(t, t_u, u[:, j]) for j in range(u.shape[1])]
-        )
-    return q, qd, tau
+        tau = tab.zero_input
+    n_q = len(x) // 2
+    return x[:n_q], x[n_q:], tau
 
 
 def pd_feedforward(ref: Trajectory, state, gains: Gains, t):
-    """τ(t) = k_p @ (q_des − q) + k_d @ (q̇_des − q̇) + τ_des."""
+    """τ(t) = k_p @ (q_des − q) + k_d @ (q̇_des − q̇) + τ_des.
+
+    Returns an (n_u,) array.
+    """
     state = np.asarray(state, dtype=float)
     n_q = len(state) // 2
     q, qd = state[:n_q], state[n_q:]
@@ -219,5 +236,5 @@ class TrackingController:
         self.reference = post_contact_reference(self.bundle, pos)
 
     def __call__(self, t, state):
-        return np.atleast_1d(pd_feedforward(
-            self.reference, state, self.gains, t - self.clock_offset))
+        return pd_feedforward(self.reference, state, self.gains,
+                              t - self.clock_offset)

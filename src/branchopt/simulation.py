@@ -148,9 +148,12 @@ def simulate(sys: HybridSystemDef, controller, x0, env=None, horizon=10.0,
     """
     if dt_sim <= 0:
         raise ValueError("dt_sim must be positive")
+    n_steps = int(round(horizon / dt_sim))
+    if n_steps < 1:
+        raise ValueError(
+            f"horizon {horizon} rounds to no step of dt_sim {dt_sim}")
     env = env if env is not None else sys.default_env
     x = np.asarray(x0, dtype=float).copy()
-    n_steps = int(round(horizon / dt_sim))
     n_x = x.size
 
     times = np.empty(n_steps + 1)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -122,15 +123,72 @@ class TranscriptionLayout:
                 and len(np.unique(seen)) == self.n_vars)
 
 
-@dataclass
+def _read_only(values):
+    a = np.array(values, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+class SampleTable(NamedTuple):
+    """What reference sampling reads, derived once from a Trajectory.
+
+    Knots are Python floats for ``bisect``; rows and slopes are read-only
+    1-D arrays, with
+    ``slopes[j] = (rows[j+1] - rows[j]) / (times[j+1] - times[j])``.
+    The inputs' knots are the first n node times with the n input rows;
+    ``zero_input`` stands in when the trajectory has none.
+    """
+
+    times: list
+    states: list
+    slopes: list
+    u_times: list
+    inputs: list
+    u_slopes: list
+    zero_input: np.ndarray
+
+
+def _slopes(rows, times):
+    return list(np.diff(rows, axis=0) / np.diff(times)[:, None])
+
+
+@dataclass(frozen=True)
 class Trajectory:
+    """Node states, the input held on each interval and the interval lengths.
+
+    Immutable: the arrays are read-only copies of what the constructor is
+    given, so ``node_times`` and ``sample_table`` are built on first use
+    and cached.
+    """
+
     states: np.ndarray  # (n+1, n_x)
     inputs: np.ndarray  # (n, n_u)
     dts: np.ndarray  # (n,)
 
-    @property
+    def __post_init__(self):
+        for name in ("states", "inputs", "dts"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+
+    def __reduce__(self):
+        # unpickled arrays would be writable: rebuild through __init__
+        return type(self), (self.states, self.inputs, self.dts)
+
+    @cached_property
     def node_times(self):
-        return np.concatenate([[0.0], np.cumsum(self.dts)])
+        return _read_only(np.concatenate([[0.0], np.cumsum(self.dts)]))
+
+    @cached_property
+    def sample_table(self) -> SampleTable:
+        times = self.node_times
+        n = len(self.dts) if len(self.inputs) else 0
+        u = self.inputs[:n]
+        n_u = self.inputs.shape[1] if self.inputs.ndim == 2 else 1
+        return SampleTable(
+            times=times.tolist(), states=list(self.states),
+            slopes=_slopes(self.states, times),
+            u_times=times[:n].tolist(), inputs=list(u),
+            u_slopes=_slopes(u, times[:n]),
+            zero_input=_read_only(np.zeros(n_u)))
 
     @property
     def duration(self):
@@ -626,18 +684,18 @@ def extract_solution(layout: TranscriptionLayout, x_raw) -> SolutionBundle:
         )
     cfg = layout.cfg
     common = Trajectory(
-        states=x_raw[layout.arrays["x"]].copy(),
-        inputs=x_raw[layout.arrays["u"]].copy(),
-        dts=x_raw[layout.arrays["dt"]].copy(),
+        states=x_raw[layout.arrays["x"]],
+        inputs=x_raw[layout.arrays["u"]],
+        dts=x_raw[layout.arrays["dt"]],
     )
     branches = []
     if layout.n_branches:
         for k in range(layout.n_branches):
             branches.append(
                 Trajectory(
-                    states=x_raw[layout.arrays["bx"][k]].copy(),
-                    inputs=x_raw[layout.arrays["bu"][k]].copy(),
-                    dts=x_raw[layout.arrays["bdt"][k]].copy(),
+                    states=x_raw[layout.arrays["bx"][k]],
+                    inputs=x_raw[layout.arrays["bu"][k]],
+                    dts=x_raw[layout.arrays["bdt"][k]],
                 )
             )
     return SolutionBundle(

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from branchopt import bench, config, control, simulation
+from branchopt import bench, config, control, pipeline, simulation
 from branchopt import transcription as tr
 from branchopt.plants import arm
 from branchopt.transcription import Trajectory
@@ -76,7 +76,7 @@ def test_fixed_reference_rollout_matches_recorded_bit_for_bit(case):
     # contact, then it balances) references for 2 s at the default wall
     run = config.RunConfig(experiment={"horizon": 2.0})
     _, p, env = config.build_plant(run)
-    ref = tr._traj_from_dict(RECORDED[f"{case['reference']}_reference"])
+    ref = Trajectory(**RECORDED[f"{case['reference']}_reference"])
     trace, _ = bench.cartpole_rollout(
         run, ref, run.conditions[0], bench._controller_gains(run, p, env))
     _assert_matches_recorded(trace, case)
@@ -109,6 +109,30 @@ def test_sweep_without_a_catch_names_the_reference():
     with pytest.raises(RuntimeError, match="held"):
         bench._replay_drops(p, {"held": _held_level_reference(p)}, gains,
                             [0.2], 1e-3)
+
+
+class _Solved(Exception):
+    pass
+
+
+def _no_solve(*args, **kwargs):
+    raise _Solved
+
+
+def test_sweep_rejects_rk4_unstable_default_gains_before_solving(monkeypatch):
+    monkeypatch.setattr(pipeline, "solve_nominal", _no_solve)
+    with pytest.raises(ValueError, match=r"arm_kp 80\.0, arm_kd 12\.0 at "
+                                         r"dt_sim 0\.001 .* = 16\.6 > 1"):
+        bench.velocity_sweep(config.RunConfig(plant={"name": "arm"}))
+
+
+def test_sweep_solves_with_rk4_stable_arm_gains(monkeypatch):
+    # kd 1 keeps |R(λ·dt)| at 0.998, so the sweep goes on to its solves
+    monkeypatch.setattr(pipeline, "solve_nominal", _no_solve)
+    run = config.RunConfig(plant={"name": "arm"},
+                           controller={"arm_kp": 80.0, "arm_kd": 1.0})
+    with pytest.raises(_Solved):
+        bench.velocity_sweep(run)
 
 
 @pytest.mark.parametrize("study", [bench.montecarlo, bench.tradeoff])

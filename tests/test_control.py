@@ -12,6 +12,7 @@ import scipy.linalg
 import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from branchopt import control
 from branchopt.plants import cartpole
@@ -139,6 +140,59 @@ def test_sample_reference_interpolates_and_clamps():
     q, qd, tau = control.sample_reference(ref, -1.0)
     assert q == pytest.approx([0.0, 0.0])
     assert tau == pytest.approx([0.5])
+
+
+def _interp_oracle(ref, t):
+    """Reference sampling as a scalar np.interp per coordinate."""
+    times = np.concatenate([[0.0], np.cumsum(ref.dts)])
+    t = float(np.clip(t, times[0], times[-1]))
+    x = np.array([np.interp(t, times, col) for col in ref.states.T])
+    n = len(ref.dts)
+    if n == 0 or len(ref.inputs) == 0:
+        tau = np.zeros(ref.inputs.shape[1])
+    else:
+        tau = np.array([np.interp(t, times[:n], col)
+                        for col in ref.inputs[:n].T])
+    n_q = len(x) // 2
+    return x[:n_q], x[n_q:], tau
+
+
+@st.composite
+def _references(draw):
+    n_x = draw(st.sampled_from([4, 6]))
+    n_u = draw(st.sampled_from([1, 3]))
+    n = draw(st.integers(min_value=0, max_value=12))
+    # 1e-3 is the impact interval robust_nominal_branch inserts
+    dts = draw(hnp.arrays(float, n, elements=st.one_of(
+        st.just(1e-3), st.floats(min_value=1e-3, max_value=0.5))))
+    # -0.0 tells a node's own row from slope * 0 + row
+    value = st.one_of(st.just(-0.0),
+                      st.floats(min_value=-20.0, max_value=20.0))
+    n_rows = draw(st.sampled_from([0, n]))  # a reference may have no inputs
+    states = draw(hnp.arrays(float, (n + 1, n_x), elements=value))
+    inputs = draw(hnp.arrays(float, (n_rows, n_u), elements=value))
+    return Trajectory(states=states, inputs=inputs, dts=dts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ref=_references(), data=st.data())
+def test_sample_reference_matches_scalar_interp_bit_for_bit(ref, data):
+    horizon = float(ref.node_times[-1])
+    times = data.draw(st.lists(st.one_of(
+        st.sampled_from(ref.node_times.tolist()),
+        st.floats(min_value=-1.0, max_value=horizon + 1.0),
+        st.floats(min_value=-1.0, max_value=0.0),
+        st.floats(min_value=horizon, max_value=horizon + 1.0),
+    ), min_size=1, max_size=8))
+    for t in times:
+        got = control.sample_reference(ref, t)
+        for a, b in zip(got, _interp_oracle(ref, t)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+            # a result never lets a caller write into the reference
+            assert not (a.flags.writeable and any(
+                np.shares_memory(a, b) for b in (
+                    ref.states, ref.inputs, ref.sample_table.zero_input)))
 
 
 def test_pd_feedforward_formula():

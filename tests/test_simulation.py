@@ -218,3 +218,12 @@ def test_simulate_rejects_bad_dt():
     with pytest.raises(ValueError):
         simulation.simulate(sys_def, lambda t, x: np.zeros(1),
                             cartpole.X_EQ, dt_sim=-1.0)
+
+
+@pytest.mark.parametrize("horizon", [0.0, 4e-4])
+def test_simulate_rejects_a_horizon_below_one_step(horizon):
+    # a rollout of no step has no input to record or export
+    sys_def = cartpole.make_system()
+    with pytest.raises(ValueError, match="no step"):
+        simulation.simulate(sys_def, lambda t, x: np.zeros(1),
+                            cartpole.X_EQ, horizon=horizon, dt_sim=1e-3)

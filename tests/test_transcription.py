@@ -6,6 +6,8 @@ serialization — everything short of actually solving, which the solver
 and acceptance tests cover.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,22 @@ def test_trajectory_node_times():
                       dts=np.array([0.1, 0.2, 0.3]))
     assert traj.node_times == pytest.approx([0.0, 0.1, 0.3, 0.6])
     assert traj.duration == pytest.approx(0.6)
+
+
+def test_trajectory_holds_read_only_copies():
+    states = np.zeros((3, 4))
+    traj = Trajectory(states=states, inputs=np.zeros((2, 1)),
+                      dts=np.array([0.1, 0.2]))
+    states[1, 0] = 5.0  # the caller's array stays the caller's
+    assert traj.states[1, 0] == 0.0
+    for a in (traj.states, traj.inputs, traj.dts, traj.node_times):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    assert traj.node_times is traj.node_times
+    assert traj.sample_table is traj.sample_table
+    back = pickle.loads(pickle.dumps(traj))  # as the study's workers see it
+    assert not back.states.flags.writeable
+    assert back.states.tobytes() == traj.states.tobytes()
 
 
 def test_robust_nominal_branch_plays_middle_branch():

@@ -52,14 +52,6 @@ class TrialSpec:
     seed: int
     index: int
 
-    def validate(self, x_wall_range, e_range):
-        if not (x_wall_range[0] <= self.x_wall <= x_wall_range[1]):
-            raise ValueError("x_wall outside sampling box")
-        if not (e_range[0] <= self.e <= e_range[1]):
-            raise ValueError("restitution outside sampling box")
-        if self.reference not in REFERENCE_TYPES:
-            raise ValueError(f"unknown reference type {self.reference!r}")
-
 
 @dataclass
 class TrialReport:
@@ -210,21 +202,17 @@ def cartpole_rollout(run: cfgmod.RunConfig, reference, x0, gains, **env_over):
 
 def _run_trial(args):
     run, spec, reference, gains = args
-    trace, p = cartpole_rollout(run, reference, spec.condition_state, gains,
+    trace, p = cartpole_rollout(run, reference,
+                                run.conditions[spec.condition_id], gains,
                                 x_wall=spec.x_wall, e=spec.e)
     return evaluate_trial(
         trace, spec, list(run.exp("final_tol", (0.05, 0.05, 0.1, 0.1))), p,
         debounce_window=float(run.exp("debounce_window", 0.05))).to_dict()
 
 
-@dataclass(frozen=True)
-class _SampledSpec(TrialSpec):
-    condition_state: tuple = ()
-
-
 def _sample_specs(master_seed, conditions, n_samples, x_wall_range, e_range):
     specs = []
-    for ci, state in enumerate(conditions):
+    for ci in range(len(conditions)):
         for ri, ref in enumerate(REFERENCE_TYPES):
             for idx in range(n_samples):
                 ss = np.random.SeedSequence(
@@ -232,10 +220,9 @@ def _sample_specs(master_seed, conditions, n_samples, x_wall_range, e_range):
                 rng = np.random.default_rng(ss)
                 x_wall = float(rng.uniform(*x_wall_range))
                 e = float(rng.uniform(*e_range))
-                specs.append(_SampledSpec(
+                specs.append(TrialSpec(
                     condition_id=ci, reference=ref, x_wall=x_wall, e=e,
-                    seed=int(ss.generate_state(1)[0]), index=idx,
-                    condition_state=tuple(float(v) for v in state)))
+                    seed=int(ss.generate_state(1)[0]), index=idx))
     return specs
 
 
@@ -251,6 +238,10 @@ def montecarlo(run: cfgmod.RunConfig, progress=None) -> MonteCarloReport:
     n_samples = int(run.exp("n_samples", 200))
     x_wall_range = tuple(run.exp("x_wall_range", (-0.7, -0.3)))
     e_range = tuple(run.exp("e_range", (0.7, 0.9)))
+    for name, (lo, hi) in (("x_wall_range", x_wall_range),
+                           ("e_range", e_range)):
+        if not lo <= hi:
+            raise ValueError(f"{name} [{lo}, {hi}] is reversed")
 
     # references: one staged (unbranched, then branched) solve per condition
     solve_args = [(run, [float(v) for v in state]) for state in conditions]
@@ -270,8 +261,6 @@ def montecarlo(run: cfgmod.RunConfig, progress=None) -> MonteCarloReport:
 
     specs = _sample_specs(run.seed, conditions, n_samples,
                           x_wall_range, e_range)
-    for s in specs:
-        s.validate(x_wall_range, e_range)
     trial_args = [(run, s, ref_by_cond[s.condition_id][s.reference], gains)
                   for s in specs]
     results = _pmap(_run_trial, trial_args, run.workers)

@@ -68,15 +68,13 @@ def cmd_solve(args):
     _progress(f"{args.variant}: {s.status} cost {s.objective_value:.6f} "
               f"kkt(viol) {max(s.kkt.eq_viol, s.kkt.ineq_viol):.2e} "
               f"wall {s.wall_time:.1f}s")
-    bundle = res.bundle
-    bundle.cost = float(s.objective_value)
     payload = {
         "schema_version": cfgmod.SCHEMA_VERSION,
         "plant": run.plant_name,
         "variant": args.variant,
         "status": s.status,
         "objective_value": float(s.objective_value),
-        "bundle": tr.bundle_to_dict(bundle),
+        "bundle": tr.bundle_to_dict(res.bundle),
     }
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -93,12 +91,14 @@ def cmd_simulate(args):
             or run.plant_name != "cartpole"):
         raise SystemExit("simulate supports the cart-pole plant")
     bundle = tr.bundle_from_dict(payload["bundle"])
+    if args.reference == "robust_nominal" and not bundle.branches:
+        raise SystemExit("--reference robust_nominal needs a branched "
+                         "solution; this bundle has no branches")
     _, p, env = cfgmod.build_plant(run)
     gains = bench._controller_gains(run, p, env)
     ref = bundle if args.reference == "scheduling" else (
         tr.robust_nominal_branch(bundle, dt_impact=p.dt_impact)
-        if args.reference == "robust_nominal" and bundle.branches
-        else bundle.common)
+        if args.reference == "robust_nominal" else bundle.common)
     env_over = {name: value for name, value in
                 (("x_wall", args.x_wall), ("e", args.e)) if value is not None}
     trace, _ = bench.cartpole_rollout(run, ref, run.conditions[args.condition],

@@ -44,8 +44,6 @@ __all__ = [
     "KktResidual",
     "solve",
     "kkt_residual",
-    "warm_start_chain",
-    "WarmStartError",
 ]
 
 
@@ -622,38 +620,3 @@ def solve(problem: NlpProblem, x0, opts: SolverOpts = None) -> NlpSolution:
         wall_time=time.perf_counter() - t_start,
         status=status,
     )
-
-
-class WarmStartError(RuntimeError):
-    def __init__(self, stage_index, solution):
-        super().__init__(
-            f"warm-start chain stage {stage_index} ended with status "
-            f"'{solution.status}'"
-        )
-        self.stage_index = stage_index
-        self.solution = solution
-
-
-def warm_start_chain(stages, x0, opts: SolverOpts = None) -> NlpSolution:
-    """Solve a sequence of problems, threading each solution into the next.
-
-    ``stages`` is a list of (problem, transfer) pairs; ``transfer`` maps
-    the previous stage's solution vector (or ``x0`` for the first stage)
-    to this stage's initial vector, with ``None`` meaning identity.
-    Reported wall time is cumulative over all stages.
-    """
-    x_prev = np.asarray(x0, dtype=float)
-    total_time = 0.0
-    sol = None
-    for idx, (problem, transfer) in enumerate(stages):
-        x_init = transfer(x_prev) if transfer is not None else x_prev
-        sol = solve(problem, x_init, opts)
-        total_time += sol.wall_time
-        if sol.status != "converged":
-            sol.wall_time = total_time
-            raise WarmStartError(idx, sol)
-        x_prev = sol.x
-    if sol is None:
-        raise ValueError("warm_start_chain requires at least one stage")
-    sol.wall_time = total_time
-    return sol

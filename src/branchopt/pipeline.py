@@ -5,8 +5,12 @@ an interpolated cold start: the feasibility phase has to discover the
 impact transition on its own.  Solving the unbranched problem first and
 transplanting its trajectory — common part copied, each branch seeded by
 the plant's transition map applied at its branching node — makes the
-remaining correction local and cheap.  Reported wall time is cumulative
-over all stages.
+remaining correction local and cheap.
+
+Every solve reports failure through ``solution.status``; none raises.
+A branched solve whose unbranched stage fails returns that stage's
+result and never builds the branched problem.  Reported wall time is
+cumulative over both stages.
 """
 
 from __future__ import annotations
@@ -33,6 +37,14 @@ __all__ = [
 
 @dataclass
 class PipelineResult:
+    """A solve and what it was solved on.
+
+    ``solution.status`` is the only failure report.  A branched solve
+    whose unbranched stage failed returns that stage: its problem, layout
+    and bundle, with ``nominal`` None.  ``solution.wall_time`` of a
+    branched solve includes its unbranched stage.
+    """
+
     solution: nlp.NlpSolution
     bundle: tr.SolutionBundle
     layout: tr.TranscriptionLayout
@@ -178,21 +190,15 @@ def solve_nominal(adapter, cfg, opts=None) -> PipelineResult:
 
 def _solve_branched(adapter, cfg, build, guess_from_nominal, opts):
     nom_cfg = nominal_stage_config(cfg)
-    nom_problem, nom_layout = tr.build_nominal(adapter, nom_cfg)
+    nom = solve_nominal(adapter, nom_cfg, opts)
+    if nom.solution.status != "converged":
+        return nom
     problem, layout = build(adapter, cfg)
-    nominal = None
-
-    def transfer(x_nom):
-        nonlocal nominal
-        nominal = tr.extract_solution(nom_layout, x_nom)
-        return guess_from_nominal(adapter, layout, nominal, nom_cfg.contact_node)
-
-    x0 = tr.default_initial_guess(adapter, nom_layout)
-    sol = nlp.warm_start_chain(
-        [(nom_problem, None), (problem, transfer)], x0, opts
-    )
+    x0 = guess_from_nominal(adapter, layout, nom.bundle, nom_cfg.contact_node)
+    sol = nlp.solve(problem, x0, opts)
+    sol.wall_time += nom.solution.wall_time
     return PipelineResult(sol, tr.extract_solution(layout, sol.x), layout,
-                          problem, nominal)
+                          problem, nom.bundle)
 
 
 def solve_sure(adapter, cfg, opts=None) -> PipelineResult:

@@ -129,16 +129,6 @@ def bias_vector(q, qd, p: CartPoleParams):
     return p.m_p * p.l * s * np.array([-qd[1] ** 2, p.gravity])
 
 
-def tip_position(state, p: CartPoleParams):
-    return np.array(
-        [state[0] + p.l * math.sin(state[1]), -p.l * math.cos(state[1])]
-    )
-
-
-def tip_velocity(state, p: CartPoleParams):
-    return contact_jacobian(state[:2], p) @ state[2:]
-
-
 # -- impact map -------------------------------------------------------------
 
 

@@ -117,11 +117,6 @@ class TranscriptionLayout:
     def n_branches(self):
         return self.arrays["bx"].shape[0] if "bx" in self.arrays else 0
 
-    def covers_all_variables(self):
-        seen = np.concatenate([a.ravel() for a in self.arrays.values()])
-        return (len(seen) == self.n_vars
-                and len(np.unique(seen)) == self.n_vars)
-
 
 def _read_only(values):
     a = np.array(values, dtype=float)
@@ -190,10 +185,6 @@ class Trajectory:
             u_slopes=_slopes(u, times[:n]),
             zero_input=_read_only(np.zeros(n_u)))
 
-    @property
-    def duration(self):
-        return float(np.sum(self.dts))
-
 
 @dataclass
 class SolutionBundle:
@@ -201,8 +192,6 @@ class SolutionBundle:
     branches: list  # Trajectory per branch, ordered by branch node index
     branch_nodes: list  # common-node index each branch departs from
     rejoin_index: Optional[int]
-    d: Optional[float]
-    cost: Optional[float] = None
 
 
 def _traj_to_dict(traj: Trajectory):
@@ -229,19 +218,17 @@ def bundle_to_dict(bundle: SolutionBundle) -> dict:
         "branch_nodes": [int(i) for i in bundle.branch_nodes],
         "rejoin_index": (None if bundle.rejoin_index is None
                          else int(bundle.rejoin_index)),
-        "d": None if bundle.d is None else float(bundle.d),
-        "cost": None if bundle.cost is None else float(bundle.cost),
     }
 
 
 def bundle_from_dict(d) -> SolutionBundle:
+    """Inverse of bundle_to_dict.  Other keys are ignored: the checked-in
+    references also carry ``d``, ``cost`` and ``extras``."""
     return SolutionBundle(
         common=_traj_from_dict(d["common"]),
         branches=[_traj_from_dict(b) for b in d["branches"]],
         branch_nodes=list(d["branch_nodes"]),
         rejoin_index=d["rejoin_index"],
-        d=d["d"],
-        cost=d.get("cost"),
     )
 
 
@@ -394,20 +381,6 @@ def _make_layout(adapter: PlantOcp, cfg: TranscriptionConfig):
         arrays=lb.names,
         n_common=n_common,
         branch_len=branch_len,
-    )
-
-
-def core_variable_count(cfg: TranscriptionConfig, n_x, n_u):
-    """Size of the shared layout, before plant-specific auxiliaries."""
-    if cfg.variant == "nominal":
-        return (cfg.N + 1) * n_x + cfg.N * n_u + cfg.N
-    if cfg.variant == "sure":
-        n = (cfg.N + 1) * n_x + cfg.N * n_u + cfg.N
-        return n + cfg.n_branches * (
-            (cfg.n_rejoin + 1) * n_x + cfg.n_rejoin * (n_u + 1))
-    n = (cfg.k_last + 1) * n_x + (cfg.k_last + 1) * n_u + cfg.k_last
-    return n + cfg.n_branches * (
-        (cfg.n_branch_full + 1) * n_x + cfg.n_branch_full * (n_u + 1)
     )
 
 
@@ -644,7 +617,7 @@ def build_tree(adapter: PlantOcp, cfg: TranscriptionConfig):
     return build(adapter, cfg)
 
 
-# -- packing / extraction -----------------------------------------------------
+# -- initial guess / extraction -----------------------------------------------
 
 
 def default_initial_guess(adapter: PlantOcp, layout: TranscriptionLayout):
@@ -676,7 +649,7 @@ def default_initial_guess(adapter: PlantOcp, layout: TranscriptionLayout):
 
 
 def extract_solution(layout: TranscriptionLayout, x_raw) -> SolutionBundle:
-    """Pure reshaping of a raw decision vector; inverse of pack_solution."""
+    """Pure reshaping of a raw decision vector into a solution bundle."""
     x_raw = np.asarray(x_raw, dtype=float)
     if x_raw.size != layout.n_vars:
         raise ValueError(
@@ -703,20 +676,7 @@ def extract_solution(layout: TranscriptionLayout, x_raw) -> SolutionBundle:
         branches=branches,
         branch_nodes=cfg.branch_nodes if layout.n_branches else [],
         rejoin_index=cfg.k_last + 1 if cfg.variant == "sure" else None,
-        d=cfg.d_fixed if layout.n_branches else None,
     )
-
-
-def pack_solution(layout: TranscriptionLayout, bundle: SolutionBundle):
-    x = np.zeros(layout.n_vars)
-    x[layout.arrays["x"]] = bundle.common.states
-    x[layout.arrays["u"]] = bundle.common.inputs
-    x[layout.arrays["dt"]] = bundle.common.dts
-    for k, br in enumerate(bundle.branches):
-        x[layout.arrays["bx"][k]] = br.states
-        x[layout.arrays["bu"][k]] = br.inputs
-        x[layout.arrays["bdt"][k]] = br.dts
-    return x
 
 
 def middle_branch_index(k_first, k_last):

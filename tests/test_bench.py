@@ -28,9 +28,8 @@ def test_run_trial_simulates_the_configured_env(monkeypatch):
 
     monkeypatch.setattr(simulation, "simulate", recording_simulate)
     state = (0.0, np.pi, 0.0, 0.0)
-    spec = bench._SampledSpec(condition_id=0, reference="nominal",
-                              x_wall=-0.6, e=0.75, seed=0, index=0,
-                              condition_state=state)
+    spec = bench.TrialSpec(condition_id=0, reference="nominal",
+                           x_wall=-0.6, e=0.75, seed=0, index=0)
     ref = Trajectory(states=np.array([state, state]),
                      inputs=np.zeros((1, 1)), dts=np.array([0.01]))
     run = config.RunConfig(plant={"env": {"mu": 0.3}},
@@ -139,3 +138,12 @@ def test_sweep_solves_with_rk4_stable_arm_gains(monkeypatch):
 def test_cartpole_studies_reject_the_arm(study):
     with pytest.raises(ValueError, match="cart-pole"):
         study(config.RunConfig(plant={"name": "arm"}))
+
+
+@pytest.mark.parametrize("key, box", [("x_wall_range", [-0.3, -0.7]),
+                                      ("e_range", [0.9, 0.7])])
+def test_montecarlo_rejects_a_reversed_box_before_solving(monkeypatch, key,
+                                                          box):
+    monkeypatch.setattr(pipeline, "solve_sure", _no_solve)
+    with pytest.raises(ValueError, match=f"{key} .* reversed"):
+        bench.montecarlo(config.RunConfig(experiment={key: box}))

@@ -98,3 +98,34 @@ def test_cli_simulate_stops_a_falling_rollout(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0][:2] == ["t", "x0"]
     assert 1 < len(rows) - 1 < 10_000  # stopped well before the 10 s horizon
+
+
+def test_cli_solve_writes_a_failed_nominal_stage_and_returns_1(tmp_path):
+    # one outer iteration of one inner step leaves the unbranched stage of
+    # this arm problem unconverged
+    path = _write(tmp_path, "plant: {name: arm}\n"
+                  "transcription: {N: 12, k_first: 5, k_last: 7, "
+                  "n_rejoin: 2}\n"
+                  "solver: {max_outer: 1, max_inner: 1}\n")
+    out = tmp_path / "solution.json"
+    assert cli.main(["solve", "--config", path, "--variant", "sure",
+                     "--out", str(out)]) == 1
+    with open(out) as fh:
+        payload = json.load(fh)
+    assert payload["status"] == "max_iter"
+    assert payload["variant"] == "sure"
+    assert payload["bundle"]["branches"] == []
+
+
+def test_cli_simulate_robust_nominal_needs_branches(tmp_path):
+    # an unbranched bundle, as a solve whose first stage failed writes it
+    refs = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "fixtures", "refs_c0.json")
+    with open(refs) as fh:
+        bundle = json.load(fh)["scheduling"]
+    bundle.update(branches=[], branch_nodes=[], rejoin_index=None)
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps({"plant": "cartpole", "bundle": bundle}))
+    with pytest.raises(SystemExit, match="no branches"):
+        cli.main(["simulate", "--solution", str(solution), "--reference",
+                  "robust_nominal", "--out", str(tmp_path / "trace.csv")])

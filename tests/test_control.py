@@ -224,7 +224,7 @@ def _toy_bundle():
         branches.append(Trajectory(states=bs, inputs=np.full((2, 1), float(k)),
                                    dts=np.full(2, 0.05)))
     return SolutionBundle(common=common, branches=branches,
-                          branch_nodes=branch_nodes, rejoin_index=6, d=0.05)
+                          branch_nodes=branch_nodes, rejoin_index=6)
 
 
 TOY_GAINS = control.Gains(k_p=[1.0, 1.0], k_d=[0.1, 0.1])
@@ -349,7 +349,7 @@ def test_arm_law_matches_the_elementwise_pd_expression():
     ctl = control.TrackingController(ref, control.Gains(np.diag(kp),
                                                         np.diag(kd)))
     for _ in range(200):
-        t = rng.uniform(-0.1, ref.duration + 0.1)
+        t = rng.uniform(-0.1, ref.node_times[-1] + 0.1)
         state = rng.normal(size=6)
         q_des, qd_des, tau_des = control.sample_reference(ref, t)
         expect = kp * (q_des - state[:3]) + kd * (qd_des - state[3:]) + tau_des

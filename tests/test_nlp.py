@@ -153,33 +153,6 @@ def test_deterministic_iterates():
     assert a.objective_value == b.objective_value
 
 
-def test_warm_start_chain_threads_stages():
-    # stage 1: pin x to 1; stage 2: reuse it for min (x-1)^2 + (y-x)^2
-    c1 = _block("r1", lambda v: [v[0] - 1.0], [[0]], 1)
-    p1 = _problem(1, cost=[c1])
-    c2 = _block("r2", lambda v: [v[0] - 1.0, v[1] - v[0]], [[0, 1]], 2)
-    p2 = _problem(2, cost=[c2])
-
-    def transfer(x1):
-        return np.array([x1[0], 0.0])
-
-    sol = nlp.warm_start_chain([(p1, None), (p2, transfer)], np.array([9.0]))
-    assert sol.status == "converged"
-    assert sol.x == pytest.approx([1.0, 1.0], abs=1e-6)
-
-
-def test_warm_start_chain_raises_on_stage_failure():
-    eq1 = _block("a", lambda v: [v[0] - 1.0], [[0]], 1)
-    eq2 = _block("b", lambda v: [v[0] + 1.0], [[0]], 1)
-    bad = _problem(1, eq=[eq1, eq2])
-    ok = _problem(1, cost=[_block("r", lambda v: [v[0]], [[0]], 1)])
-    with pytest.raises(nlp.WarmStartError) as exc:
-        nlp.warm_start_chain(
-            [(bad, None), (ok, lambda x: x)], np.array([0.0]),
-            nlp.SolverOpts(max_outer=20))
-    assert exc.value.stage_index == 0
-
-
 def test_x0_dimension_checked():
     p = _problem(2, cost=[_block("r", lambda v: [v[0]], [[0]], 1)])
     with pytest.raises(ValueError):

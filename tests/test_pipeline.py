@@ -1,9 +1,10 @@
-"""Warm-start guesses the pipeline builds from an unbranched solution."""
+"""Warm-start guesses the pipeline builds from an unbranched solution,
+and the staged solves that use them."""
 
 import numpy as np
 import pytest
 
-from branchopt import pipeline
+from branchopt import bench, config, nlp, pipeline
 from branchopt import transcription as tr
 from branchopt.plants.arm_ocp import ArmCatchOcp
 from branchopt.plants.cartpole_ocp import CartPoleOcp
@@ -41,3 +42,59 @@ def test_guess_from_nominal_matches_recorded(plant, variant):
     assert float(np.sqrt(g @ g)) == pytest.approx(norm, rel=1e-12, abs=1e-12)
     assert float(g @ np.arange(1, g.size + 1)) == pytest.approx(
         weighted, rel=1e-12, abs=1e-12)
+
+
+# -- staged solves -------------------------------------------------------------
+
+# an arm problem whose unbranched stage cannot converge in one outer
+# iteration of one inner step
+FAILING_ARM = {"N": 12, "k_first": 5, "k_last": 7, "n_rejoin": 2}
+FAILING_OPTS = nlp.SolverOpts(max_outer=1, max_inner=1)
+
+# the benchmark's cart-pole condition-0 solve, with tolerances every
+# iterate meets, so each stage is accepted after one short outer iteration
+LOOSE_OPTS = nlp.SolverOpts(tol_eq=1e9, tol_ineq=1e9, tol_stat=1e9,
+                            max_outer=1, max_inner=5)
+BENCH_CARTPOLE = {"N": 30, "dt_max": 0.1, "k_first": 9, "k_last": 11,
+                  "n_rejoin": 4, "n_branch_full": 18}
+
+BRANCHED = [("sure", pipeline.solve_sure), ("tree", pipeline.solve_tree)]
+
+
+class _Built(Exception):
+    pass
+
+
+def _no_build(*args, **kwargs):
+    raise _Built
+
+
+@pytest.mark.parametrize("variant, solve", BRANCHED, ids=["sure", "tree"])
+def test_failed_nominal_stage_is_returned_without_a_branched_build(
+        monkeypatch, variant, solve):
+    run = config.RunConfig(plant={"name": "arm"}, transcription=FAILING_ARM)
+    adapter, p, _ = config.build_plant(run)
+    pose = bench.catch_pose(run, p)
+    cfg = config.transcription_config(run, variant, pose, pose)
+    monkeypatch.setattr(tr, "build_sure", _no_build)
+    monkeypatch.setattr(tr, "build_tree", _no_build)
+    res = solve(adapter, cfg, FAILING_OPTS)
+    assert res.solution.status == "max_iter"
+    assert res.layout.cfg.variant == "nominal"
+    assert res.nominal is None
+
+
+@pytest.mark.parametrize("variant, solve", BRANCHED, ids=["sure", "tree"])
+def test_branched_solve_starts_from_the_nominal_stage(variant, solve):
+    run = config.load_config(None)
+    adapter, _, _ = config.build_plant(run)
+    cfg = config.transcription_config(run, variant, run.conditions[0],
+                                      bench.X_END, **BENCH_CARTPOLE)
+    res = solve(adapter, cfg, LOOSE_OPTS)
+    nom = pipeline.solve_nominal(adapter, pipeline.nominal_stage_config(cfg),
+                                 LOOSE_OPTS)
+    assert res.solution.status == nom.solution.status == "converged"
+    assert res.layout.cfg.variant == variant
+    assert (res.nominal.common.states.tobytes()
+            == nom.bundle.common.states.tobytes())
+    assert res.solution.wall_time >= nom.solution.wall_time

@@ -8,8 +8,8 @@ axis of length ``n_dirs``.
 
 All elementary operations used by the dynamics, cost and constraint
 callbacks are provided as module-level functions (``sin``, ``cos``,
-``sqrt``, ``exp``) that dispatch on the argument type, so the
-same callback code runs on plain floats/arrays and on duals.
+``sqrt``) that dispatch on the argument type, so the same callback code
+runs on plain floats/arrays and on duals.
 """
 
 from __future__ import annotations
@@ -24,14 +24,12 @@ __all__ = [
     "seed",
     "seed_batch",
     "jacobian",
-    "gradient",
     "check_gradient",
     "GradientReport",
     "value_of",
     "sin",
     "cos",
     "sqrt",
-    "exp",
 ]
 
 
@@ -135,13 +133,6 @@ def sqrt(x):
     return np.sqrt(x)
 
 
-def exp(x):
-    if isinstance(x, Dual):
-        e = np.exp(x.value)
-        return Dual(e, _col(e) * x.derivs)
-    return np.exp(x)
-
-
 # -- seeding and jacobians -------------------------------------------------
 
 
@@ -192,11 +183,6 @@ def jacobian(f, x):
         if isinstance(y, Dual):
             jac[i] = y.derivs
     return jac
-
-
-def gradient(f, x):
-    """Gradient of a scalar function (1 x n jacobian, flattened)."""
-    return jacobian(lambda xs: [f(xs)], x)[0]
 
 
 @dataclass

@@ -236,6 +236,8 @@ def montecarlo(run: cfgmod.RunConfig, progress=None) -> MonteCarloReport:
     _require_cartpole(run, "montecarlo")
     conditions = run.conditions
     n_samples = int(run.exp("n_samples", 200))
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     x_wall_range = tuple(run.exp("x_wall_range", (-0.7, -0.3)))
     e_range = tuple(run.exp("e_range", (0.7, 0.9)))
     for name, (lo, hi) in (("x_wall_range", x_wall_range),

@@ -4,8 +4,11 @@ A run is described by one YAML file with five sections — ``plant``,
 ``transcription``, ``solver``, ``controller``, ``experiment`` — each
 optional; omitted keys fall back to the defaults below.  The same file
 drives every CLI verb, so a study is reproducible from the config plus
-a master seed.  A key of ``transcription`` or ``solver`` that is not a
-field of ``TranscriptionConfig`` or ``SolverOpts`` raises ``ValueError``.
+a master seed.  A key the schema below does not name raises
+``ValueError``: at the top level and in ``plant``, ``controller`` and
+``experiment`` when the run config is made, in ``transcription`` and
+``solver`` (the fields of ``TranscriptionConfig`` and ``SolverOpts``)
+when those are built from it.
 
 Schema (version 1)::
 
@@ -82,6 +85,25 @@ DEFAULT_CONDITIONS = [
 ]
 
 
+# Keys of the sections without a dataclass of their own.
+_SECTION_KEYS = {
+    "plant": {"name", "params", "env"},
+    "controller": {"q_diag", "r", "arm_kp", "arm_kd"},
+    "experiment": {"seed", "workers", "n_samples", "horizon", "dt_sim",
+                   "x_wall_range", "e_range", "debounce_window", "final_tol",
+                   "conditions", "n_r_values", "post_impact_budget",
+                   "catch_target", "sweep_d", "sweep_heights",
+                   "sweep_half_range"},
+}
+_TOP_LEVEL_KEYS = {"schema_version", "transcription", "solver", *_SECTION_KEYS}
+
+
+def _reject_unknown(where, keys, known):
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {unknown}")
+
+
 def _section(d, name):
     v = d.get(name, {})
     if v is None:
@@ -98,6 +120,10 @@ class RunConfig:
     solver: dict = field(default_factory=dict)
     controller: dict = field(default_factory=dict)
     experiment: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name, known in _SECTION_KEYS.items():
+            _reject_unknown(name, getattr(self, name), known)
 
     # -- plant ---------------------------------------------------------
     @property
@@ -135,17 +161,17 @@ def load_config(path=None, overrides=None) -> RunConfig:
     version = data.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema_version {version}")
-    cfg = RunConfig(
+    _reject_unknown("top-level", data, _TOP_LEVEL_KEYS)
+    experiment = _section(data, "experiment")
+    experiment.update(
+        {k: v for k, v in (overrides or {}).items() if v is not None})
+    return RunConfig(
         plant=_section(data, "plant"),
         transcription=_section(data, "transcription"),
         solver=_section(data, "solver"),
         controller=_section(data, "controller"),
-        experiment=_section(data, "experiment"),
+        experiment=experiment,
     )
-    if overrides:
-        cfg.experiment.update(
-            {k: v for k, v in overrides.items() if v is not None})
-    return cfg
 
 
 def build_plant(cfg: RunConfig):
@@ -180,9 +206,8 @@ def transcription_config(cfg: RunConfig, variant, x_init, x_end,
         base.setdefault("k_first", 18)
         base.setdefault("k_last", 22)
         base.pop("contact_node", None)
-    unknown = sorted(set(base) - set(tr.TranscriptionConfig.__dataclass_fields__))
-    if unknown:
-        raise ValueError(f"unknown transcription keys: {unknown}")
+    _reject_unknown("transcription", base,
+                    tr.TranscriptionConfig.__dataclass_fields__)
     return tr.TranscriptionConfig(
         variant=variant,
         x_init=np.asarray(x_init, dtype=float),

@@ -129,19 +129,17 @@ def sure_guess_from_nominal(adapter, layout, nominal_bundle, contact_node):
     x0[layout.arrays["x"]] = nom.states
     x0[layout.arrays["u"]] = nom.inputs
     x0[layout.arrays["dt"]] = nom.dts
-    rejoin = x0[layout.x_idx(cfg.k_last + 1)]
+    rejoin = x0[layout.arrays["x"][cfg.k_last + 1]]
     c = contact_node
     free = _window_free_states(adapter, nom, c, cfg.k_last)
-    for i in range(c + 1, cfg.k_last + 1):
-        x0[layout.x_idx(i)] = free[i]
+    x0[layout.arrays["x"][c + 1 : cfg.k_last + 1]] = free[c + 1 :]
     # recompute plant-specific slots (elapsed times, force seeds, ...) from
     # the transplanted time steps before the per-branch seeds overwrite them
     adapter.initial_guess_extras(layout, cfg, x0)
     for k, i in enumerate(cfg.branch_nodes):
         post, extras = adapter.branch_seed(free[i], nom.inputs[i], cfg)
-        for j in range(layout.branch_len + 1):
-            s = j / max(layout.branch_len, 1)
-            x0[layout.bx_idx(k, j)] = (1 - s) * post + s * rejoin
+        x0[layout.arrays["bx"][k]] = tr.interpolate_rows(post, rejoin,
+                                                         layout.branch_len)
         x0[layout.arrays["bu"][k]] = nom.inputs[i]
         x0[layout.arrays["bdt"][k]] = nom.dts[i]
         _seed_branch_extras(layout, x0, k, extras)

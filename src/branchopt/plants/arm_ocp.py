@@ -56,8 +56,9 @@ class ArmCatchOcp(PlantOcp):
 
     # -- guard (needs the accumulated time) ------------------------------------
 
-    def guard_local_indices(self, layout, i):
-        return list(layout.x_idx(i)) + [int(layout.arrays["t"][i])]
+    def guard_indices(self, layout, nodes):
+        return np.column_stack([layout.arrays["x"][nodes],
+                                layout.arrays["t"][nodes]])
 
     def guard_expr(self, v):
         # v = [q(3), qd(3), t]
@@ -90,61 +91,40 @@ class ArmCatchOcp(PlantOcp):
 
     # -- auxiliary variables ----------------------------------------------------
 
-    def _n_time_nodes(self, cfg):
-        last = cfg.contact_node if cfg.variant == "nominal" else cfg.k_last
-        return last + 1
-
     def register_variables(self, lb, cfg):
-        lb.add("t", (self._n_time_nodes(cfg),))
+        lb.add("t", (cfg.contact_nodes[-1] + 1,))
         if cfg.variant in ("sure", "tree"):
             lb.add("vlim", (1,))
 
-    def configure_bounds(self, builder, layout, cfg):
+    def emit_extra_blocks(self, builder, layout, cfg):
         t_idx = layout.arrays["t"]
         builder.fix(t_idx[:1], 0.0)
         builder.set_bounds(t_idx[1:], 0.0, np.inf)
-        if "vlim" in layout.arrays:
-            builder.set_bounds(layout.arrays["vlim"], V_LIM_FLOOR, np.inf)
-
-    def emit_extra_blocks(self, builder, layout, cfg):
-        t_idx = layout.arrays["t"]
-        n_t = len(t_idx)
-        rows = [
-            [int(t_idx[i]), int(t_idx[i + 1]), int(layout.dt_idx(i))]
-            for i in range(n_t - 1)
-        ]
         builder.add_eq(
             "elapsed_time_chain",
             lambda v: [v[1] - v[0] - v[2]],
-            np.array(rows, dtype=int),
+            np.column_stack([t_idx[:-1], t_idx[1:],
+                             layout.arrays["dt"][: len(t_idx) - 1]]),
             1,
         )
+        rows = self.guard_indices(layout, cfg.contact_nodes)
         if cfg.variant == "nominal":
-            c = cfg.contact_node
-            row = list(layout.x_idx(c)) + [int(t_idx[c])]
 
             def catch_velocity(v):
                 dvx, dvz = self._rel_velocity(v)
                 return [dvx, dvz]
 
             builder.add_cost(
-                "catch_relative_velocity",
-                catch_velocity,
-                np.array([row], dtype=int),
-                2,
-            )
+                "catch_relative_velocity", catch_velocity, rows, 2)
         else:
-            vlim = int(layout.arrays["vlim"][0])
+            vlim = layout.arrays["vlim"]
+            builder.set_bounds(vlim, V_LIM_FLOOR, np.inf)
             builder.add_cost(
                 "relative_speed_bound",
                 lambda v: [ad.sqrt(v[0])],
-                np.array([[vlim]], dtype=int),
+                vlim[None],
                 1,
             )
-            rows = [
-                list(layout.x_idx(i)) + [int(t_idx[i]), vlim]
-                for i in cfg.branch_nodes
-            ]
 
             def speed_bound(v):
                 dvx, dvz = self._rel_velocity(v[:7])
@@ -153,21 +133,17 @@ class ArmCatchOcp(PlantOcp):
             builder.add_ineq(
                 "relative_speed_within_bound",
                 speed_bound,
-                np.array(rows, dtype=int),
+                np.column_stack([rows, np.repeat(vlim, len(rows))]),
                 1,
             )
 
     # -- transition: the ball attaches, the arm state carries over --------------
 
-    def emit_transition(self, builder, layout, cfg, pre_nodes, post_idx_rows):
-        rows = [
-            list(layout.x_idx(i)) + post
-            for i, post in zip(pre_nodes, post_idx_rows)
-        ]
+    def emit_transition(self, builder, layout, cfg, pre_nodes, post_rows):
         builder.add_eq(
             "catch_state_continuity",
             lambda v: [v[j] - v[6 + j] for j in range(6)],
-            np.array(rows, dtype=int),
+            np.hstack([layout.arrays["x"][pre_nodes], post_rows]),
             6,
         )
 
@@ -175,10 +151,7 @@ class ArmCatchOcp(PlantOcp):
 
     def initial_guess_extras(self, layout, cfg, x0):
         t_idx = layout.arrays["t"]
-        acc = 0.0
-        x0[t_idx[0]] = 0.0
-        for i in range(len(t_idx) - 1):
-            acc += x0[layout.dt_idx(i)]
-            x0[t_idx[i + 1]] = acc
+        dts = x0[layout.arrays["dt"][: len(t_idx) - 1]]
+        x0[t_idx] = np.concatenate([[0.0], np.cumsum(dts)])
         if "vlim" in layout.arrays:
             x0[layout.arrays["vlim"]] = 1.0

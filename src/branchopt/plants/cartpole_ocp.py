@@ -69,10 +69,9 @@ class CartPoleOcp(PlantOcp):
     # -- impact transition ----------------------------------------------------
 
     def register_variables(self, lb, cfg):
-        n_contacts = 1 if cfg.variant == "nominal" else cfg.n_branches
-        lb.add("F", (n_contacts, 2))
+        lb.add("F", (len(cfg.contact_nodes), 2))
 
-    def configure_bounds(self, builder, layout, cfg):
+    def emit_extra_blocks(self, builder, layout, cfg):
         F = layout.arrays["F"]
         builder.set_bounds(F[:, 0], STRICT_EPS, np.inf)  # normal force pushes
 
@@ -98,22 +97,14 @@ class CartPoleOcp(PlantOcp):
         fx, fy = v[0], v[1]
         return [ad.sqrt(fy * fy + CONE_SMOOTHING) - self.env.mu * fx]
 
-    def emit_transition(self, builder, layout, cfg, pre_nodes, post_idx_rows):
+    def emit_transition(self, builder, layout, cfg, pre_nodes, post_rows):
         F = layout.arrays["F"]
-        rows = []
-        cone_rows = []
-        for k, (i, post) in enumerate(zip(pre_nodes, post_idx_rows)):
-            rows.append(
-                list(layout.x_idx(i)) + [int(layout.u_idx(i)[0])]
-                + post + list(F[k])
-            )
-            cone_rows.append(list(F[k]))
+        rows = np.hstack([layout.arrays["x"][pre_nodes],
+                          layout.arrays["u"][pre_nodes], post_rows, F])
         builder.add_eq(
-            "impact_restitution_map", self._impact_residual,
-            np.array(rows, dtype=int), 5)
+            "impact_restitution_map", self._impact_residual, rows, 5)
         builder.add_ineq(
-            "impact_friction_cone", self._cone_residual,
-            np.array(cone_rows, dtype=int), 1)
+            "impact_friction_cone", self._cone_residual, F, 1)
 
     def branch_seed(self, x_pre, u_pre, cfg):
         post, impulse = impact_map(

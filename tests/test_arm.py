@@ -84,8 +84,8 @@ def _dynamics_oracle(q, qd, tau, p):
 
     dMqd = ad.jacobian(Mqd, np.asarray(q, float))  # 3x3: d(M qd)/dq
     Mdot_qd = dMqd @ qd
-    dT = ad.gradient(T, np.asarray(q, float))
-    dV = ad.gradient(V, np.asarray(q, float))
+    dT = ad.jacobian(lambda v: [T(v)], np.asarray(q, float))[0]
+    dV = ad.jacobian(lambda v: [V(v)], np.asarray(q, float))[0]
     return np.linalg.solve(M, np.asarray(tau, float) - Mdot_qd + dT - dV)
 
 

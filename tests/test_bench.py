@@ -147,3 +147,9 @@ def test_montecarlo_rejects_a_reversed_box_before_solving(monkeypatch, key,
     monkeypatch.setattr(pipeline, "solve_sure", _no_solve)
     with pytest.raises(ValueError, match=f"{key} .* reversed"):
         bench.montecarlo(config.RunConfig(experiment={key: box}))
+
+
+def test_montecarlo_rejects_no_samples_before_solving(monkeypatch):
+    monkeypatch.setattr(pipeline, "solve_sure", _no_solve)
+    with pytest.raises(ValueError, match="n_samples"):
+        bench.montecarlo(config.RunConfig(experiment={"n_samples": 0}))

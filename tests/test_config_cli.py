@@ -39,6 +39,22 @@ def test_overrides_replace_experiment_keys(tmp_path):
     assert run.workers == 2  # a None override leaves the file's value
 
 
+@pytest.mark.parametrize("text, where, key", [
+    ("plant:\n  nmae: arm\n", "plant", "nmae"),
+    ("controller:\n  rr: 0.2\n", "controller", "rr"),
+    ("experiment:\n  n_sample: 3\n", "experiment", "n_sample"),
+    ("experiments:\n  n_samples: 3\n", "top-level", "experiments"),
+], ids=["plant", "controller", "experiment", "top-level"])
+def test_rejects_unknown_keys(tmp_path, text, where, key):
+    with pytest.raises(ValueError, match=f"unknown {where} keys: .*{key}"):
+        config.load_config(_write(tmp_path, text))
+
+
+def test_run_config_rejects_unknown_section_keys():
+    with pytest.raises(ValueError, match="n_sample"):
+        config.RunConfig(experiment={"n_sample": 3})
+
+
 def test_solver_opts_pass_yaml_keys_through(tmp_path):
     path = _write(tmp_path, "solver:\n  tol_eq: 1.0e-8\n  max_outer: 7\n")
     opts = config.solver_opts(config.load_config(path))

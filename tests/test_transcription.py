@@ -6,13 +6,14 @@ serialization — everything short of actually solving, which the solver
 and acceptance tests cover.
 """
 
+import hashlib
 import json
 import pickle
 
 import numpy as np
 import pytest
 
-from branchopt import nlp
+from branchopt import nlp, pipeline
 from branchopt import transcription as tr
 from branchopt.plants import arm
 from branchopt.plants.arm_ocp import ArmCatchOcp
@@ -91,6 +92,23 @@ def test_config_validation():
                                x_init=X_INIT, x_end=X_END)
 
 
+@pytest.mark.parametrize("variant, key, value", [
+    ("sure", "n_rejoin", 0), ("tree", "n_branch_full", 0),
+    ("nominal", "dt_min", 0.2)])
+def test_config_rejects_empty_branches_and_reversed_dt_bounds(variant, key,
+                                                              value):
+    # an empty branch used to build a problem that crashed on its first
+    # evaluation; reversed dt bounds failed only inside NlpProblem
+    with pytest.raises(ValueError, match=key):
+        _cfg(variant, **{key: value})
+
+
+def test_contact_nodes():
+    assert _cfg("nominal").contact_nodes == [5]
+    assert _cfg("sure").contact_nodes == [4, 5, 6]
+    assert _cfg("tree").contact_nodes == [4, 5, 6]
+
+
 def test_branch_properties():
     cfg = _cfg("sure")
     assert cfg.branch_nodes == [4, 5, 6]
@@ -103,8 +121,8 @@ def test_branch_properties():
 
 def test_boundary_conditions_fixed_in_problem():
     problem, layout = tr.build_nominal(CartPoleOcp(), _cfg("nominal"))
-    i0 = layout.x_idx(0)
-    iN = layout.x_idx(12)
+    i0 = layout.arrays["x"][0]
+    iN = layout.arrays["x"][12]
     assert problem.lower[i0] == pytest.approx(X_INIT)
     assert problem.upper[i0] == pytest.approx(X_INIT)
     assert problem.lower[iN] == pytest.approx(X_END)
@@ -115,7 +133,7 @@ def test_tree_fixes_branch_endpoints_not_common():
     cfg = _cfg("tree")
     problem, layout = tr.build_tree(CartPoleOcp(), cfg)
     for k in range(3):
-        idx = layout.bx_idx(k, layout.branch_len)
+        idx = layout.arrays["bx"][k, layout.branch_len]
         assert problem.lower[idx] == pytest.approx(X_END)
         assert problem.upper[idx] == pytest.approx(X_END)
 
@@ -125,10 +143,11 @@ def test_dt_bounds_applied():
     problem, layout = tr.build_nominal(CartPoleOcp(), cfg)
     free = [i for i in range(12) if i != 5]
     for i in free:
-        assert problem.lower[layout.dt_idx(i)] == pytest.approx(2e-3)
-        assert problem.upper[layout.dt_idx(i)] == pytest.approx(4e-2)
+        assert problem.lower[layout.arrays["dt"][i]] == pytest.approx(2e-3)
+        assert problem.upper[layout.arrays["dt"][i]] == pytest.approx(4e-2)
     # the interval replaced by the impact is pinned
-    assert problem.lower[layout.dt_idx(5)] == problem.upper[layout.dt_idx(5)]
+    pinned = layout.arrays["dt"][5]
+    assert problem.lower[pinned] == problem.upper[pinned]
 
 
 def test_normal_force_bounded_positive():
@@ -172,9 +191,9 @@ def test_rejoin_constraint_evaluates_to_state_difference():
     block = next(b for b in problem.eq_blocks
                  if b.name == "branch_rejoin_pinning")
     x = np.zeros(layout.n_vars)
-    rejoin = layout.x_idx(7)  # k_last + 1
+    rejoin = layout.arrays["x"][7]  # k_last + 1
     x[rejoin] = [1.0, 2.0, 3.0, 4.0]
-    x[layout.bx_idx(0, layout.branch_len)] = [1.0, 2.0, 3.0, 4.0]
+    x[layout.arrays["bx"][0, layout.branch_len]] = [1.0, 2.0, 3.0, 4.0]
     row0 = np.array([float(v) for v in block.fun(x[block.indices[0]])])
     assert row0 == pytest.approx(np.zeros(4))
     row1 = np.array([float(v) for v in block.fun(x[block.indices[1]])])
@@ -387,3 +406,85 @@ def test_residuals_at_default_guess_match_recorded(key):
     assert [g[:2] for g in got] == [b[:2] for b in blocks]
     for g, want in zip(got, blocks):
         assert g[2:] == pytest.approx(want[2:], rel=1e-12, abs=1e-12), g[0]
+
+
+# -- structural fingerprint --------------------------------------------------------
+
+# Unbranched and branched configs at the size of _cfg and at the size of
+# the benchmark's N=30 problem.
+_SIZES = {
+    "small": {"nominal": dict(N=12, contact_node=5),
+              "branched": dict(N=12, k_first=4, k_last=6, n_rejoin=3,
+                               n_branch_full=8)},
+    "bench": {"nominal": dict(N=30, dt_max=0.1, contact_node=10),
+              "branched": dict(N=30, dt_max=0.1, k_first=9, k_last=11,
+                               n_rejoin=4, n_branch_full=18)},
+}
+
+# sha256 of every block's name, index rows and n_out, the bounds, the
+# default guess and, for the branched variants, the warm start built from
+# a perturbed unbranched solution; recorded so that a change in how the
+# index rows or guesses are assembled fails here, bit for bit.
+RECORDED_FINGERPRINT = {
+    ('cartpole', 'small', 'nominal'):
+        "96fe112ef2a93917878a6a483a32e26d21b1f91158db9bddc9323ad4feae167a",
+    ('cartpole', 'small', 'sure'):
+        "91b860ecebcff7d7957d9df45bc68ae5555efea1c2b91a3e68f52038218dc155",
+    ('cartpole', 'small', 'tree'):
+        "5ffa32f454033e9073ff50cbb63e5de990b84d0d53bf6747c11980c1edeeaf51",
+    ('cartpole', 'bench', 'nominal'):
+        "61fb28be23503669eb08af0ed0b303d3cecc2f493daf47a277ca4f947f00c35a",
+    ('cartpole', 'bench', 'sure'):
+        "755631ec494683550d47b58bbb20c38868d8d966ba4feff3e1439930678e74f7",
+    ('cartpole', 'bench', 'tree'):
+        "45188bb3473c1e237c777cef0615faad54e1595f6b0efdaed9abfbf25f61fd12",
+    ('arm', 'small', 'nominal'):
+        "81e08093245a5272d1f86d5eac4ac4981d801e2cac1c8ce6d705c5f0eb1ce07f",
+    ('arm', 'small', 'sure'):
+        "7d4278bab4d8a4b8271329c15dc9e28b7dc32dff53416b84d8fbb5544064a642",
+    ('arm', 'small', 'tree'):
+        "698d1ba2826d10b5016ffcdafcd1c703773404114677516ab79e85f48b84b5bf",
+    ('arm', 'bench', 'nominal'):
+        "f2c9548f33d4f11f4ea427024d59d46247da5814f89eb60fd32eafa7c08a6205",
+    ('arm', 'bench', 'sure'):
+        "0b4903fc25f5a100937ddb57b3e548c1fad168a21ee0b7c735f6b5fa4c12e8c6",
+    ('arm', 'bench', 'tree'):
+        "473cfce89929f83964d0996f5e6514738fdd68c9119318569be3f86a909dc177",
+}
+
+
+def _fingerprint(plant, size, variant):
+    if plant == "arm":
+        adapter, x_init, x_end = ArmCatchOcp(), ARM_INIT, ARM_END
+    else:
+        adapter, x_init, x_end = CartPoleOcp(), X_INIT, X_END
+    kind = "nominal" if variant == "nominal" else "branched"
+    cfg = tr.TranscriptionConfig(variant=variant, x_init=x_init, x_end=x_end,
+                                 **_SIZES[size][kind])
+    problem, layout = tr.build(adapter, cfg)
+    h = hashlib.sha256()
+    for b in problem.cost_blocks + problem.eq_blocks + problem.ineq_blocks:
+        h.update(b.name.encode())
+        h.update(str((b.indices.dtype, b.indices.shape, b.n_out)).encode())
+        h.update(b.indices.tobytes())
+    for a in (problem.lower, problem.upper,
+              tr.default_initial_guess(adapter, layout)):
+        h.update(a.tobytes())
+    if variant != "nominal":
+        nom_cfg = pipeline.nominal_stage_config(cfg)
+        _, nom_layout = tr.build(adapter, nom_cfg)
+        x = tr.default_initial_guess(adapter, nom_layout)
+        x = x + 0.01 * np.random.default_rng(5).uniform(-1.0, 1.0, size=x.size)
+        nominal = tr.extract_solution(nom_layout, x)
+        guess_from = getattr(pipeline, f"{variant}_guess_from_nominal")
+        h.update(guess_from(adapter, layout, nominal,
+                            nom_cfg.contact_node).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("plant, size, variant", [
+    (plant, size, variant) for plant in ("cartpole", "arm")
+    for size in _SIZES for variant in ("nominal", "sure", "tree")])
+def test_structure_matches_recorded_fingerprint(plant, size, variant):
+    assert (_fingerprint(plant, size, variant)
+            == RECORDED_FINGERPRINT[plant, size, variant])

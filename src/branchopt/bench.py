@@ -23,6 +23,7 @@ from . import control
 from . import pipeline
 from . import simulation
 from . import transcription as tr
+from .plants import arm, cartpole
 
 __all__ = [
     "TrialSpec", "TrialReport", "MonteCarloReport", "evaluate_trial",
@@ -112,14 +113,14 @@ def _wrap_angle(a):
 
 
 def evaluate_trial(trace, spec: TrialSpec, tolerances, params,
-                   x_end=None, debounce_window=0.05) -> TrialReport:
+                   x_end, debounce_window) -> TrialReport:
     """Apply the four success criteria to a finished rollout.
 
     (i) final state within ``tolerances`` of the target; (ii) at most one
     debounced wall contact; (iii) the pole never leaves the upper half
     circle; (iv) the cart edge never crosses the wall plane.
     """
-    x_end = X_END if x_end is None else np.asarray(x_end, dtype=float)
+    x_end = np.asarray(x_end, dtype=float)
     tol = np.asarray(tolerances, dtype=float)
     states = trace.states
 
@@ -188,15 +189,13 @@ def cartpole_rollout(run: cfgmod.RunConfig, reference, x0, gains, **env_over):
     ``x_wall``/``e``); the experiment's ``horizon`` and ``dt_sim`` set the
     rollout, which stops when the pole falls.  Returns (trace, params).
     """
-    from .plants import cartpole
-
     _, p, env = cfgmod.build_plant(run)
     env = dataclasses.replace(env, **env_over)
     trace = simulation.simulate(
         cartpole.make_system(p, env),
         control.TrackingController(reference, gains), x0, env=env,
-        horizon=float(run.exp("horizon", 10.0)),
-        dt_sim=float(run.exp("dt_sim", 1e-3)), stop_condition=pole_fell)
+        horizon=float(run.experiment["horizon"]),
+        dt_sim=float(run.experiment["dt_sim"]), stop_condition=pole_fell)
     return trace, p
 
 
@@ -206,8 +205,8 @@ def _run_trial(args):
                                 run.conditions[spec.condition_id], gains,
                                 x_wall=spec.x_wall, e=spec.e)
     return evaluate_trial(
-        trace, spec, list(run.exp("final_tol", (0.05, 0.05, 0.1, 0.1))), p,
-        debounce_window=float(run.exp("debounce_window", 0.05))).to_dict()
+        trace, spec, list(run.experiment["final_tol"]), p, X_END,
+        float(run.experiment["debounce_window"])).to_dict()
 
 
 def _sample_specs(master_seed, conditions, n_samples, x_wall_range, e_range):
@@ -233,13 +232,13 @@ def montecarlo(run: cfgmod.RunConfig, progress=None) -> MonteCarloReport:
     -loop rollouts are run against environments sampled uniformly from
     the configured box, and the four-criteria success rate is aggregated.
     """
-    _require_cartpole(run, "montecarlo")
+    _require_plant(run, "cartpole", "montecarlo")
     conditions = run.conditions
-    n_samples = int(run.exp("n_samples", 200))
+    n_samples = int(run.experiment["n_samples"])
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    x_wall_range = tuple(run.exp("x_wall_range", (-0.7, -0.3)))
-    e_range = tuple(run.exp("e_range", (0.7, 0.9)))
+    x_wall_range = tuple(run.experiment["x_wall_range"])
+    e_range = tuple(run.experiment["e_range"])
     for name, (lo, hi) in (("x_wall_range", x_wall_range),
                            ("e_range", e_range)):
         if not lo <= hi:
@@ -285,20 +284,20 @@ def montecarlo(run: cfgmod.RunConfig, progress=None) -> MonteCarloReport:
         per_condition=per_condition, samples=results)
 
 
-def _require_cartpole(run: cfgmod.RunConfig, study):
-    if run.plant_name != "cartpole":
-        raise ValueError(f"{study} is defined for the cart-pole plant, "
-                         f"not {run.plant_name!r}")
+_PLANT_LABELS = {"cartpole": "cart-pole", "arm": "arm"}
+
+
+def _require_plant(run: cfgmod.RunConfig, name, study):
+    if run.plant_name != name:
+        raise ValueError(f"{study} is defined for the {_PLANT_LABELS[name]} "
+                         f"plant, not {run.plant_name!r}")
 
 
 def _controller_gains(run: cfgmod.RunConfig, p, env):
-    from .plants import cartpole
-    sys = cartpole.make_system(p, env)
-    q_diag = run.controller.get("q_diag", None)
-    r = run.controller.get("r", None)
-    q = np.diag(np.asarray(q_diag, dtype=float)) if q_diag is not None else None
-    return control.design_gains(sys, cartpole.X_EQ,
-                                Q=q, r=float(r) if r is not None else 0.1)
+    return control.design_gains(
+        cartpole.make_system(p, env), cartpole.X_EQ,
+        Q=np.diag(np.asarray(run.controller["q_diag"], dtype=float)),
+        r=float(run.controller["r"]))
 
 
 def _pmap(fn, items, workers):
@@ -316,8 +315,8 @@ def _tradeoff_cell(args):
     run, x_init, kind, n_r, budget = args
     adapter, _, _ = cfgmod.build_plant(run)
     opts = cfgmod.solver_opts(run)
-    k_first = int(run.transcription.get("k_first", 18))
-    k_last = int(run.transcription.get("k_last", 22))
+    k_first = int(run.transcription["k_first"])
+    k_last = int(run.transcription["k_last"])
     if kind == "sure":
         n_final = budget - n_r
         cfg = cfgmod.transcription_config(
@@ -353,10 +352,10 @@ def tradeoff(run: cfgmod.RunConfig, include_baseline=False, progress=None):
     cumulative (warm-start included) wall times are averaged over the
     configured initial conditions.
     """
-    _require_cartpole(run, "tradeoff")
+    _require_plant(run, "cartpole", "tradeoff")
     conditions = run.conditions
-    n_r_values = [int(v) for v in run.exp("n_r_values", (7, 12, 20, 40, 70))]
-    budget = int(run.exp("post_impact_budget", 100))
+    n_r_values = [int(v) for v in run.experiment["n_r_values"]]
+    budget = int(run.experiment["post_impact_budget"])
 
     cells = []
     for state in conditions:
@@ -365,8 +364,8 @@ def tradeoff(run: cfgmod.RunConfig, include_baseline=False, progress=None):
             cells.append((run, x0, "sure", n_r, budget))
         cells.append((run, x0, "tree", budget, budget))
         if include_baseline:
-            k_first = int(run.transcription.get("k_first", 18))
-            k_last = int(run.transcription.get("k_last", 22))
+            k_first = int(run.transcription["k_first"])
+            k_last = int(run.transcription["k_last"])
             for node in range(k_first, k_last + 1):
                 cells.append((run, x0, "baseline", node, budget))
     results = _pmap(_tradeoff_cell, cells, run.workers)
@@ -413,8 +412,6 @@ def _catch_speed(p, reference, gains, z0, dt_sim):
     1.5 s.  The ball follows its closed form, so contact timing
     reflects the actual drop height, not the planned one.
     """
-    from .plants import arm
-
     env = dataclasses.replace(p, p_ball0=(p.p_ball0[0], z0))
 
     def caught(t, state, n_events):
@@ -459,9 +456,7 @@ def _replay_drops(p, refs, gains, heights, dt_sim, progress=None):
 def catch_pose(run: cfgmod.RunConfig, p):
     """The arm at rest with its level tool at the configured catch target:
     the boundary state of every arm solve."""
-    from .plants import arm
-
-    q = arm.level_configuration(tuple(run.exp("catch_target", (0.0, 0.3))), p)
+    q = arm.level_configuration(tuple(run.experiment["catch_target"]), p)
     return np.concatenate([q, np.zeros(3)])
 
 
@@ -474,8 +469,6 @@ def _rk4_growth(p, pose, gains: control.Gains, dt_sim):
     R(z) = 1 + z + z²/2 + z³/6 + z⁴/24 is RK4's stability function.
     Above 1, a rollout at dt_sim grows without bound.
     """
-    from .plants import arm
-
     A, B = control.linearize(arm.make_system(p), pose,
                              arm.gravity_torque(pose[:3], p))
     K = np.empty((3, 6))  # linearize's interleaved [q1, q̇1, q2, ...] order
@@ -492,18 +485,16 @@ def velocity_sweep(run: cfgmod.RunConfig, progress=None):
     heights spanning the configured half-range, recording the relative
     speed at contact.
     """
-    arm_params = (run.plant.get("params", {}) or {}
-                  if run.plant_name == "arm" else {})
-    arm_run = cfgmod.RunConfig(plant={"name": "arm", "params": arm_params})
-    adapter, p, _ = cfgmod.build_plant(arm_run)
+    _require_plant(run, "arm", "sweep")
+    adapter, p, _ = cfgmod.build_plant(run)
     opts = cfgmod.solver_opts(run)
-    n_heights = int(run.exp("sweep_heights", 11))
-    half = float(run.exp("sweep_half_range", 0.2))
-    dt_sim = float(run.exp("dt_sim", 1e-3))
+    n_heights = int(run.experiment["sweep_heights"])
+    half = float(run.experiment["sweep_half_range"])
+    dt_sim = float(run.experiment["dt_sim"])
 
     x0 = catch_pose(run, p)
-    kp = float(run.controller.get("arm_kp", 80.0))
-    kd = float(run.controller.get("arm_kd", 12.0))
+    kp = float(run.controller["arm_kp"])
+    kd = float(run.controller["arm_kd"])
     gains = control.Gains(np.diag(np.full(3, kp)), np.diag(np.full(3, kd)))
     growth = _rk4_growth(p, x0, gains, dt_sim)
     if growth > 1.0:
@@ -512,23 +503,14 @@ def velocity_sweep(run: cfgmod.RunConfig, progress=None):
             f"arm_kd {kd} at dt_sim {dt_sim} give |R(λ·dt_sim)| = "
             f"{growth:.3g} > 1 at the catch pose")
 
-    tdefaults = dict(N=40, contact_node=20, dt_min=1e-3, dt_max=5e-2)
-    tdefaults.update(run.transcription)
-    nom_cfg = cfgmod.transcription_config(
-        cfgmod.RunConfig(transcription=tdefaults), "nominal", x0, x0)
-    nom = pipeline.solve_nominal(adapter, nom_cfg, opts)
+    nom = pipeline.solve_nominal(
+        adapter, cfgmod.transcription_config(run, "nominal", x0, x0), opts)
     if progress:
         progress(f"nominal arm solve: {nom.solution.status} "
                  f"cost {nom.solution.objective_value:.4f}")
 
-    sdefaults = dict(tdefaults)
-    sdefaults.pop("contact_node", None)
-    sdefaults.setdefault("k_first", 16)
-    sdefaults.setdefault("k_last", 24)
-    sdefaults.setdefault("d_fixed", run.exp("sweep_d", 0.20))
-    sure_cfg = cfgmod.transcription_config(
-        cfgmod.RunConfig(transcription=sdefaults), "sure", x0, x0)
-    sure = pipeline.solve_sure(adapter, sure_cfg, opts)
+    sure = pipeline.solve_sure(
+        adapter, cfgmod.transcription_config(run, "sure", x0, x0), opts)
     if progress:
         progress(f"robust arm solve: {sure.solution.status} "
                  f"cost {sure.solution.objective_value:.4f}")

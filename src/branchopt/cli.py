@@ -5,7 +5,9 @@ Verbs:
   simulate    closed-loop rollout of a saved bundle, write the trace (CSV)
   montecarlo  robustness study over the wall/restitution box (JSON/CSV)
   tradeoff    rejoining-horizon cost/time sweep vs. the tree (JSON/CSV)
-  sweep       arm-catch relative-speed sweep over drop heights (JSON/CSV)
+  sweep       arm-catch relative-speed sweep over drop heights (JSON/CSV);
+              needs ``plant: {name: arm}``, as montecarlo and tradeoff
+              need the cart-pole
   gains       print the tracking gains designed for the configured plant
 
 Every verb takes ``--config`` (YAML, see config.py for the schema); the

@@ -2,13 +2,13 @@
 
 A run is described by one YAML file with five sections — ``plant``,
 ``transcription``, ``solver``, ``controller``, ``experiment`` — each
-optional; omitted keys fall back to the defaults below.  The same file
-drives every CLI verb, so a study is reproducible from the config plus
-a master seed.  A key the schema below does not name raises
-``ValueError``: at the top level and in ``plant``, ``controller`` and
-``experiment`` when the run config is made, in ``transcription`` and
-``solver`` (the fields of ``TranscriptionConfig`` and ``SolverOpts``)
-when those are built from it.
+optional.  The same file drives every CLI verb, so a study is
+reproducible from the config plus a master seed.  ``RunConfig`` checks
+the file and fills in every key it leaves out, once, when it is made;
+this module is the only one that knows a default.  A key the schema
+below does not name raises ``ValueError``, in every section and at the
+top level; ``plant.params``/``plant.env`` take the fields of the plant's
+parameter/environment dataclass, and the arm takes no ``env``.
 
 Schema (version 1)::
 
@@ -17,14 +17,14 @@ Schema (version 1)::
       name: cartpole | arm          # which plant to build
       params: {...}                 # plant parameter overrides
       env: {x_wall: -0.5, e: 0.8, mu: 0.7}   # cartpole only
-    transcription:
-      N: 60
+    transcription:                  # cart-pole defaults; the arm's differ
+      N: 60                         # arm: 40
       contact_node: 20              # nominal variant
-      k_first: 18                   # branched variants
-      k_last: 22
+      k_first: 18                   # branched variants; arm: 16
+      k_last: 22                    # arm: 24
       n_rejoin: 7
       n_branch_full: 100
-      d_fixed: 0.05                 # guard half-width at the window edges
+      d_fixed: 0.05                 # window-edge guard half-width; arm: 0.20
       dt_min: 1.0e-3
       dt_max: 5.0e-2
     solver:                         # the five SolverOpts fields
@@ -34,7 +34,7 @@ Schema (version 1)::
       max_outer: 60                 # augmented-Lagrangian iterations
       max_inner: 600                # LM iterations per inner solve
     controller:
-      q_diag: [10, 0, 10, 0]
+      q_diag: [10, 0, 10, 0]        # cart-pole LQR weights
       r: 0.1
       arm_kp: 80.0                  # catch-speed sweep tracking gains
       arm_kd: 12.0
@@ -52,7 +52,6 @@ Schema (version 1)::
       n_r_values: [7, 12, 20, 40, 70]
       post_impact_budget: 100
       catch_target: [0.0, 0.3]
-      sweep_d: 0.20
       sweep_heights: 11
       sweep_half_range: 0.2
 """
@@ -66,36 +65,50 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
+from . import control
 from . import nlp
 from . import transcription as tr
+from .plants import arm, cartpole
+from .plants.arm_ocp import ArmCatchOcp
+from .plants.cartpole_ocp import CartPoleOcp
 
 __all__ = ["RunConfig", "load_config", "build_plant", "transcription_config",
            "solver_opts", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
 
-# Swing-up initial conditions exercised by the robustness study, as
-# [cart position, pole angle, cart velocity, pole angular velocity];
-# theta = pi is the upright pole.
-DEFAULT_CONDITIONS = [
-    [0.0, math.pi, 0.0, 5.5],
-    [0.0, math.pi, 0.0, 6.5],
-    [0.0, 3.53, -1.0, 3.5],
-    [0.0, 3.45, -0.5, 4.5],
-]
-
-
-# Keys of the sections without a dataclass of their own.
-_SECTION_KEYS = {
-    "plant": {"name", "params", "env"},
-    "controller": {"q_diag", "r", "arm_kp", "arm_kd"},
-    "experiment": {"seed", "workers", "n_samples", "horizon", "dt_sim",
-                   "x_wall_range", "e_range", "debounce_window", "final_tol",
-                   "conditions", "n_r_values", "post_impact_budget",
-                   "catch_target", "sweep_d", "sweep_heights",
-                   "sweep_half_range"},
+# Every key of these sections, with its default.
+_DEFAULTS = {
+    "plant": {"name": "cartpole", "params": {}, "env": {}},
+    "controller": {"q_diag": np.diag(control.DEFAULT_Q).tolist(),
+                   "r": control.DEFAULT_R, "arm_kp": 80.0, "arm_kd": 12.0},
+    "experiment": {
+        "seed": 0, "workers": 4, "n_samples": 200, "horizon": 10.0,
+        "dt_sim": 1e-3, "x_wall_range": [-0.7, -0.3], "e_range": [0.7, 0.9],
+        "debounce_window": 0.05, "final_tol": [0.05, 0.05, 0.1, 0.1],
+        # swing-up initial conditions [x, theta, xdot, thetadot] of the
+        # robustness study; theta = pi is the upright pole
+        "conditions": [[0.0, math.pi, 0.0, 5.5], [0.0, math.pi, 0.0, 6.5],
+                       [0.0, 3.53, -1.0, 3.5], [0.0, 3.45, -0.5, 4.5]],
+        "n_r_values": [7, 12, 20, 40, 70], "post_impact_budget": 100,
+        "catch_target": [0.0, 0.3], "sweep_heights": 11,
+        "sweep_half_range": 0.2},
 }
-_TOP_LEVEL_KEYS = {"schema_version", "transcription", "solver", *_SECTION_KEYS}
+# Per plant.  The transcription keys left out here, and the solver keys,
+# keep the TranscriptionConfig and SolverOpts defaults.
+_TRANSCRIPTION_DEFAULTS = {
+    "cartpole": {"N": 60, "contact_node": 20, "k_first": 18, "k_last": 22},
+    "arm": {"N": 40, "contact_node": 20, "k_first": 16, "k_last": 24,
+            "d_fixed": 0.20},
+}
+# the dataclasses whose fields plant.params and plant.env may set
+_PLANT_CLASSES = {
+    "cartpole": (cartpole.CartPoleParams, cartpole.CartPoleEnv),
+    "arm": (arm.ArmCatchParams, None),
+}
+_TRANSCRIPTION_KEYS = (set(tr.TranscriptionConfig.__dataclass_fields__)
+                       - {"variant", "x_init", "x_end"})
+_TOP_LEVEL_KEYS = {"schema_version", "transcription", "solver", *_DEFAULTS}
 
 
 def _reject_unknown(where, keys, known):
@@ -115,6 +128,8 @@ def _section(d, name):
 
 @dataclass
 class RunConfig:
+    """A run's five sections, checked and filled in with every default."""
+
     plant: dict = field(default_factory=dict)
     transcription: dict = field(default_factory=dict)
     solver: dict = field(default_factory=dict)
@@ -122,30 +137,48 @@ class RunConfig:
     experiment: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, known in _SECTION_KEYS.items():
-            _reject_unknown(name, getattr(self, name), known)
+        for name, defaults in _DEFAULTS.items():
+            given = getattr(self, name)
+            _reject_unknown(name, given, defaults)
+            setattr(self, name, {**defaults, **given})
+        name = self.plant["name"]
+        if name not in _TRANSCRIPTION_DEFAULTS:
+            raise ValueError(f"unknown plant '{name}'")
+        for key, cls in zip(("params", "env"), _PLANT_CLASSES[name]):
+            self.plant[key] = _section(self.plant, key)
+            _reject_unknown(f"plant.{key}", self.plant[key],
+                            () if cls is None else cls.__dataclass_fields__)
+        _reject_unknown("transcription", self.transcription,
+                        _TRANSCRIPTION_KEYS)
+        self.transcription = {**_TRANSCRIPTION_DEFAULTS[name],
+                              **self.transcription}
+        _reject_unknown("solver", self.solver,
+                        nlp.SolverOpts.__dataclass_fields__)
 
     # -- plant ---------------------------------------------------------
     @property
     def plant_name(self):
-        return self.plant.get("name", "cartpole")
+        return self.plant["name"]
 
     # -- experiment ----------------------------------------------------
     def exp(self, key, default):
-        return self.experiment.get(key, default)
+        # ``default`` is never read: every key is filled in.  Only the
+        # benchmark harness calls this; it goes with the next benchmark
+        # change, as ``tr.build_*`` do.
+        return self.experiment[key]
 
     @property
     def seed(self):
-        return int(self.exp("seed", 0))
+        return int(self.experiment["seed"])
 
     @property
     def workers(self):
-        return int(self.exp("workers", 4))
+        return int(self.experiment["workers"])
 
     @property
     def conditions(self):
         return [np.asarray(c, dtype=float)
-                for c in self.exp("conditions", DEFAULT_CONDITIONS)]
+                for c in self.experiment["conditions"]]
 
 
 def load_config(path=None, overrides=None) -> RunConfig:
@@ -176,38 +209,23 @@ def load_config(path=None, overrides=None) -> RunConfig:
 
 def build_plant(cfg: RunConfig):
     """Instantiate (adapter, params, env_or_None) for the configured plant."""
-    name = cfg.plant_name
-    params = cfg.plant.get("params", {}) or {}
-    if name == "cartpole":
-        from .plants import cartpole
-        from .plants.cartpole_ocp import CartPoleOcp
+    params = cfg.plant["params"]
+    if cfg.plant_name == "cartpole":
         p = dataclasses.replace(cartpole.CartPoleParams(), **params)
-        env_over = cfg.plant.get("env", {}) or {}
-        env = dataclasses.replace(cartpole.env_from_params(p), **env_over)
+        env = dataclasses.replace(cartpole.env_from_params(p),
+                                  **cfg.plant["env"])
         return CartPoleOcp(p, env), p, env
-    if name == "arm":
-        from .plants import arm
-        from .plants.arm_ocp import ArmCatchOcp
-        p = dataclasses.replace(arm.ArmCatchParams(), **params)
-        return ArmCatchOcp(p), p, None
-    raise ValueError(f"unknown plant '{name}'")
+    p = dataclasses.replace(arm.ArmCatchParams(), **params)
+    return ArmCatchOcp(p), p, None
 
 
 def transcription_config(cfg: RunConfig, variant, x_init, x_end,
                          **over) -> tr.TranscriptionConfig:
-    base = dict(cfg.transcription)
-    base.update(over)
-    base.setdefault("N", 60)
-    if variant == "nominal":
-        base.setdefault("contact_node", 20)
-        base.pop("k_first", None)
-        base.pop("k_last", None)
-    else:
-        base.setdefault("k_first", 18)
-        base.setdefault("k_last", 22)
-        base.pop("contact_node", None)
-    _reject_unknown("transcription", base,
-                    tr.TranscriptionConfig.__dataclass_fields__)
+    """The configured ``variant``, with ``over`` replacing keys."""
+    base = {**cfg.transcription, **over}
+    for key in (("k_first", "k_last") if variant == "nominal"
+                else ("contact_node",)):
+        base.pop(key, None)
     return tr.TranscriptionConfig(
         variant=variant,
         x_init=np.asarray(x_init, dtype=float),
@@ -217,4 +235,4 @@ def transcription_config(cfg: RunConfig, variant, x_init, x_end,
 
 
 def solver_opts(cfg: RunConfig) -> nlp.SolverOpts:
-    return nlp.SolverOpts.from_dict(cfg.solver)
+    return nlp.SolverOpts(**cfg.solver)

@@ -122,21 +122,18 @@ def solve_care(A, b, Q, r, residual_tol=1e-8):
     return P
 
 
-def lqr_gains(A, b, Q=None, r=DEFAULT_R) -> Gains:
+def lqr_gains(A, b, Q, r) -> Gains:
     """Feedback row K = r⁻¹ bᵀ P split into proportional/derivative parts.
 
     Expects (A, b) in interleaved order so K alternates position and
     velocity entries.
     """
-    A = np.asarray(A, dtype=float)
-    if Q is None:
-        Q = DEFAULT_Q if A.shape[0] == 4 else np.eye(A.shape[0])
     P = solve_care(A, b, Q, r)
     K = (np.asarray(b, dtype=float).reshape(-1) @ P) / float(r)
     return Gains(k_p=K[0::2], k_d=K[1::2])
 
 
-def design_gains(sys, x_eq, Q=None, r=DEFAULT_R) -> Gains:
+def design_gains(sys, x_eq, Q=DEFAULT_Q, r=DEFAULT_R) -> Gains:
     """LQR-designed tracking gains for a plant at an unforced equilibrium."""
     A, b = linearize(sys, x_eq, np.zeros(sys.n_u))
     return lqr_gains(A, b, Q, r)

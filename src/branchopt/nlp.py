@@ -149,13 +149,6 @@ class SolverOpts:
     max_outer: int = 60
     max_inner: int = 600
 
-    @classmethod
-    def from_dict(cls, d):
-        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown solver keys: {unknown}")
-        return cls(**d)
-
 
 # -- block evaluation -------------------------------------------------------
 

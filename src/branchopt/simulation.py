@@ -136,8 +136,8 @@ def rigid_impact(contact_jacobian, mass_matrix):
     return impact
 
 
-def simulate(sys: HybridSystemDef, controller, x0, env=None, horizon=10.0,
-             dt_sim=1e-3, stop_condition=None):
+def simulate(sys: HybridSystemDef, controller, x0, env=None, *, horizon,
+             dt_sim, stop_condition=None):
     """Closed-loop rollout with guard-triggered impact events.
 
     ``controller(t, state) -> u`` supplies the input, held constant over

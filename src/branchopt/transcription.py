@@ -647,7 +647,7 @@ def middle_branch_index(k_first, k_last):
     return math.ceil((k_first + k_last) / 2)
 
 
-def robust_nominal_branch(bundle: SolutionBundle, dt_impact=1e-3) -> Trajectory:
+def robust_nominal_branch(bundle: SolutionBundle, dt_impact) -> Trajectory:
     """Single playable reference assembled from the middle branch.
 
     Concatenates the common trajectory up to the middle branching node,
@@ -674,7 +674,7 @@ def post_contact_reference(bundle: SolutionBundle, pos) -> Trajectory:
     )
 
 
-def branch_reference(bundle: SolutionBundle, branch_node, dt_impact=1e-3):
+def branch_reference(bundle: SolutionBundle, branch_node, dt_impact):
     """Playable reference that follows the branch departing at branch_node."""
     post = post_contact_reference(bundle, bundle.branch_nodes.index(branch_node))
     com = bundle.common

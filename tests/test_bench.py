@@ -134,6 +134,13 @@ def test_sweep_solves_with_rk4_stable_arm_gains(monkeypatch):
         bench.velocity_sweep(run)
 
 
+def test_sweep_rejects_the_cartpole(monkeypatch):
+    monkeypatch.setattr(pipeline, "solve_nominal", _no_solve)
+    run = config.RunConfig(controller={"arm_kd": 1.0})
+    with pytest.raises(ValueError, match="sweep is defined for the arm"):
+        bench.velocity_sweep(run)
+
+
 @pytest.mark.parametrize("study", [bench.montecarlo, bench.tradeoff])
 def test_cartpole_studies_reject_the_arm(study):
     with pytest.raises(ValueError, match="cart-pole"):

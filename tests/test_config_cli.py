@@ -5,8 +5,10 @@ import json
 import os
 
 import pytest
+import yaml
 
-from branchopt import cli, config
+from branchopt import cli, config, nlp
+from branchopt import transcription as tr
 
 
 def _write(tmp_path, text):
@@ -44,7 +46,17 @@ def test_overrides_replace_experiment_keys(tmp_path):
     ("controller:\n  rr: 0.2\n", "controller", "rr"),
     ("experiment:\n  n_sample: 3\n", "experiment", "n_sample"),
     ("experiments:\n  n_samples: 3\n", "top-level", "experiments"),
-], ids=["plant", "controller", "experiment", "top-level"])
+    ("experiment:\n  sweep_d: 0.2\n", "experiment", "sweep_d"),
+    ("plant:\n  params: {lenght: 1.0}\n", "plant.params", "lenght"),
+    ("plant:\n  env: {x_wal: 1.0}\n", "plant.env", "x_wal"),
+    ("plant:\n  name: arm\n  params: {mass: 1.0}\n", "plant.params", "mass"),
+    ("plant:\n  name: arm\n  env: {x_wall: -0.5}\n", "plant.env", "x_wall"),
+    ("transcription:\n  variant: tree\n", "transcription", "variant"),
+    ("transcription:\n  x_init: [0, 0, 0, 0]\n", "transcription", "x_init"),
+    ("transcription:\n  x_end: [0, 0, 0, 0]\n", "transcription", "x_end"),
+], ids=["plant", "controller", "experiment", "top-level", "sweep_d",
+        "cartpole-params", "cartpole-env", "arm-params", "arm-env",
+        "variant", "x_init", "x_end"])
 def test_rejects_unknown_keys(tmp_path, text, where, key):
     with pytest.raises(ValueError, match=f"unknown {where} keys: .*{key}"):
         config.load_config(_write(tmp_path, text))
@@ -53,6 +65,22 @@ def test_rejects_unknown_keys(tmp_path, text, where, key):
 def test_run_config_rejects_unknown_section_keys():
     with pytest.raises(ValueError, match="n_sample"):
         config.RunConfig(experiment={"n_sample": 3})
+
+
+def test_schema_docstring_names_every_accepted_key():
+    schema = yaml.safe_load(config.__doc__.split("::", 1)[1])
+    run = config.RunConfig()
+    accepted = {
+        "plant": set(run.plant),
+        "transcription": (set(tr.TranscriptionConfig.__dataclass_fields__)
+                          - {"variant", "x_init", "x_end"}),
+        "solver": set(nlp.SolverOpts.__dataclass_fields__),
+        "controller": set(run.controller),
+        "experiment": set(run.experiment),
+    }
+    assert set(schema) == {"schema_version", *accepted}
+    for section, keys in accepted.items():
+        assert set(schema[section]) == keys, section
 
 
 def test_solver_opts_pass_yaml_keys_through(tmp_path):
@@ -65,9 +93,8 @@ def test_solver_opts_pass_yaml_keys_through(tmp_path):
 
 def test_rejects_removed_transcription_key(tmp_path):
     path = _write(tmp_path, "transcription:\n  d_bounds: [0.01, 0.1]\n")
-    run = config.load_config(path)
     with pytest.raises(ValueError, match="d_bounds"):
-        config.transcription_config(run, "sure", [0.0] * 4, [0.0] * 4)
+        config.load_config(path)
 
 
 def test_rejects_removed_solver_key(tmp_path):

@@ -1,0 +1,258 @@
+"""Every setting the studies and the CLI hand to the solver, the simulator
+and the trial evaluation, fingerprinted so that moving a default from one
+module to another fails here unless the value stays the same.
+
+No solve or rollout runs: the pipeline solves, ``simulate`` and
+``evaluate_trial`` are replaced by recorders.
+"""
+
+import dataclasses
+import hashlib
+import inspect
+import json
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+import yaml
+
+from branchopt import bench, cli, config, control, pipeline, simulation
+from branchopt import transcription as tr
+from branchopt.plants import cartpole
+
+CONFIGS = {
+    "default": {},
+    "arm": {"plant": {"name": "arm"}, "controller": {"arm_kd": 1.0}},
+    "cartpole_overrides": {
+        "plant": {"params": {"m_c": 0.35, "dt_impact": 2e-3},
+                  "env": {"x_wall": -0.45, "mu": 0.5}},
+        "transcription": {"N": 50, "contact_node": 17, "k_first": 15,
+                          "k_last": 19, "n_rejoin": 5, "n_branch_full": 30,
+                          "d_fixed": 0.07, "dt_min": 2e-3, "dt_max": 6e-2},
+        "solver": {"tol_eq": 1e-7, "max_outer": 30},
+        "controller": {"q_diag": [5, 1, 5, 1], "r": 1},
+        "experiment": {"seed": 3, "n_samples": 2, "horizon": 4,
+                       "dt_sim": 2e-3, "x_wall_range": [-0.6, -0.4],
+                       "e_range": [0.75, 0.85], "debounce_window": 0.1,
+                       "final_tol": [0.1, 0.1, 0.2, 0.2],
+                       "conditions": [[0.0, 3.2, 0.0, 5.0],
+                                      [0.1, 3.3, -0.5, 4.0]],
+                       "n_r_values": [5, 9], "post_impact_budget": 40},
+    },
+    "arm_overrides": {
+        "plant": {"name": "arm", "params": {"r_ball": 0.04, "w_a": 0.02}},
+        "transcription": {"N": 36, "k_first": 15, "k_last": 21,
+                          "n_rejoin": 6, "d_fixed": 0.1, "dt_max": 0.04},
+        "solver": {"max_inner": 300},
+        "controller": {"arm_kp": 60, "arm_kd": 1},
+        "experiment": {"dt_sim": 5e-4, "catch_target": [0.05, 0.3],
+                       "sweep_heights": 5, "sweep_half_range": 0.1},
+    },
+}
+
+# sha256 of each site's recorded settings
+RECORDED = {
+    "arm": {
+        "sweep":
+            "02ec6fb3fd7bf1416f6a3ac107bfd44501dc8c36368e7462bcc14b34855f20c7"},
+    "arm_overrides": {
+        "sweep":
+            "2b21b7168ce8811d6189500dce5bade0da03e1eed0cb11d06cc17418a11068b2"},
+    "cartpole_overrides": {
+        "cli_solve":
+            "178c6e7215d14258aa2b0067cac1ada4971830706ec94fec70db3a3d6a60d241",
+        "gains":
+            "6b49de32654365410f43faf53fb7023161f393fd71eaa41ed319b416c412358e",
+        "montecarlo":
+            "afd1cbe9d4b70d1f7ca26264c5e0b6bc7908499698a3531a0ee3d310521f7d58",
+        "run_trial":
+            "520c2a66b3622dc87d3690ac3efd8c7027551a9bde4a5dc080263f827329af01",
+        "tradeoff":
+            "de123da8c598d43e92a12909fe29a343744351b2b89247fd9eaa98220c6c3736"},
+    "default": {
+        "cli_solve":
+            "e12871ad9aa5390da1eeebb70b69a9c4ccd01f31e701305ed4670b392a7aac93",
+        "gains":
+            "a181e1c97568c3b48fdcac417331de51321f17d59fd8ca7d717d0c026715a63b",
+        "montecarlo":
+            "b11106a4c265c9b217817dd3b9816014a8458ce693605b4fb0247c77b464fa31",
+        "run_trial":
+            "cb9f8dee6b3ad69b45578a5751f59f5993920fbf14885e5b1d02536ec7eba5b4",
+        "tradeoff":
+            "2fa9bfe8bbaed00eee729bd003cd9652c703f0f517a4684c11a31c11453ffd8b"},
+}
+
+_FAKE = SimpleNamespace(
+    solution=SimpleNamespace(
+        status="converged", objective_value=1.0, wall_time=1.0,
+        x=np.zeros(1), kkt=SimpleNamespace(eq_viol=0.0, ineq_viol=0.0)),
+    layout=SimpleNamespace(arrays={"vlim": [0]}),
+    bundle=SimpleNamespace(common=None), nominal=SimpleNamespace(common=None))
+
+_run_trial = bench._run_trial
+_evaluate_trial = bench.evaluate_trial
+
+
+def _plain(v):
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if dataclasses.is_dataclass(v):
+        return {f.name: getattr(v, f.name) for f in dataclasses.fields(v)}
+    if isinstance(v, (np.integer, np.floating)):
+        return v.item()
+    raise TypeError(type(v))
+
+
+def _transcription(cfg):
+    fields = _plain(cfg)
+    if cfg.variant == "nominal":
+        del fields["d_fixed"]  # only the branched variants pin the guard
+    return fields
+
+
+def _gains(g):
+    return {"k_p": g.k_p.tobytes().hex(), "k_d": g.k_d.tobytes().hex()}
+
+
+def _load(name, tmp_path):
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(CONFIGS[name]))
+    return str(path), config.load_config(str(path))
+
+
+def _recorders(mp, log):
+    """Replace every solve and every study step that would run one."""
+    for kind in ("nominal", "sure", "tree"):
+        def solve(adapter, cfg, opts, kind=kind):
+            log.append([f"solve_{kind}", _transcription(cfg), opts])
+            return _FAKE
+        mp.setattr(pipeline, f"solve_{kind}", solve)
+    mp.setattr(bench, "_pmap",
+               lambda fn, items, workers: [fn(i) for i in items])
+    mp.setattr(tr, "robust_nominal_branch", lambda bundle, dt_impact:
+               log.append(["robust_nominal_branch", dt_impact]))
+    mp.setattr(tr, "bundle_to_dict", lambda bundle: {})
+
+
+def _cli_solve(mp, log, path, variants, out):
+    _recorders(mp, log)
+    for variant in variants:
+        cli.main(["solve", "--config", path, "--variant", variant,
+                  "--condition", "1", "--out", out])
+
+
+def _capture(name, tmp_path):
+    path, run = _load(name, tmp_path)
+    out = str(tmp_path / "solution.json")
+    sites = {}
+
+    def site(key, fn):
+        log = []
+        with pytest.MonkeyPatch.context() as mp:
+            fn(mp, log)
+        sites[key] = log
+
+    if run.plant_name == "arm":
+        def sweep(mp, log):
+            _recorders(mp, log)
+            growth = bench._rk4_growth
+
+            def rk4_growth(p, pose, gains, dt_sim):
+                log.append(["rk4_growth", pose, _gains(gains), dt_sim])
+                return growth(p, pose, gains, dt_sim)
+
+            def replay(p, refs, gains, heights, dt_sim, progress=None):
+                log.append(["replay_drops", p, sorted(refs), _gains(gains),
+                            heights, dt_sim])
+                return [], {}
+
+            mp.setattr(bench, "_rk4_growth", rk4_growth)
+            mp.setattr(bench, "_replay_drops", replay)
+            bench.velocity_sweep(run)
+        site("sweep", sweep)
+        return sites
+
+    def montecarlo(mp, log):
+        _recorders(mp, log)
+
+        def trial(args):
+            _, spec, reference, gains = args
+            log.append(["run_trial", spec, _gains(gains)])
+            return {"spec": dataclasses.asdict(spec), "success": False}
+        def sample_specs(seed, conditions, n_samples, x_wall_range, e_range):
+            log.append(["sample_specs", seed, conditions, n_samples,
+                        x_wall_range, e_range])
+            return sample(seed, conditions, 1, x_wall_range, e_range)
+
+        sample = bench._sample_specs
+        mp.setattr(bench, "_sample_specs", sample_specs)
+        mp.setattr(bench, "_run_trial", trial)
+        bench.montecarlo(run)
+
+    def run_trial(mp, log):
+        def simulate(sys, controller, x0, env=None, **kw):
+            log.append(["simulate", x0, env, kw["horizon"], kw["dt_sim"],
+                        kw["stop_condition"].__name__])
+            return "trace"
+
+        def evaluate(*args, **kw):
+            bound = inspect.signature(_evaluate_trial).bind(*args, **kw)
+            bound.apply_defaults()
+            a = bound.arguments
+            # an x_end of None stands for X_END where it is a default
+            x_end = bench.X_END if a.get("x_end") is None else a["x_end"]
+            log.append(["evaluate_trial", a["spec"], a["tolerances"],
+                        a["params"], x_end, a["debounce_window"]])
+            return SimpleNamespace(to_dict=dict)
+
+        mp.setattr(simulation, "simulate", simulate)
+        mp.setattr(bench, "evaluate_trial", evaluate)
+        spec = bench.TrialSpec(condition_id=1, reference="nominal",
+                               x_wall=-0.55, e=0.85, seed=0, index=0)
+        _run_trial((run, spec, None, None))
+
+    def gains(mp, log):
+        _, p, env = config.build_plant(run)
+        log.append(["controller_gains",
+                    _gains(bench._controller_gains(run, p, env))])
+        log.append(["design_gains", _gains(control.design_gains(
+            cartpole.make_system(p, env), cartpole.X_EQ))])
+
+    site("montecarlo", montecarlo)
+    site("run_trial", run_trial)
+    site("tradeoff", lambda mp, log: (_recorders(mp, log),
+                                      bench.tradeoff(run, True)))
+    site("cli_solve", lambda mp, log: _cli_solve(
+        mp, log, path, ("nominal", "sure", "tree"), out))
+    site("gains", gains)
+    return sites
+
+
+def _json(records):
+    return json.dumps(records, sort_keys=True, default=_plain)
+
+
+def _digest(records):
+    return hashlib.sha256(_json(records).encode()).hexdigest()
+
+
+def fingerprint(name, tmp_path):
+    return {key: _digest(records)
+            for key, records in _capture(name, tmp_path).items()}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_settings_match_recorded_fingerprint(name, tmp_path):
+    assert fingerprint(name, tmp_path) == RECORDED[name]
+
+
+def test_cli_solve_on_the_arm_builds_the_sweeps_configs(tmp_path):
+    path, _ = _load("arm", tmp_path)
+    sweep = [r for r in _capture("arm", tmp_path)["sweep"]
+             if r[0].startswith("solve_")]
+    cli_log = []
+    with pytest.MonkeyPatch.context() as mp:
+        _cli_solve(mp, cli_log, path, ("nominal", "sure"),
+                   str(tmp_path / "solution.json"))
+    assert [r[0] for r in sweep] == ["solve_nominal", "solve_sure"]
+    assert json.loads(_json(cli_log)) == json.loads(_json(sweep))

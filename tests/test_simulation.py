@@ -165,7 +165,7 @@ def test_simulate_records_contact_and_continues():
     # drive the pole into the wall: start leaning with inward velocity
     x0 = np.array([-0.1, 3.6, -0.5, 2.0])
     trace = simulation.simulate(sys_def, lambda t, x: np.zeros(1), x0,
-                                horizon=0.5)
+                                horizon=0.5, dt_sim=1e-3)
     assert len(trace.contact_events) >= 1
     ev = trace.contact_events[0]
     assert abs(cartpole.guard(ev.pre_state, sys_def.default_env,
@@ -187,7 +187,7 @@ def test_simulate_notifies_controller():
             seen.append(t)
 
     simulation.simulate(sys_def, Ctl(), np.array([-0.1, 3.6, -0.5, 2.0]),
-                        horizon=0.5)
+                        horizon=0.5, dt_sim=1e-3)
     assert len(seen) >= 1
 
 
@@ -195,7 +195,7 @@ def test_simulate_stop_condition():
     sys_def = cartpole.make_system()
     trace = simulation.simulate(
         sys_def, lambda t, x: np.zeros(1), np.array([0, 2.0, 0, 0]),
-        horizon=5.0,
+        horizon=5.0, dt_sim=1e-3,
         stop_condition=lambda t, x, n: "early" if t > 0.1 else None)
     assert trace.termination == "early"
     assert trace.times[-1] < 0.2
@@ -204,7 +204,8 @@ def test_simulate_stop_condition():
 def test_simulate_trace_export_roundtrip(tmp_path):
     sys_def = cartpole.make_system()
     trace = simulation.simulate(sys_def, lambda t, x: np.zeros(1),
-                                np.array([0, 3.0, 0, 0]), horizon=0.05)
+                                np.array([0, 3.0, 0, 0]), horizon=0.05,
+                                dt_sim=1e-3)
     csv_path = tmp_path / "trace.csv"
     trace.to_csv(csv_path)
     import csv as csvmod
@@ -217,7 +218,7 @@ def test_simulate_rejects_bad_dt():
     sys_def = cartpole.make_system()
     with pytest.raises(ValueError):
         simulation.simulate(sys_def, lambda t, x: np.zeros(1),
-                            cartpole.X_EQ, dt_sim=-1.0)
+                            cartpole.X_EQ, horizon=10.0, dt_sim=-1.0)
 
 
 @pytest.mark.parametrize("horizon", [0.0, 4e-4])

@@ -278,7 +278,7 @@ def test_robust_nominal_branch_plays_middle_branch():
     _, layout = tr.build_sure(CartPoleOcp(), cfg)
     rng = np.random.default_rng(3)
     bundle = tr.extract_solution(layout, rng.normal(size=layout.n_vars))
-    robust = tr.robust_nominal_branch(bundle)
+    robust = tr.robust_nominal_branch(bundle, dt_impact=1e-3)
     # common part up to the middle branching node (5), that branch, then
     # the common post-rejoin tail (nodes 8..12)
     assert robust.states.shape[0] == 6 + 4 + 5

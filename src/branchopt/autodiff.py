@@ -1,226 +1,363 @@
-"""Forward-mode automatic differentiation on dual numbers.
+"""Forward-mode automatic differentiation, recorded once and replayed.
 
-A :class:`Dual` carries a value and a vector of directional derivatives
-(one entry per seeded direction).  Values may be scalars or 1-D numpy
-arrays, in which case the same expression is differentiated for a whole
-batch of points at once; the derivative array then has one extra trailing
-axis of length ``n_dirs``.
+A differentiable callback is straight-line code over its inputs and
+constants, built from ``+ - * /``, ``**`` with a constant exponent,
+unary minus and this module's ``sin``, ``cos`` and ``sqrt``.  It may not
+branch on an input: comparisons, ``bool``, ``abs`` and numpy functions
+of an input raise ``TypeError`` when the callback is recorded.  Every
+other value it reads (parameters, weights, targets) is a constant, read
+once, when it is recorded.
 
-All elementary operations used by the dynamics, cost and constraint
-callbacks are provided as module-level functions (``sin``, ``cos``,
-``sqrt``) that dispatch on the argument type, so the same callback code
-runs on plain floats/arrays and on duals.
+A :class:`Tape` runs the callback once on symbolic :class:`Node` inputs
+and keeps what it did: for each operation its rule, its operand slots
+and its constants.  :meth:`Tape.evaluate` replays the operations for a
+batch of points as numpy calls into buffers allocated with the tape.
+The rules are the usual forward-mode ones, with fixed
+formulas (``a / b`` is ``a * (1 / b)``; the derivative of ``a * b`` is
+``b·da + a·db``), so a replay gives the same bits at the same point.
+
+``sin``, ``cos`` and ``sqrt`` also take plain floats and arrays, so the
+same callback runs on numbers.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-__all__ = [
-    "Dual",
-    "seed",
-    "seed_batch",
-    "jacobian",
-    "check_gradient",
-    "GradientReport",
-    "value_of",
-    "sin",
-    "cos",
-    "sqrt",
-]
+__all__ = ["Node", "Tape", "jacobian", "sin", "cos", "sqrt"]
+
+_SQRT_NEGATIVE = "sqrt of negative value in dual evaluation"
 
 
-class Dual:
-    """Value plus a vector of forward-mode directional derivatives."""
+class Node:
+    """An intermediate value of a callback while a :class:`Tape` records it."""
 
-    __slots__ = ("value", "derivs")
-    __array_priority__ = 100.0  # beat ndarray in mixed binary ops
+    __slots__ = ("tape", "slot")
+    # numpy defers its binary operators to the Node and refuses to apply
+    # its own functions (np.exp, np.abs, ...) to one
+    __array_ufunc__ = None
 
-    def __init__(self, value, derivs):
-        self.value = value
-        self.derivs = np.asarray(derivs, dtype=float)
-
-    # -- arithmetic -------------------------------------------------------
+    def __init__(self, tape, slot):
+        self.tape = tape
+        self.slot = slot
 
     def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value + other.value, self.derivs + other.derivs)
-        return Dual(self.value + other, self.derivs)
+        if isinstance(other, Node):
+            return self.tape._emit("add", self, other)
+        return self.tape._emit("add_c", self, const=other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value - other.value, self.derivs - other.derivs)
-        return Dual(self.value - other, self.derivs)
+        if isinstance(other, Node):
+            return self.tape._emit("sub", self, other)
+        return self.tape._emit("sub_c", self, const=other)
 
     def __rsub__(self, other):
-        return Dual(other - self.value, -self.derivs)
+        return self.tape._emit("rsub_c", self, const=other)
 
     def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(
-                self.value * other.value,
-                _col(other.value) * self.derivs + _col(self.value) * other.derivs,
-            )
-        return Dual(self.value * other, _col(other) * self.derivs)
+        if isinstance(other, Node):
+            return self.tape._emit("mul", self, other)
+        return self.tape._emit("mul_c", self, const=other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Dual):
-            inv = 1.0 / other.value
-            return Dual(
-                self.value * inv,
-                _col(inv) * self.derivs
-                - _col(self.value * inv * inv) * other.derivs,
-            )
-        return Dual(self.value / other, self.derivs / _col(other))
+        if isinstance(other, Node):
+            return self.tape._emit("div", self, other)
+        return self.tape._emit("div_c", self, const=other)
 
     def __rtruediv__(self, other):
-        inv = 1.0 / self.value
-        return Dual(other * inv, _col(-other * inv * inv) * self.derivs)
+        return self.tape._emit("rdiv_c", self, const=other)
 
     def __pow__(self, p):
-        if isinstance(p, Dual):
+        if isinstance(p, Node):
             raise TypeError("dual-valued exponents are not supported")
-        return Dual(self.value**p, _col(p * self.value ** (p - 1)) * self.derivs)
+        return self.tape._emit("pow_c", self, const=p)
 
     def __neg__(self):
-        return Dual(-self.value, -self.derivs)
+        return self.tape._emit("neg", self)
 
-    def __repr__(self):
-        return f"Dual({self.value!r}, {self.derivs!r})"
+    def _no_branching(self, *_):
+        raise TypeError("a recorded callback cannot compare or test "
+                        "its inputs")
 
-
-def _col(v):
-    """Append a broadcast axis when v is a batch (1-D) value."""
-    v = np.asarray(v)
-    return v[..., None] if v.ndim >= 1 else v
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _no_branching
+    __bool__ = _no_branching
 
 
-def value_of(y):
-    """Plain value of a Dual or pass-through for ordinary numbers."""
-    return y.value if isinstance(y, Dual) else y
+class Tape:
+    """A callback's operations on ``n_in`` inputs, recorded once for
+    batches of ``batch`` points and replayed by :meth:`evaluate`.
+
+    ``name`` labels the ``TypeError`` raised when the callback uses an
+    operation a tape cannot record.
+    """
+
+    def __init__(self, fun, n_in, batch, name):
+        self.n_in = n_in
+        self.batch = batch
+        self._shape = (batch, max(n_in, 1))  # of a value or its derivatives
+        self._ops = []  # (rule, operand slots + output slot, constant)
+        self._n_slots = n_in
+        try:
+            outs = fun([Node(self, j) for j in range(n_in)])
+        except TypeError as exc:
+            raise TypeError(f"{name}: {exc}") from exc
+        if isinstance(outs, Node):
+            outs = [outs]
+        consts = {}  # slot -> an output that is a constant
+        outputs = []
+        for y in outs:
+            if isinstance(y, Node):
+                outputs.append(y.slot)
+            else:
+                consts[self._n_slots] = self._const(y)
+                outputs.append(self._n_slots)
+                self._n_slots += 1
+        buffer = self._allocate(outputs, list(consts))
+        self._slots = np.zeros((max(buffer.values(), default=-1) + 1, 2)
+                               + self._shape)
+        for j in range(n_in):
+            self._slots[j, 1, :, j] = 1.0
+        for s, c in consts.items():
+            self._slots[buffer[s], 0] = c
+        self._outputs = np.array([buffer[s] for s in outputs], dtype=int)
+        self._tmp = np.empty((2,) + self._shape)
+        self._col = np.empty((2, batch))
+        self._steps = []
+        for rule, slots, const in self._ops:
+            views = [self._slots[buffer[s]] for s in slots]
+            self._steps += _RULES[rule](self, *views, const)
+
+    def _allocate(self, outputs, consts):
+        """The buffer of each slot.
+
+        A slot's buffer is reused once no later operation reads the slot;
+        the inputs, the constant outputs and the outputs keep theirs.  An
+        operation's output never shares a buffer with its operands.
+        """
+        n_in, n_ops = self.n_in, len(self._ops)
+        last = {}  # slot -> last operation that reads it
+        for i, (_, slots, _) in enumerate(self._ops):
+            for s in slots:
+                last[s] = i
+        for s in list(range(n_in)) + consts + outputs:
+            last[s] = n_ops
+        buffer = {s: b for b, s in enumerate(list(range(n_in)) + consts)}
+        free, n_buffers = [], len(buffer)
+        for i, (_, slots, _) in enumerate(self._ops):
+            if free:
+                buffer[slots[-1]] = free.pop()
+            else:
+                buffer[slots[-1]], n_buffers = n_buffers, n_buffers + 1
+            free += [buffer[s] for s in set(slots) if last[s] == i]
+        return buffer
+
+    # -- recording ------------------------------------------------------------
+
+    def _const(self, c):
+        """A constant as a scalar or as one value per batch entry, copied
+        across a value's columns."""
+        c = np.asarray(c, dtype=float)
+        if c.ndim == 0:
+            return c
+        if c.ndim == 1 and c.shape[0] in (1, self.batch):
+            return np.repeat(np.broadcast_to(c, (self.batch,))[:, None],
+                             self._shape[1], axis=1)
+        raise TypeError(f"a constant of shape {c.shape} does not broadcast "
+                        f"over a batch of {self.batch}")
+
+    def _emit(self, rule, *args, const=None):
+        if const is not None and rule != "pow_c":
+            const = self._const(const)
+        out = Node(self, self._n_slots)
+        self._ops.append((rule, [a.slot for a in args] + [out.slot], const))
+        self._n_slots += 1
+        return out
+
+    # -- replay ----------------------------------------------------------------
+
+    def evaluate(self, local):
+        """Values (batch, m) and derivatives (batch, m, n_in) of the m
+        outputs at a (batch, n_in) array of points."""
+        self._slots[: self.n_in, 0] = local.T[:, :, None]
+        for step in self._steps:
+            step()
+        out = self._slots[self._outputs]
+        return (out[:, 0, :, 0].T.copy(),
+                out[:, 1, :, : self.n_in].transpose(1, 0, 2).copy())
 
 
-# -- elementary functions --------------------------------------------------
+# -- rules: each returns the numpy calls that fill the output slot ------------
+#
+# A slot is one (2, batch, width) array: [0] holds the value in every
+# column, [1] the derivatives with respect to the inputs (width is n_in,
+# or 1 without inputs).  Keeping the value in every column makes each
+# product with it one numpy call on equal, contiguous shapes, the
+# cheapest kind, and makes a linear rule one call over the whole slot; a
+# transcendental function is taken of one column and copied across.
+# Each column of a value is computed by the same formula from the same
+# numbers, so it holds the same bits.  Adding -0.0 or subtracting +0.0
+# leaves a derivative's bits unchanged, the sign of a zero included, so
+# a shift by a constant is one call too.
+
+
+def _shift(t, c, zero):
+    """[c, zero] in the shape of a slot."""
+    vec = np.empty((2,) + t._shape)
+    vec[0], vec[1] = c, zero
+    return vec
+
+
+def _both(c):
+    """A constant for both halves of a slot: a scalar as it is, an array
+    copied to the shape of a slot."""
+    return c if c.ndim == 0 else np.stack([c, c])
+
+
+def _add(t, a, b, c, k):
+    return [partial(np.add, a, b, c)]
+
+
+def _sub(t, a, b, c, k):
+    return [partial(np.subtract, a, b, c)]
+
+
+def _mul(t, a, b, c, k):
+    # value a*b; derivatives b·da + a·db
+    return [partial(np.multiply, a[0], b[0], c[0]),
+            partial(np.multiply, a[1], b[0], c[1]),
+            partial(np.multiply, b[1], a[0], t._tmp[0]),
+            partial(np.add, c[1], t._tmp[0], c[1])]
+
+
+def _div(t, a, b, c, k):
+    # inv = 1/b; value a*inv; derivatives inv·da - (a*inv*inv)·db
+    inv, q = t._tmp
+    return [partial(np.divide, 1.0, b[0], inv),
+            partial(np.multiply, a[0], inv, c[0]),
+            partial(np.multiply, a[1], inv, c[1]),
+            partial(np.multiply, c[0], inv, q),
+            partial(np.multiply, b[1], q, q),
+            partial(np.subtract, c[1], q, c[1])]
+
+
+def _add_c(t, a, c, k):
+    return [partial(np.add, a, _shift(t, k, -0.0), c)]
+
+
+def _sub_c(t, a, c, k):
+    return [partial(np.subtract, a, _shift(t, k, 0.0), c)]
+
+
+def _rsub_c(t, a, c, k):
+    return [partial(np.subtract, _shift(t, k, -0.0), a, c)]
+
+
+def _mul_c(t, a, c, k):
+    return [partial(np.multiply, a, _both(k), c)]
+
+
+def _div_c(t, a, c, k):
+    return [partial(np.divide, a, _both(k), c)]
+
+
+def _rdiv_c(t, a, c, k):
+    # inv = 1/a; value k*inv; derivatives (-k*inv*inv)·da
+    inv, q = t._tmp
+    return [partial(np.divide, 1.0, a[0], inv),
+            partial(np.multiply, -k, inv, q),
+            partial(np.multiply, q, inv, q),
+            partial(np.multiply, a[1], q, c[1]),
+            partial(np.multiply, k, inv, c[0])]
+
+
+def _pow_c(t, a, c, p):
+    # the exponent as the callback gave it: numpy's ``**`` special-cases
+    # some exponents, and the rule must take the same path
+    def step():
+        c[0] = a[0] ** p
+        np.multiply(a[1], p * a[0] ** (p - 1), c[1])
+
+    return [step]
+
+
+def _neg(t, a, c, k):
+    return [partial(np.negative, a, c)]
+
+
+def _sin(t, a, c, k):
+    v, d = t._col
+    return [partial(np.sin, a[0, :, 0], v),
+            partial(np.copyto, c[0], v[:, None]),
+            partial(np.cos, a[0, :, 0], d),
+            partial(np.multiply, a[1], d[:, None], c[1])]
+
+
+def _cos(t, a, c, k):
+    v, d = t._col
+    return [partial(np.cos, a[0, :, 0], v),
+            partial(np.copyto, c[0], v[:, None]),
+            partial(np.sin, a[0, :, 0], d),
+            partial(np.negative, d, d),
+            partial(np.multiply, a[1], d[:, None], c[1])]
+
+
+def _sqrt(t, a, c, k):
+    v, d = t._col
+    value = a[0, :, 0]
+
+    def check():
+        if np.any(value < 0):
+            raise ValueError(_SQRT_NEGATIVE)
+
+    return [check,
+            partial(np.sqrt, value, v),
+            partial(np.copyto, c[0], v[:, None]),
+            partial(np.divide, 0.5, v, d),
+            partial(np.multiply, a[1], d[:, None], c[1])]
+
+
+_RULES = {
+    "add": _add, "sub": _sub, "mul": _mul, "div": _div,
+    "add_c": _add_c, "sub_c": _sub_c, "rsub_c": _rsub_c,
+    "mul_c": _mul_c, "div_c": _div_c, "rdiv_c": _rdiv_c, "pow_c": _pow_c,
+    "neg": _neg, "sin": _sin, "cos": _cos, "sqrt": _sqrt,
+}
+
+
+# -- elementary functions -----------------------------------------------------
 
 
 def sin(x):
-    if isinstance(x, Dual):
-        return Dual(np.sin(x.value), _col(np.cos(x.value)) * x.derivs)
+    if isinstance(x, Node):
+        return x.tape._emit("sin", x)
     return np.sin(x)
 
 
 def cos(x):
-    if isinstance(x, Dual):
-        return Dual(np.cos(x.value), _col(-np.sin(x.value)) * x.derivs)
+    if isinstance(x, Node):
+        return x.tape._emit("cos", x)
     return np.cos(x)
 
 
 def sqrt(x):
-    if isinstance(x, Dual):
-        if np.any(np.asarray(x.value) < 0):
-            raise ValueError("sqrt of negative value in dual evaluation")
-        r = np.sqrt(x.value)
-        return Dual(r, _col(0.5 / r) * x.derivs)
+    if isinstance(x, Node):
+        return x.tape._emit("sqrt", x)
     if np.any(np.asarray(x) < 0):
         raise ValueError("sqrt of negative value")
     return np.sqrt(x)
 
 
-# -- seeding and jacobians -------------------------------------------------
-
-
-def seed(x):
-    """One Dual per entry of x, seeded with the identity directions."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    eye = np.eye(n)
-    return [Dual(x[i], eye[i]) for i in range(n)]
-
-
-@functools.lru_cache(maxsize=256)
-def _identity_seeds(batch, k):
-    """k read-only (batch, k) arrays; the j-th is one in column j."""
-    seeds = []
-    for j in range(k):
-        d = np.zeros((batch, k))
-        d[:, j] = 1.0
-        d.flags.writeable = False
-        seeds.append(d)
-    return tuple(seeds)
-
-
-def seed_batch(values):
-    """Identity-seeded duals for a (batch, k) array of local variables.
-
-    Returns k duals whose values are the columns of ``values`` and whose
-    derivative arrays have shape (batch, k).  The derivative arrays are
-    shared, read-only and cached per (batch, k).
-    """
-    values = np.asarray(values, dtype=float)
-    batch, k = values.shape
-    return [Dual(values[:, j], d)
-            for j, d in enumerate(_identity_seeds(batch, k))]
-
-
 def jacobian(f, x):
-    """Jacobian of a vector function via one batched forward pass.
+    """Jacobian of a vector function at one point.
 
     Row i holds the gradient of the i-th output with respect to x.
     """
     x = np.asarray(x, dtype=float)
-    outputs = f(seed(x))
-    if isinstance(outputs, Dual):
-        outputs = [outputs]
-    jac = np.zeros((len(outputs), x.size))
-    for i, y in enumerate(outputs):
-        if isinstance(y, Dual):
-            jac[i] = y.derivs
-    return jac
-
-
-@dataclass
-class GradientReport:
-    max_rel_err: float
-    passed: bool
-    jac_ad: np.ndarray
-    jac_fd: np.ndarray
-
-
-def finite_difference_jacobian(f, x, h=1e-6):
-    """Central-difference jacobian, the independent check for the AD path."""
-    x = np.asarray(x, dtype=float)
-
-    def eval_plain(xv):
-        out = f(list(xv))
-        if isinstance(out, (Dual, float, int)):
-            out = [out]
-        return np.array([value_of(y) for y in out], dtype=float)
-
-    cols = []
-    for j in range(x.size):
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        cols.append((eval_plain(xp) - eval_plain(xm)) / (2 * h))
-    return np.column_stack(cols)
-
-
-def check_gradient(f, x, h=1e-6, tol=1e-6):
-    """Compare the AD jacobian of f against central finite differences.
-
-    Relative error is measured against max(1, |entry|).
-    """
-    if h <= 0 or tol <= 0:
-        raise ValueError("h and tol must be positive")
-    jac_ad = jacobian(f, x)
-    jac_fd = finite_difference_jacobian(f, x, h)
-    denom = np.maximum(1.0, np.abs(jac_fd))
-    max_rel_err = float(np.max(np.abs(jac_ad - jac_fd) / denom)) if jac_ad.size else 0.0
-    return GradientReport(max_rel_err, max_rel_err <= tol, jac_ad, jac_fd)
+    name = getattr(f, "__name__", type(f).__name__)
+    return Tape(f, x.size, 1, name).evaluate(x[None, :])[1][0]

@@ -5,8 +5,13 @@ Problems are expressed as *blocks*: a block evaluates the same small
 callback at many slices of the decision vector simultaneously (one row
 per instance, one column per local variable).  Cost blocks return
 least-squares residuals (the objective is the sum of their squares);
-equality blocks target zero; inequality blocks target <= 0.  All
-callbacks must be dual-evaluable so the solver gets exact derivatives.
+equality blocks target zero; inequality blocks target <= 0.  The solver
+gets exact derivatives from each block's tape (``autodiff.Tape``): a
+block's callback runs once on symbolic inputs, at its first derivative
+evaluation, and every later one replays the recorded operations.  So a
+callback is straight-line code over ``+ - * / **`` (constant exponent),
+unary minus and ``autodiff.sin``/``cos``/``sqrt``, and every constant it
+reads is read once, at that first evaluation.
 
 Each outer iteration minimizes the augmented Lagrangian
 
@@ -26,7 +31,7 @@ by the same LM method.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -51,16 +56,23 @@ __all__ = [
 class Block:
     """A batched callback over slices of the decision vector.
 
-    ``fun`` receives one entry per local variable (column of ``indices``),
-    each a float array of shape (batch,) or a Dual with batched value, and
-    returns ``n_out`` outputs of the same batch shape.  A row of
-    ``indices`` names each variable at most once.
+    ``fun`` receives a list with one entry per local variable (column of
+    ``indices``) and returns ``n_out`` outputs.  Plain evaluation passes
+    float arrays of shape (batch,); the first derivative evaluation
+    passes ``autodiff.Node`` inputs once, to record ``tape``, which every
+    derivative evaluation replays.  So ``fun`` is straight-line code over
+    ``+ - * / **`` (constant exponent), unary minus and
+    ``autodiff.sin``/``cos``/``sqrt``, and the constants it reads are read
+    once, when the tape is recorded.  A row of ``indices`` names each
+    variable at most once.
     """
 
     name: str
     fun: Callable
     indices: np.ndarray  # (batch, k) int
     n_out: int
+    tape: ad.Tape | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=int)
@@ -153,31 +165,25 @@ class SolverOpts:
 # -- block evaluation -------------------------------------------------------
 
 
-def _outputs_to_arrays(outs, batch):
-    values = np.empty((batch, len(outs)))
-    for i, y in enumerate(outs):
-        values[:, i] = ad.value_of(y)
-    return values
-
-
 def block_values(block: Block, x):
     vars_ = [x[block.indices[:, j]] for j in range(block.indices.shape[1])]
     outs = block.fun(vars_)
-    return _outputs_to_arrays(outs, block.batch)
+    values = np.empty((block.batch, len(outs)))
+    for i, y in enumerate(outs):
+        values[:, i] = y
+    return values
 
 
 def block_values_and_jac(block: Block, x):
-    """Values (batch, m) and local jacobian (batch, m, k) in one pass."""
-    local = x[block.indices]
-    duals = ad.seed_batch(local)
-    outs = block.fun(duals)
-    batch, k = local.shape
-    values = _outputs_to_arrays(outs, batch)
-    jac = np.zeros((batch, block.n_out, k))
-    for i, y in enumerate(outs):
-        if isinstance(y, ad.Dual):
-            jac[:, i, :] = y.derivs
-    return values, jac
+    """Values (batch, m) and local jacobian (batch, m, k) in one pass.
+
+    The first call records the block's tape; every call replays it.
+    """
+    tape = block.tape
+    if tape is None:
+        tape = block.tape = ad.Tape(block.fun, block.indices.shape[1],
+                                    block.batch, f"block {block.name}")
+    return tape.evaluate(x[block.indices])
 
 
 def eval_constraints(blocks, x):
@@ -281,21 +287,29 @@ class _AlResiduals:
     """
 
     def __init__(self, problem, lam, mu, rho, free, x_template):
-        self.problem = problem
-        self.lam = lam
-        self.mu = mu
-        self.rho = rho
+        self._sq = np.sqrt(rho / 2.0)
+        self._lam_rho = lam / rho
+        self._mu_rho = mu / rho
         self.free = free
         self.template = x_template
+        self._blocks = (problem.cost_blocks + problem.eq_blocks
+                        + problem.ineq_blocks)
         empty = np.zeros(0, dtype=int)
         rows, cols, row = [empty], [empty], 0
-        for b in problem.cost_blocks + problem.eq_blocks + problem.ineq_blocks:
+        for b in self._blocks:
             r, c = _block_coords(b, row)
             rows.append(r)
             cols.append(c)
             row += b.size
-        self.n_res = row
         rows, cols = np.concatenate(rows), np.concatenate(cols)
+        # residual rows [0, e0) cost, [e0, e1) equality, [e1, row)
+        # inequality; block-jacobian entries [0, d0), [d0, d1), [d1, ...)
+        e0 = sum(b.size for b in problem.cost_blocks)
+        e1 = e0 + problem.n_eq
+        d0, d1 = np.searchsorted(rows, [e0, e1])
+        self._eq_rows, self._ineq_rows = slice(e0, e1), slice(e1, row)
+        self._eq_entries, self._ineq_entries = slice(d0, d1), slice(d1, None)
+        self._ineq_entry_rows = rows[d1:] - e1
         keep = np.flatnonzero(free[cols])
         rows, cols = rows[keep], (np.cumsum(free) - 1)[cols[keep]]
         order = np.lexsort((cols, rows))
@@ -320,34 +334,23 @@ class _AlResiduals:
         if self._cache_key == key:
             return self._cache
         x = self.full_x(z)
-        p = self.problem
-        sq = np.sqrt(self.rho / 2.0)
-        res_parts, jac_parts = [np.zeros(0)], [np.zeros(0)]
-        for b in p.cost_blocks:
+        res, data = [np.zeros(0)], [np.zeros(0)]
+        for b in self._blocks:
             vals, jac = block_values_and_jac(b, x)
-            res_parts.append(vals.ravel())
-            jac_parts.append(jac.ravel())
-        off = 0
-        for b in p.eq_blocks:
-            vals, jac = block_values_and_jac(b, x)
-            lb = self.lam[off : off + b.size].reshape(b.batch, b.n_out)
-            res_parts.append((sq * (vals + lb / self.rho)).ravel())
-            jac_parts.append((jac * sq).ravel())
-            off += b.size
-        off = 0
-        for b in p.ineq_blocks:
-            vals, jac = block_values_and_jac(b, x)
-            mb = self.mu[off : off + b.size].reshape(b.batch, b.n_out)
-            shifted = vals + mb / self.rho
-            active = (shifted > 0).astype(float)
-            res_parts.append((sq * np.clip(shifted, 0.0, None)).ravel())
-            jac_parts.append(((jac * sq) * active[:, :, None]).ravel())
-            off += b.size
-        data = np.concatenate(jac_parts)[self._perm]
-        J = sp.csr_matrix((data, self._indices, self._indptr),
+            res.append(vals.ravel())
+            data.append(jac.ravel())
+        res, data = np.concatenate(res), np.concatenate(data)
+        sq, eq, ineq = self._sq, self._eq_rows, self._ineq_rows
+        res[eq] = sq * (res[eq] + self._lam_rho)
+        data[self._eq_entries] *= sq
+        shifted = res[ineq] + self._mu_rho
+        res[ineq] = sq * np.clip(shifted, 0.0, None)
+        active = (shifted > 0).astype(float)[self._ineq_entry_rows]
+        data[self._ineq_entries] = (data[self._ineq_entries] * sq) * active
+        J = sp.csr_matrix((data[self._perm], self._indices, self._indptr),
                           shape=self._shape)
         self._cache_key = key
-        self._cache = (np.concatenate(res_parts), J)
+        self._cache = (res, J)
         return self._cache
 
     def residuals(self, z):
@@ -355,6 +358,60 @@ class _AlResiduals:
 
     def jac(self, z):
         return self._evaluate(z)[1]
+
+
+def _normal_equations(J, r, free):
+    """``Jfᵀ Jf`` (CSC) and ``-Jfᵀ r`` for ``Jf = J.tocsc()[:, free]`` of a
+    CSR Jacobian J with sorted indices.
+
+    When every column is free, J is already Jf in the CSR form the
+    product needs, so neither the column slice nor the conversion back
+    from CSC is made; the product gets the same arrays either way.
+    """
+    Jf = J.tocsc()
+    if np.all(free):
+        JfT, Jf = Jf.T, J
+    else:
+        Jf = Jf[:, free]
+        JfT = Jf.T
+    return (JfT @ Jf).tocsc(), -(JfT @ r)
+
+
+class _DampedNormal:
+    """``(A + sp.diags(sigma * d)).tocsc()`` for every sigma > 0, on one
+    pattern, with the damping diagonal ``d = max(diag(A), 1e-10)``.
+
+    ``A`` is a canonical CSC normal matrix ``JᵀJ`` (diagonal >= 0), so
+    every damping gives scipy's sum the same pattern: A's nonzero entries
+    and the whole diagonal.  It is built once, and :meth:`at` rewrites
+    only the diagonal slots, with the sums scipy forms
+    (``A_ii + sigma * d_i``, ``A_ii`` 0 where A stores none).  When A
+    stores every diagonal entry and no zero, the pattern is A's own;
+    otherwise scipy's sum builds it.
+    """
+
+    def __init__(self, A):
+        self._a = A.diagonal()
+        self._d = np.maximum(self._a, 1e-10)
+        diag = _diagonal_slots(A)
+        if diag.size == A.shape[1] and A.data.all():
+            self.matrix = sp.csc_matrix((A.data.copy(), A.indices, A.indptr),
+                                        shape=A.shape)
+        else:
+            self.matrix = (A + sp.diags(self._d)).tocsc()
+            diag = _diagonal_slots(self.matrix)
+        self._diag = diag
+
+    def at(self, sigma):
+        self.matrix.data[self._diag] = self._a + sigma * self._d
+        return self.matrix
+
+
+def _diagonal_slots(m):
+    """Positions in ``m.data`` of the stored diagonal entries of a CSC m,
+    in column order."""
+    cols = np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))
+    return np.flatnonzero(m.indices == cols)
 
 
 def _bounded_lm(helper, z0, lb, ub, max_iter, gtol):
@@ -381,14 +438,12 @@ def _bounded_lm(helper, z0, lb, ub, max_iter, gtol):
         free = ~(on_lb | on_ub)
         if not np.any(free):
             break
-        Jf = J.tocsc()[:, free]
-        A = (Jf.T @ Jf).tocsc()
-        d = np.maximum(A.diagonal(), 1e-10)
-        rhs = -(Jf.T @ r)
+        A, rhs = _normal_equations(J, r, free)
+        damped = _DampedNormal(A)
         accepted = False
         for _trial in range(30):
             try:
-                p = spla.factorized((A + sp.diags(sigma * d)).tocsc())(rhs)
+                p = spla.factorized(damped.at(sigma))(rhs)
             except RuntimeError:
                 sigma *= 10.0
                 continue
@@ -531,9 +586,10 @@ def solve(problem: NlpProblem, x0, opts: SolverOpts = None) -> NlpSolution:
     """
     opts = opts if opts is not None else SolverOpts()
     t_start = time.perf_counter()
-    x = np.clip(np.asarray(x0, dtype=float), problem.lower, problem.upper)
-    if x.size != problem.n_vars:
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (problem.n_vars,):
         raise ValueError("x0 has wrong dimension")
+    x = np.clip(x0, problem.lower, problem.upper)
     lam = np.zeros(problem.n_eq)
     mu = np.zeros(problem.n_ineq)
     rho = RHO0

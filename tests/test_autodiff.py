@@ -1,4 +1,4 @@
-"""Forward-mode AD: dual arithmetic, batching, jacobians, FD checks."""
+"""Forward-mode AD: recorded arithmetic, batching, jacobians, FD checks."""
 
 import math
 
@@ -8,28 +8,37 @@ import pytest
 from branchopt import autodiff as ad
 from branchopt import nlp
 
+from gradient_check import check_gradient
+
+
+def _value_and_derivs(f, x):
+    """Value and gradient of a scalar callback at one point, by replay."""
+    vals, jac = ad.Tape(lambda v: [f(v)], len(x), 1, "f").evaluate(
+        np.array([x], dtype=float))
+    return vals[0, 0], jac[0, 0]
+
 
 def test_dual_arithmetic_scalar():
-    x, y = ad.seed([2.0, 3.0])
-    z = x * y + x / y - 2.0 * y + 5.0
-    assert z.value == pytest.approx(2 * 3 + 2 / 3 - 6 + 5)
+    value, derivs = _value_and_derivs(
+        lambda v: v[0] * v[1] + v[0] / v[1] - 2.0 * v[1] + 5.0, [2.0, 3.0])
+    assert value == pytest.approx(2 * 3 + 2 / 3 - 6 + 5)
     # dz/dx = y + 1/y ; dz/dy = x - x/y^2 - 2
-    assert z.derivs == pytest.approx([3 + 1 / 3, 2 - 2 / 9 - 2])
+    assert derivs == pytest.approx([3 + 1 / 3, 2 - 2 / 9 - 2])
 
 
 def test_dual_power_neg_rsub():
-    (x,) = ad.seed([1.5])
-    z = 4.0 - (-x) ** 3
-    assert z.value == pytest.approx(4 + 1.5**3)
-    assert z.derivs[0] == pytest.approx(3 * 1.5**2)
+    value, derivs = _value_and_derivs(lambda v: 4.0 - (-v[0]) ** 3, [1.5])
+    assert value == pytest.approx(4 + 1.5**3)
+    assert derivs[0] == pytest.approx(3 * 1.5**2)
 
 
 def test_elementary_functions_match_derivatives():
     for v in (0.3, 1.2, 2.5):
-        (x,) = ad.seed([v])
-        assert ad.sin(x).derivs[0] == pytest.approx(math.cos(v))
-        assert ad.cos(x).derivs[0] == pytest.approx(-math.sin(v))
-        assert ad.sqrt(x).derivs[0] == pytest.approx(0.5 / math.sqrt(v))
+        jac = ad.jacobian(lambda x: [ad.sin(x[0]), ad.cos(x[0]),
+                                     ad.sqrt(x[0])], [v])[:, 0]
+        assert jac[0] == pytest.approx(math.cos(v))
+        assert jac[1] == pytest.approx(-math.sin(v))
+        assert jac[2] == pytest.approx(0.5 / math.sqrt(v))
 
 
 def test_elementary_functions_pass_through_floats():
@@ -54,25 +63,52 @@ def test_gradient_scalar():
     assert g == pytest.approx([4.0, 3.0])
 
 
-def test_seed_batch_block_jacobian():
+def test_tape_block_jacobian():
     pts = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    a, b = ad.seed_batch(pts)
-    y = a * b  # d/da = b, d/db = a
-    assert y.value == pytest.approx(pts[:, 0] * pts[:, 1])
-    assert y.derivs == pytest.approx(np.column_stack([pts[:, 1], pts[:, 0]]))
+    tape = ad.Tape(lambda v: [v[0] * v[1]], 2, 3, "f")
+    vals, jac = tape.evaluate(pts)  # d/da = b, d/db = a
+    assert vals[:, 0] == pytest.approx(pts[:, 0] * pts[:, 1])
+    assert jac[:, 0] == pytest.approx(np.column_stack([pts[:, 1],
+                                                       pts[:, 0]]))
 
 
-def test_seed_batch_seeds_are_shared_and_read_only():
-    pts = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    a, b = ad.seed_batch(pts)
-    a2, b2 = ad.seed_batch(pts + 1.0)
-    assert a2.derivs is a.derivs and b2.derivs is b.derivs
-    assert np.array_equal(a.derivs, [[1.0, 0.0]] * 3)
-    assert np.array_equal(b.derivs, [[0.0, 1.0]] * 3)
-    with pytest.raises(ValueError):
-        a.derivs[0, 0] = 2.0
-    with pytest.raises(ValueError):
-        b.derivs += 1.0
+def test_block_callback_is_recorded_once():
+    calls = []
+
+    def f(v):
+        calls.append("f")
+        return [v[0] * ad.sin(v[1])]
+
+    def g(v):
+        calls.append("g")
+        return [v[0] / v[1], 2.0]
+
+    f_block = nlp.Block("f", f, np.array([[0, 1], [2, 1]]), 1)
+    g_block = nlp.Block("g", g, np.array([[1, 2]]), 2)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        x = rng.uniform(0.5, 2.0, size=3)
+        f_vals, _ = nlp.block_values_and_jac(f_block, x)
+        g_vals, _ = nlp.block_values_and_jac(g_block, x)
+        # every replay is at the new point
+        assert f_vals[:, 0] == pytest.approx(x[[0, 2]] * np.sin(x[1]))
+        assert g_vals.tolist() == [[x[1] * (1.0 / x[2]), 2.0]]
+    assert calls == ["f", "g"]
+
+
+@pytest.mark.parametrize("op", [abs, lambda a: a < 0.5, np.exp],
+                         ids=["abs", "comparison", "np.exp"])
+def test_unsupported_operation_names_the_block(op):
+    block = nlp.Block("bad_block", lambda v: [op(v[0])], np.array([[0]]), 1)
+    with pytest.raises(TypeError, match="block bad_block"):
+        nlp.block_values_and_jac(block, np.array([1.0]))
+
+
+def test_replayed_sqrt_rejects_a_negative_argument():
+    block = nlp.Block("root", lambda v: [ad.sqrt(v[0])], np.array([[0]]), 1)
+    assert nlp.block_values_and_jac(block, np.array([4.0]))[1][0, 0, 0] == 0.25
+    with pytest.raises(ValueError, match="sqrt of negative value"):
+        nlp.block_values_and_jac(block, np.array([-1.0]))
 
 
 def test_repeated_block_evaluation_is_identical():
@@ -99,7 +135,7 @@ def test_check_gradient_random_functions():
 
     for _ in range(20):
         pt = rng.normal(size=3)
-        rep = ad.check_gradient(f, pt)
+        rep = check_gradient(f, pt)
         assert rep.passed, rep.max_rel_err
 
 
@@ -107,14 +143,14 @@ def test_check_gradient_catches_wrong_jacobian():
     class Lying:
         def __call__(self, v):
             x = v[0]
-            if isinstance(x, ad.Dual):
-                return [ad.Dual(x.value**2, 3.0 * x.derivs)]  # wrong slope
+            if isinstance(x, ad.Node):
+                return [1.5 * (x * x)]  # wrong slope
             return [x**2]
 
-    rep = ad.check_gradient(Lying(), np.array([1.0]))
+    rep = check_gradient(Lying(), np.array([1.0]))
     assert not rep.passed
 
 
 def test_check_gradient_rejects_bad_args():
     with pytest.raises(ValueError):
-        ad.check_gradient(lambda v: [v[0]], np.array([1.0]), h=0.0)
+        check_gradient(lambda v: [v[0]], np.array([1.0]), h=0.0)

@@ -13,7 +13,8 @@ import sys
 
 import pytest
 
-from branchopt import nlp, pipeline, simulation
+from branchopt import bench, config, nlp, pipeline, simulation
+from branchopt import transcription as tr
 from branchopt.plants import cartpole
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -28,6 +29,23 @@ def test_solver_layers_patch_and_restore():
     with tracing.solver_layers(tracing.Tracer()):
         assert nlp.solve is not solve
     assert nlp.solve is solve
+
+
+def test_solver_layers_attribute_block_jacobians_and_factorizations():
+    # the short N=30 nominal solve of test_nlp, traced: the replayed block
+    # evaluations and the LM factorizations are still counted per layer
+    run = config.load_config(None)
+    adapter, _, _ = config.build_plant(run)
+    cfg = pipeline.nominal_stage_config(config.transcription_config(
+        run, "sure", run.conditions[0], bench.X_END, N=30, dt_max=0.1,
+        k_first=9, k_last=11, n_rejoin=4, n_branch_full=18))
+    problem, layout = tr.build_nominal(adapter, cfg)
+    tracer = tracing.Tracer()
+    with tracing.solver_layers(tracer):
+        nlp.solve(problem, tr.default_initial_guess(adapter, layout),
+                  nlp.SolverOpts(max_outer=1, max_inner=5))
+    assert tracer.spans["nlp.block_jac"][0] > 0
+    assert tracer.spans["nlp.factorize"][0] > 0
 
 
 def test_simulation_layers_patch_and_restore():

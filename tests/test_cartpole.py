@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from branchopt import autodiff as ad
 from branchopt import simulation
 from branchopt.plants import cartpole
+
+from gradient_check import check_gradient
 
 
 P = cartpole.CartPoleParams()
@@ -138,7 +139,7 @@ def test_accel_is_dual_evaluable():
         xdd, thdd = cartpole.accel(v[0], v[1], v[2], v[3], v[4], P)
         return [xdd, thdd]
 
-    rep = ad.check_gradient(f, np.array([3.0, 1.0, 2.0, 0.5, -0.3]))
+    rep = check_gradient(f, np.array([3.0, 1.0, 2.0, 0.5, -0.3]))
     assert rep.passed, rep.max_rel_err
 
 

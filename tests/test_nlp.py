@@ -159,6 +159,16 @@ def test_x0_dimension_checked():
         nlp.solve(p, np.zeros(3))
 
 
+@pytest.mark.parametrize("x0", [0.2, np.zeros(3), np.zeros((2, 1))],
+                         ids=["scalar", "too_long", "column"])
+def test_x0_must_be_a_vector_of_n_vars(x0):
+    # checked before the bounds clip would broadcast it
+    p = _problem(2, cost=[_block("r", lambda v: [v[0]], [[0]], 1)],
+                 lower=[-1.0, -1.0], upper=[1.0, 1.0])
+    with pytest.raises(ValueError, match="wrong dimension"):
+        nlp.solve(p, x0)
+
+
 def test_block_rejects_a_repeated_variable():
     with pytest.raises(ValueError, match="repeats"):
         _block("r", lambda v: [v[0] - v[1]], [[0, 1], [2, 2]], 1)
@@ -250,6 +260,91 @@ def test_al_jacobian_is_bit_identical_to_coo_assembly(freeze):
                 np.signbit(want_J.data).tolist()
     # both kinds of inequality rows were exercised
     assert n_active > 0 and n_inactive > 0
+
+
+def _normal_matrices():
+    """Normal matrices JᵀJ of the plants' AL Jacobians, with all columns
+    free and with every fourth one frozen, and of a Jacobian with an
+    all-zero column (its diagonal entry is missing from JᵀJ)."""
+    rng = np.random.default_rng(5)
+    for problem, x0 in _plant_problems():
+        lam = rng.standard_normal(problem.n_eq)
+        mu = np.abs(rng.standard_normal(problem.n_ineq))
+        free = problem.lower < problem.upper
+        J = nlp._AlResiduals(problem, lam, mu, 100.0, free, x0).jac(x0[free])
+        Jc = J.tocsc()
+        yield "free", Jc
+        frozen = np.ones(Jc.shape[1], dtype=bool)
+        frozen[::4] = False
+        yield "frozen", Jc[:, frozen]
+    dense = rng.standard_normal((8, 6))
+    dense[:, 2] = 0.0
+    dense[rng.random((8, 6)) < 0.4] = 0.0
+    yield "zero_column", sp.csr_matrix(dense).tocsc()
+
+
+def test_damped_normal_matrix_is_bit_identical_to_scipy_sum():
+    kinds = set()
+    for kind, Jf in _normal_matrices():
+        A = (Jf.T @ Jf).tocsc()
+        d = np.maximum(A.diagonal(), 1e-10)
+        damped = nlp._DampedNormal(A)
+        for sigma in (1e-14, 1e-5, 0.37, 2e3, 1e9):
+            got = damped.at(sigma)
+            want = (A + sp.diags(sigma * d)).tocsc()
+            assert got.shape == want.shape
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype, name
+                assert a.tobytes() == b.tobytes(), name
+        # A stores every diagonal entry (the pattern is A's own) or not
+        # (scipy's sum builds it)
+        kinds.add((kind, bool(np.all(A.diagonal() != 0))))
+    assert {k for k, _ in kinds} == {"free", "frozen", "zero_column"}
+    assert ("zero_column", False) in kinds
+    assert {full for _, full in kinds} == {True, False}
+
+
+def test_normal_equations_are_bit_identical_to_the_sliced_product():
+    # _normal_equations skips the column slice and the CSC -> CSR
+    # conversion when no column is frozen; no byte of the result changes
+    rng = np.random.default_rng(6)
+    n_all_free = 0
+    for problem, x0 in _plant_problems():
+        free = problem.lower < problem.upper
+        helper = nlp._AlResiduals(problem, rng.standard_normal(problem.n_eq),
+                                  np.abs(rng.standard_normal(problem.n_ineq)),
+                                  100.0, free, x0)
+        J, r = helper.jac(x0[free]), helper.residuals(x0[free])
+        for mask in (np.ones(J.shape[1], dtype=bool),
+                     rng.random(J.shape[1]) < 0.8):
+            Jf = J.tocsc()[:, mask]
+            want_A, want_rhs = (Jf.T @ Jf).tocsc(), -(Jf.T @ r)
+            A, rhs = nlp._normal_equations(J, r, mask)
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(A, name), getattr(want_A, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert rhs.tobytes() == want_rhs.tobytes()
+            n_all_free += bool(np.all(mask))
+    assert n_all_free == 6
+
+
+def test_al_jacobian_survives_evaluating_another_point():
+    problem, x0 = next(_plant_problems())
+    rng = np.random.default_rng(2)
+    free = problem.lower < problem.upper
+    helper = nlp._AlResiduals(problem, rng.standard_normal(problem.n_eq),
+                              np.abs(rng.standard_normal(problem.n_ineq)),
+                              100.0, free, x0)
+    z = x0[free]
+    J = helper.jac(z)
+    kept = [J.data.copy(), J.indices.copy(), J.indptr.copy()]
+    other = np.clip(z + 0.1 * rng.standard_normal(z.size),
+                    problem.lower[free], problem.upper[free])
+    helper.residuals(other)
+    assert helper.jac(other).data.tobytes() != kept[0].tobytes()
+    for got, want in zip((J.data, J.indices, J.indptr), kept):
+        assert got.tobytes() == want.tobytes()
 
 
 # -- determinism ------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Forward-mode automatic differentiation, recorded once and replayed.
 
 A differentiable callback is straight-line code over its inputs and
-constants, built from ``+ - * /``, ``**`` with a constant exponent,
+constants, built from ``+ - * /``, ``**`` with a constant scalar exponent,
 unary minus and this module's ``sin``, ``cos`` and ``sqrt``.  It may not
 branch on an input: comparisons, ``bool``, ``abs`` and numpy functions
 of an input raise ``TypeError`` when the callback is recorded.  Every
@@ -76,6 +76,8 @@ class Node:
     def __pow__(self, p):
         if isinstance(p, Node):
             raise TypeError("dual-valued exponents are not supported")
+        if np.ndim(p) != 0:
+            raise TypeError("an exponent must be one constant number")
         return self.tape._emit("pow_c", self, const=p)
 
     def __neg__(self):

@@ -360,47 +360,22 @@ class _AlResiduals:
         return self._evaluate(z)[1]
 
 
-def _normal_equations(J, r, free):
-    """``Jfᵀ Jf`` (CSC) and ``-Jfᵀ r`` for ``Jf = J.tocsc()[:, free]`` of a
-    CSR Jacobian J with sorted indices.
-
-    When every column is free, J is already Jf in the CSR form the
-    product needs, so neither the column slice nor the conversion back
-    from CSC is made; the product gets the same arrays either way.
-    """
-    Jf = J.tocsc()
-    if np.all(free):
-        JfT, Jf = Jf.T, J
-    else:
-        Jf = Jf[:, free]
-        JfT = Jf.T
-    return (JfT @ Jf).tocsc(), -(JfT @ r)
-
-
 class _DampedNormal:
     """``(A + sp.diags(sigma * d)).tocsc()`` for every sigma > 0, on one
     pattern, with the damping diagonal ``d = max(diag(A), 1e-10)``.
 
-    ``A`` is a canonical CSC normal matrix ``JᵀJ`` (diagonal >= 0), so
-    every damping gives scipy's sum the same pattern: A's nonzero entries
-    and the whole diagonal.  It is built once, and :meth:`at` rewrites
-    only the diagonal slots, with the sums scipy forms
-    (``A_ii + sigma * d_i``, ``A_ii`` 0 where A stores none).  When A
-    stores every diagonal entry and no zero, the pattern is A's own;
-    otherwise scipy's sum builds it.
+    ``A`` is a CSC normal matrix ``JᵀJ`` (diagonal >= 0), so every
+    damping gives scipy's sum the same pattern: A's nonzero entries and
+    the whole diagonal.  It is built once, by scipy's sum, and :meth:`at`
+    rewrites only the diagonal slots, with the sums scipy forms
+    (``A_ii + sigma * d_i``, ``A_ii`` 0 where A stores none).
     """
 
     def __init__(self, A):
         self._a = A.diagonal()
         self._d = np.maximum(self._a, 1e-10)
-        diag = _diagonal_slots(A)
-        if diag.size == A.shape[1] and A.data.all():
-            self.matrix = sp.csc_matrix((A.data.copy(), A.indices, A.indptr),
-                                        shape=A.shape)
-        else:
-            self.matrix = (A + sp.diags(self._d)).tocsc()
-            diag = _diagonal_slots(self.matrix)
-        self._diag = diag
+        self.matrix = (A + sp.diags(self._d)).tocsc()
+        self._diag = _diagonal_slots(self.matrix)
 
     def at(self, sigma):
         self.matrix.data[self._diag] = self._a + sigma * self._d
@@ -438,7 +413,9 @@ def _bounded_lm(helper, z0, lb, ub, max_iter, gtol):
         free = ~(on_lb | on_ub)
         if not np.any(free):
             break
-        A, rhs = _normal_equations(J, r, free)
+        Jf = J.tocsc()[:, free]
+        A = (Jf.T @ Jf).tocsc()
+        rhs = -(Jf.T @ r)
         damped = _DampedNormal(A)
         accepted = False
         for _trial in range(30):

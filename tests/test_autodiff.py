@@ -96,8 +96,9 @@ def test_block_callback_is_recorded_once():
     assert calls == ["f", "g"]
 
 
-@pytest.mark.parametrize("op", [abs, lambda a: a < 0.5, np.exp],
-                         ids=["abs", "comparison", "np.exp"])
+@pytest.mark.parametrize(
+    "op", [abs, lambda a: a < 0.5, np.exp, lambda a: a ** np.array([2.0])],
+    ids=["abs", "comparison", "np.exp", "array_exponent"])
 def test_unsupported_operation_names_the_block(op):
     block = nlp.Block("bad_block", lambda v: [op(v[0])], np.array([[0]]), 1)
     with pytest.raises(TypeError, match="block bad_block"):

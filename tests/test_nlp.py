@@ -322,23 +322,48 @@ def test_al_jacobian_survives_evaluating_another_point():
 # -- determinism ------------------------------------------------------------
 
 
+def _benchmark_config(variant):
+    """The benchmark's cart-pole condition 0 at N=30 as a ``variant``
+    config, and the plant adapter."""
+    run = config.load_config(None)
+    adapter, _, _ = config.build_plant(run)
+    cfg = config.transcription_config(
+        run, variant, run.conditions[0], bench.X_END, N=30, dt_max=0.1,
+        k_first=9, k_last=11, n_rejoin=4, n_branch_full=18)
+    return adapter, cfg
+
+
+def _short_solve(adapter, cfg):
+    problem, layout = tr.build(adapter, cfg)
+    return nlp.solve(problem, tr.default_initial_guess(adapter, layout),
+                     nlp.SolverOpts(max_outer=1, max_inner=5))
+
+
+def _recorded(name):
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _assert_matches(sol, recorded):
+    assert sol.inner_iterations == recorded["inner_iterations"]
+    assert sol.objective_value == recorded["objective_value"]
+    assert sol.x.tolist() == recorded["x"]
+
+
 def test_short_solve_matches_recorded_bit_for_bit():
     # A short solve of the benchmark's cart-pole nominal stage (N=30) from
     # the default guess: restoration plus one outer iteration.  The solver
     # does not absorb a 1-ulp change in its arithmetic, so the iterate,
     # the evaluation count and the objective are compared exactly.
-    run = config.load_config(None)
-    adapter, _, _ = config.build_plant(run)
-    cfg = pipeline.nominal_stage_config(config.transcription_config(
-        run, "sure", run.conditions[0], bench.X_END, N=30, dt_max=0.1,
-        k_first=9, k_last=11, n_rejoin=4, n_branch_full=18))
-    problem, layout = tr.build_nominal(adapter, cfg)
-    sol = nlp.solve(problem, tr.default_initial_guess(adapter, layout),
-                    nlp.SolverOpts(max_outer=1, max_inner=5))
-    path = os.path.join(os.path.dirname(__file__), "data",
-                        "short_nominal_solve.json")
-    with open(path) as fh:
-        recorded = json.load(fh)
-    assert sol.inner_iterations == recorded["inner_iterations"]
-    assert sol.objective_value == recorded["objective_value"]
-    assert sol.x.tolist() == recorded["x"]
+    adapter, cfg = _benchmark_config("sure")
+    sol = _short_solve(adapter, pipeline.nominal_stage_config(cfg))
+    _assert_matches(sol, _recorded("short_nominal_solve.json"))
+
+
+@pytest.mark.parametrize("variant", ["sure", "tree"])
+def test_short_branched_solve_matches_recorded_bit_for_bit(variant):
+    # The same short solve on the benchmark's branched problems, whose
+    # Jacobians add branch, rejoin and inequality rows.
+    sol = _short_solve(*_benchmark_config(variant))
+    _assert_matches(sol, _recorded("short_branched_solves.json")[variant])

@@ -49,11 +49,22 @@ def _progress(msg):
     print(msg, file=sys.stderr, flush=True)
 
 
+def _condition(run, index):
+    """``experiment.conditions[index]``; a bad index exits with the
+    valid range."""
+    conditions = run.conditions
+    if not 0 <= index < len(conditions):
+        raise SystemExit(f"--condition {index} is out of range: "
+                         f"experiment.conditions has {len(conditions)} "
+                         f"entries, 0 to {len(conditions) - 1}")
+    return conditions[index]
+
+
 def cmd_solve(args):
     run = _load(args)
     adapter, p, env = cfgmod.build_plant(run)
     if run.plant_name == "cartpole":
-        x_init, x_end = run.conditions[args.condition], bench.X_END
+        x_init, x_end = _condition(run, args.condition), bench.X_END
     else:
         x_init = x_end = bench.catch_pose(run, p)
     cfg = cfgmod.transcription_config(run, args.variant, x_init, x_end)
@@ -92,6 +103,7 @@ def cmd_simulate(args):
     if (payload.get("plant", "cartpole") != "cartpole"
             or run.plant_name != "cartpole"):
         raise SystemExit("simulate supports the cart-pole plant")
+    x_init = _condition(run, args.condition)
     bundle = tr.bundle_from_dict(payload["bundle"])
     if args.reference == "robust_nominal" and not bundle.branches:
         raise SystemExit("--reference robust_nominal needs a branched "
@@ -103,8 +115,7 @@ def cmd_simulate(args):
         if args.reference == "robust_nominal" else bundle.common)
     env_over = {name: value for name, value in
                 (("x_wall", args.x_wall), ("e", args.e)) if value is not None}
-    trace, _ = bench.cartpole_rollout(run, ref, run.conditions[args.condition],
-                                      gains, **env_over)
+    trace, _ = bench.cartpole_rollout(run, ref, x_init, gains, **env_over)
     trace.to_csv(args.out)
     _progress(f"{len(trace.contact_events)} contact event(s), "
               f"termination: {trace.termination}")

@@ -154,6 +154,7 @@ class RunConfig:
                               **self.transcription}
         _reject_unknown("solver", self.solver,
                         nlp.SolverOpts.__dataclass_fields__)
+        nlp.SolverOpts(**self.solver)  # rejects values that break a solve
 
     # -- plant ---------------------------------------------------------
     @property

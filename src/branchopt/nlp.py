@@ -20,8 +20,13 @@ Each outer iteration minimizes the augmented Lagrangian
 
 which is itself a bound-constrained nonlinear least-squares problem;
 the inner solver is a projected Levenberg-Marquardt method
-(``_bounded_lm``) on the exact block-sparse Jacobian.  Variables with
-equal lower and upper bounds are eliminated from the inner problem.
+(``_bounded_lm``) on the exact block-sparse Jacobian.  Its normal
+equations come from a product map planned once per Jacobian pattern
+(``_NormalPlan``): each iteration multiplies and adds ``J.data`` in the
+order of scipy's sparse product, row by row, and drops the exact zeros
+that product drops, so the iterates are bit for bit those of
+``Jf.T @ Jf``.  Variables with equal lower and upper bounds are
+eliminated from the inner problem.
 The restoration phase, which minimizes the constraint violation alone,
 runs scipy's trust-region reflective method (``least_squares``) and,
 when that leaves the violation high, a second unit-scaled pass polished
@@ -30,8 +35,10 @@ by the same LM method.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -161,6 +168,18 @@ class SolverOpts:
     max_outer: int = 60
     max_inner: int = 600
 
+    def __post_init__(self):
+        for name in ("max_outer", "max_inner"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"solver {name} must be an integer of at "
+                                 f"least 1, got {value!r}")
+        for name in ("tol_eq", "tol_ineq", "tol_stat"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not value > 0:
+                raise ValueError(f"solver {name} must be a positive number, "
+                                 f"got {value!r}")
+
 
 # -- block evaluation -------------------------------------------------------
 
@@ -283,7 +302,8 @@ class _AlResiduals:
     order) into CSR order.  A block never repeats a variable within a
     row, so every CSR entry is exactly one block-jacobian entry and an
     evaluation only computes the data.  Entries of inactive inequality
-    rows stay in the pattern as explicit zeros.
+    rows stay in the pattern as explicit zeros.  ``normal_plan``, built
+    at first use, forms the LM normal equations on the same pattern.
     """
 
     def __init__(self, problem, lam, mu, rho, free, x_template):
@@ -324,6 +344,10 @@ class _AlResiduals:
         self._cache_key = None
         self._cache = None
 
+    @cached_property
+    def normal_plan(self):
+        return _NormalPlan(self._indptr, self._indices, self._shape[1])
+
     def full_x(self, z):
         x = self.template.copy()
         x[self.free] = z
@@ -360,33 +384,90 @@ class _AlResiduals:
         return self._evaluate(z)[1]
 
 
-class _DampedNormal:
-    """``(A + sp.diags(sigma * d)).tocsc()`` for every sigma > 0, on one
-    pattern, with the damping diagonal ``d = max(diag(A), 1e-10)``.
+class _NormalPlan:
+    """``JᵀJ`` on the unfrozen columns, for every J on one CSR pattern,
+    with the floats and the pattern of scipy's ``(Jf.T @ Jf).tocsc()``,
+    ``Jf = J[:, free]``.
 
-    ``A`` is a CSC normal matrix ``JᵀJ`` (diagonal >= 0), so every
-    damping gives scipy's sum the same pattern: A's nonzero entries and
-    the whole diagonal.  It is built once, by scipy's sum, and :meth:`at`
-    rewrites only the diagonal slots, with the sums scipy forms
-    (``A_ii + sigma * d_i``, ``A_ii`` 0 where A stores none).
+    scipy's product is Gustavson's algorithm (``csr_matmat``): entry
+    (i, k) starts at 0.0 and adds ``J[j, i] * J[j, k]`` over the rows j
+    that store both columns, in ascending j, and an entry whose sum is
+    exactly zero is dropped.  The plan lists, once per pattern, the pairs
+    of ``J.data`` positions behind each upper-triangle entry (i <= k), in
+    that row order.  ``normal_matrix`` multiplies the pairs and adds them
+    with ``np.bincount``, which adds its weights one at a time in input
+    order, so every sum is scipy's to the last bit; a pairwise ``np.sum``
+    or ``np.add.reduceat`` is not, as they reorder sums of 8 or more
+    terms.  The lower triangle reads the same sums, since the products
+    commute.  Exact zeros are dropped as scipy drops them: SuperLU's
+    column ordering depends on the pattern, so a stored zero changes the
+    step.  A frozen column changes no other column's sums, so one plan
+    serves every free mask.  Every diagonal entry is kept, with no pairs
+    where its column stores nothing, because the damping adds to all.
+
+    ``indices`` are sorted within each row, as ``_AlResiduals`` builds
+    them.  Plan arrays are int32 to keep them small.
     """
 
-    def __init__(self, A):
-        self._a = A.diagonal()
-        self._d = np.maximum(self._a, 1e-10)
-        self.matrix = (A + sp.diags(self._d)).tocsc()
-        self._diag = _diagonal_slots(self.matrix)
+    def __init__(self, indptr, indices, n):
+        # pair each stored position with itself and every later position
+        # of its row, rows in ascending order, so that every sum adds its
+        # products in row order; temporaries are int32 where they can be
+        nnz = indices.size
+        count = np.repeat(indptr[1:], np.diff(indptr)) - np.arange(nnz)
+        pa = np.repeat(np.arange(nnz, dtype=np.int32), count)
+        pb = np.arange(pa.size, dtype=np.int32)
+        pb -= np.repeat((np.cumsum(count) - count).astype(np.int32), count)
+        pb += pa
+        # row-sorted indices put the pair's lower column first: the key of
+        # upper-triangle entry (i, k) is i * n + k
+        keys = np.take(indices, pa).astype(np.int64)
+        keys *= n
+        keys += np.take(indices, pb)
+        diagonal = np.arange(n, dtype=np.int64) * (n + 1)
+        tri = np.union1d(np.unique(keys), diagonal)
+        self._pa, self._pb = pa, pb
+        self._entry = np.searchsorted(tri, keys).astype(np.int32)
+        self._n_tri = tri.size
+        # the entries of both triangles in CSC order, each naming its sum
+        ti, tk = tri // n, tri % n
+        off = np.flatnonzero(ti != tk)
+        rows = np.concatenate([ti, tk[off]])
+        cols = np.concatenate([tk, ti[off]])
+        order = np.lexsort((rows, cols))
+        self._rows = rows[order].astype(np.int32)
+        self._cols = cols[order].astype(np.int32)
+        self._sum = np.concatenate([np.arange(tri.size), off])[order].astype(
+            np.int32)
+        self._diag = self._rows == self._cols
+        # per column: the position of its diagonal entry and of its last
+        # entry (every column stores its diagonal, so none is empty)
+        self._diag_at = np.flatnonzero(self._diag).astype(np.int32)
+        self._col_end = (np.cumsum(np.bincount(self._cols, minlength=n))
+                         - 1).astype(np.int32)
 
-    def at(self, sigma):
-        self.matrix.data[self._diag] = self._a + sigma * self._d
-        return self.matrix
-
-
-def _diagonal_slots(m):
-    """Positions in ``m.data`` of the stored diagonal entries of a CSC m,
-    in column order."""
-    cols = np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))
-    return np.flatnonzero(m.indices == cols)
+    def normal_matrix(self, data, free):
+        """``(Jf.T @ Jf).tocsc()`` for ``Jf = J[:, free]``, with every
+        diagonal entry stored, and the positions in its ``data`` of the
+        diagonal, in column order."""
+        prod = np.take(data, self._pa)
+        prod *= np.take(data, self._pb)
+        # (bincount returns integers when J stores nothing)
+        sums = np.bincount(self._entry, weights=prod,
+                           minlength=self._n_tri).astype(float, copy=False)
+        vals = np.take(sums, self._sum)
+        keep = (vals != 0) | self._diag
+        keep &= np.take(free, self._rows)
+        keep &= np.take(free, self._cols)
+        # kept entries up to and including each entry
+        kept = np.cumsum(keep, dtype=np.int32)
+        n_free = int(np.count_nonzero(free))
+        indptr = np.zeros(n_free + 1, dtype=np.int32)
+        indptr[1:] = kept[self._col_end[free]]
+        new = np.cumsum(free, dtype=np.int32) - 1
+        A = sp.csc_matrix((vals[keep], np.take(new, self._rows[keep]),
+                           indptr), shape=(n_free, n_free))
+        return A, kept[self._diag_at[free]] - 1
 
 
 def _bounded_lm(helper, z0, lb, ub, max_iter, gtol):
@@ -396,6 +477,13 @@ def _bounded_lm(helper, z0, lb, ub, max_iter, gtol):
     variables pinned to an active bound with an outward gradient are
     frozen for the step, and trial points are projected back into the box.
     Deterministic.
+
+    Each iteration forms ``JᵀJ`` on the unfrozen columns from the
+    helper's ``normal_plan`` and takes the right-hand side from the
+    gradient's product ``Jᵀr``: bit for bit what scipy's ``Jf.T @ Jf``
+    and ``Jf.T @ r`` give, without re-slicing J.  Damping adds
+    ``sigma * max(diag, 1e-10)`` to the stored diagonal, the sums that
+    ``A + sp.diags(...)`` forms.
     """
     z = np.clip(z0, lb, ub)
     r = helper.residuals(z)
@@ -404,7 +492,8 @@ def _bounded_lm(helper, z0, lb, ub, max_iter, gtol):
     f = float(r @ r)
     sigma = 1e-5
     for _ in range(max_iter):
-        g = 2.0 * (J.T @ r)
+        jtr = J.T @ r
+        g = 2.0 * jtr
         pg = z - np.clip(z - g, lb, ub)
         if np.max(np.abs(pg), initial=0.0) < gtol * (1.0 + abs(f)):
             break
@@ -413,14 +502,15 @@ def _bounded_lm(helper, z0, lb, ub, max_iter, gtol):
         free = ~(on_lb | on_ub)
         if not np.any(free):
             break
-        Jf = J.tocsc()[:, free]
-        A = (Jf.T @ Jf).tocsc()
-        rhs = -(Jf.T @ r)
-        damped = _DampedNormal(A)
+        rhs = -jtr[free]
+        A, diag = helper.normal_plan.normal_matrix(J.data, free)
+        a = A.data[diag]
+        d = np.maximum(a, 1e-10)
         accepted = False
         for _trial in range(30):
+            A.data[diag] = a + sigma * d
             try:
-                p = spla.factorized(damped.at(sigma))(rhs)
+                p = spla.factorized(A)(rhs)
             except RuntimeError:
                 sigma *= 10.0
                 continue

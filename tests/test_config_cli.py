@@ -91,6 +91,22 @@ def test_solver_opts_pass_yaml_keys_through(tmp_path):
     assert opts.max_inner == 600
 
 
+@pytest.mark.parametrize("key, text", [
+    ("max_outer", "0"), ("max_inner", "0"), ("max_inner", "-5"),
+    ("max_outer", "2.5"), ("tol_eq", "0.0"), ("tol_ineq", "-1.0e-6"),
+    ("tol_stat", "-1.0"),
+    # YAML reads 1e-6, with no dot, as a string
+    ("tol_stat", "1e-6"),
+])
+def test_rejects_solver_values_that_break_a_solve(tmp_path, key, text):
+    # max_outer 0 would return a solution with no KKT record
+    path = _write(tmp_path, f"solver:\n  {key}: {text}\n")
+    with pytest.raises(ValueError, match=key):
+        config.load_config(path)
+    with pytest.raises(ValueError, match=key):
+        nlp.SolverOpts(**{key: yaml.safe_load(text)})
+
+
 def test_rejects_removed_transcription_key(tmp_path):
     path = _write(tmp_path, "transcription:\n  d_bounds: [0.01, 0.1]\n")
     with pytest.raises(ValueError, match="d_bounds"):
@@ -172,3 +188,31 @@ def test_cli_simulate_robust_nominal_needs_branches(tmp_path):
     with pytest.raises(SystemExit, match="no branches"):
         cli.main(["simulate", "--solution", str(solution), "--reference",
                   "robust_nominal", "--out", str(tmp_path / "trace.csv")])
+
+
+@pytest.mark.parametrize("condition", ["-1", "4"])
+def test_cli_solve_rejects_a_condition_out_of_range(tmp_path, condition):
+    # the default config has 4 conditions; the small problem keeps a solve
+    # short, should one start
+    path = _write(tmp_path, "transcription: {N: 12, k_first: 5, k_last: 7, "
+                  "n_rejoin: 2}\nsolver: {max_outer: 1, max_inner: 1}\n")
+    out = tmp_path / "solution.json"
+    with pytest.raises(SystemExit, match="0 to 3"):
+        cli.main(["solve", "--config", path, "--condition", condition,
+                  "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("condition", ["-1", "4"])
+def test_cli_simulate_rejects_a_condition_out_of_range(tmp_path, condition):
+    refs = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "fixtures", "refs_c0.json")
+    with open(refs) as fh:
+        bundle = json.load(fh)["scheduling"]
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps({"plant": "cartpole", "bundle": bundle}))
+    out = tmp_path / "trace.csv"
+    with pytest.raises(SystemExit, match="0 to 3"):
+        cli.main(["simulate", "--solution", str(solution), "--condition",
+                  condition, "--out", str(out)])
+    assert not out.exists()

@@ -6,6 +6,9 @@ import os
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from branchopt import autodiff as ad
 from branchopt import bench, config, nlp, pipeline
@@ -262,43 +265,100 @@ def test_al_jacobian_is_bit_identical_to_coo_assembly(freeze):
     assert n_active > 0 and n_inactive > 0
 
 
+def _stored(values, stored):
+    """CSR matrix storing ``values`` where ``stored`` is set, explicit
+    zeros and -0.0 included."""
+    rows, cols = np.nonzero(stored)
+    indptr = np.concatenate([[0], np.cumsum(np.sum(stored, axis=1))])
+    return sp.csr_matrix((values[rows, cols], cols, indptr),
+                         shape=values.shape)
+
+
 def _normal_matrices():
-    """Normal matrices JᵀJ of the plants' AL Jacobians, with all columns
-    free and with every fourth one frozen, and of a Jacobian with an
-    all-zero column (its diagonal entry is missing from JᵀJ)."""
+    """AL Jacobians of the plants, with all columns free and with every
+    fourth one frozen, and small Jacobians with explicit zeros, products
+    that cancel to 0, -0.0 products and all-zero columns; each with its
+    free mask."""
     rng = np.random.default_rng(5)
     for problem, x0 in _plant_problems():
         lam = rng.standard_normal(problem.n_eq)
         mu = np.abs(rng.standard_normal(problem.n_ineq))
         free = problem.lower < problem.upper
         J = nlp._AlResiduals(problem, lam, mu, 100.0, free, x0).jac(x0[free])
-        Jc = J.tocsc()
-        yield "free", Jc
-        frozen = np.ones(Jc.shape[1], dtype=bool)
+        yield "free", J, np.ones(J.shape[1], dtype=bool)
+        frozen = np.ones(J.shape[1], dtype=bool)
         frozen[::4] = False
-        yield "frozen", Jc[:, frozen]
-    dense = rng.standard_normal((8, 6))
-    dense[:, 2] = 0.0
-    dense[rng.random((8, 6)) < 0.4] = 0.0
-    yield "zero_column", sp.csr_matrix(dense).tocsc()
+        yield "frozen", J, frozen
+    values = rng.standard_normal((9, 6))
+    stored = rng.random((9, 6)) < 0.6
+    values[rng.random((9, 6)) < 0.3] = 0.0
+    yield "explicit_zeros", _stored(values, stored), np.ones(6, dtype=bool)
+    # columns 0 and 1: 1*1 + 1*(-1) + 0*2 cancels, so (0, 1) is dropped
+    values = np.array([[1.0, 1.0, 3.0], [1.0, -1.0, 0.0], [0.0, 2.0, 1.0]])
+    yield "cancel", _stored(values, np.ones((3, 3), bool)), np.ones(3, bool)
+    # every product with column 0 is -0.0 or +0.0
+    values = np.array([[-0.0, 2.0, 1.0], [0.0, -3.0, 1.0], [-0.0, -1.0, 2.0]])
+    yield "negative_zero", _stored(values, np.ones((3, 3), bool)), \
+        np.ones(3, bool)
+    # column 2 stores only zeros, column 4 stores nothing
+    values = rng.standard_normal((8, 6))
+    values[:, 2] = 0.0
+    stored = rng.random((8, 6)) < 0.6
+    stored[:, 2], stored[:, 4] = True, False
+    free = np.array([True, True, True, False, True, True])
+    yield "zero_column", _stored(values, stored), free
+
+
+def _assert_normal_equations_match_scipy(J, free, r):
+    """The plan's damped normal matrix against scipy's product and sum,
+    damped as ``_bounded_lm`` damps it, and the step's right-hand side
+    against ``-(Jf.T @ r)``, byte for byte, for several dampings."""
+    Jf = J.tocsc()[:, free]
+    A_want = (Jf.T @ Jf).tocsc()
+    d_want = np.maximum(A_want.diagonal(), 1e-10)
+    A, diag = nlp._NormalPlan(J.indptr, J.indices,
+                              J.shape[1]).normal_matrix(J.data, free)
+    a = A.data[diag]
+    d = np.maximum(a, 1e-10)
+    assert d.tobytes() == d_want.tobytes()
+    for sigma in (1e-14, 1e-5, 0.37, 2e3, 1e9):
+        A.data[diag] = a + sigma * d
+        want = (A_want + sp.diags(sigma * d_want)).tocsc()
+        assert A.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            got, exp = getattr(A, name), getattr(want, name)
+            assert got.dtype == exp.dtype, name
+            assert got.tobytes() == exp.tobytes(), name
+    rhs = -(J.T @ r)[free]
+    assert rhs.tobytes() == (-(Jf.T @ r)).tobytes()
 
 
 def test_damped_normal_matrix_is_bit_identical_to_scipy_sum():
+    rng = np.random.default_rng(11)
     kinds = set()
-    for kind, Jf in _normal_matrices():
-        A = (Jf.T @ Jf).tocsc()
-        d = np.maximum(A.diagonal(), 1e-10)
-        damped = nlp._DampedNormal(A)
-        for sigma in (1e-14, 1e-5, 0.37, 2e3, 1e9):
-            got = damped.at(sigma)
-            want = (A + sp.diags(sigma * d)).tocsc()
-            assert got.shape == want.shape
-            for name in ("data", "indices", "indptr"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype, name
-                assert a.tobytes() == b.tobytes(), name
+    for kind, J, free in _normal_matrices():
+        _assert_normal_equations_match_scipy(
+            J, free, rng.standard_normal(J.shape[0]))
         kinds.add(kind)
-    assert kinds == {"free", "frozen", "zero_column"}
+    assert kinds == {"free", "frozen", "explicit_zeros", "cancel",
+                     "negative_zero", "zero_column"}
+
+
+# a few values whose products cancel or are signed zeros, and any others
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
+                     st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_damped_normal_matrix_matches_scipy_on_any_pattern(data):
+    m = data.draw(st.integers(1, 12))
+    n = data.draw(st.integers(1, 7))
+    stored = data.draw(hnp.arrays(bool, (m, n)))
+    values = data.draw(hnp.arrays(float, (m, n), elements=_ENTRIES))
+    free = data.draw(hnp.arrays(bool, n).filter(np.any))
+    r = data.draw(hnp.arrays(float, m, elements=_ENTRIES))
+    _assert_normal_equations_match_scipy(_stored(values, stored), free, r)
 
 
 def test_al_jacobian_survives_evaluating_another_point():

@@ -14,7 +14,7 @@ import dataclasses
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from . import transcription as tr
 from .plants import arm, cartpole
 
 __all__ = [
-    "TrialSpec", "TrialReport", "MonteCarloReport", "evaluate_trial",
+    "TrialSpec", "TrialReport", "evaluate_trial",
     "pole_fell", "cartpole_rollout", "montecarlo", "tradeoff",
     "catch_pose", "velocity_sweep", "export",
     "REFERENCE_TYPES", "PAPER_TOTALS",
@@ -73,29 +73,8 @@ class TrialReport:
 
     def to_dict(self):
         d = dataclasses.asdict(self)
-        d["spec"] = dataclasses.asdict(self.spec)
         d["success"] = self.success
         return d
-
-
-@dataclass
-class MonteCarloReport:
-    seed: int
-    n_samples: int
-    totals: dict                 # reference -> success rate (percent)
-    per_condition: dict          # reference -> list of rates per condition
-    paper_totals: dict = field(default_factory=lambda: dict(PAPER_TOTALS))
-    samples: list = field(default_factory=list)  # TrialReport dicts
-
-    def to_dict(self):
-        return {
-            "seed": self.seed,
-            "n_samples": self.n_samples,
-            "totals": self.totals,
-            "per_condition": self.per_condition,
-            "paper_totals": self.paper_totals,
-            "samples": self.samples,
-        }
 
 
 def _debounced_count(event_times, window):
@@ -225,12 +204,14 @@ def _sample_specs(master_seed, conditions, n_samples, x_wall_range, e_range):
     return specs
 
 
-def montecarlo(run: cfgmod.RunConfig, progress=None) -> MonteCarloReport:
+def montecarlo(run: cfgmod.RunConfig, progress=None):
     """Robustness study: seeded trials over the wall/restitution box.
 
     For each initial condition and reference type, ``n_samples`` closed
     -loop rollouts are run against environments sampled uniformly from
-    the configured box, and the four-criteria success rate is aggregated.
+    the configured box, and the four-criteria success rate is aggregated:
+    ``totals`` and ``per_condition`` are percentages per reference type,
+    ``samples`` holds every trial's report.
     """
     _require_plant(run, "cartpole", "montecarlo")
     conditions = run.conditions
@@ -279,9 +260,9 @@ def montecarlo(run: cfgmod.RunConfig, progress=None) -> MonteCarloReport:
                  if d["spec"]["condition_id"] == ci]), 2)
             for ci in range(len(conditions))
         ]
-    return MonteCarloReport(
-        seed=run.seed, n_samples=n_samples, totals=totals,
-        per_condition=per_condition, samples=results)
+    return {"seed": run.seed, "n_samples": n_samples, "totals": totals,
+            "per_condition": per_condition,
+            "paper_totals": dict(PAPER_TOTALS), "samples": results}
 
 
 _PLANT_LABELS = {"cartpole": "cart-pole", "arm": "arm"}
@@ -539,10 +520,9 @@ def velocity_sweep(run: cfgmod.RunConfig, progress=None):
 # -- persistence --------------------------------------------------------------
 
 
-def export(report, path, format="json"):
-    """Write a report to disk; JSON keeps full structure, CSV flattens
-    the sample/row table."""
-    data = report.to_dict() if hasattr(report, "to_dict") else report
+def export(data, path, format="json"):
+    """Write a study's result to disk; JSON keeps full structure, CSV
+    flattens the sample/row table."""
     if format == "json":
         with open(path, "w") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)

@@ -10,16 +10,15 @@ Verbs:
               need the cart-pole
   gains       print the tracking gains designed for the configured plant
 
-Every verb takes ``--config`` (YAML, see config.py for the schema); the
-master seed and worker count may be overridden by ``--seed``/``--workers``
-or the BRANCHOPT_SEED / BRANCHOPT_WORKERS environment variables.
+Every verb takes ``--config`` (YAML, see config.py for the schema).
+``--seed`` (montecarlo) and ``--workers`` (montecarlo, tradeoff) replace
+the config's master seed and worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -31,18 +30,8 @@ from . import transcription as tr
 
 
 def _load(args) -> cfgmod.RunConfig:
-    overrides = {}
-    env_seed = os.environ.get("BRANCHOPT_SEED")
-    env_workers = os.environ.get("BRANCHOPT_WORKERS")
-    if env_seed is not None:
-        overrides["seed"] = int(env_seed)
-    if env_workers is not None:
-        overrides["workers"] = int(env_workers)
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
-    return cfgmod.load_config(args.config, overrides)
+    return cfgmod.load_config(args.config, {
+        key: getattr(args, key, None) for key in ("seed", "workers")})
 
 
 def _progress(msg):
@@ -68,15 +57,8 @@ def cmd_solve(args):
     else:
         x_init = x_end = bench.catch_pose(run, p)
     cfg = cfgmod.transcription_config(run, args.variant, x_init, x_end)
-    opts = cfgmod.solver_opts(run)
-    if args.variant == "nominal":
-        res = pipeline.solve_nominal(adapter, cfg, opts)
-    elif args.variant == "sure":
-        res = pipeline.solve_sure(adapter, cfg, opts)
-    elif args.variant == "tree":
-        res = pipeline.solve_tree(adapter, cfg, opts)
-    else:
-        raise SystemExit(f"unknown variant {args.variant!r}")
+    res = getattr(pipeline, f"solve_{args.variant}")(
+        adapter, cfg, cfgmod.solver_opts(run))
     s = res.solution
     _progress(f"{args.variant}: {s.status} cost {s.objective_value:.6f} "
               f"kkt(viol) {max(s.kkt.eq_viol, s.kkt.ineq_viol):.2e} "
@@ -123,26 +105,26 @@ def cmd_simulate(args):
     return 0
 
 
-def cmd_montecarlo(args):
-    run = _load(args)
-    report = bench.montecarlo(run, progress=_progress)
-    bench.export(report, args.out, format="json")
+def _write(table, args):
+    bench.export(table, args.out, format="json")
     if args.csv:
-        bench.export(report, args.csv, format="csv")
+        bench.export(table, args.csv, format="csv")
+
+
+def cmd_montecarlo(args):
+    report = bench.montecarlo(_load(args), progress=_progress)
+    _write(report, args)
     for ref in bench.REFERENCE_TYPES:
-        print(f"{ref:16s} {report.totals[ref]:6.2f}%  "
+        print(f"{ref:16s} {report['totals'][ref]:6.2f}%  "
               f"(published analog {bench.PAPER_TOTALS[ref]:.1f}%)")
     print(args.out)
     return 0
 
 
 def cmd_tradeoff(args):
-    run = _load(args)
-    table = bench.tradeoff(run, include_baseline=args.baseline,
+    table = bench.tradeoff(_load(args), include_baseline=args.baseline,
                            progress=_progress)
-    bench.export(table, args.out, format="json")
-    if args.csv:
-        bench.export(table, args.csv, format="csv")
+    _write(table, args)
     for row in table["rows"]:
         print(f"N_r={row['n_r']:3d}  cost {row['cost']:.4f}  "
               f"time {row['wall_time']:.1f}s")
@@ -155,11 +137,8 @@ def cmd_tradeoff(args):
 
 
 def cmd_sweep(args):
-    run = _load(args)
-    table = bench.velocity_sweep(run, progress=_progress)
-    bench.export(table, args.out, format="json")
-    if args.csv:
-        bench.export(table, args.csv, format="csv")
+    table = bench.velocity_sweep(_load(args), progress=_progress)
+    _write(table, args)
     print(f"max |dv|: nominal {table['max_dv']['nominal']:.3f} m/s, "
           f"robust {table['max_dv']['robust_nominal']:.3f} m/s "
           f"(v_lim {table['v_lim']:.3f})")
@@ -185,22 +164,25 @@ def build_parser():
                     "systems with uncertain contact timing")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def common(sp, out_default):
+    def verb(name, fn, summary, out=None, csv=False):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(fn=fn)
         sp.add_argument("--config", default=None, help="YAML run config")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--workers", type=int, default=None)
-        sp.add_argument("--out", default=out_default)
+        if out is not None:
+            sp.add_argument("--out", default=out)
+        if csv:
+            sp.add_argument("--csv", default=None,
+                            help="also write the sample/row table as CSV")
+        return sp
 
-    sp = sub.add_parser("solve", help="solve one formulation")
-    common(sp, "solution.json")
+    sp = verb("solve", cmd_solve, "solve one formulation", "solution.json")
     sp.add_argument("--variant", choices=["nominal", "sure", "tree"],
                     default="sure")
     sp.add_argument("--condition", type=int, default=0,
                     help="index into experiment.conditions (cart-pole)")
-    sp.set_defaults(fn=cmd_solve)
 
-    sp = sub.add_parser("simulate", help="roll out a saved solution")
-    common(sp, "trace.csv")
+    sp = verb("simulate", cmd_simulate, "roll out a saved solution",
+              "trace.csv")
     sp.add_argument("--solution", required=True)
     sp.add_argument("--reference",
                     choices=["nominal", "robust_nominal", "scheduling"],
@@ -208,28 +190,20 @@ def build_parser():
     sp.add_argument("--condition", type=int, default=0)
     sp.add_argument("--x-wall", type=float, default=None)
     sp.add_argument("--e", type=float, default=None)
-    sp.set_defaults(fn=cmd_simulate)
 
-    sp = sub.add_parser("montecarlo", help="robustness study")
-    common(sp, "montecarlo.json")
-    sp.add_argument("--csv", default=None, help="also write sample CSV")
-    sp.set_defaults(fn=cmd_montecarlo)
+    sp = verb("montecarlo", cmd_montecarlo, "robustness study",
+              "montecarlo.json", csv=True)
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--workers", type=int, default=None)
 
-    sp = sub.add_parser("tradeoff", help="cost/time sweep vs. tree")
-    common(sp, "tradeoff.json")
-    sp.add_argument("--csv", default=None)
+    sp = verb("tradeoff", cmd_tradeoff, "cost/time sweep vs. tree",
+              "tradeoff.json", csv=True)
+    sp.add_argument("--workers", type=int, default=None)
     sp.add_argument("--baseline", action="store_true",
                     help="also solve the exact-knowledge cost baseline")
-    sp.set_defaults(fn=cmd_tradeoff)
 
-    sp = sub.add_parser("sweep", help="arm catch-speed sweep")
-    common(sp, "sweep.json")
-    sp.add_argument("--csv", default=None)
-    sp.set_defaults(fn=cmd_sweep)
-
-    sp = sub.add_parser("gains", help="print tracking gains")
-    common(sp, "-")
-    sp.set_defaults(fn=cmd_gains)
+    verb("sweep", cmd_sweep, "arm catch-speed sweep", "sweep.json", csv=True)
+    verb("gains", cmd_gains, "print tracking gains")
     return ap
 
 

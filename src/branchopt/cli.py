@@ -1,18 +1,24 @@
 """Command-line harness.
 
-Verbs:
-  solve       solve one formulation, write the solution bundle (JSON)
-  simulate    closed-loop rollout of a saved bundle, write the trace (CSV)
-  montecarlo  robustness study over the wall/restitution box (JSON/CSV)
-  tradeoff    rejoining-horizon cost/time sweep vs. the tree (JSON/CSV)
-  sweep       arm-catch relative-speed sweep over drop heights (JSON/CSV);
-              needs ``plant: {name: arm}``, as montecarlo and tradeoff
-              need the cart-pole
-  gains       print the tracking gains designed for the configured plant
+Verbs, each with every flag it takes:
 
-Every verb takes ``--config`` (YAML, see config.py for the schema).
-``--seed`` (montecarlo) and ``--workers`` (montecarlo, tradeoff) replace
-the config's master seed and worker count.
+  solve       --config --out --variant --condition
+              solve one formulation, write the solution bundle (JSON)
+  simulate    --config --out --solution --reference --condition --x-wall --e
+              closed-loop rollout of a saved bundle, write the trace (CSV)
+  montecarlo  --config --out --csv --seed --workers
+              robustness study over the wall/restitution box (JSON/CSV)
+  tradeoff    --config --out --csv --workers --baseline
+              rejoining-horizon cost/time sweep vs. the tree (JSON/CSV)
+  sweep       --config --out --csv
+              arm-catch relative-speed sweep over drop heights (JSON/CSV)
+  gains       --config
+              print the tracking gains designed for the configured plant
+
+``--config`` names a YAML run config (see config.py for the schema);
+``--seed`` and ``--workers`` replace its master seed and worker count.
+sweep needs ``plant: {name: arm}``; montecarlo, tradeoff, simulate and
+gains need the cart-pole.
 """
 
 from __future__ import annotations
@@ -90,6 +96,12 @@ def cmd_simulate(args):
     if args.reference == "robust_nominal" and not bundle.branches:
         raise SystemExit("--reference robust_nominal needs a branched "
                          "solution; this bundle has no branches")
+    if args.reference == "nominal" and bundle.branches:
+        # a branched solve's common trajectory is planned contact-free over
+        # the window; the study's nominal is the unbranched solve
+        raise SystemExit("--reference nominal needs an unbranched solution "
+                         "(solve --variant nominal); this bundle has "
+                         "branches")
     _, p, env = cfgmod.build_plant(run)
     gains = bench._controller_gains(run, p, env)
     ref = bundle if args.reference == "scheduling" else (
@@ -130,8 +142,9 @@ def cmd_tradeoff(args):
               f"time {row['wall_time']:.1f}s")
     t = table["tree"]
     print(f"tree     cost {t['cost']:.4f}  time {t['wall_time']:.1f}s")
-    print(f"N_r=7 vs tree: cost {table['n_r7_cost_pct']:+.2f}%  "
-          f"time ratio {table['n_r7_time_ratio']:.2f}")
+    if "n_r7_cost_pct" in table:
+        print(f"N_r=7 vs tree: cost {table['n_r7_cost_pct']:+.2f}%  "
+              f"time ratio {table['n_r7_time_ratio']:.2f}")
     print(args.out)
     return 0
 

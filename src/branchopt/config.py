@@ -185,8 +185,9 @@ class RunConfig:
 def load_config(path=None, overrides=None) -> RunConfig:
     """Load a YAML run config; ``None`` gives all defaults.
 
-    ``overrides`` is a flat dict of experiment-section overrides (used by
-    CLI flags such as --seed / --workers).
+    ``overrides`` replaces keys of the experiment section; a ``None``
+    value keeps the file's.  The CLI passes ``--seed`` and ``--workers``
+    this way.
     """
     data = {}
     if path is not None:

@@ -160,3 +160,49 @@ def test_montecarlo_rejects_no_samples_before_solving(monkeypatch):
     monkeypatch.setattr(pipeline, "solve_sure", _no_solve)
     with pytest.raises(ValueError, match="n_samples"):
         bench.montecarlo(config.RunConfig(experiment={"n_samples": 0}))
+
+
+def _trace_with_contacts(times):
+    """A rollout that ends upright at the target, clear of the default
+    wall, with wall contacts at ``times``."""
+    states = np.array([[0.0, np.pi, 0.0, 0.0]] * 3)
+    events = [simulation.ContactEvent(time=t, pre_state=states[0],
+                                      post_state=states[0],
+                                      impulse=np.zeros(1))
+              for t in times]
+    return simulation.SimTrace(times=np.array([0.0, 0.5, 1.0]),
+                               states=states, inputs=np.zeros((3, 1)),
+                               guards=np.ones(3), contact_events=events)
+
+
+def _evaluate(times):
+    spec = bench.TrialSpec(condition_id=0, reference="nominal",
+                           x_wall=-0.5, e=0.8, seed=0, index=0)
+    return bench.evaluate_trial(_trace_with_contacts(times), spec,
+                                [0.05, 0.05, 0.1, 0.1],
+                                config.build_plant(config.RunConfig())[1],
+                                bench.X_END, 0.05)
+
+
+@pytest.mark.parametrize("times, count", [
+    # each event is within the window of the one before it: the window
+    # restarts at every event, so the chain counts once
+    ([0.10, 0.14, 0.18, 0.22], 1),
+    ([0.10, 0.20], 2),
+    ([0.22, 0.10, 0.18, 0.14], 1),
+    ([0.30, 0.10], 2),
+    ([], 0),
+], ids=["chained", "apart", "chained-unsorted", "apart-unsorted", "none"])
+def test_contact_count_debounces_events(times, count):
+    report = _evaluate(times)
+    assert report.contact_count == count
+    assert report.single_contact == (count <= 1)
+
+
+def test_two_contacts_alone_fail_the_trial():
+    report = _evaluate([0.10, 0.30])
+    assert (report.reached_target and report.stayed_up
+            and report.no_penetration)
+    assert not report.single_contact
+    assert not report.success
+    assert report.to_dict()["success"] is False

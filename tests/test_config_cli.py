@@ -1,8 +1,10 @@
 """Run configuration loading and the command-line entry point."""
 
+import argparse
 import csv
 import json
 import os
+import re
 
 import pytest
 import yaml
@@ -15,6 +17,20 @@ def _write(tmp_path, text):
     path = tmp_path / "run.yaml"
     path.write_text(text)
     return str(path)
+
+
+def _scheduling_bundle():
+    """The checked-in scheduling bundle of condition 0, as a dict."""
+    refs = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "fixtures", "refs_c0.json")
+    with open(refs) as fh:
+        return json.load(fh)["scheduling"]
+
+
+def _save_solution(tmp_path, bundle):
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps({"plant": "cartpole", "bundle": bundle}))
+    return str(solution)
 
 
 def test_defaults_without_a_file():
@@ -143,14 +159,9 @@ def test_cli_solve_takes_the_arm_boundary_from_the_catch_pose(tmp_path):
 def test_cli_simulate_stops_a_falling_rollout(tmp_path, capsys):
     # the scheduling reference of condition 0 against a wall at -0.6 m
     # tips the pole over; the rollout stops instead of diverging
-    refs = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                        "fixtures", "refs_c0.json")
-    with open(refs) as fh:
-        bundle = json.load(fh)["scheduling"]
-    solution = tmp_path / "solution.json"
-    solution.write_text(json.dumps({"plant": "cartpole", "bundle": bundle}))
+    solution = _save_solution(tmp_path, _scheduling_bundle())
     out = tmp_path / "trace.csv"
-    assert cli.main(["simulate", "--solution", str(solution),
+    assert cli.main(["simulate", "--solution", solution,
                      "--x-wall", "-0.6", "--out", str(out)]) == 0
     assert "termination: fell" in capsys.readouterr().err
     with open(out) as fh:
@@ -178,15 +189,11 @@ def test_cli_solve_writes_a_failed_nominal_stage_and_returns_1(tmp_path):
 
 def test_cli_simulate_robust_nominal_needs_branches(tmp_path):
     # an unbranched bundle, as a solve whose first stage failed writes it
-    refs = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                        "fixtures", "refs_c0.json")
-    with open(refs) as fh:
-        bundle = json.load(fh)["scheduling"]
+    bundle = _scheduling_bundle()
     bundle.update(branches=[], branch_nodes=[], rejoin_index=None)
-    solution = tmp_path / "solution.json"
-    solution.write_text(json.dumps({"plant": "cartpole", "bundle": bundle}))
+    solution = _save_solution(tmp_path, bundle)
     with pytest.raises(SystemExit, match="no branches"):
-        cli.main(["simulate", "--solution", str(solution), "--reference",
+        cli.main(["simulate", "--solution", solution, "--reference",
                   "robust_nominal", "--out", str(tmp_path / "trace.csv")])
 
 
@@ -205,14 +212,48 @@ def test_cli_solve_rejects_a_condition_out_of_range(tmp_path, condition):
 
 @pytest.mark.parametrize("condition", ["-1", "4"])
 def test_cli_simulate_rejects_a_condition_out_of_range(tmp_path, condition):
-    refs = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                        "fixtures", "refs_c0.json")
-    with open(refs) as fh:
-        bundle = json.load(fh)["scheduling"]
-    solution = tmp_path / "solution.json"
-    solution.write_text(json.dumps({"plant": "cartpole", "bundle": bundle}))
+    solution = _save_solution(tmp_path, _scheduling_bundle())
     out = tmp_path / "trace.csv"
     with pytest.raises(SystemExit, match="0 to 3"):
-        cli.main(["simulate", "--solution", str(solution), "--condition",
+        cli.main(["simulate", "--solution", solution, "--condition",
                   condition, "--out", str(out)])
     assert not out.exists()
+
+
+def test_cli_simulate_nominal_needs_an_unbranched_solution(tmp_path):
+    # a branched bundle's common trajectory is planned contact-free over
+    # the window, unlike the study's nominal reference
+    out = tmp_path / "trace.csv"
+    with pytest.raises(SystemExit, match="--variant nominal"):
+        cli.main(["simulate", "--solution",
+                  _save_solution(tmp_path, _scheduling_bundle()),
+                  "--reference", "nominal", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_cli_simulate_plays_an_unbranched_nominal(tmp_path):
+    bundle = _scheduling_bundle()
+    bundle.update(branches=[], branch_nodes=[], rejoin_index=None)
+    out = tmp_path / "trace.csv"
+    assert cli.main(["simulate", "--config",
+                     _write(tmp_path, "experiment: {horizon: 0.1}\n"),
+                     "--solution", _save_solution(tmp_path, bundle),
+                     "--reference", "nominal", "--out", str(out)]) == 0
+    with open(out) as fh:
+        assert len(list(csv.reader(fh))) == 1 + 101
+
+
+def _parser_flags():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return {verb: {flag for action in sp._actions
+                   for flag in action.option_strings
+                   if flag.startswith("--") and flag != "--help"}
+            for verb, sp in subparsers.choices.items()}
+
+
+def test_cli_docstring_names_every_verbs_flags():
+    documented = {m[1]: set(m[2].split()) for m in re.finditer(
+        r"^  (\w+) +(--.*)$", cli.__doc__, re.MULTILINE)}
+    assert documented == _parser_flags()
+

@@ -143,3 +143,35 @@ def test_study_verb_writes_the_recorded_files(verb, tmp_path, monkeypatch):
     assert cli.main([verb, "--config", str(config), "--out", str(out),
                      "--csv", str(csv), *flags]) == 0
     assert {"json": _sha256(out), "csv": _sha256(csv)} == RECORDED[verb]
+
+
+def _tradeoff(tmp_path, n_r_values, capsys):
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        f"experiment: {{workers: 1, n_r_values: {n_r_values}}}\n")
+    out = tmp_path / "tradeoff.json"
+    assert cli.main(["tradeoff", "--config", str(config),
+                     "--out", str(out)]) == 0
+    with open(out) as fh:
+        return json.load(fh), capsys.readouterr().out
+
+
+def test_tradeoff_compares_the_n_r_7_row_with_the_tree(tmp_path, monkeypatch,
+                                                       capsys):
+    _tradeoff_solves(monkeypatch)
+    table, printed = _tradeoff(tmp_path, [12, 7], capsys)
+    seven, tree = table["rows"][1], table["tree"]
+    assert seven["n_r"] == 7
+    assert table["n_r7_cost_pct"] == (100.0 * (seven["cost"] - tree["cost"])
+                                      / tree["cost"])
+    assert table["n_r7_time_ratio"] == seven["wall_time"] / tree["wall_time"]
+    assert "N_r=7 vs tree" in printed
+
+
+def test_tradeoff_without_n_r_7_leaves_the_comparison_out(tmp_path,
+                                                         monkeypatch, capsys):
+    _tradeoff_solves(monkeypatch)
+    table, printed = _tradeoff(tmp_path, [5, 9], capsys)
+    assert [row["n_r"] for row in table["rows"]] == [5, 9]
+    assert not {"n_r7_cost_pct", "n_r7_time_ratio"} & set(table)
+    assert "N_r=7" not in printed

@@ -72,8 +72,7 @@ def _solve_condition(args):
 
 def _solved(cost, wall_time, status="converged", **extra):
     return SimpleNamespace(solution=SimpleNamespace(
-        objective_value=cost, wall_time=wall_time, status=status,
-        kkt=SimpleNamespace(eq_viol=0.0, ineq_viol=0.0), **extra))
+        objective_value=cost, wall_time=wall_time, status=status, **extra))
 
 
 def _tradeoff_solves(mp):

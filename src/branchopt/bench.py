@@ -525,9 +525,15 @@ def velocity_sweep(run: cfgmod.RunConfig, progress=None):
 # -- persistence --------------------------------------------------------------
 
 
+# what a study's rows are compared against: the CSV repeats these on
+# every row (nested ones flattened, e.g. ``max_dv.nominal``)
+_CSV_CONTEXT = ("baseline_cost", "v_lim", "max_dv")
+
+
 def export(data, path, format="json"):
     """Write a study's result to disk; JSON keeps full structure, CSV
-    flattens the sample/row table."""
+    flattens the sample/row table, with the ``tree`` row appended and the
+    ``_CSV_CONTEXT`` values as columns."""
     if format == "json":
         with open(path, "w") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)
@@ -536,7 +542,10 @@ def export(data, path, format="json"):
     if format != "csv":
         raise ValueError(f"unknown export format {format!r}")
     rows = data.get("samples") or data.get("rows") or []
-    flat = [_flatten(r) for r in rows]
+    if "tree" in data:
+        rows = rows + [data["tree"]]
+    context = _flatten({k: data[k] for k in _CSV_CONTEXT if k in data})
+    flat = [{**_flatten(r), **context} for r in rows]
     keys = sorted({k for r in flat for k in r})
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=keys)

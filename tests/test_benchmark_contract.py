@@ -46,6 +46,9 @@ def test_solver_layers_attribute_block_jacobians_and_factorizations():
                   nlp.SolverOpts(max_outer=1, max_inner=5))
     assert tracer.spans["nlp.block_jac"][0] > 0
     assert tracer.spans["nlp.factorize"][0] > 0
+    # restoration calls trf through the patched nlp.least_squares
+    assert tracer.spans["nlp.trf"][0] > 0
+    assert tracer.counts["nlp.trf_nfev"] > 0
 
 
 def test_simulation_layers_patch_and_restore():

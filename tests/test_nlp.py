@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -427,3 +429,43 @@ def test_short_branched_solve_matches_recorded_bit_for_bit(variant):
     # Jacobians add branch, rejoin and inequality rows.
     sol = _short_solve(*_benchmark_config(variant))
     _assert_matches(sol, _recorded("short_branched_solves.json")[variant])
+
+
+# -- imports ----------------------------------------------------------------
+
+
+_LAZY_OPTIMIZE_SCRIPT = """
+import sys
+
+from branchopt import (bench, cli, config, control, nlp, pipeline,
+                       simulation, transcription)
+from branchopt.plants import arm_ocp, cartpole_ocp
+import workloads
+
+workloads.setup_rollouts()
+assert "scipy.optimize" not in sys.modules, "loaded without a solve"
+
+run = config.load_config(None)
+adapter, _, _ = config.build_plant(run)
+cfg = pipeline.nominal_stage_config(config.transcription_config(
+    run, "sure", run.conditions[0], bench.X_END, N=30, dt_max=0.1,
+    k_first=9, k_last=11, n_rejoin=4, n_branch_full=18))
+problem, layout = transcription.build(adapter, cfg)
+nlp.solve(problem, transcription.default_initial_guess(adapter, layout),
+          nlp.SolverOpts(max_outer=1, max_inner=5))
+assert "scipy.optimize" in sys.modules, "restoration did not load it"
+"""
+
+
+def test_scipy_optimize_is_imported_at_the_first_restoration():
+    # A fresh interpreter: this one may already hold scipy.optimize.
+    # Importing the program and setting up the rollouts must not load it
+    # (0.23 s and 17 MB); the short solve's restoration must.
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", _LAZY_OPTIMIZE_SCRIPT],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -9,6 +9,7 @@ their configs, and the sweep's drop replays return rows computed from
 the references they are given.
 """
 
+import csv
 import hashlib
 import json
 import os
@@ -37,12 +38,12 @@ RECORDED = {
         "json":
             "55e34b84578311579ad25626d4071d04905b7e2dae6f32b65f51a81a90fcb96e",
         "csv":
-            "c21632f2e823557b1819660e8282e280fe4822f116d9aaf3a5e54122d1eb91ba"},
+            "fec428efde79ebed7712bded722f3c7c3682a430e96c7c7ca2b2c343e62a6a91"},
     "tradeoff": {
         "json":
             "d30387dab9a902b50e86b8d2a43b1d54ae5f6db6fd7e326a6b16083360867f02",
         "csv":
-            "87ea51d16c063b7f57d80ea2ff3500ed7164c646b6931d3ccc839028b5500336"},
+            "4bf2f3f25cdd8222069d9373e80cbb760bd827cee3cbbfa012a3cf09c60759e5"},
 }
 
 
@@ -132,16 +133,48 @@ def _sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-@pytest.mark.parametrize("verb", sorted(VERBS))
-def test_study_verb_writes_the_recorded_files(verb, tmp_path, monkeypatch):
+def _run(verb, tmp_path, monkeypatch):
+    """Run ``verb`` under its stand-ins; the paths of its JSON and CSV."""
     text, flags, stand_ins = VERBS[verb]
     config = tmp_path / "run.yaml"
     config.write_text(text)
-    out, csv = tmp_path / f"{verb}.json", tmp_path / f"{verb}.csv"
+    out, table = tmp_path / f"{verb}.json", tmp_path / f"{verb}.csv"
     stand_ins(monkeypatch)
     assert cli.main([verb, "--config", str(config), "--out", str(out),
-                     "--csv", str(csv), *flags]) == 0
-    assert {"json": _sha256(out), "csv": _sha256(csv)} == RECORDED[verb]
+                     "--csv", str(table), *flags]) == 0
+    return out, table
+
+
+def _read(out, table):
+    with open(out) as fh, open(table, newline="") as ft:
+        return json.load(fh), list(csv.DictReader(ft))
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+def test_study_verb_writes_the_recorded_files(verb, tmp_path, monkeypatch):
+    out, table = _run(verb, tmp_path, monkeypatch)
+    assert {"json": _sha256(out), "csv": _sha256(table)} == RECORDED[verb]
+
+
+def test_tradeoff_csv_holds_the_tree_row_and_the_baseline(tmp_path,
+                                                          monkeypatch):
+    data, rows = _read(*_run("tradeoff", tmp_path, monkeypatch))
+    assert [r["kind"] for r in rows] == ["sure"] * len(data["rows"]) + ["tree"]
+    tree = data["tree"]
+    assert rows[-1]["n_r"] == str(tree["n_r"])
+    assert float(rows[-1]["cost"]) == tree["cost"]
+    assert float(rows[-1]["wall_time"]) == tree["wall_time"]
+    assert rows[-1]["statuses.0"] == tree["statuses"][0]
+    assert {float(r["baseline_cost"]) for r in rows} == {data["baseline_cost"]}
+
+
+def test_sweep_csv_holds_the_speed_limit_and_the_largest_speeds(tmp_path,
+                                                               monkeypatch):
+    data, rows = _read(*_run("sweep", tmp_path, monkeypatch))
+    assert len(rows) == len(data["rows"])
+    assert {float(r["v_lim"]) for r in rows} == {data["v_lim"]}
+    for name, dv in data["max_dv"].items():
+        assert {float(r[f"max_dv.{name}"]) for r in rows} == {dv}
 
 
 def _tradeoff(tmp_path, n_r_values, capsys):

@@ -224,6 +224,7 @@ def montecarlo(run: cfgmod.RunConfig, progress=None):
                            ("e_range", e_range)):
         if not lo <= hi:
             raise ValueError(f"{name} [{lo}, {hi}] is reversed")
+    _check_rollout_settings(run.experiment)
 
     # references: one staged (unbranched, then branched) solve per condition
     solve_args = [(run, [float(v) for v in state]) for state in conditions]
@@ -263,6 +264,32 @@ def montecarlo(run: cfgmod.RunConfig, progress=None):
     return {"seed": run.seed, "n_samples": n_samples, "totals": totals,
             "per_condition": per_condition,
             "paper_totals": dict(PAPER_TOTALS), "samples": results}
+
+
+def _check_rollout_settings(experiment):
+    """Reject the settings ``simulate`` or ``evaluate_trial`` would fail
+    on, naming the key, before the study's first solve."""
+    horizon = float(experiment["horizon"])
+    dt_sim = float(experiment["dt_sim"])
+    for name, value in (("horizon", horizon), ("dt_sim", dt_sim)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive, got {value}")
+    # the step count of ``simulate``
+    if round(horizon / dt_sim) < 1:
+        raise ValueError(f"horizon {horizon} is shorter than one step of "
+                         f"dt_sim {dt_sim}")
+    final_tol = experiment["final_tol"]
+    try:
+        tol = np.asarray(final_tol, dtype=float)
+    except (TypeError, ValueError):
+        tol = None
+    if tol is None or tol.shape != X_END.shape or not np.all(tol >= 0.0):
+        raise ValueError(f"final_tol must be {len(X_END)} non-negative "
+                         f"numbers, one per state, got {final_tol!r}")
+    debounce = float(experiment["debounce_window"])
+    if not debounce >= 0.0:
+        raise ValueError(
+            f"debounce_window must be non-negative, got {debounce}")
 
 
 _PLANT_LABELS = {"cartpole": "cart-pole", "arm": "arm"}

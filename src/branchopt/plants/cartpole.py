@@ -86,19 +86,6 @@ def forward_dynamics(q, qd, u, p: CartPoleParams = None):
     return np.array([xdd, thdd])
 
 
-def _accel_float(theta, thetadot, tau, p: CartPoleParams):
-    """Free-motion accelerations on plain floats (simulator hot path)."""
-    s = math.sin(theta)
-    c = math.cos(theta)
-    a = p.m_c + p.m_p
-    bm = p.m_p * p.l * c
-    cm = p.m_p * p.l * p.l
-    r0 = tau + p.m_p * p.l * s * thetadot * thetadot
-    r1 = -p.m_p * p.l * s * p.gravity
-    det = a * cm - bm * bm
-    return (cm * r0 - bm * r1) / det, (a * r1 - bm * r0) / det
-
-
 # -- contact geometry -------------------------------------------------------
 
 
@@ -158,7 +145,8 @@ def make_system(p: CartPoleParams = None, env: CartPoleEnv = None) -> HybridSyst
         n_q=2,
         n_u=1,
         free_dynamics=lambda q, qd, u: forward_dynamics(q, qd, u, p),
-        guard=lambda t, state, e: guard(state, e, p),
+        # ``guard``'s expression on floats: math.sin is np.sin to the bit
+        guard=lambda t, s, e: s[0] + p.l * math.sin(s[1]) - e.x_wall,
         impact=rigid_impact(lambda q: contact_jacobian(q, p),
                             lambda q: mass_matrix(q, p)),
         default_env=env,
@@ -167,9 +155,28 @@ def make_system(p: CartPoleParams = None, env: CartPoleEnv = None) -> HybridSyst
 
 
 def _make_fast_derivative(p: CartPoleParams):
+    """``accel`` without contact forces, on plain floats (simulator hot path).
+
+    Returns deriv(state, tau) -> (xdot, thdot, xdd, thdd).
+    """
+    # exact: a product rounds left to right; each of these leads its term
+    sin, cos = math.sin, math.cos
+    a = p.m_c + p.m_p
+    ml = p.m_p * p.l
+    cm = p.m_p * p.l * p.l
+    neg_ml = -p.m_p * p.l
+    g = p.gravity
+    a_cm = a * cm
+
     def deriv(state, tau):
-        xdd, thdd = _accel_float(state[1], state[3], tau, p)
-        return (state[2], state[3], xdd, thdd)
+        thd = state[3]
+        s = sin(state[1])
+        bm = ml * cos(state[1])
+        r0 = tau + ml * s * thd * thd
+        r1 = neg_ml * s * g
+        det = a_cm - bm * bm
+        return (state[2], thd, (cm * r0 - bm * r1) / det,
+                (a * r1 - bm * r0) / det)
 
     return deriv
 

@@ -8,6 +8,14 @@ the plant definition's impact law maps the state across it, and
 integration continues from the post-impact state.  ``rigid_impact``
 builds the cart-pole's law: a projected-Gauss-Seidel impulse with
 positions frozen.
+
+The benchmark's per-layer tracer (``perfbench/tracing.py``) times the
+loop by replacing what it calls, so a faster loop must keep these calls
+rather than inline them: ``sys.extras["fast_derivative"]`` at every RK4
+stage (``sys.state_derivative`` through ``rk4_step`` for a plant
+without one), ``sys.guard`` after every step, the controller once per
+step, and the module-level names ``detect_crossing`` and ``pgs_solve``,
+looked up when they are called.
 """
 
 from __future__ import annotations
@@ -169,21 +177,24 @@ def simulate(sys: HybridSystemDef, controller, x0, env=None, *, horizon,
     else:
         def step(x, u, dt):
             return rk4_step(sys.state_derivative, x, u, dt)
-    guard_fn = lambda t, s: sys.guard(t, s, env)
+    guard = sys.guard
+    guard_fn = lambda t, s: guard(t, s, env)
 
     times[0] = 0.0
     states[0] = x
-    guards[0] = guard_fn(0.0, x)
+    g = guards[0] = guard(0.0, x, env)
     termination = "horizon"
     k = 0
     t = 0.0
     while k < n_steps:
-        u = np.atleast_1d(controller(t, x))
+        u = controller(t, x)
+        if getattr(u, "ndim", 0) != 1:
+            u = np.atleast_1d(u)
         inputs[k] = u
         x_new = step(x, u, dt_sim)
         t_new = t + dt_sim
-        g_new = guard_fn(t_new, x_new)
-        if guards[k] > 0.0 >= g_new:
+        g_new = guard(t_new, x_new, env)
+        if g > 0.0 >= g_new:
             t_hit, x_hit = detect_crossing(guard_fn, x, x_new, t, t_new)
             post, impulse = sys.impact(x_hit, env)
             events.append(ContactEvent(t_hit, x_hit, post, impulse))
@@ -195,13 +206,14 @@ def simulate(sys: HybridSystemDef, controller, x0, env=None, *, horizon,
                 x_new = step(post, np.atleast_1d(controller(t_hit, post)), rem)
             else:
                 x_new = post
-            g_new = guard_fn(t_new, x_new)
+            g_new = guard(t_new, x_new, env)
         x = x_new
         t = t_new
+        g = g_new
         k += 1
         times[k] = t
         states[k] = x
-        guards[k] = g_new
+        guards[k] = g
         if stop_condition is not None:
             label = stop_condition(t, x, len(events))
             if label:
@@ -214,8 +226,9 @@ def simulate(sys: HybridSystemDef, controller, x0, env=None, *, horizon,
 
 
 def _rk4_fast(deriv, x, tau, dt):
-    """RK4 on plain floats for plants exposing a tuple-based derivative."""
-    s0 = (float(x[0]), float(x[1]), float(x[2]), float(x[3]))
+    """RK4 on plain floats for plants exposing a derivative that takes
+    and returns a sequence of floats."""
+    s0 = x.tolist()
     k1 = deriv(s0, tau)
     h2 = 0.5 * dt
     s1 = (s0[0] + h2 * k1[0], s0[1] + h2 * k1[1],

@@ -162,6 +162,33 @@ def test_montecarlo_rejects_no_samples_before_solving(monkeypatch):
         bench.montecarlo(config.RunConfig(experiment={"n_samples": 0}))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("horizon", 0.0), ("horizon", -1.0), ("horizon", 4e-4),
+    ("horizon", float("nan")), ("dt_sim", 0.0), ("dt_sim", -1e-3),
+    ("final_tol", [0.05, 0.05, 0.1]), ("final_tol", [0.05, 0.05, 0.1, -0.1]),
+    ("final_tol", 0.05), ("final_tol", [0.05, 0.05, 0.1, "loose"]),
+    ("debounce_window", -0.01)])
+def test_montecarlo_rejects_bad_rollout_settings_before_solving(
+        monkeypatch, key, value):
+    # the four reference solves take minutes; the trials that would fail
+    # on these settings run after them
+    monkeypatch.setattr(bench, "_solve_condition", _no_solve)
+    run = config.RunConfig(experiment={key: value, "workers": 1})
+    with pytest.raises(ValueError, match=key):
+        bench.montecarlo(run)
+
+
+@pytest.mark.parametrize("experiment", [
+    {}, {"horizon": 6e-4}, {"final_tol": [0, 0, 0, 0]},
+    {"debounce_window": 0}])
+def test_montecarlo_accepts_edge_rollout_settings(monkeypatch, experiment):
+    # 6e-4 s rounds to one step of 1 ms, as in ``simulate``
+    monkeypatch.setattr(bench, "_solve_condition", _no_solve)
+    with pytest.raises(_Solved):
+        bench.montecarlo(config.RunConfig(
+            experiment={**experiment, "workers": 1}))
+
+
 def _trace_with_contacts(times):
     """A rollout that ends upright at the target, clear of the default
     wall, with wall contacts at ``times``."""

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchopt import simulation
 from branchopt.plants import cartpole
@@ -150,3 +152,62 @@ def test_param_validation():
         cartpole.CartPoleParams(e=1.5)
     with pytest.raises(ValueError):
         cartpole.CartPoleEnv(e=-0.1)
+
+
+# -- the simulator's float callbacks -------------------------------------------
+
+
+def _accel_float(theta, thetadot, tau, p):
+    """The simulator's free-motion accelerations as first written, with
+    every parameter product evaluated in each call: the bit-for-bit oracle
+    of the closure that evaluates those products once."""
+    s = math.sin(theta)
+    c = math.cos(theta)
+    a = p.m_c + p.m_p
+    bm = p.m_p * p.l * c
+    cm = p.m_p * p.l * p.l
+    r0 = tau + p.m_p * p.l * s * thetadot * thetadot
+    r1 = -p.m_p * p.l * s * p.gravity
+    det = a * cm - bm * bm
+    return (cm * r0 - bm * r1) / det, (a * r1 - bm * r0) / det
+
+
+def _floats(lo, hi):
+    return st.floats(min_value=lo, max_value=hi)
+
+
+_params = st.builds(
+    cartpole.CartPoleParams, m_c=_floats(0.01, 10.0), m_p=_floats(0.01, 10.0),
+    l=_floats(0.05, 3.0), gravity=_floats(0.0, 20.0))
+_states = st.tuples(_floats(-3.0, 3.0), _floats(-7.0, 7.0),
+                    _floats(-50.0, 50.0), _floats(-50.0, 50.0)).map(np.array)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.one_of(st.just(P), _params), state=_states,
+       tau=_floats(-2000.0, 2000.0))
+def test_fast_derivative_matches_the_per_call_expression_bit_for_bit(
+        p, state, tau):
+    deriv = cartpole.make_system(p).extras["fast_derivative"]
+    got = deriv(tuple(state.tolist()), tau)
+    xdd, thdd = _accel_float(state[1].item(), state[3].item(), tau, p)
+    assert _bits(got) == _bits([state[2], state[3], xdd, thdd])
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.one_of(st.just(P), _params), a=_states, b=_states,
+       mid=st.one_of(st.just(0.5), _floats(0.0, 1.0)),
+       x_wall=_floats(-2.0, 2.0))
+def test_simulator_guard_equals_the_symbolic_guard_bit_for_bit(
+        p, a, b, mid, x_wall):
+    env = cartpole.CartPoleEnv(x_wall=x_wall)
+    sys_def = cartpole.make_system(p, env)
+    # the endpoints of a step and a state between them, interpolated as
+    # detect_crossing bisects
+    for state in (a, b, a + mid * (b - a)):
+        assert _bits(sys_def.guard(0.0, state, env)) == _bits(
+            cartpole.guard(state, env, p))

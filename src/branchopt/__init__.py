@@ -2,13 +2,13 @@
 contact timing.
 
 Submodules:
-  autodiff       forward-mode automatic differentiation (dual numbers)
+  autodiff       forward-mode derivatives from a recorded, replayed tape
   nlp            block-sparse augmented-Lagrangian NLP solver
-  hybrid         hybrid-system definition (flow, guard)
+  hybrid         hybrid-system definition (flow, guard, impact law)
   transcription  multiple-shooting transcription of the three formulations
   pipeline       staged (warm-started) solving of the branched problems
   simulation     RK4 + impulse-event contact simulator
-  contact2d      projected Gauss-Seidel contact impulse solver
+  contact2d      contact impulses: projected Gauss-Seidel and closed form
   control        LQR-designed tracking control and branch scheduling
   plants         cart-pole-with-wall and planar-arm ball-catch models
   bench          Monte-Carlo / trade-off / catch-speed studies

@@ -1,12 +1,13 @@
 """Forward-mode automatic differentiation, recorded once and replayed.
 
 A differentiable callback is straight-line code over its inputs and
-constants, built from ``+ - * /``, ``**`` with a constant scalar exponent,
+constants, built from ``+ - *``, ``/`` with an input as the numerator,
 unary minus and this module's ``sin``, ``cos`` and ``sqrt``.  It may not
-branch on an input: comparisons, ``bool``, ``abs`` and numpy functions
-of an input raise ``TypeError`` when the callback is recorded.  Every
-other value it reads (parameters, weights, targets) is a constant, read
-once, when it is recorded.
+branch on an input or use anything else: comparisons, ``bool``, ``abs``,
+``**``, a constant divided by an input and numpy functions of an input
+raise ``TypeError`` when the callback is recorded.  Every other value it
+reads (parameters, weights, targets) is a constant: one number, read
+once, when it is recorded; an array raises ``TypeError`` too.
 
 A :class:`Tape` runs the callback once on symbolic :class:`Node` inputs
 and keeps what it did: for each operation its rule, its operand slots
@@ -70,16 +71,6 @@ class Node:
             return self.tape._emit("div", self, other)
         return self.tape._emit("div_c", self, const=other)
 
-    def __rtruediv__(self, other):
-        return self.tape._emit("rdiv_c", self, const=other)
-
-    def __pow__(self, p):
-        if isinstance(p, Node):
-            raise TypeError("dual-valued exponents are not supported")
-        if np.ndim(p) != 0:
-            raise TypeError("an exponent must be one constant number")
-        return self.tape._emit("pow_c", self, const=p)
-
     def __neg__(self):
         return self.tape._emit("neg", self)
 
@@ -105,21 +96,18 @@ class Tape:
         self._shape = (batch, max(n_in, 1))  # of a value or its derivatives
         self._ops = []  # (rule, operand slots + output slot, constant)
         self._n_slots = n_in
-        try:
-            outs = fun([Node(self, j) for j in range(n_in)])
-        except TypeError as exc:
-            raise TypeError(f"{name}: {exc}") from exc
-        if isinstance(outs, Node):
-            outs = [outs]
         consts = {}  # slot -> an output that is a constant
         outputs = []
-        for y in outs:
-            if isinstance(y, Node):
-                outputs.append(y.slot)
-            else:
-                consts[self._n_slots] = self._const(y)
-                outputs.append(self._n_slots)
-                self._n_slots += 1
+        try:
+            for y in fun([Node(self, j) for j in range(n_in)]):
+                if isinstance(y, Node):
+                    outputs.append(y.slot)
+                else:
+                    consts[self._n_slots] = self._const(y)
+                    outputs.append(self._n_slots)
+                    self._n_slots += 1
+        except TypeError as exc:
+            raise TypeError(f"{name}: {exc}") from exc
         buffer = self._allocate(outputs, list(consts))
         self._slots = np.zeros((max(buffer.values(), default=-1) + 1, 2)
                                + self._shape)
@@ -162,19 +150,15 @@ class Tape:
     # -- recording ------------------------------------------------------------
 
     def _const(self, c):
-        """A constant as a scalar or as one value per batch entry, copied
-        across a value's columns."""
+        """A constant, which must be one number."""
         c = np.asarray(c, dtype=float)
-        if c.ndim == 0:
-            return c
-        if c.ndim == 1 and c.shape[0] in (1, self.batch):
-            return np.repeat(np.broadcast_to(c, (self.batch,))[:, None],
-                             self._shape[1], axis=1)
-        raise TypeError(f"a constant of shape {c.shape} does not broadcast "
-                        f"over a batch of {self.batch}")
+        if c.ndim != 0:
+            raise TypeError(f"a constant must be one number, not an array "
+                            f"of shape {c.shape}")
+        return c
 
     def _emit(self, rule, *args, const=None):
-        if const is not None and rule != "pow_c":
+        if const is not None:
             const = self._const(const)
         out = Node(self, self._n_slots)
         self._ops.append((rule, [a.slot for a in args] + [out.slot], const))
@@ -213,12 +197,6 @@ def _shift(t, c, zero):
     vec = np.empty((2,) + t._shape)
     vec[0], vec[1] = c, zero
     return vec
-
-
-def _both(c):
-    """A constant for both halves of a slot: a scalar as it is, an array
-    copied to the shape of a slot."""
-    return c if c.ndim == 0 else np.stack([c, c])
 
 
 def _add(t, a, b, c, k):
@@ -261,31 +239,11 @@ def _rsub_c(t, a, c, k):
 
 
 def _mul_c(t, a, c, k):
-    return [partial(np.multiply, a, _both(k), c)]
+    return [partial(np.multiply, a, k, c)]
 
 
 def _div_c(t, a, c, k):
-    return [partial(np.divide, a, _both(k), c)]
-
-
-def _rdiv_c(t, a, c, k):
-    # inv = 1/a; value k*inv; derivatives (-k*inv*inv)·da
-    inv, q = t._tmp
-    return [partial(np.divide, 1.0, a[0], inv),
-            partial(np.multiply, -k, inv, q),
-            partial(np.multiply, q, inv, q),
-            partial(np.multiply, a[1], q, c[1]),
-            partial(np.multiply, k, inv, c[0])]
-
-
-def _pow_c(t, a, c, p):
-    # the exponent as the callback gave it: numpy's ``**`` special-cases
-    # some exponents, and the rule must take the same path
-    def step():
-        c[0] = a[0] ** p
-        np.multiply(a[1], p * a[0] ** (p - 1), c[1])
-
-    return [step]
+    return [partial(np.divide, a, k, c)]
 
 
 def _neg(t, a, c, k):
@@ -327,7 +285,7 @@ def _sqrt(t, a, c, k):
 _RULES = {
     "add": _add, "sub": _sub, "mul": _mul, "div": _div,
     "add_c": _add_c, "sub_c": _sub_c, "rsub_c": _rsub_c,
-    "mul_c": _mul_c, "div_c": _div_c, "rdiv_c": _rdiv_c, "pow_c": _pow_c,
+    "mul_c": _mul_c, "div_c": _div_c,
     "neg": _neg, "sin": _sin, "cos": _cos, "sqrt": _sqrt,
 }
 

@@ -366,6 +366,14 @@ def tradeoff(run: cfgmod.RunConfig, include_baseline=False, progress=None):
     conditions = run.conditions
     n_r_values = [int(v) for v in run.experiment["n_r_values"]]
     budget = int(run.experiment["post_impact_budget"])
+    # each ``sure`` cell spends n_r of the budget per branch
+    if budget < 1:
+        raise ValueError(
+            f"post_impact_budget must be at least 1, got {budget}")
+    for n_r in n_r_values:
+        if not 1 <= n_r <= budget:
+            raise ValueError(f"n_r_values entry {n_r} is outside [1, "
+                             f"post_impact_budget {budget}]")
 
     cells = []
     for state in conditions:

@@ -4,8 +4,10 @@ A run is described by one YAML file with five sections — ``plant``,
 ``transcription``, ``solver``, ``controller``, ``experiment`` — each
 optional.  The same file drives every CLI verb, so a study is
 reproducible from the config plus a master seed.  ``RunConfig`` checks
-the file and fills in every key it leaves out, once, when it is made;
-this module is the only one that knows a default.  A key the schema
+the file and fills in every key it leaves out, once, when it is made.
+Every default is here, except the field defaults of
+``TranscriptionConfig`` and ``SolverOpts``: the transcription and solver
+keys this module leaves out keep those.  A key the schema
 below does not name raises ``ValueError``, in every section and at the
 top level; ``plant.params``/``plant.env`` take the fields of the plant's
 parameter/environment dataclass, and the arm takes no ``env``.
@@ -155,6 +157,10 @@ class RunConfig:
         _reject_unknown("solver", self.solver,
                         nlp.SolverOpts.__dataclass_fields__)
         nlp.SolverOpts(**self.solver)  # rejects values that break a solve
+        # the time-step bounds every variant checks, at load
+        tr.TranscriptionConfig(N=2, contact_node=1, **{
+            k: self.transcription[k] for k in ("dt_min", "dt_max")
+            if k in self.transcription})
 
     # -- plant ---------------------------------------------------------
     @property

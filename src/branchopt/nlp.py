@@ -9,9 +9,10 @@ equality blocks target zero; inequality blocks target <= 0.  The solver
 gets exact derivatives from each block's tape (``autodiff.Tape``): a
 block's callback runs once on symbolic inputs, at its first derivative
 evaluation, and every later one replays the recorded operations.  So a
-callback is straight-line code over ``+ - * / **`` (constant exponent),
-unary minus and ``autodiff.sin``/``cos``/``sqrt``, and every constant it
-reads is read once, at that first evaluation.
+callback is straight-line code over ``+ - *``, ``/`` with a variable as
+the numerator, unary minus and ``autodiff.sin``/``cos``/``sqrt``, and
+every constant it reads is one number, read once, at that first
+evaluation.
 
 Each outer iteration minimizes the augmented Lagrangian
 
@@ -72,10 +73,10 @@ class Block:
     float arrays of shape (batch,); the first derivative evaluation
     passes ``autodiff.Node`` inputs once, to record ``tape``, which every
     derivative evaluation replays.  So ``fun`` is straight-line code over
-    ``+ - * / **`` (constant exponent), unary minus and
-    ``autodiff.sin``/``cos``/``sqrt``, and the constants it reads are read
-    once, when the tape is recorded.  A row of ``indices`` names each
-    variable at most once.
+    ``+ - *``, ``/`` with a variable as the numerator, unary minus and
+    ``autodiff.sin``/``cos``/``sqrt``, and the constants it reads are
+    single numbers, read once, when the tape is recorded.  A row of
+    ``indices`` names each variable at most once.
     """
 
     name: str

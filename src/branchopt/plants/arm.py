@@ -136,7 +136,8 @@ def _bias_abs(a, adot, p: ArmCatchParams):
 
 
 def _solve3(M, b):
-    """Solve a 3x3 linear system by cofactors (works on duals)."""
+    """Solve a 3x3 linear system by cofactors, on recorded
+    (``autodiff.Node``) or float entries."""
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M
     c00 = m11 * m22 - m12 * m21
     c01 = m12 * m20 - m10 * m22
@@ -227,7 +228,7 @@ def guard(t, state, env: ArmCatchParams):
     """Height of the ball's bottom above the container at time t.
 
     ``env`` gives the ball's release (``p_ball0``, ``v_ball0``) and the
-    arm geometry; works on duals.
+    arm geometry; ``state`` may be recorded (``autodiff.Node``) or float.
     """
     (_, bz), _ = ball_state(t, env.p_ball0, env.v_ball0, env.g)
     _, pz, _ = fk(state[:3], env)

@@ -61,7 +61,8 @@ def env_from_params(p: CartPoleParams) -> CartPoleEnv:
 
 
 def accel(theta, thetadot, tau, fx, fy, p: CartPoleParams):
-    """Generalized accelerations (xdd, thdd); dual-safe scalar form.
+    """Generalized accelerations (xdd, thdd), of recorded
+    (``autodiff.Node``) or float arguments.
 
     Solves M(q) qdd = [1,0]^T tau + Jc^T F - H(q, qd) with the 2x2 mass
     matrix inverted in closed form.
@@ -80,7 +81,7 @@ def accel(theta, thetadot, tau, fx, fy, p: CartPoleParams):
     return xdd, thdd
 
 
-def forward_dynamics(q, qd, u, p: CartPoleParams = None):
+def forward_dynamics(q, qd, u, p: CartPoleParams):
     tau = u[0] if np.ndim(u) else u
     xdd, thdd = accel(q[1], qd[1], tau, 0.0, 0.0, p)
     return np.array([xdd, thdd])

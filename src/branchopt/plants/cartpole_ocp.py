@@ -14,7 +14,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..transcription import PlantOcp, STRICT_EPS
 from .cartpole import (CartPoleEnv, CartPoleParams, X_EQ, accel,
-                       env_from_params, impact_map)
+                       env_from_params, guard, impact_map)
 
 CONE_SMOOTHING = 1e-8
 # running-cost weights on the state's deviation from upright and the input
@@ -56,7 +56,7 @@ class CartPoleOcp(PlantOcp):
         ]
 
     def guard_expr(self, v):
-        return v[0] + self.p.l * ad.sin(v[1]) - self.env.x_wall
+        return guard(v, self.env, self.p)
 
     def path_constraints(self):
         limit = self.env.x_wall + 0.5 * self.p.w_cart + STRICT_EPS

@@ -61,17 +61,17 @@ class SimTrace:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             n_x = self.states.shape[1]
-            n_u = self.inputs.shape[1] if self.inputs.ndim == 2 else 1
+            n_u = self.inputs.shape[1]
             header = (["t"] + [f"x{i}" for i in range(n_x)]
                       + [f"u{i}" for i in range(n_u)] + ["guard"])
             writer.writerow(header)
-            inputs = np.atleast_2d(self.inputs.T).T
             for k in range(len(self.times)):
-                u_row = inputs[k] if k < len(inputs) else inputs[-1]
+                u_row = (self.inputs[k] if k < len(self.inputs)
+                         else self.inputs[-1])
                 writer.writerow(
                     [repr(float(self.times[k]))]
                     + [repr(float(v)) for v in self.states[k]]
-                    + [repr(float(v)) for v in np.atleast_1d(u_row)]
+                    + [repr(float(v)) for v in u_row]
                     + [repr(float(self.guards[k]))]
                 )
 
@@ -99,8 +99,6 @@ def detect_crossing(guard, state_a, state_b, t_a, t_b):
     state_b = np.asarray(state_b, dtype=float)
     g_a = guard(t_a, state_a)
     g_b = guard(t_b, state_b)
-    if g_a <= 0 and g_a > -CROSSING_TOL and abs(g_a) <= abs(g_b):
-        return t_a, state_a
     if not (g_a > 0 >= g_b):
         raise NoCrossingError(f"no sign change: guard {g_a:.3e} -> {g_b:.3e}")
     lo, hi = 0.0, 1.0
@@ -148,9 +146,9 @@ def simulate(sys: HybridSystemDef, controller, x0, env=None, *, horizon,
              dt_sim, stop_condition=None):
     """Closed-loop rollout with guard-triggered impact events.
 
-    ``controller(t, state) -> u`` supplies the input, held constant over
-    each step; controllers may expose ``notify_contact(t)`` to receive
-    event times.  ``stop_condition(t, state, n_events)`` may return a
+    ``controller(t, state) -> u`` supplies the input, an ``(n_u,)`` array
+    held constant over each step; controllers may expose
+    ``notify_contact(t)`` to receive event times.  ``stop_condition(t, state, n_events)`` may return a
     termination label to end the rollout early; failures never raise,
     they are recorded on the trace.
     """
@@ -188,8 +186,6 @@ def simulate(sys: HybridSystemDef, controller, x0, env=None, *, horizon,
     t = 0.0
     while k < n_steps:
         u = controller(t, x)
-        if getattr(u, "ndim", 0) != 1:
-            u = np.atleast_1d(u)
         inputs[k] = u
         x_new = step(x, u, dt_sim)
         t_new = t + dt_sim
@@ -203,7 +199,7 @@ def simulate(sys: HybridSystemDef, controller, x0, env=None, *, horizon,
             # finish the step from the post-impact state
             rem = t_new - t_hit
             if rem > 1e-12:
-                x_new = step(post, np.atleast_1d(controller(t_hit, post)), rem)
+                x_new = step(post, controller(t_hit, post), rem)
             else:
                 x_new = post
             g_new = guard(t_new, x_new, env)

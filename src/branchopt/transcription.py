@@ -18,6 +18,7 @@ scaffolding.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -62,6 +63,10 @@ class TranscriptionConfig:
         if self.variant == "tree" and self.n_branch_full < 1:
             raise ValueError(
                 f"n_branch_full must be at least 1, got {self.n_branch_full}")
+        if not isinstance(self.dt_min, numbers.Real) or not self.dt_min > 0:
+            # the running cost's sqrt(dt) has no derivative at 0
+            raise ValueError(
+                f"dt_min must be a positive number, got {self.dt_min!r}")
         if self.dt_min > self.dt_max:
             raise ValueError(
                 f"dt_min {self.dt_min} exceeds dt_max {self.dt_max}")
@@ -270,8 +275,9 @@ class ProblemBuilder:
 class PlantOcp:
     """Adapter interface a plant implements to participate in transcription.
 
-    Residual callbacks receive dual-evaluable values; index rows are int
-    arrays with one row per node.  The 12 hooks:
+    Residual callbacks receive recorded (``autodiff.Node``) or float
+    values; index rows are int arrays with one row per node.  The 12
+    hooks:
 
     * ``n_cost_residuals`` -- outputs of ``node_cost`` per node.
     * ``clearance_after_contact`` -- whether the guard stays positive

@@ -147,6 +147,30 @@ def test_cartpole_studies_reject_the_arm(study):
         study(config.RunConfig(plant={"name": "arm"}))
 
 
+@pytest.mark.parametrize("experiment, key", [
+    ({"n_r_values": [4, 20], "post_impact_budget": 18}, "n_r_values"),
+    ({"n_r_values": [0, 4]}, "n_r_values"),
+    ({"n_r_values": [1], "post_impact_budget": 0}, "post_impact_budget")])
+def test_tradeoff_rejects_a_rejoin_horizon_beyond_the_budget_before_solving(
+        monkeypatch, experiment, key):
+    # a sure cell with n_r > budget has a negative final segment, which
+    # would fail only in that cell's solve, after the cells before it
+    for name in ("solve_nominal", "solve_sure", "solve_tree"):
+        monkeypatch.setattr(pipeline, name, _no_solve)
+    run = config.RunConfig(experiment={**experiment, "workers": 1})
+    with pytest.raises(ValueError, match=key):
+        bench.tradeoff(run, include_baseline=True)
+
+
+def test_tradeoff_accepts_a_rejoin_horizon_of_the_whole_budget(monkeypatch):
+    monkeypatch.setattr(pipeline, "solve_sure", _no_solve)
+    run = config.RunConfig(experiment={"n_r_values": [1, 18],
+                                       "post_impact_budget": 18,
+                                       "workers": 1})
+    with pytest.raises(_Solved):
+        bench.tradeoff(run)
+
+
 @pytest.mark.parametrize("key, box", [("x_wall_range", [-0.3, -0.7]),
                                       ("e_range", [0.9, 0.7])])
 def test_montecarlo_rejects_a_reversed_box_before_solving(monkeypatch, key,

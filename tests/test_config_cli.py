@@ -123,6 +123,14 @@ def test_rejects_solver_values_that_break_a_solve(tmp_path, key, text):
         nlp.SolverOpts(**{key: yaml.safe_load(text)})
 
 
+@pytest.mark.parametrize("text", ["0.0", "-1.0e-3", "1e-3"])
+def test_rejects_a_time_step_floor_that_breaks_a_solve_at_load(tmp_path,
+                                                               text):
+    path = _write(tmp_path, f"transcription:\n  dt_min: {text}\n")
+    with pytest.raises(ValueError, match="dt_min"):
+        config.load_config(path)
+
+
 def test_rejects_removed_transcription_key(tmp_path):
     path = _write(tmp_path, "transcription:\n  d_bounds: [0.01, 0.1]\n")
     with pytest.raises(ValueError, match="d_bounds"):

@@ -108,14 +108,17 @@ def test_rosenbrock_valley_unconstrained():
 
 
 def test_batched_block_matches_loop():
-    # sum_i (x_i - i)^2 with one batched block
+    # sum_i (x_i - i)^2 with one batched block; the targets are fixed
+    # variables, since a recorded constant is one number
     n = 6
-    idx = np.arange(n).reshape(-1, 1)
+    idx = np.column_stack([np.arange(n), n + np.arange(n)])
     target = np.arange(n, dtype=float)
-    cost = _block("r", lambda v: [v[0] - target], idx, 1)
-    p = _problem(n, cost=[cost])
-    sol = nlp.solve(p, np.zeros(n))
-    assert sol.x == pytest.approx(target, abs=1e-8)
+    cost = _block("r", lambda v: [v[0] - v[1]], idx, 1)
+    p = _problem(2 * n, cost=[cost],
+                 lower=np.r_[np.full(n, -np.inf), target],
+                 upper=np.r_[np.full(n, np.inf), target])
+    sol = nlp.solve(p, np.r_[np.zeros(n), target])
+    assert sol.x[:n] == pytest.approx(target, abs=1e-8)
 
 
 def test_nonconvex_equality_circle():

@@ -228,20 +228,3 @@ def test_simulate_rejects_a_horizon_below_one_step(horizon):
     with pytest.raises(ValueError, match="no step"):
         simulation.simulate(sys_def, lambda t, x: np.zeros(1),
                             cartpole.X_EQ, horizon=horizon, dt_sim=1e-3)
-
-
-@pytest.mark.parametrize("output", [float, np.float64, np.array],
-                         ids=["float", "numpy-scalar", "0-d-array"])
-def test_simulate_accepts_a_scalar_controller_output(output):
-    # a single-input controller may return a scalar; the trace still
-    # records an (n_steps, 1) input column, through the impact too
-    sys_def = cartpole.make_system()
-    x0 = np.array([-0.1, 3.6, -0.5, 2.0])
-    trace = simulation.simulate(sys_def, lambda t, x: output(0.25), x0,
-                                horizon=0.3, dt_sim=1e-3)
-    assert trace.inputs.shape == (300, 1)
-    assert np.all(trace.inputs == 0.25)
-    assert len(trace.contact_events) >= 1
-    vector = simulation.simulate(sys_def, lambda t, x: np.array([0.25]), x0,
-                                 horizon=0.3, dt_sim=1e-3)
-    assert trace.states.tobytes() == vector.states.tobytes()

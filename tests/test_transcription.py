@@ -94,11 +94,13 @@ def test_config_validation():
 
 @pytest.mark.parametrize("variant, key, value", [
     ("sure", "n_rejoin", 0), ("tree", "n_branch_full", 0),
-    ("nominal", "dt_min", 0.2)])
+    ("nominal", "dt_min", 0.2), ("nominal", "dt_min", 0.0),
+    ("sure", "dt_min", -1e-3)])
 def test_config_rejects_empty_branches_and_reversed_dt_bounds(variant, key,
                                                               value):
     # an empty branch used to build a problem that crashed on its first
-    # evaluation; reversed dt bounds failed only inside NlpProblem
+    # evaluation; reversed dt bounds failed only inside NlpProblem; at a
+    # dt of 0 the running cost's sqrt(dt) has an infinite derivative
     with pytest.raises(ValueError, match=key):
         _cfg(variant, **{key: value})
 

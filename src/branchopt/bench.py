@@ -360,7 +360,10 @@ def tradeoff(run: cfgmod.RunConfig, include_baseline=False, progress=None):
     cumulative (warm-start included) wall times are averaged over the
     configured initial conditions.  ``n_r7_cost_pct`` and
     ``n_r7_time_ratio`` compare the N_r = 7 row with the tree; they are
-    left out when 7 is not among ``n_r_values``.
+    left out when 7 is not among ``n_r_values``.  With
+    ``include_baseline``, ``baseline_cost`` is the mean cost of the
+    exact-knowledge solves and ``baseline_statuses`` their statuses, in
+    cell order.
     """
     _require_plant(run, "cartpole", "tradeoff")
     conditions = run.conditions
@@ -402,7 +405,10 @@ def tradeoff(run: cfgmod.RunConfig, include_baseline=False, progress=None):
            "paper_comparison": {"cost_pct": 4.87, "time_pct": -55.85}}
     if include_baseline:
         base = [r for r in results if r["kind"] == "baseline"]
+        # the mean takes every solve; the statuses, in cell order, show
+        # which of them did not converge
         out["baseline_cost"] = float(np.mean([r["cost"] for r in base]))
+        out["baseline_statuses"] = [r["status"] for r in base]
     # the paper's headline comparison is at N_r = 7
     seven = next((row for row in rows if row["n_r"] == 7), None)
     if seven is not None:
@@ -562,7 +568,7 @@ def velocity_sweep(run: cfgmod.RunConfig, progress=None):
 
 # what a study's rows are compared against: the CSV repeats these on
 # every row (nested ones flattened, e.g. ``max_dv.nominal``)
-_CSV_CONTEXT = ("baseline_cost", "v_lim", "max_dv")
+_CSV_CONTEXT = ("baseline_cost", "baseline_statuses", "v_lim", "max_dv")
 
 
 def export(data, path, format="json"):

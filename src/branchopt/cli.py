@@ -3,7 +3,8 @@
 Verbs, each with every flag it takes:
 
   solve       --config --out --variant --condition
-              solve one formulation, write the solution bundle (JSON)
+              solve one formulation, write the solution bundle and the
+              solve's status, KKT residuals and iteration counts (JSON)
   simulate    --config --out --solution --reference --condition --x-wall --e
               closed-loop rollout of a saved bundle, write the trace (CSV)
   montecarlo  --config --out --csv --seed --workers
@@ -24,6 +25,7 @@ gains need the cart-pole.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -68,6 +70,7 @@ def cmd_solve(args):
     s = res.solution
     _progress(f"{args.variant}: {s.status} cost {s.objective_value:.6f} "
               f"kkt(viol) {max(s.kkt.eq_viol, s.kkt.ineq_viol):.2e} "
+              f"kkt(stat) {s.kkt.stationarity:.2e} "
               f"wall {s.wall_time:.1f}s")
     payload = {
         "schema_version": cfgmod.SCHEMA_VERSION,
@@ -75,6 +78,11 @@ def cmd_solve(args):
         "variant": args.variant,
         "status": s.status,
         "objective_value": float(s.objective_value),
+        # the record of the last stage's solve: a "converged" accepted by
+        # the objective-stall rule shows here as a large stationarity
+        "kkt": {k: float(v) for k, v in dataclasses.asdict(s.kkt).items()},
+        "iterations": int(s.iterations),
+        "inner_iterations": int(s.inner_iterations),
         "bundle": tr.bundle_to_dict(res.bundle),
     }
     with open(args.out, "w") as fh:
@@ -142,6 +150,9 @@ def cmd_tradeoff(args):
               f"time {row['wall_time']:.1f}s")
     t = table["tree"]
     print(f"tree     cost {t['cost']:.4f}  time {t['wall_time']:.1f}s")
+    if "baseline_cost" in table:
+        print(f"baseline cost {table['baseline_cost']:.4f}  "
+              f"({', '.join(table['baseline_statuses'])})")
     if "n_r7_cost_pct" in table:
         print(f"N_r=7 vs tree: cost {table['n_r7_cost_pct']:+.2f}%  "
               f"time ratio {table['n_r7_time_ratio']:.2f}")

@@ -5,11 +5,13 @@ import csv
 import json
 import os
 import re
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import yaml
 
-from branchopt import cli, config, nlp
+from branchopt import cli, config, nlp, pipeline
 from branchopt import transcription as tr
 
 
@@ -193,6 +195,37 @@ def test_cli_solve_writes_a_failed_nominal_stage_and_returns_1(tmp_path):
     assert payload["status"] == "max_iter"
     assert payload["variant"] == "sure"
     assert payload["bundle"]["branches"] == []
+    # the record of the unbranched stage it stopped at
+    assert payload["iterations"] == 1
+    assert payload["inner_iterations"] >= 1
+    assert set(payload["kkt"]) == {"stationarity", "eq_viol", "ineq_viol",
+                                   "comp_slackness"}
+    assert payload["kkt"]["eq_viol"] > 1e-6
+
+
+def test_cli_solve_writes_an_objective_stall_convergence_with_its_kkt(
+        tmp_path, monkeypatch, capsys):
+    # a "converged" accepted by the objective-stall rule, far from the
+    # stationarity tolerance: the file and the summary line both show it
+    kkt = nlp.KktResidual(stationarity=1.59, eq_viol=2e-7, ineq_viol=0.0,
+                          comp_slackness=3e-9)
+    solution = nlp.NlpSolution(
+        x=np.zeros(3), multipliers_eq=np.zeros(0),
+        multipliers_ineq=np.zeros(0), objective_value=14.5, kkt=kkt,
+        iterations=9, inner_iterations=4321, wall_time=2.0,
+        status="converged")
+    bundle = tr.bundle_from_dict(_scheduling_bundle())
+    monkeypatch.setattr(pipeline, "solve_sure", lambda adapter, cfg, opts:
+                        SimpleNamespace(solution=solution, bundle=bundle))
+    out = tmp_path / "solution.json"
+    assert cli.main(["solve", "--out", str(out)]) == 0
+    with open(out) as fh:
+        payload = json.load(fh)
+    assert payload["status"] == "converged"
+    assert payload["kkt"] == {"stationarity": 1.59, "eq_viol": 2e-7,
+                              "ineq_viol": 0.0, "comp_slackness": 3e-9}
+    assert (payload["iterations"], payload["inner_iterations"]) == (9, 4321)
+    assert "kkt(viol) 2.00e-07 kkt(stat) 1.59e+00" in capsys.readouterr().err
 
 
 def test_cli_simulate_robust_nominal_needs_branches(tmp_path):

@@ -1,5 +1,6 @@
 """Augmented-Lagrangian solver on small problems with known solutions."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -384,6 +386,36 @@ def test_al_jacobian_survives_evaluating_another_point():
         assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_jacobian_operator_products_are_scipys_bit_for_bit(data):
+    # the restoration's unit-scaled trf pass multiplies through
+    # _JacobianOperator where scipy would wrap the matrix itself
+    m = data.draw(st.integers(1, 12))
+    n = data.draw(st.integers(1, 7))
+    stored = data.draw(hnp.arrays(bool, (m, n)))
+    empty_row = data.draw(st.none() | st.integers(0, m - 1))
+    empty_col = data.draw(st.none() | st.integers(0, n - 1))
+    if empty_row is not None:
+        stored[empty_row] = False
+    if empty_col is not None:
+        stored[:, empty_col] = False
+    J = _stored(data.draw(hnp.arrays(float, (m, n), elements=_ENTRIES)),
+                stored)
+    k = data.draw(st.integers(1, 2))
+    x, X = (data.draw(hnp.arrays(float, shape, elements=_ENTRIES))
+            for shape in (n, (n, k)))
+    y, Y = (data.draw(hnp.arrays(float, shape, elements=_ENTRIES))
+            for shape in (m, (m, k)))
+    op, ref = nlp._JacobianOperator(J), spla.aslinearoperator(J)
+    for name, arg in (("matvec", x), ("matmat", X), ("rmatvec", y),
+                      ("rmatmat", Y)):
+        got, want = getattr(op, name)(arg), getattr(ref, name)(arg)
+        assert got.shape == want.shape, name
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
 # -- determinism ------------------------------------------------------------
 
 
@@ -416,14 +448,56 @@ def _assert_matches(sol, recorded):
     assert sol.x.tolist() == recorded["x"]
 
 
-def test_short_solve_matches_recorded_bit_for_bit():
+def test_short_solve_matches_recorded_bit_for_bit(monkeypatch):
     # A short solve of the benchmark's cart-pole nominal stage (N=30) from
     # the default guess: restoration plus one outer iteration.  The solver
     # does not absorb a 1-ulp change in its arithmetic, so the iterate,
-    # the evaluation count and the objective are compared exactly.
+    # the evaluation count and the objective are compared exactly.  Its
+    # restoration runs both trf passes, so the record also covers the
+    # unit-scaled pass and its _JacobianOperator.
+    passes = []
+    least_squares = nlp.least_squares
+
+    def counted(fun, z0, jac, **kwargs):
+        passes.append((kwargs["x_scale"], type(jac(z0))))
+        return least_squares(fun, z0, jac=jac, **kwargs)
+
+    monkeypatch.setattr(nlp, "least_squares", counted)
     adapter, cfg = _benchmark_config("sure")
     sol = _short_solve(adapter, pipeline.nominal_stage_config(cfg))
     _assert_matches(sol, _recorded("short_nominal_solve.json"))
+    assert passes == [("jac", sp.csr_matrix), (1.0, nlp._JacobianOperator)]
+
+
+def _feasibility_problem():
+    """The residuals and Jacobian of the restoration on the short solve's
+    problem, the benchmark's nominal stage from the default guess, with
+    the start and bounds of its free variables."""
+    adapter, cfg = _benchmark_config("sure")
+    problem, layout = tr.build(adapter, pipeline.nominal_stage_config(cfg))
+    x = np.clip(tr.default_initial_guess(adapter, layout), problem.lower,
+                problem.upper)
+    free = problem.lower < problem.upper
+    feas = dataclasses.replace(problem, cost_blocks=[])
+    helper = nlp._AlResiduals(feas, np.zeros(problem.n_eq),
+                              np.zeros(problem.n_ineq), 2.0, free, x)
+    return helper, x[free], (problem.lower[free], problem.upper[free])
+
+
+def test_unit_scaled_trf_is_bit_for_bit_with_the_jacobian_operator():
+    # the restoration's unit-scaled pass, given the CSR matrix or the
+    # operator, takes the same iterates: same x bytes, nfev and status
+    helper, z0, bounds = _feasibility_problem()
+    results = [
+        nlp.least_squares(helper.residuals, z0, jac=jac, bounds=bounds,
+                          method="trf", tr_solver="lsmr", x_scale=1.0,
+                          max_nfev=15, xtol=1e-14, ftol=1e-14, gtol=1e-14)
+        for jac in (helper.jac,
+                    lambda z: nlp._JacobianOperator(helper.jac(z)))]
+    sparse, operator = results
+    assert isinstance(operator.jac, nlp._JacobianOperator)
+    assert operator.x.tobytes() == sparse.x.tobytes()
+    assert (operator.nfev, operator.status) == (sparse.nfev, sparse.status)
 
 
 @pytest.mark.parametrize("variant", ["sure", "tree"])

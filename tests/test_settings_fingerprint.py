@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import yaml
 
-from branchopt import bench, cli, config, control, pipeline, simulation
+from branchopt import bench, cli, config, control, nlp, pipeline, simulation
 from branchopt import transcription as tr
 from branchopt.plants import cartpole
 
@@ -85,7 +85,8 @@ RECORDED = {
 _FAKE = SimpleNamespace(
     solution=SimpleNamespace(
         status="converged", objective_value=1.0, wall_time=1.0,
-        x=np.zeros(1), kkt=SimpleNamespace(eq_viol=0.0, ineq_viol=0.0)),
+        x=np.zeros(1), kkt=nlp.KktResidual(0.0, 0.0, 0.0, 0.0),
+        iterations=1, inner_iterations=1),
     layout=SimpleNamespace(arrays={"vlim": [0]}),
     bundle=SimpleNamespace(common=None), nominal=SimpleNamespace(common=None))
 

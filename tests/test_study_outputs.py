@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from branchopt import bench, cli, pipeline
+from branchopt import bench, cli, config, pipeline
 from branchopt import transcription as tr
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -41,9 +41,9 @@ RECORDED = {
             "fec428efde79ebed7712bded722f3c7c3682a430e96c7c7ca2b2c343e62a6a91"},
     "tradeoff": {
         "json":
-            "d30387dab9a902b50e86b8d2a43b1d54ae5f6db6fd7e326a6b16083360867f02",
+            "b6b3de0642ab61beb537cbfa19a2be223fcfcf9545e257b93c9b91dcb5f6bfee",
         "csv":
-            "4bf2f3f25cdd8222069d9373e80cbb760bd827cee3cbbfa012a3cf09c60759e5"},
+            "318f0384c1f2dc5d99e6bfc8cd33e93b015199fb5dfeba85614e5ce5283e18b1"},
 }
 
 
@@ -166,6 +166,8 @@ def test_tradeoff_csv_holds_the_tree_row_and_the_baseline(tmp_path,
     assert float(rows[-1]["wall_time"]) == tree["wall_time"]
     assert rows[-1]["statuses.0"] == tree["statuses"][0]
     assert {float(r["baseline_cost"]) for r in rows} == {data["baseline_cost"]}
+    for i, status in enumerate(data["baseline_statuses"]):
+        assert {r[f"baseline_statuses.{i}"] for r in rows} == {status}
 
 
 def test_sweep_csv_holds_the_speed_limit_and_the_largest_speeds(tmp_path,
@@ -177,13 +179,13 @@ def test_sweep_csv_holds_the_speed_limit_and_the_largest_speeds(tmp_path,
         assert {float(r[f"max_dv.{name}"]) for r in rows} == {dv}
 
 
-def _tradeoff(tmp_path, n_r_values, capsys):
+def _tradeoff(tmp_path, n_r_values, capsys, *flags):
     config = tmp_path / "run.yaml"
     config.write_text(
         f"experiment: {{workers: 1, n_r_values: {n_r_values}}}\n")
     out = tmp_path / "tradeoff.json"
     assert cli.main(["tradeoff", "--config", str(config),
-                     "--out", str(out)]) == 0
+                     "--out", str(out), *flags]) == 0
     with open(out) as fh:
         return json.load(fh), capsys.readouterr().out
 
@@ -207,3 +209,32 @@ def test_tradeoff_without_n_r_7_leaves_the_comparison_out(tmp_path,
     assert [row["n_r"] for row in table["rows"]] == [5, 9]
     assert not {"n_r7_cost_pct", "n_r7_time_ratio"} & set(table)
     assert "N_r=7" not in printed
+
+
+def test_tradeoff_baseline_shows_an_infeasible_solve_beside_its_cost(
+        tmp_path, monkeypatch, capsys):
+    # the exact-knowledge solve at contact node 19 ends infeasible at a
+    # high cost; the mean takes it in, and the statuses say so
+    _tradeoff_solves(monkeypatch)
+    nominal = pipeline.solve_nominal
+
+    def one_infeasible(adapter, cfg, opts):
+        if cfg.contact_node == 19:
+            return _solved(80.0, 1.0, status="infeasible")
+        return nominal(adapter, cfg, opts)
+
+    monkeypatch.setattr(pipeline, "solve_nominal", one_infeasible)
+    table, printed = _tradeoff(tmp_path, [7], capsys, "--baseline")
+    # cells run condition by condition, contact nodes 18 to 22 in each
+    statuses = ["converged", "infeasible", "converged", "converged",
+                "converged"]
+    assert table["baseline_statuses"] == statuses * 4
+    costs = [80.0 if node == 19 else
+             9.0 + 0.01 * node + 0.01 * float(np.sum(x_init))
+             for x_init in config.load_config(None).conditions
+             for node in range(18, 23)]
+    assert table["baseline_cost"] == float(np.mean(costs))
+    line = next(ln for ln in printed.splitlines()
+                if ln.startswith("baseline"))
+    assert f"{table['baseline_cost']:.4f}" in line
+    assert line.count("infeasible") == 4

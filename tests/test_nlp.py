@@ -488,13 +488,12 @@ def test_unit_scaled_trf_is_bit_for_bit_with_the_jacobian_operator():
     # the restoration's unit-scaled pass, given the CSR matrix or the
     # operator, takes the same iterates: same x bytes, nfev and status
     helper, z0, bounds = _feasibility_problem()
-    results = [
+    sparse, operator = (
         nlp.least_squares(helper.residuals, z0, jac=jac, bounds=bounds,
                           method="trf", tr_solver="lsmr", x_scale=1.0,
                           max_nfev=15, xtol=1e-14, ftol=1e-14, gtol=1e-14)
         for jac in (helper.jac,
-                    lambda z: nlp._JacobianOperator(helper.jac(z)))]
-    sparse, operator = results
+                    lambda z: nlp._JacobianOperator(helper.jac(z))))
     assert isinstance(operator.jac, nlp._JacobianOperator)
     assert operator.x.tobytes() == sparse.x.tobytes()
     assert (operator.nfev, operator.status) == (sparse.nfev, sparse.status)

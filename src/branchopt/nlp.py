@@ -29,21 +29,19 @@ that product drops, so the iterates are bit for bit those of
 ``Jf.T @ Jf``.  Variables with equal lower and upper bounds are
 eliminated from the inner problem.
 The restoration phase, which minimizes the constraint violation alone,
-runs scipy's trust-region reflective method (``least_squares``) and,
-when that leaves the violation high, a second unit-scaled pass polished
-by the same LM method.  The first pass scales the variables by the
-Jacobian's column norms (``x_scale="jac"``), which scipy computes from a
-matrix, so it gets the CSR matrix.  The unit-scaled pass (``x_scale=1``)
-gets it as a ``_JacobianOperator``: its ``lsmr`` subproblems make about
-350 sparse products per evaluation, and the operator calls the sparse ``@``
-directly instead of through scipy's ``MatrixLinearOperator`` and its
-transposed copy, with the same kernels on the same data, so the iterates
-are bit for bit the same.  Only restoration uses ``scipy.optimize``, and
-importing it costs about 0.23 s of CPU and 17 MB of memory, so it is
-imported at the first restoration, by the module-level
-``least_squares`` shim; processes that only replay solved references
-never load it.  ``perfbench/tracing.py`` patches ``nlp.least_squares``
-to time and count the ``trf`` calls.
+runs a trust-region reflective method (``least_squares``) and, when
+that leaves the violation high, a second unit-scaled pass polished by
+the same LM method.  The first pass scales the variables by the
+Jacobian's column norms (``x_scale="jac"``); both get the CSR Jacobian.
+``least_squares`` is the module ``trf``: scipy's ``least_squares(
+method="trf", tr_solver="lsmr")`` ported operation for operation, so
+its iterates are scipy's to the last bit, without the stacked
+``LinearOperator`` dispatch that was most of scipy's time on these
+small Jacobians (each pass's ``lsmr`` subproblems make about 350 sparse
+products per evaluation).  The program therefore never imports
+``scipy.optimize``, which costs about 0.23 s of CPU and 17 MB of memory;
+the tests keep it as the port's oracle.  ``perfbench/tracing.py``
+patches ``nlp.least_squares`` to time and count the ``trf`` calls.
 """
 
 from __future__ import annotations
@@ -59,6 +57,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import autodiff as ad
+from .trf import least_squares
 
 __all__ = [
     "Block",
@@ -181,14 +180,18 @@ class SolverOpts:
     max_inner: int = 600
 
     def __post_init__(self):
+        # bool is a numbers.Integral, and YAML reads on, yes and true as
+        # True
         for name in ("max_outer", "max_inner"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral) or value < 1):
                 raise ValueError(f"solver {name} must be an integer of at "
                                  f"least 1, got {value!r}")
         for name in ("tol_eq", "tol_ineq", "tol_stat"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not value > 0:
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Real) or not value > 0):
                 raise ValueError(f"solver {name} must be a positive number, "
                                  f"got {value!r}")
 
@@ -574,39 +577,6 @@ def _violation(problem, x):
     )
 
 
-class _JacobianOperator(spla.LinearOperator):
-    """A CSR Jacobian as a ``LinearOperator`` whose products go straight
-    to the sparse ``@``: ``J @ X`` and ``J.T @ X``, with ``J.T`` (a CSC
-    view of the same arrays) built once.
-
-    ``aslinearoperator(J)`` gives the same products through
-    ``matvec`` → ``matmat`` → ``J.dot`` and a conjugated copy of ``J.T``;
-    both reach the same sparsetools kernels on the same data, so every
-    product is bit for bit the same, for less Python per call.
-    """
-
-    def __init__(self, J):
-        super().__init__(J.dtype, J.shape)
-        self._J, self._JT = J, J.T
-
-    def _matvec(self, x):
-        return self._J @ x
-
-    _matmat = _matvec
-
-    def _rmatvec(self, x):
-        return self._JT @ x
-
-    _rmatmat = _rmatvec
-
-
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported at its first call."""
-    from scipy.optimize import least_squares as scipy_least_squares
-
-    return scipy_least_squares(*args, **kwargs)
-
-
 def _restoration(problem, x, opts):
     """Drive constraint violation down with the objective switched off.
 
@@ -645,24 +615,15 @@ def _restoration(problem, x, opts):
     if not np.any(free):
         return x, 0
     # trust-region reflective handles bound-trapped feasibility searches
-    # better than clipped LM steps.  The unit-scaled pass gets the
-    # Jacobian as a _JacobianOperator, which spares lsmr's products
-    # scipy's operator wrapping (same floats); the "jac"-scaled pass
-    # keeps the CSR matrix, as scipy computes the column norms of that
-    # scaling from a matrix and refuses an operator with it
+    # better than clipped LM steps.  Both passes run module trf's port of
+    # scipy's trf on the helper's CSR Jacobian, through the module-level
+    # name least_squares, which perfbench/tracing.py wraps
     def trf(z0, scale, budget):
-        if scale == "jac":
-            jac = helper.jac
-        else:
-            def jac(z):
-                return _JacobianOperator(helper.jac(z))
         return least_squares(
             helper.residuals,
             z0,
-            jac=jac,
+            jac=helper.jac,
             bounds=(problem.lower[free], problem.upper[free]),
-            method="trf",
-            tr_solver="lsmr",
             x_scale=scale,
             max_nfev=budget,
             xtol=1e-14,

@@ -63,8 +63,11 @@ class TranscriptionConfig:
         if self.variant == "tree" and self.n_branch_full < 1:
             raise ValueError(
                 f"n_branch_full must be at least 1, got {self.n_branch_full}")
-        if not isinstance(self.dt_min, numbers.Real) or not self.dt_min > 0:
-            # the running cost's sqrt(dt) has no derivative at 0
+        if (isinstance(self.dt_min, bool)
+                or not isinstance(self.dt_min, numbers.Real)
+                or not self.dt_min > 0):
+            # the running cost's sqrt(dt) has no derivative at 0; a bool
+            # (YAML's on, yes, true) is not a time step
             raise ValueError(
                 f"dt_min must be a positive number, got {self.dt_min!r}")
         if self.dt_min > self.dt_max:

@@ -115,6 +115,9 @@ def test_solver_opts_pass_yaml_keys_through(tmp_path):
     ("tol_stat", "-1.0"),
     # YAML reads 1e-6, with no dot, as a string
     ("tol_stat", "1e-6"),
+    # and on, yes and true as True, which numbers.Integral accepts
+    ("max_inner", "on"), ("max_outer", "yes"), ("tol_stat", "yes"),
+    ("tol_eq", "true"),
 ])
 def test_rejects_solver_values_that_break_a_solve(tmp_path, key, text):
     # max_outer 0 would return a solution with no KKT record
@@ -125,11 +128,13 @@ def test_rejects_solver_values_that_break_a_solve(tmp_path, key, text):
         nlp.SolverOpts(**{key: yaml.safe_load(text)})
 
 
-@pytest.mark.parametrize("text", ["0.0", "-1.0e-3", "1e-3"])
+@pytest.mark.parametrize("text", ["0.0", "-1.0e-3", "1e-3", "on", "true"])
 def test_rejects_a_time_step_floor_that_breaks_a_solve_at_load(tmp_path,
                                                                text):
-    path = _write(tmp_path, f"transcription:\n  dt_min: {text}\n")
-    with pytest.raises(ValueError, match="dt_min"):
+    # dt_max 2 keeps True (1) from failing the dt_min <= dt_max test
+    path = _write(tmp_path,
+                  f"transcription:\n  dt_min: {text}\n  dt_max: 2.0\n")
+    with pytest.raises(ValueError, match="dt_min must be a positive number"):
         config.load_config(path)
 
 

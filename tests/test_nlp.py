@@ -9,7 +9,6 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -386,36 +385,6 @@ def test_al_jacobian_survives_evaluating_another_point():
         assert got.tobytes() == want.tobytes()
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_jacobian_operator_products_are_scipys_bit_for_bit(data):
-    # the restoration's unit-scaled trf pass multiplies through
-    # _JacobianOperator where scipy would wrap the matrix itself
-    m = data.draw(st.integers(1, 12))
-    n = data.draw(st.integers(1, 7))
-    stored = data.draw(hnp.arrays(bool, (m, n)))
-    empty_row = data.draw(st.none() | st.integers(0, m - 1))
-    empty_col = data.draw(st.none() | st.integers(0, n - 1))
-    if empty_row is not None:
-        stored[empty_row] = False
-    if empty_col is not None:
-        stored[:, empty_col] = False
-    J = _stored(data.draw(hnp.arrays(float, (m, n), elements=_ENTRIES)),
-                stored)
-    k = data.draw(st.integers(1, 2))
-    x, X = (data.draw(hnp.arrays(float, shape, elements=_ENTRIES))
-            for shape in (n, (n, k)))
-    y, Y = (data.draw(hnp.arrays(float, shape, elements=_ENTRIES))
-            for shape in (m, (m, k)))
-    op, ref = nlp._JacobianOperator(J), spla.aslinearoperator(J)
-    for name, arg in (("matvec", x), ("matmat", X), ("rmatvec", y),
-                      ("rmatmat", Y)):
-        got, want = getattr(op, name)(arg), getattr(ref, name)(arg)
-        assert got.shape == want.shape, name
-        assert got.dtype == want.dtype, name
-        assert got.tobytes() == want.tobytes(), name
-
-
 # -- determinism ------------------------------------------------------------
 
 
@@ -454,7 +423,7 @@ def test_short_solve_matches_recorded_bit_for_bit(monkeypatch):
     # does not absorb a 1-ulp change in its arithmetic, so the iterate,
     # the evaluation count and the objective are compared exactly.  Its
     # restoration runs both trf passes, so the record also covers the
-    # unit-scaled pass and its _JacobianOperator.
+    # unit-scaled pass, and both passes get the CSR Jacobian.
     passes = []
     least_squares = nlp.least_squares
 
@@ -466,7 +435,7 @@ def test_short_solve_matches_recorded_bit_for_bit(monkeypatch):
     adapter, cfg = _benchmark_config("sure")
     sol = _short_solve(adapter, pipeline.nominal_stage_config(cfg))
     _assert_matches(sol, _recorded("short_nominal_solve.json"))
-    assert passes == [("jac", sp.csr_matrix), (1.0, nlp._JacobianOperator)]
+    assert passes == [("jac", sp.csr_matrix), (1.0, sp.csr_matrix)]
 
 
 def _feasibility_problem():
@@ -484,21 +453,6 @@ def _feasibility_problem():
     return helper, x[free], (problem.lower[free], problem.upper[free])
 
 
-def test_unit_scaled_trf_is_bit_for_bit_with_the_jacobian_operator():
-    # the restoration's unit-scaled pass, given the CSR matrix or the
-    # operator, takes the same iterates: same x bytes, nfev and status
-    helper, z0, bounds = _feasibility_problem()
-    sparse, operator = (
-        nlp.least_squares(helper.residuals, z0, jac=jac, bounds=bounds,
-                          method="trf", tr_solver="lsmr", x_scale=1.0,
-                          max_nfev=15, xtol=1e-14, ftol=1e-14, gtol=1e-14)
-        for jac in (helper.jac,
-                    lambda z: nlp._JacobianOperator(helper.jac(z))))
-    assert isinstance(operator.jac, nlp._JacobianOperator)
-    assert operator.x.tobytes() == sparse.x.tobytes()
-    assert (operator.nfev, operator.status) == (sparse.nfev, sparse.status)
-
-
 @pytest.mark.parametrize("variant", ["sure", "tree"])
 def test_short_branched_solve_matches_recorded_bit_for_bit(variant):
     # The same short solve on the benchmark's branched problems, whose
@@ -510,7 +464,7 @@ def test_short_branched_solve_matches_recorded_bit_for_bit(variant):
 # -- imports ----------------------------------------------------------------
 
 
-_LAZY_OPTIMIZE_SCRIPT = """
+_NO_OPTIMIZE_SCRIPT = """
 import sys
 
 from branchopt import (bench, cli, config, control, nlp, pipeline,
@@ -529,19 +483,21 @@ cfg = pipeline.nominal_stage_config(config.transcription_config(
 problem, layout = transcription.build(adapter, cfg)
 nlp.solve(problem, transcription.default_initial_guess(adapter, layout),
           nlp.SolverOpts(max_outer=1, max_inner=5))
-assert "scipy.optimize" in sys.modules, "restoration did not load it"
+assert "scipy.optimize" not in sys.modules, "the solve loaded it"
 """
 
 
-def test_scipy_optimize_is_imported_at_the_first_restoration():
+def test_scipy_optimize_is_never_imported():
     # A fresh interpreter: this one may already hold scipy.optimize.
-    # Importing the program and setting up the rollouts must not load it
-    # (0.23 s and 17 MB); the short solve's restoration must.
+    # Importing the program, setting up the rollouts and a short solve,
+    # restoration included, must not load it (0.23 s and 17 MB): the
+    # restoration runs branchopt.trf, and scipy.optimize is the tests'
+    # oracle only.
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(root, "src"), os.path.join(root, "perfbench")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, "-c", _LAZY_OPTIMIZE_SCRIPT],
+    done = subprocess.run([sys.executable, "-c", _NO_OPTIMIZE_SCRIPT],
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

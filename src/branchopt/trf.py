@@ -426,11 +426,12 @@ def _sign(a):
 
 
 def _sym_ortho(a, b):
-    """Stable implementation of Givens rotation (S.-C. Choi)."""
+    """Stable implementation of Givens rotation (S.-C. Choi).  The exact
+    zeros are the integer 0, as in scipy: negated, they stay +0."""
     if b == 0:
-        return _sign(a), 0.0, abs(a)
+        return _sign(a), 0, abs(a)
     elif a == 0:
-        return 0.0, _sign(b), abs(b)
+        return 0, _sign(b), abs(b)
     elif abs(b) > abs(a):
         tau = a / b
         s = _sign(b) / math.sqrt(1 + tau * tau)
@@ -599,8 +600,8 @@ def _lsmr(J, JT, d, b, c=None, damp=0.0):
         t1 = test1 / (1 + normA * normx / normb)
         rtol = btol + atol * normA * normx / normb
 
-        # The stopping tests in scipy's order; the last one met decides
-        # istop, and any of them ends the iteration.
+        # scipy's stopping tests: any of them ends the iteration (scipy's
+        # istop, which says which, is not needed)
         if (itn >= maxiter or 1 + test3 <= 1 or 1 + test2 <= 1
                 or 1 + t1 <= 1 or test3 <= ctol or test2 <= atol
                 or test1 <= rtol):

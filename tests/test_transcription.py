@@ -95,7 +95,7 @@ def test_config_validation():
 @pytest.mark.parametrize("variant, key, value", [
     ("sure", "n_rejoin", 0), ("tree", "n_branch_full", 0),
     ("nominal", "dt_min", 0.2), ("nominal", "dt_min", 0.0),
-    ("sure", "dt_min", -1e-3), ("nominal", "dt_min", True)])
+    ("sure", "dt_min", -1e-3)])
 def test_config_rejects_empty_branches_and_reversed_dt_bounds(variant, key,
                                                               value):
     # an empty branch used to build a problem that crashed on its first

@@ -10,9 +10,10 @@ common trajectory until contact is observed, then switches — exactly
 once — to the nearest subsequent branch.
 
 References are sampled from their ``Trajectory.sample_table``: node
-times, rows and per-interval slopes, built once per reference and held
-in read-only arrays.  A sample is a clamp, one ``bisect`` and one row
-expression, the float expression ``np.interp`` evaluates for a scalar.
+times, rows and per-interval slopes, built once per reference.  A
+sample is a clamp, one ``bisect`` and one row expression, the float
+expression ``np.interp`` evaluates for a scalar: on a state array, and
+on the Python floats of an input row.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ DEFAULT_R = 0.1
 class Gains:
     """Proportional and derivative tracking gains.
 
-    ``k_p`` and ``k_d`` map position and velocity errors to inputs
-    through ``@``: a 1-D row for a single-input plant, an (n_u, n_q)
-    matrix otherwise.
+    ``k_p`` and ``k_d`` map position and velocity errors to inputs: a
+    1-D row for a single-input plant, an (n_u, n_q) matrix otherwise
+    (see ``pd_feedforward`` for how each is applied).
     """
 
     k_p: np.ndarray
@@ -142,50 +143,68 @@ def design_gains(sys, x_eq, Q=DEFAULT_Q, r=DEFAULT_R) -> Gains:
 # -- reference sampling and the PD + feedforward law --------------------------
 
 
-def _lerp(times, rows, slopes, t):
-    """Row at t ∈ [times[0], times[-1]]; a node's time gives its row.
-
-    The row expression is the one ``np.interp`` evaluates for a scalar,
-    so the result is the same to the bit.
-    """
-    j = bisect_right(times, t) - 1
-    if times[j] == t:
-        return rows[j]
-    return slopes[j] * (t - times[j]) + rows[j]
-
-
 def sample_reference(ref: Trajectory, t):
-    """(q_des, q̇_des, τ_des) at time t, linearly interpolated over nodes.
+    """(x_des, τ_des) at time t, linearly interpolated over nodes.
 
-    Past the horizon the terminal setpoint is held (with the last input
-    as feedforward); before t=0 the initial node is held.  Reads the
-    reference's cached ``sample_table``; a result that is a row of the
-    table is a read-only view of it.
+    Past the horizon the terminal state is held (with the last input as
+    feedforward); before t=0 the initial node is held.  Reads the
+    reference's cached ``sample_table``.  ``x_des`` is an (n_x,) array:
+    at a node's time, the node's row as a read-only view, otherwise the
+    row expression ``np.interp`` evaluates for a scalar, so the result
+    is the same to the bit.  ``τ_des`` is a tuple of n_u floats from the
+    same expression on Python floats.
     """
     tab = ref.sample_table
     times = tab.times
-    t = min(max(float(t), times[0]), times[-1])
-    x = _lerp(times, tab.states, tab.slopes, t)
-    if tab.u_times:
-        tau = _lerp(tab.u_times, tab.inputs, tab.u_slopes,
-                    min(t, tab.u_times[-1]))
+    # the clamp min(max(t, times[0]), times[-1]) without the builtins' calls
+    t = float(t)
+    if times[0] > t:
+        t = times[0]
+    if times[-1] < t:
+        t = times[-1]
+    # the n input knots are the first n state knots, so one interval
+    # index serves both
+    j = bisect_right(times, t) - 1
+    h = t - times[j]
+    on_node = times[j] == t
+    if on_node:
+        x = tab.states[j]
     else:
+        x = tab.slopes[j] * h + tab.states[j]
+    n = len(tab.inputs)
+    if n == 0:
         tau = tab.zero_input
-    n_q = len(x) // 2
-    return x[:n_q], x[n_q:], tau
+    elif j >= n - 1:  # at or past the last input node
+        tau = tab.inputs[-1]
+    elif on_node:
+        tau = tab.inputs[j]
+    else:
+        tau = tuple([s * h + r for s, r in zip(tab.u_slopes[j],
+                                               tab.inputs[j])])
+    return x, tau
 
 
 def pd_feedforward(ref: Trajectory, state, gains: Gains, t):
     """τ(t) = k_p @ (q_des − q) + k_d @ (q̇_des − q̇) + τ_des.
 
-    Returns an (n_u,) array.
+    Returns a new (n_u,) array.  The error is one vector,
+    e = x_des − state.  A 1-D gain row (a single-input plant) is applied
+    with ``ndarray.dot``: numpy hands a 1-D dot to BLAS ``ddot`` either
+    way, and ``.dot`` is the cheaper call.  The dot stays in numpy
+    because BLAS may fuse its multiply-adds (OpenBLAS's ``ddot`` of two
+    elements is fma(a1, b1, a0 * b0)), which Python floats cannot
+    reproduce before ``math.fma`` (Python 3.13).  Gain matrices keep ``@``, since ``dot`` may call
+    ``gemv`` with another transposition.
     """
     # called by its module-level name, which the benchmark's tracer wraps
-    q_des, qd_des, tau_des = sample_reference(ref, t)
-    n_q = len(q_des)
-    fb = (gains.k_p @ (q_des - state[:n_q])
-          + gains.k_d @ (qd_des - state[n_q:]))
-    return fb + tau_des
+    x_des, tau = sample_reference(ref, t)
+    e = x_des - state
+    n_q = len(e) // 2
+    k_p, k_d = gains.k_p, gains.k_d
+    if k_p.ndim == 1:
+        fb = k_p.dot(e[:n_q]) + k_d.dot(e[n_q:])
+        return np.array([fb + u for u in tau])
+    return k_p @ e[:n_q] + k_d @ e[n_q:] + tau
 
 
 # -- the tracking controller ---------------------------------------------------

@@ -614,6 +614,18 @@ def _restoration(problem, x, opts):
         )
     if not np.any(free):
         return x, 0
+    lb, ub = problem.lower[free], problem.upper[free]
+    if np.count_nonzero(free) == 1:
+        # trf's two-dimensional trust-region subproblem needs two
+        # variables; with one, the LM solve that cleans up its tail runs
+        # alone
+        best_z, nfev = _bounded_lm(helper, x[free], lb, ub,
+                                   3 * opts.max_inner, 1e-12)
+        x_new = helper.full_x(best_z)
+        if _violation(problem, x_new) < _violation(problem, x):
+            return x_new, nfev
+        return x, nfev
+
     # trust-region reflective handles bound-trapped feasibility searches
     # better than clipped LM steps.  Both passes run module trf's port of
     # scipy's trf on the helper's CSR Jacobian, through the module-level
@@ -623,7 +635,7 @@ def _restoration(problem, x, opts):
             helper.residuals,
             z0,
             jac=helper.jac,
-            bounds=(problem.lower[free], problem.upper[free]),
+            bounds=(lb, ub),
             x_scale=scale,
             max_nfev=budget,
             xtol=1e-14,
@@ -646,10 +658,8 @@ def _restoration(problem, x, opts):
         nfev += res.nfev
         # lsmr's inexact steps leave a slow tail that exact
         # normal-equation LM solves clean up quickly
-        z, lm_iters = _bounded_lm(
-            helper, res.x, problem.lower[free], problem.upper[free],
-            3 * opts.max_inner, 1e-12,
-        )
+        z, lm_iters = _bounded_lm(helper, res.x, lb, ub,
+                                  3 * opts.max_inner, 1e-12)
         nfev += lm_iters
         if _violation(problem, helper.full_x(z)) < best_viol:
             best_z = z

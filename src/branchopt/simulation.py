@@ -15,7 +15,9 @@ rather than inline them: ``sys.extras["fast_derivative"]`` at every RK4
 stage (``sys.state_derivative`` through ``rk4_step`` for a plant
 without one), ``sys.guard`` after every step, the controller once per
 step, and the module-level names ``detect_crossing`` and ``pgs_solve``,
-looked up when they are called.
+looked up when they are called.  The tracking controller keeps its own
+seam: it calls ``control.sample_reference`` by that module-level name
+once per call.
 """
 
 from __future__ import annotations

@@ -131,24 +131,31 @@ def _read_only(values):
 class SampleTable(NamedTuple):
     """What reference sampling reads, derived once from a Trajectory.
 
-    Knots are Python floats for ``bisect``; rows and slopes are read-only
-    1-D arrays, with
+    Knots are Python floats for ``bisect``.  State rows and slopes are
+    read-only 1-D arrays, with
     ``slopes[j] = (rows[j+1] - rows[j]) / (times[j+1] - times[j])``.
-    The inputs' knots are the first n node times with the n input rows;
-    ``zero_input`` stands in when the trajectory has none.
+    The n input rows have the first n node times as knots.  They, their
+    slopes and the ``zero_input`` that stands in when the trajectory has
+    none are tuples of Python floats, so that an input sample is a row
+    lookup or a few float operations, never a numpy call.  Held on each
+    interval instead of interpolated, an input sample would be the row
+    lookup alone.
     """
 
     times: list
     states: list
     slopes: list
-    u_times: list
     inputs: list
     u_slopes: list
-    zero_input: np.ndarray
+    zero_input: tuple
 
 
 def _slopes(rows, times):
-    return list(np.diff(rows, axis=0) / np.diff(times)[:, None])
+    return np.diff(rows, axis=0) / np.diff(times)[:, None]
+
+
+def _float_rows(rows):
+    return [tuple(row) for row in rows.tolist()]
 
 
 @dataclass(frozen=True)
@@ -184,10 +191,9 @@ class Trajectory:
         n_u = self.inputs.shape[1] if self.inputs.ndim == 2 else 1
         return SampleTable(
             times=times.tolist(), states=list(self.states),
-            slopes=_slopes(self.states, times),
-            u_times=times[:n].tolist(), inputs=list(u),
-            u_slopes=_slopes(u, times[:n]),
-            zero_input=_read_only(np.zeros(n_u)))
+            slopes=list(_slopes(self.states, times)), inputs=_float_rows(u),
+            u_slopes=_float_rows(_slopes(u, times[:n])),
+            zero_input=(0.0,) * n_u)
 
 
 @dataclass

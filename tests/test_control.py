@@ -6,6 +6,9 @@ solves.  The controller's branch switch is exercised on a hand-built
 bundle.
 """
 
+import bisect
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -127,18 +130,18 @@ def _ramp_trajectory():
 
 def test_sample_reference_interpolates_and_clamps():
     ref = _ramp_trajectory()
-    q, qd, tau = control.sample_reference(ref, 0.25)
-    assert q == pytest.approx([0.5, 0.0])
-    assert qd == pytest.approx([1.5, 0.0])
+    x, tau = control.sample_reference(ref, 0.25)
+    assert x[:2] == pytest.approx([0.5, 0.0])
+    assert x[2:] == pytest.approx([1.5, 0.0])
     assert tau == pytest.approx([1.0])
     # past the horizon the terminal node is held
-    q, qd, tau = control.sample_reference(ref, 5.0)
-    assert q == pytest.approx([3.0, 0.0])
-    assert qd == pytest.approx([4.0, 0.0])
+    x, tau = control.sample_reference(ref, 5.0)
+    assert x[:2] == pytest.approx([3.0, 0.0])
+    assert x[2:] == pytest.approx([4.0, 0.0])
     assert tau == pytest.approx([1.5])
     # before t=0 the initial node is held
-    q, qd, tau = control.sample_reference(ref, -1.0)
-    assert q == pytest.approx([0.0, 0.0])
+    x, tau = control.sample_reference(ref, -1.0)
+    assert x[:2] == pytest.approx([0.0, 0.0])
     assert tau == pytest.approx([0.5])
 
 
@@ -153,8 +156,24 @@ def _interp_oracle(ref, t):
     else:
         tau = np.array([np.interp(t, times[:n], col)
                         for col in ref.inputs[:n].T])
-    n_q = len(x) // 2
-    return x[:n_q], x[n_q:], tau
+    return x, tau
+
+
+def _draw_array(draw, shape, lo, hi, special):
+    """Entries in [lo, hi], some of them `special`.
+
+    Half the draws are uniforms from a drawn seed: their full mantissas
+    round in nearly every operation, where the short values hypothesis
+    favours are often exact and would hide a reordered expression.
+    """
+    if draw(st.booleans()):
+        rng = np.random.default_rng(
+            draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        a = rng.uniform(lo, hi, size=shape)
+        a[rng.random(size=shape) < 0.2] = special
+        return a
+    return draw(hnp.arrays(float, shape, elements=st.one_of(
+        st.just(special), st.floats(min_value=lo, max_value=hi))))
 
 
 @st.composite
@@ -163,36 +182,48 @@ def _references(draw):
     n_u = draw(st.sampled_from([1, 3]))
     n = draw(st.integers(min_value=0, max_value=12))
     # 1e-3 is the impact interval robust_nominal_branch inserts
-    dts = draw(hnp.arrays(float, n, elements=st.one_of(
-        st.just(1e-3), st.floats(min_value=1e-3, max_value=0.5))))
+    dts = _draw_array(draw, n, 1e-3, 0.5, 1e-3)
     # -0.0 tells a node's own row from slope * 0 + row
-    value = st.one_of(st.just(-0.0),
-                      st.floats(min_value=-20.0, max_value=20.0))
     n_rows = draw(st.sampled_from([0, n]))  # a reference may have no inputs
-    states = draw(hnp.arrays(float, (n + 1, n_x), elements=value))
-    inputs = draw(hnp.arrays(float, (n_rows, n_u), elements=value))
+    states = _draw_array(draw, (n + 1, n_x), -20.0, 20.0, -0.0)
+    inputs = _draw_array(draw, (n_rows, n_u), -20.0, 20.0, -0.0)
     return Trajectory(states=states, inputs=inputs, dts=dts)
+
+
+def _sample_times(ref, data):
+    """Node times, times before 0, past the horizon, past the last input
+    node and anywhere between, with uniforms from a drawn seed."""
+    node_times = ref.node_times.tolist()
+    horizon = node_times[-1]
+    drawn = data.draw(st.lists(st.one_of(
+        st.sampled_from(node_times),
+        st.floats(min_value=-1.0, max_value=horizon + 1.0),
+        st.floats(min_value=-1.0, max_value=0.0),
+        st.floats(min_value=horizon, max_value=horizon + 1.0),
+        st.floats(min_value=node_times[-2] if len(node_times) > 1 else 0.0,
+                  max_value=horizon),
+    ), min_size=1, max_size=8))
+    rng = np.random.default_rng(
+        data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return drawn + rng.uniform(-0.1, horizon + 0.1, size=8).tolist()
 
 
 @settings(max_examples=40, deadline=None)
 @given(ref=_references(), data=st.data())
 def test_sample_reference_matches_scalar_interp_bit_for_bit(ref, data):
-    horizon = float(ref.node_times[-1])
-    times = data.draw(st.lists(st.one_of(
-        st.sampled_from(ref.node_times.tolist()),
-        st.floats(min_value=-1.0, max_value=horizon + 1.0),
-        st.floats(min_value=-1.0, max_value=0.0),
-        st.floats(min_value=horizon, max_value=horizon + 1.0),
-    ), min_size=1, max_size=8))
-    for t in times:
-        got = control.sample_reference(ref, t)
-        for a, b in zip(got, _interp_oracle(ref, t)):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
-            # a result never lets a caller write into the reference
-            assert not (a.flags.writeable and any(
-                np.shares_memory(a, b) for b in (
-                    ref.states, ref.inputs, ref.sample_table.zero_input)))
+    for t in _sample_times(ref, data):
+        x, tau = control.sample_reference(ref, t)
+        x_want, tau_want = _interp_oracle(ref, t)
+        assert x.dtype == x_want.dtype and x.shape == x_want.shape
+        assert x.tobytes() == x_want.tobytes()
+        # the input is a tuple of Python floats
+        assert type(tau) is tuple and all(type(u) is float for u in tau)
+        tau = np.array(tau)
+        assert tau.dtype == tau_want.dtype and tau.shape == tau_want.shape
+        assert tau.tobytes() == tau_want.tobytes()
+        # a result never lets a caller write into the reference
+        assert not (x.flags.writeable and any(
+            np.shares_memory(x, b) for b in (ref.states, ref.inputs)))
 
 
 def test_pd_feedforward_formula():
@@ -200,10 +231,63 @@ def test_pd_feedforward_formula():
     gains = control.Gains(k_p=[3.0, 5.0], k_d=[0.7, 0.2])
     state = np.array([0.4, -0.1, 1.2, 0.3])
     t = 0.25
-    q_des, qd_des, tau_des = control.sample_reference(ref, t)
-    expect = (gains.k_p @ (q_des - state[:2])
-              + gains.k_d @ (qd_des - state[2:]) + tau_des)
+    x_des, tau_des = control.sample_reference(ref, t)
+    expect = (gains.k_p @ (x_des[:2] - state[:2])
+              + gains.k_d @ (x_des[2:] - state[2:]) + tau_des)
     assert control.pd_feedforward(ref, state, gains, t) == pytest.approx(expect)
+
+
+def _previous_law(ref, state, gains, t):
+    """The tracking law before its input rows became Python floats: the
+    table lerp of the state row, the same lerp on input arrays, and the
+    gains applied with ``@`` to separate position and velocity errors."""
+    times = ref.node_times.tolist()
+    slopes = list(np.diff(ref.states, axis=0) / np.diff(times)[:, None])
+
+    def lerp(times, rows, slopes, t):
+        j = bisect.bisect_right(times, t) - 1
+        if times[j] == t:
+            return rows[j]
+        return slopes[j] * (t - times[j]) + rows[j]
+
+    t = min(max(float(t), times[0]), times[-1])
+    x = lerp(times, list(ref.states), slopes, t)
+    n = len(ref.dts) if len(ref.inputs) else 0
+    if n:
+        u = ref.inputs[:n]
+        u_slopes = list(np.diff(u, axis=0) / np.diff(times[:n])[:, None])
+        tau_des = lerp(times[:n], list(u), u_slopes, min(t, times[n - 1]))
+    else:
+        tau_des = np.zeros(ref.inputs.shape[1])
+    n_q = len(x) // 2
+    q_des, qd_des = x[:n_q], x[n_q:]
+    fb = (gains.k_p @ (q_des - state[:n_q])
+          + gains.k_d @ (qd_des - state[n_q:]))
+    return fb + tau_des
+
+
+@settings(max_examples=50, deadline=None)
+@given(ref=_references(), data=st.data())
+def test_pd_feedforward_is_the_previous_law_bit_for_bit(ref, data):
+    n_x = ref.states.shape[1]
+    n_q, n_u = n_x // 2, ref.inputs.shape[1]
+    shape = data.draw(st.sampled_from([(n_q,), (n_u, n_q)]))
+    # gains of order one keep the feedback near the feedforward's size,
+    # so that an ulp of either shows in the sum
+    gains = control.Gains(_draw_array(data.draw, shape, -1.0, 1.0, -0.0),
+                          _draw_array(data.draw, shape, -1.0, 1.0, -0.0))
+    states = _draw_array(data.draw, (8, n_x), -20.0, 20.0, -0.0)
+    for t, state in itertools.product(_sample_times(ref, data), states):
+        got = control.pd_feedforward(ref, state, gains, t)
+        want = _previous_law(ref, state, gains, t)
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert got.shape == (n_u,) and want.shape == (n_u,)
+        assert got.tobytes() == want.tobytes()
+        # a new array, the caller's to keep
+        assert got.flags.writeable and got.flags.owndata
+        assert not any(np.shares_memory(got, a) for a in (
+            ref.states, ref.inputs, state, gains.k_p, gains.k_d))
+        assert control.pd_feedforward(ref, state, gains, t) is not got
 
 
 # -- the tracking controller's branch switch ----------------------------------
@@ -243,8 +327,8 @@ def test_scheduler_plays_common_until_contact():
     ctl = control.TrackingController(bundle, TOY_GAINS)
     assert ctl.branch_node is None
     assert ctl.reference is bundle.common
-    q, _, _ = _reference_at(ctl, 0.25)
-    assert q[0] == pytest.approx(0.25)
+    x, _ = _reference_at(ctl, 0.25)
+    assert x[0] == pytest.approx(0.25)
 
 
 def test_scheduler_picks_nearest_subsequent_branch():
@@ -254,8 +338,8 @@ def test_scheduler_picks_nearest_subsequent_branch():
     assert ctl.branch_node == 4
     assert ctl.clock_offset == pytest.approx(0.33)
     # branch reference realigned: its node 0 plays at t = t_c
-    q, _, _ = _reference_at(ctl, 0.33)
-    assert q[0] == pytest.approx(4.0)
+    x, _ = _reference_at(ctl, 0.33)
+    assert x[0] == pytest.approx(4.0)
 
 
 def test_scheduler_contact_at_departure_time_takes_that_branch():
@@ -311,11 +395,11 @@ def test_switch_takes_first_branch_departing_at_or_after_contact(t_c, x):
     assert ctl.branch_node == (later[0] if later else bundle.branch_nodes[-1])
     # the new reference's node 0 plays at t_c
     state = np.full(4, x)
-    q, qd, tau = control.sample_reference(ctl.reference, 0.0)
-    expect = (TOY_GAINS.k_p @ (q - state[:2]) + TOY_GAINS.k_d @ (qd - state[2:])
-              + tau)
+    x, tau = control.sample_reference(ctl.reference, 0.0)
+    expect = (TOY_GAINS.k_p @ (x[:2] - state[:2])
+              + TOY_GAINS.k_d @ (x[2:] - state[2:]) + tau)
     assert ctl(t_c, state).tobytes() == expect.tobytes()
-    assert q[0] == float(ctl.branch_node)
+    assert x[0] == float(ctl.branch_node)
 
 
 def test_tracking_controller_switches_on_notification():
@@ -351,6 +435,7 @@ def test_arm_law_matches_the_elementwise_pd_expression():
     for _ in range(200):
         t = rng.uniform(-0.1, ref.node_times[-1] + 0.1)
         state = rng.normal(size=6)
-        q_des, qd_des, tau_des = control.sample_reference(ref, t)
-        expect = kp * (q_des - state[:3]) + kd * (qd_des - state[3:]) + tau_des
+        x_des, tau_des = control.sample_reference(ref, t)
+        expect = (kp * (x_des[:3] - state[:3]) + kd * (x_des[3:] - state[3:])
+                  + tau_des)
         assert ctl(t, state).tobytes() == expect.tobytes()

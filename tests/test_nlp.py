@@ -132,6 +132,18 @@ def test_nonconvex_equality_circle():
     assert sol.x == pytest.approx([1.0, 0.0], abs=1e-5)
 
 
+def test_restoration_of_one_free_variable():
+    # min x^2 s.t. x^3 = 2 in [-100, 100] from x0 = 0.01: restoration
+    # starts far from feasibility with a single free variable, which
+    # trf's two-dimensional trust-region subproblem cannot take
+    cost = _block("r", lambda v: [v[0]], [[0]], 1)
+    eq = _block("c", lambda v: [v[0] * v[0] * v[0] - 2.0], [[0]], 1)
+    p = _problem(1, cost=[cost], eq=[eq], lower=[-100.0], upper=[100.0])
+    sol = nlp.solve(p, np.array([0.01]))
+    assert sol.status == "converged"
+    assert sol.x[0] == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-6)
+
+
 def test_infeasible_problem_reports_infeasible():
     eq1 = _block("a", lambda v: [v[0] - 1.0], [[0]], 1)
     eq2 = _block("b", lambda v: [v[0] + 1.0], [[0]], 1)

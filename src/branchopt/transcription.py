@@ -131,8 +131,8 @@ def _read_only(values):
 class SampleTable(NamedTuple):
     """What reference sampling reads, derived once from a Trajectory.
 
-    Knots are Python floats for ``bisect``.  State rows and slopes are
-    read-only 1-D arrays, with
+    Knots are Python floats for ``bisect``.  State rows (read-only views
+    of ``Trajectory.states``) and slopes are 1-D arrays, with
     ``slopes[j] = (rows[j+1] - rows[j]) / (times[j+1] - times[j])``.
     The n input rows have the first n node times as knots.  They, their
     slopes and the ``zero_input`` that stands in when the trajectory has

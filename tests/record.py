@@ -15,8 +15,6 @@ keeps the references, the note and the file's layout.  pytest does not
 collect this script.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -75,8 +73,9 @@ def record_rollouts(recorded):
 
 
 def _arm_within_tolerance(old, new):
-    """Keep each recorded arm value that its test's tolerance still
-    accepts, and print the rest; the number beyond tolerance."""
+    """Print each arm value as old → new, and put the old value back in
+    ``new`` where its test's tolerance accepts the new one; the number
+    of values beyond tolerance."""
     changed = 0
     for before, after in zip(old["drop_heights"], new["drop_heights"]):
         for key, atol in test_bench.ARM_ATOL.items():

@@ -183,8 +183,8 @@ def _references(draw):
     n = draw(st.integers(min_value=0, max_value=12))
     # 1e-3 is the impact interval robust_nominal_branch inserts
     dts = _draw_array(draw, n, 1e-3, 0.5, 1e-3)
-    # -0.0 tells a node's own row from slope * 0 + row
     n_rows = draw(st.sampled_from([0, n]))  # a reference may have no inputs
+    # -0.0 tells a node's own row from slope * 0 + row
     states = _draw_array(draw, (n + 1, n_x), -20.0, 20.0, -0.0)
     inputs = _draw_array(draw, (n_rows, n_u), -20.0, 20.0, -0.0)
     return Trajectory(states=states, inputs=inputs, dts=dts)
@@ -395,11 +395,11 @@ def test_switch_takes_first_branch_departing_at_or_after_contact(t_c, x):
     assert ctl.branch_node == (later[0] if later else bundle.branch_nodes[-1])
     # the new reference's node 0 plays at t_c
     state = np.full(4, x)
-    x, tau = control.sample_reference(ctl.reference, 0.0)
-    expect = (TOY_GAINS.k_p @ (x[:2] - state[:2])
-              + TOY_GAINS.k_d @ (x[2:] - state[2:]) + tau)
+    x_des, tau = control.sample_reference(ctl.reference, 0.0)
+    expect = (TOY_GAINS.k_p @ (x_des[:2] - state[:2])
+              + TOY_GAINS.k_d @ (x_des[2:] - state[2:]) + tau)
     assert ctl(t_c, state).tobytes() == expect.tobytes()
-    assert x[0] == float(ctl.branch_node)
+    assert x_des[0] == float(ctl.branch_node)
 
 
 def test_tracking_controller_switches_on_notification():

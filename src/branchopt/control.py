@@ -193,8 +193,8 @@ def pd_feedforward(ref: Trajectory, state, gains: Gains, t):
     way, and ``.dot`` is the cheaper call.  The dot stays in numpy
     because BLAS may fuse its multiply-adds (OpenBLAS's ``ddot`` of two
     elements is fma(a1, b1, a0 * b0)), which Python floats cannot
-    reproduce before ``math.fma`` (Python 3.13).  Gain matrices keep ``@``, since ``dot`` may call
-    ``gemv`` with another transposition.
+    reproduce before ``math.fma`` (Python 3.13).  Gain matrices keep
+    ``@``, since ``dot`` may call ``gemv`` with another transposition.
     """
     # called by its module-level name, which the benchmark's tracer wraps
     x_des, tau = sample_reference(ref, t)

@@ -1,7 +1,7 @@
 """Recompute pinned test records from the code under test.
 
-    python tests/record.py rollouts            # compare, exit 1 on a difference
-    python tests/record.py rollouts --write    # and rewrite the records
+    python tests/record.py rollouts  # compare (exit 1 on a difference)
+    python tests/record.py rollouts --write  # and rewrite the records
 
 ``rollouts`` replays every rollout case of
 ``tests/data/recorded_rollouts.json`` (the cart-pole cases of the

@@ -78,8 +78,9 @@ def cmd_solve(args):
         "variant": args.variant,
         "status": s.status,
         "objective_value": float(s.objective_value),
-        # the record of the last stage's solve: a "converged" accepted by
-        # the objective-stall rule shows here as a large stationarity
+        # the KKT residuals of the last stage's solve: a "converged"
+        # accepted by the objective-stall rule shows here as a large
+        # stationarity; the iteration counts cover every stage
         "kkt": {k: float(v) for k, v in dataclasses.asdict(s.kkt).items()},
         "iterations": int(s.iterations),
         "inner_iterations": int(s.inner_iterations),

@@ -100,7 +100,10 @@ def linearize(sys, x_eq, u_eq):
     return A[np.ix_(perm, perm)], B[perm]
 
 
-def solve_care(A, b, Q, r, residual_tol=1e-8):
+CARE_TOL = 1e-8  # largest |Riccati residual| accepted
+
+
+def solve_care(A, b, Q, r):
     """Riccati matrix P for the single-input continuous-time LQR.
 
     Checks the defining residual and that the closed loop is Hurwitz.
@@ -113,9 +116,9 @@ def solve_care(A, b, Q, r, residual_tol=1e-8):
     P = 0.5 * (P + P.T)
     resid = A.T @ P + P @ A - P @ b @ b.T @ P / float(r) + Q
     worst = np.max(np.abs(resid))
-    if worst > residual_tol:
+    if worst > CARE_TOL:
         raise RuntimeError(
-            f"Riccati residual {worst:.3e} exceeds {residual_tol:.0e}"
+            f"Riccati residual {worst:.3e} exceeds {CARE_TOL:.0e}"
         )
     closed = A - b @ b.T @ P / float(r)
     if np.max(np.real(np.linalg.eigvals(closed))) >= 0.0:

@@ -275,6 +275,12 @@ def _block_coords(block, row_offset):
 # -- KKT --------------------------------------------------------------------
 
 
+def _violations(ceq, cineq):
+    """The largest equality residual and the largest inequality excess."""
+    return (float(np.max(np.abs(ceq), initial=0.0)),
+            float(np.max(np.clip(cineq, 0.0, None), initial=0.0)))
+
+
 def kkt_residual(problem: NlpProblem, x, multipliers_eq, multipliers_ineq):
     """Infinity norms of the standard KKT residual blocks.
 
@@ -290,10 +296,11 @@ def kkt_residual(problem: NlpProblem, x, multipliers_eq, multipliers_ineq):
     if len(multipliers_ineq):
         grad += constraint_jacobian_t_vec(problem.ineq_blocks, x, multipliers_ineq)
     proj = x - np.clip(x - grad, problem.lower, problem.upper)
+    eq_viol, ineq_viol = _violations(ceq, cineq)
     return KktResidual(
         stationarity=float(np.max(np.abs(proj), initial=0.0)),
-        eq_viol=float(np.max(np.abs(ceq), initial=0.0)),
-        ineq_viol=float(np.max(np.clip(cineq, 0.0, None), initial=0.0)),
+        eq_viol=eq_viol,
+        ineq_viol=ineq_viol,
         comp_slackness=float(
             np.max(np.abs(multipliers_ineq * cineq), initial=0.0)
         ) if len(multipliers_ineq) else 0.0,
@@ -569,12 +576,8 @@ def _inner_solve(problem, x, lam, mu, rho, opts):
 
 
 def _violation(problem, x):
-    ceq = eval_constraints(problem.eq_blocks, x)
-    cineq = eval_constraints(problem.ineq_blocks, x)
-    return max(
-        float(np.max(np.abs(ceq), initial=0.0)),
-        float(np.max(np.clip(cineq, 0.0, None), initial=0.0)),
-    )
+    return max(_violations(eval_constraints(problem.eq_blocks, x),
+                           eval_constraints(problem.ineq_blocks, x)))
 
 
 def _restoration(problem, x, opts):
@@ -710,14 +713,13 @@ def solve(problem: NlpProblem, x0, opts: SolverOpts = None) -> NlpSolution:
         cineq = eval_constraints(problem.ineq_blocks, x)
         lam = lam + rho * ceq
         mu = np.clip(mu + rho * cineq, 0.0, None)
-        eq_viol = float(np.max(np.abs(ceq), initial=0.0))
-        ineq_viol = float(np.max(np.clip(cineq, 0.0, None), initial=0.0))
-        viol = max(eq_viol, ineq_viol)
         kkt = kkt_residual(problem, x, lam, mu)
+        viol = max(kkt.eq_viol, kkt.ineq_viol)
         obj = eval_objective(problem, x)
         if best is None or viol <= best[0]:
             best = (viol, x.copy(), lam.copy(), mu.copy(), kkt)
-        feasible = eq_viol <= opts.tol_eq and ineq_viol <= opts.tol_ineq
+        feasible = (kkt.eq_viol <= opts.tol_eq
+                    and kkt.ineq_viol <= opts.tol_ineq)
         if feasible and kkt.stationarity <= opts.tol_stat:
             status = "converged"
             break

@@ -9,8 +9,8 @@ remaining correction local and cheap.
 
 Every solve reports failure through ``solution.status``; none raises.
 A branched solve whose unbranched stage fails returns that stage's
-result and never builds the branched problem.  Reported wall time is
-cumulative over both stages.
+result and never builds the branched problem.  Reported wall time and
+iteration counts are cumulative over both stages.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ class PipelineResult:
 
     ``solution.status`` is the only failure report.  A branched solve
     whose unbranched stage failed returns that stage: its problem, layout
-    and bundle, with ``nominal`` None.  ``solution.wall_time`` of a
-    branched solve includes its unbranched stage.
+    and bundle, with ``nominal`` None.  ``solution.wall_time``,
+    ``iterations`` and ``inner_iterations`` of a branched solve include
+    its unbranched stage.
     """
 
     solution: nlp.NlpSolution
@@ -195,6 +196,8 @@ def _solve_branched(adapter, cfg, build, guess_from_nominal, opts):
     x0 = guess_from_nominal(adapter, layout, nom.bundle, nom_cfg.contact_node)
     sol = nlp.solve(problem, x0, opts)
     sol.wall_time += nom.solution.wall_time
+    sol.iterations += nom.solution.iterations
+    sol.inner_iterations += nom.solution.inner_iterations
     return PipelineResult(sol, tr.extract_solution(layout, sol.x), layout,
                           problem, nom.bundle)
 

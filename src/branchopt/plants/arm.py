@@ -31,7 +31,6 @@ __all__ = [
     "gravity_torque",
     "total_energy",
     "ball_state",
-    "fall_time",
     "guard",
     "make_system",
     "level_configuration",
@@ -213,15 +212,6 @@ def ball_state(t, p0, v0, g=9.81):
     px = p0[0] + v0[0] * t
     pz = p0[1] + v0[1] * t - 0.5 * g * t * t
     return (px, pz), (v0[0], v0[1] - g * t)
-
-
-def fall_time(z0, z_target, v0z=0.0, g=9.81):
-    """Time for the ball to fall from z0 to z_target (positive root)."""
-    drop = z0 - z_target
-    if drop < 0:
-        raise ValueError("target above release height")
-    disc = v0z * v0z + 2.0 * g * drop
-    return (v0z + math.sqrt(disc)) / g
 
 
 def guard(t, state, env: ArmCatchParams):

@@ -214,17 +214,6 @@ def test_ball_state_closed_form():
     assert vz == pytest.approx(-0.5 - 9.81 * 0.4)
 
 
-def test_fall_time_roundtrip():
-    t = arm.fall_time(1.0, 0.3)
-    assert t == pytest.approx(math.sqrt(2 * 0.7 / 9.81))
-    (_, pz), _ = arm.ball_state(t, (0.0, 1.0), (0.0, 0.0))
-    assert pz == pytest.approx(0.3)
-    # with downward release velocity the ball arrives sooner
-    assert arm.fall_time(1.0, 0.3, v0z=-1.0) < arm.fall_time(1.0, 0.3, v0z=1.0)
-    with pytest.raises(ValueError):
-        arm.fall_time(0.2, 0.3)
-
-
 def test_level_configuration_reaches_target_with_level_tool():
     for target in [(0.0, 0.3), (0.2, 0.4), (-0.15, 0.25)]:
         q = arm.level_configuration(target, P)
@@ -249,7 +238,8 @@ def test_guard_is_ball_to_container_gap():
     # at t=0 the ball is at its 1.0 m release height, container top at 0.3
     assert float(ocp.guard_expr(state + [0.0])) == pytest.approx(
         0.7 - P.r_ball)
-    t_touch = arm.fall_time(P.p_ball0[1], 0.3 + P.r_ball, g=P.g)
+    # the ball is released at rest, so it falls for sqrt(2 h / g)
+    t_touch = math.sqrt(2.0 * (P.p_ball0[1] - 0.3 - P.r_ball) / P.g)
     assert float(ocp.guard_expr(state + [t_touch])) == pytest.approx(
         0.0, abs=1e-12)
 

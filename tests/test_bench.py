@@ -2,8 +2,6 @@
 studies' input checks."""
 
 import hashlib
-import json
-import os
 
 import numpy as np
 import pytest
@@ -13,9 +11,9 @@ from branchopt import transcription as tr
 from branchopt.plants import arm
 from branchopt.transcription import Trajectory
 
-with open(os.path.join(os.path.dirname(__file__), "data",
-                       "recorded_rollouts.json")) as _fh:
-    RECORDED = json.load(_fh)
+import record
+
+RECORDED = record.load("recorded_rollouts.json")
 
 
 def test_run_trial_simulates_the_configured_env(monkeypatch):
@@ -56,21 +54,12 @@ def rollout_record(trace):
     }
 
 
-def _assert_matches_recorded(trace, case):
-    got = rollout_record(trace)
-    assert got["termination"] == case["termination"]
-    assert got["steps"] == case["steps"]
-    assert got["final_state"] == case["final_state"]
-    for name, digest in case["sha256"].items():
-        assert got["sha256"][name] == digest, name
-    assert got["events"] == case["events"]
+# Each function below recomputes one entry of recorded_rollouts.json from
+# the references stored in it; the tests compare the entry with ==, and
+# tests/record.py writes the file from the same functions.
 
 
-# The recorded cases are rolled out by the functions below, which
-# tests/record.py also calls to rewrite the records.
-
-
-def cartpole_case_trace(recorded, case):
+def cartpole_case(recorded, case):
     """The scheduling reference of condition 0 for 2 s: at the default
     wall it makes one contact and balances, at -0.6 m the pole falls."""
     run = config.RunConfig(experiment={"horizon": 2.0})
@@ -80,10 +69,10 @@ def cartpole_case_trace(recorded, case):
     trace, _ = bench.cartpole_rollout(
         run, bundle, run.conditions[0], bench._controller_gains(run, p, env),
         **env_over)
-    return trace
+    return {**case, **rollout_record(trace)}
 
 
-def fixed_reference_trace(recorded, case):
+def fixed_reference_case(recorded, case):
     """The condition-0 nominal (the pole falls) and robust_nominal (one
     contact, then it balances) references for 2 s at the default wall."""
     run = config.RunConfig(experiment={"horizon": 2.0})
@@ -91,7 +80,7 @@ def fixed_reference_trace(recorded, case):
     ref = Trajectory(**recorded[f"{case['reference']}_reference"])
     trace, _ = bench.cartpole_rollout(
         run, ref, run.conditions[0], bench._controller_gains(run, p, env))
-    return trace
+    return {**case, **rollout_record(trace)}
 
 
 def _held_level_reference(p):
@@ -102,40 +91,45 @@ def _held_level_reference(p):
                       dts=np.array([1.5]))
 
 
-# the arm record predates the simulator's rollout loop, so its values
-# hold to these tolerances, not to the bit
-ARM_ATOL = {"contact_time": 1e-8, "dv": 1e-6}
-
-
-def arm_catches(rec):
-    """(contact time, catch speed) of the held level pose at each of the
-    record's drop heights."""
+def arm_held_level(rec):
+    """The contact time and catch speed of the held level pose at each of
+    the record's drop heights."""
     p = arm.ArmCatchParams()
     gains = control.Gains(np.diag(np.full(3, rec["kp"])),
                           np.diag(np.full(3, rec["kd"])))
     ref = _held_level_reference(p)
-    return [bench._catch_speed(p, ref, gains, row["h0"], rec["dt_sim"])
-            for row in rec["drop_heights"]]
+    rows = []
+    for row in rec["drop_heights"]:
+        tc, dv = bench._catch_speed(p, ref, gains, row["h0"], rec["dt_sim"])
+        rows.append({**row, "contact_time": tc, "dv": dv})
+    return {**rec, "drop_heights": rows}
+
+
+def record_rollouts():
+    return {"recorded_rollouts.json": {
+        **RECORDED,
+        "cartpole": [cartpole_case(RECORDED, case)
+                     for case in RECORDED["cartpole"]],
+        "fixed_references": [fixed_reference_case(RECORDED, case)
+                             for case in RECORDED["fixed_references"]],
+        "arm_held_level": arm_held_level(RECORDED["arm_held_level"])}}
 
 
 @pytest.mark.parametrize("case", RECORDED["cartpole"],
                          ids=lambda c: c["termination"])
 def test_cartpole_rollout_matches_recorded_bit_for_bit(case):
-    _assert_matches_recorded(cartpole_case_trace(RECORDED, case), case)
+    assert cartpole_case(RECORDED, case) == case
 
 
 @pytest.mark.parametrize("case", RECORDED["fixed_references"],
                          ids=lambda c: c["reference"])
 def test_fixed_reference_rollout_matches_recorded_bit_for_bit(case):
-    _assert_matches_recorded(fixed_reference_trace(RECORDED, case), case)
+    assert fixed_reference_case(RECORDED, case) == case
 
 
 def test_catch_speed_matches_the_recorded_arm_rollouts():
     rec = RECORDED["arm_held_level"]
-    for row, (tc, dv) in zip(rec["drop_heights"], arm_catches(rec)):
-        assert tc == pytest.approx(row["contact_time"],
-                                   abs=ARM_ATOL["contact_time"])
-        assert dv == pytest.approx(row["dv"], abs=ARM_ATOL["dv"])
+    assert arm_held_level(rec) == rec
 
 
 def test_sweep_without_a_catch_names_the_reference():

@@ -10,30 +10,24 @@ negative ``sqrt`` argument) contributes its name and the error instead.
 
 Regenerate (only for an intended change of the numbers) with
 
-    PYTHONPATH=src python tests/test_block_fingerprints.py
+    python tests/record.py block_fingerprints --write
 """
 
 import hashlib
-import json
-import os
-import sys
 
 import numpy as np
 import pytest
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from branchopt import autodiff as ad
+from branchopt import control, nlp
+from branchopt import transcription as tr
+from branchopt.plants import arm, cartpole
+from branchopt.plants.arm_ocp import ArmCatchOcp
+from branchopt.plants.cartpole_ocp import CartPoleOcp
 
-from branchopt import autodiff as ad  # noqa: E402
-from branchopt import control, nlp  # noqa: E402
-from branchopt import transcription as tr  # noqa: E402
-from branchopt.plants import arm, cartpole  # noqa: E402
-from branchopt.plants.arm_ocp import ArmCatchOcp  # noqa: E402
-from branchopt.plants.cartpole_ocp import CartPoleOcp  # noqa: E402
+import record
+from test_transcription import ARM_END, ARM_INIT, _cfg
 
-from test_transcription import ARM_END, ARM_INIT, _cfg  # noqa: E402
-
-PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
-                    "block_fingerprints.json")
 CASES = [f"{plant}/{variant}" for plant in ("cartpole", "arm")
          for variant in ("nominal", "sure", "tree")]
 
@@ -82,7 +76,7 @@ def _block_digest(problem, x):
         h.update(vals.tobytes())
         h.update(jac.tobytes())
         h.update(np.signbit(jac).tobytes())
-    return h.hexdigest(), raised
+    return [h.hexdigest(), raised]
 
 
 def block_fingerprints(case):
@@ -129,20 +123,20 @@ def jacobian_fingerprints():
     return out
 
 
-def record():
-    return {"blocks": {case: block_fingerprints(case) for case in CASES},
-            "jacobians": jacobian_fingerprints()}
+def record_block_fingerprints():
+    return {"block_fingerprints.json": {
+        "blocks": {case: block_fingerprints(case) for case in CASES},
+        "jacobians": jacobian_fingerprints()}}
 
 
 @pytest.fixture(scope="module")
 def recorded():
-    with open(PATH) as fh:
-        return json.load(fh)
+    return record.load("block_fingerprints.json")
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_block_values_and_jacobians_match_recorded(recorded, case):
-    got = [[digest, raised] for digest, raised in block_fingerprints(case)]
+    got = block_fingerprints(case)
     assert got == recorded["blocks"][case]
     # the negative-interval point must still raise in the sqrt(dt) costs
     assert got[-1][1]
@@ -150,9 +144,3 @@ def test_block_values_and_jacobians_match_recorded(recorded, case):
 
 def test_ad_jacobians_match_recorded(recorded):
     assert jacobian_fingerprints() == recorded["jacobians"]
-
-
-if __name__ == "__main__":
-    with open(PATH, "w") as fh:
-        json.dump(record(), fh, indent=1)
-        fh.write("\n")

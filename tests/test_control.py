@@ -74,7 +74,7 @@ def test_care_residual_and_hurwitz_on_cartpole():
     A, b = control.linearize(sys, cartpole.X_EQ, np.zeros(1))
     Q = np.diag([10.0, 0.0, 10.0, 0.0])
     r = 0.1
-    P = control.solve_care(A, b, Q, r, residual_tol=1e-8)
+    P = control.solve_care(A, b, Q, r)
     bv = np.asarray(b, dtype=float).ravel()
     resid = A.T @ P + P @ A - np.outer(P @ bv, bv @ P) / r + Q
     assert np.max(np.abs(resid)) <= 1e-8

@@ -1,7 +1,6 @@
 """Augmented-Lagrangian solver on small problems with known solutions."""
 
 import dataclasses
-import json
 import os
 import subprocess
 import sys
@@ -19,6 +18,7 @@ from branchopt import transcription as tr
 from branchopt.plants.arm_ocp import ArmCatchOcp
 from branchopt.plants.cartpole_ocp import CartPoleOcp
 
+import record
 from test_transcription import ARM_END, ARM_INIT, _cfg
 
 
@@ -412,21 +412,24 @@ def _benchmark_config(variant):
 
 
 def _short_solve(adapter, cfg):
+    """A short solve from the default guess, as its record keeps it."""
     problem, layout = tr.build(adapter, cfg)
-    return nlp.solve(problem, tr.default_initial_guess(adapter, layout),
-                     nlp.SolverOpts(max_outer=1, max_inner=5))
+    sol = nlp.solve(problem, tr.default_initial_guess(adapter, layout),
+                    nlp.SolverOpts(max_outer=1, max_inner=5))
+    return {"x": sol.x.tolist(), "inner_iterations": sol.inner_iterations,
+            "objective_value": sol.objective_value}
 
 
-def _recorded(name):
-    path = os.path.join(os.path.dirname(__file__), "data", name)
-    with open(path) as fh:
-        return json.load(fh)
+def short_nominal_solve():
+    adapter, cfg = _benchmark_config("sure")
+    return _short_solve(adapter, pipeline.nominal_stage_config(cfg))
 
 
-def _assert_matches(sol, recorded):
-    assert sol.inner_iterations == recorded["inner_iterations"]
-    assert sol.objective_value == recorded["objective_value"]
-    assert sol.x.tolist() == recorded["x"]
+def record_short_solves():
+    return {"short_nominal_solve.json": short_nominal_solve(),
+            "short_branched_solves.json": {
+                variant: _short_solve(*_benchmark_config(variant))
+                for variant in ("sure", "tree")}}
 
 
 def test_short_solve_matches_recorded_bit_for_bit(monkeypatch):
@@ -444,9 +447,7 @@ def test_short_solve_matches_recorded_bit_for_bit(monkeypatch):
         return least_squares(fun, z0, jac=jac, **kwargs)
 
     monkeypatch.setattr(nlp, "least_squares", counted)
-    adapter, cfg = _benchmark_config("sure")
-    sol = _short_solve(adapter, pipeline.nominal_stage_config(cfg))
-    _assert_matches(sol, _recorded("short_nominal_solve.json"))
+    assert short_nominal_solve() == record.load("short_nominal_solve.json")
     assert passes == [("jac", sp.csr_matrix), (1.0, sp.csr_matrix)]
 
 
@@ -469,8 +470,8 @@ def _feasibility_problem():
 def test_short_branched_solve_matches_recorded_bit_for_bit(variant):
     # The same short solve on the benchmark's branched problems, whose
     # Jacobians add branch, rejoin and inequality rows.
-    sol = _short_solve(*_benchmark_config(variant))
-    _assert_matches(sol, _recorded("short_branched_solves.json")[variant])
+    assert (_short_solve(*_benchmark_config(variant))
+            == record.load("short_branched_solves.json")[variant])
 
 
 # -- imports ----------------------------------------------------------------

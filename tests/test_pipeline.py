@@ -9,21 +9,17 @@ from branchopt import transcription as tr
 from branchopt.plants.arm_ocp import ArmCatchOcp
 from branchopt.plants.cartpole_ocp import CartPoleOcp
 
+import record
 from test_transcription import ARM_END, ARM_INIT, _cfg
 
-# (size, 2-norm, index-weighted sum) of the guess built from a fixed
+# The size, 2-norm and index-weighted sum of the guess built from a fixed
 # perturbation of the default unbranched guess, recorded so that a change
 # in how the guesses are assembled fails here.
-RECORDED_GUESS = {
-    ("cartpole", "sure"): (148, 4643.655634968315, 679816.6623679372),
-    ("cartpole", "tree"): (203, 4643.666039301746, 940514.2673216475),
-    ("arm", "sure"): (242, 18.448965209393783, 418.26791792416867),
-    ("arm", "tree"): (335, 21.220713620981776, 573.1339896006576),
-}
+GUESS_CASES = [("cartpole", "sure"), ("cartpole", "tree"), ("arm", "sure"),
+               ("arm", "tree")]
 
 
-@pytest.mark.parametrize("plant, variant", list(RECORDED_GUESS))
-def test_guess_from_nominal_matches_recorded(plant, variant):
+def warm_start_guess(plant, variant):
     if plant == "arm":
         adapter = ArmCatchOcp()
         cfg = _cfg(variant, x_init=ARM_INIT, x_end=ARM_END)
@@ -37,11 +33,19 @@ def test_guess_from_nominal_matches_recorded(plant, variant):
     _, layout = getattr(tr, f"build_{variant}")(adapter, cfg)
     guess_from = getattr(pipeline, f"{variant}_guess_from_nominal")
     g = guess_from(adapter, layout, nominal, nom_cfg.contact_node)
-    size, norm, weighted = RECORDED_GUESS[plant, variant]
-    assert g.size == size
-    assert float(np.sqrt(g @ g)) == pytest.approx(norm, rel=1e-12, abs=1e-12)
-    assert float(g @ np.arange(1, g.size + 1)) == pytest.approx(
-        weighted, rel=1e-12, abs=1e-12)
+    return {"size": g.size, "norm": float(np.sqrt(g @ g)),
+            "weighted_sum": float(g @ np.arange(1, g.size + 1))}
+
+
+def record_warm_start_guesses():
+    return {"warm_start_guesses.json": {
+        "/".join(case): warm_start_guess(*case) for case in GUESS_CASES}}
+
+
+@pytest.mark.parametrize("plant, variant", GUESS_CASES)
+def test_guess_from_nominal_matches_recorded(plant, variant):
+    assert (warm_start_guess(plant, variant)
+            == record.load("warm_start_guesses.json")[f"{plant}/{variant}"])
 
 
 # -- staged solves -------------------------------------------------------------
@@ -84,12 +88,16 @@ def test_failed_nominal_stage_is_returned_without_a_branched_build(
     assert res.nominal is None
 
 
-@pytest.mark.parametrize("variant, solve", BRANCHED, ids=["sure", "tree"])
-def test_branched_solve_starts_from_the_nominal_stage(variant, solve):
+def _bench_cartpole(variant):
     run = config.load_config(None)
     adapter, _, _ = config.build_plant(run)
-    cfg = config.transcription_config(run, variant, run.conditions[0],
-                                      bench.X_END, **BENCH_CARTPOLE)
+    return adapter, config.transcription_config(
+        run, variant, run.conditions[0], bench.X_END, **BENCH_CARTPOLE)
+
+
+@pytest.mark.parametrize("variant, solve", BRANCHED, ids=["sure", "tree"])
+def test_branched_solve_starts_from_the_nominal_stage(variant, solve):
+    adapter, cfg = _bench_cartpole(variant)
     res = solve(adapter, cfg, LOOSE_OPTS)
     nom = pipeline.solve_nominal(adapter, pipeline.nominal_stage_config(cfg),
                                  LOOSE_OPTS)
@@ -98,3 +106,21 @@ def test_branched_solve_starts_from_the_nominal_stage(variant, solve):
     assert (res.nominal.common.states.tobytes()
             == nom.bundle.common.states.tobytes())
     assert res.solution.wall_time >= nom.solution.wall_time
+
+
+@pytest.mark.parametrize("variant, solve", BRANCHED, ids=["sure", "tree"])
+def test_branched_solve_counts_both_stages(monkeypatch, variant, solve):
+    stages = []
+    solve_stage = nlp.solve
+
+    def counted(*args, **kwargs):
+        sol = solve_stage(*args, **kwargs)
+        stages.append((sol.iterations, sol.inner_iterations, sol.wall_time))
+        return sol
+
+    monkeypatch.setattr(nlp, "solve", counted)
+    s = solve(*_bench_cartpole(variant), LOOSE_OPTS).solution
+    (nom_outer, nom_inner, nom_time), (outer, inner, time) = stages
+    assert s.iterations == outer + nom_outer
+    assert s.inner_iterations == inner + nom_inner
+    assert s.wall_time == time + nom_time

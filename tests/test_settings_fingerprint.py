@@ -10,6 +10,8 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import pathlib
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +21,8 @@ import yaml
 from branchopt import bench, cli, config, control, nlp, pipeline, simulation
 from branchopt import transcription as tr
 from branchopt.plants import cartpole
+
+import record
 
 CONFIGS = {
     "default": {},
@@ -48,38 +52,6 @@ CONFIGS = {
         "experiment": {"dt_sim": 5e-4, "catch_target": [0.05, 0.3],
                        "sweep_heights": 5, "sweep_half_range": 0.1},
     },
-}
-
-# sha256 of each site's recorded settings
-RECORDED = {
-    "arm": {
-        "sweep":
-            "02ec6fb3fd7bf1416f6a3ac107bfd44501dc8c36368e7462bcc14b34855f20c7"},
-    "arm_overrides": {
-        "sweep":
-            "2b21b7168ce8811d6189500dce5bade0da03e1eed0cb11d06cc17418a11068b2"},
-    "cartpole_overrides": {
-        "cli_solve":
-            "178c6e7215d14258aa2b0067cac1ada4971830706ec94fec70db3a3d6a60d241",
-        "gains":
-            "6b49de32654365410f43faf53fb7023161f393fd71eaa41ed319b416c412358e",
-        "montecarlo":
-            "afd1cbe9d4b70d1f7ca26264c5e0b6bc7908499698a3531a0ee3d310521f7d58",
-        "run_trial":
-            "520c2a66b3622dc87d3690ac3efd8c7027551a9bde4a5dc080263f827329af01",
-        "tradeoff":
-            "de123da8c598d43e92a12909fe29a343744351b2b89247fd9eaa98220c6c3736"},
-    "default": {
-        "cli_solve":
-            "e12871ad9aa5390da1eeebb70b69a9c4ccd01f31e701305ed4670b392a7aac93",
-        "gains":
-            "a181e1c97568c3b48fdcac417331de51321f17d59fd8ca7d717d0c026715a63b",
-        "montecarlo":
-            "b11106a4c265c9b217817dd3b9816014a8458ce693605b4fb0247c77b464fa31",
-        "run_trial":
-            "cb9f8dee6b3ad69b45578a5751f59f5993920fbf14885e5b1d02536ec7eba5b4",
-        "tradeoff":
-            "2fa9bfe8bbaed00eee729bd003cd9652c703f0f517a4684c11a31c11453ffd8b"},
 }
 
 _FAKE = SimpleNamespace(
@@ -242,9 +214,18 @@ def fingerprint(name, tmp_path):
             for key, records in _capture(name, tmp_path).items()}
 
 
+def record_settings_fingerprints():
+    digests = {}
+    for name in sorted(CONFIGS):
+        with tempfile.TemporaryDirectory() as tmp:
+            digests[name] = fingerprint(name, pathlib.Path(tmp))
+    return {"settings_fingerprints.json": digests}
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_settings_match_recorded_fingerprint(name, tmp_path):
-    assert fingerprint(name, tmp_path) == RECORDED[name]
+    assert (fingerprint(name, tmp_path)
+            == record.load("settings_fingerprints.json")[name])
 
 
 def test_cli_solve_on_the_arm_builds_the_sweeps_configs(tmp_path):

@@ -13,6 +13,8 @@ import csv
 import hashlib
 import json
 import os
+import pathlib
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,31 +23,13 @@ import pytest
 from branchopt import bench, cli, config, pipeline
 from branchopt import transcription as tr
 
+import record
+
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                         "fixtures")
 
 CARTPOLE = "experiment: {n_samples: 1, workers: 1, horizon: 2}\n"
 ARM = "plant: {name: arm}\ncontroller: {arm_kd: 1}\n"
-
-# sha256 of each verb's output files under the stand-ins below
-RECORDED = {
-    "montecarlo": {
-        "json":
-            "b08f06c79f753fafdd987009f18253b4c2dea153cc8444e60a1fec0b5e067595",
-        "csv":
-            "894848be8ec4a90044aed02498856264a2ffcaabe2f0226ece36301e3b9773bd"},
-    "sweep": {
-        "json":
-            "55e34b84578311579ad25626d4071d04905b7e2dae6f32b65f51a81a90fcb96e",
-        "csv":
-            "fec428efde79ebed7712bded722f3c7c3682a430e96c7c7ca2b2c343e62a6a91"},
-    "tradeoff": {
-        "json":
-            "b6b3de0642ab61beb537cbfa19a2be223fcfcf9545e257b93c9b91dcb5f6bfee",
-        "csv":
-            "318f0384c1f2dc5d99e6bfc8cd33e93b015199fb5dfeba85614e5ce5283e18b1"},
-}
-
 
 def _trajectory(d):
     return tr.Trajectory(**{k: np.asarray(v, dtype=float)
@@ -150,10 +134,26 @@ def _read(out, table):
         return json.load(fh), list(csv.DictReader(ft))
 
 
+def study_outputs(verb, tmp_path, monkeypatch):
+    """sha256 of the JSON and CSV files ``verb`` writes under its
+    stand-ins."""
+    out, table = _run(verb, tmp_path, monkeypatch)
+    return {"json": _sha256(out), "csv": _sha256(table)}
+
+
+def record_study_outputs():
+    digests = {}
+    for verb in sorted(VERBS):
+        with (tempfile.TemporaryDirectory() as tmp,
+              pytest.MonkeyPatch.context() as mp):
+            digests[verb] = study_outputs(verb, pathlib.Path(tmp), mp)
+    return {"study_outputs.json": digests}
+
+
 @pytest.mark.parametrize("verb", sorted(VERBS))
 def test_study_verb_writes_the_recorded_files(verb, tmp_path, monkeypatch):
-    out, table = _run(verb, tmp_path, monkeypatch)
-    assert {"json": _sha256(out), "csv": _sha256(table)} == RECORDED[verb]
+    assert (study_outputs(verb, tmp_path, monkeypatch)
+            == record.load("study_outputs.json")[verb])
 
 
 def test_tradeoff_csv_holds_the_tree_row_and_the_baseline(tmp_path,

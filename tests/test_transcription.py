@@ -20,6 +20,8 @@ from branchopt.plants.arm_ocp import ArmCatchOcp
 from branchopt.plants.cartpole_ocp import CartPoleOcp
 from branchopt.transcription import SolutionBundle, Trajectory
 
+import record
+
 X_INIT = np.array([0.0, np.pi, 0.0, 5.5])
 X_END = np.array([0.0, np.pi, 0.0, 0.0])
 # arm: level container moved from (0, 0.3) to (0.05, 0.35), at rest
@@ -290,105 +292,18 @@ def test_robust_nominal_branch_plays_middle_branch():
 
 # -- residual values at the default guess ------------------------------------------
 
-# Objective and, per block in emission order, (size, 2-norm, index-weighted
-# sum) of the residuals at the default initial guess of the _cfg problems.
-# The values are recorded, so a change in the order or content of the
-# transcription's arithmetic fails here even when the solver still converges.
-RECORDED_AT_DEFAULT_GUESS = {
-    "nominal": (3.219419270833334, [
-        ("common_running_cost", 55, 1.7942740233401735, 104.95440840550721),
-        ("common_dynamics", 44, 1.5468868996455873, -133.41212499999992),
-        ("guard_zero_at_contact", 1, 0.5, 0.5),
-        ("impact_restitution_map", 5, 2.3535643241215607, -13.368333333333332),
-        ("guard_clearance", 11, 1.6583090785529095, -32.999934),
-        ("cart_body_wall_clearance", 13, 1.65854998116216, -41.85990900000001),
-        ("impact_friction_cone", 1, 0.6999, -0.6999),
-    ]),
-    "sure": (3.943972125771605, [
-        ("common_running_cost", 55, 1.8135758301396352, 107.07691736210393),
-        ("branch_running_cost", 45, 0.8092680854358081, 54.426044112885684),
-        ("common_dynamics", 44, 1.547460774891043, -133.66924999999992),
-        ("branch_dynamics", 36, 1.0150985463900044, -55.243374999999915),
-        ("guard_pin_window_entry", 1, 0.45, 0.45),
-        ("guard_pin_window_exit", 1, 0.55, 0.55),
-        ("impact_restitution_map", 15, 4.026445299516684, -65.9025),
-        ("branch_rejoin_pinning", 12, 0.0, 0.0),
-        ("guard_clearance_beyond_window", 10, 1.4230217847981104,
-         -24.749944999999997),
-        ("cart_body_wall_clearance", 25, 2.2999950000000005,
-         -149.49967500000002),
-        ("impact_friction_cone", 3, 1.2122623602174571, -4.1994),
-    ]),
-    "tree": (2.0636959635416674, [
-        ("common_running_cost", 30, 1.3963755165904814, 37.91240136265881),
-        ("branch_running_cost", 120, 0.33738906355768755, 33.08664017110985),
-        ("common_dynamics", 24, 2.2564104709785546, -81.25424999999998),
-        ("branch_dynamics", 96, 0.7306720958795724, -85.7757083333328),
-        ("guard_pin_window_entry", 1, 0.45, 0.45),
-        ("guard_pin_window_exit", 1, 0.55, 0.55),
-        ("impact_restitution_map", 15, 1.474469989521659, -13.1025),
-        ("guard_clearance_beyond_window", 4, 0.899998, -4.4999899999999995),
-        ("cart_body_wall_clearance", 34, 2.6822320406769435, -273.699405),
-        ("impact_friction_cone", 3, 1.2122623602174571, -4.1994),
-    ]),
-    # the arm has its own cost hook and no guard clearance after contact
-    "arm_nominal": (6.7644119122048005, [
-        ("common_running_cost", 33, 2.2803451080000587, 16.348125672986804),
-        ("catch_relative_velocity", 2, 1.2507750000000002, 2.5015500000000004),
-        ("common_dynamics", 66, 3.642329764701929, -56.81760129798191),
-        ("guard_zero_at_contact", 1, 0.548391937177576, 0.548391937177576),
-        ("catch_state_continuity", 6, 0.024555864519174735,
-         -0.0299755832987465),
-        ("elapsed_time_chain", 5, 1.2018516789897274e-17,
-         -4.163336342344337e-17),
-        ("guard_clearance", 5, 1.391966794525203, -9.158574538074228),
-        ("container_level", 13, 0.0036055512754639895, -0.091),
-        ("drop_line_alignment", 13, 0.002967115289770503,
-         0.019706056817623892),
-    ]),
-    "arm_sure": (7.613509589238164, [
-        ("common_running_cost", 33, 2.27883638516746, 16.259149316253133),
-        ("branch_running_cost", 27, 1.1918113604405136, 5.937328200097192),
-        ("relative_speed_bound", 1, 1.0, 1.0),
-        ("common_dynamics", 66, 3.6399211302899155, -56.55477058112608),
-        ("branch_dynamics", 54, 3.2968141432264972, -36.6814419271517),
-        ("guard_pin_window_entry", 1, 0.5313660538620236, 0.5313660538620236),
-        ("guard_pin_window_exit", 1, 0.5590965709073428, 0.5590965709073428),
-        ("catch_state_continuity", 18, 0.0, 0.0),
-        ("branch_rejoin_pinning", 18, 0.0, 0.0),
-        ("elapsed_time_chain", 6, 1.3877787807814457e-17,
-         -8.326672684688674e-17),
-        ("guard_clearance_beyond_window", 4, 1.164782099345759,
-         -5.751749268764112),
-        ("container_level", 25, 0.005, -0.325),
-        ("drop_line_alignment", 25, 0.003405161460490353,
-         -0.08192286143627564),
-        ("relative_speed_within_bound", 3, 1.3740730909116547,
-         4.8884891803500015),
-    ]),
-    "arm_tree": (7.881943163495762, [
-        ("common_running_cost", 18, 1.6776345128484194, 4.2854078107048075),
-        ("branch_running_cost", 72, 2.0168008341915193, 54.45909716378732),
-        ("relative_speed_bound", 1, 1.0, 1.0),
-        ("common_dynamics", 36, 2.6816671207031284, -16.088688487337198),
-        ("branch_dynamics", 144, 5.578330606273899, -309.1114894386776),
-        ("guard_pin_window_entry", 1, 0.5146468289594601, 0.5146468289594601),
-        ("guard_pin_window_exit", 1, 0.5351788550000001, 0.5351788550000001),
-        ("catch_state_continuity", 18, 0.0, 0.0),
-        ("elapsed_time_chain", 6, 1.3877787807814457e-17,
-         -8.326672684688674e-17),
-        ("guard_clearance_beyond_window", 4, 1.1521191066909853,
-         -5.665577007385761),
-        ("container_level", 34, 0.0058309518948452994, -0.5950000000000001),
-        ("drop_line_alignment", 34, 0.006541785748483809, 0.7042727483129315),
-        ("relative_speed_within_bound", 3, 1.3740730909116547,
-         4.8884891803500015),
-    ]),
-}
+# The objective and, per block in emission order, [name, size, 2-norm,
+# index-weighted sum] of the residuals at the default initial guess of the
+# _cfg problems.  The values are recorded, so a change in the order or
+# content of the transcription's arithmetic fails here even when the
+# solver still converges.
+GUESS_CASES = ["nominal", "sure", "tree",
+               # the arm has its own cost hook and no guard clearance
+               # after contact
+               "arm_nominal", "arm_sure", "arm_tree"]
 
 
-@pytest.mark.parametrize("key", list(RECORDED_AT_DEFAULT_GUESS))
-def test_residuals_at_default_guess_match_recorded(key):
+def default_guess_residuals(key):
     plant, _, variant = key.rpartition("_")
     if plant == "arm":
         adapter = ArmCatchOcp()
@@ -397,17 +312,23 @@ def test_residuals_at_default_guess_match_recorded(key):
         adapter, cfg = CartPoleOcp(), _cfg(variant)
     problem, layout = getattr(tr, f"build_{variant}")(adapter, cfg)
     x0 = tr.default_initial_guess(adapter, layout)
-    objective, blocks = RECORDED_AT_DEFAULT_GUESS[key]
-    assert nlp.eval_objective(problem, x0) == pytest.approx(objective,
-                                                            rel=1e-12)
-    got = []
+    blocks = []
     for b in problem.cost_blocks + problem.eq_blocks + problem.ineq_blocks:
         v = nlp.block_values(b, x0).ravel()
-        got.append((b.name, v.size, float(np.sqrt(v @ v)),
-                    float(v @ np.arange(1, v.size + 1))))
-    assert [g[:2] for g in got] == [b[:2] for b in blocks]
-    for g, want in zip(got, blocks):
-        assert g[2:] == pytest.approx(want[2:], rel=1e-12, abs=1e-12), g[0]
+        blocks.append([b.name, v.size, float(np.sqrt(v @ v)),
+                       float(v @ np.arange(1, v.size + 1))])
+    return {"objective": nlp.eval_objective(problem, x0), "blocks": blocks}
+
+
+def record_default_guess_residuals():
+    return {"default_guess_residuals.json": {
+        key: default_guess_residuals(key) for key in GUESS_CASES}}
+
+
+@pytest.mark.parametrize("key", GUESS_CASES)
+def test_residuals_at_default_guess_match_recorded(key):
+    assert (default_guess_residuals(key)
+            == record.load("default_guess_residuals.json")[key])
 
 
 # -- structural fingerprint --------------------------------------------------------
@@ -427,35 +348,12 @@ _SIZES = {
 # default guess and, for the branched variants, the warm start built from
 # a perturbed unbranched solution; recorded so that a change in how the
 # index rows or guesses are assembled fails here, bit for bit.
-RECORDED_FINGERPRINT = {
-    ('cartpole', 'small', 'nominal'):
-        "96fe112ef2a93917878a6a483a32e26d21b1f91158db9bddc9323ad4feae167a",
-    ('cartpole', 'small', 'sure'):
-        "91b860ecebcff7d7957d9df45bc68ae5555efea1c2b91a3e68f52038218dc155",
-    ('cartpole', 'small', 'tree'):
-        "5ffa32f454033e9073ff50cbb63e5de990b84d0d53bf6747c11980c1edeeaf51",
-    ('cartpole', 'bench', 'nominal'):
-        "61fb28be23503669eb08af0ed0b303d3cecc2f493daf47a277ca4f947f00c35a",
-    ('cartpole', 'bench', 'sure'):
-        "755631ec494683550d47b58bbb20c38868d8d966ba4feff3e1439930678e74f7",
-    ('cartpole', 'bench', 'tree'):
-        "45188bb3473c1e237c777cef0615faad54e1595f6b0efdaed9abfbf25f61fd12",
-    ('arm', 'small', 'nominal'):
-        "81e08093245a5272d1f86d5eac4ac4981d801e2cac1c8ce6d705c5f0eb1ce07f",
-    ('arm', 'small', 'sure'):
-        "7d4278bab4d8a4b8271329c15dc9e28b7dc32dff53416b84d8fbb5544064a642",
-    ('arm', 'small', 'tree'):
-        "698d1ba2826d10b5016ffcdafcd1c703773404114677516ab79e85f48b84b5bf",
-    ('arm', 'bench', 'nominal'):
-        "f2c9548f33d4f11f4ea427024d59d46247da5814f89eb60fd32eafa7c08a6205",
-    ('arm', 'bench', 'sure'):
-        "0b4903fc25f5a100937ddb57b3e548c1fad168a21ee0b7c735f6b5fa4c12e8c6",
-    ('arm', 'bench', 'tree'):
-        "473cfce89929f83964d0996f5e6514738fdd68c9119318569be3f86a909dc177",
-}
+STRUCTURE_CASES = [(plant, size, variant) for plant in ("cartpole", "arm")
+                   for size in _SIZES
+                   for variant in ("nominal", "sure", "tree")]
 
 
-def _fingerprint(plant, size, variant):
+def structure_fingerprint(plant, size, variant):
     if plant == "arm":
         adapter, x_init, x_end = ArmCatchOcp(), ARM_INIT, ARM_END
     else:
@@ -484,9 +382,14 @@ def _fingerprint(plant, size, variant):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("plant, size, variant", [
-    (plant, size, variant) for plant in ("cartpole", "arm")
-    for size in _SIZES for variant in ("nominal", "sure", "tree")])
+def record_structure_fingerprints():
+    return {"structure_fingerprints.json": {
+        "/".join(case): structure_fingerprint(*case)
+        for case in STRUCTURE_CASES}}
+
+
+@pytest.mark.parametrize("plant, size, variant", STRUCTURE_CASES)
 def test_structure_matches_recorded_fingerprint(plant, size, variant):
-    assert (_fingerprint(plant, size, variant)
-            == RECORDED_FINGERPRINT[plant, size, variant])
+    assert (structure_fingerprint(plant, size, variant)
+            == record.load("structure_fingerprints.json")[
+                f"{plant}/{size}/{variant}"])

@@ -8,7 +8,7 @@ Submodules:
   transcription  multiple-shooting transcription of the three formulations
   pipeline       staged (warm-started) solving of the branched problems
   simulation     RK4 + impulse-event contact simulator
-  contact2d      contact impulses: projected Gauss-Seidel and closed form
+  contact2d      closed-form frictional contact impulse
   control        LQR-designed tracking control and branch scheduling
   plants         cart-pole-with-wall and planar-arm ball-catch models
   bench          Monte-Carlo / trade-off / catch-speed studies

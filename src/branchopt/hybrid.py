@@ -6,9 +6,9 @@ arm's falling ball moves on its own clock); it is positive during free
 motion and crosses zero exactly at contact.
 
 The definition carries the simulator's impact law.  The cart-pole's
-applies an instantaneous impulse from a fixed number of projected
-Gauss-Seidel sweeps (``simulation.rigid_impact``); the arm's leaves the
-state unchanged, since the massless ball attaches.  The OCP side
+applies an instantaneous impulse, the closed-form solution of the
+frictional contact problem (``simulation.rigid_impact``); the arm's
+leaves the state unchanged, since the massless ball attaches.  The OCP side
 (``PlantOcp`` adapters, ``cartpole.impact_map``) instead models the
 cart-pole impact as a constant force over ``dt_impact``, which adds that
 interval's free-motion drift; the two laws differ by it.

@@ -207,7 +207,7 @@ def total_energy(state, p: ArmCatchParams):
 # -- ball ballistics -----------------------------------------------------------
 
 
-def ball_state(t, p0, v0, g=9.81):
+def ball_state(t, p0, v0, g):
     """Position and velocity of the free-falling ball at time t (closed form)."""
     px = p0[0] + v0[0] * t
     pz = p0[1] + v0[1] * t - 0.5 * g * t * t

@@ -6,8 +6,8 @@ integrated with classical RK4; when the guard, which sees time and
 state, crosses zero within a step the event is located by bisection,
 the plant definition's impact law maps the state across it, and
 integration continues from the post-impact state.  ``rigid_impact``
-builds the cart-pole's law: a projected-Gauss-Seidel impulse with
-positions frozen.
+builds the cart-pole's law: the closed-form frictional impulse of
+``contact2d`` with positions frozen.
 
 The benchmark's per-layer tracer (``perfbench/tracing.py``) times the
 loop by replacing what it calls, so a faster loop must keep these calls
@@ -27,13 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contact2d import pgs_solve
+# tracer seam, renamed with contact2d.pgs_* by the next benchmark change
+from .contact2d import exact_cone_impulse as pgs_solve
 from .hybrid import HybridSystemDef
 
 __all__ = ["SimTrace", "ContactEvent", "rk4_step", "detect_crossing",
            "pgs_solve", "rigid_impact", "simulate"]
 
-PGS_ITERS = 30  # projected Gauss-Seidel sweeps per impact
 CROSSING_TOL = 1e-8  # |guard| accepted as the contact surface
 MAX_BISECT = 60
 
@@ -124,9 +124,10 @@ def rigid_impact(contact_jacobian, mass_matrix):
 
     ``contact_jacobian(q)`` maps velocities to the contact point's
     (normal, tangential) velocity and ``mass_matrix(q)`` is the plant's
-    inertia.  The impulse comes from ``PGS_ITERS`` projected Gauss-Seidel
-    sweeps with the env's restitution ``e`` and friction ``mu``;
-    positions stay frozen.
+    inertia.  The impulse is the closed-form solution of the contact
+    complementarity problem with the env's restitution ``e`` and friction
+    ``mu``, called through the module-level name ``pgs_solve``; positions
+    stay frozen.
     """
 
     def impact(state, env):
@@ -136,7 +137,7 @@ def rigid_impact(contact_jacobian, mass_matrix):
         Minv = np.linalg.inv(mass_matrix(q))
         G = J @ Minv @ J.T
         v = J @ qd
-        impulse = pgs_solve(G, v, env.e, env.mu, n_iter=PGS_ITERS)
+        impulse = pgs_solve(G, v, env.e, env.mu)
         post = np.array(state, dtype=float)
         post[n_q:] = qd + Minv @ (J.T @ impulse)
         return post, impulse

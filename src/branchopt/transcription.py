@@ -253,7 +253,7 @@ class ProblemBuilder:
         self.eq_blocks = []
         self.ineq_blocks = []
 
-    def add_cost(self, name, fun, indices, n_out=1):
+    def add_cost(self, name, fun, indices, n_out):
         self.cost_blocks.append(Block(name, fun, np.atleast_2d(indices), n_out))
 
     def add_eq(self, name, fun, indices, n_out):

@@ -1,8 +1,8 @@
 """Recompute the pinned test records under ``tests/data/`` from the code
 under test; the only writer of those files.
 
-    python tests/record.py <name>|all  # compare (exit 1 on a difference)
-    python tests/record.py <name>|all --write  # and rewrite the records
+    python tests/record.py <name>...|all  # compare (exit 1 on a difference)
+    python tests/record.py <name>...|all --write  # and rewrite the records
 
 Each record is computed by the function ``record_<name>`` of the test
 module that checks it, from the same per-case functions its tests call;
@@ -118,11 +118,13 @@ def run(name, write):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("record", choices=[*RECORDS, "all"])
+    parser.add_argument("records", nargs="+", choices=[*RECORDS, "all"],
+                        metavar="record", help="record names, or all")
     parser.add_argument("--write", action="store_true",
                         help="rewrite the records with the new values")
     args = parser.parse_args(argv)
-    names = list(RECORDS) if args.record == "all" else [args.record]
+    names = (list(RECORDS) if "all" in args.records
+             else list(dict.fromkeys(args.records)))
     changed = sum(run(name, args.write) for name in names)
     print("no difference" if not changed else f"differences: {changed}")
     return 1 if changed else 0

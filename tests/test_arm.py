@@ -207,11 +207,11 @@ def test_dynamics_evaluable_with_duals():
 
 
 def test_ball_state_closed_form():
-    (px, pz), (vx, vz) = arm.ball_state(0.4, (0.1, 1.2), (0.3, -0.5))
+    (px, pz), (vx, vz) = arm.ball_state(0.4, (0.1, 1.2), (0.3, -0.5), P.g)
     assert px == pytest.approx(0.1 + 0.3 * 0.4)
-    assert pz == pytest.approx(1.2 - 0.5 * 0.4 - 0.5 * 9.81 * 0.16)
+    assert pz == pytest.approx(1.2 - 0.5 * 0.4 - 0.5 * P.g * 0.16)
     assert vx == pytest.approx(0.3)
-    assert vz == pytest.approx(-0.5 - 9.81 * 0.4)
+    assert vz == pytest.approx(-0.5 - P.g * 0.4)
 
 
 def test_level_configuration_reaches_target_with_level_tool():

@@ -58,6 +58,20 @@ def test_simulation_layers_patch_and_restore():
     assert simulation.simulate is simulate
 
 
+def test_simulation_layers_time_every_impulse():
+    # the impact law calls the impulse through simulation.pgs_solve, so a
+    # traced rollout has one contact2d.pgs span per contact event
+    setup = workloads.setup_rollouts()
+    tracer = tracing.Tracer()
+    events = 0
+    with tracing.simulation_layers(tracer):
+        for trial in setup.trials[:8]:
+            trace, _ = workloads.run_rollout(setup, trial)
+            events += len(trace.contact_events)
+    assert events > 0
+    assert tracer.spans["contact2d.pgs"][0] == events
+
+
 def test_traced_system_wraps_derivative_and_guard():
     tracer = tracing.Tracer()
     sys_def = tracing.traced_system(tracer, cartpole.make_system())

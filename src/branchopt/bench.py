@@ -215,7 +215,7 @@ def montecarlo(run: cfgmod.RunConfig, progress=None):
     """
     _require_plant(run, "cartpole", "montecarlo")
     conditions = run.conditions
-    n_samples = int(run.experiment["n_samples"])
+    n_samples = run.experiment["n_samples"]
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     x_wall_range = tuple(run.experiment["x_wall_range"])
@@ -228,7 +228,7 @@ def montecarlo(run: cfgmod.RunConfig, progress=None):
 
     # references: one staged (unbranched, then branched) solve per condition
     solve_args = [(run, [float(v) for v in state]) for state in conditions]
-    refs = _pmap(_solve_condition, solve_args, run.workers)
+    refs = _pmap(_solve_condition, solve_args, run.experiment["workers"])
     ref_by_cond = {}
     for ci, (nominal_traj, robust_traj, bundle) in enumerate(refs):
         ref_by_cond[ci] = {
@@ -242,11 +242,11 @@ def montecarlo(run: cfgmod.RunConfig, progress=None):
     adapter, p, env = cfgmod.build_plant(run)
     gains = _controller_gains(run, p, env)
 
-    specs = _sample_specs(run.seed, conditions, n_samples,
+    specs = _sample_specs(run.experiment["seed"], conditions, n_samples,
                           x_wall_range, e_range)
     trial_args = [(run, s, ref_by_cond[s.condition_id][s.reference], gains)
                   for s in specs]
-    results = _pmap(_run_trial, trial_args, run.workers)
+    results = _pmap(_run_trial, trial_args, run.experiment["workers"])
     results.sort(key=lambda d: (d["spec"]["condition_id"],
                                 d["spec"]["reference"], d["spec"]["index"]))
 
@@ -261,8 +261,8 @@ def montecarlo(run: cfgmod.RunConfig, progress=None):
                  if d["spec"]["condition_id"] == ci]), 2)
             for ci in range(len(conditions))
         ]
-    return {"seed": run.seed, "n_samples": n_samples, "totals": totals,
-            "per_condition": per_condition,
+    return {"seed": run.experiment["seed"], "n_samples": n_samples,
+            "totals": totals, "per_condition": per_condition,
             "paper_totals": dict(PAPER_TOTALS), "samples": results}
 
 
@@ -323,26 +323,22 @@ def _tradeoff_cell(args):
     run, x_init, kind, n_r, budget = args
     adapter, _, _ = cfgmod.build_plant(run)
     opts = cfgmod.solver_opts(run)
-    k_first = int(run.transcription["k_first"])
-    k_last = int(run.transcription["k_last"])
+    k_last = run.transcription["k_last"]
     if kind == "sure":
-        n_final = budget - n_r
         cfg = cfgmod.transcription_config(
             run, "sure", x_init, X_END,
-            N=k_last + 1 + n_final, n_rejoin=n_r,
-            k_first=k_first, k_last=k_last)
+            N=k_last + 1 + budget - n_r, n_rejoin=n_r)
         res = pipeline.solve_sure(adapter, cfg, opts)
     elif kind == "tree":
         cfg = cfgmod.transcription_config(
             run, "tree", x_init, X_END,
-            N=k_last + 1 + budget, n_branch_full=budget,
-            k_first=k_first, k_last=k_last)
+            N=k_last + 1 + budget, n_branch_full=budget)
         res = pipeline.solve_tree(adapter, cfg, opts)
     elif kind == "baseline":
         # exact-knowledge reference: contact node known in advance
         cfg = cfgmod.transcription_config(
             run, "nominal", x_init, X_END,
-            N=n_r + 1 + budget, contact_node=n_r)
+            N=n_r + 1 + budget, k_first=n_r, k_last=n_r)
         res = pipeline.solve_nominal(adapter, cfg, opts)
     else:
         raise ValueError(kind)
@@ -367,8 +363,8 @@ def tradeoff(run: cfgmod.RunConfig, include_baseline=False, progress=None):
     """
     _require_plant(run, "cartpole", "tradeoff")
     conditions = run.conditions
-    n_r_values = [int(v) for v in run.experiment["n_r_values"]]
-    budget = int(run.experiment["post_impact_budget"])
+    n_r_values = run.experiment["n_r_values"]
+    budget = run.experiment["post_impact_budget"]
     # each ``sure`` cell spends n_r of the budget per branch
     if budget < 1:
         raise ValueError(
@@ -385,11 +381,10 @@ def tradeoff(run: cfgmod.RunConfig, include_baseline=False, progress=None):
             cells.append((run, x0, "sure", n_r, budget))
         cells.append((run, x0, "tree", budget, budget))
         if include_baseline:
-            k_first = int(run.transcription["k_first"])
-            k_last = int(run.transcription["k_last"])
-            for node in range(k_first, k_last + 1):
+            for node in range(run.transcription["k_first"],
+                              run.transcription["k_last"] + 1):
                 cells.append((run, x0, "baseline", node, budget))
-    results = _pmap(_tradeoff_cell, cells, run.workers)
+    results = _pmap(_tradeoff_cell, cells, run.experiment["workers"])
     if progress:
         for r in results:
             progress(f"{r['kind']} n_r={r['n_r']}: cost {r['cost']:.4f} "
@@ -507,15 +502,16 @@ def _rk4_growth(p, pose, gains: control.Gains, dt_sim):
 def velocity_sweep(run: cfgmod.RunConfig, progress=None):
     """Catch speed over a range of drop heights, planned vs. robust.
 
-    Solves the arm-catch problem once per formulation at the configured
-    drop height, then replays both references against balls released from
-    heights spanning the configured half-range, recording the relative
-    speed at contact.
+    Solves the staged arm-catch problem once at the configured drop
+    height: its unbranched first stage is the planned reference, its
+    middle branch the robust one.  Replays both references against balls
+    released from heights spanning the configured half-range, recording
+    the relative speed at contact.
     """
     _require_plant(run, "arm", "sweep")
     adapter, p, _ = cfgmod.build_plant(run)
     opts = cfgmod.solver_opts(run)
-    n_heights = int(run.experiment["sweep_heights"])
+    n_heights = run.experiment["sweep_heights"]
     half = float(run.experiment["sweep_half_range"])
     dt_sim = float(run.experiment["dt_sim"])
 
@@ -530,25 +526,19 @@ def velocity_sweep(run: cfgmod.RunConfig, progress=None):
             f"arm_kd {kd} at dt_sim {dt_sim} give |R(λ·dt_sim)| = "
             f"{growth:.3g} > 1 at the catch pose")
 
-    nom = pipeline.solve_nominal(
-        adapter, cfgmod.transcription_config(run, "nominal", x0, x0), opts)
-    if progress:
-        progress(f"nominal arm solve: {nom.solution.status} "
-                 f"cost {nom.solution.objective_value:.4f}")
-
     sure = pipeline.solve_sure(
         adapter, cfgmod.transcription_config(run, "sure", x0, x0), opts)
     if progress:
         progress(f"robust arm solve: {sure.solution.status} "
                  f"cost {sure.solution.objective_value:.4f}")
-    for res, label in ((nom, "unbranched"), (sure, "branched")):
-        if res.solution.status != "converged":
-            raise RuntimeError(f"{label} arm solve failed "
-                               f"({res.solution.status})")
+    if sure.solution.status != "converged":
+        label = "branched" if sure.nominal is not None else "unbranched"
+        raise RuntimeError(f"{label} arm solve failed "
+                           f"({sure.solution.status})")
     v_lim = float(sure.solution.x[sure.layout.arrays["vlim"][0]])
 
     refs = {
-        "nominal": nom.bundle.common,
+        "nominal": sure.nominal.common,
         "robust_nominal": tr.robust_nominal_branch(sure.bundle,
                                                    dt_impact=1e-3),
     }

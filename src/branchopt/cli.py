@@ -4,7 +4,8 @@ Verbs, each with every flag it takes:
 
   solve       --config --out --variant --condition
               solve one formulation, write the solution bundle and the
-              solve's status, KKT residuals and iteration counts (JSON)
+              solve's status, KKT residuals and iteration counts (JSON);
+              the nominal variant is the branched solves' first stage
   simulate    --config --out --solution --reference --condition --x-wall --e
               closed-loop rollout of a saved bundle, write the trace (CSV)
   montecarlo  --config --out --csv --seed --workers

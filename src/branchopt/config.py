@@ -21,9 +21,9 @@ Schema (version 1)::
       env: {x_wall: -0.5, e: 0.8, mu: 0.7}   # cartpole only
     transcription:                  # cart-pole defaults; the arm's differ
       N: 60                         # arm: 40
-      contact_node: 20              # nominal variant
-      k_first: 18                   # branched variants; arm: 16
-      k_last: 22                    # arm: 24
+      k_first: 18                   # branching window; arm: 16
+      k_last: 22                    # arm: 24; nominal contact at the
+                                    #   window's middle node, 20
       n_rejoin: 7
       n_branch_full: 100
       d_fixed: 0.05                 # window-edge guard half-width; arm: 0.20
@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,9 +100,8 @@ _DEFAULTS = {
 # Per plant.  The transcription keys left out here, and the solver keys,
 # keep the TranscriptionConfig and SolverOpts defaults.
 _TRANSCRIPTION_DEFAULTS = {
-    "cartpole": {"N": 60, "contact_node": 20, "k_first": 18, "k_last": 22},
-    "arm": {"N": 40, "contact_node": 20, "k_first": 16, "k_last": 24,
-            "d_fixed": 0.20},
+    "cartpole": {"N": 60, "k_first": 18, "k_last": 22},
+    "arm": {"N": 40, "k_first": 16, "k_last": 24, "d_fixed": 0.20},
 }
 # the dataclasses whose fields plant.params and plant.env may set
 _PLANT_CLASSES = {
@@ -111,6 +111,9 @@ _PLANT_CLASSES = {
 _TRANSCRIPTION_KEYS = (set(tr.TranscriptionConfig.__dataclass_fields__)
                        - {"variant", "x_init", "x_end"})
 _TOP_LEVEL_KEYS = {"schema_version", "transcription", "solver", *_DEFAULTS}
+# experiment keys that count
+_INTEGER_KEYS = ("seed", "workers", "n_samples", "post_impact_budget",
+                 "sweep_heights")
 
 
 def _reject_unknown(where, keys, known):
@@ -143,6 +146,16 @@ class RunConfig:
             given = getattr(self, name)
             _reject_unknown(name, given, defaults)
             setattr(self, name, {**defaults, **given})
+        counts = [(key, self.experiment[key]) for key in _INTEGER_KEYS]
+        counts += [("n_r_values entry", value)
+                   for value in self.experiment["n_r_values"]]
+        for key, value in counts:
+            # bool is a numbers.Integral, and YAML reads on, yes and true
+            # as True
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ValueError(
+                    f"experiment {key} must be an integer, got {value!r}")
         name = self.plant["name"]
         if name not in _TRANSCRIPTION_DEFAULTS:
             raise ValueError(f"unknown plant '{name}'")
@@ -157,10 +170,8 @@ class RunConfig:
         _reject_unknown("solver", self.solver,
                         nlp.SolverOpts.__dataclass_fields__)
         nlp.SolverOpts(**self.solver)  # rejects values that break a solve
-        # the time-step bounds every variant checks, at load
-        tr.TranscriptionConfig(N=2, contact_node=1, **{
-            k: self.transcription[k] for k in ("dt_min", "dt_max")
-            if k in self.transcription})
+        # the counts, the window against N and the time-step bounds
+        transcription_config(self, "sure", None, None)
 
     # -- plant ---------------------------------------------------------
     @property
@@ -173,14 +184,6 @@ class RunConfig:
         # benchmark harness calls this; it goes with the next benchmark
         # change, as ``tr.build_*`` do.
         return self.experiment[key]
-
-    @property
-    def seed(self):
-        return int(self.experiment["seed"])
-
-    @property
-    def workers(self):
-        return int(self.experiment["workers"])
 
     @property
     def conditions(self):
@@ -230,15 +233,11 @@ def build_plant(cfg: RunConfig):
 def transcription_config(cfg: RunConfig, variant, x_init, x_end,
                          **over) -> tr.TranscriptionConfig:
     """The configured ``variant``, with ``over`` replacing keys."""
-    base = {**cfg.transcription, **over}
-    for key in (("k_first", "k_last") if variant == "nominal"
-                else ("contact_node",)):
-        base.pop(key, None)
     return tr.TranscriptionConfig(
         variant=variant,
         x_init=np.asarray(x_init, dtype=float),
         x_end=np.asarray(x_end, dtype=float),
-        **base,
+        **{**cfg.transcription, **over},
     )
 
 

@@ -55,18 +55,9 @@ class PipelineResult:
 
 
 def nominal_stage_config(cfg: tr.TranscriptionConfig) -> tr.TranscriptionConfig:
-    """Unbranched counterpart of a branched config.
-
-    Contact is placed at the middle of the branching window, the same
-    node the robust reference branches from.
-    """
-    return dataclasses.replace(
-        cfg,
-        variant="nominal",
-        contact_node=tr.middle_branch_index(cfg.k_first, cfg.k_last),
-        k_first=None,
-        k_last=None,
-    )
+    """Unbranched counterpart of a branched config: the same window, so
+    contact at its middle node, where the robust reference branches."""
+    return dataclasses.replace(cfg, variant="nominal")
 
 
 def _resample(states, inputs, dts, n_new, dt_min, dt_max):
@@ -117,7 +108,7 @@ def _seed_branch_extras(layout, x0, k, extras):
             x0[layout.arrays[name][k]] = row
 
 
-def sure_guess_from_nominal(adapter, layout, nominal_bundle, contact_node):
+def sure_guess_from_nominal(adapter, layout, nominal_bundle):
     """Initial vector for the rejoining formulation from an unbranched solve
     on the same horizon.
 
@@ -131,7 +122,7 @@ def sure_guess_from_nominal(adapter, layout, nominal_bundle, contact_node):
     x0[layout.arrays["u"]] = nom.inputs
     x0[layout.arrays["dt"]] = nom.dts
     rejoin = x0[layout.arrays["x"][cfg.k_last + 1]]
-    c = contact_node
+    c = cfg.contact_node
     free = _window_free_states(adapter, nom, c, cfg.k_last)
     x0[layout.arrays["x"][c + 1 : cfg.k_last + 1]] = free[c + 1 :]
     # recompute plant-specific slots (elapsed times, force seeds, ...) from
@@ -147,7 +138,7 @@ def sure_guess_from_nominal(adapter, layout, nominal_bundle, contact_node):
     return x0
 
 
-def tree_guess_from_nominal(adapter, layout, nominal_bundle, contact_node):
+def tree_guess_from_nominal(adapter, layout, nominal_bundle):
     """Initial vector for the tree formulation from an unbranched solve.
 
     Each branch is seeded with the plant's transition at its own root
@@ -158,7 +149,7 @@ def tree_guess_from_nominal(adapter, layout, nominal_bundle, contact_node):
     nom = nominal_bundle.common
     x0 = tr.default_initial_guess(adapter, layout)
     n_c = layout.n_common  # tree common part ends at k_last
-    c = contact_node
+    c = cfg.contact_node
     free = _window_free_states(adapter, nom, c, n_c)
     x0[layout.arrays["x"]] = free
     x0[layout.arrays["u"]] = nom.inputs[: len(layout.arrays["u"])]
@@ -188,12 +179,11 @@ def solve_nominal(adapter, cfg, opts=None) -> PipelineResult:
 
 
 def _solve_branched(adapter, cfg, build, guess_from_nominal, opts):
-    nom_cfg = nominal_stage_config(cfg)
-    nom = solve_nominal(adapter, nom_cfg, opts)
+    nom = solve_nominal(adapter, nominal_stage_config(cfg), opts)
     if nom.solution.status != "converged":
         return nom
     problem, layout = build(adapter, cfg)
-    x0 = guess_from_nominal(adapter, layout, nom.bundle, nom_cfg.contact_node)
+    x0 = guess_from_nominal(adapter, layout, nom.bundle)
     sol = nlp.solve(problem, x0, opts)
     sol.wall_time += nom.solution.wall_time
     sol.iterations += nom.solution.iterations

@@ -2,7 +2,7 @@
 
 Three variants are supported:
 
-* ``nominal``   -- single contact at a fixed node index.
+* ``nominal``   -- single contact at the branching window's middle node.
 * ``sure``      -- a branching window of possible contact nodes; each
                    branch gets a short post-impact trajectory that is
                    pinned back onto the common trajectory (rejoining).
@@ -33,9 +33,12 @@ STRICT_EPS = 1e-6  # strict inequalities g > a become g >= a + STRICT_EPS
 
 @dataclass
 class TranscriptionConfig:
+    """One formulation on one horizon.  The branching window is every
+    variant's contact setting; the nominal variant's one impact leaves
+    from its middle node, ``contact_node``."""
+
     N: int
     variant: str = "nominal"  # nominal | sure | tree
-    contact_node: Optional[int] = None  # nominal contact index c
     k_first: Optional[int] = None  # first branching node
     k_last: Optional[int] = None  # last branching node
     n_rejoin: int = 7  # nodes per rejoining branch
@@ -49,14 +52,17 @@ class TranscriptionConfig:
     def __post_init__(self):
         if self.variant not in ("nominal", "sure", "tree"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "nominal":
-            if self.contact_node is None or not 0 < self.contact_node < self.N:
-                raise ValueError("contact_node must lie strictly inside (0, N)")
-        if self.variant in ("sure", "tree"):
-            if self.k_first is None or self.k_last is None:
-                raise ValueError("branching window (k_first, k_last) required")
-            if not 0 < self.k_first <= self.k_last < self.N:
-                raise ValueError("need 0 < k_first <= k_last < N")
+        if self.k_first is None or self.k_last is None:
+            raise ValueError("branching window (k_first, k_last) required")
+        # bool is a numbers.Integral, and YAML reads on, yes and true as True
+        for name in ("N", "k_first", "k_last", "n_rejoin", "n_branch_full"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ValueError(
+                    f"transcription {name} must be an integer, got {value!r}")
+        if not 0 < self.k_first <= self.k_last < self.N:
+            raise ValueError("need 0 < k_first <= k_last < N")
         if self.variant == "sure" and self.n_rejoin < 1:
             raise ValueError(
                 f"n_rejoin must be at least 1, got {self.n_rejoin}")
@@ -73,6 +79,12 @@ class TranscriptionConfig:
         if self.dt_min > self.dt_max:
             raise ValueError(
                 f"dt_min {self.dt_min} exceeds dt_max {self.dt_max}")
+
+    @property
+    def contact_node(self):
+        """The nominal contact: the middle node, where the robust
+        reference branches."""
+        return middle_branch_index(self.k_first, self.k_last)
 
     @property
     def branch_nodes(self):

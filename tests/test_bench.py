@@ -150,7 +150,7 @@ def _no_solve(*args, **kwargs):
 
 
 def test_sweep_rejects_rk4_unstable_default_gains_before_solving(monkeypatch):
-    monkeypatch.setattr(pipeline, "solve_nominal", _no_solve)
+    monkeypatch.setattr(pipeline, "solve_sure", _no_solve)
     with pytest.raises(ValueError, match=r"arm_kp 80\.0, arm_kd 12\.0 at "
                                          r"dt_sim 0\.001 .* = 16\.6 > 1"):
         bench.velocity_sweep(config.RunConfig(plant={"name": "arm"}))
@@ -158,7 +158,7 @@ def test_sweep_rejects_rk4_unstable_default_gains_before_solving(monkeypatch):
 
 def test_sweep_solves_with_rk4_stable_arm_gains(monkeypatch):
     # kd 1 keeps |R(λ·dt)| at 0.998, so the sweep goes on to its solves
-    monkeypatch.setattr(pipeline, "solve_nominal", _no_solve)
+    monkeypatch.setattr(pipeline, "solve_sure", _no_solve)
     run = config.RunConfig(plant={"name": "arm"},
                            controller={"arm_kp": 80.0, "arm_kd": 1.0})
     with pytest.raises(_Solved):
@@ -166,7 +166,7 @@ def test_sweep_solves_with_rk4_stable_arm_gains(monkeypatch):
 
 
 def test_sweep_rejects_the_cartpole(monkeypatch):
-    monkeypatch.setattr(pipeline, "solve_nominal", _no_solve)
+    monkeypatch.setattr(pipeline, "solve_sure", _no_solve)
     run = config.RunConfig(controller={"arm_kd": 1.0})
     with pytest.raises(ValueError, match="sweep is defined for the arm"):
         bench.velocity_sweep(run)

@@ -7,6 +7,7 @@ deleted one would otherwise only fail in a benchmark run.  Each context
 manager below looks up and restores every name it patches.
 """
 
+import dataclasses
 import inspect
 import os
 import sys
@@ -20,8 +21,11 @@ from branchopt.plants import cartpole
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "perfbench"))
 
+import record  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
+from test_transcription import (structure_case,  # noqa: E402
+                                structure_fingerprint)
 
 
 def test_solver_layers_patch_and_restore():
@@ -91,3 +95,24 @@ def test_solve_cases_build_and_bind_to_the_pipeline(kind):
 def test_rollout_setup_reads_every_reference_fixture():
     setup = workloads.setup_rollouts()
     assert len(setup.refs) == 3 * len(setup.conditions)
+
+
+def _fields(cfg):
+    """A config's fields, its boundary states as lists, so that two
+    configs compare by ==."""
+    fields = dataclasses.asdict(cfg)
+    for name in ("x_init", "x_end"):
+        fields[name] = fields[name].tolist()
+    return fields
+
+
+@pytest.mark.parametrize("kind", ["sure", "tree"])
+def test_solve_cases_are_the_recorded_bench_size_problems(kind):
+    # a config change that moves the benchmark's problem fails here, not
+    # only at the benchmark's gate
+    case = workloads.setup_solve(kind)
+    _, cfg = structure_case("cartpole", "bench", kind)
+    assert _fields(case.cfg) == _fields(cfg)
+    assert (structure_fingerprint(case.adapter, case.cfg)
+            == record.load("structure_fingerprints.json")[
+                f"cartpole/bench/{kind}"])

@@ -38,7 +38,7 @@ def _save_solution(tmp_path, bundle):
 def test_defaults_without_a_file():
     run = config.load_config(None)
     assert run.plant_name == "cartpole"
-    assert run.seed == 0
+    assert run.experiment["seed"] == 0
     assert len(run.conditions) == 4
 
 
@@ -55,8 +55,9 @@ def test_rejects_non_mapping_section(tmp_path):
 def test_overrides_replace_experiment_keys(tmp_path):
     path = _write(tmp_path, "experiment:\n  seed: 3\n  workers: 2\n")
     run = config.load_config(path, {"seed": 9, "workers": None})
-    assert run.seed == 9
-    assert run.workers == 2  # a None override leaves the file's value
+    assert run.experiment["seed"] == 9
+    # a None override leaves the file's value
+    assert run.experiment["workers"] == 2
 
 
 @pytest.mark.parametrize("text, where, key", [
@@ -72,9 +73,12 @@ def test_overrides_replace_experiment_keys(tmp_path):
     ("transcription:\n  variant: tree\n", "transcription", "variant"),
     ("transcription:\n  x_init: [0, 0, 0, 0]\n", "transcription", "x_init"),
     ("transcription:\n  x_end: [0, 0, 0, 0]\n", "transcription", "x_end"),
+    # the nominal contact is the middle node of the branching window
+    ("transcription:\n  contact_node: 20\n", "transcription",
+     "contact_node"),
 ], ids=["plant", "controller", "experiment", "top-level", "sweep_d",
         "cartpole-params", "cartpole-env", "arm-params", "arm-env",
-        "variant", "x_init", "x_end"])
+        "variant", "x_init", "x_end", "contact_node"])
 def test_rejects_unknown_keys(tmp_path, text, where, key):
     with pytest.raises(ValueError, match=f"unknown {where} keys: .*{key}"):
         config.load_config(_write(tmp_path, text))
@@ -138,6 +142,31 @@ def test_rejects_a_time_step_floor_that_breaks_a_solve_at_load(tmp_path,
         config.load_config(path)
 
 
+@pytest.mark.parametrize("section, key, text", [
+    ("experiment", "seed", "1.0"), ("experiment", "workers", "on"),
+    ("experiment", "n_samples", "2.5"), ("experiment", "n_samples", "true"),
+    ("experiment", "post_impact_budget", "40.0"),
+    ("experiment", "sweep_heights", "5.5"),
+    ("experiment", "n_r_values", "[7, 12.5]"),
+    ("transcription", "N", "30.5"), ("transcription", "k_first", "18.0"),
+    ("transcription", "k_last", "yes"), ("transcription", "n_rejoin", "7.0"),
+    ("transcription", "n_branch_full", "true"),
+])
+def test_rejects_a_count_that_is_not_an_integer_at_load(tmp_path, section,
+                                                        key, text):
+    # n_samples 2.5 used to run 2 trials and true 1; N 30.5 failed inside
+    # the layout with a TypeError
+    path = _write(tmp_path, f"{section}:\n  {key}: {text}\n")
+    with pytest.raises(ValueError, match=f"{key}.* must be an integer"):
+        config.load_config(path)
+
+
+def test_rejects_a_window_outside_the_horizon_at_load(tmp_path):
+    path = _write(tmp_path, "transcription:\n  N: 20\n")
+    with pytest.raises(ValueError, match="k_last < N"):
+        config.load_config(path)
+
+
 def test_rejects_removed_transcription_key(tmp_path):
     path = _write(tmp_path, "transcription:\n  d_bounds: [0.01, 0.1]\n")
     with pytest.raises(ValueError, match="d_bounds"):
@@ -159,7 +188,7 @@ def test_cli_gains_prints_gains(capsys):
 
 def test_cli_solve_takes_the_arm_boundary_from_the_catch_pose(tmp_path):
     path = _write(tmp_path, "plant: {name: arm}\n"
-                  "transcription: {N: 12, contact_node: 6}\n"
+                  "transcription: {N: 12, k_first: 6, k_last: 6}\n"
                   "solver: {max_outer: 1, max_inner: 5}\n")
     out = tmp_path / "solution.json"
     cli.main(["solve", "--config", path, "--variant", "nominal",

@@ -32,7 +32,7 @@ def warm_start_guess(plant, variant):
     nominal = tr.extract_solution(nom_layout, x)
     _, layout = getattr(tr, f"build_{variant}")(adapter, cfg)
     guess_from = getattr(pipeline, f"{variant}_guess_from_nominal")
-    g = guess_from(adapter, layout, nominal, nom_cfg.contact_node)
+    g = guess_from(adapter, layout, nominal)
     return {"size": g.size, "norm": float(np.sqrt(g @ g)),
             "weighted_sum": float(g @ np.arange(1, g.size + 1))}
 

@@ -30,8 +30,8 @@ CONFIGS = {
     "cartpole_overrides": {
         "plant": {"params": {"m_c": 0.35, "dt_impact": 2e-3},
                   "env": {"x_wall": -0.45, "mu": 0.5}},
-        "transcription": {"N": 50, "contact_node": 17, "k_first": 15,
-                          "k_last": 19, "n_rejoin": 5, "n_branch_full": 30,
+        "transcription": {"N": 50, "k_first": 15, "k_last": 19,
+                          "n_rejoin": 5, "n_branch_full": 30,
                           "d_fixed": 0.07, "dt_min": 2e-3, "dt_max": 6e-2},
         "solver": {"tol_eq": 1e-7, "max_outer": 30},
         "controller": {"q_diag": [5, 1, 5, 1], "r": 1},
@@ -236,5 +236,26 @@ def test_cli_solve_on_the_arm_builds_the_sweeps_configs(tmp_path):
     with pytest.MonkeyPatch.context() as mp:
         _cli_solve(mp, cli_log, path, ("nominal", "sure"),
                    str(tmp_path / "solution.json"))
-    assert [r[0] for r in sweep] == ["solve_nominal", "solve_sure"]
-    assert json.loads(_json(cli_log)) == json.loads(_json(sweep))
+    assert [r[0] for r in sweep] == ["solve_sure"]
+    nominal, sure = json.loads(_json(cli_log))
+    assert [sure] == json.loads(_json(sweep))
+    # the sweep's nominal reference is the first stage of its solve
+    first_stage = {**sure[1], "variant": "nominal"}
+    del first_stage["d_fixed"]
+    assert nominal == ["solve_nominal", first_stage, sure[2]]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_the_nominal_variant_is_the_first_stage_of_the_branched_solve(
+        name, tmp_path):
+    # cli solve --variant nominal, the Monte-Carlo study's nominal
+    # reference and the staged solves' first stage solve one problem
+    _, run = _load(name, tmp_path)
+    if run.plant_name == "cartpole":
+        x_init, x_end = run.conditions[0], bench.X_END
+    else:
+        x_init = x_end = bench.catch_pose(run, config.build_plant(run)[1])
+    nominal = config.transcription_config(run, "nominal", x_init, x_end)
+    first_stage = pipeline.nominal_stage_config(
+        config.transcription_config(run, "sure", x_init, x_end))
+    assert _json(nominal) == _json(first_stage)

@@ -77,13 +77,12 @@ def _sweep_solves(mp):
     with open(os.path.join(FIXTURES, "refs_c0.json")) as fh:
         bundle = tr.bundle_from_dict(json.load(fh)["scheduling"])
 
-    def solve(cost):
-        def stand_in(adapter, cfg, opts):
-            res = _solved(cost + cfg.N, 1.0, x=np.array([0.0, 1.75]))
-            return SimpleNamespace(
-                solution=res.solution, bundle=bundle,
-                layout=SimpleNamespace(arrays={"vlim": [1]}))
-        return stand_in
+    def solve_sure(adapter, cfg, opts):
+        # its first stage's bundle, the nominal reference, is the same
+        res = _solved(2.0 + cfg.N, 1.0, x=np.array([0.0, 1.75]))
+        return SimpleNamespace(
+            solution=res.solution, bundle=bundle, nominal=bundle,
+            layout=SimpleNamespace(arrays={"vlim": [1]}))
 
     def replay(p, refs, gains, heights, dt_sim, progress=None):
         rows, max_dv = [], {}
@@ -98,8 +97,7 @@ def _sweep_solves(mp):
                                if r["reference"] == name and r["dv"])
         return rows, max_dv
 
-    mp.setattr(pipeline, "solve_nominal", solve(1.0))
-    mp.setattr(pipeline, "solve_sure", solve(2.0))
+    mp.setattr(pipeline, "solve_sure", solve_sure)
     mp.setattr(bench, "_replay_drops", replay)
 
 
@@ -177,6 +175,22 @@ def test_sweep_csv_holds_the_speed_limit_and_the_largest_speeds(tmp_path,
     assert {float(r["v_lim"]) for r in rows} == {data["v_lim"]}
     for name, dv in data["max_dv"].items():
         assert {float(r[f"max_dv.{name}"]) for r in rows} == {dv}
+
+
+@pytest.mark.parametrize("nominal, failed", [
+    (None, "unbranched arm solve failed"),
+    (SimpleNamespace(common=None), "branched arm solve failed")])
+def test_sweep_names_the_stage_that_failed(monkeypatch, nominal, failed):
+    # a staged solve whose first stage failed returns that stage, with no
+    # nominal bundle
+    monkeypatch.setattr(pipeline, "solve_sure", lambda adapter, cfg, opts:
+                        SimpleNamespace(solution=_solved(
+                            1.0, 1.0, status="infeasible").solution,
+                            nominal=nominal))
+    run = config.RunConfig(plant={"name": "arm"},
+                           controller={"arm_kd": 1.0})
+    with pytest.raises(RuntimeError, match=rf"^{failed} \(infeasible\)"):
+        bench.velocity_sweep(run)
 
 
 def _tradeoff(tmp_path, n_r_values, capsys, *flags):

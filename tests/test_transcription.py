@@ -8,10 +8,13 @@ and acceptance tests cover.
 
 import hashlib
 import json
+import math
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchopt import nlp, pipeline
 from branchopt import transcription as tr
@@ -33,11 +36,9 @@ ARM_END = np.concatenate([arm.level_configuration((0.05, 0.35), _ARM_P),
 
 
 def _cfg(variant, **kw):
-    base = dict(N=12, x_init=X_INIT, x_end=X_END)
-    if variant == "nominal":
-        base.update(contact_node=5)
-    else:
-        base.update(k_first=4, k_last=6, n_rejoin=3, n_branch_full=8)
+    # the nominal contact is the window's middle node, 5
+    base = dict(N=12, x_init=X_INIT, x_end=X_END, k_first=4, k_last=6,
+                n_rejoin=3, n_branch_full=8)
     base.update(kw)
     return tr.TranscriptionConfig(variant=variant, **base)
 
@@ -82,15 +83,18 @@ def test_layout_covers_all_variables():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        tr.TranscriptionConfig(N=10, variant="nominal", contact_node=10,
+        tr.TranscriptionConfig(N=10, variant="nominal", k_first=10, k_last=10,
                                x_init=X_INIT, x_end=X_END)
+    with pytest.raises(ValueError):
+        tr.TranscriptionConfig(N=10, variant="nominal", x_init=X_INIT,
+                               x_end=X_END)
     with pytest.raises(ValueError):
         tr.TranscriptionConfig(N=10, variant="sure", x_init=X_INIT, x_end=X_END)
     with pytest.raises(ValueError):
         tr.TranscriptionConfig(N=10, variant="sure", k_first=7, k_last=5,
                                x_init=X_INIT, x_end=X_END)
     with pytest.raises(ValueError):
-        tr.TranscriptionConfig(N=10, variant="mystery", contact_node=5,
+        tr.TranscriptionConfig(N=10, variant="mystery", k_first=5, k_last=5,
                                x_init=X_INIT, x_end=X_END)
 
 
@@ -290,6 +294,38 @@ def test_robust_nominal_branch_plays_middle_branch():
     assert robust.states[6:10] == pytest.approx(bundle.branches[1].states)
 
 
+@st.composite
+def _windows(draw):
+    """(N, k_first, k_last) with 0 < k_first <= k_last < N <= 40."""
+    n = draw(st.integers(2, 40))
+    k_last = draw(st.integers(1, n - 1))
+    return n, draw(st.integers(1, k_last)), k_last
+
+
+@settings(max_examples=200, deadline=None)
+@given(window=_windows())
+def test_nominal_contact_is_the_node_the_robust_reference_departs_from(
+        window):
+    n, k_first, k_last = window
+    cfg = tr.TranscriptionConfig(N=n, k_first=k_first, k_last=k_last)
+    c = cfg.contact_node
+    assert k_first <= c <= k_last
+    assert c == math.ceil((k_first + k_last) / 2)
+    # a rejoining bundle on this window: common state i is i, and branch
+    # i's states are -1 - i
+    bundle = SolutionBundle(
+        common=Trajectory(states=np.arange(n + 1.0)[:, None],
+                          inputs=np.zeros((n, 1)), dts=np.full(n, 0.1)),
+        branches=[Trajectory(states=np.full((3, 1), -1.0 - i),
+                             inputs=np.zeros((2, 1)), dts=np.full(2, 0.1))
+                  for i in cfg.branch_nodes],
+        branch_nodes=cfg.branch_nodes, rejoin_index=k_last + 1)
+    robust = tr.robust_nominal_branch(bundle, dt_impact=1e-3)
+    # the common part through node c, then the impact into c's branch
+    assert robust.states[: c + 2, 0].tolist() == [*range(c + 1), -1.0 - c]
+    assert robust.dts[c] == 1e-3
+
+
 # -- residual values at the default guess ------------------------------------------
 
 # The objective and, per block in emission order, [name, size, 2-norm,
@@ -333,15 +369,12 @@ def test_residuals_at_default_guess_match_recorded(key):
 
 # -- structural fingerprint --------------------------------------------------------
 
-# Unbranched and branched configs at the size of _cfg and at the size of
-# the benchmark's N=30 problem.
+# Configs at the size of _cfg and at the size of the benchmark's N=30
+# problem; the nominal variant makes contact at the window's middle node.
 _SIZES = {
-    "small": {"nominal": dict(N=12, contact_node=5),
-              "branched": dict(N=12, k_first=4, k_last=6, n_rejoin=3,
-                               n_branch_full=8)},
-    "bench": {"nominal": dict(N=30, dt_max=0.1, contact_node=10),
-              "branched": dict(N=30, dt_max=0.1, k_first=9, k_last=11,
-                               n_rejoin=4, n_branch_full=18)},
+    "small": dict(N=12, k_first=4, k_last=6, n_rejoin=3, n_branch_full=8),
+    "bench": dict(N=30, dt_max=0.1, k_first=9, k_last=11, n_rejoin=4,
+                  n_branch_full=18),
 }
 
 # sha256 of every block's name, index rows and n_out, the bounds, the
@@ -353,14 +386,17 @@ STRUCTURE_CASES = [(plant, size, variant) for plant in ("cartpole", "arm")
                    for variant in ("nominal", "sure", "tree")]
 
 
-def structure_fingerprint(plant, size, variant):
+def structure_case(plant, size, variant):
+    """The adapter and config of one structure case."""
     if plant == "arm":
         adapter, x_init, x_end = ArmCatchOcp(), ARM_INIT, ARM_END
     else:
         adapter, x_init, x_end = CartPoleOcp(), X_INIT, X_END
-    kind = "nominal" if variant == "nominal" else "branched"
-    cfg = tr.TranscriptionConfig(variant=variant, x_init=x_init, x_end=x_end,
-                                 **_SIZES[size][kind])
+    return adapter, tr.TranscriptionConfig(
+        variant=variant, x_init=x_init, x_end=x_end, **_SIZES[size])
+
+
+def structure_fingerprint(adapter, cfg):
     problem, layout = tr.build(adapter, cfg)
     h = hashlib.sha256()
     for b in problem.cost_blocks + problem.eq_blocks + problem.ineq_blocks:
@@ -370,26 +406,24 @@ def structure_fingerprint(plant, size, variant):
     for a in (problem.lower, problem.upper,
               tr.default_initial_guess(adapter, layout)):
         h.update(a.tobytes())
-    if variant != "nominal":
-        nom_cfg = pipeline.nominal_stage_config(cfg)
-        _, nom_layout = tr.build(adapter, nom_cfg)
+    if cfg.variant != "nominal":
+        _, nom_layout = tr.build(adapter, pipeline.nominal_stage_config(cfg))
         x = tr.default_initial_guess(adapter, nom_layout)
         x = x + 0.01 * np.random.default_rng(5).uniform(-1.0, 1.0, size=x.size)
         nominal = tr.extract_solution(nom_layout, x)
-        guess_from = getattr(pipeline, f"{variant}_guess_from_nominal")
-        h.update(guess_from(adapter, layout, nominal,
-                            nom_cfg.contact_node).tobytes())
+        guess_from = getattr(pipeline, f"{cfg.variant}_guess_from_nominal")
+        h.update(guess_from(adapter, layout, nominal).tobytes())
     return h.hexdigest()
 
 
 def record_structure_fingerprints():
     return {"structure_fingerprints.json": {
-        "/".join(case): structure_fingerprint(*case)
+        "/".join(case): structure_fingerprint(*structure_case(*case))
         for case in STRUCTURE_CASES}}
 
 
 @pytest.mark.parametrize("plant, size, variant", STRUCTURE_CASES)
 def test_structure_matches_recorded_fingerprint(plant, size, variant):
-    assert (structure_fingerprint(plant, size, variant)
+    assert (structure_fingerprint(*structure_case(plant, size, variant))
             == record.load("structure_fingerprints.json")[
                 f"{plant}/{size}/{variant}"])

@@ -224,6 +224,8 @@ def montecarlo(run: cfgmod.RunConfig, progress=None):
                            ("e_range", e_range)):
         if not lo <= hi:
             raise ValueError(f"{name} [{lo}, {hi}] is reversed")
+    _, p, env = cfgmod.build_plant(run)
+    gains = _controller_gains(run, p, env)
     _check_rollout_settings(run.experiment)
 
     # references: one staged (unbranched, then branched) solve per condition
@@ -238,9 +240,6 @@ def montecarlo(run: cfgmod.RunConfig, progress=None):
         }
         if progress:
             progress(f"references for condition {ci} solved")
-
-    adapter, p, env = cfgmod.build_plant(run)
-    gains = _controller_gains(run, p, env)
 
     specs = _sample_specs(run.experiment["seed"], conditions, n_samples,
                           x_wall_range, e_range)
@@ -268,12 +267,11 @@ def montecarlo(run: cfgmod.RunConfig, progress=None):
 
 def _check_rollout_settings(experiment):
     """Reject the settings ``simulate`` or ``evaluate_trial`` would fail
-    on, naming the key, before the study's first solve."""
+    on, naming the key, before the first solve; the gains check dt_sim."""
     horizon = float(experiment["horizon"])
     dt_sim = float(experiment["dt_sim"])
-    for name, value in (("horizon", horizon), ("dt_sim", dt_sim)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive, got {value}")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive, got {horizon}")
     # the step count of ``simulate``
     if round(horizon / dt_sim) < 1:
         raise ValueError(f"horizon {horizon} is shorter than one step of "
@@ -302,10 +300,25 @@ def _require_plant(run: cfgmod.RunConfig, name, study):
 
 
 def _controller_gains(run: cfgmod.RunConfig, p, env):
-    return control.design_gains(
-        cartpole.make_system(p, env), cartpole.X_EQ,
-        Q=np.diag(np.asarray(run.controller["q_diag"], dtype=float)),
-        r=float(run.controller["r"]))
+    """LQR gains about where the solves end (X_END unforced; the catch pose
+    under gravity), rejected unless RK4-stable at a positive ``dt_sim``."""
+    dt_sim = float(run.experiment["dt_sim"])
+    if not 0.0 < dt_sim < math.inf:
+        raise ValueError(f"dt_sim must be positive, got {dt_sim}")
+    if run.plant_name == "cartpole":
+        sys, x_eq, u_eq = cartpole.make_system(p, env), X_END, np.zeros(1)
+    else:
+        x_eq = catch_pose(run, p)
+        sys, u_eq = arm.make_system(p), arm.gravity_torque(x_eq[:3], p)
+    q_diag, r = run.controller["q_diag"], run.controller["r"]
+    gains = control.design_gains(sys, x_eq, np.diag(q_diag), r, u_eq)
+    growth = _rk4_growth(sys, x_eq, u_eq, gains, dt_sim)
+    if growth > 1.0:
+        raise ValueError(
+            f"the {_PLANT_LABELS[run.plant_name]}'s tracking loop is "
+            f"unstable under RK4: q_diag {q_diag}, r {r} at dt_sim "
+            f"{dt_sim} give |R(λ·dt_sim)| = {growth:.3g} > 1")
+    return gains
 
 
 def _pmap(fn, items, workers):
@@ -482,18 +495,17 @@ def catch_pose(run: cfgmod.RunConfig, p):
     return np.concatenate([q, np.zeros(3)])
 
 
-def _rk4_growth(p, pose, gains: control.Gains, dt_sim):
-    """Largest RK4 amplification of the PD-tracked arm held at ``pose``.
+def _rk4_growth(sys, x_eq, u_eq, gains: control.Gains, dt_sim):
+    """Largest RK4 amplification of the plant tracked about ``x_eq``.
 
-    Linearizes the arm about ``pose`` under its gravity torque, closes
+    Linearizes the plant about ``x_eq`` under the input ``u_eq``, closes
     the loop with τ = −K_p δq − K_d δq̇, and returns max |R(λ·dt_sim)|
     over the closed loop's eigenvalues λ, where
     R(z) = 1 + z + z²/2 + z³/6 + z⁴/24 is RK4's stability function.
     Above 1, a rollout at dt_sim grows without bound.
     """
-    A, B = control.linearize(arm.make_system(p), pose,
-                             arm.gravity_torque(pose[:3], p))
-    K = np.empty((3, 6))  # linearize's interleaved [q1, q̇1, q2, ...] order
+    A, B = control.linearize(sys, x_eq, u_eq)
+    K = np.empty(B.T.shape)  # linearize's interleaved [q1, q̇1, ...] order
     K[:, 0::2], K[:, 1::2] = gains.k_p, gains.k_d
     z = np.linalg.eigvals(A - B @ K) * dt_sim
     return float(np.max(np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)))
@@ -506,7 +518,7 @@ def velocity_sweep(run: cfgmod.RunConfig, progress=None):
     height: its unbranched first stage is the planned reference, its
     middle branch the robust one.  Replays both references against balls
     released from heights spanning the configured half-range, recording
-    the relative speed at contact.
+    the relative speed at contact, tracked with ``_controller_gains``.
     """
     _require_plant(run, "arm", "sweep")
     adapter, p, _ = cfgmod.build_plant(run)
@@ -514,18 +526,12 @@ def velocity_sweep(run: cfgmod.RunConfig, progress=None):
     n_heights = run.experiment["sweep_heights"]
     half = float(run.experiment["sweep_half_range"])
     dt_sim = float(run.experiment["dt_sim"])
+    if n_heights < 1:
+        raise ValueError(
+            f"sweep_heights must be at least 1, got {n_heights}")
+    gains = _controller_gains(run, p, None)
 
     x0 = catch_pose(run, p)
-    kp = float(run.controller["arm_kp"])
-    kd = float(run.controller["arm_kd"])
-    gains = control.Gains(np.diag(np.full(3, kp)), np.diag(np.full(3, kd)))
-    growth = _rk4_growth(p, x0, gains, dt_sim)
-    if growth > 1.0:
-        raise ValueError(
-            f"the arm's tracking loop is unstable under RK4: arm_kp {kp}, "
-            f"arm_kd {kd} at dt_sim {dt_sim} give |R(λ·dt_sim)| = "
-            f"{growth:.3g} > 1 at the catch pose")
-
     sure = pipeline.solve_sure(
         adapter, cfgmod.transcription_config(run, "sure", x0, x0), opts)
     if progress:

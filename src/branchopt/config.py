@@ -35,11 +35,11 @@ Schema (version 1)::
       tol_stat: 1.0e-4              #   stationarity
       max_outer: 60                 # augmented-Lagrangian iterations
       max_inner: 600                # LM iterations per inner solve
-    controller:
-      q_diag: [10, 0, 10, 0]        # cart-pole LQR weights
-      r: 0.1
-      arm_kp: 80.0                  # catch-speed sweep tracking gains
-      arm_kd: 12.0
+    controller:                     # LQR weights of the tracking gains
+      q_diag: [10, 0, 10, 0]        # per state, in the interleaved order
+                                    #   [q1, q̇1, q2, q̇2, ...]; arm:
+                                    #   [10, 0, 10, 0, 10, 0]
+      r: 0.1                        # per input
     experiment:
       seed: 0
       workers: 4
@@ -83,8 +83,6 @@ SCHEMA_VERSION = 1
 # Every key of these sections, with its default.
 _DEFAULTS = {
     "plant": {"name": "cartpole", "params": {}, "env": {}},
-    "controller": {"q_diag": np.diag(control.DEFAULT_Q).tolist(),
-                   "r": control.DEFAULT_R, "arm_kp": 80.0, "arm_kd": 12.0},
     "experiment": {
         "seed": 0, "workers": 4, "n_samples": 200, "horizon": 10.0,
         "dt_sim": 1e-3, "x_wall_range": [-0.7, -0.3], "e_range": [0.7, 0.9],
@@ -103,6 +101,8 @@ _TRANSCRIPTION_DEFAULTS = {
     "cartpole": {"N": 60, "k_first": 18, "k_last": 22},
     "arm": {"N": 40, "k_first": 16, "k_last": 24, "d_fixed": 0.20},
 }
+_Q_DIAG_DEFAULTS = {"cartpole": np.diag(control.DEFAULT_Q).tolist(),
+                    "arm": [10.0, 0.0] * 3}  # one weight per state
 # the dataclasses whose fields plant.params and plant.env may set
 _PLANT_CLASSES = {
     "cartpole": (cartpole.CartPoleParams, cartpole.CartPoleEnv),
@@ -110,10 +110,16 @@ _PLANT_CLASSES = {
 }
 _TRANSCRIPTION_KEYS = (set(tr.TranscriptionConfig.__dataclass_fields__)
                        - {"variant", "x_init", "x_end"})
-_TOP_LEVEL_KEYS = {"schema_version", "transcription", "solver", *_DEFAULTS}
+_TOP_LEVEL_KEYS = {"schema_version", "transcription", "solver", "controller",
+                   *_DEFAULTS}
 # experiment keys that count
 _INTEGER_KEYS = ("seed", "workers", "n_samples", "post_impact_budget",
                  "sweep_heights")
+
+
+def _is_number(value):
+    # bool is a numbers.Real, and YAML reads on, yes and true as True
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _reject_unknown(where, keys, known):
@@ -150,10 +156,8 @@ class RunConfig:
         counts += [("n_r_values entry", value)
                    for value in self.experiment["n_r_values"]]
         for key, value in counts:
-            # bool is a numbers.Integral, and YAML reads on, yes and true
-            # as True
-            if isinstance(value, bool) or not isinstance(value,
-                                                         numbers.Integral):
+            if not (_is_number(value)
+                    and isinstance(value, numbers.Integral)):
                 raise ValueError(
                     f"experiment {key} must be an integer, got {value!r}")
         name = self.plant["name"]
@@ -163,6 +167,21 @@ class RunConfig:
             self.plant[key] = _section(self.plant, key)
             _reject_unknown(f"plant.{key}", self.plant[key],
                             () if cls is None else cls.__dataclass_fields__)
+        q_default = _Q_DIAG_DEFAULTS[name]
+        _reject_unknown("controller", self.controller, ("q_diag", "r"))
+        self.controller = {"q_diag": q_default, "r": control.DEFAULT_R,
+                           **self.controller}
+        q_diag, r = self.controller["q_diag"], self.controller["r"]
+        if not (_is_number(r) and 0.0 < r < math.inf):
+            raise ValueError(f"controller r must be a positive finite "
+                             f"number, got {r!r}")
+        if not (isinstance(q_diag, (list, tuple))
+                and len(q_diag) == len(q_default)
+                and all(_is_number(v) and 0.0 <= v < math.inf
+                        for v in q_diag)):
+            raise ValueError(
+                f"controller q_diag must be {len(q_default)} non-negative "
+                f"finite numbers, one per state, got {q_diag!r}")
         _reject_unknown("transcription", self.transcription,
                         _TRANSCRIPTION_KEYS)
         self.transcription = {**_TRANSCRIPTION_DEFAULTS[name],

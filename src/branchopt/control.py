@@ -1,13 +1,13 @@
 """Reference tracking with a branch switch on contact.
 
 One controller, ``TrackingController``, serves both plants: a PD law
-with feedforward, τ = K_p (q_des − q) + K_d (q̇_des − q̇) + τ_des.  The
-cart-pole's gains come from an LQR design around the target
-equilibrium: linearize the plant, solve the continuous-time algebraic
-Riccati equation, and read the proportional/derivative gains off the
-feedback row.  Given a branched solution, the controller plays the
-common trajectory until contact is observed, then switches — exactly
-once — to the nearest subsequent branch.
+with feedforward, τ = K_p (q_des − q) + K_d (q̇_des − q̇) + τ_des.  Both
+plants' gains come from one LQR design about the state an input holds:
+linearize the plant there, solve the continuous-time algebraic Riccati
+equation, and read the proportional/derivative gains off the feedback
+matrix.  Given a branched solution, the controller plays the common
+trajectory until contact is observed, then switches — exactly once — to
+the nearest subsequent branch.
 
 References are sampled from their ``Trajectory.sample_table``: node
 times, rows and per-interval slopes, built once per reference.  A
@@ -60,14 +60,6 @@ class Gains:
         self.k_d = np.asarray(self.k_d, dtype=float)
 
 
-def _interleave_permutation(n_q):
-    """Map [q; qd] coordinates onto [q1, qd1, q2, qd2, ...] ordering."""
-    perm = np.empty(2 * n_q, dtype=int)
-    perm[0::2] = np.arange(n_q)
-    perm[1::2] = np.arange(n_q) + n_q
-    return perm
-
-
 EQ_TOL = 1e-10  # largest |f(x_eq, u_eq)| accepted as an equilibrium
 
 
@@ -96,51 +88,55 @@ def linearize(sys, x_eq, u_eq):
 
     A = ad.jacobian(f_of_x, x_eq)
     B = ad.jacobian(f_of_u, u_eq)
-    perm = _interleave_permutation(sys.n_q)
+    # [q; q̇] coordinates onto the order [q1, q̇1, q2, q̇2, ...]
+    perm = np.arange(n).reshape(2, -1).T.ravel()
     return A[np.ix_(perm, perm)], B[perm]
 
 
 CARE_TOL = 1e-8  # largest |Riccati residual| accepted
 
 
-def solve_care(A, b, Q, r):
-    """Riccati matrix P for the single-input continuous-time LQR.
+def solve_care(A, B, Q, r):
+    """Riccati matrix P of the continuous-time LQR with input weight r·I.
 
-    Checks the defining residual and that the closed loop is Hurwitz.
+    ``B`` is the (n, m) input matrix; a 1-D ``B`` is one input.  Checks
+    the defining residual and that the closed loop is Hurwitz.
     """
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1, 1)
+    B = np.asarray(B, dtype=float).reshape(len(A), -1)
     Q = np.asarray(Q, dtype=float)
-    R = np.array([[float(r)]])
-    P = scipy.linalg.solve_continuous_are(A, b, Q, R)
+    R = float(r) * np.eye(B.shape[1])
+    P = scipy.linalg.solve_continuous_are(A, B, Q, R)
     P = 0.5 * (P + P.T)
-    resid = A.T @ P + P @ A - P @ b @ b.T @ P / float(r) + Q
+    resid = A.T @ P + P @ A - P @ B @ B.T @ P / float(r) + Q
     worst = np.max(np.abs(resid))
     if worst > CARE_TOL:
         raise RuntimeError(
             f"Riccati residual {worst:.3e} exceeds {CARE_TOL:.0e}"
         )
-    closed = A - b @ b.T @ P / float(r)
+    closed = A - B @ B.T @ P / float(r)
     if np.max(np.real(np.linalg.eigvals(closed))) >= 0.0:
         raise RuntimeError("closed-loop matrix is not Hurwitz")
     return P
 
 
-def lqr_gains(A, b, Q, r) -> Gains:
-    """Feedback row K = r⁻¹ bᵀ P split into proportional/derivative parts.
+def lqr_gains(A, B, Q, r) -> Gains:
+    """Feedback K = r⁻¹ Bᵀ P split into proportional/derivative parts.
 
-    Expects (A, b) in interleaved order so K alternates position and
-    velocity entries.
+    Expects (A, B) in interleaved order, so K's columns alternate
+    position and velocity.  A single-input plant gets 1-D gain rows,
+    several inputs (n_u, n_q) matrices (see ``pd_feedforward``).
     """
-    P = solve_care(A, b, Q, r)
-    K = (np.asarray(b, dtype=float).reshape(-1) @ P) / float(r)
-    return Gains(k_p=K[0::2], k_d=K[1::2])
+    B = np.asarray(B, dtype=float).reshape(len(A), -1)
+    K = B.T @ solve_care(A, B, Q, r) / float(r)
+    K = K[0] if len(K) == 1 else K
+    return Gains(k_p=K[..., 0::2], k_d=K[..., 1::2])
 
 
-def design_gains(sys, x_eq, Q=DEFAULT_Q, r=DEFAULT_R) -> Gains:
-    """LQR-designed tracking gains for a plant at an unforced equilibrium."""
-    A, b = linearize(sys, x_eq, np.zeros(sys.n_u))
-    return lqr_gains(A, b, Q, r)
+def design_gains(sys, x_eq, Q=DEFAULT_Q, r=DEFAULT_R, u_eq=None) -> Gains:
+    """LQR tracking gains for a plant held at ``x_eq`` by ``u_eq`` (zeros)."""
+    A, B = linearize(sys, x_eq, np.zeros(sys.n_u) if u_eq is None else u_eq)
+    return lqr_gains(A, B, Q, r)
 
 
 # -- reference sampling and the PD + feedforward law --------------------------

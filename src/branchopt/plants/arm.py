@@ -29,7 +29,6 @@ __all__ = [
     "bias_vector",
     "forward_dynamics",
     "gravity_torque",
-    "total_energy",
     "ball_state",
     "guard",
     "make_system",
@@ -194,14 +193,6 @@ def bias_vector(q, qd, p: ArmCatchParams):
 def gravity_torque(q, p: ArmCatchParams):
     """Joint torque that holds the arm static at q."""
     return bias_vector(q, np.zeros(3), p)
-
-
-def total_energy(state, p: ArmCatchParams):
-    q, qd = np.asarray(state[:3], float), np.asarray(state[3:6], float)
-    kin = 0.5 * qd @ mass_matrix(q, p) @ qd
-    tips = tip_positions(q, p)
-    pot = sum(m * p.g * tip[1] for m, tip in zip(p.masses, tips))
-    return float(kin + pot)
 
 
 # -- ball ballistics -----------------------------------------------------------

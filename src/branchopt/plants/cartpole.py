@@ -180,13 +180,3 @@ def _make_fast_derivative(p: CartPoleParams):
                 (a * r1 - bm * r0) / det)
 
     return deriv
-
-
-def total_energy(state, p: CartPoleParams):
-    """Kinetic + potential energy (drift oracle for integrator tests)."""
-    x, th, xd, thd = state
-    vtipx = xd + p.l * math.cos(th) * thd
-    vtipy = p.l * math.sin(th) * thd
-    ke = 0.5 * p.m_c * xd**2 + 0.5 * p.m_p * (vtipx**2 + vtipy**2)
-    pe = -p.m_p * p.gravity * p.l * math.cos(th)
-    return ke + pe

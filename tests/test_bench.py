@@ -151,25 +151,80 @@ def _no_solve(*args, **kwargs):
 
 def test_sweep_rejects_rk4_unstable_default_gains_before_solving(monkeypatch):
     monkeypatch.setattr(pipeline, "solve_sure", _no_solve)
-    with pytest.raises(ValueError, match=r"arm_kp 80\.0, arm_kd 12\.0 at "
-                                         r"dt_sim 0\.001 .* = 16\.6 > 1"):
-        bench.velocity_sweep(config.RunConfig(plant={"name": "arm"}))
+    run = config.RunConfig(plant={"name": "arm"},
+                           experiment={"dt_sim": 0.05})
+    with pytest.raises(ValueError, match=r"arm's tracking loop is unstable "
+                                         r".* at dt_sim 0\.05 .* = 2\.32 > 1"):
+        bench.velocity_sweep(run)
 
 
 def test_sweep_solves_with_rk4_stable_arm_gains(monkeypatch):
-    # kd 1 keeps |R(λ·dt)| at 0.998, so the sweep goes on to its solves
+    # the default gains keep |R(λ·dt)| at 0.994, so the sweep goes on to
+    # its solve
     monkeypatch.setattr(pipeline, "solve_sure", _no_solve)
-    run = config.RunConfig(plant={"name": "arm"},
-                           controller={"arm_kp": 80.0, "arm_kd": 1.0})
     with pytest.raises(_Solved):
-        bench.velocity_sweep(run)
+        bench.velocity_sweep(config.RunConfig(plant={"name": "arm"}))
+
+
+def test_arm_default_gains_hold_the_level_pose_through_every_catch():
+    # the designed gains are stable under RK4 at dt_sim, and the held
+    # catch pose catches the ball at the sweep's extreme and nominal
+    # drop heights
+    run = config.RunConfig(plant={"name": "arm"})
+    _, p, _ = config.build_plant(run)
+    gains = bench._controller_gains(run, p, None)
+    x_eq = bench.catch_pose(run, p)
+    dt_sim = run.experiment["dt_sim"]
+    assert bench._rk4_growth(arm.make_system(p), x_eq,
+                             arm.gravity_torque(x_eq[:3], p), gains,
+                             dt_sim) < 1.0
+    z, half = p.p_ball0[1], run.experiment["sweep_half_range"]
+    for h0 in (z - half, z, z + half):
+        tc, dv = bench._catch_speed(p, _held_level_reference(p), gains, h0,
+                                    dt_sim)
+        assert tc is not None and dv is not None
+
+
+@pytest.mark.parametrize("run, key", [
+    ({"controller": {"q_diag": [1e4, 0, 1e4, 0], "r": 1e-3},
+      "experiment": {"dt_sim": 0.02}},
+     r"cart-pole's tracking loop is unstable .* = 2\.55 > 1"),
+    ({"plant": {"name": "arm"}, "experiment": {"dt_sim": 0.0}}, "dt_sim"),
+    ({"plant": {"name": "arm"}, "experiment": {"dt_sim": -1e-3}}, "dt_sim"),
+    ({"plant": {"name": "arm"}, "experiment": {"sweep_heights": 0}},
+     "sweep_heights"),
+    ({"controller": {"r": 0}}, "controller r"),
+    ({"controller": {"r": -0.1}}, "controller r"),
+    ({"controller": {"r": float("inf")}}, "controller r"),
+    # YAML reads yes as True
+    ({"controller": {"r": True}}, "controller r"),
+    ({"controller": {"q_diag": [10, 0, 10]}}, "controller q_diag"),
+    ({"controller": {"q_diag": [10, 0, 10, -1]}}, "controller q_diag"),
+    ({"controller": {"q_diag": [10, 0, 10, float("nan")]}},
+     "controller q_diag"),
+    ({"controller": {"q_diag": 10}}, "controller q_diag"),
+    ({"plant": {"name": "arm"}, "controller": {"q_diag": [10, 0, 10, 0]}},
+     "controller q_diag"),
+], ids=["rk4-unstable", "dt_sim-0", "dt_sim-negative", "sweep_heights-0",
+        "r-0", "r-negative", "r-inf", "r-bool", "q_diag-short",
+        "q_diag-negative", "q_diag-nan", "q_diag-scalar", "q_diag-arm-short"])
+def test_bad_gain_and_sweep_settings_fail_before_solving(monkeypatch, run,
+                                                         key):
+    # the weights are checked at load; the gains at dt_sim, and the
+    # sweep's height count, before the first solve, which takes minutes
+    monkeypatch.setattr(pipeline, "solve_sure", _no_solve)
+    monkeypatch.setattr(bench, "_solve_condition", _no_solve)
+    with pytest.raises(ValueError, match=key):
+        run = config.RunConfig(**run)
+        study = (bench.velocity_sweep if run.plant_name == "arm"
+                 else bench.montecarlo)
+        study(run)
 
 
 def test_sweep_rejects_the_cartpole(monkeypatch):
     monkeypatch.setattr(pipeline, "solve_sure", _no_solve)
-    run = config.RunConfig(controller={"arm_kd": 1.0})
     with pytest.raises(ValueError, match="sweep is defined for the arm"):
-        bench.velocity_sweep(run)
+        bench.velocity_sweep(config.RunConfig())
 
 
 @pytest.mark.parametrize("study", [bench.montecarlo, bench.tradeoff])

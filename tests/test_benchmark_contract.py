@@ -55,6 +55,17 @@ def test_solver_layers_attribute_block_jacobians_and_factorizations():
     assert tracer.counts["nlp.trf_nfev"] > 0
 
 
+def test_rollouts_replay_with_the_studys_gains():
+    # the benchmark designs its gains with design_gains' defaults; at the
+    # default config they are the Monte-Carlo study's, bit for bit
+    setup = workloads.setup_rollouts(trials=[])
+    run = config.load_config(None)
+    _, p, env = config.build_plant(run)
+    gains = bench._controller_gains(run, p, env)
+    assert setup.gains.k_p.tobytes() == gains.k_p.tobytes()
+    assert setup.gains.k_d.tobytes() == gains.k_d.tobytes()
+
+
 def test_simulation_layers_patch_and_restore():
     simulate = simulation.simulate
     with tracing.simulation_layers(tracing.Tracer()):

@@ -180,10 +180,14 @@ def test_rejects_removed_solver_key(tmp_path):
             config.solver_opts(config.load_config(path))
 
 
-def test_cli_gains_prints_gains(capsys):
-    assert cli.main(["gains"]) == 0
-    out = capsys.readouterr().out
-    assert "k_p:" in out and "k_d:" in out
+def test_cli_gains_prints_gains(tmp_path, capsys):
+    # a gain row for the cart-pole's one input, a 3 x 3 matrix for the arm
+    for plant, n_u in (("cartpole", 1), ("arm", 3)):
+        path = _write(tmp_path, f"plant: {{name: {plant}}}\n")
+        assert cli.main(["gains", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("k_p:") and "\nk_d:" in out
+        assert len(out.splitlines()) == 2 * n_u
 
 
 def test_cli_solve_takes_the_arm_boundary_from_the_catch_pose(tmp_path):

@@ -2,8 +2,8 @@
 
 The Riccati solve is checked against two independent oracles: a scalar
 closed form and Kleinman's Newton iteration built only on Lyapunov
-solves.  The controller's branch switch is exercised on a hand-built
-bundle.
+solves, the latter on both plants' default gain designs.  The
+controller's branch switch is exercised on a hand-built bundle.
 """
 
 import bisect
@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from branchopt import control
-from branchopt.plants import cartpole
+from branchopt import bench, config, control
+from branchopt.plants import arm, cartpole
 from branchopt.transcription import SolutionBundle, Trajectory
 
 
@@ -44,42 +44,51 @@ def test_double_integrator_care_closed_form():
     assert gains.k_d == pytest.approx([s3], abs=1e-10)
 
 
-def _kleinman_care(A, b, Q, r, n_iter=60):
+def _kleinman_care(A, B, Q, r, n_iter=60):
     """Newton iteration for the CARE using only Lyapunov solves."""
-    b = b.reshape(-1, 1)
-    # Stabilize first via pole placement through a crude LQR on an
-    # inflated Q; any stabilizing K works as the Newton starting point.
-    K = scipy.signal.place_poles(A, b, -1.0 - np.arange(A.shape[0])).gain_matrix
+    # Stabilize first via pole placement; any stabilizing K works as the
+    # Newton starting point.
+    poles = -1.0 - np.arange(A.shape[0])
+    K = scipy.signal.place_poles(A, B, poles).gain_matrix
     P = None
     for _ in range(n_iter):
-        Acl = A - b @ K
+        Acl = A - B @ K
         rhs = -(Q + K.T * r @ K)
         P = scipy.linalg.solve_continuous_lyapunov(Acl.T, rhs)
-        K = (b.T @ P) / r
+        K = (B.T @ P) / r
     return 0.5 * (P + P.T)
 
 
-def test_care_matches_kleinman_iteration_on_cartpole():
-    sys = cartpole.make_system()
-    A, b = control.linearize(sys, cartpole.X_EQ, np.zeros(1))
-    Q = np.diag([10.0, 0.0, 10.0, 0.0])
-    r = 0.1
-    P = control.solve_care(A, b, Q, r)
-    P_star = _kleinman_care(A, b, Q, r)
+def _default_design(plant):
+    """(A, B, Q, r) of the plant's default gain design: linearized about
+    the state its solves end at, under the input that holds it there."""
+    run = config.RunConfig(plant={"name": plant})
+    _, p, env = config.build_plant(run)
+    if plant == "cartpole":
+        sys, x, u = cartpole.make_system(p, env), cartpole.X_EQ, np.zeros(1)
+    else:
+        x = bench.catch_pose(run, p)
+        sys, u = arm.make_system(p), arm.gravity_torque(x[:3], p)
+    A, B = control.linearize(sys, x, u)
+    return A, B, np.diag(run.controller["q_diag"]), run.controller["r"]
+
+
+@pytest.mark.parametrize("plant", ["cartpole", "arm"])
+def test_care_matches_kleinman_iteration(plant):
+    A, B, Q, r = _default_design(plant)
+    P = control.solve_care(A, B, Q, r)
+    P_star = _kleinman_care(A, B, Q, r)
     assert P == pytest.approx(P_star, rel=1e-8, abs=1e-8)
 
 
-def test_care_residual_and_hurwitz_on_cartpole():
-    sys = cartpole.make_system()
-    A, b = control.linearize(sys, cartpole.X_EQ, np.zeros(1))
-    Q = np.diag([10.0, 0.0, 10.0, 0.0])
-    r = 0.1
-    P = control.solve_care(A, b, Q, r)
-    bv = np.asarray(b, dtype=float).ravel()
-    resid = A.T @ P + P @ A - np.outer(P @ bv, bv @ P) / r + Q
+@pytest.mark.parametrize("plant", ["cartpole", "arm"])
+def test_care_residual_and_hurwitz(plant):
+    A, B, Q, r = _default_design(plant)
+    P = control.solve_care(A, B, Q, r)
+    resid = A.T @ P + P @ A - P @ B @ B.T @ P / r + Q
     assert np.max(np.abs(resid)) <= 1e-8
-    K = (bv @ P) / r
-    eigs = np.linalg.eigvals(A - np.outer(bv, K))
+    K = (B.T @ P) / r
+    eigs = np.linalg.eigvals(A - B @ K)
     assert np.max(np.real(eigs)) < 0.0
 
 

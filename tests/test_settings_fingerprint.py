@@ -26,7 +26,7 @@ import record
 
 CONFIGS = {
     "default": {},
-    "arm": {"plant": {"name": "arm"}, "controller": {"arm_kd": 1.0}},
+    "arm": {"plant": {"name": "arm"}},
     "cartpole_overrides": {
         "plant": {"params": {"m_c": 0.35, "dt_impact": 2e-3},
                   "env": {"x_wall": -0.45, "mu": 0.5}},
@@ -48,7 +48,7 @@ CONFIGS = {
         "transcription": {"N": 36, "k_first": 15, "k_last": 21,
                           "n_rejoin": 6, "d_fixed": 0.1, "dt_max": 0.04},
         "solver": {"max_inner": 300},
-        "controller": {"arm_kp": 60, "arm_kd": 1},
+        "controller": {"q_diag": [20, 1, 20, 1, 5, 0.5], "r": 0.2},
         "experiment": {"dt_sim": 5e-4, "catch_target": [0.05, 0.3],
                        "sweep_heights": 5, "sweep_half_range": 0.1},
     },
@@ -130,9 +130,9 @@ def _capture(name, tmp_path):
             _recorders(mp, log)
             growth = bench._rk4_growth
 
-            def rk4_growth(p, pose, gains, dt_sim):
-                log.append(["rk4_growth", pose, _gains(gains), dt_sim])
-                return growth(p, pose, gains, dt_sim)
+            def rk4_growth(sys, x_eq, u_eq, gains, dt_sim):
+                log.append(["rk4_growth", x_eq, u_eq, _gains(gains), dt_sim])
+                return growth(sys, x_eq, u_eq, gains, dt_sim)
 
             def replay(p, refs, gains, heights, dt_sim, progress=None):
                 log.append(["replay_drops", p, sorted(refs), _gains(gains),

@@ -29,7 +29,7 @@ FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                         "fixtures")
 
 CARTPOLE = "experiment: {n_samples: 1, workers: 1, horizon: 2}\n"
-ARM = "plant: {name: arm}\ncontroller: {arm_kd: 1}\n"
+ARM = "plant: {name: arm}\n"
 
 def _trajectory(d):
     return tr.Trajectory(**{k: np.asarray(v, dtype=float)
@@ -187,8 +187,7 @@ def test_sweep_names_the_stage_that_failed(monkeypatch, nominal, failed):
                         SimpleNamespace(solution=_solved(
                             1.0, 1.0, status="infeasible").solution,
                             nominal=nominal))
-    run = config.RunConfig(plant={"name": "arm"},
-                           controller={"arm_kd": 1.0})
+    run = config.RunConfig(plant={"name": "arm"})
     with pytest.raises(RuntimeError, match=rf"^{failed} \(infeasible\)"):
         bench.velocity_sweep(run)
 

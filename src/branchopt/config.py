@@ -3,59 +3,60 @@
 A run is described by one YAML file with five sections — ``plant``,
 ``transcription``, ``solver``, ``controller``, ``experiment`` — each
 optional.  The same file drives every CLI verb, so a study is
-reproducible from the config plus a master seed.  ``RunConfig`` checks
-the file and fills in every key it leaves out, once, when it is made.
-Every default is here, except the field defaults of
-``TranscriptionConfig`` and ``SolverOpts``: the transcription and solver
-keys this module leaves out keep those.  A key the schema
-below does not name raises ``ValueError``, in every section and at the
-top level; ``plant.params``/``plant.env`` take the fields of the plant's
-parameter/environment dataclass, and the arm takes no ``env``.
+reproducible from the config plus a master seed.  ``RunConfig`` fills in
+every key the file leaves out and checks every setting, once, when it is
+made: a value no verb can run with fails at load, naming its key, before
+any solve, whichever verb reads it.  A rule that an object owns is
+checked by building that object.  Every default is here but the field
+defaults of ``TranscriptionConfig`` and ``SolverOpts``, which the keys
+left out here keep.  A key the schema below does not name raises
+``ValueError``, in every section and at the top level.
 
-Schema (version 1)::
+Schema (version 1), with each key's rule; counts are integers, list
+entries finite numbers, and YAML's on, yes and true are neither::
 
     schema_version: 1
     plant:
       name: cartpole | arm          # which plant to build
-      params: {...}                 # plant parameter overrides
-      env: {x_wall: -0.5, e: 0.8, mu: 0.7}   # cartpole only
+      params: {...}                 # fields of CartPoleParams/ArmCatchParams
+      env: {x_wall: -0.5, e: 0.8, mu: 0.7}   # cartpole only; CartPoleEnv's
+                                    #   fields, e in [0, 1], mu >= 0
     transcription:                  # cart-pole defaults; the arm's differ
       N: 60                         # arm: 40
-      k_first: 18                   # branching window; arm: 16
+      k_first: 18                   # 0 < k_first <= k_last < N; arm: 16
       k_last: 22                    # arm: 24; nominal contact at the
                                     #   window's middle node, 20
-      n_rejoin: 7
-      n_branch_full: 100
+      n_rejoin: 7                   # >= 1
+      n_branch_full: 100            # >= 1
       d_fixed: 0.05                 # window-edge guard half-width; arm: 0.20
-      dt_min: 1.0e-3
-      dt_max: 5.0e-2
+      dt_min: 1.0e-3                # > 0
+      dt_max: 5.0e-2                # >= dt_min
     solver:                         # the five SolverOpts fields
-      tol_eq: 1.0e-6                # acceptance: equality violation
-      tol_ineq: 1.0e-6              #   inequality violation
-      tol_stat: 1.0e-4              #   stationarity
-      max_outer: 60                 # augmented-Lagrangian iterations
-      max_inner: 600                # LM iterations per inner solve
+      tol_eq: 1.0e-6                # acceptance: equality violation, > 0
+      tol_ineq: 1.0e-6              #   inequality violation, > 0
+      tol_stat: 1.0e-4              #   stationarity, > 0
+      max_outer: 60                 # augmented-Lagrangian iterations, >= 1
+      max_inner: 600                # LM iterations per inner solve, >= 1
     controller:                     # LQR weights of the tracking gains
-      q_diag: [10, 0, 10, 0]        # per state, in the interleaved order
-                                    #   [q1, q̇1, q2, q̇2, ...]; arm:
-                                    #   [10, 0, 10, 0, 10, 0]
-      r: 0.1                        # per input
+      q_diag: [10, 0, 10, 0]        # >= 0, per state [q1, q̇1, q2, q̇2, ...];
+                                    #   arm: [10, 0, 10, 0, 10, 0]
+      r: 0.1                        # per input, finite and > 0
     experiment:
-      seed: 0
+      seed: 0                       # >= 0
       workers: 4
-      n_samples: 200
-      horizon: 10.0
-      dt_sim: 1.0e-3
-      x_wall_range: [-0.7, -0.3]
-      e_range: [0.7, 0.9]
-      debounce_window: 0.05
-      final_tol: [0.05, 0.05, 0.1, 0.1]
-      conditions: [[x, theta, xdot, thetadot], ...]
-      n_r_values: [7, 12, 20, 40, 70]
-      post_impact_budget: 100
-      catch_target: [0.0, 0.3]
-      sweep_heights: 11
-      sweep_half_range: 0.2
+      n_samples: 200                # >= 1
+      horizon: 10.0                 # finite, at least one step of dt_sim
+      dt_sim: 1.0e-3                # finite and > 0
+      x_wall_range: [-0.7, -0.3]    # [low, high], low <= high
+      e_range: [0.7, 0.9]           # the same, within [0, 1]
+      debounce_window: 0.05         # >= 0
+      final_tol: [0.05, 0.05, 0.1, 0.1]   # >= 0, one per state
+      conditions: [[x, theta, xdot, thetadot], ...]   # one or more
+      n_r_values: [7, 12, 20, 40, 70]   # each in [1, post_impact_budget]
+      post_impact_budget: 100       # >= 1
+      catch_target: [0.0, 0.3]      # [x, z]; the arm reaches it level
+      sweep_heights: 11             # >= 1
+      sweep_half_range: 0.2         # finite and >= 0
 """
 
 from __future__ import annotations
@@ -112,14 +113,46 @@ _TRANSCRIPTION_KEYS = (set(tr.TranscriptionConfig.__dataclass_fields__)
                        - {"variant", "x_init", "x_end"})
 _TOP_LEVEL_KEYS = {"schema_version", "transcription", "solver", "controller",
                    *_DEFAULTS}
-# experiment keys that count
-_INTEGER_KEYS = ("seed", "workers", "n_samples", "post_impact_budget",
-                 "sweep_heights")
+# the experiment's rules for single values: key -> (what it must be, test)
+_EXPERIMENT_RULES = {
+    "seed": ("an integer of at least 0", lambda v: _is_integer(v, 0)),
+    "workers": ("an integer", lambda v: _is_integer(v, -math.inf)),
+    "n_samples": ("an integer of at least 1", lambda v: _is_integer(v, 1)),
+    "post_impact_budget": ("an integer of at least 1",
+                           lambda v: _is_integer(v, 1)),
+    "sweep_heights": ("an integer of at least 1", lambda v: _is_integer(v, 1)),
+    "horizon": ("positive", lambda v: _is_number(v) and 0.0 < v < math.inf),
+    "dt_sim": ("positive", lambda v: _is_number(v) and 0.0 < v < math.inf),
+    "debounce_window": ("non-negative", lambda v: _is_number(v) and v >= 0),
+    "sweep_half_range": ("non-negative and finite",
+                         lambda v: _is_number(v) and 0.0 <= v < math.inf),
+}
 
 
 def _is_number(value):
     # bool is a numbers.Real, and YAML reads on, yes and true as True
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_integer(value, low):
+    return (_is_number(value) and isinstance(value, numbers.Integral)
+            and value >= low)
+
+
+def _vector(value, n):
+    """``value`` as an array if a list of ``n`` finite numbers, else None."""
+    if (isinstance(value, (list, tuple)) and len(value) == n
+            and all(_is_number(v) and math.isfinite(v) for v in value)):
+        return np.asarray(value, dtype=float)
+    return None
+
+
+def _built(key, make, *args, **kwargs):
+    """Build an object that checks its own fields; its error names ``key``."""
+    try:
+        return make(*args, **kwargs)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{key}: {err}") from None
 
 
 def _reject_unknown(where, keys, known):
@@ -137,6 +170,52 @@ def _section(d, name):
     return dict(v)
 
 
+def _check_experiment(ex, p):
+    """Reject an experiment value that no verb can run with, naming its
+    key; ``p`` is the built plant's parameters."""
+    for key, (what, test) in _EXPERIMENT_RULES.items():
+        if not test(ex[key]):
+            raise ValueError(
+                f"experiment {key} must be {what}, got {ex[key]!r}")
+    horizon, dt_sim = ex["horizon"], ex["dt_sim"]
+    if not 0.5 < horizon / dt_sim < math.inf:  # ``simulate`` rounds it
+        raise ValueError(f"horizon {horizon} must span one or more, finitely "
+                         f"many steps of dt_sim {dt_sim}")
+    # each of tradeoff's sure cells spends n_r of the budget per branch
+    budget, n_r_values = ex["post_impact_budget"], ex["n_r_values"]
+    if not (isinstance(n_r_values, (list, tuple)) and all(
+            _is_integer(n_r, 1) and n_r <= budget for n_r in n_r_values)):
+        raise ValueError(
+            f"each experiment n_r_values entry must be an integer in [1, "
+            f"post_impact_budget {budget}], got {n_r_values!r}")
+    n_x = len(cartpole.X_EQ)
+    tol = _vector(ex["final_tol"], n_x)
+    if tol is None or tol.min() < 0.0:
+        raise ValueError(f"final_tol must be {n_x} non-negative numbers, "
+                         f"one per state, got {ex['final_tol']!r}")
+    conditions = ex["conditions"]
+    if not (isinstance(conditions, (list, tuple)) and conditions
+            and all(_vector(c, n_x) is not None for c in conditions)):
+        raise ValueError(f"conditions must be one or more cart-pole states "
+                         f"[x, theta, xdot, thetadot], got {conditions!r}")
+    for key, what in (("x_wall_range", "[low, high]"),
+                      ("e_range", "[low, high]"), ("catch_target", "[x, z]")):
+        if _vector(ex[key], 2) is None:
+            raise ValueError(f"{key} must be two numbers {what}, got "
+                             f"{ex[key]!r}")
+    # the CartPoleEnv of each end of the sampled box
+    for key, env_field in (("x_wall_range", "x_wall"), ("e_range", "e")):
+        lo, hi = ex[key]
+        if not lo <= hi:
+            raise ValueError(f"{key} [{lo}, {hi}] is reversed")
+        for end in (lo, hi):
+            _built(f"experiment {key} {ex[key]}", cartpole.CartPoleEnv,
+                   **{env_field: end})
+    if isinstance(p, arm.ArmCatchParams):
+        _built(f"experiment catch_target {ex['catch_target']}",
+               arm.level_configuration, tuple(ex["catch_target"]), p)
+
+
 @dataclass
 class RunConfig:
     """A run's five sections, checked and filled in with every default."""
@@ -152,14 +231,6 @@ class RunConfig:
             given = getattr(self, name)
             _reject_unknown(name, given, defaults)
             setattr(self, name, {**defaults, **given})
-        counts = [(key, self.experiment[key]) for key in _INTEGER_KEYS]
-        counts += [("n_r_values entry", value)
-                   for value in self.experiment["n_r_values"]]
-        for key, value in counts:
-            if not (_is_number(value)
-                    and isinstance(value, numbers.Integral)):
-                raise ValueError(
-                    f"experiment {key} must be an integer, got {value!r}")
         name = self.plant["name"]
         if name not in _TRANSCRIPTION_DEFAULTS:
             raise ValueError(f"unknown plant '{name}'")
@@ -175,10 +246,8 @@ class RunConfig:
         if not (_is_number(r) and 0.0 < r < math.inf):
             raise ValueError(f"controller r must be a positive finite "
                              f"number, got {r!r}")
-        if not (isinstance(q_diag, (list, tuple))
-                and len(q_diag) == len(q_default)
-                and all(_is_number(v) and 0.0 <= v < math.inf
-                        for v in q_diag)):
+        q = _vector(q_diag, len(q_default))
+        if q is None or q.min() < 0.0:
             raise ValueError(
                 f"controller q_diag must be {len(q_default)} non-negative "
                 f"finite numbers, one per state, got {q_diag!r}")
@@ -188,9 +257,13 @@ class RunConfig:
                               **self.transcription}
         _reject_unknown("solver", self.solver,
                         nlp.SolverOpts.__dataclass_fields__)
-        nlp.SolverOpts(**self.solver)  # rejects values that break a solve
-        # the counts, the window against N and the time-step bounds
+        # the objects that own a rule check it when built: the solver
+        # settings; the counts, the window against N and the time-step
+        # bounds, which no variant relaxes; the plant's fields
+        nlp.SolverOpts(**self.solver)
         transcription_config(self, "sure", None, None)
+        _, p, _ = _built("plant", build_plant, self)
+        _check_experiment(self.experiment, p)
 
     # -- plant ---------------------------------------------------------
     @property

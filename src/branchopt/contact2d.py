@@ -39,8 +39,9 @@ def exact_cone_impulse(G, g_vel, e, mu, bias=None):
     b = (1.0 + e) * np.asarray(g_vel, dtype=float)
     if bias is not None:
         b = b + np.asarray(bias, dtype=float)
-    # separating contact
-    if b[0] >= -_TOL:
+    # separating contact: b_n >= 0 to round-off relative to the size of b,
+    # so that a tiny approach is not taken for separation; at most _TOL
+    if b[0] >= -_TOL * min(np.max(np.abs(b)), 1.0):
         return np.zeros(2)
     g00, g01, g11 = G[0, 0], G[0, 1], G[1, 1]
     if g11 <= _TOL:

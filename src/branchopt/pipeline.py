@@ -27,6 +27,7 @@ from . import transcription as tr
 __all__ = [
     "PipelineResult",
     "nominal_stage_config",
+    "guess_from_nominal",
     "sure_guess_from_nominal",
     "tree_guess_from_nominal",
     "solve_nominal",
@@ -92,83 +93,58 @@ def _free_step(adapter, x, u, dt):
     return x - np.array([float(di) for di in d])
 
 
-def _window_free_states(adapter, nom, c, last):
-    """Common-part states with the post-transition tail replaced by a
-    contact-free continuation from node c (the window is a ghost segment:
-    transition constraints live on the branches, not the common part)."""
-    states = np.array(nom.states[: last + 1])
-    for i in range(c, last):
-        states[i + 1] = _free_step(adapter, states[i], nom.inputs[i], nom.dts[i])
-    return states
+def guess_from_nominal(adapter, layout, nominal_bundle):
+    """Initial vector for a branched formulation from an unbranched solve
+    on the same window.
 
-
-def _seed_branch_extras(layout, x0, k, extras):
-    for name, row in extras.items():
-        if name in layout.arrays:
-            x0[layout.arrays[name][k]] = row
-
-
-def sure_guess_from_nominal(adapter, layout, nominal_bundle):
-    """Initial vector for the rejoining formulation from an unbranched solve
-    on the same horizon.
-
-    Each branch is seeded with the plant's transition at its own root,
-    interpolated linearly onto the rejoin state.
+    The common part copies the unbranched states, inputs and steps,
+    truncated to the layout's length, with the states after the contact
+    node continued contact-free across the window (the window is a ghost
+    segment: transition constraints live on the branches, not the common
+    part).  Each branch is seeded with the plant's transition at its own
+    root.  A rejoining branch then runs linearly onto the rejoin state; a
+    tree branch follows the unbranched post-contact tail, re-gridded onto
+    the branch's node budget.
     """
     cfg = layout.cfg
+    arrays = layout.arrays
     nom = nominal_bundle.common
-    x0 = tr.default_initial_guess(adapter, layout)
-    x0[layout.arrays["x"]] = nom.states
-    x0[layout.arrays["u"]] = nom.inputs
-    x0[layout.arrays["dt"]] = nom.dts
-    rejoin = x0[layout.arrays["x"][cfg.k_last + 1]]
     c = cfg.contact_node
-    free = _window_free_states(adapter, nom, c, cfg.k_last)
-    x0[layout.arrays["x"][c + 1 : cfg.k_last + 1]] = free[c + 1 :]
+    x0 = tr.default_initial_guess(adapter, layout)
+    states = np.array(nom.states[: len(arrays["x"])])
+    for i in range(c, cfg.k_last):
+        states[i + 1] = _free_step(adapter, states[i], nom.inputs[i],
+                                   nom.dts[i])
+    x0[arrays["x"]] = states
+    x0[arrays["u"]] = nom.inputs[: len(arrays["u"])]
+    x0[arrays["dt"]] = nom.dts[: len(arrays["dt"])]
     # recompute plant-specific slots (elapsed times, force seeds, ...) from
     # the transplanted time steps before the per-branch seeds overwrite them
     adapter.initial_guess_extras(layout, cfg, x0)
     for k, i in enumerate(cfg.branch_nodes):
-        post, extras = adapter.branch_seed(free[i], nom.inputs[i], cfg)
-        x0[layout.arrays["bx"][k]] = tr.interpolate_rows(post, rejoin,
-                                                         layout.branch_len)
-        x0[layout.arrays["bu"][k]] = nom.inputs[i]
-        x0[layout.arrays["bdt"][k]] = nom.dts[i]
-        _seed_branch_extras(layout, x0, k, extras)
+        post, extras = adapter.branch_seed(states[i], nom.inputs[i], cfg)
+        if cfg.variant == "sure":
+            bx = tr.interpolate_rows(post, states[cfg.k_last + 1],
+                                     layout.branch_len)
+            bu, bdt = nom.inputs[i], nom.dts[i]
+        else:
+            # branch node 0 replaces the unbranched node c+1
+            bx, bu, bdt = _resample(
+                np.vstack([post, nom.states[c + 2 :]]), nom.inputs[c + 1 :],
+                nom.dts[c + 1 :], layout.branch_len, cfg.dt_min, cfg.dt_max)
+        x0[arrays["bx"][k]] = bx
+        x0[arrays["bu"][k]] = bu
+        x0[arrays["bdt"][k]] = bdt
+        for name, row in extras.items():
+            if name in arrays:
+                x0[arrays[name][k]] = row
     return x0
 
 
-def tree_guess_from_nominal(adapter, layout, nominal_bundle):
-    """Initial vector for the tree formulation from an unbranched solve.
-
-    Each branch is seeded with the plant's transition at its own root
-    followed by the unbranched post-contact tail, re-gridded onto the
-    branch's node budget.
-    """
-    cfg = layout.cfg
-    nom = nominal_bundle.common
-    x0 = tr.default_initial_guess(adapter, layout)
-    n_c = layout.n_common  # tree common part ends at k_last
-    c = cfg.contact_node
-    free = _window_free_states(adapter, nom, c, n_c)
-    x0[layout.arrays["x"]] = free
-    x0[layout.arrays["u"]] = nom.inputs[: len(layout.arrays["u"])]
-    x0[layout.arrays["dt"]] = nom.dts[:n_c]
-    adapter.initial_guess_extras(layout, cfg, x0)
-    for k, i in enumerate(cfg.branch_nodes):
-        post, extras = adapter.branch_seed(free[i], nom.inputs[i], cfg)
-        # branch node 0 replaces the unbranched node c+1
-        seq_x = np.vstack([post, nom.states[c + 2 :]])
-        seq_u = nom.inputs[c + 1 :]
-        seq_dt = nom.dts[c + 1 :]
-        bx, bu, bdt = _resample(
-            seq_x, seq_u, seq_dt, layout.branch_len, cfg.dt_min, cfg.dt_max
-        )
-        x0[layout.arrays["bx"][k]] = bx
-        x0[layout.arrays["bu"][k]] = bu
-        x0[layout.arrays["bdt"][k]] = bdt
-        _seed_branch_extras(layout, x0, k, extras)
-    return x0
+# the names ``solve_sure`` and ``solve_tree`` call, so that each can be
+# wrapped on its own
+sure_guess_from_nominal = guess_from_nominal
+tree_guess_from_nominal = guess_from_nominal
 
 
 def solve_nominal(adapter, cfg, opts=None) -> PipelineResult:

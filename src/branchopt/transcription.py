@@ -63,12 +63,11 @@ class TranscriptionConfig:
                     f"transcription {name} must be an integer, got {value!r}")
         if not 0 < self.k_first <= self.k_last < self.N:
             raise ValueError("need 0 < k_first <= k_last < N")
-        if self.variant == "sure" and self.n_rejoin < 1:
-            raise ValueError(
-                f"n_rejoin must be at least 1, got {self.n_rejoin}")
-        if self.variant == "tree" and self.n_branch_full < 1:
-            raise ValueError(
-                f"n_branch_full must be at least 1, got {self.n_branch_full}")
+        # every variant, so one config checks the settings of all three
+        for name in ("n_rejoin", "n_branch_full"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
         if (isinstance(self.dt_min, bool)
                 or not isinstance(self.dt_min, numbers.Real)
                 or not self.dt_min > 0):

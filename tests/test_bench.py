@@ -1,5 +1,6 @@
 """Monte-Carlo trial set-up, recorded rollouts of both plants, and the
-studies' input checks."""
+checks of the studies' settings, which fail at load or, for the gains'
+RK4 stability, before the study's first solve."""
 
 import hashlib
 
@@ -185,10 +186,16 @@ def test_arm_default_gains_hold_the_level_pose_through_every_catch():
         assert tc is not None and dv is not None
 
 
+def test_montecarlo_rejects_rk4_unstable_gains_before_solving(monkeypatch):
+    monkeypatch.setattr(bench, "_solve_condition", _no_solve)
+    run = config.RunConfig(controller={"q_diag": [1e4, 0, 1e4, 0], "r": 1e-3},
+                           experiment={"dt_sim": 0.02})
+    with pytest.raises(ValueError, match=r"cart-pole's tracking loop is "
+                                         r"unstable .* = 2\.55 > 1"):
+        bench.montecarlo(run)
+
+
 @pytest.mark.parametrize("run, key", [
-    ({"controller": {"q_diag": [1e4, 0, 1e4, 0], "r": 1e-3},
-      "experiment": {"dt_sim": 0.02}},
-     r"cart-pole's tracking loop is unstable .* = 2\.55 > 1"),
     ({"plant": {"name": "arm"}, "experiment": {"dt_sim": 0.0}}, "dt_sim"),
     ({"plant": {"name": "arm"}, "experiment": {"dt_sim": -1e-3}}, "dt_sim"),
     ({"plant": {"name": "arm"}, "experiment": {"sweep_heights": 0}},
@@ -205,20 +212,13 @@ def test_arm_default_gains_hold_the_level_pose_through_every_catch():
     ({"controller": {"q_diag": 10}}, "controller q_diag"),
     ({"plant": {"name": "arm"}, "controller": {"q_diag": [10, 0, 10, 0]}},
      "controller q_diag"),
-], ids=["rk4-unstable", "dt_sim-0", "dt_sim-negative", "sweep_heights-0",
+], ids=["dt_sim-0", "dt_sim-negative", "sweep_heights-0",
         "r-0", "r-negative", "r-inf", "r-bool", "q_diag-short",
         "q_diag-negative", "q_diag-nan", "q_diag-scalar", "q_diag-arm-short"])
-def test_bad_gain_and_sweep_settings_fail_before_solving(monkeypatch, run,
-                                                         key):
-    # the weights are checked at load; the gains at dt_sim, and the
-    # sweep's height count, before the first solve, which takes minutes
-    monkeypatch.setattr(pipeline, "solve_sure", _no_solve)
-    monkeypatch.setattr(bench, "_solve_condition", _no_solve)
+def test_bad_gain_and_sweep_settings_fail_before_solving(run, key):
+    # at load, before the study's first solve, which takes minutes
     with pytest.raises(ValueError, match=key):
-        run = config.RunConfig(**run)
-        study = (bench.velocity_sweep if run.plant_name == "arm"
-                 else bench.montecarlo)
-        study(run)
+        config.RunConfig(**run)
 
 
 def test_sweep_rejects_the_cartpole(monkeypatch):
@@ -238,14 +238,12 @@ def test_cartpole_studies_reject_the_arm(study):
     ({"n_r_values": [0, 4]}, "n_r_values"),
     ({"n_r_values": [1], "post_impact_budget": 0}, "post_impact_budget")])
 def test_tradeoff_rejects_a_rejoin_horizon_beyond_the_budget_before_solving(
-        monkeypatch, experiment, key):
+        experiment, key):
     # a sure cell with n_r > budget has a negative final segment, which
-    # would fail only in that cell's solve, after the cells before it
-    for name in ("solve_nominal", "solve_sure", "solve_tree"):
-        monkeypatch.setattr(pipeline, name, _no_solve)
-    run = config.RunConfig(experiment={**experiment, "workers": 1})
+    # would fail only in that cell's solve, after the cells before it;
+    # the config fails at load
     with pytest.raises(ValueError, match=key):
-        bench.tradeoff(run, include_baseline=True)
+        config.RunConfig(experiment={**experiment, "workers": 1})
 
 
 def test_tradeoff_accepts_a_rejoin_horizon_of_the_whole_budget(monkeypatch):
@@ -259,17 +257,14 @@ def test_tradeoff_accepts_a_rejoin_horizon_of_the_whole_budget(monkeypatch):
 
 @pytest.mark.parametrize("key, box", [("x_wall_range", [-0.3, -0.7]),
                                       ("e_range", [0.9, 0.7])])
-def test_montecarlo_rejects_a_reversed_box_before_solving(monkeypatch, key,
-                                                          box):
-    monkeypatch.setattr(pipeline, "solve_sure", _no_solve)
+def test_montecarlo_rejects_a_reversed_box_before_solving(key, box):
     with pytest.raises(ValueError, match=f"{key} .* reversed"):
-        bench.montecarlo(config.RunConfig(experiment={key: box}))
+        config.RunConfig(experiment={key: box})
 
 
-def test_montecarlo_rejects_no_samples_before_solving(monkeypatch):
-    monkeypatch.setattr(pipeline, "solve_sure", _no_solve)
+def test_montecarlo_rejects_no_samples_before_solving():
     with pytest.raises(ValueError, match="n_samples"):
-        bench.montecarlo(config.RunConfig(experiment={"n_samples": 0}))
+        config.RunConfig(experiment={"n_samples": 0})
 
 
 @pytest.mark.parametrize("key, value", [
@@ -278,14 +273,11 @@ def test_montecarlo_rejects_no_samples_before_solving(monkeypatch):
     ("final_tol", [0.05, 0.05, 0.1]), ("final_tol", [0.05, 0.05, 0.1, -0.1]),
     ("final_tol", 0.05), ("final_tol", [0.05, 0.05, 0.1, "loose"]),
     ("debounce_window", -0.01)])
-def test_montecarlo_rejects_bad_rollout_settings_before_solving(
-        monkeypatch, key, value):
+def test_montecarlo_rejects_bad_rollout_settings_before_solving(key, value):
     # the four reference solves take minutes; the trials that would fail
-    # on these settings run after them
-    monkeypatch.setattr(bench, "_solve_condition", _no_solve)
-    run = config.RunConfig(experiment={key: value, "workers": 1})
+    # on these settings run after them; the config fails at load
     with pytest.raises(ValueError, match=key):
-        bench.montecarlo(run)
+        config.RunConfig(experiment={key: value, "workers": 1})
 
 
 @pytest.mark.parametrize("experiment", [

@@ -167,6 +167,46 @@ def test_rejects_a_window_outside_the_horizon_at_load(tmp_path):
         config.load_config(path)
 
 
+@pytest.mark.parametrize("text, overrides, key", [
+    # CartPoleEnv's "need e in [0, 1]", in the first trial
+    ("experiment: {e_range: [0.7, 1.2]}\n", None, "e_range"),
+    # --seed -1, in sampling the trials
+    ("", {"seed": -1}, "seed"),
+    # a numpy shape error in the condition's reference solve
+    ("experiment: {conditions: [[0.0, 3.14, 0.0]]}\n", None, "conditions"),
+    # the tree variant, which only tradeoff and solve --variant tree build
+    ("transcription: {n_branch_full: 0}\n", None, "n_branch_full"),
+    # level_configuration's "target out of reach", in the sweep
+    ("plant: {name: arm}\nexperiment: {catch_target: [1.0, 1.0]}\n", None,
+     "catch_target"),
+], ids=["e_range", "seed", "conditions", "n_branch_full", "catch_target"])
+def test_rejects_at_load_a_setting_that_failed_after_the_solves(
+        tmp_path, text, overrides, key):
+    with pytest.raises(ValueError, match=key):
+        config.load_config(_write(tmp_path, text), overrides)
+
+
+# one bad value of each experiment key
+BAD_EXPERIMENT = {
+    "seed": -1, "workers": 2.5, "n_samples": 0, "horizon": 0.0,
+    "dt_sim": -1e-3, "x_wall_range": [-0.3, -0.7], "e_range": [0.7, 1.2],
+    "debounce_window": -0.01, "final_tol": [0.05, 0.05, 0.1],
+    "conditions": [[0.0, 3.14, 0.0]], "n_r_values": [0, 4],
+    "post_impact_budget": 0, "catch_target": [0.0, float("nan")],
+    "sweep_heights": 0, "sweep_half_range": -0.2,
+}
+
+
+def test_bad_experiment_values_name_every_key():
+    assert set(BAD_EXPERIMENT) == set(config.RunConfig().experiment)
+
+
+@pytest.mark.parametrize("key", sorted(BAD_EXPERIMENT))
+def test_run_config_rejects_a_bad_value_of_each_experiment_key(key):
+    with pytest.raises(ValueError, match=key):
+        config.RunConfig(experiment={key: BAD_EXPERIMENT[key]})
+
+
 def test_rejects_removed_transcription_key(tmp_path):
     path = _write(tmp_path, "transcription:\n  d_bounds: [0.01, 0.1]\n")
     with pytest.raises(ValueError, match="d_bounds"):
@@ -188,6 +228,14 @@ def test_cli_gains_prints_gains(tmp_path, capsys):
         out = capsys.readouterr().out
         assert out.startswith("k_p:") and "\nk_d:" in out
         assert len(out.splitlines()) == 2 * n_u
+
+
+def test_cli_gains_rejects_a_bad_e_range_at_load(tmp_path, capsys):
+    # gains never reads e_range; the config fails whole, whatever the verb
+    path = _write(tmp_path, "experiment: {e_range: [0.7, 1.2]}\n")
+    with pytest.raises(ValueError, match="e_range"):
+        cli.main(["gains", "--config", path])
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_solve_takes_the_arm_boundary_from_the_catch_pose(tmp_path):

@@ -126,6 +126,11 @@ def _ncp_oracle(G, g_vel, e, mu):
 # separating, though a sticking impulse meets the conditions too
 @example(G=np.array([[1.0, 0.5], [0.5, 1.0]]), g_vel=(0.1, 1.0), e=0.0,
          mu=3.0)
+# an approach of one round-off unit, with a tangential velocity of 1e-7:
+# not separating at that scale; mu |G_nt| > G_nn, and only the slide
+# meets the conditions
+@example(G=np.array([[0.29900732, 0.45010223], [0.45010223, 0.71099268]]),
+         g_vel=(-2.220446049250313e-16, 1.192092896e-07), e=0.0, mu=1.0)
 def test_pgs_matches_ncp_oracle_on_random_systems(G, g_vel, e, mu):
     F = contact2d.exact_cone_impulse(G, g_vel, e, mu)
     assert any(F == pytest.approx(F_star, abs=1e-6)

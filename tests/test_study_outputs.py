@@ -51,8 +51,9 @@ def _fixture(x_init):
 def _solve_condition(args):
     _, x_init = args
     d = _fixture(x_init)
-    return (_trajectory(d["nominal"]), _trajectory(d["robust_nominal"]),
-            tr.bundle_from_dict(d["scheduling"]))
+    return {"nominal": _trajectory(d["nominal"]),
+            "robust_nominal": _trajectory(d["robust_nominal"]),
+            "scheduling": tr.bundle_from_dict(d["scheduling"])}
 
 
 def _solved(cost, wall_time, status="converged", **extra):

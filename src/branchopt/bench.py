@@ -5,7 +5,9 @@ Every study is deterministic under a master seed: per-trial generators
 are spawned from ``SeedSequence(master, spawn_key=(condition, reference,
 index))`` so any cell can be reproduced in isolation, and reports are
 sorted before writing.  The studies check no setting: ``RunConfig``
-rejects a bad one at load, before any solve.
+rejects a bad one at load, before any solve.  Nor do they define a plant's
+boundary: every solve ends at the adapter's ``target``, the gains hold it
+under ``hold``, and the robust reference's impact takes ``dt_impact``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .plants import arm, cartpole
 __all__ = [
     "TrialSpec", "TrialReport", "evaluate_trial",
     "pole_fell", "cartpole_rollout", "montecarlo", "tradeoff",
-    "catch_pose", "velocity_sweep", "export",
+    "velocity_sweep", "export",
     "REFERENCE_TYPES", "PAPER_TOTALS",
 ]
 
@@ -39,7 +41,7 @@ REFERENCE_TYPES = ("nominal", "robust_nominal", "scheduling")
 # for context (not asserted)
 PAPER_TOTALS = {"nominal": 44.8, "robust_nominal": 55.3, "scheduling": 66.4}
 
-X_END = cartpole.X_EQ  # where every cart-pole solve ends
+X_END = cartpole.X_EQ  # the cart-pole adapter's target, which trials reach
 
 
 # -- trial domain ------------------------------------------------------------
@@ -143,15 +145,16 @@ def _solve_condition(args):
     stage), the robust single reference, and the full branched bundle.
     """
     run, x_init = args
-    adapter, p, env = cfgmod.build_plant(run)
+    adapter, _, _ = cfgmod.build_plant(run)
     opts = cfgmod.solver_opts(run)
-    cfg = cfgmod.transcription_config(run, "sure", x_init, X_END)
+    cfg = cfgmod.transcription_config(run, "sure", x_init, adapter.target)
     res = pipeline.solve_sure(adapter, cfg, opts)
     if res.solution.status != "converged":
         raise RuntimeError(
             f"branched solve failed ({res.solution.status}) for "
             f"condition {np.array2string(np.asarray(x_init))}")
-    robust = tr.robust_nominal_branch(res.bundle, dt_impact=p.dt_impact)
+    robust = tr.robust_nominal_branch(res.bundle,
+                                      dt_impact=adapter.dt_impact)
     return dict(zip(REFERENCE_TYPES, (res.nominal.common, robust, res.bundle)))
 
 
@@ -217,8 +220,7 @@ def montecarlo(run: cfgmod.RunConfig, progress=None):
     _require_plant(run, "cartpole", "montecarlo")
     conditions = run.conditions
     n_samples = run.experiment["n_samples"]
-    _, p, env = cfgmod.build_plant(run)
-    gains = _controller_gains(run, p, env)
+    gains = _controller_gains(run, cfgmod.build_plant(run)[0])
 
     # references: one staged (unbranched, then branched) solve per condition
     solve_args = [(run, [float(v) for v in state]) for state in conditions]
@@ -262,15 +264,12 @@ def _require_plant(run: cfgmod.RunConfig, name, study):
                          f"plant, not {run.plant_name!r}")
 
 
-def _controller_gains(run: cfgmod.RunConfig, p, env):
-    """LQR gains about where the solves end (X_END unforced; the catch pose
-    under gravity), rejected unless RK4-stable at ``dt_sim``."""
+def _controller_gains(run: cfgmod.RunConfig, adapter):
+    """LQR gains of the configured weights about the state the plant's
+    solves end at, ``adapter.target``, under the input that holds it,
+    ``adapter.hold``; rejected unless RK4-stable at ``dt_sim``."""
     dt_sim = float(run.experiment["dt_sim"])
-    if run.plant_name == "cartpole":
-        sys, x_eq, u_eq = cartpole.make_system(p, env), X_END, np.zeros(1)
-    else:
-        x_eq = catch_pose(run, p)
-        sys, u_eq = arm.make_system(p), arm.gravity_torque(x_eq[:3], p)
+    sys, x_eq, u_eq = adapter.system(), adapter.target, adapter.hold
     q_diag, r = run.controller["q_diag"], run.controller["r"]
     gains = control.design_gains(sys, x_eq, np.diag(q_diag), r, u_eq)
     growth = _rk4_growth(sys, x_eq, u_eq, gains, dt_sim)
@@ -298,20 +297,21 @@ def _tradeoff_cell(args):
     adapter, _, _ = cfgmod.build_plant(run)
     opts = cfgmod.solver_opts(run)
     k_last = run.transcription["k_last"]
+    x_end = adapter.target
     if kind == "sure":
         cfg = cfgmod.transcription_config(
-            run, "sure", x_init, X_END,
+            run, "sure", x_init, x_end,
             N=k_last + 1 + budget - n_r, n_rejoin=n_r)
         res = pipeline.solve_sure(adapter, cfg, opts)
     elif kind == "tree":
         cfg = cfgmod.transcription_config(
-            run, "tree", x_init, X_END,
+            run, "tree", x_init, x_end,
             N=k_last + 1 + budget, n_branch_full=budget)
         res = pipeline.solve_tree(adapter, cfg, opts)
     elif kind == "baseline":
         # exact-knowledge reference: contact node known in advance
         cfg = cfgmod.transcription_config(
-            run, "nominal", x_init, X_END,
+            run, "nominal", x_init, x_end,
             N=n_r + 1 + budget, k_first=n_r, k_last=n_r)
         res = pipeline.solve_nominal(adapter, cfg, opts)
     else:
@@ -441,13 +441,6 @@ def _replay_drops(p, refs, gains, heights, dt_sim, progress=None):
     return rows, max_dv
 
 
-def catch_pose(run: cfgmod.RunConfig, p):
-    """The arm at rest with its level tool at the configured catch target:
-    the boundary state of every arm solve."""
-    q = arm.level_configuration(tuple(run.experiment["catch_target"]), p)
-    return np.concatenate([q, np.zeros(3)])
-
-
 def _rk4_growth(sys, x_eq, u_eq, gains: control.Gains, dt_sim):
     """Largest RK4 amplification of the plant tracked about ``x_eq``.
 
@@ -467,11 +460,12 @@ def _rk4_growth(sys, x_eq, u_eq, gains: control.Gains, dt_sim):
 def velocity_sweep(run: cfgmod.RunConfig, progress=None):
     """Catch speed over a range of drop heights, planned vs. robust.
 
-    Solves the staged arm-catch problem once at the configured drop
-    height: its unbranched first stage is the planned reference, its
-    middle branch the robust one.  Replays both references against balls
-    released from heights spanning the configured half-range, recording
-    the relative speed at contact, tracked with ``_controller_gains``.
+    Solves the staged arm-catch problem, from and to the catch pose, once
+    at the configured drop height: its unbranched first stage is the
+    planned reference, its middle branch the robust one.  Replays both
+    references against balls released from heights spanning the
+    configured half-range, recording the relative speed at contact,
+    tracked with ``_controller_gains``.
     """
     _require_plant(run, "arm", "sweep")
     adapter, p, _ = cfgmod.build_plant(run)
@@ -479,9 +473,9 @@ def velocity_sweep(run: cfgmod.RunConfig, progress=None):
     n_heights = run.experiment["sweep_heights"]
     half = float(run.experiment["sweep_half_range"])
     dt_sim = float(run.experiment["dt_sim"])
-    gains = _controller_gains(run, p, None)
+    gains = _controller_gains(run, adapter)
 
-    x0 = catch_pose(run, p)
+    x0 = adapter.target
     sure = pipeline.solve_sure(
         adapter, cfgmod.transcription_config(run, "sure", x0, x0), opts)
     if progress:
@@ -495,8 +489,8 @@ def velocity_sweep(run: cfgmod.RunConfig, progress=None):
 
     refs = {
         "nominal": sure.nominal.common,
-        "robust_nominal": tr.robust_nominal_branch(sure.bundle,
-                                                   dt_impact=1e-3),
+        "robust_nominal": tr.robust_nominal_branch(
+            sure.bundle, dt_impact=adapter.dt_impact),
     }
     z_nom = p.p_ball0[1]
     heights = np.linspace(z_nom - half, z_nom + half, n_heights)

@@ -61,12 +61,12 @@ def _condition(run, index):
 
 def cmd_solve(args):
     run = _load(args)
-    adapter, p, env = cfgmod.build_plant(run)
-    if run.plant_name == "cartpole":
-        x_init, x_end = _condition(run, args.condition), bench.X_END
-    else:
-        x_init = x_end = bench.catch_pose(run, p)
-    cfg = cfgmod.transcription_config(run, args.variant, x_init, x_end)
+    adapter, _, _ = cfgmod.build_plant(run)
+    # the cart-pole swings up from a condition; the arm starts at its target
+    x_init = (_condition(run, args.condition)
+              if run.plant_name == "cartpole" else adapter.target)
+    cfg = cfgmod.transcription_config(run, args.variant, x_init,
+                                      adapter.target)
     res = getattr(pipeline, f"solve_{args.variant}")(
         adapter, cfg, cfgmod.solver_opts(run))
     s = res.solution
@@ -99,9 +99,9 @@ def cmd_simulate(args):
     run = _load(args)
     with open(args.solution) as fh:
         payload = json.load(fh)
-    if (payload.get("plant", "cartpole") != "cartpole"
-            or run.plant_name != "cartpole"):
+    if payload.get("plant", "cartpole") != "cartpole":
         raise SystemExit("simulate supports the cart-pole plant")
+    bench._require_plant(run, "cartpole", "simulate")
     x_init = _condition(run, args.condition)
     bundle = tr.bundle_from_dict(payload["bundle"])
     if args.reference == "robust_nominal" and not bundle.branches:
@@ -113,10 +113,10 @@ def cmd_simulate(args):
         raise SystemExit("--reference nominal needs an unbranched solution "
                          "(solve --variant nominal); this bundle has "
                          "branches")
-    _, p, env = cfgmod.build_plant(run)
-    gains = bench._controller_gains(run, p, env)
+    adapter, _, _ = cfgmod.build_plant(run)
+    gains = bench._controller_gains(run, adapter)
     ref = bundle if args.reference == "scheduling" else (
-        tr.robust_nominal_branch(bundle, dt_impact=p.dt_impact)
+        tr.robust_nominal_branch(bundle, dt_impact=adapter.dt_impact)
         if args.reference == "robust_nominal" else bundle.common)
     env_over = {name: value for name, value in
                 (("x_wall", args.x_wall), ("e", args.e)) if value is not None}
@@ -175,8 +175,7 @@ def cmd_sweep(args):
 
 def cmd_gains(args):
     run = _load(args)
-    _, p, env = cfgmod.build_plant(run)
-    gains = bench._controller_gains(run, p, env)
+    gains = bench._controller_gains(run, cfgmod.build_plant(run)[0])
     print("k_p:", np.array2string(gains.k_p, precision=6))
     print("k_d:", np.array2string(gains.k_d, precision=6))
     return 0

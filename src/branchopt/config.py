@@ -18,7 +18,11 @@ entries finite numbers, and YAML's on, yes and true are neither::
     schema_version: 1
     plant:
       name: cartpole | arm          # which plant to build
-      params: {...}                 # fields of CartPoleParams/ArmCatchParams
+      params: {...}                 # fields of CartPoleParams (dt_impact > 0
+                                    #   and finite; not x_wall, e and mu,
+                                    #   which env sets) or ArmCatchParams
+                                    #   (catch_height: 0.3, the level catch
+                                    #   point's z on the drop line, in reach)
       env: {x_wall: -0.5, e: 0.8, mu: 0.7}   # cartpole only; CartPoleEnv's
                                     #   fields, e in [0, 1], mu >= 0
     transcription:                  # cart-pole defaults; the arm's differ
@@ -28,13 +32,14 @@ entries finite numbers, and YAML's on, yes and true are neither::
                                     #   window's middle node, 20
       n_rejoin: 7                   # >= 1
       n_branch_full: 100            # >= 1
-      d_fixed: 0.05                 # window-edge guard half-width; arm: 0.20
+      d_fixed: 0.05                 # window-edge guard half-width, finite
+                                    #   and >= 0; arm: 0.20
       dt_min: 1.0e-3                # > 0
-      dt_max: 5.0e-2                # >= dt_min
+      dt_max: 5.0e-2                # >= dt_min, finite
     solver:                         # the five SolverOpts fields
-      tol_eq: 1.0e-6                # acceptance: equality violation, > 0
-      tol_ineq: 1.0e-6              #   inequality violation, > 0
-      tol_stat: 1.0e-4              #   stationarity, > 0
+      tol_eq: 1.0e-6                # acceptance: equality violation,
+      tol_ineq: 1.0e-6              #   inequality violation and
+      tol_stat: 1.0e-4              #   stationarity, each finite and > 0
       max_outer: 60                 # augmented-Lagrangian iterations, >= 1
       max_inner: 600                # LM iterations per inner solve, >= 1
     controller:                     # LQR weights of the tracking gains
@@ -54,7 +59,6 @@ entries finite numbers, and YAML's on, yes and true are neither::
       conditions: [[x, theta, xdot, thetadot], ...]   # one or more
       n_r_values: [7, 12, 20, 40, 70]   # each in [1, post_impact_budget]
       post_impact_budget: 100       # >= 1
-      catch_target: [0.0, 0.3]      # [x, z]; the arm reaches it level
       sweep_heights: 11             # >= 1
       sweep_half_range: 0.2         # finite and >= 0
 """
@@ -93,8 +97,7 @@ _DEFAULTS = {
         "conditions": [[0.0, math.pi, 0.0, 5.5], [0.0, math.pi, 0.0, 6.5],
                        [0.0, 3.53, -1.0, 3.5], [0.0, 3.45, -0.5, 4.5]],
         "n_r_values": [7, 12, 20, 40, 70], "post_impact_budget": 100,
-        "catch_target": [0.0, 0.3], "sweep_heights": 11,
-        "sweep_half_range": 0.2},
+        "sweep_heights": 11, "sweep_half_range": 0.2},
 }
 # Per plant.  The transcription keys left out here, and the solver keys,
 # keep the TranscriptionConfig and SolverOpts defaults.
@@ -104,10 +107,13 @@ _TRANSCRIPTION_DEFAULTS = {
 }
 _Q_DIAG_DEFAULTS = {"cartpole": np.diag(control.DEFAULT_Q).tolist(),
                     "arm": [10.0, 0.0] * 3}  # one weight per state
-# the dataclasses whose fields plant.params and plant.env may set
-_PLANT_CLASSES = {
-    "cartpole": (cartpole.CartPoleParams, cartpole.CartPoleEnv),
-    "arm": (arm.ArmCatchParams, None),
+# the fields plant.params and plant.env may set; the env alone sets the
+# cart-pole's wall, restitution and friction
+_ENV_KEYS = set(cartpole.CartPoleEnv.__dataclass_fields__)
+_PLANT_KEYS = {
+    "cartpole": (set(cartpole.CartPoleParams.__dataclass_fields__) - _ENV_KEYS,
+                 _ENV_KEYS),
+    "arm": (set(arm.ArmCatchParams.__dataclass_fields__), set()),
 }
 _TRANSCRIPTION_KEYS = (set(tr.TranscriptionConfig.__dataclass_fields__)
                        - {"variant", "x_init", "x_end"})
@@ -170,9 +176,9 @@ def _section(d, name):
     return dict(v)
 
 
-def _check_experiment(ex, p):
+def _check_experiment(ex):
     """Reject an experiment value that no verb can run with, naming its
-    key; ``p`` is the built plant's parameters."""
+    key."""
     for key, (what, test) in _EXPERIMENT_RULES.items():
         if not test(ex[key]):
             raise ValueError(
@@ -198,22 +204,17 @@ def _check_experiment(ex, p):
             and all(_vector(c, n_x) is not None for c in conditions)):
         raise ValueError(f"conditions must be one or more cart-pole states "
                          f"[x, theta, xdot, thetadot], got {conditions!r}")
-    for key, what in (("x_wall_range", "[low, high]"),
-                      ("e_range", "[low, high]"), ("catch_target", "[x, z]")):
-        if _vector(ex[key], 2) is None:
-            raise ValueError(f"{key} must be two numbers {what}, got "
-                             f"{ex[key]!r}")
     # the CartPoleEnv of each end of the sampled box
     for key, env_field in (("x_wall_range", "x_wall"), ("e_range", "e")):
+        if _vector(ex[key], 2) is None:
+            raise ValueError(f"{key} must be two numbers [low, high], got "
+                             f"{ex[key]!r}")
         lo, hi = ex[key]
         if not lo <= hi:
             raise ValueError(f"{key} [{lo}, {hi}] is reversed")
         for end in (lo, hi):
             _built(f"experiment {key} {ex[key]}", cartpole.CartPoleEnv,
                    **{env_field: end})
-    if isinstance(p, arm.ArmCatchParams):
-        _built(f"experiment catch_target {ex['catch_target']}",
-               arm.level_configuration, tuple(ex["catch_target"]), p)
 
 
 @dataclass
@@ -234,10 +235,9 @@ class RunConfig:
         name = self.plant["name"]
         if name not in _TRANSCRIPTION_DEFAULTS:
             raise ValueError(f"unknown plant '{name}'")
-        for key, cls in zip(("params", "env"), _PLANT_CLASSES[name]):
+        for key, known in zip(("params", "env"), _PLANT_KEYS[name]):
             self.plant[key] = _section(self.plant, key)
-            _reject_unknown(f"plant.{key}", self.plant[key],
-                            () if cls is None else cls.__dataclass_fields__)
+            _reject_unknown(f"plant.{key}", self.plant[key], known)
         q_default = _Q_DIAG_DEFAULTS[name]
         _reject_unknown("controller", self.controller, ("q_diag", "r"))
         self.controller = {"q_diag": q_default, "r": control.DEFAULT_R,
@@ -262,8 +262,8 @@ class RunConfig:
         # bounds, which no variant relaxes; the plant's fields
         nlp.SolverOpts(**self.solver)
         transcription_config(self, "sure", None, None)
-        _, p, _ = _built("plant", build_plant, self)
-        _check_experiment(self.experiment, p)
+        _built("plant", build_plant, self)
+        _check_experiment(self.experiment)
 
     # -- plant ---------------------------------------------------------
     @property
@@ -311,14 +311,17 @@ def load_config(path=None, overrides=None) -> RunConfig:
 
 
 def build_plant(cfg: RunConfig):
-    """Instantiate (adapter, params, env_or_None) for the configured plant."""
+    """Instantiate (adapter, params, env_or_None) for the configured plant.
+
+    The cart-pole params' copies of the env's fields take the env's
+    values, so the two agree.
+    """
     params = cfg.plant["params"]
     if cfg.plant_name == "cartpole":
-        p = dataclasses.replace(cartpole.CartPoleParams(), **params)
-        env = dataclasses.replace(cartpole.env_from_params(p),
-                                  **cfg.plant["env"])
+        env = cartpole.CartPoleEnv(**cfg.plant["env"])
+        p = cartpole.CartPoleParams(**params, **dataclasses.asdict(env))
         return CartPoleOcp(p, env), p, env
-    p = dataclasses.replace(arm.ArmCatchParams(), **params)
+    p = arm.ArmCatchParams(**params)
     return ArmCatchOcp(p), p, None
 
 

@@ -1,17 +1,18 @@
 """Hybrid dynamical system abstraction: flow, guard and impact law.
 
-The definition object is consumed by the contact simulator and by the
-tracking-gain design.  The guard sees time as well as the state (the
-arm's falling ball moves on its own clock); it is positive during free
-motion and crosses zero exactly at contact.
+A plant's ``PlantOcp`` adapter gives its definition (``system()``) to
+the contact simulator and the tracking-gain design.  The guard sees time
+as well as the state (the arm's falling ball moves on its own clock); it
+is positive during free motion and crosses zero exactly at contact.
 
 The definition carries the simulator's impact law.  The cart-pole's
 applies an instantaneous impulse, the closed-form solution of the
 frictional contact problem (``simulation.rigid_impact``); the arm's
 leaves the state unchanged, since the massless ball attaches.  The OCP side
-(``PlantOcp`` adapters, ``cartpole.impact_map``) instead models the
-cart-pole impact as a constant force over ``dt_impact``, which adds that
-interval's free-motion drift; the two laws differ by it.
+(``PlantOcp`` adapters, ``cartpole.impact_map``) instead gives each
+impact the adapter's interval ``dt_impact``; the cart-pole's is a
+constant force over it, which adds that interval's free-motion drift;
+the two laws differ by it.
 """
 
 from __future__ import annotations

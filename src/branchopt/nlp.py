@@ -46,6 +46,7 @@ patches ``nlp.least_squares`` to time and count the ``trf`` calls.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -190,10 +191,11 @@ class SolverOpts:
                                  f"least 1, got {value!r}")
         for name in ("tol_eq", "tol_ineq", "tol_stat"):
             value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Real) or not value > 0):
-                raise ValueError(f"solver {name} must be a positive number, "
-                                 f"got {value!r}")
+            # an infinite tolerance accepts every iterate
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0.0 < value < math.inf):
+                raise ValueError(f"solver {name} must be a positive finite "
+                                 f"number, got {value!r}")
 
 
 # -- block evaluation -------------------------------------------------------

@@ -25,8 +25,6 @@ __all__ = [
     "fk",
     "tip_positions",
     "translational_jacobian",
-    "mass_matrix",
-    "bias_vector",
     "forward_dynamics",
     "gravity_torque",
     "ball_state",
@@ -47,6 +45,7 @@ class ArmCatchParams:
     eps: float = 1e-3  # orientation / alignment inequality tolerance
     w_a: float = 1e-2  # accumulated joint-acceleration weight
     level_angle: float = 0.0  # absolute tool angle at which the container is level
+    catch_height: float = 0.3  # z of the catch point; its x is the drop line's
 
     def __post_init__(self):
         if len(self.lengths) != 3 or len(self.masses) != 3:
@@ -55,6 +54,17 @@ class ArmCatchParams:
             raise ValueError("lengths and masses must be positive")
         if self.r_ball < 0 or self.eps <= 0:
             raise ValueError("r_ball must be >= 0 and eps > 0")
+        try:
+            level_configuration(self.catch_point, self)
+        except ValueError as err:
+            raise ValueError(f"catch_height {self.catch_height!r}: {err}") \
+                from None
+
+    @property
+    def catch_point(self):
+        """Where the level container meets the ball: on the drop line, at
+        ``catch_height``."""
+        return self.p_ball0[0], self.catch_height
 
 
 def _abs_angles(q):
@@ -118,18 +128,24 @@ def _mass_matrix_abs(a, p: ArmCatchParams):
     return M
 
 
+def _gravity_abs(a, p: ArmCatchParams):
+    """Gravity vector in absolute angles."""
+    l = p.lengths
+    carried = (sum(p.masses), p.masses[1] + p.masses[2], p.masses[2])
+    return [carried[i] * p.g * l[i] * ad.cos(a[i]) for i in range(3)]
+
+
 def _bias_abs(a, adot, p: ArmCatchParams):
     """Coriolis/centrifugal + gravity vector in absolute angles."""
     l = p.lengths
     mu = _mu(p)
-    carried = (sum(p.masses), p.masses[1] + p.masses[2], p.masses[2])
+    grav = _gravity_abs(a, p)
     out = []
     for i in range(3):
         cor = 0.0
         for j in range(3):
             cor = cor + mu[i][j] * l[i] * l[j] * ad.sin(a[i] - a[j]) * adot[j] * adot[j]
-        grav = carried[i] * p.g * l[i] * ad.cos(a[i])
-        out.append(cor + grav)
+        out.append(cor + grav[i])
     return out
 
 
@@ -171,28 +187,12 @@ def forward_dynamics(q, qd, tau, p: ArmCatchParams):
     return [addot[0], addot[1] - addot[0], addot[2] - addot[1]]
 
 
-def mass_matrix(q, p: ArmCatchParams):
-    """Joint-space mass matrix M_q = Lᵀ M_a L (numeric)."""
-    q = np.asarray(q, dtype=float)
-    a = np.cumsum(q)
-    Ma = np.array(_mass_matrix_abs(a, p), dtype=float)
-    L = np.tril(np.ones((3, 3)))
-    return L.T @ Ma @ L
-
-
-def bias_vector(q, qd, p: ArmCatchParams):
-    """Joint-space Coriolis + gravity vector H(q, q̇) (numeric)."""
-    q = np.asarray(q, dtype=float)
-    qd = np.asarray(qd, dtype=float)
-    a, adot = np.cumsum(q), np.cumsum(qd)
-    ha = np.array(_bias_abs(a, adot, p), dtype=float)
-    L = np.tril(np.ones((3, 3)))
-    return L.T @ ha
-
-
 def gravity_torque(q, p: ArmCatchParams):
-    """Joint torque that holds the arm static at q."""
-    return bias_vector(q, np.zeros(3), p)
+    """Joint torque that holds the arm static at q: Lᵀ times the gravity
+    vector in absolute angles (numeric)."""
+    a = np.cumsum(np.asarray(q, dtype=float))
+    ha = np.array(_gravity_abs(a, p), dtype=float)
+    return np.tril(np.ones((3, 3))).T @ ha
 
 
 # -- ball ballistics -----------------------------------------------------------
@@ -250,7 +250,7 @@ def level_configuration(p_target, p: ArmCatchParams):
     r2 = wx * wx + wz * wz
     c2 = (r2 - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
     if not -1.0 <= c2 <= 1.0:
-        raise ValueError("target out of reach")
+        raise ValueError(f"target ({p_target[0]}, {p_target[1]}) out of reach")
     s2 = -math.sqrt(1.0 - c2 * c2)  # elbow up
     q2 = math.atan2(s2, c2)
     q1 = math.atan2(wz, wx) - math.atan2(l2 * s2, l1 + l2 * c2)

@@ -19,7 +19,10 @@ from .arm import (
     ee_velocity,
     fk,
     forward_dynamics,
+    gravity_torque,
     guard,
+    level_configuration,
+    make_system,
 )
 
 V_LIM_FLOOR = 1e-6  # keeps the sqrt cost residual differentiable
@@ -30,9 +33,17 @@ class ArmCatchOcp(PlantOcp):
     n_u = 3
     n_cost_residuals = 3  # one smoothness residual per joint
     clearance_after_contact = False  # the ball attaches; no post-catch guard
+    dt_impact = 1e-3  # the interval the catch occupies
 
     def __init__(self, params: ArmCatchParams = None):
         self.p = params if params is not None else ArmCatchParams()
+        # at rest with the level container at the catch point
+        q = level_configuration(self.p.catch_point, self.p)
+        self.target = np.concatenate([q, np.zeros(3)])
+        self.hold = gravity_torque(q, self.p)
+
+    def system(self):
+        return make_system(self.p)
 
     # -- core residuals --------------------------------------------------------
 

@@ -38,6 +38,10 @@ class CartPoleParams:
             raise ValueError("masses, pole length and cart width must be positive")
         if self.mu < 0 or not 0.0 <= self.e <= 1.0:
             raise ValueError("need mu >= 0 and e in [0, 1]")
+        if not 0.0 < self.dt_impact < math.inf:
+            # the branch seed's force is the impulse over dt_impact
+            raise ValueError(f"dt_impact must be a positive finite number, "
+                             f"got {self.dt_impact!r}")
 
 
 @dataclass(frozen=True)

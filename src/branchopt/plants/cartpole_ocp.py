@@ -14,7 +14,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..transcription import PlantOcp, STRICT_EPS
 from .cartpole import (CartPoleEnv, CartPoleParams, X_EQ, accel,
-                       env_from_params, guard, impact_map)
+                       env_from_params, guard, impact_map, make_system)
 
 CONE_SMOOTHING = 1e-8
 # running-cost weights on the state's deviation from upright and the input
@@ -29,15 +29,23 @@ class CartPoleOcp(PlantOcp):
     def __init__(self, params: CartPoleParams = None, env: CartPoleEnv = None):
         self.p = params if params is not None else CartPoleParams()
         self.env = env if env is not None else env_from_params(self.p)
-        self.x_eq = X_EQ.copy()
+        self.target = X_EQ.copy()  # upright and at rest, unforced
+        self.hold = np.zeros(1)
 
     # -- shared hooks --------------------------------------------------------
 
     n_cost_residuals = 5
 
+    @property
+    def dt_impact(self):
+        return self.p.dt_impact
+
+    def system(self):
+        return make_system(self.p, self.env)
+
     def node_cost(self, x, u, scale):
         out = [
-            scale * np.sqrt(W_STATE[i]) * (x[i] - self.x_eq[i])
+            scale * np.sqrt(W_STATE[i]) * (x[i] - self.target[i])
             for i in range(4)
         ]
         out.append(scale * np.sqrt(W_TAU) * u[0])

@@ -75,9 +75,13 @@ class TranscriptionConfig:
             # (YAML's on, yes, true) is not a time step
             raise ValueError(
                 f"dt_min must be a positive number, got {self.dt_min!r}")
-        if self.dt_min > self.dt_max:
-            raise ValueError(
-                f"dt_min {self.dt_min} exceeds dt_max {self.dt_max}")
+        if not self.dt_min <= self.dt_max < math.inf:
+            # the default guess's time steps are the bounds' midpoint
+            raise ValueError(f"dt_max {self.dt_max} must be finite and at "
+                             f"least dt_min {self.dt_min}")
+        if not 0.0 <= self.d_fixed < math.inf:
+            raise ValueError(f"d_fixed must be a finite number >= 0, got "
+                             f"{self.d_fixed!r}")
 
     @property
     def contact_node(self):
@@ -296,9 +300,14 @@ class PlantOcp:
     """Adapter interface a plant implements to participate in transcription.
 
     Residual callbacks receive recorded (``autodiff.Node``) or float
-    values; index rows are int arrays with one row per node.  The 12
+    values; index rows are int arrays with one row per node.  The 16
     hooks:
 
+    * ``target`` / ``hold`` -- the state every solve ends at, and the
+      input that holds it there; the tracking gains are designed about it.
+    * ``system()`` -- the plant's ``HybridSystemDef``.
+    * ``dt_impact`` -- the interval an impact occupies: the pinned step
+      of the node it leaves from, and the robust reference's impact step.
     * ``n_cost_residuals`` -- outputs of ``node_cost`` per node.
     * ``clearance_after_contact`` -- whether the guard stays positive
       after contact (after the contact node of the unbranched problem,
@@ -322,6 +331,12 @@ class PlantOcp:
     n_u: int
     n_cost_residuals: int = 1
     clearance_after_contact = True
+    target: np.ndarray
+    hold: np.ndarray
+    dt_impact: float
+
+    def system(self):
+        raise NotImplementedError
 
     def register_variables(self, lb: LayoutBuilder, cfg):
         """Claim plant-specific auxiliary variables (forces, times, ...)."""
@@ -411,7 +426,8 @@ def _skip_node(cfg):
     """Common node whose outgoing interval is replaced by the impact.
 
     Its time step drives nothing (no dynamics defect uses it), so it is
-    excluded from the running cost and pinned by the builder.
+    excluded from the running cost and pinned by the builder to the
+    adapter's ``dt_impact``.
     """
     if cfg.variant == "nominal":
         return cfg.contact_node
@@ -554,7 +570,7 @@ def build(adapter: PlantOcp, cfg: TranscriptionConfig):
     skip = _skip_node(cfg)
     builder.set_bounds(arrays["dt"], cfg.dt_min, cfg.dt_max)
     if skip is not None:
-        builder.fix(arrays["dt"][skip], cfg.dt_min)
+        builder.fix(arrays["dt"][skip], adapter.dt_impact)
     if layout.n_branches:
         builder.set_bounds(arrays["bdt"], cfg.dt_min, cfg.dt_max)
     builder.fix(arrays["x"][0], np.asarray(cfg.x_init, dtype=float))

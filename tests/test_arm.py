@@ -2,15 +2,22 @@
 
 The dynamics oracle rebuilds the equations of motion from scratch out of
 the Cartesian point-mass Lagrangian using finite-difference kinematics
-only — no shared code with the plant's absolute-angle formulation.
+only — no shared code with the plant's absolute-angle formulation.  The
+joint-space matrix path (``_mass_matrix``, ``_bias_vector``) maps the
+plant's absolute-angle terms to joint space, as a second check of the
+forward dynamics.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from branchopt import autodiff as ad
+from branchopt import nlp
+from branchopt import transcription as tr
 from branchopt.plants import arm
 from branchopt.plants.arm import ArmCatchParams
 from branchopt.plants.arm_ocp import ArmCatchOcp
@@ -102,11 +109,27 @@ def test_forward_dynamics_matches_lagrangian_oracle():
         assert qdd == pytest.approx(qdd_star, rel=1e-9, abs=1e-9)
 
 
+_L = np.tril(np.ones((3, 3)))  # joint angles to absolute angles
+
+
+def _mass_matrix(q, p):
+    """Joint-space mass matrix M_q = Lᵀ M_a L (numeric)."""
+    a = np.cumsum(np.asarray(q, dtype=float))
+    return _L.T @ np.array(arm._mass_matrix_abs(a, p), dtype=float) @ _L
+
+
+def _bias_vector(q, qd, p):
+    """Joint-space Coriolis + gravity vector H(q, q̇) = Lᵀ h_a (numeric)."""
+    a = np.cumsum(np.asarray(q, dtype=float))
+    adot = np.cumsum(np.asarray(qd, dtype=float))
+    return _L.T @ np.array(arm._bias_abs(a, adot, p), dtype=float)
+
+
 def test_mass_matrix_matches_jacobian_form_and_is_spd():
     rng = np.random.default_rng(7)
     for _ in range(200):
         q = rng.uniform(-np.pi, np.pi, 3)
-        M = arm.mass_matrix(q, P)
+        M = _mass_matrix(q, P)
         assert M == pytest.approx(M.T, abs=1e-12)
         assert np.all(np.linalg.eigvalsh(M) > 0)
         assert M == pytest.approx(_mass_matrix_oracle_float(q, P), abs=1e-12)
@@ -121,7 +144,7 @@ def test_joint_space_equation_residual():
         qd = rng.uniform(-4, 4, 3)
         tau = rng.uniform(-20, 20, 3)
         qdd = np.array([float(v) for v in arm.forward_dynamics(q, qd, tau, P)])
-        resid = arm.mass_matrix(q, P) @ qdd + arm.bias_vector(q, qd, P) - tau
+        resid = _mass_matrix(q, P) @ qdd + _bias_vector(q, qd, P) - tau
         assert resid == pytest.approx(np.zeros(3), abs=1e-8)
 
 
@@ -135,9 +158,18 @@ def test_gravity_torque_holds_arm_static():
         assert qdd == pytest.approx(np.zeros(3), abs=1e-9)
 
 
+def test_gravity_torque_is_the_bias_at_rest_bit_for_bit():
+    # the pinned arm gains are designed under it
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        q = rng.uniform(-np.pi, np.pi, 3)
+        assert (arm.gravity_torque(q, P).tobytes()
+                == _bias_vector(q, np.zeros(3), P).tobytes())
+
+
 def _total_energy(state, p):
     q, qd = np.asarray(state[:3], float), np.asarray(state[3:6], float)
-    kin = 0.5 * qd @ arm.mass_matrix(q, p) @ qd
+    kin = 0.5 * qd @ _mass_matrix(q, p) @ qd
     tips = arm.tip_positions(q, p)
     pot = sum(m * p.g * tip[1] for m, tip in zip(p.masses, tips))
     return float(kin + pot)
@@ -267,3 +299,27 @@ def test_param_validation():
         ArmCatchParams(masses=(1.0, -1.0, 0.3))
     with pytest.raises(ValueError):
         ArmCatchParams(eps=0.0)
+    with pytest.raises(ValueError, match="catch_height 1.0: .* out of reach"):
+        ArmCatchParams(catch_height=1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=st.floats(-0.8, 0.8), z=st.floats(-0.8, 0.8))
+def test_target_is_level_on_the_drop_line_at_both_fixed_nodes(x, z):
+    # the arm's solves start and end at its target, so a target off the
+    # drop line or not level makes every arm problem infeasible
+    try:
+        p = ArmCatchParams(p_ball0=(x, 1.0), catch_height=z)
+    except ValueError:
+        assume(False)
+    adapter = ArmCatchOcp(p)
+    cfg = tr.TranscriptionConfig(N=6, k_first=3, k_last=3,
+                                 x_init=adapter.target, x_end=adapter.target)
+    problem, layout = tr.build(adapter, cfg)
+    values = tr.default_initial_guess(adapter, layout)
+    ends = layout.arrays["x"][[0, cfg.N]]
+    assert np.array_equal(problem.lower[ends], values[ends])
+    assert np.array_equal(problem.upper[ends], values[ends])
+    for block in problem.ineq_blocks:
+        if block.name in ("drop_line_alignment", "container_level"):
+            assert np.all(nlp.block_values(block, values)[[0, cfg.N]] <= 0.0)

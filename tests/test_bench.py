@@ -10,6 +10,7 @@ import pytest
 from branchopt import bench, config, control, pipeline, simulation
 from branchopt import transcription as tr
 from branchopt.plants import arm
+from branchopt.plants.arm_ocp import ArmCatchOcp
 from branchopt.transcription import Trajectory
 
 import record
@@ -64,11 +65,11 @@ def cartpole_case(recorded, case):
     """The scheduling reference of condition 0 for 2 s: at the default
     wall it makes one contact and balances, at -0.6 m the pole falls."""
     run = config.RunConfig(experiment={"horizon": 2.0})
-    _, p, env = config.build_plant(run)
+    adapter, _, _ = config.build_plant(run)
     bundle = tr.bundle_from_dict(recorded["scheduling_bundle"])
     env_over = {} if case["x_wall"] is None else {"x_wall": case["x_wall"]}
     trace, _ = bench.cartpole_rollout(
-        run, bundle, run.conditions[0], bench._controller_gains(run, p, env),
+        run, bundle, run.conditions[0], bench._controller_gains(run, adapter),
         **env_over)
     return {**case, **rollout_record(trace)}
 
@@ -77,18 +78,17 @@ def fixed_reference_case(recorded, case):
     """The condition-0 nominal (the pole falls) and robust_nominal (one
     contact, then it balances) references for 2 s at the default wall."""
     run = config.RunConfig(experiment={"horizon": 2.0})
-    _, p, env = config.build_plant(run)
+    adapter, _, _ = config.build_plant(run)
     ref = Trajectory(**recorded[f"{case['reference']}_reference"])
     trace, _ = bench.cartpole_rollout(
-        run, ref, run.conditions[0], bench._controller_gains(run, p, env))
+        run, ref, run.conditions[0], bench._controller_gains(run, adapter))
     return {**case, **rollout_record(trace)}
 
 
 def _held_level_reference(p):
-    q0 = arm.level_configuration((0.0, 0.3), p)
-    x0 = np.concatenate([q0, np.zeros(3)])
-    return Trajectory(states=np.array([x0, x0]),
-                      inputs=arm.gravity_torque(q0, p)[None, :],
+    adapter = ArmCatchOcp(p)  # the arm held at its target
+    return Trajectory(states=np.array([adapter.target, adapter.target]),
+                      inputs=adapter.hold[None, :],
                       dts=np.array([1.5]))
 
 
@@ -172,13 +172,11 @@ def test_arm_default_gains_hold_the_level_pose_through_every_catch():
     # catch pose catches the ball at the sweep's extreme and nominal
     # drop heights
     run = config.RunConfig(plant={"name": "arm"})
-    _, p, _ = config.build_plant(run)
-    gains = bench._controller_gains(run, p, None)
-    x_eq = bench.catch_pose(run, p)
+    adapter, p, _ = config.build_plant(run)
+    gains = bench._controller_gains(run, adapter)
     dt_sim = run.experiment["dt_sim"]
-    assert bench._rk4_growth(arm.make_system(p), x_eq,
-                             arm.gravity_torque(x_eq[:3], p), gains,
-                             dt_sim) < 1.0
+    assert bench._rk4_growth(adapter.system(), adapter.target, adapter.hold,
+                             gains, dt_sim) < 1.0
     z, half = p.p_ball0[1], run.experiment["sweep_half_range"]
     for h0 in (z - half, z, z + half):
         tc, dv = bench._catch_speed(p, _held_level_reference(p), gains, h0,

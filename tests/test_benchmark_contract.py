@@ -60,8 +60,7 @@ def test_rollouts_replay_with_the_studys_gains():
     # default config they are the Monte-Carlo study's, bit for bit
     setup = workloads.setup_rollouts(trials=[])
     run = config.load_config(None)
-    _, p, env = config.build_plant(run)
-    gains = bench._controller_gains(run, p, env)
+    gains = bench._controller_gains(run, config.build_plant(run)[0])
     assert setup.gains.k_p.tobytes() == gains.k_p.tobytes()
     assert setup.gains.k_d.tobytes() == gains.k_d.tobytes()
 

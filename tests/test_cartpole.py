@@ -162,6 +162,8 @@ def test_param_validation():
         cartpole.CartPoleParams(e=1.5)
     with pytest.raises(ValueError):
         cartpole.CartPoleEnv(e=-0.1)
+    with pytest.raises(ValueError, match="dt_impact"):
+        cartpole.CartPoleParams(dt_impact=0.0)
 
 
 # -- the simulator's float callbacks -------------------------------------------

@@ -76,12 +76,27 @@ def test_overrides_replace_experiment_keys(tmp_path):
     # the nominal contact is the middle node of the branching window
     ("transcription:\n  contact_node: 20\n", "transcription",
      "contact_node"),
+    # the arm's catch point is plant.params.catch_height on the drop line
+    ("experiment:\n  catch_target: [0.0, 0.3]\n", "experiment",
+     "catch_target"),
+    # the wall, restitution and friction are plant.env's alone
+    ("plant:\n  params: {mu: 0.5}\n", "plant.params", "mu"),
 ], ids=["plant", "controller", "experiment", "top-level", "sweep_d",
         "cartpole-params", "cartpole-env", "arm-params", "arm-env",
-        "variant", "x_init", "x_end", "contact_node"])
+        "variant", "x_init", "x_end", "contact_node", "catch_target",
+        "cartpole-params-mu"])
 def test_rejects_unknown_keys(tmp_path, text, where, key):
     with pytest.raises(ValueError, match=f"unknown {where} keys: .*{key}"):
         config.load_config(_write(tmp_path, text))
+
+
+def test_cartpole_params_take_the_env_values():
+    # the benchmark harness reads the friction from the params, the
+    # simulator from the env; a config sets each value once, in plant.env
+    run = config.RunConfig(plant={"env": {"x_wall": -0.45, "mu": 0.5}})
+    _, p, env = config.build_plant(run)
+    assert (p.x_wall, p.e, p.mu) == (env.x_wall, env.e, env.mu) == (
+        -0.45, 0.8, 0.5)
 
 
 def test_run_config_rejects_unknown_section_keys():
@@ -122,6 +137,8 @@ def test_solver_opts_pass_yaml_keys_through(tmp_path):
     # and on, yes and true as True, which numbers.Integral accepts
     ("max_inner", "on"), ("max_outer", "yes"), ("tol_stat", "yes"),
     ("tol_eq", "true"),
+    # every feasible iterate would report "converged"
+    ("tol_stat", ".inf"),
 ])
 def test_rejects_solver_values_that_break_a_solve(tmp_path, key, text):
     # max_outer 0 would return a solution with no KKT record
@@ -177,9 +194,12 @@ def test_rejects_a_window_outside_the_horizon_at_load(tmp_path):
     # the tree variant, which only tradeoff and solve --variant tree build
     ("transcription: {n_branch_full: 0}\n", None, "n_branch_full"),
     # level_configuration's "target out of reach", in the sweep
-    ("plant: {name: arm}\nexperiment: {catch_target: [1.0, 1.0]}\n", None,
-     "catch_target"),
-], ids=["e_range", "seed", "conditions", "n_branch_full", "catch_target"])
+    ("plant: {name: arm, params: {catch_height: 1.0}}\n", None,
+     "catch_height"),
+    # a division by zero in seeding the branches, after the nominal stage
+    ("plant: {params: {dt_impact: 0.0}}\n", None, "dt_impact"),
+], ids=["e_range", "seed", "conditions", "n_branch_full", "catch_height",
+        "dt_impact"])
 def test_rejects_at_load_a_setting_that_failed_after_the_solves(
         tmp_path, text, overrides, key):
     with pytest.raises(ValueError, match=key):
@@ -192,8 +212,7 @@ BAD_EXPERIMENT = {
     "dt_sim": -1e-3, "x_wall_range": [-0.3, -0.7], "e_range": [0.7, 1.2],
     "debounce_window": -0.01, "final_tol": [0.05, 0.05, 0.1],
     "conditions": [[0.0, 3.14, 0.0]], "n_r_values": [0, 4],
-    "post_impact_budget": 0, "catch_target": [0.0, float("nan")],
-    "sweep_heights": 0, "sweep_half_range": -0.2,
+    "post_impact_budget": 0, "sweep_heights": 0, "sweep_half_range": -0.2,
 }
 
 
@@ -250,6 +269,8 @@ def test_cli_solve_takes_the_arm_boundary_from_the_catch_pose(tmp_path):
     assert payload["plant"] == "arm"
     states = payload["bundle"]["common"]["states"]
     assert len(states) == 13 and {len(row) for row in states} == {6}
+    target = config.build_plant(config.load_config(path))[0].target
+    assert states[0] == states[-1] == target.tolist()
 
 
 def test_cli_simulate_stops_a_falling_rollout(tmp_path, capsys):

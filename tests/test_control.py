@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from branchopt import bench, config, control
-from branchopt.plants import arm, cartpole
+from branchopt import config, control
+from branchopt.plants import cartpole
 from branchopt.transcription import SolutionBundle, Trajectory
 
 
@@ -63,13 +63,8 @@ def _default_design(plant):
     """(A, B, Q, r) of the plant's default gain design: linearized about
     the state its solves end at, under the input that holds it there."""
     run = config.RunConfig(plant={"name": plant})
-    _, p, env = config.build_plant(run)
-    if plant == "cartpole":
-        sys, x, u = cartpole.make_system(p, env), cartpole.X_EQ, np.zeros(1)
-    else:
-        x = bench.catch_pose(run, p)
-        sys, u = arm.make_system(p), arm.gravity_torque(x[:3], p)
-    A, B = control.linearize(sys, x, u)
+    adapter, _, _ = config.build_plant(run)
+    A, B = control.linearize(adapter.system(), adapter.target, adapter.hold)
     return A, B, np.diag(run.controller["q_diag"]), run.controller["r"]
 
 

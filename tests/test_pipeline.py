@@ -77,9 +77,9 @@ def _no_build(*args, **kwargs):
 def test_failed_nominal_stage_is_returned_without_a_branched_build(
         monkeypatch, variant, solve):
     run = config.RunConfig(plant={"name": "arm"}, transcription=FAILING_ARM)
-    adapter, p, _ = config.build_plant(run)
-    pose = bench.catch_pose(run, p)
-    cfg = config.transcription_config(run, variant, pose, pose)
+    adapter, _, _ = config.build_plant(run)
+    cfg = config.transcription_config(run, variant, adapter.target,
+                                      adapter.target)
     monkeypatch.setattr(tr, "build_sure", _no_build)
     monkeypatch.setattr(tr, "build_tree", _no_build)
     res = solve(adapter, cfg, FAILING_OPTS)

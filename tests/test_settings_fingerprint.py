@@ -44,13 +44,14 @@ CONFIGS = {
                        "n_r_values": [5, 9], "post_impact_budget": 40},
     },
     "arm_overrides": {
-        "plant": {"name": "arm", "params": {"r_ball": 0.04, "w_a": 0.02}},
+        "plant": {"name": "arm", "params": {"r_ball": 0.04, "w_a": 0.02,
+                                            "catch_height": 0.32}},
         "transcription": {"N": 36, "k_first": 15, "k_last": 21,
                           "n_rejoin": 6, "d_fixed": 0.1, "dt_max": 0.04},
         "solver": {"max_inner": 300},
         "controller": {"q_diag": [20, 1, 20, 1, 5, 0.5], "r": 0.2},
-        "experiment": {"dt_sim": 5e-4, "catch_target": [0.05, 0.3],
-                       "sweep_heights": 5, "sweep_half_range": 0.1},
+        "experiment": {"dt_sim": 5e-4, "sweep_heights": 5,
+                       "sweep_half_range": 0.1},
     },
 }
 
@@ -185,9 +186,9 @@ def _capture(name, tmp_path):
         _run_trial((run, spec, None, None))
 
     def gains(mp, log):
-        _, p, env = config.build_plant(run)
+        adapter, p, env = config.build_plant(run)
         log.append(["controller_gains",
-                    _gains(bench._controller_gains(run, p, env))])
+                    _gains(bench._controller_gains(run, adapter))])
         log.append(["design_gains", _gains(control.design_gains(
             cartpole.make_system(p, env), cartpole.X_EQ))])
 
@@ -251,11 +252,17 @@ def test_the_nominal_variant_is_the_first_stage_of_the_branched_solve(
     # cli solve --variant nominal, the Monte-Carlo study's nominal
     # reference and the staged solves' first stage solve one problem
     _, run = _load(name, tmp_path)
-    if run.plant_name == "cartpole":
-        x_init, x_end = run.conditions[0], bench.X_END
-    else:
-        x_init = x_end = bench.catch_pose(run, config.build_plant(run)[1])
+    x_end = config.build_plant(run)[0].target
+    x_init = run.conditions[0] if run.plant_name == "cartpole" else x_end
     nominal = config.transcription_config(run, "nominal", x_init, x_end)
     first_stage = pipeline.nominal_stage_config(
         config.transcription_config(run, "sure", x_init, x_end))
     assert _json(nominal) == _json(first_stage)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_the_hold_input_holds_the_target(name):
+    # the gains are designed, and the solves end, at an equilibrium
+    adapter, _, _ = config.build_plant(config.RunConfig(**CONFIGS[name]))
+    drift = adapter.system().state_derivative(adapter.target, adapter.hold)
+    assert np.max(np.abs(drift)) <= control.EQ_TOL

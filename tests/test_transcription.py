@@ -101,12 +101,15 @@ def test_config_validation():
 @pytest.mark.parametrize("variant, key, value", [
     ("sure", "n_rejoin", 0), ("tree", "n_branch_full", 0),
     ("nominal", "dt_min", 0.2), ("nominal", "dt_min", 0.0),
-    ("sure", "dt_min", -1e-3)])
+    ("sure", "dt_min", -1e-3), ("nominal", "dt_max", math.inf),
+    ("sure", "d_fixed", math.nan), ("sure", "d_fixed", -0.05)])
 def test_config_rejects_empty_branches_and_reversed_dt_bounds(variant, key,
                                                               value):
     # an empty branch used to build a problem that crashed on its first
     # evaluation; reversed dt bounds failed only inside NlpProblem; at a
-    # dt of 0 the running cost's sqrt(dt) has an infinite derivative
+    # dt of 0 the running cost's sqrt(dt) has an infinite derivative; an
+    # infinite dt_max made the default guess's steps infinite; a NaN or
+    # negative d_fixed went into every branched build's guard pins
     with pytest.raises(ValueError, match=key):
         _cfg(variant, **{key: value})
 
@@ -153,9 +156,11 @@ def test_dt_bounds_applied():
     for i in free:
         assert problem.lower[layout.arrays["dt"][i]] == pytest.approx(2e-3)
         assert problem.upper[layout.arrays["dt"][i]] == pytest.approx(4e-2)
-    # the interval replaced by the impact is pinned
+    # the interval replaced by the impact is pinned to the plant's impact
+    # interval, whatever dt_min is
     pinned = layout.arrays["dt"][5]
     assert problem.lower[pinned] == problem.upper[pinned]
+    assert problem.lower[pinned] == CartPoleOcp().dt_impact
 
 
 def test_normal_force_bounded_positive():

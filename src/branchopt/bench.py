@@ -8,6 +8,8 @@ sorted before writing.  The studies check no setting: ``RunConfig``
 rejects a bad one at load, before any solve.  Nor do they define a plant's
 boundary: every solve ends at the adapter's ``target``, the gains hold it
 under ``hold``, and the robust reference's impact takes ``dt_impact``.
+Every study, and ``cli solve``, solves through ``_solve``, and a failed
+solve names the stage it stopped at.
 """
 
 from __future__ import annotations
@@ -134,6 +136,24 @@ def evaluate_trial(trace, spec: TrialSpec, tolerances, params,
     )
 
 
+def _solve(run: cfgmod.RunConfig, adapter, variant, x_init, **over):
+    """The configured ``variant`` from ``x_init`` to ``adapter.target``,
+    with ``over`` replacing transcription keys, solved under the
+    configured solver options."""
+    cfg = cfgmod.transcription_config(run, variant, x_init, adapter.target,
+                                      **over)
+    return pipeline.solve(adapter, cfg, cfgmod.solver_opts(run))
+
+
+def _require_converged(res, what, where=""):
+    """Raise unless the staged solve ``res`` converged, naming the stage
+    that failed: one whose unbranched stage failed has no ``nominal``."""
+    if res.solution.status != "converged":
+        stage = "branched" if res.nominal is not None else "unbranched"
+        raise RuntimeError(f"{stage} {what} failed "
+                           f"({res.solution.status}){where}")
+
+
 # -- reference construction --------------------------------------------------
 
 
@@ -146,13 +166,9 @@ def _solve_condition(args):
     """
     run, x_init = args
     adapter, _, _ = cfgmod.build_plant(run)
-    opts = cfgmod.solver_opts(run)
-    cfg = cfgmod.transcription_config(run, "sure", x_init, adapter.target)
-    res = pipeline.solve_sure(adapter, cfg, opts)
-    if res.solution.status != "converged":
-        raise RuntimeError(
-            f"branched solve failed ({res.solution.status}) for "
-            f"condition {np.array2string(np.asarray(x_init))}")
+    res = _solve(run, adapter, "sure", x_init)
+    _require_converged(res, "solve", " for condition "
+                       + np.array2string(np.asarray(x_init)))
     robust = tr.robust_nominal_branch(res.bundle,
                                       dt_impact=adapter.dt_impact)
     return dict(zip(REFERENCE_TYPES, (res.nominal.common, robust, res.bundle)))
@@ -172,10 +188,10 @@ def cartpole_rollout(run: cfgmod.RunConfig, reference, x0, gains, **env_over):
     ``x_wall``/``e``); the experiment's ``horizon`` and ``dt_sim`` set the
     rollout, which stops when the pole falls.  Returns (trace, params).
     """
-    _, p, env = cfgmod.build_plant(run)
+    adapter, p, env = cfgmod.build_plant(run)
     env = dataclasses.replace(env, **env_over)
     trace = simulation.simulate(
-        cartpole.make_system(p, env),
+        adapter.system(),
         control.TrackingController(reference, gains), x0, env=env,
         horizon=float(run.experiment["horizon"]),
         dt_sim=float(run.experiment["dt_sim"]), stop_condition=pole_fell)
@@ -291,33 +307,27 @@ def _pmap(fn, items, workers):
 # -- optimality / computation trade-off --------------------------------------
 
 
+# each cell kind: its formulation, the name of its number ``n``, and its
+# transcription overrides at ``n``, given ``k_last`` and the node budget
+_TRADEOFF_KINDS = {
+    "sure": ("sure", "n_r", lambda n, k_last, budget: {
+        "N": k_last + 1 + budget - n, "n_rejoin": n}),
+    "tree": ("tree", "n_r", lambda n, k_last, budget: {
+        "N": k_last + 1 + budget, "n_branch_full": budget}),
+    # exact-knowledge reference: contact node known in advance
+    "baseline": ("nominal", "node", lambda n, k_last, budget: {
+        "N": n + 1 + budget, "k_first": n, "k_last": n}),
+}
+
+
 def _tradeoff_cell(args):
     """One (condition, formulation) solve for the trade-off sweep."""
-    run, x_init, kind, n_r, budget = args
-    adapter, _, _ = cfgmod.build_plant(run)
-    opts = cfgmod.solver_opts(run)
-    k_last = run.transcription["k_last"]
-    x_end = adapter.target
-    if kind == "sure":
-        cfg = cfgmod.transcription_config(
-            run, "sure", x_init, x_end,
-            N=k_last + 1 + budget - n_r, n_rejoin=n_r)
-        res = pipeline.solve_sure(adapter, cfg, opts)
-    elif kind == "tree":
-        cfg = cfgmod.transcription_config(
-            run, "tree", x_init, x_end,
-            N=k_last + 1 + budget, n_branch_full=budget)
-        res = pipeline.solve_tree(adapter, cfg, opts)
-    elif kind == "baseline":
-        # exact-knowledge reference: contact node known in advance
-        cfg = cfgmod.transcription_config(
-            run, "nominal", x_init, x_end,
-            N=n_r + 1 + budget, k_first=n_r, k_last=n_r)
-        res = pipeline.solve_nominal(adapter, cfg, opts)
-    else:
-        raise ValueError(kind)
+    run, x_init, kind, n = args
+    variant, label, over = _TRADEOFF_KINDS[kind]
+    res = _solve(run, cfgmod.build_plant(run)[0], variant, x_init, **over(
+        n, run.transcription["k_last"], run.experiment["post_impact_budget"]))
     s = res.solution
-    return {"kind": kind, "n_r": n_r, "cost": float(s.objective_value),
+    return {"kind": kind, label: n, "cost": float(s.objective_value),
             "wall_time": float(s.wall_time), "status": s.status}
 
 
@@ -339,21 +349,19 @@ def tradeoff(run: cfgmod.RunConfig, include_baseline=False, progress=None):
     conditions = run.conditions
     n_r_values = run.experiment["n_r_values"]
     budget = run.experiment["post_impact_budget"]
+    k_first, k_last = run.transcription["k_first"], run.transcription["k_last"]
 
-    cells = []
-    for state in conditions:
-        x0 = [float(v) for v in state]
-        for n_r in n_r_values:
-            cells.append((run, x0, "sure", n_r, budget))
-        cells.append((run, x0, "tree", budget, budget))
-        if include_baseline:
-            for node in range(run.transcription["k_first"],
-                              run.transcription["k_last"] + 1):
-                cells.append((run, x0, "baseline", node, budget))
+    # each kind's numbers; the cells run condition by condition
+    numbers = {"sure": n_r_values, "tree": [budget],
+               "baseline": range(k_first, k_last + 1) if include_baseline
+               else []}
+    cells = [(run, [float(v) for v in state], kind, n) for state in conditions
+             for kind, ns in numbers.items() for n in ns]
     results = _pmap(_tradeoff_cell, cells, run.experiment["workers"])
     if progress:
         for r in results:
-            progress(f"{r['kind']} n_r={r['n_r']}: cost {r['cost']:.4f} "
+            label = _TRADEOFF_KINDS[r["kind"]][1]
+            progress(f"{r['kind']} {label}={r[label]}: cost {r['cost']:.4f} "
                      f"({r['status']}, {r['wall_time']:.0f}s)")
 
     rows = []
@@ -392,7 +400,7 @@ def _avg_row(kind, n_r, cell):
 # -- catch-speed sweep (arm plant) -------------------------------------------
 
 
-def _catch_speed(p, reference, gains, z0, dt_sim):
+def _catch_speed(adapter, reference, gains, z0, dt_sim):
     """Track ``reference`` while a ball falls from height ``z0``.
 
     Returns the contact time and the relative speed of ball and end
@@ -400,13 +408,14 @@ def _catch_speed(p, reference, gains, z0, dt_sim):
     1.5 s.  The ball follows its closed form, so contact timing
     reflects the actual drop height, not the planned one.
     """
+    p = adapter.p
     env = dataclasses.replace(p, p_ball0=(p.p_ball0[0], z0))
 
     def caught(t, state, n_events):
         return "caught" if n_events else None
 
     trace = simulation.simulate(
-        arm.make_system(p), control.TrackingController(reference, gains),
+        adapter.system(), control.TrackingController(reference, gains),
         reference.states[0], env=env,
         horizon=1.5, dt_sim=dt_sim, stop_condition=caught)
     if not trace.contact_events:
@@ -417,7 +426,7 @@ def _catch_speed(p, reference, gains, z0, dt_sim):
     return ev.time, float(math.hypot(bvx - vx, bvz - vz))
 
 
-def _replay_drops(p, refs, gains, heights, dt_sim, progress=None):
+def _replay_drops(adapter, refs, gains, heights, dt_sim, progress=None):
     """Catch each reference's ball from every drop height.
 
     Returns the table rows and each reference's largest catch speed;
@@ -427,7 +436,7 @@ def _replay_drops(p, refs, gains, heights, dt_sim, progress=None):
     max_dv = {}
     for name, ref in refs.items():
         for h0 in heights:
-            tc, dv = _catch_speed(p, ref, gains, float(h0), dt_sim)
+            tc, dv = _catch_speed(adapter, ref, gains, float(h0), dt_sim)
             rows.append({"reference": name, "h0": round(float(h0), 6),
                          "contact_time": tc, "dv": dv})
             if progress:
@@ -469,22 +478,16 @@ def velocity_sweep(run: cfgmod.RunConfig, progress=None):
     """
     _require_plant(run, "arm", "sweep")
     adapter, p, _ = cfgmod.build_plant(run)
-    opts = cfgmod.solver_opts(run)
     n_heights = run.experiment["sweep_heights"]
     half = float(run.experiment["sweep_half_range"])
     dt_sim = float(run.experiment["dt_sim"])
     gains = _controller_gains(run, adapter)
 
-    x0 = adapter.target
-    sure = pipeline.solve_sure(
-        adapter, cfgmod.transcription_config(run, "sure", x0, x0), opts)
+    sure = _solve(run, adapter, "sure", adapter.target)
     if progress:
         progress(f"robust arm solve: {sure.solution.status} "
                  f"cost {sure.solution.objective_value:.4f}")
-    if sure.solution.status != "converged":
-        label = "branched" if sure.nominal is not None else "unbranched"
-        raise RuntimeError(f"{label} arm solve failed "
-                           f"({sure.solution.status})")
+    _require_converged(sure, "arm solve")
     v_lim = float(sure.solution.x[sure.layout.arrays["vlim"][0]])
 
     refs = {
@@ -494,7 +497,8 @@ def velocity_sweep(run: cfgmod.RunConfig, progress=None):
     }
     z_nom = p.p_ball0[1]
     heights = np.linspace(z_nom - half, z_nom + half, n_heights)
-    rows, max_dv = _replay_drops(p, refs, gains, heights, dt_sim, progress)
+    rows, max_dv = _replay_drops(adapter, refs, gains, heights, dt_sim,
+                                 progress)
     return {
         "rows": rows,
         "v_lim": v_lim,

@@ -3,9 +3,10 @@
 Verbs, each with every flag it takes:
 
   solve       --config --out --variant --condition
-              solve one formulation, write the solution bundle and the
-              solve's status, KKT residuals and iteration counts (JSON);
-              the nominal variant is the branched solves' first stage
+              solve one formulation, as the studies solve it, and write
+              the solution bundle and the solve's status, KKT residuals
+              and iteration counts (JSON); the nominal variant is the
+              branched solves' first stage
   simulate    --config --out --solution --reference --condition --x-wall --e
               closed-loop rollout of a saved bundle, write the trace (CSV)
   montecarlo  --config --out --csv --seed --workers
@@ -35,7 +36,6 @@ import numpy as np
 
 from . import bench
 from . import config as cfgmod
-from . import pipeline
 from . import transcription as tr
 
 
@@ -65,10 +65,7 @@ def cmd_solve(args):
     # the cart-pole swings up from a condition; the arm starts at its target
     x_init = (_condition(run, args.condition)
               if run.plant_name == "cartpole" else adapter.target)
-    cfg = cfgmod.transcription_config(run, args.variant, x_init,
-                                      adapter.target)
-    res = getattr(pipeline, f"solve_{args.variant}")(
-        adapter, cfg, cfgmod.solver_opts(run))
+    res = bench._solve(run, adapter, args.variant, x_init)
     s = res.solution
     _progress(f"{args.variant}: {s.status} cost {s.objective_value:.6f} "
               f"kkt(viol) {max(s.kkt.eq_viol, s.kkt.ineq_viol):.2e} "

@@ -1,4 +1,4 @@
-"""Staged solving of the branched optimal-control formulations.
+"""Staged solving of the formulations ``TranscriptionConfig.variant`` names.
 
 Branched problems (branching window, rejoin or tree) rarely converge from
 an interpolated cold start: the feasibility phase has to discover the
@@ -30,9 +30,7 @@ __all__ = [
     "guess_from_nominal",
     "sure_guess_from_nominal",
     "tree_guess_from_nominal",
-    "solve_nominal",
-    "solve_sure",
-    "solve_tree",
+    "solve", "solve_nominal", "solve_sure", "solve_tree",
 ]
 
 
@@ -40,7 +38,7 @@ __all__ = [
 class PipelineResult:
     """A solve and what it was solved on.
 
-    ``solution.status`` is the only failure report.  A branched solve
+    ``solution.status`` is the only failure report.  A sure or tree solve
     whose unbranched stage failed returns that stage: its problem, layout
     and bundle, with ``nominal`` None.  ``solution.wall_time``,
     ``iterations`` and ``inner_iterations`` of a branched solve include
@@ -141,25 +139,30 @@ def guess_from_nominal(adapter, layout, nominal_bundle):
     return x0
 
 
-# the names ``solve_sure`` and ``solve_tree`` call, so that each can be
-# wrapped on its own
+# the names ``solve`` calls, so that each can be wrapped on its own
 sure_guess_from_nominal = guess_from_nominal
 tree_guess_from_nominal = guess_from_nominal
 
 
-def solve_nominal(adapter, cfg, opts=None) -> PipelineResult:
-    problem, layout = tr.build_nominal(adapter, cfg)
-    x0 = tr.default_initial_guess(adapter, layout)
-    sol = nlp.solve(problem, x0, opts)
-    return PipelineResult(sol, tr.extract_solution(layout, sol.x), layout, problem)
-
-
-def _solve_branched(adapter, cfg, build, guess_from_nominal, opts):
-    nom = solve_nominal(adapter, nominal_stage_config(cfg), opts)
+def solve(adapter, cfg, opts=None) -> PipelineResult:
+    """Solve ``cfg.variant``: a nominal config from the default guess; a
+    sure or tree config by its unbranched stage, then the branched problem
+    warm-started from it."""
+    if cfg.variant == "nominal":
+        problem, layout = tr.build_nominal(adapter, cfg)
+        x0 = tr.default_initial_guess(adapter, layout)
+        sol = nlp.solve(problem, x0, opts)
+        return PipelineResult(sol, tr.extract_solution(layout, sol.x), layout,
+                              problem)
+    nom = solve(adapter, nominal_stage_config(cfg), opts)
     if nom.solution.status != "converged":
         return nom
-    problem, layout = build(adapter, cfg)
-    x0 = guess_from_nominal(adapter, layout, nom.bundle)
+    if cfg.variant == "sure":
+        problem, layout = tr.build_sure(adapter, cfg)
+        x0 = sure_guess_from_nominal(adapter, layout, nom.bundle)
+    else:
+        problem, layout = tr.build_tree(adapter, cfg)
+        x0 = tree_guess_from_nominal(adapter, layout, nom.bundle)
     sol = nlp.solve(problem, x0, opts)
     sol.wall_time += nom.solution.wall_time
     sol.iterations += nom.solution.iterations
@@ -168,13 +171,6 @@ def _solve_branched(adapter, cfg, build, guess_from_nominal, opts):
                           problem, nom.bundle)
 
 
-def solve_sure(adapter, cfg, opts=None) -> PipelineResult:
-    """Unbranched solve, then the rejoining formulation warm-started from it."""
-    return _solve_branched(adapter, cfg, tr.build_sure,
-                           sure_guess_from_nominal, opts)
-
-
-def solve_tree(adapter, cfg, opts=None) -> PipelineResult:
-    """Unbranched solve, then the tree formulation warm-started from it."""
-    return _solve_branched(adapter, cfg, tr.build_tree,
-                           tree_guess_from_nominal, opts)
+# the names the benchmark calls; they go with ``tr.build_*`` (ROADMAP
+# item 16)
+solve_nominal = solve_sure = solve_tree = solve

@@ -101,7 +101,8 @@ def arm_held_level(rec):
     ref = _held_level_reference(p)
     rows = []
     for row in rec["drop_heights"]:
-        tc, dv = bench._catch_speed(p, ref, gains, row["h0"], rec["dt_sim"])
+        tc, dv = bench._catch_speed(ArmCatchOcp(p), ref, gains, row["h0"],
+                                    rec["dt_sim"])
         rows.append({**row, "contact_time": tc, "dv": dv})
     return {**rec, "drop_heights": rows}
 
@@ -138,8 +139,8 @@ def test_sweep_without_a_catch_names_the_reference():
     p = arm.ArmCatchParams()
     gains = control.Gains(np.diag(np.full(3, 80.0)), np.diag(np.full(3, 1.0)))
     with pytest.raises(RuntimeError, match="held"):
-        bench._replay_drops(p, {"held": _held_level_reference(p)}, gains,
-                            [0.2], 1e-3)
+        bench._replay_drops(ArmCatchOcp(p), {"held": _held_level_reference(p)},
+                            gains, [0.2], 1e-3)
 
 
 class _Solved(Exception):
@@ -151,7 +152,7 @@ def _no_solve(*args, **kwargs):
 
 
 def test_sweep_rejects_rk4_unstable_default_gains_before_solving(monkeypatch):
-    monkeypatch.setattr(pipeline, "solve_sure", _no_solve)
+    monkeypatch.setattr(pipeline, "solve", _no_solve)
     run = config.RunConfig(plant={"name": "arm"},
                            experiment={"dt_sim": 0.05})
     with pytest.raises(ValueError, match=r"arm's tracking loop is unstable "
@@ -162,7 +163,7 @@ def test_sweep_rejects_rk4_unstable_default_gains_before_solving(monkeypatch):
 def test_sweep_solves_with_rk4_stable_arm_gains(monkeypatch):
     # the default gains keep |R(λ·dt)| at 0.994, so the sweep goes on to
     # its solve
-    monkeypatch.setattr(pipeline, "solve_sure", _no_solve)
+    monkeypatch.setattr(pipeline, "solve", _no_solve)
     with pytest.raises(_Solved):
         bench.velocity_sweep(config.RunConfig(plant={"name": "arm"}))
 
@@ -179,9 +180,20 @@ def test_arm_default_gains_hold_the_level_pose_through_every_catch():
                              gains, dt_sim) < 1.0
     z, half = p.p_ball0[1], run.experiment["sweep_half_range"]
     for h0 in (z - half, z, z + half):
-        tc, dv = bench._catch_speed(p, _held_level_reference(p), gains, h0,
-                                    dt_sim)
+        tc, dv = bench._catch_speed(adapter, _held_level_reference(p), gains,
+                                    h0, dt_sim)
         assert tc is not None and dv is not None
+
+
+def test_montecarlo_reference_solve_names_the_stage_that_failed():
+    # one outer iteration of one inner step leaves the unbranched stage of
+    # this small problem unconverged, so the branched stage never runs
+    run = config.RunConfig(
+        transcription={"N": 12, "k_first": 5, "k_last": 7, "n_rejoin": 2},
+        solver={"max_outer": 1, "max_inner": 1})
+    with pytest.raises(RuntimeError, match=r"^unbranched solve failed "
+                                           r"\(max_iter\) for condition"):
+        bench._solve_condition((run, run.conditions[0]))
 
 
 def test_montecarlo_rejects_rk4_unstable_gains_before_solving(monkeypatch):
@@ -220,7 +232,7 @@ def test_bad_gain_and_sweep_settings_fail_before_solving(run, key):
 
 
 def test_sweep_rejects_the_cartpole(monkeypatch):
-    monkeypatch.setattr(pipeline, "solve_sure", _no_solve)
+    monkeypatch.setattr(pipeline, "solve", _no_solve)
     with pytest.raises(ValueError, match="sweep is defined for the arm"):
         bench.velocity_sweep(config.RunConfig())
 
@@ -245,7 +257,7 @@ def test_tradeoff_rejects_a_rejoin_horizon_beyond_the_budget_before_solving(
 
 
 def test_tradeoff_accepts_a_rejoin_horizon_of_the_whole_budget(monkeypatch):
-    monkeypatch.setattr(pipeline, "solve_sure", _no_solve)
+    monkeypatch.setattr(pipeline, "solve", _no_solve)
     run = config.RunConfig(experiment={"n_r_values": [1, 18],
                                        "post_impact_budget": 18,
                                        "workers": 1})

@@ -95,6 +95,13 @@ def test_traced_system_wraps_derivative_and_guard():
     assert tracer.spans["plants.cartpole.derivative"][0] == 1
 
 
+def test_the_benchmarks_solve_names_are_the_studies_solve():
+    # the benchmark times pipeline.solve_sure and solve_tree; the studies
+    # and the CLI solve through pipeline.solve
+    assert (pipeline.solve_nominal is pipeline.solve_sure
+            is pipeline.solve_tree is pipeline.solve)
+
+
 @pytest.mark.parametrize("kind", ["sure", "tree"])
 def test_solve_cases_build_and_bind_to_the_pipeline(kind):
     case = workloads.setup_solve(kind)

@@ -322,7 +322,7 @@ def test_cli_solve_writes_an_objective_stall_convergence_with_its_kkt(
         iterations=9, inner_iterations=4321, wall_time=2.0,
         status="converged")
     bundle = tr.bundle_from_dict(_scheduling_bundle())
-    monkeypatch.setattr(pipeline, "solve_sure", lambda adapter, cfg, opts:
+    monkeypatch.setattr(pipeline, "solve", lambda adapter, cfg, opts:
                         SimpleNamespace(solution=solution, bundle=bundle))
     out = tmp_path / "solution.json"
     assert cli.main(["solve", "--out", str(out)]) == 0

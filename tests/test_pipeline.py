@@ -62,7 +62,7 @@ LOOSE_OPTS = nlp.SolverOpts(tol_eq=1e9, tol_ineq=1e9, tol_stat=1e9,
 BENCH_CARTPOLE = {"N": 30, "dt_max": 0.1, "k_first": 9, "k_last": 11,
                   "n_rejoin": 4, "n_branch_full": 18}
 
-BRANCHED = [("sure", pipeline.solve_sure), ("tree", pipeline.solve_tree)]
+BRANCHED = ["sure", "tree"]
 
 
 class _Built(Exception):
@@ -73,16 +73,16 @@ def _no_build(*args, **kwargs):
     raise _Built
 
 
-@pytest.mark.parametrize("variant, solve", BRANCHED, ids=["sure", "tree"])
+@pytest.mark.parametrize("variant", BRANCHED)
 def test_failed_nominal_stage_is_returned_without_a_branched_build(
-        monkeypatch, variant, solve):
+        monkeypatch, variant):
     run = config.RunConfig(plant={"name": "arm"}, transcription=FAILING_ARM)
     adapter, _, _ = config.build_plant(run)
     cfg = config.transcription_config(run, variant, adapter.target,
                                       adapter.target)
     monkeypatch.setattr(tr, "build_sure", _no_build)
     monkeypatch.setattr(tr, "build_tree", _no_build)
-    res = solve(adapter, cfg, FAILING_OPTS)
+    res = pipeline.solve(adapter, cfg, FAILING_OPTS)
     assert res.solution.status == "max_iter"
     assert res.layout.cfg.variant == "nominal"
     assert res.nominal is None
@@ -95,12 +95,12 @@ def _bench_cartpole(variant):
         run, variant, run.conditions[0], bench.X_END, **BENCH_CARTPOLE)
 
 
-@pytest.mark.parametrize("variant, solve", BRANCHED, ids=["sure", "tree"])
-def test_branched_solve_starts_from_the_nominal_stage(variant, solve):
+@pytest.mark.parametrize("variant", BRANCHED)
+def test_branched_solve_starts_from_the_nominal_stage(variant):
     adapter, cfg = _bench_cartpole(variant)
-    res = solve(adapter, cfg, LOOSE_OPTS)
-    nom = pipeline.solve_nominal(adapter, pipeline.nominal_stage_config(cfg),
-                                 LOOSE_OPTS)
+    res = pipeline.solve(adapter, cfg, LOOSE_OPTS)
+    nom = pipeline.solve(adapter, pipeline.nominal_stage_config(cfg),
+                         LOOSE_OPTS)
     assert res.solution.status == nom.solution.status == "converged"
     assert res.layout.cfg.variant == variant
     assert (res.nominal.common.states.tobytes()
@@ -108,8 +108,8 @@ def test_branched_solve_starts_from_the_nominal_stage(variant, solve):
     assert res.solution.wall_time >= nom.solution.wall_time
 
 
-@pytest.mark.parametrize("variant, solve", BRANCHED, ids=["sure", "tree"])
-def test_branched_solve_counts_both_stages(monkeypatch, variant, solve):
+@pytest.mark.parametrize("variant", BRANCHED)
+def test_branched_solve_counts_both_stages(monkeypatch, variant):
     stages = []
     solve_stage = nlp.solve
 
@@ -119,7 +119,7 @@ def test_branched_solve_counts_both_stages(monkeypatch, variant, solve):
         return sol
 
     monkeypatch.setattr(nlp, "solve", counted)
-    s = solve(*_bench_cartpole(variant), LOOSE_OPTS).solution
+    s = pipeline.solve(*_bench_cartpole(variant), LOOSE_OPTS).solution
     (nom_outer, nom_inner, nom_time), (outer, inner, time) = stages
     assert s.iterations == outer + nom_outer
     assert s.inner_iterations == inner + nom_inner

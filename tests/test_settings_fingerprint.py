@@ -96,11 +96,11 @@ def _load(name, tmp_path):
 
 def _recorders(mp, log):
     """Replace every solve and every study step that would run one."""
-    for kind in ("nominal", "sure", "tree"):
-        def solve(adapter, cfg, opts, kind=kind):
-            log.append([f"solve_{kind}", _transcription(cfg), opts])
-            return _FAKE
-        mp.setattr(pipeline, f"solve_{kind}", solve)
+    def solve(adapter, cfg, opts):
+        log.append([f"solve_{cfg.variant}", _transcription(cfg), opts])
+        return _FAKE
+
+    mp.setattr(pipeline, "solve", solve)
     mp.setattr(bench, "_pmap",
                lambda fn, items, workers: [fn(i) for i in items])
     mp.setattr(tr, "robust_nominal_branch", lambda bundle, dt_impact:
@@ -135,9 +135,10 @@ def _capture(name, tmp_path):
                 log.append(["rk4_growth", x_eq, u_eq, _gains(gains), dt_sim])
                 return growth(sys, x_eq, u_eq, gains, dt_sim)
 
-            def replay(p, refs, gains, heights, dt_sim, progress=None):
-                log.append(["replay_drops", p, sorted(refs), _gains(gains),
-                            heights, dt_sim])
+            def replay(adapter, refs, gains, heights, dt_sim,
+                       progress=None):
+                log.append(["replay_drops", adapter.p, sorted(refs),
+                            _gains(gains), heights, dt_sim])
                 return [], {}
 
             mp.setattr(bench, "_rk4_growth", rk4_growth)

@@ -65,27 +65,33 @@ def _tradeoff_solves(mp):
     def offset(cfg):
         return float(np.sum(cfg.x_init))
 
-    mp.setattr(pipeline, "solve_sure", lambda adapter, cfg, opts: _solved(
-        10.0 + 0.1 * cfg.n_rejoin + 0.01 * offset(cfg), 0.5 * cfg.N))
-    mp.setattr(pipeline, "solve_tree", lambda adapter, cfg, opts: _solved(
-        9.5 + 0.01 * offset(cfg), 0.25 * cfg.N * cfg.n_branch_full / 10,
-        status="max_iter"))
-    mp.setattr(pipeline, "solve_nominal", lambda adapter, cfg, opts: _solved(
-        9.0 + 0.01 * cfg.contact_node + 0.01 * offset(cfg), 0.1 * cfg.N))
+    solves = {
+        "sure": lambda cfg: _solved(
+            10.0 + 0.1 * cfg.n_rejoin + 0.01 * offset(cfg), 0.5 * cfg.N),
+        "tree": lambda cfg: _solved(
+            9.5 + 0.01 * offset(cfg), 0.25 * cfg.N * cfg.n_branch_full / 10,
+            status="max_iter"),
+        "nominal": lambda cfg: _solved(
+            9.0 + 0.01 * cfg.contact_node + 0.01 * offset(cfg), 0.1 * cfg.N),
+    }
+    mp.setattr(pipeline, "solve",
+               lambda adapter, cfg, opts: solves[cfg.variant](cfg))
 
 
 def _sweep_solves(mp):
     with open(os.path.join(FIXTURES, "refs_c0.json")) as fh:
         bundle = tr.bundle_from_dict(json.load(fh)["scheduling"])
 
-    def solve_sure(adapter, cfg, opts):
+    def solve(adapter, cfg, opts):
+        assert cfg.variant == "sure"
         # its first stage's bundle, the nominal reference, is the same
         res = _solved(2.0 + cfg.N, 1.0, x=np.array([0.0, 1.75]))
         return SimpleNamespace(
             solution=res.solution, bundle=bundle, nominal=bundle,
             layout=SimpleNamespace(arrays={"vlim": [1]}))
 
-    def replay(p, refs, gains, heights, dt_sim, progress=None):
+    def replay(adapter, refs, gains, heights, dt_sim, progress=None):
+        p = adapter.p
         rows, max_dv = [], {}
         for name, ref in refs.items():
             level = float(np.sum(ref.dts))
@@ -98,7 +104,7 @@ def _sweep_solves(mp):
                                if r["reference"] == name and r["dv"])
         return rows, max_dv
 
-    mp.setattr(pipeline, "solve_sure", solve_sure)
+    mp.setattr(pipeline, "solve", solve)
     mp.setattr(bench, "_replay_drops", replay)
 
 
@@ -184,7 +190,7 @@ def test_sweep_csv_holds_the_speed_limit_and_the_largest_speeds(tmp_path,
 def test_sweep_names_the_stage_that_failed(monkeypatch, nominal, failed):
     # a staged solve whose first stage failed returns that stage, with no
     # nominal bundle
-    monkeypatch.setattr(pipeline, "solve_sure", lambda adapter, cfg, opts:
+    monkeypatch.setattr(pipeline, "solve", lambda adapter, cfg, opts:
                         SimpleNamespace(solution=_solved(
                             1.0, 1.0, status="infeasible").solution,
                             nominal=nominal))
@@ -194,6 +200,8 @@ def test_sweep_names_the_stage_that_failed(monkeypatch, nominal, failed):
 
 
 def _tradeoff(tmp_path, n_r_values, capsys, *flags):
+    """The table ``cli tradeoff`` writes, and what it printed to stdout
+    and to stderr."""
     config = tmp_path / "run.yaml"
     config.write_text(
         f"experiment: {{workers: 1, n_r_values: {n_r_values}}}\n")
@@ -201,13 +209,13 @@ def _tradeoff(tmp_path, n_r_values, capsys, *flags):
     assert cli.main(["tradeoff", "--config", str(config),
                      "--out", str(out), *flags]) == 0
     with open(out) as fh:
-        return json.load(fh), capsys.readouterr().out
+        return json.load(fh), *capsys.readouterr()
 
 
 def test_tradeoff_compares_the_n_r_7_row_with_the_tree(tmp_path, monkeypatch,
                                                        capsys):
     _tradeoff_solves(monkeypatch)
-    table, printed = _tradeoff(tmp_path, [12, 7], capsys)
+    table, printed, _ = _tradeoff(tmp_path, [12, 7], capsys)
     seven, tree = table["rows"][1], table["tree"]
     assert seven["n_r"] == 7
     assert table["n_r7_cost_pct"] == (100.0 * (seven["cost"] - tree["cost"])
@@ -219,7 +227,7 @@ def test_tradeoff_compares_the_n_r_7_row_with_the_tree(tmp_path, monkeypatch,
 def test_tradeoff_without_n_r_7_leaves_the_comparison_out(tmp_path,
                                                          monkeypatch, capsys):
     _tradeoff_solves(monkeypatch)
-    table, printed = _tradeoff(tmp_path, [5, 9], capsys)
+    table, printed, _ = _tradeoff(tmp_path, [5, 9], capsys)
     assert [row["n_r"] for row in table["rows"]] == [5, 9]
     assert not {"n_r7_cost_pct", "n_r7_time_ratio"} & set(table)
     assert "N_r=7" not in printed
@@ -230,15 +238,15 @@ def test_tradeoff_baseline_shows_an_infeasible_solve_beside_its_cost(
     # the exact-knowledge solve at contact node 19 ends infeasible at a
     # high cost; the mean takes it in, and the statuses say so
     _tradeoff_solves(monkeypatch)
-    nominal = pipeline.solve_nominal
+    solve = pipeline.solve
 
     def one_infeasible(adapter, cfg, opts):
-        if cfg.contact_node == 19:
+        if cfg.variant == "nominal" and cfg.contact_node == 19:
             return _solved(80.0, 1.0, status="infeasible")
-        return nominal(adapter, cfg, opts)
+        return solve(adapter, cfg, opts)
 
-    monkeypatch.setattr(pipeline, "solve_nominal", one_infeasible)
-    table, printed = _tradeoff(tmp_path, [7], capsys, "--baseline")
+    monkeypatch.setattr(pipeline, "solve", one_infeasible)
+    table, printed, progress = _tradeoff(tmp_path, [7], capsys, "--baseline")
     # cells run condition by condition, contact nodes 18 to 22 in each
     statuses = ["converged", "infeasible", "converged", "converged",
                 "converged"]
@@ -252,3 +260,7 @@ def test_tradeoff_baseline_shows_an_infeasible_solve_beside_its_cost(
                 if ln.startswith("baseline"))
     assert f"{table['baseline_cost']:.4f}" in line
     assert line.count("infeasible") == 4
+    # each baseline cell's progress line names its contact node
+    node_19 = "baseline node=19: cost 80.0000 (infeasible, 1s)"
+    assert progress.splitlines().count(node_19) == 4
+    assert "baseline n_r=" not in progress

@@ -9,9 +9,10 @@ raise ``TypeError`` when the callback is recorded.  Every other value it
 reads (parameters, weights, targets) is a constant: one number, read
 once, when it is recorded; an array raises ``TypeError`` too.
 
-A :class:`Tape` runs the callback once on symbolic :class:`Node` inputs
-and keeps what it did: for each operation its rule, its operand slots
-and its constants.  :meth:`Tape.evaluate` replays the operations for a
+A :class:`Tape` records when it is made: it runs the callback once on
+symbolic :class:`Node` inputs and keeps what it did: for each operation
+its rule, its operand slots and its constants, and how many outputs the
+callback returned.  :meth:`Tape.evaluate` replays the operations for a
 batch of points as numpy calls into buffers allocated with the tape.
 The rules are the usual forward-mode ones, with fixed
 formulas (``a / b`` is ``a * (1 / b)``; the derivative of ``a * b`` is
@@ -84,7 +85,8 @@ class Node:
 
 class Tape:
     """A callback's operations on ``n_in`` inputs, recorded once for
-    batches of ``batch`` points and replayed by :meth:`evaluate`.
+    batches of ``batch`` points and replayed by :meth:`evaluate`; its
+    ``n_out`` outputs are as many as the callback returned.
 
     ``name`` labels the ``TypeError`` raised when the callback uses an
     operation a tape cannot record.
@@ -108,6 +110,7 @@ class Tape:
                     self._n_slots += 1
         except TypeError as exc:
             raise TypeError(f"{name}: {exc}") from exc
+        self.n_out = len(outputs)
         buffer = self._allocate(outputs, list(consts))
         self._slots = np.zeros((max(buffer.values(), default=-1) + 1, 2)
                                + self._shape)

@@ -13,7 +13,8 @@ left out here keep.  A key the schema below does not name raises
 ``ValueError``, in every section and at the top level.
 
 Schema (version 1), with each key's rule; counts are integers, list
-entries finite numbers, and YAML's on, yes and true are neither::
+entries finite numbers, every plant.params and plant.env value a finite
+number or a list of them, and YAML's on, yes and true are neither::
 
     schema_version: 1
     plant:
@@ -22,7 +23,8 @@ entries finite numbers, and YAML's on, yes and true are neither::
                                     #   and finite; not x_wall, e and mu,
                                     #   which env sets) or ArmCatchParams
                                     #   (catch_height: 0.3, the level catch
-                                    #   point's z on the drop line, in reach)
+                                    #   point's z on the drop line, in reach;
+                                    #   w_a >= 0; p_ball0 and v_ball0 (x, z))
       env: {x_wall: -0.5, e: 0.8, mu: 0.7}   # cartpole only; CartPoleEnv's
                                     #   fields, e in [0, 1], mu >= 0
     transcription:                  # cart-pole defaults; the arm's differ
@@ -145,10 +147,14 @@ def _is_integer(value, low):
             and value >= low)
 
 
+def _is_finite(value):
+    return _is_number(value) and math.isfinite(value)
+
+
 def _vector(value, n):
     """``value`` as an array if a list of ``n`` finite numbers, else None."""
     if (isinstance(value, (list, tuple)) and len(value) == n
-            and all(_is_number(v) and math.isfinite(v) for v in value)):
+            and all(_is_finite(v) for v in value)):
         return np.asarray(value, dtype=float)
     return None
 
@@ -238,6 +244,13 @@ class RunConfig:
         for key, known in zip(("params", "env"), _PLANT_KEYS[name]):
             self.plant[key] = _section(self.plant, key)
             _reject_unknown(f"plant.{key}", self.plant[key], known)
+            # the plant dataclasses check ranges, not types
+            for field_name, value in self.plant[key].items():
+                items = value if isinstance(value, (list, tuple)) else [value]
+                if not all(_is_finite(v) for v in items):
+                    raise ValueError(
+                        f"plant.{key} {field_name} must be a finite number "
+                        f"or a list of them, got {value!r}")
         q_default = _Q_DIAG_DEFAULTS[name]
         _reject_unknown("controller", self.controller, ("q_diag", "r"))
         self.controller = {"q_diag": q_default, "r": control.DEFAULT_R,

@@ -7,12 +7,13 @@ per instance, one column per local variable).  Cost blocks return
 least-squares residuals (the objective is the sum of their squares);
 equality blocks target zero; inequality blocks target <= 0.  The solver
 gets exact derivatives from each block's tape (``autodiff.Tape``): a
-block's callback runs once on symbolic inputs, at its first derivative
-evaluation, and every later one replays the recorded operations.  So a
-callback is straight-line code over ``+ - *``, ``/`` with a variable as
-the numerator, unary minus and ``autodiff.sin``/``cos``/``sqrt``, and
-every constant it reads is one number, read once, at that first
-evaluation.
+block's callback runs once on symbolic inputs when the block is made,
+which also fixes its output count, and every derivative evaluation
+replays the recorded operations.  So a callback is straight-line code
+over ``+ - *``, ``/`` with a variable as the numerator, unary minus and
+``autodiff.sin``/``cos``/``sqrt``, and every constant it reads is one
+number, read once, when the block is made.  A problem's variable count
+is the length of its bounds.
 
 Each outer iteration minimizes the augmented Lagrangian
 
@@ -76,22 +77,23 @@ class Block:
     """A batched callback over slices of the decision vector.
 
     ``fun`` receives a list with one entry per local variable (column of
-    ``indices``) and returns ``n_out`` outputs.  Plain evaluation passes
-    float arrays of shape (batch,); the first derivative evaluation
-    passes ``autodiff.Node`` inputs once, to record ``tape``, which every
-    derivative evaluation replays.  So ``fun`` is straight-line code over
-    ``+ - *``, ``/`` with a variable as the numerator, unary minus and
+    ``indices``) and returns a list of outputs.  Plain evaluation passes
+    float arrays of shape (batch,).  When the block is made, ``fun`` runs
+    once on ``autodiff.Node`` inputs to record ``tape``, which every
+    derivative evaluation replays; ``n_out`` is the number of outputs it
+    returned.  So ``fun`` is straight-line code over ``+ - *``, ``/``
+    with a variable as the numerator, unary minus and
     ``autodiff.sin``/``cos``/``sqrt``, and the constants it reads are
-    single numbers, read once, when the tape is recorded.  A row of
-    ``indices`` names each variable at most once.
+    single numbers, read once, when the block is made; anything else
+    raises ``TypeError`` naming the block.  A row of ``indices`` names
+    each variable at most once.
     """
 
     name: str
     fun: Callable
     indices: np.ndarray  # (batch, k) int
-    n_out: int
-    tape: ad.Tape | None = field(default=None, init=False, repr=False,
-                                 compare=False)
+    n_out: int = field(init=False)
+    tape: ad.Tape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=int)
@@ -100,6 +102,9 @@ class Block:
         s = np.sort(self.indices, axis=1)
         if np.any(s[:, 1:] == s[:, :-1]):
             raise ValueError(f"block {self.name}: a row repeats a variable")
+        self.tape = ad.Tape(self.fun, self.indices.shape[1], self.batch,
+                            f"block {self.name}")
+        self.n_out = self.tape.n_out
 
     @property
     def batch(self):
@@ -112,7 +117,9 @@ class Block:
 
 @dataclass
 class NlpProblem:
-    n_vars: int
+    """Blocks over a decision vector whose length, ``n_vars``, is that
+    of its bounds ``lower`` and ``upper``."""
+
     lower: np.ndarray
     upper: np.ndarray
     cost_blocks: list
@@ -122,8 +129,16 @@ class NlpProblem:
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
+        if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
+            raise ValueError(f"lower and upper must be vectors of one "
+                             f"length, got shapes {self.lower.shape} and "
+                             f"{self.upper.shape}")
         if np.any(self.lower > self.upper):
             raise ValueError("need lower <= upper elementwise")
+
+    @property
+    def n_vars(self):
+        return self.lower.size
 
     @property
     def n_eq(self):
@@ -211,15 +226,9 @@ def block_values(block: Block, x):
 
 
 def block_values_and_jac(block: Block, x):
-    """Values (batch, m) and local jacobian (batch, m, k) in one pass.
-
-    The first call records the block's tape; every call replays it.
-    """
-    tape = block.tape
-    if tape is None:
-        tape = block.tape = ad.Tape(block.fun, block.indices.shape[1],
-                                    block.batch, f"block {block.name}")
-    return tape.evaluate(x[block.indices])
+    """Values (batch, m) and local jacobian (batch, m, k) in one pass: a
+    replay of the block's tape."""
+    return block.tape.evaluate(x[block.indices])
 
 
 def eval_constraints(blocks, x):
@@ -594,7 +603,6 @@ def _restoration(problem, x, opts):
     if not np.any(free) or (problem.n_eq + problem.n_ineq) == 0:
         return x, 0
     feas = NlpProblem(
-        n_vars=problem.n_vars,
         lower=problem.lower,
         upper=problem.upper,
         cost_blocks=[],

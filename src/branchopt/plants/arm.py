@@ -50,10 +50,15 @@ class ArmCatchParams:
     def __post_init__(self):
         if len(self.lengths) != 3 or len(self.masses) != 3:
             raise ValueError("three links required")
+        if len(self.p_ball0) != 2 or len(self.v_ball0) != 2:
+            raise ValueError("p_ball0 and v_ball0 must be (x, z) pairs")
         if min(self.lengths) <= 0 or min(self.masses) <= 0:
             raise ValueError("lengths and masses must be positive")
         if self.r_ball < 0 or self.eps <= 0:
             raise ValueError("r_ball must be >= 0 and eps > 0")
+        if not self.w_a >= 0:
+            # the running cost weights the accelerations by sqrt(w_a)
+            raise ValueError(f"w_a must be >= 0, got {self.w_a!r}")
         try:
             level_configuration(self.catch_point, self)
         except ValueError as err:

@@ -31,7 +31,6 @@ V_LIM_FLOOR = 1e-6  # keeps the sqrt cost residual differentiable
 class ArmCatchOcp(PlantOcp):
     n_x = 6
     n_u = 3
-    n_cost_residuals = 3  # one smoothness residual per joint
     clearance_after_contact = False  # the ball attaches; no post-catch guard
     dt_impact = 1e-3  # the interval the catch occupies
 
@@ -96,8 +95,8 @@ class ArmCatchOcp(PlantOcp):
             return [dx * dx - p.eps]
 
         return [
-            ("container_level", container_level, 1),
-            ("drop_line_alignment", drop_line_alignment, 1),
+            ("container_level", container_level),
+            ("drop_line_alignment", drop_line_alignment),
         ]
 
     # -- auxiliary variables ----------------------------------------------------
@@ -111,13 +110,9 @@ class ArmCatchOcp(PlantOcp):
         t_idx = layout.arrays["t"]
         builder.fix(t_idx[:1], 0.0)
         builder.set_bounds(t_idx[1:], 0.0, np.inf)
-        builder.add_eq(
-            "elapsed_time_chain",
-            lambda v: [v[1] - v[0] - v[2]],
-            np.column_stack([t_idx[:-1], t_idx[1:],
-                             layout.arrays["dt"][: len(t_idx) - 1]]),
-            1,
-        )
+        dt = layout.arrays["dt"][: len(t_idx) - 1]
+        builder.add_eq("elapsed_time_chain", lambda v: [v[1] - v[0] - v[2]],
+                       np.column_stack([t_idx[:-1], t_idx[1:], dt]))
         rows = self.guard_indices(layout, cfg.contact_nodes)
         if cfg.variant == "nominal":
 
@@ -125,38 +120,28 @@ class ArmCatchOcp(PlantOcp):
                 dvx, dvz = self._rel_velocity(v)
                 return [dvx, dvz]
 
-            builder.add_cost(
-                "catch_relative_velocity", catch_velocity, rows, 2)
+            builder.add_cost("catch_relative_velocity", catch_velocity, rows)
         else:
             vlim = layout.arrays["vlim"]
             builder.set_bounds(vlim, V_LIM_FLOOR, np.inf)
-            builder.add_cost(
-                "relative_speed_bound",
-                lambda v: [ad.sqrt(v[0])],
-                vlim[None],
-                1,
-            )
+            builder.add_cost("relative_speed_bound",
+                             lambda v: [ad.sqrt(v[0])], vlim[None])
 
             def speed_bound(v):
                 dvx, dvz = self._rel_velocity(v[:7])
                 return [dvx * dvx + dvz * dvz - v[7] * v[7]]
 
             builder.add_ineq(
-                "relative_speed_within_bound",
-                speed_bound,
-                np.column_stack([rows, np.repeat(vlim, len(rows))]),
-                1,
-            )
+                "relative_speed_within_bound", speed_bound,
+                np.column_stack([rows, np.repeat(vlim, len(rows))]))
 
     # -- transition: the ball attaches, the arm state carries over --------------
 
     def emit_transition(self, builder, layout, cfg, pre_nodes, post_rows):
-        builder.add_eq(
-            "catch_state_continuity",
-            lambda v: [v[j] - v[6 + j] for j in range(6)],
-            np.hstack([layout.arrays["x"][pre_nodes], post_rows]),
-            6,
-        )
+        pre_rows = layout.arrays["x"][pre_nodes]
+        builder.add_eq("catch_state_continuity",
+                       lambda v: [v[j] - v[6 + j] for j in range(6)],
+                       np.hstack([pre_rows, post_rows]))
 
     # -- initial guess -----------------------------------------------------------
 

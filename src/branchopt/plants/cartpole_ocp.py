@@ -34,8 +34,6 @@ class CartPoleOcp(PlantOcp):
 
     # -- shared hooks --------------------------------------------------------
 
-    n_cost_residuals = 5
-
     @property
     def dt_impact(self):
         return self.p.dt_impact
@@ -72,7 +70,7 @@ class CartPoleOcp(PlantOcp):
         def cart_clearance(v):
             return [limit - v[0]]
 
-        return [("cart_body_wall_clearance", cart_clearance, 1)]
+        return [("cart_body_wall_clearance", cart_clearance)]
 
     # -- impact transition ----------------------------------------------------
 
@@ -109,10 +107,8 @@ class CartPoleOcp(PlantOcp):
         F = layout.arrays["F"]
         rows = np.hstack([layout.arrays["x"][pre_nodes],
                           layout.arrays["u"][pre_nodes], post_rows, F])
-        builder.add_eq(
-            "impact_restitution_map", self._impact_residual, rows, 5)
-        builder.add_ineq(
-            "impact_friction_cone", self._cone_residual, F, 1)
+        builder.add_eq("impact_restitution_map", self._impact_residual, rows)
+        builder.add_ineq("impact_friction_cone", self._cone_residual, F)
 
     def branch_seed(self, x_pre, u_pre, cfg):
         post, impulse = impact_map(

@@ -68,18 +68,19 @@ class TranscriptionConfig:
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"{name} must be at least 1, got {getattr(self, name)}")
-        if (isinstance(self.dt_min, bool)
-                or not isinstance(self.dt_min, numbers.Real)
-                or not self.dt_min > 0):
-            # the running cost's sqrt(dt) has no derivative at 0; a bool
-            # (YAML's on, yes, true) is not a time step
+        # a bool (YAML's on, yes, true) is not a length of time
+        real = {name: isinstance(getattr(self, name), numbers.Real)
+                and not isinstance(getattr(self, name), bool)
+                for name in ("dt_min", "dt_max", "d_fixed")}
+        if not (real["dt_min"] and self.dt_min > 0):
+            # the running cost's sqrt(dt) has no derivative at 0
             raise ValueError(
                 f"dt_min must be a positive number, got {self.dt_min!r}")
-        if not self.dt_min <= self.dt_max < math.inf:
+        if not (real["dt_max"] and self.dt_min <= self.dt_max < math.inf):
             # the default guess's time steps are the bounds' midpoint
-            raise ValueError(f"dt_max {self.dt_max} must be finite and at "
-                             f"least dt_min {self.dt_min}")
-        if not 0.0 <= self.d_fixed < math.inf:
+            raise ValueError(f"dt_max {self.dt_max!r} must be a finite "
+                             f"number of at least dt_min {self.dt_min}")
+        if not (real["d_fixed"] and 0.0 <= self.d_fixed < math.inf):
             raise ValueError(f"d_fixed must be a finite number >= 0, got "
                              f"{self.d_fixed!r}")
 
@@ -261,21 +262,20 @@ class ProblemBuilder:
     """Collects bounds and blocks while a transcription is assembled."""
 
     def __init__(self, n_vars):
-        self.n_vars = n_vars
         self.lower = np.full(n_vars, -np.inf)
         self.upper = np.full(n_vars, np.inf)
         self.cost_blocks = []
         self.eq_blocks = []
         self.ineq_blocks = []
 
-    def add_cost(self, name, fun, indices, n_out):
-        self.cost_blocks.append(Block(name, fun, np.atleast_2d(indices), n_out))
+    def add_cost(self, name, fun, indices):
+        self.cost_blocks.append(Block(name, fun, np.atleast_2d(indices)))
 
-    def add_eq(self, name, fun, indices, n_out):
-        self.eq_blocks.append(Block(name, fun, np.atleast_2d(indices), n_out))
+    def add_eq(self, name, fun, indices):
+        self.eq_blocks.append(Block(name, fun, np.atleast_2d(indices)))
 
-    def add_ineq(self, name, fun, indices, n_out):
-        self.ineq_blocks.append(Block(name, fun, np.atleast_2d(indices), n_out))
+    def add_ineq(self, name, fun, indices):
+        self.ineq_blocks.append(Block(name, fun, np.atleast_2d(indices)))
 
     def set_bounds(self, idx, lo, hi):
         self.lower[idx] = lo
@@ -287,7 +287,6 @@ class ProblemBuilder:
 
     def finish(self):
         return NlpProblem(
-            n_vars=self.n_vars,
             lower=self.lower,
             upper=self.upper,
             cost_blocks=self.cost_blocks,
@@ -300,7 +299,8 @@ class PlantOcp:
     """Adapter interface a plant implements to participate in transcription.
 
     Residual callbacks receive recorded (``autodiff.Node``) or float
-    values; index rows are int arrays with one row per node.  The 16
+    values; index rows are int arrays with one row per node.  A block's
+    output count is the length of the list its callback returns.  The 15
     hooks:
 
     * ``target`` / ``hold`` -- the state every solve ends at, and the
@@ -308,7 +308,6 @@ class PlantOcp:
     * ``system()`` -- the plant's ``HybridSystemDef``.
     * ``dt_impact`` -- the interval an impact occupies: the pinned step
       of the node it leaves from, and the robust reference's impact step.
-    * ``n_cost_residuals`` -- outputs of ``node_cost`` per node.
     * ``clearance_after_contact`` -- whether the guard stays positive
       after contact (after the contact node of the unbranched problem,
       after the rejoin node of the rejoining one); False for plants whose
@@ -329,7 +328,6 @@ class PlantOcp:
 
     n_x: int
     n_u: int
-    n_cost_residuals: int = 1
     clearance_after_contact = True
     target: np.ndarray
     hold: np.ndarray
@@ -356,7 +354,7 @@ class PlantOcp:
         raise NotImplementedError
 
     def path_constraints(self):
-        """List of (name, fun(x_vars)->outputs, n_out) state-only path ineqs."""
+        """List of (name, fun(x_vars)->outputs) state-only path ineqs."""
         return []
 
     def emit_transition(self, builder, layout, cfg, pre_nodes, post_rows):
@@ -463,11 +461,11 @@ def _emit_dynamics(builder, adapter, layout, cfg):
         return adapter.dynamics_defect(x, u, dt, x_next)
 
     rows = _interval_rows(layout.arrays, skip=_skip_node(cfg), with_next=True)
-    builder.add_eq("common_dynamics", defect, rows, n_x)
+    builder.add_eq("common_dynamics", defect, rows)
 
     if layout.n_branches:
         rows = _interval_rows(layout.arrays, "b", with_next=True)
-        builder.add_eq("branch_dynamics", defect, rows, n_x)
+        builder.add_eq("branch_dynamics", defect, rows)
 
 
 def _emit_costs(builder, adapter, layout, cfg):
@@ -478,8 +476,7 @@ def _emit_costs(builder, adapter, layout, cfg):
             v[:n_x], v[n_x : n_x + n_u], ad.sqrt(v[n_x + n_u]))
 
     rows = _interval_rows(layout.arrays, skip=_skip_node(cfg))
-    builder.add_cost("common_running_cost", running, rows,
-                     adapter.n_cost_residuals)
+    builder.add_cost("common_running_cost", running, rows)
 
     if layout.n_branches:
         w = cfg.branch_weight
@@ -490,31 +487,24 @@ def _emit_costs(builder, adapter, layout, cfg):
                 ad.sqrt(v[n_x + n_u]) * np.sqrt(w))
 
         builder.add_cost("branch_running_cost", branch_cost,
-                         _interval_rows(layout.arrays, "b"),
-                         adapter.n_cost_residuals)
+                         _interval_rows(layout.arrays, "b"))
 
 
 def _emit_guard_blocks(builder, adapter, layout, cfg):
     variant = cfg.variant
     if variant == "nominal":
         c = cfg.contact_node
-        builder.add_eq(
-            "guard_zero_at_contact",
-            lambda v: [adapter.guard_expr(v)],
-            adapter.guard_indices(layout, [c]),
-            1,
-        )
+        builder.add_eq("guard_zero_at_contact",
+                       lambda v: [adapter.guard_expr(v)],
+                       adapter.guard_indices(layout, [c]))
         if adapter.clearance_after_contact:
             free_nodes = [i for i in range(cfg.N + 1) if i not in (c, cfg.N)]
         else:
             free_nodes = list(range(c))
         # strict g > 0 as  -g + eps <= 0
-        builder.add_ineq(
-            "guard_clearance",
-            lambda v: [STRICT_EPS - adapter.guard_expr(v)],
-            adapter.guard_indices(layout, free_nodes),
-            1,
-        )
+        builder.add_ineq("guard_clearance",
+                         lambda v: [STRICT_EPS - adapter.guard_expr(v)],
+                         adapter.guard_indices(layout, free_nodes))
         return
 
     # sure / tree: guard pinned to +d / -d at the window edges, clearance
@@ -523,10 +513,10 @@ def _emit_guard_blocks(builder, adapter, layout, cfg):
 
     builder.add_eq(
         "guard_pin_window_entry", lambda v: [adapter.guard_expr(v) - d],
-        adapter.guard_indices(layout, [cfg.k_first]), 1)
+        adapter.guard_indices(layout, [cfg.k_first]))
     builder.add_eq(
         "guard_pin_window_exit", lambda v: [adapter.guard_expr(v) + d],
-        adapter.guard_indices(layout, [cfg.k_last]), 1)
+        adapter.guard_indices(layout, [cfg.k_last]))
 
     clear_nodes = list(range(cfg.k_first))
     if adapter.clearance_after_contact and cfg.variant == "sure":
@@ -534,7 +524,7 @@ def _emit_guard_blocks(builder, adapter, layout, cfg):
     builder.add_ineq(
         "guard_clearance_beyond_window",
         lambda v: [d + STRICT_EPS - adapter.guard_expr(v)],
-        adapter.guard_indices(layout, clear_nodes), 1)
+        adapter.guard_indices(layout, clear_nodes))
 
 
 def _emit_path_constraints(builder, adapter, layout, cfg):
@@ -542,20 +532,17 @@ def _emit_path_constraints(builder, adapter, layout, cfg):
     if layout.n_branches:
         rows = np.concatenate(
             [rows, layout.arrays["bx"].reshape(-1, adapter.n_x)])
-    for name, fun, n_out in adapter.path_constraints():
-        builder.add_ineq(name, fun, rows, n_out)
+    for name, fun in adapter.path_constraints():
+        builder.add_ineq(name, fun, rows)
 
 
 def _emit_rejoin(builder, adapter, layout, cfg):
     n_x = adapter.n_x
     ends = layout.arrays["bx"][:, -1]
     rejoin = np.broadcast_to(layout.arrays["x"][cfg.k_last + 1], ends.shape)
-    builder.add_eq(
-        "branch_rejoin_pinning",
-        lambda v: [v[i] - v[n_x + i] for i in range(n_x)],
-        np.hstack([ends, rejoin]),
-        n_x,
-    )
+    builder.add_eq("branch_rejoin_pinning",
+                   lambda v: [v[i] - v[n_x + i] for i in range(n_x)],
+                   np.hstack([ends, rejoin]))
 
 
 # -- builders -----------------------------------------------------------------

@@ -299,6 +299,14 @@ def test_param_validation():
         ArmCatchParams(masses=(1.0, -1.0, 0.3))
     with pytest.raises(ValueError):
         ArmCatchParams(eps=0.0)
+    # a short v_ball0 used to load and raise IndexError in the first
+    # ball_state, and a long one was cut silently
+    for key in ("p_ball0", "v_ball0"):
+        for value in ((0.0,), (0.0, 1.0, 2.0)):
+            with pytest.raises(ValueError, match=key):
+                ArmCatchParams(**{key: value})
+    with pytest.raises(ValueError, match="w_a"):
+        ArmCatchParams(w_a=-1.0)
     with pytest.raises(ValueError, match="catch_height 1.0: .* out of reach"):
         ArmCatchParams(catch_height=1.0)
 

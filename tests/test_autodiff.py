@@ -83,8 +83,12 @@ def test_block_callback_is_recorded_once():
         calls.append("g")
         return [v[0] / v[1], 2.0]
 
-    f_block = nlp.Block("f", f, np.array([[0, 1], [2, 1]]), 1)
-    g_block = nlp.Block("g", g, np.array([[1, 2]]), 2)
+    f_block = nlp.Block("f", f, np.array([[0, 1], [2, 1]]))
+    g_block = nlp.Block("g", g, np.array([[1, 2]]))
+    # the callbacks ran once, when the blocks were made, and fixed their
+    # output counts
+    assert calls == ["f", "g"]
+    assert (g_block.n_out, g_block.size) == (2, 2)
     rng = np.random.default_rng(3)
     for _ in range(5):
         x = rng.uniform(0.5, 2.0, size=3)
@@ -106,13 +110,13 @@ def test_block_callback_is_recorded_once():
          "constant_over_input", "array_constant", "array_constant_left",
          "array_output", "bare_output"])
 def test_unsupported_operation_names_the_block(fun):
-    block = nlp.Block("bad_block", lambda v: fun(v[0]), np.array([[0]]), 1)
+    # the tape is recorded when the block is made, so making it fails
     with pytest.raises(TypeError, match="block bad_block"):
-        nlp.block_values_and_jac(block, np.array([1.0]))
+        nlp.Block("bad_block", lambda v: fun(v[0]), np.array([[0]]))
 
 
 def test_replayed_sqrt_rejects_a_negative_argument():
-    block = nlp.Block("root", lambda v: [ad.sqrt(v[0])], np.array([[0]]), 1)
+    block = nlp.Block("root", lambda v: [ad.sqrt(v[0])], np.array([[0]]))
     assert nlp.block_values_and_jac(block, np.array([4.0]))[1][0, 0, 0] == 0.25
     with pytest.raises(ValueError, match="sqrt of negative value"):
         nlp.block_values_and_jac(block, np.array([-1.0]))
@@ -121,7 +125,7 @@ def test_replayed_sqrt_rejects_a_negative_argument():
 def test_repeated_block_evaluation_is_identical():
     block = nlp.Block(
         "f", lambda v: [v[0] * v[1], ad.sin(v[0]) / v[1], v[1], 2.0],
-        np.array([[0, 1], [2, 1], [1, 0]]), 4)
+        np.array([[0, 1], [2, 1], [1, 0]]))
     x = np.array([0.3, -1.7, 2.5])
     vals, jac = nlp.block_values_and_jac(block, x)
     vals2, jac2 = nlp.block_values_and_jac(block, x)

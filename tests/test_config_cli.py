@@ -2,7 +2,9 @@
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import os
 import re
 from types import SimpleNamespace
@@ -13,6 +15,7 @@ import yaml
 
 from branchopt import cli, config, nlp, pipeline
 from branchopt import transcription as tr
+from branchopt.plants import arm, cartpole
 
 
 def _write(tmp_path, text):
@@ -224,6 +227,48 @@ def test_bad_experiment_values_name_every_key():
 def test_run_config_rejects_a_bad_value_of_each_experiment_key(key):
     with pytest.raises(ValueError, match=key):
         config.RunConfig(experiment={key: BAD_EXPERIMENT[key]})
+
+
+# one bad value of each plant key: a bool, a NaN or an infinity that the
+# plant dataclasses' range checks let through, or a negative cost weight
+BAD_PLANT = {
+    ("cartpole", "params", "m_c"): True, ("cartpole", "params", "m_p"): True,
+    ("cartpole", "params", "l"): math.inf,
+    ("cartpole", "params", "gravity"): math.nan,
+    ("cartpole", "params", "w_cart"): True,
+    ("cartpole", "params", "dt_impact"): True,
+    ("cartpole", "env", "x_wall"): math.nan, ("cartpole", "env", "e"): True,
+    ("cartpole", "env", "mu"): math.inf,
+    ("arm", "params", "lengths"): [0.35, 0.35, math.nan],
+    ("arm", "params", "masses"): [1.0, 1.0, True],
+    ("arm", "params", "g"): math.nan,
+    ("arm", "params", "p_ball0"): [0.0, math.inf],
+    ("arm", "params", "v_ball0"): [0.0, math.nan],
+    ("arm", "params", "r_ball"): math.inf, ("arm", "params", "eps"): True,
+    ("arm", "params", "w_a"): -1.0, ("arm", "params", "level_angle"): True,
+    ("arm", "params", "catch_height"): False,
+}
+
+
+def _fields(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_bad_plant_values_name_every_key():
+    env = _fields(cartpole.CartPoleEnv)
+    keys = {("cartpole", "params", k)
+            for k in _fields(cartpole.CartPoleParams) - env}
+    keys |= {("cartpole", "env", k) for k in env}
+    keys |= {("arm", "params", k) for k in _fields(arm.ArmCatchParams)}
+    assert set(BAD_PLANT) == keys
+
+
+@pytest.mark.parametrize("plant, section, key", sorted(BAD_PLANT))
+def test_run_config_rejects_a_bad_value_of_each_plant_key(plant, section,
+                                                          key):
+    value = BAD_PLANT[plant, section, key]
+    with pytest.raises(ValueError, match=rf"\b{key}\b"):
+        config.RunConfig(plant={"name": plant, section: {key: value}})
 
 
 def test_rejects_removed_transcription_key(tmp_path):

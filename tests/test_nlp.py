@@ -24,7 +24,6 @@ from test_transcription import ARM_END, ARM_INIT, _cfg
 
 def _problem(n, cost=(), eq=(), ineq=(), lower=None, upper=None):
     return nlp.NlpProblem(
-        n_vars=n,
         lower=np.full(n, -np.inf) if lower is None else np.asarray(lower, float),
         upper=np.full(n, np.inf) if upper is None else np.asarray(upper, float),
         cost_blocks=list(cost),
@@ -33,16 +32,16 @@ def _problem(n, cost=(), eq=(), ineq=(), lower=None, upper=None):
     )
 
 
-def _block(name, fun, indices, n_out):
-    return nlp.Block(name, fun, np.asarray(indices, dtype=int), n_out)
+def _block(name, fun, indices):
+    return nlp.Block(name, fun, np.asarray(indices, dtype=int))
 
 
 def test_equality_constrained_quadratic_kkt_oracle():
     # min x^2 + y^2  s.t. x + y = 1.
     # Oracle (Lagrangian stationarity, derived by hand, not quoted):
     #   2x + lam = 0, 2y + lam = 0, x + y = 1  =>  x = y = 1/2, lam = -1.
-    cost = _block("r", lambda v: [v[0], v[1]], [[0, 1]], 2)
-    eq = _block("c", lambda v: [v[0] + v[1] - 1.0], [[0, 1]], 1)
+    cost = _block("r", lambda v: [v[0], v[1]], [[0, 1]])
+    eq = _block("c", lambda v: [v[0] + v[1] - 1.0], [[0, 1]])
     p = _problem(2, cost=[cost], eq=[eq])
     sol = nlp.solve(p, np.array([3.0, -2.0]))
     assert sol.status == "converged"
@@ -52,8 +51,8 @@ def test_equality_constrained_quadratic_kkt_oracle():
 
 
 def test_kkt_residual_zero_at_optimum():
-    cost = _block("r", lambda v: [v[0], v[1]], [[0, 1]], 2)
-    eq = _block("c", lambda v: [v[0] + v[1] - 1.0], [[0, 1]], 1)
+    cost = _block("r", lambda v: [v[0], v[1]], [[0, 1]])
+    eq = _block("c", lambda v: [v[0] + v[1] - 1.0], [[0, 1]])
     p = _problem(2, cost=[cost], eq=[eq])
     kkt = nlp.kkt_residual(p, np.array([0.5, 0.5]), np.array([-1.0]),
                            np.zeros(0))
@@ -63,8 +62,8 @@ def test_kkt_residual_zero_at_optimum():
 
 def test_inequality_active_at_solution():
     # min (x-2)^2 s.t. x <= 1 -> x* = 1, mu* = 2(2-1) = 2
-    cost = _block("r", lambda v: [v[0] - 2.0], [[0]], 1)
-    ineq = _block("g", lambda v: [v[0] - 1.0], [[0]], 1)
+    cost = _block("r", lambda v: [v[0] - 2.0], [[0]])
+    ineq = _block("g", lambda v: [v[0] - 1.0], [[0]])
     p = _problem(1, cost=[cost], ineq=[ineq])
     sol = nlp.solve(p, np.array([5.0]))
     assert sol.status == "converged"
@@ -73,8 +72,8 @@ def test_inequality_active_at_solution():
 
 
 def test_inactive_inequality_has_zero_multiplier():
-    cost = _block("r", lambda v: [v[0] - 0.25], [[0]], 1)
-    ineq = _block("g", lambda v: [v[0] - 1.0], [[0]], 1)
+    cost = _block("r", lambda v: [v[0] - 0.25], [[0]])
+    ineq = _block("g", lambda v: [v[0] - 1.0], [[0]])
     p = _problem(1, cost=[cost], ineq=[ineq])
     sol = nlp.solve(p, np.array([0.9]))
     assert sol.status == "converged"
@@ -84,14 +83,14 @@ def test_inactive_inequality_has_zero_multiplier():
 
 def test_bounds_are_respected():
     # min (x+3)^2 with x in [-1, 5]
-    cost = _block("r", lambda v: [v[0] + 3.0], [[0]], 1)
+    cost = _block("r", lambda v: [v[0] + 3.0], [[0]])
     p = _problem(1, cost=[cost], lower=[-1.0], upper=[5.0])
     sol = nlp.solve(p, np.array([4.0]))
     assert sol.x[0] == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_fixed_variables_are_pinned():
-    cost = _block("r", lambda v: [v[0] - 7.0, v[1]], [[0, 1]], 2)
+    cost = _block("r", lambda v: [v[0] - 7.0, v[1]], [[0, 1]])
     p = _problem(2, cost=[cost], lower=[2.0, -10], upper=[2.0, 10])
     sol = nlp.solve(p, np.array([2.0, 5.0]))
     assert sol.x[0] == 2.0
@@ -102,7 +101,7 @@ def test_rosenbrock_valley_unconstrained():
     def rb(v):
         return [10.0 * (v[1] - v[0] * v[0]), 1.0 - v[0]]
 
-    cost = _block("r", rb, [[0, 1]], 2)
+    cost = _block("r", rb, [[0, 1]])
     p = _problem(2, cost=[cost])
     sol = nlp.solve(p, np.array([-1.2, 1.0]))
     assert sol.x == pytest.approx([1.0, 1.0], abs=1e-6)
@@ -114,7 +113,7 @@ def test_batched_block_matches_loop():
     n = 6
     idx = np.column_stack([np.arange(n), n + np.arange(n)])
     target = np.arange(n, dtype=float)
-    cost = _block("r", lambda v: [v[0] - v[1]], idx, 1)
+    cost = _block("r", lambda v: [v[0] - v[1]], idx)
     p = _problem(2 * n, cost=[cost],
                  lower=np.r_[np.full(n, -np.inf), target],
                  upper=np.r_[np.full(n, np.inf), target])
@@ -124,8 +123,8 @@ def test_batched_block_matches_loop():
 
 def test_nonconvex_equality_circle():
     # min (x-2)^2 + y^2 s.t. x^2 + y^2 = 1 -> (1, 0)
-    cost = _block("r", lambda v: [v[0] - 2.0, v[1]], [[0, 1]], 2)
-    eq = _block("c", lambda v: [v[0] * v[0] + v[1] * v[1] - 1.0], [[0, 1]], 1)
+    cost = _block("r", lambda v: [v[0] - 2.0, v[1]], [[0, 1]])
+    eq = _block("c", lambda v: [v[0] * v[0] + v[1] * v[1] - 1.0], [[0, 1]])
     p = _problem(2, cost=[cost], eq=[eq])
     sol = nlp.solve(p, np.array([0.1, 0.9]))
     assert sol.status == "converged"
@@ -136,8 +135,8 @@ def test_restoration_of_one_free_variable():
     # min x^2 s.t. x^3 = 2 in [-100, 100] from x0 = 0.01: restoration
     # starts far from feasibility with a single free variable, which
     # trf's two-dimensional trust-region subproblem cannot take
-    cost = _block("r", lambda v: [v[0]], [[0]], 1)
-    eq = _block("c", lambda v: [v[0] * v[0] * v[0] - 2.0], [[0]], 1)
+    cost = _block("r", lambda v: [v[0]], [[0]])
+    eq = _block("c", lambda v: [v[0] * v[0] * v[0] - 2.0], [[0]])
     p = _problem(1, cost=[cost], eq=[eq], lower=[-100.0], upper=[100.0])
     sol = nlp.solve(p, np.array([0.01]))
     assert sol.status == "converged"
@@ -145,8 +144,8 @@ def test_restoration_of_one_free_variable():
 
 
 def test_infeasible_problem_reports_infeasible():
-    eq1 = _block("a", lambda v: [v[0] - 1.0], [[0]], 1)
-    eq2 = _block("b", lambda v: [v[0] + 1.0], [[0]], 1)
+    eq1 = _block("a", lambda v: [v[0] - 1.0], [[0]])
+    eq2 = _block("b", lambda v: [v[0] + 1.0], [[0]])
     p = _problem(1, eq=[eq1, eq2])
     sol = nlp.solve(p, np.array([0.0]), nlp.SolverOpts(max_outer=20))
     assert sol.status != "converged"
@@ -154,7 +153,7 @@ def test_infeasible_problem_reports_infeasible():
 
 
 def test_solution_reports_iteration_and_time():
-    cost = _block("r", lambda v: [v[0]], [[0]], 1)
+    cost = _block("r", lambda v: [v[0]], [[0]])
     p = _problem(1, cost=[cost])
     sol = nlp.solve(p, np.array([1.0]))
     assert sol.iterations >= 1
@@ -165,8 +164,8 @@ def test_deterministic_iterates():
     def rb(v):
         return [10.0 * (v[1] - v[0] * v[0]), 1.0 - v[0]]
 
-    cost = _block("r", rb, [[0, 1]], 2)
-    eq = _block("c", lambda v: [v[0] + v[1] - 1.5], [[0, 1]], 1)
+    cost = _block("r", rb, [[0, 1]])
+    eq = _block("c", lambda v: [v[0] + v[1] - 1.5], [[0, 1]])
     p = _problem(2, cost=[cost], eq=[eq])
     a = nlp.solve(p, np.array([-1.0, 2.0]))
     b = nlp.solve(p, np.array([-1.0, 2.0]))
@@ -175,7 +174,7 @@ def test_deterministic_iterates():
 
 
 def test_x0_dimension_checked():
-    p = _problem(2, cost=[_block("r", lambda v: [v[0]], [[0]], 1)])
+    p = _problem(2, cost=[_block("r", lambda v: [v[0]], [[0]])])
     with pytest.raises(ValueError):
         nlp.solve(p, np.zeros(3))
 
@@ -184,15 +183,22 @@ def test_x0_dimension_checked():
                          ids=["scalar", "too_long", "column"])
 def test_x0_must_be_a_vector_of_n_vars(x0):
     # checked before the bounds clip would broadcast it
-    p = _problem(2, cost=[_block("r", lambda v: [v[0]], [[0]], 1)],
+    p = _problem(2, cost=[_block("r", lambda v: [v[0]], [[0]])],
                  lower=[-1.0, -1.0], upper=[1.0, 1.0])
     with pytest.raises(ValueError, match="wrong dimension"):
         nlp.solve(p, x0)
 
 
+def test_problem_takes_its_size_from_bounds_of_one_length():
+    assert _problem(3).n_vars == 3
+    with pytest.raises(ValueError, match="vectors of one length"):
+        nlp.NlpProblem(lower=np.zeros(3), upper=np.ones(1), cost_blocks=[],
+                       eq_blocks=[], ineq_blocks=[])
+
+
 def test_block_rejects_a_repeated_variable():
     with pytest.raises(ValueError, match="repeats"):
-        _block("r", lambda v: [v[0] - v[1]], [[0, 1], [2, 2]], 1)
+        _block("r", lambda v: [v[0] - v[1]], [[0, 1], [2, 2]])
 
 
 # -- AL Jacobian assembly ---------------------------------------------------

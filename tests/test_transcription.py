@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -102,14 +103,18 @@ def test_config_validation():
     ("sure", "n_rejoin", 0), ("tree", "n_branch_full", 0),
     ("nominal", "dt_min", 0.2), ("nominal", "dt_min", 0.0),
     ("sure", "dt_min", -1e-3), ("nominal", "dt_max", math.inf),
-    ("sure", "d_fixed", math.nan), ("sure", "d_fixed", -0.05)])
+    ("sure", "d_fixed", math.nan), ("sure", "d_fixed", -0.05),
+    ("nominal", "dt_max", True), ("sure", "d_fixed", True),
+    ("nominal", "dt_max", "5e-2"), ("sure", "d_fixed", "0.05")])
 def test_config_rejects_empty_branches_and_reversed_dt_bounds(variant, key,
                                                               value):
     # an empty branch used to build a problem that crashed on its first
     # evaluation; reversed dt bounds failed only inside NlpProblem; at a
     # dt of 0 the running cost's sqrt(dt) has an infinite derivative; an
     # infinite dt_max made the default guess's steps infinite; a NaN or
-    # negative d_fixed went into every branched build's guard pins
+    # negative d_fixed went into every branched build's guard pins; a
+    # bool (YAML's on, yes, true) is not a number, and a string (YAML's
+    # 5e-2, with no dot) raised TypeError from a comparison
     with pytest.raises(ValueError, match=key):
         _cfg(variant, **{key: value})
 
@@ -197,6 +202,31 @@ def test_nominal_guard_pinned_at_contact_node():
     problem, layout = tr.build_nominal(CartPoleOcp(), _cfg("nominal"))
     eq, _ = _block_names(problem)
     assert any("guard" in n for n in eq)
+
+
+class _AbsCostCartPole(CartPoleOcp):
+    def node_cost(self, x, u, scale):
+        return [scale * abs(x[0])]
+
+
+def test_build_rejects_a_callback_a_tape_cannot_record():
+    # each block records its tape when it is made, so the build fails,
+    # naming the block, before any solve evaluates it
+    with pytest.raises(TypeError, match="block common_running_cost"):
+        tr.build(_AbsCostCartPole(), _cfg("nominal"))
+
+
+def test_plant_ocp_docstring_names_every_hook():
+    doc = tr.PlantOcp.__doc__
+    named = [name for line in doc.splitlines()
+             if line.strip().startswith("* ")
+             for name in re.findall(r"``(\w+)(?:\(\))?``",
+                                    line.split(" -- ")[0])]
+    members = ({n for n in vars(tr.PlantOcp) if not n.startswith("_")}
+               | set(tr.PlantOcp.__annotations__)) - {"n_x", "n_u"}
+    assert sorted(named) == sorted(members)
+    stated = re.search(r"The (\d+)\s+hooks", doc)
+    assert int(stated[1]) == len(members)
 
 
 def test_rejoin_constraint_evaluates_to_state_difference():

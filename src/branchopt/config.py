@@ -77,6 +77,7 @@ import yaml
 
 from . import control
 from . import nlp
+from .nlp import is_number
 from . import transcription as tr
 from .plants import arm, cartpole
 from .plants.arm_ocp import ArmCatchOcp
@@ -129,26 +130,21 @@ _EXPERIMENT_RULES = {
     "post_impact_budget": ("an integer of at least 1",
                            lambda v: _is_integer(v, 1)),
     "sweep_heights": ("an integer of at least 1", lambda v: _is_integer(v, 1)),
-    "horizon": ("positive", lambda v: _is_number(v) and 0.0 < v < math.inf),
-    "dt_sim": ("positive", lambda v: _is_number(v) and 0.0 < v < math.inf),
-    "debounce_window": ("non-negative", lambda v: _is_number(v) and v >= 0),
+    "horizon": ("positive", lambda v: is_number(v) and 0.0 < v < math.inf),
+    "dt_sim": ("positive", lambda v: is_number(v) and 0.0 < v < math.inf),
+    "debounce_window": ("non-negative", lambda v: is_number(v) and v >= 0),
     "sweep_half_range": ("non-negative and finite",
-                         lambda v: _is_number(v) and 0.0 <= v < math.inf),
+                         lambda v: is_number(v) and 0.0 <= v < math.inf),
 }
 
 
-def _is_number(value):
-    # bool is a numbers.Real, and YAML reads on, yes and true as True
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _is_integer(value, low):
-    return (_is_number(value) and isinstance(value, numbers.Integral)
+    return (is_number(value) and isinstance(value, numbers.Integral)
             and value >= low)
 
 
 def _is_finite(value):
-    return _is_number(value) and math.isfinite(value)
+    return is_number(value) and math.isfinite(value)
 
 
 def _vector(value, n):
@@ -256,7 +252,7 @@ class RunConfig:
         self.controller = {"q_diag": q_default, "r": control.DEFAULT_R,
                            **self.controller}
         q_diag, r = self.controller["q_diag"], self.controller["r"]
-        if not (_is_number(r) and 0.0 < r < math.inf):
+        if not (is_number(r) and 0.0 < r < math.inf):
             raise ValueError(f"controller r must be a positive finite "
                              f"number, got {r!r}")
         q = _vector(q_diag, len(q_default))

@@ -7,7 +7,9 @@ linearize the plant there, solve the continuous-time algebraic Riccati
 equation, and read the proportional/derivative gains off the feedback
 matrix.  Given a branched solution, the controller plays the common
 trajectory until contact is observed, then switches — exactly once — to
-the nearest subsequent branch.
+the nearest subsequent branch.  The controller reads the state, an
+(n_x,) array that the simulator hands it as a row of its trace, and
+returns the input as a tuple of n_u Python floats.
 
 References are sampled from their ``Trajectory.sample_table``: node
 times, rows and per-interval slopes, built once per reference.  A
@@ -186,14 +188,16 @@ def sample_reference(ref: Trajectory, t):
 def pd_feedforward(ref: Trajectory, state, gains: Gains, t):
     """τ(t) = k_p @ (q_des − q) + k_d @ (q̇_des − q̇) + τ_des.
 
-    Returns a new (n_u,) array.  The error is one vector,
-    e = x_des − state.  A 1-D gain row (a single-input plant) is applied
-    with ``ndarray.dot``: numpy hands a 1-D dot to BLAS ``ddot`` either
-    way, and ``.dot`` is the cheaper call.  The dot stays in numpy
-    because BLAS may fuse its multiply-adds (OpenBLAS's ``ddot`` of two
-    elements is fma(a1, b1, a0 * b0)), which Python floats cannot
-    reproduce before ``math.fma`` (Python 3.13).  Gain matrices keep
-    ``@``, since ``dot`` may call ``gemv`` with another transposition.
+    Returns the input as a tuple of n_u Python floats, for either gain
+    shape; ``state`` is an (n_x,) array, which is only read.  The error
+    is one vector, e = x_des − state.  A 1-D gain row (a single-input
+    plant) is applied with ``ndarray.dot``: numpy hands a 1-D dot to
+    BLAS ``ddot`` either way, and ``.dot`` is the cheaper call.  The dot
+    stays in numpy because BLAS may fuse its multiply-adds (OpenBLAS's
+    ``ddot`` of two elements is fma(a1, b1, a0 * b0)), which Python
+    floats cannot reproduce before ``math.fma`` (Python 3.13).  Gain
+    matrices keep ``@``, since ``dot`` may call ``gemv`` with another
+    transposition.
     """
     # called by its module-level name, which the benchmark's tracer wraps
     x_des, tau = sample_reference(ref, t)
@@ -201,9 +205,9 @@ def pd_feedforward(ref: Trajectory, state, gains: Gains, t):
     n_q = len(e) // 2
     k_p, k_d = gains.k_p, gains.k_d
     if k_p.ndim == 1:
-        fb = k_p.dot(e[:n_q]) + k_d.dot(e[n_q:])
-        return np.array([fb + u for u in tau])
-    return k_p @ e[:n_q] + k_d @ e[n_q:] + tau
+        fb = float(k_p.dot(e[:n_q]) + k_d.dot(e[n_q:]))
+        return tuple([fb + u for u in tau])
+    return tuple((k_p @ e[:n_q] + k_d @ e[n_q:] + tau).tolist())
 
 
 # -- the tracking controller ---------------------------------------------------

@@ -27,10 +27,17 @@ import numpy as np
 class HybridSystemDef:
     """Plant definition for simulation and control design.
 
-    ``free_dynamics(q, qd, u) -> qdd`` operates on plain arrays;
+    ``free_dynamics(q, qd, u) -> qdd`` operates on plain arrays (in a
+    rollout, ``u`` is the controller's sequence of n_u floats);
     ``guard(t, state, env)`` returns the signed clearance (positive in
     free motion); ``impact(state, env) -> (post_state, impulse)`` maps a
-    state on the guard surface to the state after contact.
+    state on the guard surface, an array, to the state after contact.
+
+    ``extras["fast_derivative"]``, where a plant has one, is
+    ``deriv(state, tau) -> (q̇, q̈)``, one flat tuple, on plain floats
+    and one input.  The simulator then carries the state as a tuple of
+    floats and hands the guard that tuple; otherwise the guard gets an
+    ``(n_x,)`` array.
     """
 
     n_q: int

@@ -69,6 +69,7 @@ __all__ = [
     "KktResidual",
     "solve",
     "kkt_residual",
+    "is_number",
 ]
 
 
@@ -185,6 +186,14 @@ OBJ_STALL_RTOL = 1e-4
 OBJ_STALL_ITERS = 3
 
 
+def is_number(value):
+    """A real number, but not a bool: bool is a ``numbers.Integral``,
+    and YAML reads on, yes and true as True.  Every numeric setting is
+    checked with it: ``SolverOpts``, ``TranscriptionConfig`` and the run
+    config's own keys."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class SolverOpts:
     """Acceptance tolerances and iteration limits, the solver's settings."""
@@ -196,19 +205,16 @@ class SolverOpts:
     max_inner: int = 600
 
     def __post_init__(self):
-        # bool is a numbers.Integral, and YAML reads on, yes and true as
-        # True
         for name in ("max_outer", "max_inner"):
             value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral) or value < 1):
+            if not (is_number(value) and isinstance(value, numbers.Integral)
+                    and value >= 1):
                 raise ValueError(f"solver {name} must be an integer of at "
                                  f"least 1, got {value!r}")
         for name in ("tol_eq", "tol_ineq", "tol_stat"):
             value = getattr(self, name)
             # an infinite tolerance accepts every iterate
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not 0.0 < value < math.inf):
+            if not (is_number(value) and 0.0 < value < math.inf):
                 raise ValueError(f"solver {name} must be a positive finite "
                                  f"number, got {value!r}")
 

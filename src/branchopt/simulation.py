@@ -9,6 +9,17 @@ integration continues from the post-impact state.  ``rigid_impact``
 builds the cart-pole's law: the closed-form frictional impulse of
 ``contact2d`` with positions frozen.
 
+The loop carries the state from step to step in the form its step
+returns: a tuple of Python floats for a plant with
+``extras["fast_derivative"]`` (the cart-pole), so that no step builds
+an array, and an ``(n_x,)`` array from ``rk4_step`` otherwise (the
+arm).  The guard and the stop condition receive that form.  Each state
+is written once into the trace, and the controller receives that
+stored row, a view it must not write; it returns a sequence of n_u
+floats, the tracking controller a tuple.  At a contact, the impact law
+gets and returns arrays, and its post-impact state is turned back into
+the carried form once.
+
 The benchmark's per-layer tracer (``perfbench/tracing.py``) times the
 loop by replacing what it calls, so a faster loop must keep these calls
 rather than inline them: ``sys.extras["fast_derivative"]`` at every RK4
@@ -149,11 +160,19 @@ def simulate(sys: HybridSystemDef, controller, x0, env=None, *, horizon,
              dt_sim, stop_condition=None):
     """Closed-loop rollout with guard-triggered impact events.
 
-    ``controller(t, state) -> u`` supplies the input, an ``(n_u,)`` array
-    held constant over each step; controllers may expose
-    ``notify_contact(t)`` to receive event times.  ``stop_condition(t, state, n_events)`` may return a
-    termination label to end the rollout early; failures never raise,
-    they are recorded on the trace.
+    ``controller(t, state) -> u`` supplies the input, a sequence of n_u
+    floats held constant over each step; controllers may expose
+    ``notify_contact(t)`` to receive event times.  The controller's
+    ``state`` is the step's stored row of ``trace.states``, a view it
+    must not write (at a contact, the event's ``post_state``).
+    ``stop_condition(t, state, n_events)`` may return a termination label
+    to end the rollout early; failures never raise, they are recorded on
+    the trace.
+
+    Between steps the state is carried in the form the step returns, and
+    the guard ``sys.guard(t, state, env)`` and ``stop_condition`` see it
+    in that form: a tuple of Python floats for a plant with
+    ``extras["fast_derivative"]``, an ``(n_x,)`` array otherwise.
     """
     if dt_sim <= 0:
         raise ValueError("dt_sim must be positive")
@@ -162,8 +181,7 @@ def simulate(sys: HybridSystemDef, controller, x0, env=None, *, horizon,
         raise ValueError(
             f"horizon {horizon} rounds to no step of dt_sim {dt_sim}")
     env = env if env is not None else sys.default_env
-    x = np.asarray(x0, dtype=float).copy()
-    n_x = x.size
+    n_x = len(x0)
 
     times = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1, n_x))
@@ -174,13 +192,20 @@ def simulate(sys: HybridSystemDef, controller, x0, env=None, *, horizon,
     fast_deriv = sys.extras.get("fast_derivative")
     if fast_deriv is not None:
         def step(x, u, dt):
-            return _rk4_fast(fast_deriv, x, float(u[0]), dt)
+            return _rk4_fast(fast_deriv, x, u[0], dt)
+
+        def carried(state):
+            return tuple(state.tolist())
     else:
         def step(x, u, dt):
             return rk4_step(sys.state_derivative, x, u, dt)
+
+        def carried(state):
+            return state
     guard = sys.guard
     guard_fn = lambda t, s: guard(t, s, env)
 
+    x = carried(np.asarray(x0, dtype=float))
     times[0] = 0.0
     states[0] = x
     g = guards[0] = guard(0.0, x, env)
@@ -188,7 +213,7 @@ def simulate(sys: HybridSystemDef, controller, x0, env=None, *, horizon,
     k = 0
     t = 0.0
     while k < n_steps:
-        u = controller(t, x)
+        u = controller(t, states[k])
         inputs[k] = u
         x_new = step(x, u, dt_sim)
         t_new = t + dt_sim
@@ -202,9 +227,9 @@ def simulate(sys: HybridSystemDef, controller, x0, env=None, *, horizon,
             # finish the step from the post-impact state
             rem = t_new - t_hit
             if rem > 1e-12:
-                x_new = step(post, controller(t_hit, post), rem)
+                x_new = step(carried(post), controller(t_hit, post), rem)
             else:
-                x_new = post
+                x_new = carried(post)
             g_new = guard(t_new, x_new, env)
         x = x_new
         t = t_new
@@ -224,10 +249,10 @@ def simulate(sys: HybridSystemDef, controller, x0, env=None, *, horizon,
     return trace
 
 
-def _rk4_fast(deriv, x, tau, dt):
+def _rk4_fast(deriv, s0, tau, dt):
     """RK4 on plain floats for plants exposing a derivative that takes
-    and returns a sequence of floats."""
-    s0 = x.tolist()
+    and returns a sequence of floats; ``s0`` is such a sequence, and the
+    result is a tuple."""
     k1 = deriv(s0, tau)
     h2 = 0.5 * dt
     s1 = (s0[0] + h2 * k1[0], s0[1] + h2 * k1[1],
@@ -240,9 +265,9 @@ def _rk4_fast(deriv, x, tau, dt):
           s0[2] + dt * k3[2], s0[3] + dt * k3[3])
     k4 = deriv(s3, tau)
     c = dt / 6.0
-    return np.array([
+    return (
         s0[0] + c * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
         s0[1] + c * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
         s0[2] + c * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
         s0[3] + c * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]),
-    ])
+    )

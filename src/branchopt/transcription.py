@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import autodiff as ad
-from .nlp import Block, NlpProblem
+from .nlp import Block, NlpProblem, is_number
 
 STRICT_EPS = 1e-6  # strict inequalities g > a become g >= a + STRICT_EPS
 
@@ -54,11 +54,9 @@ class TranscriptionConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.k_first is None or self.k_last is None:
             raise ValueError("branching window (k_first, k_last) required")
-        # bool is a numbers.Integral, and YAML reads on, yes and true as True
         for name in ("N", "k_first", "k_last", "n_rejoin", "n_branch_full"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value,
-                                                         numbers.Integral):
+            if not (is_number(value) and isinstance(value, numbers.Integral)):
                 raise ValueError(
                     f"transcription {name} must be an integer, got {value!r}")
         if not 0 < self.k_first <= self.k_last < self.N:
@@ -69,8 +67,7 @@ class TranscriptionConfig:
                 raise ValueError(
                     f"{name} must be at least 1, got {getattr(self, name)}")
         # a bool (YAML's on, yes, true) is not a length of time
-        real = {name: isinstance(getattr(self, name), numbers.Real)
-                and not isinstance(getattr(self, name), bool)
+        real = {name: is_number(getattr(self, name))
                 for name in ("dt_min", "dt_max", "d_fixed")}
         if not (real["dt_min"] and self.dt_min > 0):
             # the running cost's sqrt(dt) has no derivative at 0

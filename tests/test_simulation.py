@@ -1,5 +1,6 @@
 """Simulator: RK4 accuracy, event detection, closed-form contact impulse."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -246,3 +247,72 @@ def test_simulate_rejects_a_horizon_below_one_step(horizon):
     with pytest.raises(ValueError, match="no step"):
         simulation.simulate(sys_def, lambda t, x: np.zeros(1),
                             cartpole.X_EQ, horizon=horizon, dt_sim=1e-3)
+
+
+# -- the carried state --------------------------------------------------------
+
+
+def _is_float_tuple(state):
+    return type(state) is tuple and all(type(v) is float for v in state)
+
+
+def _spied_wall_rollout():
+    """A cart-pole rollout into the wall, recording what the fast
+    derivative, the stop condition and the controller receive."""
+    sys_def = cartpole.make_system()
+    deriv = sys_def.extras["fast_derivative"]
+    seen = {"deriv": [], "stop": [], "controller": []}
+
+    def spy_deriv(state, tau):
+        seen["deriv"].append(state)
+        return deriv(state, tau)
+
+    def stop(t, state, n_events):
+        seen["stop"].append((n_events, state))
+        return None
+
+    def controller(t, state):
+        seen["controller"].append(state)
+        return (0.0,)
+
+    sys_def = dataclasses.replace(sys_def,
+                                  extras={"fast_derivative": spy_deriv})
+    trace = simulation.simulate(
+        sys_def, controller, np.array([-0.1, 3.6, -0.5, 2.0]), horizon=0.5,
+        dt_sim=1e-3, stop_condition=stop)
+    return trace, seen
+
+
+@pytest.mark.parametrize("at_step_end", [False, True])
+def test_cartpole_rollout_carries_plain_floats_across_the_impact(
+        monkeypatch, at_step_end):
+    if at_step_end:
+        # a crossing at the step's end leaves no time to finish the step
+        def crossing_at_step_end(guard, state_a, state_b, t_a, t_b):
+            return t_b, np.asarray(state_b, dtype=float)
+
+        monkeypatch.setattr(simulation, "detect_crossing",
+                            crossing_at_step_end)
+    trace, seen = _spied_wall_rollout()
+    events = trace.contact_events
+    assert events
+    n_events = [n for n, _ in seen["stop"]]
+    assert 0 in n_events and max(n_events) >= 1  # before and after impact
+    assert all(_is_float_tuple(state) for state in seen["deriv"])
+    assert all(_is_float_tuple(state) for _, state in seen["stop"])
+    assert np.array([state for _, state in seen["stop"]]).tobytes() == (
+        trace.states[1:].tobytes())
+    # the controller reads each step's stored row of the trace; finishing
+    # a step after a contact, it reads the event's post-impact state
+    n_steps = len(trace.inputs)
+    calls = seen["controller"]
+    assert len(calls) == n_steps + (0 if at_step_end else len(events))
+    rows = [state for state in calls
+            if not any(state is ev.post_state for ev in events)]
+    assert len(rows) == n_steps
+    assert all(np.shares_memory(row, trace.states) for row in rows)
+    if at_step_end:
+        # the step ends on the post-impact state itself
+        for ev in events:
+            k = int(np.flatnonzero(trace.times == ev.time)[0])
+            assert trace.states[k].tobytes() == ev.post_state.tobytes()

@@ -41,8 +41,12 @@ its iterates are scipy's to the last bit, without the stacked
 small Jacobians (each pass's ``lsmr`` subproblems make about 350 sparse
 products per evaluation).  The program therefore never imports
 ``scipy.optimize``, which costs about 0.23 s of CPU and 17 MB of memory;
-the tests keep it as the port's oracle.  ``perfbench/tracing.py``
-patches ``nlp.least_squares`` to time and count the ``trf`` calls.
+the tests keep it as the port's oracle.  The port's products with the
+Jacobian, and the LM method's, call the compiled kernels that scipy's
+``@`` ends in (``trf.matvec`` and ``trf.rmatvec``): the same floats,
+without the ``@`` dispatch or a transposed copy of J.
+``perfbench/tracing.py`` patches ``nlp.least_squares`` to time and count
+the ``trf`` calls.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import autodiff as ad
-from .trf import least_squares
+from .trf import least_squares, matvec, rmatvec
 
 __all__ = [
     "Block",
@@ -520,9 +524,12 @@ def _bounded_lm(helper, z0, lb, ub, max_iter, gtol):
     Each iteration forms ``JᵀJ`` on the unfrozen columns from the
     helper's ``normal_plan`` and takes the right-hand side from the
     gradient's product ``Jᵀr``: bit for bit what scipy's ``Jf.T @ Jf``
-    and ``Jf.T @ r`` give, without re-slicing J.  Damping adds
-    ``sigma * max(diag, 1e-10)`` to the stored diagonal, the sums that
-    ``A + sp.diags(...)`` forms.
+    and ``Jf.T @ r`` give, without re-slicing J.  ``Jᵀr`` and each
+    trial's model product ``J @ (zt - z)`` call scipy's kernels through
+    ``trf.rmatvec`` and ``trf.matvec``: scipy's floats, without a
+    transposed copy of J per iteration or the dispatch of ``@``.
+    Damping adds ``sigma * max(diag, 1e-10)`` to the stored diagonal, the
+    sums that ``A + sp.diags(...)`` forms.
     """
     z = np.clip(z0, lb, ub)
     r = helper.residuals(z)
@@ -531,7 +538,7 @@ def _bounded_lm(helper, z0, lb, ub, max_iter, gtol):
     f = float(r @ r)
     sigma = 1e-5
     for _ in range(max_iter):
-        jtr = J.T @ r
+        jtr = rmatvec(J, r)
         g = 2.0 * jtr
         pg = z - np.clip(z - g, lb, ub)
         if np.max(np.abs(pg), initial=0.0) < gtol * (1.0 + abs(f)):
@@ -559,7 +566,7 @@ def _bounded_lm(helper, z0, lb, ub, max_iter, gtol):
             rt = helper.residuals(zt)
             nfev += 1
             ft = float(rt @ rt)
-            lin = r + J @ (zt - z)
+            lin = r + matvec(J, zt - z)
             predicted = f - float(lin @ lin)
             if ft < f and predicted > 0:
                 ratio = (f - ft) / predicted

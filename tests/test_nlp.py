@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.sparse._base import _spbase
 
 from branchopt import autodiff as ad
 from branchopt import bench, config, nlp, pipeline
@@ -455,6 +456,39 @@ def test_short_solve_matches_recorded_bit_for_bit(monkeypatch):
     monkeypatch.setattr(nlp, "least_squares", counted)
     assert short_nominal_solve() == record.load("short_nominal_solve.json")
     assert passes == [("jac", sp.csr_matrix), (1.0, sp.csr_matrix)]
+
+
+def test_solver_products_skip_scipys_sparse_dispatch(monkeypatch):
+    # The same short solve, with scipy's sparse `@` counted: trf and the
+    # LM loop multiply by their CSR Jacobians through the compiled
+    # kernels that `@` ends in (trf.matvec and trf.rmatvec), so no
+    # product of theirs pays for its Python dispatch.
+    entered, open_calls, reached = set(), [], []
+    matmul = _spbase.__matmul__
+
+    def counted_matmul(self, other):
+        if open_calls:
+            reached.append(open_calls[-1])
+        return matmul(self, other)
+
+    def traced(name, fn):
+        def call(*args, **kwargs):
+            entered.add(name)
+            open_calls.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                open_calls.pop()
+        return call
+
+    monkeypatch.setattr(_spbase, "__matmul__", counted_matmul)
+    monkeypatch.setattr(nlp, "least_squares",
+                        traced("trf", nlp.least_squares))
+    monkeypatch.setattr(nlp, "_bounded_lm",
+                        traced("_bounded_lm", nlp._bounded_lm))
+    short_nominal_solve()
+    assert entered == {"trf", "_bounded_lm"}
+    assert reached == []
 
 
 def _feasibility_problem():

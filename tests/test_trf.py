@@ -7,11 +7,12 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import least_squares as scipy_least_squares
 
 from branchopt import trf
 
-from test_nlp import _feasibility_problem
+from test_nlp import _ENTRIES, _feasibility_problem, _stored
 
 
 class _Quadratic:
@@ -146,3 +147,38 @@ def test_restoration_passes_are_scipys_bit_for_bit(x_scale):
     _assert_same_as_scipy(helper.residuals, helper.jac, z0, x_scale,
                           bounds=bounds, max_nfev=15, xtol=1e-14, ftol=1e-14,
                           gtol=1e-14)
+
+
+# test_nlp's entries, whose products cancel or are signed zeros, and the
+# non-finite values
+_ANY_ENTRIES = st.one_of(_ENTRIES, st.sampled_from([np.inf, -np.inf, np.nan]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_products_are_scipys_on_any_pattern(data):
+    # The kernels the port calls directly against scipy's `@`, byte for
+    # byte: J @ x, J.T @ y and the column sums of squares that jac
+    # scaling takes, on test_nlp's patterns with empty rows and columns,
+    # stored zeros and non-finite values, with either index dtype, and
+    # with contiguous vectors and strided views.
+    m = data.draw(st.integers(1, 12))
+    n = data.draw(st.integers(1, 7))
+    stored = data.draw(hnp.arrays(bool, (m, n))).copy()
+    if data.draw(st.booleans()):
+        stored[data.draw(st.integers(0, m - 1))] = False
+    if data.draw(st.booleans()):
+        stored[:, data.draw(st.integers(0, n - 1))] = False
+    values = data.draw(hnp.arrays(float, (m, n), elements=_ANY_ENTRIES))
+    vectors = data.draw(hnp.arrays(float, 2 * (n + m),
+                                   elements=_ANY_ENTRIES))
+    J = _stored(values, stored)
+    squares = np.asarray(J.power(2).sum(axis=0)).ravel()
+    for index in (np.int32, np.int64):
+        J.indptr, J.indices = J.indptr.astype(index), J.indices.astype(index)
+        for x, y in ((vectors[:n], vectors[n:n + m]),
+                     (vectors[::2][:n], vectors[::-2][:m])):
+            assert trf.matvec(J, x).tobytes() == (J @ x).tobytes()
+            assert trf.rmatvec(J, y).tobytes() == (J.T @ y).tobytes()
+        assert (trf.rmatvec(J, np.ones(m), J.data ** 2).tobytes()
+                == squares.tobytes())

@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -298,7 +299,11 @@ def _controller_gains(run: cfgmod.RunConfig, adapter):
 
 
 def _pmap(fn, items, workers):
-    if workers <= 1 or len(items) <= 1:
+    """``[fn(it) for it in items]`` on at most ``workers`` processes, and
+    never more processes than items or CPUs: the pool starts all of them
+    at its first task."""
+    workers = min(workers, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(it) for it in items]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))

@@ -50,7 +50,8 @@ number or a list of them, and YAML's on, yes and true are neither::
       r: 0.1                        # per input, finite and > 0
     experiment:
       seed: 0                       # >= 0
-      workers: 4
+      workers: 4                    # processes; <= 1 runs serially, and
+                                    #   never more than CPUs or tasks
       n_samples: 200                # >= 1
       horizon: 10.0                 # finite, at least one step of dt_sim
       dt_sim: 1.0e-3                # finite and > 0

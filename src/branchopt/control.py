@@ -7,15 +7,30 @@ linearize the plant there, solve the continuous-time algebraic Riccati
 equation, and read the proportional/derivative gains off the feedback
 matrix.  Given a branched solution, the controller plays the common
 trajectory until contact is observed, then switches — exactly once — to
-the nearest subsequent branch.  The controller reads the state, an
-(n_x,) array that the simulator hands it as a row of its trace, and
-returns the input as a tuple of n_u Python floats.
+the nearest subsequent branch.  The controller reads the state the
+simulator carries, which it does not write: a tuple of Python floats
+for the cart-pole, an (n_x,) array for the arm.  It returns the input
+as a tuple of n_u Python floats.
 
 References are sampled from their ``Trajectory.sample_table``: node
-times, rows and per-interval slopes, built once per reference.  A
-sample is a clamp, one ``bisect`` and one row expression, the float
-expression ``np.interp`` evaluates for a scalar: on a state array, and
-on the Python floats of an input row.
+times, rows and per-interval slopes, built once per reference as
+Python floats.  A sample is a clamp, one ``bisect`` and one row
+expression per entry, the float expression ``np.interp`` evaluates for
+a scalar.
+
+A cart-pole step runs on Python floats alone, bit for bit what numpy
+gave.  The one numpy result floats do not reproduce by plain arithmetic
+is BLAS's dot of two gain entries with two errors: OpenBLAS's ``ddot``
+fuses it into fma(k1, e1, k0 * e0 + 0.0), one rounding of the exact
+k1 * e1 + q.  ``_dot2`` makes that rounding exact without ``math.fma``
+(Python 3.13): Dekker's error-free product (1971, with Veltkamp's
+split) gives k1 * e1 as p + err exactly, and ``math.fsum`` rounds the
+exact sum q + p + err correctly, which is the definition of the fma
+(the exact transformations of Ogita, Rump and Oishi, SIAM J. Sci.
+Comput. 26(6), 2005).  Where the split could overflow, the remainder
+underflow or an operand is not finite, ``_dot2`` calls numpy's dot
+itself.  A BLAS whose dot is not this fma (checked once, at import)
+keeps numpy for every call.
 """
 
 from __future__ import annotations
@@ -23,6 +38,8 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from math import fsum
 
 import numpy as np
 import scipy.linalg
@@ -45,21 +62,38 @@ DEFAULT_Q = np.diag([10.0, 0.0, 10.0, 0.0])
 DEFAULT_R = 0.1
 
 
-@dataclass
+@dataclass(frozen=True)
 class Gains:
     """Proportional and derivative tracking gains.
 
     ``k_p`` and ``k_d`` map position and velocity errors to inputs: a
     1-D row for a single-input plant, an (n_u, n_q) matrix otherwise
-    (see ``pd_feedforward`` for how each is applied).
+    (see ``pd_feedforward`` for how each is applied).  Immutable: the
+    arrays are read-only copies of what the constructor is given, so
+    ``dot2_rows``, derived from them, is built on first use and cached.
     """
 
     k_p: np.ndarray
     k_d: np.ndarray
 
     def __post_init__(self):
-        self.k_p = np.asarray(self.k_p, dtype=float)
-        self.k_d = np.asarray(self.k_d, dtype=float)
+        for name in ("k_p", "k_d"):
+            k = np.array(getattr(self, name), dtype=float)
+            k.flags.writeable = False
+            object.__setattr__(self, name, k)
+
+    def __reduce__(self):
+        # unpickled arrays would be writable: rebuild through __init__
+        return type(self), (self.k_p, self.k_d)
+
+    @cached_property
+    def dot2_rows(self):
+        """``(k_p, k_d)`` as ``_dot2`` rows when both are 1-D rows of two
+        entries and this BLAS's dot is the fma ``_dot2`` rounds; else None."""
+        if (_BLAS_DOT2_IS_FMA and self.k_p.shape == (2,)
+                and self.k_d.shape == (2,)):
+            return _dot2_row(self.k_p), _dot2_row(self.k_d)
+        return None
 
 
 EQ_TOL = 1e-10  # largest |f(x_eq, u_eq)| accepted as an equilibrium
@@ -141,6 +175,69 @@ def design_gains(sys, x_eq, Q=DEFAULT_Q, r=DEFAULT_R, u_eq=None) -> Gains:
     return lqr_gains(A, B, Q, r)
 
 
+# -- BLAS's two-element dot on Python floats ----------------------------------
+
+_VELTKAMP = 134217729.0  # 2**27 + 1: splits a double into 26-bit halves
+_SPLIT_MAX = 2.0 ** 995  # largest |a| whose split cannot overflow
+# smallest |k1 * e1| whose rounding error is a double: Dekker's product
+# is exact when the exponents of its factors add to at least -969
+_PRODUCT_MIN = 2.0 ** -960
+_SUM_MAX = 2.0 ** 1020  # |q|, |p| below which fsum((q, p, err)) is finite
+
+
+def _split(a):
+    """Veltkamp's split: a == hi + lo, each of at most 26 significant bits."""
+    c = _VELTKAMP * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _dot2_row(k):
+    """What ``_dot2`` reads of a 2-entry gain row ``k``: its floats, the
+    split of ``k[1]``, the largest |e1| it may split (below 0 when
+    ``k[1]`` itself cannot be split, so that every call takes numpy's
+    dot), and ``k`` for that dot."""
+    k0, k1 = k.tolist()
+    e1_max = _SPLIT_MAX if abs(k1) <= _SPLIT_MAX else -1.0
+    return (k0, k1, *_split(k1), e1_max, k)
+
+
+def _dot2(row, e0, e1):
+    """``k.dot((e0, e1))`` to the bit for a ``_dot2_row`` of ``k``:
+    fma(k1, e1, q) with q = k0 * e0 + 0.0, the one rounding of
+    q + p + err, where p + err is k1 * e1 exactly (Dekker).  Outside the
+    range where that holds, or on an operand that is not finite, numpy's
+    dot."""
+    k0, k1, k1_hi, k1_lo, e1_max, k = row
+    # without BLAS's + 0.0: the sign of a zero q cannot show in a sum
+    # with the nonzero k1 * e1 this path requires
+    q = k0 * e0
+    p = k1 * e1
+    if (_PRODUCT_MIN <= abs(p) <= _SUM_MAX and abs(q) <= _SUM_MAX
+            and abs(e1) <= e1_max):
+        c = _VELTKAMP * e1  # _split(e1), inlined
+        e1_hi = c - (c - e1)
+        e1_lo = e1 - e1_hi
+        err = (((k1_hi * e1_hi - p) + k1_hi * e1_lo + k1_lo * e1_hi)
+               + k1_lo * e1_lo)
+        return fsum((q, p, err))
+    return float(k.dot(np.array((e0, e1))))
+
+
+def _blas_dot2_is_fma():
+    """Whether this BLAS's two-element dot is the fma ``_dot2`` rounds.
+    For k = (x, -x) and e = (x, x) that fma is the rounding error of
+    x * x, which an unfused dot gives as 0.0 and the other order negated."""
+    for x in (1.0 / 3.0, 0.1):
+        k = np.array((x, -x))
+        if _dot2(_dot2_row(k), x, x) != k.dot(np.array((x, x))):
+            return False
+    return True
+
+
+_BLAS_DOT2_IS_FMA = _blas_dot2_is_fma()
+
+
 # -- reference sampling and the PD + feedforward law --------------------------
 
 
@@ -149,11 +246,12 @@ def sample_reference(ref: Trajectory, t):
 
     Past the horizon the terminal state is held (with the last input as
     feedforward); before t=0 the initial node is held.  Reads the
-    reference's cached ``sample_table``.  ``x_des`` is an (n_x,) array:
-    at a node's time, the node's row as a read-only view, otherwise the
-    row expression ``np.interp`` evaluates for a scalar, so the result
-    is the same to the bit.  ``τ_des`` is a tuple of n_u floats from the
-    same expression on Python floats.
+    reference's cached ``sample_table``.  ``x_des`` is a tuple of n_x
+    Python floats: at a node's time, the node's row, otherwise
+    ``s * h + y`` per entry, the two roundings of the row expression
+    ``np.interp`` evaluates for a scalar, so the result is the same to
+    the bit.  ``τ_des`` is a tuple of n_u floats from the same
+    expression.
     """
     tab = ref.sample_table
     times = tab.times
@@ -171,7 +269,7 @@ def sample_reference(ref: Trajectory, t):
     if on_node:
         x = tab.states[j]
     else:
-        x = tab.slopes[j] * h + tab.states[j]
+        x = tuple([s * h + y for s, y in zip(tab.slopes[j], tab.states[j])])
     n = len(tab.inputs)
     if n == 0:
         tau = tab.zero_input
@@ -189,19 +287,27 @@ def pd_feedforward(ref: Trajectory, state, gains: Gains, t):
     """τ(t) = k_p @ (q_des − q) + k_d @ (q̇_des − q̇) + τ_des.
 
     Returns the input as a tuple of n_u Python floats, for either gain
-    shape; ``state`` is an (n_x,) array, which is only read.  The error
-    is one vector, e = x_des − state.  A 1-D gain row (a single-input
-    plant) is applied with ``ndarray.dot``: numpy hands a 1-D dot to
-    BLAS ``ddot`` either way, and ``.dot`` is the cheaper call.  The dot
-    stays in numpy because BLAS may fuse its multiply-adds (OpenBLAS's
-    ``ddot`` of two elements is fma(a1, b1, a0 * b0)), which Python
-    floats cannot reproduce before ``math.fma`` (Python 3.13).  Gain
-    matrices keep ``@``, since ``dot`` may call ``gemv`` with another
-    transposition.
+    shape; ``state`` is a sequence of n_x floats (a tuple or an array),
+    which is only read.  1-D gain rows (a single-input plant) are
+    applied as numpy hands them to BLAS ``ddot``.  Rows of two entries
+    (the cart-pole) take the error e = x_des − state entry by entry and
+    apply ``_dot2``, which gives ``ddot``'s fused rounding on Python
+    floats (see the module docstring).  Only the two-entry dot is
+    emulated: from +0.0, an fma chain gives +0.0 for a one-entry
+    −1.0 · 0.0, where ``ddot`` gives −0.0.  Longer rows take the error
+    as an array and ``ndarray.dot``, gain matrices ``@``, since ``dot``
+    may call ``gemv`` with another transposition.
     """
     # called by its module-level name, which the benchmark's tracer wraps
     x_des, tau = sample_reference(ref, t)
-    e = x_des - state
+    rows = gains.dot2_rows
+    if rows is not None:
+        d0, d1, d2, d3 = x_des
+        s0, s1, s2, s3 = state
+        fb = (_dot2(rows[0], d0 - s0, d1 - s1)
+              + _dot2(rows[1], d2 - s2, d3 - s3))
+        return tuple([fb + u for u in tau])
+    e = np.subtract(x_des, state)
     n_q = len(e) // 2
     k_p, k_d = gains.k_p, gains.k_d
     if k_p.ndim == 1:

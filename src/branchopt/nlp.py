@@ -33,7 +33,8 @@ The restoration phase, which minimizes the constraint violation alone,
 runs a trust-region reflective method (``least_squares``) and, when
 that leaves the violation high, a second unit-scaled pass polished by
 the same LM method.  The first pass scales the variables by the
-Jacobian's column norms (``x_scale="jac"``); both get the CSR Jacobian.
+Jacobian's column norms (``x_scale="jac"``); both get the CSR Jacobian,
+as the plain record ``_CsrJacobian`` of the arrays the products read.
 ``least_squares`` is the module ``trf``: scipy's ``least_squares(
 method="trf", tr_solver="lsmr")`` ported operation for operation, so
 its iterates are scipy's to the last bit, without the stacked
@@ -56,7 +57,7 @@ import numbers
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -331,6 +332,18 @@ def kkt_residual(problem: NlpProblem, x, multipliers_eq, multipliers_ineq):
 # -- augmented Lagrangian ---------------------------------------------------
 
 
+class _CsrJacobian(NamedTuple):
+    """A CSR matrix as the solver reads it: scipy's three arrays and the
+    shape, which is all ``trf.matvec``, ``trf.rmatvec`` and
+    ``_NormalPlan`` take, without the cost of a ``csr_matrix`` per
+    evaluation."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+
 class _AlResiduals:
     """Stacked least-squares form of the AL subproblem on free variables.
 
@@ -414,8 +427,8 @@ class _AlResiduals:
         res[ineq] = sq * np.clip(shifted, 0.0, None)
         active = (shifted > 0).astype(float)[self._ineq_entry_rows]
         data[self._ineq_entries] = (data[self._ineq_entries] * sq) * active
-        J = sp.csr_matrix((data[self._perm], self._indices, self._indptr),
-                          shape=self._shape)
+        J = _CsrJacobian(data[self._perm], self._indices, self._indptr,
+                        self._shape)
         self._cache_key = key
         self._cache = (res, J)
         return self._cache
@@ -629,7 +642,8 @@ def _restoration(problem, x, opts):
     # variables no constraint touches cannot help; freeze them so the
     # trust-region column scaling stays finite
     J0 = helper.jac(x[free])
-    touched = np.asarray((J0 != 0).sum(axis=0)).ravel() > 0
+    touched = np.zeros(J0.shape[1], dtype=bool)
+    touched[J0.indices[J0.data != 0]] = True
     if not np.all(touched):
         sub = free.copy()
         sub[np.where(free)[0][~touched]] = False

@@ -13,12 +13,12 @@ The loop carries the state from step to step in the form its step
 returns: a tuple of Python floats for a plant with
 ``extras["fast_derivative"]`` (the cart-pole), so that no step builds
 an array, and an ``(n_x,)`` array from ``rk4_step`` otherwise (the
-arm).  The guard and the stop condition receive that form.  Each state
-is written once into the trace, and the controller receives that
-stored row, a view it must not write; it returns a sequence of n_u
-floats, the tracking controller a tuple.  At a contact, the impact law
-gets and returns arrays, and its post-impact state is turned back into
-the carried form once.
+arm).  The controller, the guard and the stop condition receive that
+form, which they must not write; the controller returns a sequence of
+n_u floats, the tracking controller a tuple.  Each state is written
+once into the trace.  At a contact, the impact law gets and returns
+arrays, and its post-impact state is turned back into the carried form
+once.
 
 The benchmark's per-layer tracer (``perfbench/tracing.py``) times the
 loop by replacing what it calls, so a faster loop must keep these calls
@@ -162,17 +162,17 @@ def simulate(sys: HybridSystemDef, controller, x0, env=None, *, horizon,
 
     ``controller(t, state) -> u`` supplies the input, a sequence of n_u
     floats held constant over each step; controllers may expose
-    ``notify_contact(t)`` to receive event times.  The controller's
-    ``state`` is the step's stored row of ``trace.states``, a view it
-    must not write (at a contact, the event's ``post_state``).
+    ``notify_contact(t)`` to receive event times.
     ``stop_condition(t, state, n_events)`` may return a termination label
     to end the rollout early; failures never raise, they are recorded on
     the trace.
 
     Between steps the state is carried in the form the step returns, and
-    the guard ``sys.guard(t, state, env)`` and ``stop_condition`` see it
-    in that form: a tuple of Python floats for a plant with
-    ``extras["fast_derivative"]``, an ``(n_x,)`` array otherwise.
+    the controller, the guard ``sys.guard(t, state, env)`` and
+    ``stop_condition`` see it in that form, which they must not write: a
+    tuple of Python floats for a plant with ``extras["fast_derivative"]``,
+    an ``(n_x,)`` array otherwise.  Finishing a step after a contact, the
+    controller sees the event's ``post_state`` in that form.
     """
     if dt_sim <= 0:
         raise ValueError("dt_sim must be positive")
@@ -213,7 +213,7 @@ def simulate(sys: HybridSystemDef, controller, x0, env=None, *, horizon,
     k = 0
     t = 0.0
     while k < n_steps:
-        u = controller(t, states[k])
+        u = controller(t, x)
         inputs[k] = u
         x_new = step(x, u, dt_sim)
         t_new = t + dt_sim
@@ -226,10 +226,9 @@ def simulate(sys: HybridSystemDef, controller, x0, env=None, *, horizon,
                 controller.notify_contact(t_hit)
             # finish the step from the post-impact state
             rem = t_new - t_hit
+            x_new = carried(post)
             if rem > 1e-12:
-                x_new = step(carried(post), controller(t_hit, post), rem)
-            else:
-                x_new = carried(post)
+                x_new = step(x_new, controller(t_hit, x_new), rem)
             g_new = guard(t_new, x_new, env)
         x = x_new
         t = t_new

@@ -144,13 +144,13 @@ def _read_only(values):
 class SampleTable(NamedTuple):
     """What reference sampling reads, derived once from a Trajectory.
 
-    Knots are Python floats for ``bisect``.  State rows (read-only views
-    of ``Trajectory.states``) and slopes are 1-D arrays, with
-    ``slopes[j] = (rows[j+1] - rows[j]) / (times[j+1] - times[j])``.
-    The n input rows have the first n node times as knots.  They, their
-    slopes and the ``zero_input`` that stands in when the trajectory has
-    none are tuples of Python floats, so that an input sample is a row
-    lookup or a few float operations, never a numpy call.  Held on each
+    Knots are Python floats for ``bisect``.  State rows and their slopes,
+    ``slopes[j] = (rows[j+1] - rows[j]) / (times[j+1] - times[j])`` as
+    numpy divides them, are tuples of Python floats.  The n input rows
+    have the first n node times as knots.  They, their slopes and the
+    ``zero_input`` that stands in when the trajectory has none are
+    tuples of Python floats too, so that a sample is a row lookup or a
+    few float operations per entry, never a numpy call.  Held on each
     interval instead of interpolated, an input sample would be the row
     lookup alone.
     """
@@ -203,8 +203,9 @@ class Trajectory:
         u = self.inputs[:n]
         n_u = self.inputs.shape[1] if self.inputs.ndim == 2 else 1
         return SampleTable(
-            times=times.tolist(), states=list(self.states),
-            slopes=list(_slopes(self.states, times)), inputs=_float_rows(u),
+            times=times.tolist(), states=_float_rows(self.states),
+            slopes=_float_rows(_slopes(self.states, times)),
+            inputs=_float_rows(u),
             u_slopes=_float_rows(_slopes(u, times[:n])),
             zero_input=(0.0,) * n_u)
 

@@ -125,7 +125,9 @@ def least_squares(fun, x0, *, jac, bounds, x_scale, max_nfev, ftol, xtol,
     method="trf", tr_solver="lsmr", x_scale=x_scale, max_nfev=max_nfev,
     ftol=ftol, xtol=xtol, gtol=gtol)`` does.
 
-    ``jac(x)`` returns a CSR matrix; ``x_scale`` is ``"jac"`` or ``1.0``.
+    ``jac(x)`` returns a CSR matrix, or any record of its ``data``,
+    ``indices``, ``indptr`` and ``shape``, which is all the port reads;
+    ``x_scale`` is ``"jac"`` or ``1.0``.
     As in scipy, a problem whose every bound is infinite runs the
     unbounded variant.
     """

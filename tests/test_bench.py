@@ -345,3 +345,41 @@ def test_two_contacts_alone_fail_the_trial():
     assert not report.single_contact
     assert not report.success
     assert report.to_dict()["success"] is False
+
+
+class _RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records the pool size it
+    is asked for and runs the tasks in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("workers, n_items, cpus, size", [
+    (5000, 4, 64, 4),    # no more processes than tasks
+    (5000, 100, 3, 3),   # nor than CPUs
+    (2, 100, 64, 2),
+    (5000, 4, 1, None),  # one CPU: in this process
+    (5000, 1, 64, None),
+    (1, 100, 64, None),
+    (-3, 100, 64, None),
+])
+def test_pmap_starts_at_most_one_process_per_task_and_cpu(
+        monkeypatch, workers, n_items, cpus, size):
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    items = list(range(n_items))
+    assert bench._pmap(abs, items, workers) == items
+    assert _RecordingPool.sizes == ([] if size is None else [size])

@@ -8,12 +8,14 @@ controller's branch switch is exercised on a hand-built bundle.
 
 import bisect
 import itertools
+import math
+import pickle
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.signal
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -218,16 +220,13 @@ def test_sample_reference_matches_scalar_interp_bit_for_bit(ref, data):
     for t in _sample_times(ref, data):
         x, tau = control.sample_reference(ref, t)
         x_want, tau_want = _interp_oracle(ref, t)
-        assert x.dtype == x_want.dtype and x.shape == x_want.shape
-        assert x.tobytes() == x_want.tobytes()
-        # the input is a tuple of Python floats
-        assert type(tau) is tuple and all(type(u) is float for u in tau)
-        tau = np.array(tau)
-        assert tau.dtype == tau_want.dtype and tau.shape == tau_want.shape
-        assert tau.tobytes() == tau_want.tobytes()
-        # a result never lets a caller write into the reference
-        assert not (x.flags.writeable and any(
-            np.shares_memory(x, b) for b in (ref.states, ref.inputs)))
+        # the state and the input are tuples of Python floats, which
+        # share no memory with the reference
+        for got, want in ((x, x_want), (tau, tau_want)):
+            assert type(got) is tuple and all(type(v) is float for v in got)
+            got = np.array(got)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_pd_feedforward_formula():
@@ -287,13 +286,81 @@ def test_pd_feedforward_is_the_previous_law_bit_for_bit(ref, data):
     gains = control.Gains(_draw_array(data.draw, shape, -1.0, 1.0, -0.0),
                           _draw_array(data.draw, shape, -1.0, 1.0, -0.0))
     states = _draw_array(data.draw, (8, n_x), -20.0, 20.0, -0.0)
+    # the state as the simulator carries it: an array row for the arm,
+    # a tuple of Python floats for the cart-pole
+    states = [*states, *(tuple(row) for row in states.tolist())]
     for t, state in itertools.product(_sample_times(ref, data), states):
         got = control.pd_feedforward(ref, state, gains, t)
-        want = _previous_law(ref, state, gains, t)
+        want = _previous_law(ref, np.asarray(state), gains, t)
         # n_u Python floats, which share no memory with any array
         _assert_float_tuple(got, n_u)
         assert want.shape == (n_u,)
         assert np.asarray(got, dtype=float).tobytes() == want.tobytes()
+
+
+# -- BLAS's two-element dot on Python floats ----------------------------------
+
+
+def _full_mantissa(lo, hi):
+    """Floats with all 53 significant bits drawn, at binary exponents in
+    [lo, hi] (rounded where that is below the normal range)."""
+    return st.builds(lambda sign, m, exp: sign * (m / 2.0**52) * 2.0**exp,
+                     st.sampled_from([-1.0, 1.0]),
+                     st.integers(min_value=2**52, max_value=2**53 - 1),
+                     st.integers(min_value=lo, max_value=hi))
+
+
+# the float path's edges and beyond: the split's bound 2**995, factors
+# of the product's range [2**-960, 2**1020], the largest and the
+# smallest doubles
+_DOT2_EDGES = [0.0, -0.0, 2.0**995, 2.0**996, 2.0**1000, 2.0**-480,
+               2.0**-481, 2.0**510, 2.0**511, 2.0**-960, 2.0**1020, 5e-324,
+               1.7976931348623157e308, math.inf, -math.inf, math.nan]
+_DOT2_FLOATS = st.one_of(st.sampled_from(_DOT2_EDGES),
+                         st.sampled_from(_DOT2_EDGES).map(lambda v: -v),
+                         _full_mantissa(-40, 40), _full_mantissa(-1074, 1023),
+                         st.floats())
+
+
+@settings(max_examples=400, deadline=None)
+@given(k=st.tuples(_DOT2_FLOATS, _DOT2_FLOATS),
+       e=st.tuples(_DOT2_FLOATS, _DOT2_FLOATS))
+@example(k=(1.0 / 3.0, -1.0 / 3.0), e=(1.0 / 3.0, 1.0 / 3.0))  # fma only
+@example(k=(0.5, 2.0**-480), e=(3.0, 2.0**-480))  # product at 2**-960
+@example(k=(0.5, 2.0**-481), e=(3.0, 2.0**-480))  # just below: numpy
+@example(k=(-1.0, 0.0), e=(0.0, 5.0))  # exact zeros: numpy, +0.0
+@example(k=(1.0, 2.0**1000), e=(1.0, 2.0**-100))  # gain row not split
+@example(k=(1.0, 2.0**-100), e=(1.0, 2.0**1000))  # error not split
+@example(k=(2.0**1000, 1.0), e=(2.0**1000, 1.0))  # q overflows: numpy
+@example(k=(1.0, 1.0), e=(math.nan, 1.0))
+def test_dot2_is_ndarray_dot_byte_for_byte(k, e):
+    k = np.array(k)
+    with np.errstate(all="ignore"):  # overflowing and non-finite draws
+        got = control._dot2(control._dot2_row(k), *e)
+        want = k.dot(np.array(e))
+    assert type(got) is float
+    assert np.float64(got).tobytes() == want.tobytes()
+
+
+def test_this_blas_dot_is_the_emulated_fma():
+    # the rollout records were made with this fma; a _dot2 that stopped
+    # matching it would turn the float path off without a wrong bit
+    assert control._BLAS_DOT2_IS_FMA
+    assert control.Gains([1.0, 2.0], [3.0, 4.0]).dot2_rows is not None
+
+
+def test_gains_are_read_only():
+    k_p = np.array([1.0, 2.0])
+    gains = control.Gains(k_p, [3.0, 4.0])
+    k_p[0] = 5.0  # the gains hold a copy
+    assert gains.k_p.tolist() == [1.0, 2.0]
+    with pytest.raises(ValueError):
+        gains.k_p[0] = 5.0
+    with pytest.raises(AttributeError):
+        gains.k_p = np.zeros(2)
+    # as a process pool's workers receive them
+    copy = pickle.loads(pickle.dumps(gains))
+    assert not (copy.k_p.flags.writeable or copy.k_d.flags.writeable)
 
 
 # -- the tracking controller's branch switch ----------------------------------

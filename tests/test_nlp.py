@@ -144,6 +144,17 @@ def test_restoration_of_one_free_variable():
     assert sol.x[0] == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-6)
 
 
+def test_restoration_freezes_the_columns_no_constraint_moves():
+    # x0 * x1 = 1 from (2, 0, 3): the constraint's entry for x0 is
+    # x1 = 0, stored as an explicit zero, and none touches x2, so the
+    # restoration moves x1 alone
+    eq = _block("c", lambda v: [v[0] * v[1] - 1.0], [[0, 1]])
+    p = _problem(3, eq=[eq], lower=[-10.0] * 3, upper=[10.0] * 3)
+    x, _ = nlp._restoration(p, np.array([2.0, 0.0, 3.0]), nlp.SolverOpts())
+    assert x[[0, 2]].tolist() == [2.0, 3.0]
+    assert x[1] == pytest.approx(0.5, abs=1e-9)
+
+
 def test_infeasible_problem_reports_infeasible():
     eq1 = _block("a", lambda v: [v[0] - 1.0], [[0]])
     eq2 = _block("b", lambda v: [v[0] + 1.0], [[0]])
@@ -290,6 +301,11 @@ def test_al_jacobian_is_bit_identical_to_coo_assembly(freeze):
     assert n_active > 0 and n_inactive > 0
 
 
+def _csr(J):
+    """scipy's CSR matrix on the arrays of a solver Jacobian."""
+    return sp.csr_matrix((J.data, J.indices, J.indptr), shape=J.shape)
+
+
 def _stored(values, stored):
     """CSR matrix storing ``values`` where ``stored`` is set, explicit
     zeros and -0.0 included."""
@@ -309,7 +325,8 @@ def _normal_matrices():
         lam = rng.standard_normal(problem.n_eq)
         mu = np.abs(rng.standard_normal(problem.n_ineq))
         free = problem.lower < problem.upper
-        J = nlp._AlResiduals(problem, lam, mu, 100.0, free, x0).jac(x0[free])
+        J = _csr(nlp._AlResiduals(problem, lam, mu, 100.0, free,
+                                  x0).jac(x0[free]))
         yield "free", J, np.ones(J.shape[1], dtype=bool)
         frozen = np.ones(J.shape[1], dtype=bool)
         frozen[::4] = False
@@ -445,7 +462,7 @@ def test_short_solve_matches_recorded_bit_for_bit(monkeypatch):
     # does not absorb a 1-ulp change in its arithmetic, so the iterate,
     # the evaluation count and the objective are compared exactly.  Its
     # restoration runs both trf passes, so the record also covers the
-    # unit-scaled pass, and both passes get the CSR Jacobian.
+    # unit-scaled pass, and both passes get the CSR Jacobian's arrays.
     passes = []
     least_squares = nlp.least_squares
 
@@ -455,7 +472,7 @@ def test_short_solve_matches_recorded_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(nlp, "least_squares", counted)
     assert short_nominal_solve() == record.load("short_nominal_solve.json")
-    assert passes == [("jac", sp.csr_matrix), (1.0, sp.csr_matrix)]
+    assert passes == [("jac", nlp._CsrJacobian), (1.0, nlp._CsrJacobian)]
 
 
 def test_solver_products_skip_scipys_sparse_dispatch(monkeypatch):

@@ -302,15 +302,19 @@ def test_cartpole_rollout_carries_plain_floats_across_the_impact(
     assert all(_is_float_tuple(state) for _, state in seen["stop"])
     assert np.array([state for _, state in seen["stop"]]).tobytes() == (
         trace.states[1:].tobytes())
-    # the controller reads each step's stored row of the trace; finishing
-    # a step after a contact, it reads the event's post-impact state
-    n_steps = len(trace.inputs)
+    # the controller reads the carried state of each step, which the
+    # trace stores; finishing a step after a contact, it reads the
+    # event's post-impact state
     calls = seen["controller"]
-    assert len(calls) == n_steps + (0 if at_step_end else len(events))
-    rows = [state for state in calls
-            if not any(state is ev.post_state for ev in events)]
-    assert len(rows) == n_steps
-    assert all(np.shares_memory(row, trace.states) for row in rows)
+    assert all(_is_float_tuple(state) for state in calls)
+    want, pending = [], list(events)
+    for k in range(len(trace.inputs)):
+        want.append(trace.states[k])
+        while pending and pending[0].time <= trace.times[k + 1]:
+            if not at_step_end:
+                want.append(pending[0].post_state)
+            pending.pop(0)
+    assert np.array(calls).tobytes() == np.array(want).tobytes()
     if at_step_end:
         # the step ends on the post-impact state itself
         for ev in events:

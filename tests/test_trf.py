@@ -12,7 +12,7 @@ from scipy.optimize import least_squares as scipy_least_squares
 
 from branchopt import trf
 
-from test_nlp import _ENTRIES, _feasibility_problem, _stored
+from test_nlp import _ENTRIES, _csr, _feasibility_problem, _stored
 
 
 class _Quadratic:
@@ -71,8 +71,9 @@ def _random_case(seed, empty_row, empty_col, on_bound, unbounded=False):
 
 
 def _assert_same_as_scipy(fun, jac, x0, x_scale, **kwargs):
-    want = scipy_least_squares(fun, x0, jac=jac, method="trf",
-                               tr_solver="lsmr", x_scale=x_scale, **kwargs)
+    want = scipy_least_squares(fun, x0, jac=lambda x: _csr(jac(x)),
+                               method="trf", tr_solver="lsmr",
+                               x_scale=x_scale, **kwargs)
     got = trf.least_squares(fun, x0, jac=jac, x_scale=x_scale, **kwargs)
     assert got.x.tobytes() == want.x.tobytes()
     assert (got.nfev, got.status) == (want.nfev, want.status)

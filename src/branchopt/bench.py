@@ -317,7 +317,7 @@ def _pmap(fn, items, workers):
 _TRADEOFF_KINDS = {
     "sure": ("sure", "n_r", lambda n, k_last, budget: {
         "N": k_last + 1 + budget - n, "n_rejoin": n}),
-    "tree": ("tree", "n_r", lambda n, k_last, budget: {
+    "tree": ("tree", "budget", lambda n, k_last, budget: {
         "N": k_last + 1 + budget, "n_branch_full": budget}),
     # exact-knowledge reference: contact node known in advance
     "baseline": ("nominal", "node", lambda n, k_last, budget: {
@@ -343,7 +343,8 @@ def tradeoff(run: cfgmod.RunConfig, include_baseline=False, progress=None):
     ``n_r`` of it per branch and the rest on the shared final segment,
     while the tree spends the whole budget on every branch.  Costs and
     cumulative (warm-start included) wall times are averaged over the
-    configured initial conditions.  ``n_r7_cost_pct`` and
+    configured initial conditions.  A ``sure`` row is labelled by its
+    ``n_r`` and the tree row by its ``budget``.  ``n_r7_cost_pct`` and
     ``n_r7_time_ratio`` compare the N_r = 7 row with the tree; they are
     left out when 7 is not among ``n_r_values``.  With
     ``include_baseline``, ``baseline_cost`` is the mean cost of the
@@ -392,10 +393,10 @@ def tradeoff(run: cfgmod.RunConfig, include_baseline=False, progress=None):
     return out
 
 
-def _avg_row(kind, n_r, cell):
+def _avg_row(kind, n, cell):
     return {
         "kind": kind,
-        "n_r": n_r,
+        _TRADEOFF_KINDS[kind][1]: n,
         "cost": float(np.mean([r["cost"] for r in cell])),
         "wall_time": float(np.mean([r["wall_time"] for r in cell])),
         "statuses": sorted(r["status"] for r in cell),

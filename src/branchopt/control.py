@@ -18,19 +18,10 @@ Python floats.  A sample is a clamp, one ``bisect`` and one row
 expression per entry, the float expression ``np.interp`` evaluates for
 a scalar.
 
-A cart-pole step runs on Python floats alone, bit for bit what numpy
-gave.  The one numpy result floats do not reproduce by plain arithmetic
-is BLAS's dot of two gain entries with two errors: OpenBLAS's ``ddot``
-fuses it into fma(k1, e1, k0 * e0 + 0.0), one rounding of the exact
-k1 * e1 + q.  ``_dot2`` makes that rounding exact without ``math.fma``
-(Python 3.13): Dekker's error-free product (1971, with Veltkamp's
-split) gives k1 * e1 as p + err exactly, and ``math.fsum`` rounds the
-exact sum q + p + err correctly, which is the definition of the fma
-(the exact transformations of Ogita, Rump and Oishi, SIAM J. Sci.
-Comput. 26(6), 2005).  Where the split could overflow, the remainder
-underflow or an operand is not finite, ``_dot2`` calls numpy's dot
-itself.  A BLAS whose dot is not this fma (checked once, at import)
-keeps numpy for every call.
+The law applies the gains on Python floats, in one fixed order for
+every gain shape (see ``pd_feedforward``).  It is built from IEEE
+products and sums alone, so no BLAS enters its bits, and an elementwise
+numpy law that takes the same steps reproduces them.
 """
 
 from __future__ import annotations
@@ -39,7 +30,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from math import fsum
+from operator import sub
 
 import numpy as np
 import scipy.linalg
@@ -67,10 +58,10 @@ class Gains:
     """Proportional and derivative tracking gains.
 
     ``k_p`` and ``k_d`` map position and velocity errors to inputs: a
-    1-D row for a single-input plant, an (n_u, n_q) matrix otherwise
-    (see ``pd_feedforward`` for how each is applied).  Immutable: the
-    arrays are read-only copies of what the constructor is given, so
-    ``dot2_rows``, derived from them, is built on first use and cached.
+    1-D row for a single-input plant, an (n_u, n_q) matrix otherwise.
+    Immutable: the arrays are read-only copies of what the constructor
+    is given, so ``rows``, derived from them, is built on first use and
+    cached.
     """
 
     k_p: np.ndarray
@@ -87,13 +78,11 @@ class Gains:
         return type(self), (self.k_p, self.k_d)
 
     @cached_property
-    def dot2_rows(self):
-        """``(k_p, k_d)`` as ``_dot2`` rows when both are 1-D rows of two
-        entries and this BLAS's dot is the fma ``_dot2`` rounds; else None."""
-        if (_BLAS_DOT2_IS_FMA and self.k_p.shape == (2,)
-                and self.k_d.shape == (2,)):
-            return _dot2_row(self.k_p), _dot2_row(self.k_d)
-        return None
+    def rows(self):
+        """Each input's feedback row K_i = [k_p_i | k_d_i], in state
+        order, as a tuple of Python floats; one row per input."""
+        k = np.atleast_2d(np.hstack((self.k_p, self.k_d)))
+        return tuple(map(tuple, k.tolist()))
 
 
 EQ_TOL = 1e-10  # largest |f(x_eq, u_eq)| accepted as an equilibrium
@@ -175,69 +164,6 @@ def design_gains(sys, x_eq, Q=DEFAULT_Q, r=DEFAULT_R, u_eq=None) -> Gains:
     return lqr_gains(A, B, Q, r)
 
 
-# -- BLAS's two-element dot on Python floats ----------------------------------
-
-_VELTKAMP = 134217729.0  # 2**27 + 1: splits a double into 26-bit halves
-_SPLIT_MAX = 2.0 ** 995  # largest |a| whose split cannot overflow
-# smallest |k1 * e1| whose rounding error is a double: Dekker's product
-# is exact when the exponents of its factors add to at least -969
-_PRODUCT_MIN = 2.0 ** -960
-_SUM_MAX = 2.0 ** 1020  # |q|, |p| below which fsum((q, p, err)) is finite
-
-
-def _split(a):
-    """Veltkamp's split: a == hi + lo, each of at most 26 significant bits."""
-    c = _VELTKAMP * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _dot2_row(k):
-    """What ``_dot2`` reads of a 2-entry gain row ``k``: its floats, the
-    split of ``k[1]``, the largest |e1| it may split (below 0 when
-    ``k[1]`` itself cannot be split, so that every call takes numpy's
-    dot), and ``k`` for that dot."""
-    k0, k1 = k.tolist()
-    e1_max = _SPLIT_MAX if abs(k1) <= _SPLIT_MAX else -1.0
-    return (k0, k1, *_split(k1), e1_max, k)
-
-
-def _dot2(row, e0, e1):
-    """``k.dot((e0, e1))`` to the bit for a ``_dot2_row`` of ``k``:
-    fma(k1, e1, q) with q = k0 * e0 + 0.0, the one rounding of
-    q + p + err, where p + err is k1 * e1 exactly (Dekker).  Outside the
-    range where that holds, or on an operand that is not finite, numpy's
-    dot."""
-    k0, k1, k1_hi, k1_lo, e1_max, k = row
-    # without BLAS's + 0.0: the sign of a zero q cannot show in a sum
-    # with the nonzero k1 * e1 this path requires
-    q = k0 * e0
-    p = k1 * e1
-    if (_PRODUCT_MIN <= abs(p) <= _SUM_MAX and abs(q) <= _SUM_MAX
-            and abs(e1) <= e1_max):
-        c = _VELTKAMP * e1  # _split(e1), inlined
-        e1_hi = c - (c - e1)
-        e1_lo = e1 - e1_hi
-        err = (((k1_hi * e1_hi - p) + k1_hi * e1_lo + k1_lo * e1_hi)
-               + k1_lo * e1_lo)
-        return fsum((q, p, err))
-    return float(k.dot(np.array((e0, e1))))
-
-
-def _blas_dot2_is_fma():
-    """Whether this BLAS's two-element dot is the fma ``_dot2`` rounds.
-    For k = (x, -x) and e = (x, x) that fma is the rounding error of
-    x * x, which an unfused dot gives as 0.0 and the other order negated."""
-    for x in (1.0 / 3.0, 0.1):
-        k = np.array((x, -x))
-        if _dot2(_dot2_row(k), x, x) != k.dot(np.array((x, x))):
-            return False
-    return True
-
-
-_BLAS_DOT2_IS_FMA = _blas_dot2_is_fma()
-
-
 # -- reference sampling and the PD + feedforward law --------------------------
 
 
@@ -284,36 +210,27 @@ def sample_reference(ref: Trajectory, t):
 
 
 def pd_feedforward(ref: Trajectory, state, gains: Gains, t):
-    """τ(t) = k_p @ (q_des − q) + k_d @ (q̇_des − q̇) + τ_des.
+    """τ(t) = k_p (q_des − q) + k_d (q̇_des − q̇) + τ_des.
 
-    Returns the input as a tuple of n_u Python floats, for either gain
-    shape; ``state`` is a sequence of n_x floats (a tuple or an array),
-    which is only read.  1-D gain rows (a single-input plant) are
-    applied as numpy hands them to BLAS ``ddot``.  Rows of two entries
-    (the cart-pole) take the error e = x_des − state entry by entry and
-    apply ``_dot2``, which gives ``ddot``'s fused rounding on Python
-    floats (see the module docstring).  Only the two-entry dot is
-    emulated: from +0.0, an fma chain gives +0.0 for a one-entry
-    −1.0 · 0.0, where ``ddot`` gives −0.0.  Longer rows take the error
-    as an array and ``ndarray.dot``, gain matrices ``@``, since ``dot``
-    may call ``gemv`` with another transposition.
+    One law for every gain shape, on Python floats: the error
+    e_j = x_des_j − state_j, then for each input
+    u_i = (K_i0·e_0 + K_i1·e_1 + …) + τ_i, summed left to right in state
+    order over the row K_i of ``Gains.rows``.  ``state`` is a sequence of
+    n_x floats (a tuple or an array), which is only read.  Returns a
+    tuple of n_u Python floats; gains with other than n_u rows raise
+    ``ValueError``.
     """
     # called by its module-level name, which the benchmark's tracer wraps
     x_des, tau = sample_reference(ref, t)
-    rows = gains.dot2_rows
-    if rows is not None:
-        d0, d1, d2, d3 = x_des
-        s0, s1, s2, s3 = state
-        fb = (_dot2(rows[0], d0 - s0, d1 - s1)
-              + _dot2(rows[1], d2 - s2, d3 - s3))
-        return tuple([fb + u for u in tau])
-    e = np.subtract(x_des, state)
-    n_q = len(e) // 2
-    k_p, k_d = gains.k_p, gains.k_d
-    if k_p.ndim == 1:
-        fb = float(k_p.dot(e[:n_q]) + k_d.dot(e[n_q:]))
-        return tuple([fb + u for u in tau])
-    return tuple((k_p @ e[:n_q] + k_d @ e[n_q:] + tau).tolist())
+    e = list(map(sub, x_des, state))
+    u = []
+    for k, tau_i in zip(gains.rows, tau, strict=True):
+        fb = k[0] * e[0]
+        for j in range(1, len(e)):
+            fb += k[j] * e[j]
+        # an array state's entries are numpy scalars
+        u.append(float(fb + tau_i))
+    return tuple(u)
 
 
 # -- the tracking controller ---------------------------------------------------

@@ -18,7 +18,7 @@ the two laws differ by it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -32,6 +32,9 @@ class HybridSystemDef:
     ``guard(t, state, env)`` returns the signed clearance (positive in
     free motion); ``impact(state, env) -> (post_state, impulse)`` maps a
     state on the guard surface, an array, to the state after contact.
+    The definition holds no env: each rollout hands ``simulate`` the
+    env (wall, restitution, ball release) that the guard and the impact
+    law read.
 
     ``extras["fast_derivative"]``, where a plant has one, is
     ``deriv(state, tau) -> (q̇, q̈)``, one flat tuple, on plain floats
@@ -45,7 +48,6 @@ class HybridSystemDef:
     free_dynamics: Callable
     guard: Callable
     impact: Callable
-    default_env: Any = None
     extras: dict = field(default_factory=dict)
 
     def state_derivative(self, state, u):

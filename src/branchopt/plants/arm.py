@@ -227,15 +227,14 @@ def _attach(state, env):
 
 
 def make_system(p: ArmCatchParams) -> HybridSystemDef:
-    """The arm for the simulator; its env is the ball release, given as
-    ``p`` with ``p_ball0`` replaced."""
+    """The arm for the simulator.  A rollout's env is the ball release,
+    ``p`` with ``p_ball0`` replaced, which it hands to ``simulate``."""
     return HybridSystemDef(
         n_q=3,
         n_u=3,
         free_dynamics=lambda q, qd, u: forward_dynamics(q, qd, u, p),
         guard=guard,
         impact=_attach,
-        default_env=p,
     )
 
 

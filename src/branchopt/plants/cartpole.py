@@ -143,9 +143,12 @@ def impact_map(state, tau, env: CartPoleEnv, p: CartPoleParams):
     return post, impulse
 
 
-def make_system(p: CartPoleParams = None, env: CartPoleEnv = None) -> HybridSystemDef:
-    p = p if p is not None else CartPoleParams()
-    env = env if env is not None else env_from_params(p)
+def make_system(p: CartPoleParams, env: CartPoleEnv) -> HybridSystemDef:
+    """The cart-pole for the simulator and the gain design.
+
+    ``env`` is not read: a rollout hands its env to ``simulate``.  The
+    argument stays while ``perfbench/workloads.py`` passes it.
+    """
     return HybridSystemDef(
         n_q=2,
         n_u=1,
@@ -154,7 +157,6 @@ def make_system(p: CartPoleParams = None, env: CartPoleEnv = None) -> HybridSyst
         guard=lambda t, s, e: s[0] + p.l * math.sin(s[1]) - e.x_wall,
         impact=rigid_impact(lambda q: contact_jacobian(q, p),
                             lambda q: mass_matrix(q, p)),
-        default_env=env,
         extras={"fast_derivative": _make_fast_derivative(p)},
     )
 

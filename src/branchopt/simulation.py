@@ -156,10 +156,12 @@ def rigid_impact(contact_jacobian, mass_matrix):
     return impact
 
 
-def simulate(sys: HybridSystemDef, controller, x0, env=None, *, horizon,
+def simulate(sys: HybridSystemDef, controller, x0, env, *, horizon,
              dt_sim, stop_condition=None):
     """Closed-loop rollout with guard-triggered impact events.
 
+    ``env`` is what the plant's guard and impact law read (the wall and
+    its restitution, the ball's release); every rollout passes its own.
     ``controller(t, state) -> u`` supplies the input, a sequence of n_u
     floats held constant over each step; controllers may expose
     ``notify_contact(t)`` to receive event times.
@@ -180,7 +182,6 @@ def simulate(sys: HybridSystemDef, controller, x0, env=None, *, horizon,
     if n_steps < 1:
         raise ValueError(
             f"horizon {horizon} rounds to no step of dt_sim {dt_sim}")
-    env = env if env is not None else sys.default_env
     n_x = len(x0)
 
     times = np.empty(n_steps + 1)

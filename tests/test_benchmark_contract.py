@@ -88,8 +88,10 @@ def test_simulation_layers_time_every_impulse():
 
 def test_traced_system_wraps_derivative_and_guard():
     tracer = tracing.Tracer()
-    sys_def = tracing.traced_system(tracer, cartpole.make_system())
-    sys_def.guard(0.0, cartpole.X_EQ, sys_def.default_env)
+    p = cartpole.CartPoleParams()
+    env = cartpole.env_from_params(p)
+    sys_def = tracing.traced_system(tracer, cartpole.make_system(p, env))
+    sys_def.guard(0.0, cartpole.X_EQ, env)
     sys_def.extras["fast_derivative"](tuple(cartpole.X_EQ), 0.0)
     assert tracer.spans["plants.cartpole.guard"][0] == 1
     assert tracer.spans["plants.cartpole.derivative"][0] == 1

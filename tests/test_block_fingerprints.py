@@ -100,7 +100,8 @@ def jacobian_fingerprints():
     """control.linearize at both plants' equilibria, and ad.jacobian of
     the free dynamics at seeded states and inputs."""
     rng = np.random.default_rng(11)
-    cp = cartpole.make_system()
+    cp_p = cartpole.CartPoleParams()
+    cp = cartpole.make_system(cp_p, cartpole.env_from_params(cp_p))
     p = arm.ArmCatchParams()
     am = arm.make_system(p)
     pose = np.concatenate([ARM_INIT[:3], np.zeros(3)])

@@ -2,20 +2,25 @@
 
 The Riccati solve is checked against two independent oracles: a scalar
 closed form and Kleinman's Newton iteration built only on Lyapunov
-solves, the latter on both plants' default gain designs.  The
-controller's branch switch is exercised on a hand-built bundle.
+solves, the latter on both plants' default gain designs.  The tracking
+law is checked against its definition, a left-to-right float sum per
+input, bit for bit, and against ``math.fsum`` within Higham's bound.
+The controller's branch switch is exercised on a hand-built bundle.
 """
 
 import bisect
+import functools
 import itertools
 import math
+import operator
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.signal
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -89,15 +94,20 @@ def test_care_residual_and_hurwitz(plant):
     assert np.max(np.real(eigs)) < 0.0
 
 
+def _cartpole_system():
+    p = cartpole.CartPoleParams()
+    return cartpole.make_system(p, cartpole.env_from_params(p))
+
+
 def test_linearize_rejects_non_equilibrium():
-    sys = cartpole.make_system()
+    sys = _cartpole_system()
     x_bad = cartpole.X_EQ + np.array([0.0, 0.3, 0.0, 0.0])
     with pytest.raises(ValueError):
         control.linearize(sys, x_bad, np.zeros(1))
 
 
 def test_linearize_matches_finite_differences():
-    sys = cartpole.make_system()
+    sys = _cartpole_system()
     A, b = control.linearize(sys, cartpole.X_EQ, np.zeros(1))
     perm = np.array([0, 2, 1, 3])  # interleaved -> [q; qd] ordering
 
@@ -240,10 +250,23 @@ def test_pd_feedforward_formula():
     assert control.pd_feedforward(ref, state, gains, t) == pytest.approx(expect)
 
 
-def _previous_law(ref, state, gains, t):
-    """The tracking law before its input rows became Python floats: the
-    table lerp of the state row, the same lerp on input arrays, and the
-    gains applied with ``@`` to separate position and velocity errors."""
+def _left_to_right(row, e, tau_i):
+    """One input of the law as its definition reads: the products
+    K_ij·e_j added one at a time in state order, then τ_i."""
+    return functools.reduce(operator.add,
+                            [k * e_j for k, e_j in zip(row, e)]) + tau_i
+
+
+def _feedback_rows(gains):
+    """The rows K_i = [k_p_i | k_d_i] of the gains, as lists of floats."""
+    return np.hstack((np.atleast_2d(gains.k_p),
+                      np.atleast_2d(gains.k_d))).tolist()
+
+
+def _law_oracle(ref, state, gains, t):
+    """The tracking law from its definition: the table lerp of the state
+    row and the same lerp on input arrays, then ``_left_to_right`` over
+    the error x_des − state for each input."""
     times = ref.node_times.tolist()
     slopes = list(np.diff(ref.states, axis=0) / np.diff(times)[:, None])
 
@@ -262,11 +285,9 @@ def _previous_law(ref, state, gains, t):
         tau_des = lerp(times[:n], list(u), u_slopes, min(t, times[n - 1]))
     else:
         tau_des = np.zeros(ref.inputs.shape[1])
-    n_q = len(x) // 2
-    q_des, qd_des = x[:n_q], x[n_q:]
-    fb = (gains.k_p @ (q_des - state[:n_q])
-          + gains.k_d @ (qd_des - state[n_q:]))
-    return fb + tau_des
+    e = (x - state).tolist()
+    return np.array([_left_to_right(row, e, tau_i) for row, tau_i
+                     in zip(_feedback_rows(gains), tau_des.tolist())])
 
 
 def _assert_float_tuple(u, n_u):
@@ -275,12 +296,18 @@ def _assert_float_tuple(u, n_u):
     assert all(type(v) is float for v in u)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
 @settings(max_examples=50, deadline=None)
 @given(ref=_references(), data=st.data())
 def test_pd_feedforward_is_the_previous_law_bit_for_bit(ref, data):
     n_x = ref.states.shape[1]
     n_q, n_u = n_x // 2, ref.inputs.shape[1]
-    shape = data.draw(st.sampled_from([(n_q,), (n_u, n_q)]))
+    # a 1-D row is a single input's gains
+    shape = data.draw(st.sampled_from([(n_q,), (n_u, n_q)] if n_u == 1
+                                      else [(n_u, n_q)]))
     # gains of order one keep the feedback near the feedforward's size,
     # so that an ulp of either shows in the sum
     gains = control.Gains(_draw_array(data.draw, shape, -1.0, 1.0, -0.0),
@@ -291,62 +318,72 @@ def test_pd_feedforward_is_the_previous_law_bit_for_bit(ref, data):
     states = [*states, *(tuple(row) for row in states.tolist())]
     for t, state in itertools.product(_sample_times(ref, data), states):
         got = control.pd_feedforward(ref, state, gains, t)
-        want = _previous_law(ref, np.asarray(state), gains, t)
+        want = _law_oracle(ref, np.asarray(state), gains, t)
         # n_u Python floats, which share no memory with any array
         _assert_float_tuple(got, n_u)
         assert want.shape == (n_u,)
-        assert np.asarray(got, dtype=float).tobytes() == want.tobytes()
+        assert _bits(got) == want.tobytes()
 
 
-# -- BLAS's two-element dot on Python floats ----------------------------------
+# -- the law as a float sum ----------------------------------------------------
+
+_U = 2.0**-53  # the unit roundoff of a double
 
 
-def _full_mantissa(lo, hi):
-    """Floats with all 53 significant bits drawn, at binary exponents in
-    [lo, hi] (rounded where that is below the normal range)."""
-    return st.builds(lambda sign, m, exp: sign * (m / 2.0**52) * 2.0**exp,
-                     st.sampled_from([-1.0, 1.0]),
-                     st.integers(min_value=2**52, max_value=2**53 - 1),
-                     st.integers(min_value=lo, max_value=hi))
+def _gamma(n):
+    """Higham's γ_n = n·u / (1 − n·u), exactly."""
+    return Fraction(n) * Fraction(_U) / (1 - Fraction(n) * Fraction(_U))
 
 
-# the float path's edges and beyond: the split's bound 2**995, factors
-# of the product's range [2**-960, 2**1020], the largest and the
-# smallest doubles
-_DOT2_EDGES = [0.0, -0.0, 2.0**995, 2.0**996, 2.0**1000, 2.0**-480,
-               2.0**-481, 2.0**510, 2.0**511, 2.0**-960, 2.0**1020, 5e-324,
-               1.7976931348623157e308, math.inf, -math.inf, math.nan]
-_DOT2_FLOATS = st.one_of(st.sampled_from(_DOT2_EDGES),
-                         st.sampled_from(_DOT2_EDGES).map(lambda v: -v),
-                         _full_mantissa(-40, 40), _full_mantissa(-1074, 1023),
-                         st.floats())
+@settings(max_examples=200, deadline=None)
+@given(n_q=st.integers(min_value=1, max_value=3),
+       n_u=st.integers(min_value=1, max_value=3), data=st.data())
+def test_law_is_the_left_to_right_float_sum(n_q, n_u, data):
+    n_x = 2 * n_q
+    x_des = _draw_array(data.draw, n_x, -20.0, 20.0, -0.0)
+    state = _draw_array(data.draw, n_x, -20.0, 20.0, -0.0)
+    tau = _draw_array(data.draw, n_u, -20.0, 20.0, -0.0)
+    k_p = _draw_array(data.draw, (n_u, n_q), -100.0, 100.0, -0.0)
+    k_d = _draw_array(data.draw, (n_u, n_q), -100.0, 100.0, -0.0)
+    # at t = 0 the reference gives its first node and input as they are
+    ref = Trajectory(states=np.array([x_des, x_des]), inputs=tau[None],
+                     dts=np.ones(1))
+    gains = control.Gains(k_p, k_d)
+    got = control.pd_feedforward(ref, state, gains, 0.0)
+    _assert_float_tuple(got, n_u)
+    # the same bits as the definition evaluated in the test, for either
+    # form of the state
+    e = [d - s for d, s in zip(x_des.tolist(), state.tolist())]
+    rows = _feedback_rows(gains)
+    want = [_left_to_right(row, e, tau_i)
+            for row, tau_i in zip(rows, tau.tolist())]
+    assert _bits(got) == _bits(want)
+    assert _bits(control.pd_feedforward(ref, tuple(state.tolist()), gains,
+                                        0.0)) == _bits(got)
+    # recursive summation of the n_x rounded products and τ_i: within
+    # γ_{n_x} of their sum's absolute values (Higham, Accuracy and
+    # Stability of Numerical Algorithms, §4.2) from the exact sum, and
+    # so within (γ_{n_x} + u) of fsum's correct rounding of it
+    for u_i, row, tau_i in zip(got, rows, tau.tolist()):
+        terms = [k * e_j for k, e_j in zip(row, e)] + [tau_i]
+        size = sum(abs(Fraction(v)) for v in terms)
+        assert (abs(Fraction(u_i) - Fraction(math.fsum(terms)))
+                <= (_gamma(n_x) + Fraction(_U)) * size)
+    # a 1-D row is the 1 x n_q matrix of the same entries
+    row_ref = Trajectory(states=ref.states, inputs=tau[None, :1],
+                         dts=ref.dts)
+    as_row = control.pd_feedforward(row_ref, state,
+                                    control.Gains(k_p[0], k_d[0]), 0.0)
+    as_matrix = control.pd_feedforward(row_ref, state,
+                                       control.Gains(k_p[:1], k_d[:1]), 0.0)
+    assert _bits(as_row) == _bits(as_matrix) == _bits(got[:1])
 
 
-@settings(max_examples=400, deadline=None)
-@given(k=st.tuples(_DOT2_FLOATS, _DOT2_FLOATS),
-       e=st.tuples(_DOT2_FLOATS, _DOT2_FLOATS))
-@example(k=(1.0 / 3.0, -1.0 / 3.0), e=(1.0 / 3.0, 1.0 / 3.0))  # fma only
-@example(k=(0.5, 2.0**-480), e=(3.0, 2.0**-480))  # product at 2**-960
-@example(k=(0.5, 2.0**-481), e=(3.0, 2.0**-480))  # just below: numpy
-@example(k=(-1.0, 0.0), e=(0.0, 5.0))  # exact zeros: numpy, +0.0
-@example(k=(1.0, 2.0**1000), e=(1.0, 2.0**-100))  # gain row not split
-@example(k=(1.0, 2.0**-100), e=(1.0, 2.0**1000))  # error not split
-@example(k=(2.0**1000, 1.0), e=(2.0**1000, 1.0))  # q overflows: numpy
-@example(k=(1.0, 1.0), e=(math.nan, 1.0))
-def test_dot2_is_ndarray_dot_byte_for_byte(k, e):
-    k = np.array(k)
-    with np.errstate(all="ignore"):  # overflowing and non-finite draws
-        got = control._dot2(control._dot2_row(k), *e)
-        want = k.dot(np.array(e))
-    assert type(got) is float
-    assert np.float64(got).tobytes() == want.tobytes()
-
-
-def test_this_blas_dot_is_the_emulated_fma():
-    # the rollout records were made with this fma; a _dot2 that stopped
-    # matching it would turn the float path off without a wrong bit
-    assert control._BLAS_DOT2_IS_FMA
-    assert control.Gains([1.0, 2.0], [3.0, 4.0]).dot2_rows is not None
+def test_gains_with_another_row_count_are_rejected():
+    ref = _ramp_trajectory()  # one input
+    gains = control.Gains(np.eye(2), np.eye(2))  # two inputs' rows
+    with pytest.raises(ValueError):
+        control.pd_feedforward(ref, np.zeros(4), gains, 0.25)
 
 
 def test_gains_are_read_only():
@@ -361,6 +398,8 @@ def test_gains_are_read_only():
     # as a process pool's workers receive them
     copy = pickle.loads(pickle.dumps(gains))
     assert not (copy.k_p.flags.writeable or copy.k_d.flags.writeable)
+    # the feedback rows are the held copies, as Python floats
+    assert gains.rows == copy.rows == ((1.0, 2.0, 3.0, 4.0),)
 
 
 # -- the tracking controller's branch switch ----------------------------------
@@ -469,11 +508,11 @@ def test_switch_takes_first_branch_departing_at_or_after_contact(t_c, x):
     # the new reference's node 0 plays at t_c
     state = np.full(4, x)
     x_des, tau = control.sample_reference(ctl.reference, 0.0)
-    expect = (TOY_GAINS.k_p @ (x_des[:2] - state[:2])
-              + TOY_GAINS.k_d @ (x_des[2:] - state[2:]) + tau)
+    e = (np.array(x_des) - state).tolist()
+    (row,) = _feedback_rows(TOY_GAINS)
     got = ctl(t_c, state)
     _assert_float_tuple(got, 1)
-    assert np.asarray(got, dtype=float).tobytes() == expect.tobytes()
+    assert _bits(got) == _bits([_left_to_right(row, e, tau[0])])
     assert x_des[0] == float(ctl.branch_node)
 
 
@@ -507,12 +546,19 @@ def test_arm_law_matches_the_elementwise_pd_expression():
     kp, kd = rng.uniform(1.0, 100.0, size=3), rng.uniform(0.1, 10.0, size=3)
     ctl = control.TrackingController(ref, control.Gains(np.diag(kp),
                                                         np.diag(kd)))
+    rows = _feedback_rows(ctl.gains)
     for _ in range(200):
         t = rng.uniform(-0.1, ref.node_times[-1] + 0.1)
         state = rng.normal(size=6)
         x_des, tau_des = control.sample_reference(ref, t)
-        expect = (kp * (x_des[:3] - state[:3]) + kd * (x_des[3:] - state[3:])
-                  + tau_des)
+        e = (np.array(x_des) - state).tolist()
+        expect = [_left_to_right(row, e, tau_i)
+                  for row, tau_i in zip(rows, tau_des)]
         got = ctl(t, state)
         _assert_float_tuple(got, 3)
-        assert np.asarray(got, dtype=float).tobytes() == expect.tobytes()
+        assert _bits(got) == _bits(expect)
+        # the zeros off the diagonals add nothing: joint by joint, this
+        # is the elementwise expression
+        assert _bits(got) == (kp * (x_des[:3] - state[:3])
+                              + kd * (x_des[3:] - state[3:])
+                              + tau_des).tobytes()

@@ -8,9 +8,13 @@ import pytest
 from branchopt.plants import cartpole
 
 
+P = cartpole.CartPoleParams()
+ENV = cartpole.env_from_params(P)
+
+
 @pytest.fixture
 def sys_def():
-    return cartpole.make_system()
+    return cartpole.make_system(P, ENV)
 
 
 def test_state_derivative_layout(sys_def):
@@ -23,12 +27,11 @@ def test_state_derivative_layout(sys_def):
 
 def test_guard_positive_in_free_motion(sys_def):
     # upright pole at the origin, wall at -0.5: clearly separated
-    assert sys_def.guard(0.0, cartpole.X_EQ, sys_def.default_env) > 0
+    assert sys_def.guard(0.0, cartpole.X_EQ, ENV) > 0
 
 
 def test_guard_zero_at_touching_configuration(sys_def):
-    p = cartpole.CartPoleParams()
-    env = sys_def.default_env
+    p, env = P, ENV
     # place the cart so the tip sits exactly on the wall: x + l sin(th) = x_wall
     theta = 3.6
     x = env.x_wall - p.l * math.sin(theta)
@@ -37,8 +40,7 @@ def test_guard_zero_at_touching_configuration(sys_def):
 
 
 def test_reset_freezes_positions_and_flips_normal_velocity(sys_def):
-    p = cartpole.CartPoleParams()
-    env = sys_def.default_env
+    p, env = P, ENV
     theta = 3.6
     x = env.x_wall - p.l * math.sin(theta)
     pre = np.array([x, theta, -1.0, 2.0])

@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 from branchopt import contact2d, simulation
 from branchopt.plants import cartpole
 
+P = cartpole.CartPoleParams()
+ENV = cartpole.env_from_params(P)
+
 
 def test_rk4_matches_matrix_exponential():
     # linear system xdot = A x has exact solution expm(A t) x0
@@ -180,22 +183,21 @@ def test_ambiguous_corner_returns_the_smallest_residual_candidate():
 
 
 def test_simulate_records_contact_and_continues():
-    sys_def = cartpole.make_system()
+    sys_def = cartpole.make_system(P, ENV)
     # drive the pole into the wall: start leaning with inward velocity
     x0 = np.array([-0.1, 3.6, -0.5, 2.0])
-    trace = simulation.simulate(sys_def, lambda t, x: np.zeros(1), x0,
+    trace = simulation.simulate(sys_def, lambda t, x: np.zeros(1), x0, ENV,
                                 horizon=0.5, dt_sim=1e-3)
     assert len(trace.contact_events) >= 1
     ev = trace.contact_events[0]
-    assert abs(cartpole.guard(ev.pre_state, sys_def.default_env,
-                              cartpole.CartPoleParams())) < 1e-6
+    assert abs(cartpole.guard(ev.pre_state, ENV, P)) < 1e-6
     # post-impact state separates (guard grows right after the event)
     k = np.searchsorted(trace.times, ev.time)
     assert trace.guards[min(k + 5, len(trace.guards) - 1)] > 0
 
 
 def test_simulate_notifies_controller():
-    sys_def = cartpole.make_system()
+    sys_def = cartpole.make_system(P, ENV)
     seen = []
 
     class Ctl:
@@ -206,14 +208,14 @@ def test_simulate_notifies_controller():
             seen.append(t)
 
     simulation.simulate(sys_def, Ctl(), np.array([-0.1, 3.6, -0.5, 2.0]),
-                        horizon=0.5, dt_sim=1e-3)
+                        ENV, horizon=0.5, dt_sim=1e-3)
     assert len(seen) >= 1
 
 
 def test_simulate_stop_condition():
-    sys_def = cartpole.make_system()
+    sys_def = cartpole.make_system(P, ENV)
     trace = simulation.simulate(
-        sys_def, lambda t, x: np.zeros(1), np.array([0, 2.0, 0, 0]),
+        sys_def, lambda t, x: np.zeros(1), np.array([0, 2.0, 0, 0]), ENV,
         horizon=5.0, dt_sim=1e-3,
         stop_condition=lambda t, x, n: "early" if t > 0.1 else None)
     assert trace.termination == "early"
@@ -221,9 +223,9 @@ def test_simulate_stop_condition():
 
 
 def test_simulate_trace_export_roundtrip(tmp_path):
-    sys_def = cartpole.make_system()
+    sys_def = cartpole.make_system(P, ENV)
     trace = simulation.simulate(sys_def, lambda t, x: np.zeros(1),
-                                np.array([0, 3.0, 0, 0]), horizon=0.05,
+                                np.array([0, 3.0, 0, 0]), ENV, horizon=0.05,
                                 dt_sim=1e-3)
     csv_path = tmp_path / "trace.csv"
     trace.to_csv(csv_path)
@@ -234,19 +236,20 @@ def test_simulate_trace_export_roundtrip(tmp_path):
 
 
 def test_simulate_rejects_bad_dt():
-    sys_def = cartpole.make_system()
+    sys_def = cartpole.make_system(P, ENV)
     with pytest.raises(ValueError):
         simulation.simulate(sys_def, lambda t, x: np.zeros(1),
-                            cartpole.X_EQ, horizon=10.0, dt_sim=-1.0)
+                            cartpole.X_EQ, ENV, horizon=10.0, dt_sim=-1.0)
 
 
 @pytest.mark.parametrize("horizon", [0.0, 4e-4])
 def test_simulate_rejects_a_horizon_below_one_step(horizon):
     # a rollout of no step has no input to record or export
-    sys_def = cartpole.make_system()
+    sys_def = cartpole.make_system(P, ENV)
     with pytest.raises(ValueError, match="no step"):
         simulation.simulate(sys_def, lambda t, x: np.zeros(1),
-                            cartpole.X_EQ, horizon=horizon, dt_sim=1e-3)
+                            cartpole.X_EQ, ENV, horizon=horizon,
+                            dt_sim=1e-3)
 
 
 # -- the carried state --------------------------------------------------------
@@ -259,7 +262,7 @@ def _is_float_tuple(state):
 def _spied_wall_rollout():
     """A cart-pole rollout into the wall, recording what the fast
     derivative, the stop condition and the controller receive."""
-    sys_def = cartpole.make_system()
+    sys_def = cartpole.make_system(P, ENV)
     deriv = sys_def.extras["fast_derivative"]
     seen = {"deriv": [], "stop": [], "controller": []}
 
@@ -278,8 +281,8 @@ def _spied_wall_rollout():
     sys_def = dataclasses.replace(sys_def,
                                   extras={"fast_derivative": spy_deriv})
     trace = simulation.simulate(
-        sys_def, controller, np.array([-0.1, 3.6, -0.5, 2.0]), horizon=0.5,
-        dt_sim=1e-3, stop_condition=stop)
+        sys_def, controller, np.array([-0.1, 3.6, -0.5, 2.0]), ENV,
+        horizon=0.5, dt_sim=1e-3, stop_condition=stop)
     return trace, seen
 
 

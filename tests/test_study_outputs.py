@@ -166,7 +166,10 @@ def test_tradeoff_csv_holds_the_tree_row_and_the_baseline(tmp_path,
     data, rows = _read(*_run("tradeoff", tmp_path, monkeypatch))
     assert [r["kind"] for r in rows] == ["sure"] * len(data["rows"]) + ["tree"]
     tree = data["tree"]
-    assert rows[-1]["n_r"] == str(tree["n_r"])
+    # the tree row is labelled by the post-impact budget, not by an n_r
+    assert rows[-1]["budget"] == str(tree["budget"])
+    assert rows[-1]["n_r"] == ""
+    assert {r["budget"] for r in rows[:-1]} == {""}
     assert float(rows[-1]["cost"]) == tree["cost"]
     assert float(rows[-1]["wall_time"]) == tree["wall_time"]
     assert rows[-1]["statuses.0"] == tree["statuses"][0]

@@ -118,24 +118,23 @@ def guess_from_nominal(adapter, layout, nominal_bundle):
     x0[arrays["dt"]] = nom.dts[: len(arrays["dt"])]
     # recompute plant-specific slots (elapsed times, force seeds, ...) from
     # the transplanted time steps before the per-branch seeds overwrite them
-    adapter.initial_guess_extras(layout, cfg, x0)
+    adapter.initial_guess_extras(layout, x0)
     for k, i in enumerate(cfg.branch_nodes):
-        post, extras = adapter.branch_seed(states[i], nom.inputs[i], cfg)
-        if cfg.variant == "sure":
-            bx = tr.interpolate_rows(post, states[cfg.k_last + 1],
-                                     layout.branch_len)
+        post, extras = adapter.branch_seed(states[i], nom.inputs[i])
+        if cfg.rejoin_node is not None:
+            bx = tr.interpolate_rows(post, states[cfg.rejoin_node],
+                                     cfg.branch_len)
             bu, bdt = nom.inputs[i], nom.dts[i]
         else:
             # branch node 0 replaces the unbranched node c+1
             bx, bu, bdt = _resample(
                 np.vstack([post, nom.states[c + 2 :]]), nom.inputs[c + 1 :],
-                nom.dts[c + 1 :], layout.branch_len, cfg.dt_min, cfg.dt_max)
+                nom.dts[c + 1 :], cfg.branch_len, cfg.dt_min, cfg.dt_max)
         x0[arrays["bx"][k]] = bx
         x0[arrays["bu"][k]] = bu
         x0[arrays["bdt"][k]] = bdt
         for name, row in extras.items():
-            if name in arrays:
-                x0[arrays[name][k]] = row
+            x0[arrays[name][k]] = row
     return x0
 
 

@@ -103,18 +103,18 @@ class ArmCatchOcp(PlantOcp):
 
     def register_variables(self, lb, cfg):
         lb.add("t", (cfg.contact_nodes[-1] + 1,))
-        if cfg.variant in ("sure", "tree"):
+        if cfg.branched:
             lb.add("vlim", (1,))
 
-    def emit_extra_blocks(self, builder, layout, cfg):
+    def emit_extra_blocks(self, builder, layout):
         t_idx = layout.arrays["t"]
         builder.fix(t_idx[:1], 0.0)
         builder.set_bounds(t_idx[1:], 0.0, np.inf)
         dt = layout.arrays["dt"][: len(t_idx) - 1]
         builder.add_eq("elapsed_time_chain", lambda v: [v[1] - v[0] - v[2]],
                        np.column_stack([t_idx[:-1], t_idx[1:], dt]))
-        rows = self.guard_indices(layout, cfg.contact_nodes)
-        if cfg.variant == "nominal":
+        rows = self.guard_indices(layout, layout.cfg.contact_nodes)
+        if not layout.cfg.branched:
 
             def catch_velocity(v):
                 dvx, dvz = self._rel_velocity(v)
@@ -137,17 +137,17 @@ class ArmCatchOcp(PlantOcp):
 
     # -- transition: the ball attaches, the arm state carries over --------------
 
-    def emit_transition(self, builder, layout, cfg, pre_nodes, post_rows):
-        pre_rows = layout.arrays["x"][pre_nodes]
+    def emit_transition(self, builder, layout, post_rows):
+        pre_rows = layout.arrays["x"][layout.cfg.contact_nodes]
         builder.add_eq("catch_state_continuity",
                        lambda v: [v[j] - v[6 + j] for j in range(6)],
                        np.hstack([pre_rows, post_rows]))
 
     # -- initial guess -----------------------------------------------------------
 
-    def initial_guess_extras(self, layout, cfg, x0):
+    def initial_guess_extras(self, layout, x0):
         t_idx = layout.arrays["t"]
         dts = x0[layout.arrays["dt"][: len(t_idx) - 1]]
         x0[t_idx] = np.concatenate([[0.0], np.cumsum(dts)])
-        if "vlim" in layout.arrays:
+        if layout.cfg.branched:
             x0[layout.arrays["vlim"]] = 1.0

@@ -57,10 +57,6 @@ class CartPoleEnv:
             raise ValueError("need e in [0, 1] and mu >= 0")
 
 
-def env_from_params(p: CartPoleParams) -> CartPoleEnv:
-    return CartPoleEnv(x_wall=p.x_wall, e=p.e, mu=p.mu)
-
-
 # -- dynamics ---------------------------------------------------------------
 
 

@@ -13,8 +13,8 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..transcription import PlantOcp, STRICT_EPS
-from .cartpole import (CartPoleEnv, CartPoleParams, X_EQ, accel,
-                       env_from_params, guard, impact_map, make_system)
+from .cartpole import (CartPoleEnv, CartPoleParams, X_EQ, accel, guard,
+                       impact_map, make_system)
 
 CONE_SMOOTHING = 1e-8
 # running-cost weights on the state's deviation from upright and the input
@@ -28,7 +28,7 @@ class CartPoleOcp(PlantOcp):
 
     def __init__(self, params: CartPoleParams = None, env: CartPoleEnv = None):
         self.p = params if params is not None else CartPoleParams()
-        self.env = env if env is not None else env_from_params(self.p)
+        self.env = env if env is not None else CartPoleEnv()
         self.target = X_EQ.copy()  # upright and at rest, unforced
         self.hold = np.zeros(1)
 
@@ -77,7 +77,7 @@ class CartPoleOcp(PlantOcp):
     def register_variables(self, lb, cfg):
         lb.add("F", (len(cfg.contact_nodes), 2))
 
-    def emit_extra_blocks(self, builder, layout, cfg):
+    def emit_extra_blocks(self, builder, layout):
         F = layout.arrays["F"]
         builder.set_bounds(F[:, 0], STRICT_EPS, np.inf)  # normal force pushes
 
@@ -103,18 +103,19 @@ class CartPoleOcp(PlantOcp):
         fx, fy = v[0], v[1]
         return [ad.sqrt(fy * fy + CONE_SMOOTHING) - self.env.mu * fx]
 
-    def emit_transition(self, builder, layout, cfg, pre_nodes, post_rows):
+    def emit_transition(self, builder, layout, post_rows):
+        pre = layout.cfg.contact_nodes
         F = layout.arrays["F"]
-        rows = np.hstack([layout.arrays["x"][pre_nodes],
-                          layout.arrays["u"][pre_nodes], post_rows, F])
+        rows = np.hstack([layout.arrays["x"][pre], layout.arrays["u"][pre],
+                          post_rows, F])
         builder.add_eq("impact_restitution_map", self._impact_residual, rows)
         builder.add_ineq("impact_friction_cone", self._cone_residual, F)
 
-    def branch_seed(self, x_pre, u_pre, cfg):
+    def branch_seed(self, x_pre, u_pre):
         post, impulse = impact_map(
             np.asarray(x_pre, dtype=float), float(u_pre[0]), self.env, self.p
         )
         return post, {"F": impulse / self.p.dt_impact}
 
-    def initial_guess_extras(self, layout, cfg, x0):
+    def initial_guess_extras(self, layout, x0):
         x0[layout.arrays["F"][:, 0]] = 1.0

@@ -9,6 +9,10 @@ Three variants are supported:
 * ``tree``      -- the brute-force baseline: every branch runs
                    independently all the way to the terminal state.
 
+The variants differ only in shape, which :class:`TranscriptionConfig`
+alone derives from ``variant`` (``branched``, ``n_common``,
+``branch_len``, ``skip_node``, ``rejoin_node``); nothing else tests it.
+
 Plant specifics (dynamics defects, costs, guard, impact transition,
 path constraints) are supplied by a :class:`PlantOcp` adapter; this
 module owns the decision-vector layout and the shared constraint
@@ -92,15 +96,45 @@ class TranscriptionConfig:
         return list(range(self.k_first, self.k_last + 1))
 
     @property
+    def branched(self):
+        """Whether a branch leaves from each node of the window (sure,
+        tree); the nominal problem's impact stays on the common part."""
+        return self.variant != "nominal"
+
+    @property
     def contact_nodes(self):
         """Common nodes an impact may leave from."""
-        if self.variant == "nominal":
-            return [self.contact_node]
-        return self.branch_nodes
+        return self.branch_nodes if self.branched else [self.contact_node]
 
     @property
     def n_branches(self):
+        """The window's size, branched or not."""
         return self.k_last - self.k_first + 1
+
+    @property
+    def n_common(self):
+        """Intervals of the common trajectory: the tree's ends at the
+        window's last node, every other one at the horizon."""
+        return self.k_last if self.variant == "tree" else self.N
+
+    @property
+    def branch_len(self):
+        """Intervals of each branch; 0 when unbranched."""
+        return {"nominal": 0, "sure": self.n_rejoin,
+                "tree": self.n_branch_full}[self.variant]
+
+    @property
+    def skip_node(self):
+        """The last contact node, if the common part goes on past it: the
+        impact replaces its interval, so its step drives no dynamics, is
+        left out of the running cost and is pinned to ``dt_impact``."""
+        last = self.contact_nodes[-1]
+        return last if last < self.n_common else None
+
+    @property
+    def rejoin_node(self):
+        """Common node every rejoining branch ends on; None unless sure."""
+        return self.k_last + 1 if self.variant == "sure" else None
 
     @property
     def branch_weight(self):
@@ -127,12 +161,6 @@ class TranscriptionLayout:
     cfg: TranscriptionConfig
     n_vars: int
     arrays: dict  # name -> int index array
-    n_common: int  # highest common node index (inclusive count is +1)
-    branch_len: int  # nodes per branch beyond the branch root
-
-    @property
-    def n_branches(self):
-        return self.arrays["bx"].shape[0] if "bx" in self.arrays else 0
 
 
 def _read_only(values):
@@ -316,12 +344,18 @@ class PlantOcp:
     * ``guard_indices`` / ``guard_expr`` -- the contact guard g and the
       decision variables it reads, one row per common node.
     * ``path_constraints`` -- state-only inequalities at every node.
-    * ``emit_transition`` -- the impact blocks from the pre-impact nodes
-      ``cfg.contact_nodes`` to the post-impact state rows ``post_rows``.
-    * ``emit_extra_blocks`` -- bounds of the auxiliary variables and
-      anything beyond the shared scaffolding.
-    * ``branch_seed`` -- post-transition guess for warm starts.
-    * ``initial_guess_extras`` -- guesses of the auxiliary variables.
+    * ``emit_transition`` -- ``(builder, layout, post_rows)``: the impact
+      blocks from the pre-impact nodes ``layout.cfg.contact_nodes`` to
+      the post-impact state rows ``post_rows``.
+    * ``emit_extra_blocks`` -- ``(builder, layout)``: bounds of the
+      auxiliary variables and anything beyond the shared scaffolding.
+    * ``branch_seed`` -- ``(x_pre, u_pre)``: post-transition guess for
+      warm starts.
+    * ``initial_guess_extras`` -- ``(layout, x0)``: guesses of the
+      auxiliary variables.
+
+    Hooks read the formulation's shape from ``layout.cfg``, except
+    ``register_variables``, which runs before there is a layout.
     """
 
     n_x: int
@@ -355,25 +389,27 @@ class PlantOcp:
         """List of (name, fun(x_vars)->outputs) state-only path ineqs."""
         return []
 
-    def emit_transition(self, builder, layout, cfg, pre_nodes, post_rows):
-        """Impact/reset blocks from common pre-impact nodes to post states."""
+    def emit_transition(self, builder, layout, post_rows):
+        """Impact/reset blocks from the common pre-impact nodes
+        ``layout.cfg.contact_nodes`` to the post-impact state rows."""
         raise NotImplementedError
 
-    def emit_extra_blocks(self, builder, layout, cfg):
+    def emit_extra_blocks(self, builder, layout):
         """Bounds of the auxiliary variables and anything beyond the shared
         scaffolding (time chains, v_lim, ...)."""
 
-    def branch_seed(self, x_pre, u_pre, cfg):
+    def branch_seed(self, x_pre, u_pre):
         """Post-transition state guess and per-branch auxiliary guesses.
 
-        Returns ``(x_post, extras)`` where ``extras`` maps plant array
-        names (as registered in the layout) to per-branch row values.
+        Returns ``(x_post, extras)``.  Each key of ``extras`` names an
+        array that this adapter's ``register_variables`` adds to every
+        branched layout, one row per branch, and maps to that row's guess.
         Used to seed branch variables when warm-starting a branched
         problem from an unbranched solution.  Default: identity reset.
         """
         return np.asarray(x_pre, dtype=float).copy(), {}
 
-    def initial_guess_extras(self, layout, cfg, x0):
+    def initial_guess_extras(self, layout, x0):
         """Fill plant-specific slots of the initial guess in place."""
 
 
@@ -382,54 +418,23 @@ class PlantOcp:
 
 def _make_layout(adapter: PlantOcp, cfg: TranscriptionConfig):
     lb = LayoutBuilder()
-    variant = cfg.variant
-    if variant == "tree":
-        n_common = cfg.k_last  # common trajectory ends at the latest contact
-        branch_len = cfg.n_branch_full
-    elif variant == "sure":
-        n_common = cfg.N
-        branch_len = cfg.n_rejoin
-    else:
-        n_common = cfg.N
-        branch_len = 0
-
+    n_common = cfg.n_common
     lb.add("x", (n_common + 1, adapter.n_x))
-    # the tree's common part ends at the last branching node, whose input
-    # still exists (it feeds that branch's transition), so it keeps one
-    # more input slot than it has intervals
-    n_inputs = n_common + 1 if variant == "tree" else n_common
-    lb.add("u", (n_inputs, adapter.n_u))
+    # every node an impact leaves from keeps its input, which feeds the
+    # transition: the tree's common part ends at such a node, so it has
+    # one more input than intervals
+    lb.add("u", (max(n_common, cfg.contact_nodes[-1] + 1), adapter.n_u))
     lb.add("dt", (n_common,))
-    if variant in ("sure", "tree"):
-        K = cfg.n_branches
-        lb.add("bx", (K, branch_len + 1, adapter.n_x))
-        lb.add("bu", (K, branch_len, adapter.n_u))
-        lb.add("bdt", (K, branch_len))
+    if cfg.branched:
+        K, L = cfg.n_branches, cfg.branch_len
+        lb.add("bx", (K, L + 1, adapter.n_x))
+        lb.add("bu", (K, L, adapter.n_u))
+        lb.add("bdt", (K, L))
     adapter.register_variables(lb, cfg)
-    return TranscriptionLayout(
-        cfg=cfg,
-        n_vars=lb.n_vars,
-        arrays=lb.names,
-        n_common=n_common,
-        branch_len=branch_len,
-    )
+    return TranscriptionLayout(cfg=cfg, n_vars=lb.n_vars, arrays=lb.names)
 
 
 # -- shared scaffolding -------------------------------------------------------
-
-
-def _skip_node(cfg):
-    """Common node whose outgoing interval is replaced by the impact.
-
-    Its time step drives nothing (no dynamics defect uses it), so it is
-    excluded from the running cost and pinned by the builder to the
-    adapter's ``dt_impact``.
-    """
-    if cfg.variant == "nominal":
-        return cfg.contact_node
-    if cfg.variant == "sure":
-        return cfg.k_last
-    return None
 
 
 def _interval_rows(arrays, prefix="", skip=None, with_next=False):
@@ -448,7 +453,7 @@ def _interval_rows(arrays, prefix="", skip=None, with_next=False):
     return rows if skip is None else np.delete(rows, skip, axis=0)
 
 
-def _emit_dynamics(builder, adapter, layout, cfg):
+def _emit_dynamics(builder, adapter, layout):
     n_x, n_u = adapter.n_x, adapter.n_u
 
     def defect(v):
@@ -458,25 +463,27 @@ def _emit_dynamics(builder, adapter, layout, cfg):
         x_next = v[n_x + n_u + 1 :]
         return adapter.dynamics_defect(x, u, dt, x_next)
 
-    rows = _interval_rows(layout.arrays, skip=_skip_node(cfg), with_next=True)
+    rows = _interval_rows(layout.arrays, skip=layout.cfg.skip_node,
+                          with_next=True)
     builder.add_eq("common_dynamics", defect, rows)
 
-    if layout.n_branches:
+    if layout.cfg.branched:
         rows = _interval_rows(layout.arrays, "b", with_next=True)
         builder.add_eq("branch_dynamics", defect, rows)
 
 
-def _emit_costs(builder, adapter, layout, cfg):
+def _emit_costs(builder, adapter, layout):
+    cfg = layout.cfg
     n_x, n_u = adapter.n_x, adapter.n_u
 
     def running(v):
         return adapter.node_cost(
             v[:n_x], v[n_x : n_x + n_u], ad.sqrt(v[n_x + n_u]))
 
-    rows = _interval_rows(layout.arrays, skip=_skip_node(cfg))
+    rows = _interval_rows(layout.arrays, skip=cfg.skip_node)
     builder.add_cost("common_running_cost", running, rows)
 
-    if layout.n_branches:
+    if cfg.branched:
         w = cfg.branch_weight
 
         def branch_cost(v):
@@ -488,9 +495,9 @@ def _emit_costs(builder, adapter, layout, cfg):
                          _interval_rows(layout.arrays, "b"))
 
 
-def _emit_guard_blocks(builder, adapter, layout, cfg):
-    variant = cfg.variant
-    if variant == "nominal":
+def _emit_guard_blocks(builder, adapter, layout):
+    cfg = layout.cfg
+    if not cfg.branched:
         c = cfg.contact_node
         builder.add_eq("guard_zero_at_contact",
                        lambda v: [adapter.guard_expr(v)],
@@ -517,27 +524,28 @@ def _emit_guard_blocks(builder, adapter, layout, cfg):
         adapter.guard_indices(layout, [cfg.k_last]))
 
     clear_nodes = list(range(cfg.k_first))
-    if adapter.clearance_after_contact and cfg.variant == "sure":
-        clear_nodes += list(range(cfg.k_last + 1, cfg.N + 1))
+    if adapter.clearance_after_contact and cfg.rejoin_node is not None:
+        clear_nodes += list(range(cfg.rejoin_node, cfg.N + 1))
     builder.add_ineq(
         "guard_clearance_beyond_window",
         lambda v: [d + STRICT_EPS - adapter.guard_expr(v)],
         adapter.guard_indices(layout, clear_nodes))
 
 
-def _emit_path_constraints(builder, adapter, layout, cfg):
+def _emit_path_constraints(builder, adapter, layout):
     rows = layout.arrays["x"]
-    if layout.n_branches:
+    if layout.cfg.branched:
         rows = np.concatenate(
             [rows, layout.arrays["bx"].reshape(-1, adapter.n_x)])
     for name, fun in adapter.path_constraints():
         builder.add_ineq(name, fun, rows)
 
 
-def _emit_rejoin(builder, adapter, layout, cfg):
+def _emit_rejoin(builder, adapter, layout):
     n_x = adapter.n_x
     ends = layout.arrays["bx"][:, -1]
-    rejoin = np.broadcast_to(layout.arrays["x"][cfg.k_last + 1], ends.shape)
+    rejoin = np.broadcast_to(layout.arrays["x"][layout.cfg.rejoin_node],
+                             ends.shape)
     builder.add_eq("branch_rejoin_pinning",
                    lambda v: [v[i] - v[n_x + i] for i in range(n_x)],
                    np.hstack([ends, rejoin]))
@@ -552,33 +560,29 @@ def build(adapter: PlantOcp, cfg: TranscriptionConfig):
     arrays = layout.arrays
 
     # time steps and boundary conditions
-    skip = _skip_node(cfg)
     builder.set_bounds(arrays["dt"], cfg.dt_min, cfg.dt_max)
-    if skip is not None:
-        builder.fix(arrays["dt"][skip], adapter.dt_impact)
-    if layout.n_branches:
+    if cfg.skip_node is not None:
+        builder.fix(arrays["dt"][cfg.skip_node], adapter.dt_impact)
+    if cfg.branched:
         builder.set_bounds(arrays["bdt"], cfg.dt_min, cfg.dt_max)
     builder.fix(arrays["x"][0], np.asarray(cfg.x_init, dtype=float))
-    x_end = np.asarray(cfg.x_end, dtype=float)
-    if cfg.variant == "tree":
-        builder.fix(arrays["bx"][:, -1], x_end)
-    else:
-        builder.fix(arrays["x"][cfg.N], x_end)
+    # the horizon ends on the common part, or on every branch where the
+    # common part stops short of it (tree)
+    ends = arrays["x"][cfg.N] if cfg.n_common == cfg.N else arrays["bx"][:, -1]
+    builder.fix(ends, np.asarray(cfg.x_end, dtype=float))
 
-    _emit_costs(builder, adapter, layout, cfg)
-    _emit_dynamics(builder, adapter, layout, cfg)
-    _emit_guard_blocks(builder, adapter, layout, cfg)
-    _emit_path_constraints(builder, adapter, layout, cfg)
+    _emit_costs(builder, adapter, layout)
+    _emit_dynamics(builder, adapter, layout)
+    _emit_guard_blocks(builder, adapter, layout)
+    _emit_path_constraints(builder, adapter, layout)
 
-    if cfg.variant == "nominal":
-        post_rows = arrays["x"][[cfg.contact_node + 1]]
-    else:
-        post_rows = arrays["bx"][:, 0]
-    adapter.emit_transition(builder, layout, cfg, cfg.contact_nodes, post_rows)
-    if cfg.variant == "sure":
-        _emit_rejoin(builder, adapter, layout, cfg)
+    post_rows = (arrays["bx"][:, 0] if cfg.branched
+                 else arrays["x"][[cfg.contact_node + 1]])
+    adapter.emit_transition(builder, layout, post_rows)
+    if cfg.rejoin_node is not None:
+        _emit_rejoin(builder, adapter, layout)
 
-    adapter.emit_extra_blocks(builder, layout, cfg)
+    adapter.emit_extra_blocks(builder, layout)
     return builder.finish(), layout
 
 
@@ -624,17 +628,16 @@ def default_initial_guess(adapter: PlantOcp, layout: TranscriptionLayout):
     x0 = np.zeros(layout.n_vars)
     xi = np.asarray(cfg.x_init, dtype=float)
     xe = np.asarray(cfg.x_end, dtype=float)
-    x0[arrays["x"]] = interpolate_rows(xi, xe, layout.n_common)
+    x0[arrays["x"]] = interpolate_rows(xi, xe, cfg.n_common)
     dt_mid = 0.5 * (cfg.dt_min + cfg.dt_max)
     x0[arrays["dt"]] = dt_mid
-    if layout.n_branches:
+    if cfg.branched:
         start = x0[arrays["x"][cfg.branch_nodes]]
-        target = xe
-        if cfg.variant == "sure":
-            target = x0[arrays["x"][cfg.k_last + 1]]
-        x0[arrays["bx"]] = interpolate_rows(start, target, layout.branch_len)
+        target = (xe if cfg.rejoin_node is None
+                  else x0[arrays["x"][cfg.rejoin_node]])
+        x0[arrays["bx"]] = interpolate_rows(start, target, cfg.branch_len)
         x0[arrays["bdt"]] = dt_mid
-    adapter.initial_guess_extras(layout, cfg, x0)
+    adapter.initial_guess_extras(layout, x0)
     return x0
 
 
@@ -651,21 +654,18 @@ def extract_solution(layout: TranscriptionLayout, x_raw) -> SolutionBundle:
         inputs=x_raw[layout.arrays["u"]],
         dts=x_raw[layout.arrays["dt"]],
     )
-    branches = []
-    if layout.n_branches:
-        for k in range(layout.n_branches):
-            branches.append(
-                Trajectory(
-                    states=x_raw[layout.arrays["bx"][k]],
-                    inputs=x_raw[layout.arrays["bu"][k]],
-                    dts=x_raw[layout.arrays["bdt"][k]],
-                )
-            )
+    branch_nodes = cfg.branch_nodes if cfg.branched else []
+    branches = [
+        Trajectory(states=x_raw[layout.arrays["bx"][k]],
+                   inputs=x_raw[layout.arrays["bu"][k]],
+                   dts=x_raw[layout.arrays["bdt"][k]])
+        for k in range(len(branch_nodes))
+    ]
     return SolutionBundle(
         common=common,
         branches=branches,
-        branch_nodes=cfg.branch_nodes if layout.n_branches else [],
-        rejoin_index=cfg.k_last + 1 if cfg.variant == "sure" else None,
+        branch_nodes=branch_nodes,
+        rejoin_index=cfg.rejoin_node,
     )
 
 

@@ -287,7 +287,7 @@ def test_guard_is_ball_to_container_gap():
 def test_reset_leaves_arm_state_unchanged():
     ocp = ArmCatchOcp(P)
     state = np.array([0.4, -0.8, 0.3, 0.5, -0.2, 0.1])
-    post, extras = ocp.branch_seed(state, np.zeros(3), cfg=None)
+    post, extras = ocp.branch_seed(state, np.zeros(3))
     assert post == pytest.approx(state)
     assert extras == {}
 

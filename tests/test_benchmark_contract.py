@@ -89,7 +89,7 @@ def test_simulation_layers_time_every_impulse():
 def test_traced_system_wraps_derivative_and_guard():
     tracer = tracing.Tracer()
     p = cartpole.CartPoleParams()
-    env = cartpole.env_from_params(p)
+    env = cartpole.CartPoleEnv()
     sys_def = tracing.traced_system(tracer, cartpole.make_system(p, env))
     sys_def.guard(0.0, cartpole.X_EQ, env)
     sys_def.extras["fast_derivative"](tuple(cartpole.X_EQ), 0.0)

@@ -101,7 +101,7 @@ def jacobian_fingerprints():
     the free dynamics at seeded states and inputs."""
     rng = np.random.default_rng(11)
     cp_p = cartpole.CartPoleParams()
-    cp = cartpole.make_system(cp_p, cartpole.env_from_params(cp_p))
+    cp = cartpole.make_system(cp_p, cartpole.CartPoleEnv())
     p = arm.ArmCatchParams()
     am = arm.make_system(p)
     pose = np.concatenate([ARM_INIT[:3], np.zeros(3)])

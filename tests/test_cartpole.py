@@ -14,7 +14,7 @@ from gradient_check import check_gradient
 
 
 P = cartpole.CartPoleParams()
-ENV = cartpole.env_from_params(P)
+ENV = cartpole.CartPoleEnv()
 
 
 def _oracle_accel(state, tau, fx, fy, p):
@@ -65,7 +65,7 @@ def _total_energy(state, p):
 
 
 def test_energy_drift_unforced_rk4():
-    sys_def = cartpole.make_system(P, cartpole.env_from_params(P))
+    sys_def = cartpole.make_system(P, cartpole.CartPoleEnv())
     state = np.array([0.0, 2.5, 0.3, 1.0])
     e0 = _total_energy(state, P)
     dt = 1e-4
@@ -131,7 +131,7 @@ def test_impact_dissipates_energy():
 def test_mirror_symmetry_of_free_dynamics():
     # (x, th, xd, thd; tau) -> (-x, 2 pi - th, -xd, -thd; -tau) is a
     # solution-to-solution map of the wall-free flow
-    sys_def = cartpole.make_system(P, cartpole.env_from_params(P))
+    sys_def = cartpole.make_system(P, cartpole.CartPoleEnv())
     rng = np.random.default_rng(11)
     for _ in range(50):
         state = rng.uniform([-1, 1, -3, -5], [1, 5, 3, 5])
@@ -204,7 +204,7 @@ def _bits(values):
        tau=_floats(-2000.0, 2000.0))
 def test_fast_derivative_matches_the_per_call_expression_bit_for_bit(
         p, state, tau):
-    sys_def = cartpole.make_system(p, cartpole.env_from_params(p))
+    sys_def = cartpole.make_system(p, cartpole.CartPoleEnv())
     deriv = sys_def.extras["fast_derivative"]
     got = deriv(tuple(state.tolist()), tau)
     xdd, thdd = _accel_float(state[1].item(), state[3].item(), tau, p)

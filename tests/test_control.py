@@ -96,7 +96,7 @@ def test_care_residual_and_hurwitz(plant):
 
 def _cartpole_system():
     p = cartpole.CartPoleParams()
-    return cartpole.make_system(p, cartpole.env_from_params(p))
+    return cartpole.make_system(p, cartpole.CartPoleEnv())
 
 
 def test_linearize_rejects_non_equilibrium():

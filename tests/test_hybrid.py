@@ -9,7 +9,7 @@ from branchopt.plants import cartpole
 
 
 P = cartpole.CartPoleParams()
-ENV = cartpole.env_from_params(P)
+ENV = cartpole.CartPoleEnv()
 
 
 @pytest.fixture

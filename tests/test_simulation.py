@@ -13,7 +13,7 @@ from branchopt import contact2d, simulation
 from branchopt.plants import cartpole
 
 P = cartpole.CartPoleParams()
-ENV = cartpole.env_from_params(P)
+ENV = cartpole.CartPoleEnv()
 
 
 def test_rk4_matches_matrix_exponential():

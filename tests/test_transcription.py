@@ -119,17 +119,30 @@ def test_config_rejects_empty_branches_and_reversed_dt_bounds(variant, key,
         _cfg(variant, **{key: value})
 
 
+# each formulation's shape, as the config derives it: N=12, window 4-6,
+# n_rejoin 3, n_branch_full 8
+SHAPES = {
+    # branched, n_common, branch_len, skip_node, rejoin_node, contact_nodes
+    "nominal": (False, 12, 0, 5, None, [5]),
+    "sure": (True, 12, 3, 6, 7, [4, 5, 6]),
+    "tree": (True, 6, 8, None, None, [4, 5, 6]),
+}
+
+
 def test_contact_nodes():
-    assert _cfg("nominal").contact_nodes == [5]
-    assert _cfg("sure").contact_nodes == [4, 5, 6]
-    assert _cfg("tree").contact_nodes == [4, 5, 6]
+    for variant, shape in SHAPES.items():
+        cfg = _cfg(variant)
+        assert (cfg.branched, cfg.n_common, cfg.branch_len, cfg.skip_node,
+                cfg.rejoin_node, cfg.contact_nodes) == shape, variant
 
 
 def test_branch_properties():
-    cfg = _cfg("sure")
-    assert cfg.branch_nodes == [4, 5, 6]
-    assert cfg.n_branches == 3
-    assert cfg.branch_weight == pytest.approx(1.0 / 3.0)
+    for variant in SHAPES:
+        # the window's size, whether or not branches leave from it
+        cfg = _cfg(variant)
+        assert cfg.branch_nodes == [4, 5, 6]
+        assert cfg.n_branches == 3
+        assert cfg.branch_weight == pytest.approx(1.0 / 3.0)
 
 
 # -- boundary conditions and bounds ----------------------------------------------
@@ -149,7 +162,7 @@ def test_tree_fixes_branch_endpoints_not_common():
     cfg = _cfg("tree")
     problem, layout = tr.build_tree(CartPoleOcp(), cfg)
     for k in range(3):
-        idx = layout.arrays["bx"][k, layout.branch_len]
+        idx = layout.arrays["bx"][k, cfg.branch_len]
         assert problem.lower[idx] == pytest.approx(X_END)
         assert problem.upper[idx] == pytest.approx(X_END)
 
@@ -236,7 +249,7 @@ def test_rejoin_constraint_evaluates_to_state_difference():
     x = np.zeros(layout.n_vars)
     rejoin = layout.arrays["x"][7]  # k_last + 1
     x[rejoin] = [1.0, 2.0, 3.0, 4.0]
-    x[layout.arrays["bx"][0, layout.branch_len]] = [1.0, 2.0, 3.0, 4.0]
+    x[layout.arrays["bx"][0, layout.cfg.branch_len]] = [1.0, 2.0, 3.0, 4.0]
     row0 = np.array([float(v) for v in block.fun(x[block.indices[0]])])
     assert row0 == pytest.approx(np.zeros(4))
     row1 = np.array([float(v) for v in block.fun(x[block.indices[1]])])

@@ -8,9 +8,8 @@ equation, and read the proportional/derivative gains off the feedback
 matrix.  Given a branched solution, the controller plays the common
 trajectory until contact is observed, then switches — exactly once — to
 the nearest subsequent branch.  The controller reads the state the
-simulator carries, which it does not write: a tuple of Python floats
-for the cart-pole, an (n_x,) array for the arm.  It returns the input
-as a tuple of n_u Python floats.
+simulator carries, a tuple of Python floats, and returns the input as
+a tuple of n_u Python floats.
 
 References are sampled from their ``Trajectory.sample_table``: node
 times, rows and per-interval slopes, built once per reference as
@@ -216,7 +215,7 @@ def pd_feedforward(ref: Trajectory, state, gains: Gains, t):
     e_j = x_des_j − state_j, then for each input
     u_i = (K_i0·e_0 + K_i1·e_1 + …) + τ_i, summed left to right in state
     order over the row K_i of ``Gains.rows``.  ``state`` is a sequence of
-    n_x floats (a tuple or an array), which is only read.  Returns a
+    n_x floats (the simulator's tuple), which is only read.  Returns a
     tuple of n_u Python floats; gains with other than n_u rows raise
     ``ValueError``.
     """

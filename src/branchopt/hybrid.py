@@ -38,9 +38,9 @@ class HybridSystemDef:
 
     ``extras["fast_derivative"]``, where a plant has one, is
     ``deriv(state, tau) -> (q̇, q̈)``, one flat tuple, on plain floats
-    and one input.  The simulator then carries the state as a tuple of
-    floats and hands the guard that tuple; otherwise the guard gets an
-    ``(n_x,)`` array.
+    and one input; the simulator then steps without arrays.  Either way
+    it carries the state as a tuple of floats and hands the guard that
+    tuple.
     """
 
     n_q: int

@@ -9,16 +9,15 @@ integration continues from the post-impact state.  ``rigid_impact``
 builds the cart-pole's law: the closed-form frictional impulse of
 ``contact2d`` with positions frozen.
 
-The loop carries the state from step to step in the form its step
-returns: a tuple of Python floats for a plant with
-``extras["fast_derivative"]`` (the cart-pole), so that no step builds
-an array, and an ``(n_x,)`` array from ``rk4_step`` otherwise (the
-arm).  The controller, the guard and the stop condition receive that
-form, which they must not write; the controller returns a sequence of
-n_u floats, the tracking controller a tuple.  Each state is written
-once into the trace.  At a contact, the impact law gets and returns
-arrays, and its post-impact state is turned back into the carried form
-once.
+The loop carries every plant's state from step to step as a tuple of
+Python floats.  A plant with ``extras["fast_derivative"]`` (the
+cart-pole) steps on those floats, so that no step builds an array;
+otherwise (the arm) ``rk4_step``'s array is turned into the tuple once
+per step.  The controller, the guard and the stop condition receive
+the tuple; the controller returns a sequence of n_u floats, the
+tracking controller a tuple.  Each state is written once into the
+trace.  At a contact, the impact law gets and returns arrays, and its
+post-impact state is turned back into a tuple once.
 
 The benchmark's per-layer tracer (``perfbench/tracing.py``) times the
 loop by replacing what it calls, so a faster loop must keep these calls
@@ -169,12 +168,11 @@ def simulate(sys: HybridSystemDef, controller, x0, env, *, horizon,
     to end the rollout early; failures never raise, they are recorded on
     the trace.
 
-    Between steps the state is carried in the form the step returns, and
-    the controller, the guard ``sys.guard(t, state, env)`` and
-    ``stop_condition`` see it in that form, which they must not write: a
-    tuple of Python floats for a plant with ``extras["fast_derivative"]``,
-    an ``(n_x,)`` array otherwise.  Finishing a step after a contact, the
-    controller sees the event's ``post_state`` in that form.
+    Between steps the state is carried as a tuple of n_x Python floats,
+    and the controller, the guard ``sys.guard(t, state, env)`` and
+    ``stop_condition`` see it in that form.  Finishing a step after a
+    contact, the controller sees the event's ``post_state`` as such a
+    tuple.
     """
     if dt_sim <= 0:
         raise ValueError("dt_sim must be positive")
@@ -194,15 +192,12 @@ def simulate(sys: HybridSystemDef, controller, x0, env, *, horizon,
     if fast_deriv is not None:
         def step(x, u, dt):
             return _rk4_fast(fast_deriv, x, u[0], dt)
-
-        def carried(state):
-            return tuple(state.tolist())
     else:
         def step(x, u, dt):
-            return rk4_step(sys.state_derivative, x, u, dt)
+            return tuple(rk4_step(sys.state_derivative, x, u, dt).tolist())
 
-        def carried(state):
-            return state
+    def carried(state):
+        return tuple(state.tolist())
     guard = sys.guard
     guard_fn = lambda t, s: guard(t, s, env)
 

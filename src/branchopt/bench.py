@@ -460,15 +460,13 @@ def _rk4_growth(sys, x_eq, u_eq, gains: control.Gains, dt_sim):
     """Largest RK4 amplification of the plant tracked about ``x_eq``.
 
     Linearizes the plant about ``x_eq`` under the input ``u_eq``, closes
-    the loop with τ = −K_p δq − K_d δq̇, and returns max |R(λ·dt_sim)|
-    over the closed loop's eigenvalues λ, where
-    R(z) = 1 + z + z²/2 + z³/6 + z⁴/24 is RK4's stability function.
-    Above 1, a rollout at dt_sim grows without bound.
+    the loop with τ = −K δx, and returns max |R(λ·dt_sim)| over the
+    eigenvalues λ of A − B K, where R(z) = 1 + z + z²/2 + z³/6 + z⁴/24
+    is RK4's stability function.  Above 1, a rollout at dt_sim grows
+    without bound.
     """
     A, B = control.linearize(sys, x_eq, u_eq)
-    K = np.empty(B.T.shape)  # linearize's interleaved [q1, q̇1, ...] order
-    K[:, 0::2], K[:, 1::2] = gains.k_p, gains.k_d
-    z = np.linalg.eigvals(A - B @ K) * dt_sim
+    z = np.linalg.eigvals(A - B @ np.array(gains.rows)) * dt_sim
     return float(np.max(np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)))
 
 

@@ -16,8 +16,9 @@ Verbs, each with every flag it takes:
   sweep       --config --out --csv
               arm-catch relative-speed sweep over drop heights (JSON/CSV)
   gains       --config
-              print the configured plant's tracking gains: LQR about the
-              state its solves end at, checked under RK4 at dt_sim
+              print the configured plant's tracking gains K, one row per
+              input: LQR about the state its solves end at, checked under
+              RK4 at dt_sim
 
 ``--config`` names a YAML run config (see config.py for the schema);
 ``--seed`` and ``--workers`` replace its master seed and worker count.
@@ -31,8 +32,6 @@ import argparse
 import dataclasses
 import json
 import sys
-
-import numpy as np
 
 from . import bench
 from . import config as cfgmod
@@ -173,8 +172,8 @@ def cmd_sweep(args):
 def cmd_gains(args):
     run = _load(args)
     gains = bench._controller_gains(run, cfgmod.build_plant(run)[0])
-    print("k_p:", np.array2string(gains.k_p, precision=6))
-    print("k_d:", np.array2string(gains.k_d, precision=6))
+    for i, row in enumerate(gains.rows):  # columns in state order [q; q̇]
+        print(f"K[{i}]:", " ".join(f"{k:.6g}" for k in row))
     return 0
 
 

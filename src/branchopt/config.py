@@ -12,11 +12,11 @@ defaults of ``TranscriptionConfig`` and ``SolverOpts``, which the keys
 left out here keep.  A key the schema below does not name raises
 ``ValueError``, in every section and at the top level.
 
-Schema (version 1), with each key's rule; counts are integers, list
+Schema (version 2), with each key's rule; counts are integers, list
 entries finite numbers, every plant.params and plant.env value a finite
 number or a list of them, and YAML's on, yes and true are neither::
 
-    schema_version: 1
+    schema_version: 2               # 1 read q_diag in another state order
     plant:
       name: cartpole | arm          # which plant to build
       params: {...}                 # fields of CartPoleParams (dt_impact > 0
@@ -45,8 +45,9 @@ number or a list of them, and YAML's on, yes and true are neither::
       max_outer: 60                 # augmented-Lagrangian iterations, >= 1
       max_inner: 600                # LM iterations per inner solve, >= 1
     controller:                     # LQR weights of the tracking gains
-      q_diag: [10, 0, 10, 0]        # >= 0, per state [q1, q̇1, q2, q̇2, ...];
-                                    #   arm: [10, 0, 10, 0, 10, 0]
+      q_diag: [10, 10, 0, 0]        # >= 0, one per state in state order
+                                    #   [q; q̇], like final_tol; arm:
+                                    #   [10, 10, 10, 0, 0, 0]
       r: 0.1                        # per input, finite and > 0
     experiment:
       seed: 0                       # >= 0
@@ -68,7 +69,6 @@ number or a list of them, and YAML's on, yes and true are neither::
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -87,7 +87,9 @@ from .plants.cartpole_ocp import CartPoleOcp
 __all__ = ["RunConfig", "load_config", "build_plant", "transcription_config",
            "solver_opts", "SCHEMA_VERSION"]
 
-SCHEMA_VERSION = 1
+# 2 since q_diag is in the plant's state order [q; q̇]; version 1 listed
+# it as [q1, q̇1, q2, q̇2, ...], so a version-1 file fails at load
+SCHEMA_VERSION = 2
 
 # Every key of these sections, with its default.
 _DEFAULTS = {
@@ -110,7 +112,7 @@ _TRANSCRIPTION_DEFAULTS = {
     "arm": {"N": 40, "k_first": 16, "k_last": 24, "d_fixed": 0.20},
 }
 _Q_DIAG_DEFAULTS = {"cartpole": np.diag(control.DEFAULT_Q).tolist(),
-                    "arm": [10.0, 0.0] * 3}  # one weight per state
+                    "arm": [10.0] * 3 + [0.0] * 3}  # one weight per state
 # the fields plant.params and plant.env may set; the env alone sets the
 # cart-pole's wall, restitution and friction
 _ENV_KEYS = set(cartpole.CartPoleEnv.__dataclass_fields__)
@@ -323,13 +325,13 @@ def load_config(path=None, overrides=None) -> RunConfig:
 def build_plant(cfg: RunConfig):
     """Instantiate (adapter, params, env_or_None) for the configured plant.
 
-    The cart-pole params' copies of the env's fields take the env's
-    values, so the two agree.
+    The cart-pole params' copy of the env's friction ``mu`` takes the
+    env's value, so the two agree.
     """
     params = cfg.plant["params"]
     if cfg.plant_name == "cartpole":
         env = cartpole.CartPoleEnv(**cfg.plant["env"])
-        p = cartpole.CartPoleParams(**params, **dataclasses.asdict(env))
+        p = cartpole.CartPoleParams(**params, mu=env.mu)
         return CartPoleOcp(p, env), p, env
     p = arm.ArmCatchParams(**params)
     return ArmCatchOcp(p), p, None

@@ -28,16 +28,14 @@ class CartPoleParams:
     l: float = 0.4
     gravity: float = 9.81
     mu: float = 0.7
-    e: float = 0.8
-    x_wall: float = -0.5
     w_cart: float = 0.08
     dt_impact: float = 1e-3
 
     def __post_init__(self):
         if self.m_c <= 0 or self.m_p <= 0 or self.l <= 0 or self.w_cart <= 0:
             raise ValueError("masses, pole length and cart width must be positive")
-        if self.mu < 0 or not 0.0 <= self.e <= 1.0:
-            raise ValueError("need mu >= 0 and e in [0, 1]")
+        if self.mu < 0:
+            raise ValueError("need mu >= 0")
         if not 0.0 < self.dt_impact < math.inf:
             # the branch seed's force is the impulse over dt_impact
             raise ValueError(f"dt_impact must be a positive finite number, "

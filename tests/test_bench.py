@@ -34,7 +34,7 @@ def test_run_trial_simulates_the_configured_env(monkeypatch):
                      inputs=np.zeros((1, 1)), dts=np.array([0.01]))
     run = config.RunConfig(plant={"env": {"mu": 0.3}},
                            experiment={"horizon": 0.005})
-    bench._run_trial((run, spec, ref, control.Gains(np.zeros(2), np.zeros(2))))
+    bench._run_trial((run, spec, ref, control.Gains(np.zeros((1, 4)))))
     assert [(e.mu, e.x_wall, e.e) for e in seen] == [(0.3, -0.6, 0.75)]
 
 
@@ -92,12 +92,17 @@ def _held_level_reference(p):
                       dts=np.array([1.5]))
 
 
+def _joint_pd(kp, kd):
+    """The arm's gains K = [kp·I | kd·I]: each joint's own PD law."""
+    return control.Gains(np.hstack((np.diag(np.full(3, kp)),
+                                    np.diag(np.full(3, kd)))))
+
+
 def arm_held_level(rec):
     """The contact time and catch speed of the held level pose at each of
     the record's drop heights."""
     p = arm.ArmCatchParams()
-    gains = control.Gains(np.diag(np.full(3, rec["kp"])),
-                          np.diag(np.full(3, rec["kd"])))
+    gains = _joint_pd(rec["kp"], rec["kd"])
     ref = _held_level_reference(p)
     rows = []
     for row in rec["drop_heights"]:
@@ -137,7 +142,7 @@ def test_catch_speed_matches_the_recorded_arm_rollouts():
 def test_sweep_without_a_catch_names_the_reference():
     # released below the container, the ball is never caught
     p = arm.ArmCatchParams()
-    gains = control.Gains(np.diag(np.full(3, 80.0)), np.diag(np.full(3, 1.0)))
+    gains = _joint_pd(80.0, 1.0)
     with pytest.raises(RuntimeError, match="held"):
         bench._replay_drops(ArmCatchOcp(p), {"held": _held_level_reference(p)},
                             gains, [0.2], 1e-3)
@@ -198,7 +203,7 @@ def test_montecarlo_reference_solve_names_the_stage_that_failed():
 
 def test_montecarlo_rejects_rk4_unstable_gains_before_solving(monkeypatch):
     monkeypatch.setattr(bench, "_solve_condition", _no_solve)
-    run = config.RunConfig(controller={"q_diag": [1e4, 0, 1e4, 0], "r": 1e-3},
+    run = config.RunConfig(controller={"q_diag": [1e4, 1e4, 0, 0], "r": 1e-3},
                            experiment={"dt_sim": 0.02})
     with pytest.raises(ValueError, match=r"cart-pole's tracking loop is "
                                          r"unstable .* = 2\.55 > 1"):
@@ -215,12 +220,12 @@ def test_montecarlo_rejects_rk4_unstable_gains_before_solving(monkeypatch):
     ({"controller": {"r": float("inf")}}, "controller r"),
     # YAML reads yes as True
     ({"controller": {"r": True}}, "controller r"),
-    ({"controller": {"q_diag": [10, 0, 10]}}, "controller q_diag"),
-    ({"controller": {"q_diag": [10, 0, 10, -1]}}, "controller q_diag"),
-    ({"controller": {"q_diag": [10, 0, 10, float("nan")]}},
+    ({"controller": {"q_diag": [10, 10, 0]}}, "controller q_diag"),
+    ({"controller": {"q_diag": [10, 10, 0, -1]}}, "controller q_diag"),
+    ({"controller": {"q_diag": [10, 10, 0, float("nan")]}},
      "controller q_diag"),
     ({"controller": {"q_diag": 10}}, "controller q_diag"),
-    ({"plant": {"name": "arm"}, "controller": {"q_diag": [10, 0, 10, 0]}},
+    ({"plant": {"name": "arm"}, "controller": {"q_diag": [10, 10, 0, 0]}},
      "controller q_diag"),
 ], ids=["dt_sim-0", "dt_sim-negative", "sweep_heights-0",
         "r-0", "r-negative", "r-inf", "r-bool", "q_diag-short",

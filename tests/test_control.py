@@ -2,9 +2,12 @@
 
 The Riccati solve is checked against two independent oracles: a scalar
 closed form and Kleinman's Newton iteration built only on Lyapunov
-solves, the latter on both plants' default gain designs.  The tracking
-law is checked against its definition, a left-to-right float sum per
-input, bit for bit, and against ``math.fsum`` within Higham's bound.
+solves, the latter on both plants' default gain designs.  The gain
+design's state order is checked against LQR on a central-difference
+model of each plant's state derivative, taken in its own order.  The
+tracking law is checked against its definition, a left-to-right float
+sum per input, bit for bit, and against ``math.fsum`` within Higham's
+bound.
 The controller's branch switch is exercised on a hand-built bundle.
 """
 
@@ -47,8 +50,9 @@ def test_double_integrator_care_closed_form():
     s3 = np.sqrt(3.0)
     assert P == pytest.approx(np.array([[s3, 1.0], [1.0, s3]]), abs=1e-10)
     gains = control.lqr_gains(A, b, np.eye(2), 1.0)
-    assert gains.k_p == pytest.approx([1.0], abs=1e-10)
-    assert gains.k_d == pytest.approx([s3], abs=1e-10)
+    # one row for the one input, its columns in the state's order
+    assert np.array(gains.rows) == pytest.approx(np.array([[1.0, s3]]),
+                                                 abs=1e-10)
 
 
 def _kleinman_care(A, B, Q, r, n_iter=60):
@@ -94,6 +98,20 @@ def test_care_residual_and_hurwitz(plant):
     assert np.max(np.real(eigs)) < 0.0
 
 
+def test_care_rejects_an_inaccurate_solution(monkeypatch):
+    # P off by a relative 1e-10 leaves a residual of about 1e-10 of the
+    # equation's largest term, ten times the tolerance
+    A, B, Q, r = _default_design("cartpole")
+    P = control.solve_care(A, B, Q, r)
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_are",
+                        lambda *args: P * (1.0 + 1e-10))
+    with pytest.raises(RuntimeError, match="Riccati residual"):
+        control.solve_care(A, B, Q, r)
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_are",
+                        lambda *args: P)
+    assert np.array_equal(control.solve_care(A, B, Q, r), P)
+
+
 def _cartpole_system():
     p = cartpole.CartPoleParams()
     return cartpole.make_system(p, cartpole.CartPoleEnv())
@@ -106,29 +124,64 @@ def test_linearize_rejects_non_equilibrium():
         control.linearize(sys, x_bad, np.zeros(1))
 
 
+def _central_differences(sys, x_eq, u_eq, h=1e-6):
+    """(A, B) of ``sys.state_derivative`` by central differences, in the
+    plant's state order [q; q̇]."""
+    x_eq, u_eq = np.asarray(x_eq, dtype=float), np.asarray(u_eq, dtype=float)
+
+    def column(f, z, j):
+        dz = np.zeros(len(z))
+        dz[j] = h
+        return (np.asarray(f(z + dz)) - np.asarray(f(z - dz))) / (2 * h)
+
+    def of_x(x):
+        return sys.state_derivative(x, u_eq)
+
+    def of_u(u):
+        return sys.state_derivative(x_eq, u)
+
+    A = np.column_stack([column(of_x, x_eq, j) for j in range(len(x_eq))])
+    B = np.column_stack([column(of_u, u_eq, j) for j in range(len(u_eq))])
+    return A, B
+
+
 def test_linearize_matches_finite_differences():
     sys = _cartpole_system()
     A, b = control.linearize(sys, cartpole.X_EQ, np.zeros(1))
-    perm = np.array([0, 2, 1, 3])  # interleaved -> [q; qd] ordering
+    A_fd, b_fd = _central_differences(sys, cartpole.X_EQ, np.zeros(1))
+    assert A == pytest.approx(A_fd, abs=1e-6)
+    assert b == pytest.approx(b_fd, abs=1e-6)
 
-    def f(x, u):
-        q, qd = x[:2], x[2:]
-        return np.concatenate([qd, np.asarray(
-            sys.free_dynamics(q, qd, u), dtype=float)])
 
-    h = 1e-6
-    A_fd = np.zeros((4, 4))
-    for j in range(4):
-        e = np.zeros(4)
-        e[j] = h
-        A_fd[:, j] = (f(cartpole.X_EQ + e, np.zeros(1))
-                      - f(cartpole.X_EQ - e, np.zeros(1))) / (2 * h)
-    b_fd = (f(cartpole.X_EQ, np.array([h]))
-            - f(cartpole.X_EQ, np.array([-h]))) / (2 * h)
-    # undo the interleaving before comparing
-    A_plain = A[np.ix_(np.argsort(perm), np.argsort(perm))]
-    assert A_plain == pytest.approx(A_fd, abs=1e-6)
-    assert np.asarray(b).ravel()[np.argsort(perm)] == pytest.approx(b_fd, abs=1e-6)
+def _weighted(n_x, j):
+    """A Q that weights state j of [q; q̇] and, a thousand times less,
+    the others, which keeps every mode detectable."""
+    weights = np.full(n_x, 1e-2)
+    weights[j] = 10.0
+    return np.diag(weights)
+
+
+@pytest.mark.parametrize("plant", ["cartpole", "arm"])
+def test_gains_are_designed_in_the_plants_state_order(plant):
+    # the oracle: LQR on a central-difference model of the plant's
+    # state derivative, taken in its own order [q; q̇]
+    run = config.RunConfig(plant={"name": plant})
+    adapter, _, _ = config.build_plant(run)
+    sys, x_eq, u_eq = adapter.system(), adapter.target, adapter.hold
+    n_x, r = len(x_eq), 0.1
+    A_fd, B_fd = _central_differences(sys, x_eq, u_eq)
+    oracle = [np.array(control.lqr_gains(A_fd, B_fd, _weighted(n_x, j),
+                                         r).rows) for j in range(n_x)]
+    for j in range(n_x):
+        got = np.array(control.design_gains(sys, x_eq, _weighted(n_x, j), r,
+                                            u_eq).rows)
+        assert got.shape == (sys.n_u, n_x)
+        assert got == pytest.approx(oracle[j], rel=1e-5, abs=1e-6)
+        # the weight on any other state gives other gains, so a design
+        # that read Q in another order would fail the comparison above
+        for k in range(n_x):
+            if k != j:
+                assert got != pytest.approx(oracle[k], rel=1e-2, abs=1e-2)
 
 
 # -- reference sampling and the control law ------------------------------------
@@ -241,12 +294,12 @@ def test_sample_reference_matches_scalar_interp_bit_for_bit(ref, data):
 
 def test_pd_feedforward_formula():
     ref = _ramp_trajectory()
-    gains = control.Gains(k_p=[3.0, 5.0], k_d=[0.7, 0.2])
+    K = np.array([[3.0, 5.0, 0.7, 0.2]])
+    gains = control.Gains(K)
     state = np.array([0.4, -0.1, 1.2, 0.3])
     t = 0.25
     x_des, tau_des = control.sample_reference(ref, t)
-    expect = (gains.k_p @ (x_des[:2] - state[:2])
-              + gains.k_d @ (x_des[2:] - state[2:]) + tau_des)
+    expect = K @ (x_des - state) + tau_des
     assert control.pd_feedforward(ref, state, gains, t) == pytest.approx(expect)
 
 
@@ -255,12 +308,6 @@ def _left_to_right(row, e, tau_i):
     K_ij·e_j added one at a time in state order, then τ_i."""
     return functools.reduce(operator.add,
                             [k * e_j for k, e_j in zip(row, e)]) + tau_i
-
-
-def _feedback_rows(gains):
-    """The rows K_i = [k_p_i | k_d_i] of the gains, as lists of floats."""
-    return np.hstack((np.atleast_2d(gains.k_p),
-                      np.atleast_2d(gains.k_d))).tolist()
 
 
 def _law_oracle(ref, state, gains, t):
@@ -287,7 +334,7 @@ def _law_oracle(ref, state, gains, t):
         tau_des = np.zeros(ref.inputs.shape[1])
     e = (x - state).tolist()
     return np.array([_left_to_right(row, e, tau_i) for row, tau_i
-                     in zip(_feedback_rows(gains), tau_des.tolist())])
+                     in zip(gains.rows, tau_des.tolist())])
 
 
 def _assert_float_tuple(u, n_u):
@@ -303,18 +350,14 @@ def _bits(values):
 @settings(max_examples=50, deadline=None)
 @given(ref=_references(), data=st.data())
 def test_pd_feedforward_is_the_previous_law_bit_for_bit(ref, data):
-    n_x = ref.states.shape[1]
-    n_q, n_u = n_x // 2, ref.inputs.shape[1]
-    # a 1-D row is a single input's gains
-    shape = data.draw(st.sampled_from([(n_q,), (n_u, n_q)] if n_u == 1
-                                      else [(n_u, n_q)]))
+    n_x, n_u = ref.states.shape[1], ref.inputs.shape[1]
     # gains of order one keep the feedback near the feedforward's size,
     # so that an ulp of either shows in the sum
-    gains = control.Gains(_draw_array(data.draw, shape, -1.0, 1.0, -0.0),
-                          _draw_array(data.draw, shape, -1.0, 1.0, -0.0))
+    gains = control.Gains(_draw_array(data.draw, (n_u, n_x), -1.0, 1.0,
+                                      -0.0))
     states = _draw_array(data.draw, (8, n_x), -20.0, 20.0, -0.0)
-    # the state as the simulator carries it: an array row for the arm,
-    # a tuple of Python floats for the cart-pole
+    # the state as the simulator carries it, a tuple of Python floats,
+    # and as an array row
     states = [*states, *(tuple(row) for row in states.tolist())]
     for t, state in itertools.product(_sample_times(ref, data), states):
         got = control.pd_feedforward(ref, state, gains, t)
@@ -343,18 +386,17 @@ def test_law_is_the_left_to_right_float_sum(n_q, n_u, data):
     x_des = _draw_array(data.draw, n_x, -20.0, 20.0, -0.0)
     state = _draw_array(data.draw, n_x, -20.0, 20.0, -0.0)
     tau = _draw_array(data.draw, n_u, -20.0, 20.0, -0.0)
-    k_p = _draw_array(data.draw, (n_u, n_q), -100.0, 100.0, -0.0)
-    k_d = _draw_array(data.draw, (n_u, n_q), -100.0, 100.0, -0.0)
+    K = _draw_array(data.draw, (n_u, n_x), -100.0, 100.0, -0.0)
     # at t = 0 the reference gives its first node and input as they are
     ref = Trajectory(states=np.array([x_des, x_des]), inputs=tau[None],
                      dts=np.ones(1))
-    gains = control.Gains(k_p, k_d)
+    gains = control.Gains(K)
     got = control.pd_feedforward(ref, state, gains, 0.0)
     _assert_float_tuple(got, n_u)
     # the same bits as the definition evaluated in the test, for either
     # form of the state
     e = [d - s for d, s in zip(x_des.tolist(), state.tolist())]
-    rows = _feedback_rows(gains)
+    rows = K.tolist()
     want = [_left_to_right(row, e, tau_i)
             for row, tau_i in zip(rows, tau.tolist())]
     assert _bits(got) == _bits(want)
@@ -369,37 +411,41 @@ def test_law_is_the_left_to_right_float_sum(n_q, n_u, data):
         size = sum(abs(Fraction(v)) for v in terms)
         assert (abs(Fraction(u_i) - Fraction(math.fsum(terms)))
                 <= (_gamma(n_x) + Fraction(_U)) * size)
-    # a 1-D row is the 1 x n_q matrix of the same entries
+    # one input's law is its row of K alone
     row_ref = Trajectory(states=ref.states, inputs=tau[None, :1],
                          dts=ref.dts)
-    as_row = control.pd_feedforward(row_ref, state,
-                                    control.Gains(k_p[0], k_d[0]), 0.0)
-    as_matrix = control.pd_feedforward(row_ref, state,
-                                       control.Gains(k_p[:1], k_d[:1]), 0.0)
-    assert _bits(as_row) == _bits(as_matrix) == _bits(got[:1])
+    first = control.pd_feedforward(row_ref, state, control.Gains(K[:1]), 0.0)
+    assert _bits(first) == _bits(got[:1])
 
 
 def test_gains_with_another_row_count_are_rejected():
     ref = _ramp_trajectory()  # one input
-    gains = control.Gains(np.eye(2), np.eye(2))  # two inputs' rows
+    gains = control.Gains(np.ones((2, 4)))  # two inputs' rows
     with pytest.raises(ValueError):
         control.pd_feedforward(ref, np.zeros(4), gains, 0.25)
 
 
 def test_gains_are_read_only():
-    k_p = np.array([1.0, 2.0])
-    gains = control.Gains(k_p, [3.0, 4.0])
-    k_p[0] = 5.0  # the gains hold a copy
-    assert gains.k_p.tolist() == [1.0, 2.0]
-    with pytest.raises(ValueError):
-        gains.k_p[0] = 5.0
+    K = np.array([[1.0, 2.0, 3.0, 4.0]])
+    gains = control.Gains(K)
+    K[0, 0] = 5.0  # the gains hold a copy
+    # one tuple of Python floats per input
+    assert gains.rows == ((1.0, 2.0, 3.0, 4.0),)
+    assert type(gains.rows) is tuple
+    assert all(type(row) is tuple for row in gains.rows)
+    assert all(type(k) is float for k in gains.rows[0])
     with pytest.raises(AttributeError):
-        gains.k_p = np.zeros(2)
+        gains.rows = ((0.0, 0.0, 0.0, 0.0),)
     # as a process pool's workers receive them
     copy = pickle.loads(pickle.dumps(gains))
-    assert not (copy.k_p.flags.writeable or copy.k_d.flags.writeable)
-    # the feedback rows are the held copies, as Python floats
-    assert gains.rows == copy.rows == ((1.0, 2.0, 3.0, 4.0),)
+    assert copy == gains and copy.rows == ((1.0, 2.0, 3.0, 4.0),)
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 1, 4), ()],
+                         ids=["row", "stack", "scalar"])
+def test_gains_have_one_shape(shape):
+    with pytest.raises(ValueError, match="n_u, n_x"):
+        control.Gains(np.ones(shape))
 
 
 # -- the tracking controller's branch switch ----------------------------------
@@ -423,7 +469,7 @@ def _toy_bundle():
                           branch_nodes=branch_nodes, rejoin_index=6)
 
 
-TOY_GAINS = control.Gains(k_p=[1.0, 1.0], k_d=[0.1, 0.1])
+TOY_GAINS = control.Gains([[1.0, 1.0, 0.1, 0.1]])
 
 
 def _toy_controller():
@@ -509,7 +555,7 @@ def test_switch_takes_first_branch_departing_at_or_after_contact(t_c, x):
     state = np.full(4, x)
     x_des, tau = control.sample_reference(ctl.reference, 0.0)
     e = (np.array(x_des) - state).tolist()
-    (row,) = _feedback_rows(TOY_GAINS)
+    (row,) = TOY_GAINS.rows
     got = ctl(t_c, state)
     _assert_float_tuple(got, 1)
     assert _bits(got) == _bits([_left_to_right(row, e, tau[0])])
@@ -518,7 +564,7 @@ def test_switch_takes_first_branch_departing_at_or_after_contact(t_c, x):
 
 def test_tracking_controller_switches_on_notification():
     bundle = _toy_bundle()
-    gains = control.Gains(k_p=[1.0, 1.0], k_d=[0.1, 0.1])
+    gains = control.Gains([[1.0, 1.0, 0.1, 0.1]])
     ctl = control.TrackingController(bundle, gains)
     tau_before = ctl(0.45, np.zeros(4))
     ctl.notify_contact(0.45)
@@ -528,7 +574,7 @@ def test_tracking_controller_switches_on_notification():
 
 def test_tracking_controller_fixed_reference():
     ref = _ramp_trajectory()
-    gains = control.Gains(k_p=[2.0, 2.0], k_d=[0.5, 0.5])
+    gains = control.Gains([[2.0, 2.0, 0.5, 0.5]])
     ctl = control.TrackingController(ref, gains)
     state = np.zeros(4)
     assert ctl(0.25, state) == pytest.approx(
@@ -544,9 +590,9 @@ def test_arm_law_matches_the_elementwise_pd_expression():
                      inputs=rng.normal(size=(5, 3)),
                      dts=rng.uniform(0.05, 0.2, size=5))
     kp, kd = rng.uniform(1.0, 100.0, size=3), rng.uniform(0.1, 10.0, size=3)
-    ctl = control.TrackingController(ref, control.Gains(np.diag(kp),
-                                                        np.diag(kd)))
-    rows = _feedback_rows(ctl.gains)
+    ctl = control.TrackingController(
+        ref, control.Gains(np.hstack((np.diag(kp), np.diag(kd)))))
+    rows = ctl.gains.rows
     for _ in range(200):
         t = rng.uniform(-0.1, ref.node_times[-1] + 0.1)
         state = rng.normal(size=6)

@@ -34,7 +34,7 @@ CONFIGS = {
                           "n_rejoin": 5, "n_branch_full": 30,
                           "d_fixed": 0.07, "dt_min": 2e-3, "dt_max": 6e-2},
         "solver": {"tol_eq": 1e-7, "max_outer": 30},
-        "controller": {"q_diag": [5, 1, 5, 1], "r": 1},
+        "controller": {"q_diag": [5, 5, 1, 1], "r": 1},
         "experiment": {"seed": 3, "n_samples": 2, "horizon": 4,
                        "dt_sim": 2e-3, "x_wall_range": [-0.6, -0.4],
                        "e_range": [0.75, 0.85], "debounce_window": 0.1,
@@ -49,7 +49,7 @@ CONFIGS = {
         "transcription": {"N": 36, "k_first": 15, "k_last": 21,
                           "n_rejoin": 6, "d_fixed": 0.1, "dt_max": 0.04},
         "solver": {"max_inner": 300},
-        "controller": {"q_diag": [20, 1, 20, 1, 5, 0.5], "r": 0.2},
+        "controller": {"q_diag": [20, 20, 5, 1, 1, 0.5], "r": 0.2},
         "experiment": {"dt_sim": 5e-4, "sweep_heights": 5,
                        "sweep_half_range": 0.1},
     },
@@ -85,7 +85,7 @@ def _transcription(cfg):
 
 
 def _gains(g):
-    return {"k_p": g.k_p.tobytes().hex(), "k_d": g.k_d.tobytes().hex()}
+    return {"K": np.array(g.rows).tobytes().hex()}
 
 
 def _load(name, tmp_path):

@@ -87,8 +87,8 @@ from .plants.cartpole_ocp import CartPoleOcp
 __all__ = ["RunConfig", "load_config", "build_plant", "transcription_config",
            "solver_opts", "SCHEMA_VERSION"]
 
-# 2 since q_diag is in the plant's state order [q; q̇]; version 1 listed
-# it as [q1, q̇1, q2, q̇2, ...], so a version-1 file fails at load
+# version 1 read q_diag in the order [q1, q̇1, q2, q̇2, ...]: its files
+# fail at load rather than run with other weights
 SCHEMA_VERSION = 2
 
 # Every key of these sections, with its default.

@@ -5,11 +5,11 @@ feedback with feedforward, τ = K (x_des − x) + τ_des, for the state
 x = [q; q̇].  Both plants' gains come from one LQR design about the
 state an input holds: linearize the plant there, in its own state
 order, and solve the continuous-time algebraic Riccati equation for
-the feedback matrix K.  Given a branched solution, the controller plays the common
-trajectory until contact is observed, then switches — exactly once — to
-the nearest subsequent branch.  The controller reads the state the
-simulator carries, a tuple of Python floats, and returns the input as
-a tuple of n_u Python floats.
+the feedback matrix K.  Given a branched solution, the controller
+plays the common trajectory until contact is observed, then switches —
+exactly once — to the nearest subsequent branch.  The controller reads
+the state the simulator carries, a tuple of Python floats, and returns
+the input as a tuple of n_u Python floats.
 
 References are sampled from their ``Trajectory.sample_table``: node
 times, rows and per-interval slopes, built once per reference as
@@ -18,8 +18,8 @@ expression per entry, the float expression ``np.interp`` evaluates for
 a scalar.
 
 The law applies the gains on Python floats, in one fixed order for
-every plant (see ``pd_feedforward``).  It is built from IEEE
-products and sums alone, so no BLAS enters its bits, and an elementwise
+every plant (see ``pd_feedforward``).  It is built from IEEE products
+and sums alone, so no BLAS enters its bits, and an elementwise
 numpy law that takes the same steps reproduces them.
 """
 

@@ -284,12 +284,13 @@ def _require_plant(run: cfgmod.RunConfig, name, study):
 def _controller_gains(run: cfgmod.RunConfig, adapter):
     """LQR gains of the configured weights about the state the plant's
     solves end at, ``adapter.target``, under the input that holds it,
-    ``adapter.hold``; rejected unless RK4-stable at ``dt_sim``."""
+    ``adapter.hold``; rejected unless RK4-stable at ``dt_sim`` on the
+    same linear model."""
     dt_sim = float(run.experiment["dt_sim"])
-    sys, x_eq, u_eq = adapter.system(), adapter.target, adapter.hold
+    A, B = control.linearize(adapter.system(), adapter.target, adapter.hold)
     q_diag, r = run.controller["q_diag"], run.controller["r"]
-    gains = control.design_gains(sys, x_eq, np.diag(q_diag), r, u_eq)
-    growth = _rk4_growth(sys, x_eq, u_eq, gains, dt_sim)
+    gains = control.lqr_gains(A, B, np.diag(q_diag), r)
+    growth = _rk4_growth(A, B, gains, dt_sim)
     if growth > 1.0:
         raise ValueError(
             f"the {_PLANT_LABELS[run.plant_name]}'s tracking loop is "
@@ -456,16 +457,15 @@ def _replay_drops(adapter, refs, gains, heights, dt_sim, progress=None):
     return rows, max_dv
 
 
-def _rk4_growth(sys, x_eq, u_eq, gains: control.Gains, dt_sim):
-    """Largest RK4 amplification of the plant tracked about ``x_eq``.
+def _rk4_growth(A, B, gains: control.Gains, dt_sim):
+    """Largest RK4 amplification of the linear model (A, B) tracked by
+    ``gains``.
 
-    Linearizes the plant about ``x_eq`` under the input ``u_eq``, closes
-    the loop with τ = −K δx, and returns max |R(λ·dt_sim)| over the
-    eigenvalues λ of A − B K, where R(z) = 1 + z + z²/2 + z³/6 + z⁴/24
-    is RK4's stability function.  Above 1, a rollout at dt_sim grows
-    without bound.
+    Closes the loop with τ = −K δx and returns max |R(λ·dt_sim)| over
+    the eigenvalues λ of A − B K, where R(z) = 1 + z + z²/2 + z³/6 +
+    z⁴/24 is RK4's stability function.  Above 1, a rollout at dt_sim
+    grows without bound.
     """
-    A, B = control.linearize(sys, x_eq, u_eq)
     z = np.linalg.eigvals(A - B @ np.array(gains.rows)) * dt_sim
     return float(np.max(np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)))
 

@@ -4,9 +4,9 @@ Contact coordinates are (normal, tangential).  Given the Delassus matrix
 G = Jc M^-1 Jc^T and the pre-impact contact-point velocity g,
 ``exact_cone_impulse`` returns the impulse F with f_n >= 0 and
 |f_t| <= mu f_n such that the post-impact velocity g + G F meets the
-restitution target -e*g in both components.  An optional ``bias`` adds a
-known velocity change that acts alongside the impulse (the drift of a
-finite impact interval).
+restitution target -e*g in both components.  ``bias`` adds a known
+velocity change that acts alongside the impulse (the drift of a finite
+impact interval; zero for an instantaneous impulse).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ def _complementarity_residual(G, b, mu, F):
     return max(abs(F[0] - fn), abs(F[1] - ft))
 
 
-def exact_cone_impulse(G, g_vel, e, mu, bias=None):
+def exact_cone_impulse(G, g_vel, e, mu, bias):
     """Closed-form solution of the 2x2 contact complementarity problem.
 
     Enumerates the separating / sticking / sliding cases.  When none of
@@ -36,9 +36,7 @@ def exact_cone_impulse(G, g_vel, e, mu, bias=None):
     with the smallest complementarity residual.
     """
     G = np.asarray(G, dtype=float)
-    b = (1.0 + e) * np.asarray(g_vel, dtype=float)
-    if bias is not None:
-        b = b + np.asarray(bias, dtype=float)
+    b = (1.0 + e) * np.asarray(g_vel, dtype=float) + bias
     # separating contact: b_n >= 0 to round-off relative to the size of b,
     # so that a tiny approach is not taken for separation; at most _TOL
     if b[0] >= -_TOL * min(np.max(np.abs(b)), 1.0):

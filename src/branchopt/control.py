@@ -77,24 +77,23 @@ EQ_TOL = 1e-10  # largest |f(x_eq, u_eq)| accepted as an equilibrium
 def linearize(sys, x_eq, u_eq):
     """First-order model at an equilibrium, in the plant's state order.
 
-    Returns (A, B) for the state [q; q̇]; differentiation runs through
-    the plant's dynamics callbacks.
+    Returns (A, B), the Jacobians of the plant's flow ``sys.derivative``
+    in the state [q; q̇] and in the input, differentiated through the
+    callback by ``autodiff``.
     """
     x_eq = np.asarray(x_eq, dtype=float)
     u_eq = np.asarray(u_eq, dtype=float)
-    resid = np.max(np.abs(sys.state_derivative(x_eq, u_eq)))
+    resid = np.max(np.abs(sys.derivative(x_eq, u_eq)))
     if resid > EQ_TOL:
         raise ValueError(
             f"not an equilibrium: |f(x_eq, u_eq)| = {resid:.3e} > {EQ_TOL:.0e}"
         )
 
     def f_of_x(xs):
-        q, qd = xs[: sys.n_q], xs[sys.n_q :]
-        return list(qd) + list(sys.free_dynamics(q, qd, u_eq))
+        return sys.derivative(xs, u_eq)
 
     def f_of_u(us):
-        q, qd = x_eq[: sys.n_q], x_eq[sys.n_q :]
-        return list(qd) + list(sys.free_dynamics(q, qd, us))
+        return sys.derivative(x_eq, us)
 
     return ad.jacobian(f_of_x, x_eq), ad.jacobian(f_of_u, u_eq)
 
@@ -108,11 +107,11 @@ CARE_TOL = 1e-11
 def solve_care(A, B, Q, r):
     """Riccati matrix P of the continuous-time LQR with input weight r·I.
 
-    ``B`` is the (n, m) input matrix; a 1-D ``B`` is one input.  Checks
-    the defining residual and that the closed loop is Hurwitz.
+    ``B`` is the (n, m) input matrix.  Checks the defining residual and
+    that the closed loop is Hurwitz.
     """
     A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float).reshape(len(A), -1)
+    B = np.asarray(B, dtype=float)
     Q = np.asarray(Q, dtype=float)
     R = float(r) * np.eye(B.shape[1])
     P = scipy.linalg.solve_continuous_are(A, B, Q, R)
@@ -133,8 +132,7 @@ def solve_care(A, B, Q, r):
 
 def lqr_gains(A, B, Q, r) -> Gains:
     """The feedback matrix K = r⁻¹ Bᵀ P, its columns in (A, B)'s state
-    order."""
-    B = np.asarray(B, dtype=float).reshape(len(A), -1)
+    order; ``B`` is the (n, m) input matrix."""
     return Gains(B.T @ solve_care(A, B, Q, r) / float(r))
 
 

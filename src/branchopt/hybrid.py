@@ -5,14 +5,14 @@ the contact simulator and the tracking-gain design.  The guard sees time
 as well as the state (the arm's falling ball moves on its own clock); it
 is positive during free motion and crosses zero exactly at contact.
 
-The definition carries the simulator's impact law.  The cart-pole's
-applies an instantaneous impulse, the closed-form solution of the
-frictional contact problem (``simulation.rigid_impact``); the arm's
-leaves the state unchanged, since the massless ball attaches.  The OCP side
-(``PlantOcp`` adapters, ``cartpole.impact_map``) instead gives each
-impact the adapter's interval ``dt_impact``; the cart-pole's is a
-constant force over it, which adds that interval's free-motion drift;
-the two laws differ by it.
+Each plant writes its impact law once.  The cart-pole's,
+``cartpole.impact_map``, holds a constant contact force over an interval
+``dt`` with positions frozen, which adds that interval's free-motion
+drift; the OCP side's warm start takes it at the adapter's
+``dt_impact``, and the simulator's impact, the definition's ``impact``,
+is its zero-interval case: an instantaneous impulse, the closed-form
+solution of the frictional contact problem.  The arm's leaves the state
+unchanged, since the massless ball attaches.
 """
 
 from __future__ import annotations
@@ -20,15 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class HybridSystemDef:
     """Plant definition for simulation and control design.
 
-    ``free_dynamics(q, qd, u) -> qdd`` operates on plain arrays (in a
-    rollout, ``u`` is the controller's sequence of n_u floats);
+    ``derivative(state, u) -> [q̇; q̈]`` is the first-order flow, an
+    array, of the state [q; q̇] and a sequence of n_u inputs; it runs on
+    floats and on recorded (``autodiff.Node``) entries.
     ``guard(t, state, env)`` returns the signed clearance (positive in
     free motion); ``impact(state, env) -> (post_state, impulse)`` maps a
     state on the guard surface, an array, to the state after contact.
@@ -43,14 +42,8 @@ class HybridSystemDef:
     tuple.
     """
 
-    n_q: int
     n_u: int
-    free_dynamics: Callable
+    derivative: Callable
     guard: Callable
     impact: Callable
     extras: dict = field(default_factory=dict)
-
-    def state_derivative(self, state, u):
-        q, qd = state[: self.n_q], state[self.n_q :]
-        qdd = self.free_dynamics(q, qd, u)
-        return np.concatenate([qd, qdd])

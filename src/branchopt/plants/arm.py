@@ -227,12 +227,14 @@ def _attach(state, env):
 
 
 def make_system(p: ArmCatchParams) -> HybridSystemDef:
-    """The arm for the simulator.  A rollout's env is the ball release,
-    ``p`` with ``p_ball0`` replaced, which it hands to ``simulate``."""
+    """The arm for the simulator and the gain design: the flow
+    ``forward_dynamics`` and the attaching ball.  A rollout's env is the
+    ball release, ``p`` with ``p_ball0`` replaced, which it hands to
+    ``simulate``."""
     return HybridSystemDef(
-        n_q=3,
         n_u=3,
-        free_dynamics=lambda q, qd, u: forward_dynamics(q, qd, u, p),
+        derivative=lambda s, u: np.concatenate(
+            [s[3:], forward_dynamics(s[:3], s[3:], u, p)]),
         guard=guard,
         impact=_attach,
     )

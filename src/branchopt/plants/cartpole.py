@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import autodiff as ad
-from ..contact2d import exact_cone_impulse
+from .. import simulation
 from ..hybrid import HybridSystemDef
-from ..simulation import rigid_impact
 
 X_EQ = np.array([0.0, math.pi, 0.0, 0.0])
 
@@ -79,12 +78,6 @@ def accel(theta, thetadot, tau, fx, fy, p: CartPoleParams):
     return xdd, thdd
 
 
-def forward_dynamics(q, qd, u, p: CartPoleParams):
-    tau = u[0] if np.ndim(u) else u
-    xdd, thdd = accel(q[1], qd[1], tau, 0.0, 0.0, p)
-    return np.array([xdd, thdd])
-
-
 # -- contact geometry -------------------------------------------------------
 
 
@@ -118,39 +111,45 @@ def bias_vector(q, qd, p: CartPoleParams):
 # -- impact map -------------------------------------------------------------
 
 
-def impact_map(state, tau, env: CartPoleEnv, p: CartPoleParams):
-    """Closed-form restitution map at the guard surface.
+def impact_map(state, tau, dt, env: CartPoleEnv, p: CartPoleParams):
+    """Restitution map at the guard surface, the plant's one impact law.
 
-    Solves the velocity-level contact problem over the assumed impact
-    duration with positions frozen.  Returns (post_state, impulse); the
-    equivalent constant contact force is impulse / dt_impact.
+    Solves the velocity-level contact problem for a constant contact
+    force held, with the input ``tau``, over an interval ``dt`` with
+    positions frozen; the interval's free-motion drift acts alongside
+    the impulse.  The simulator's impact is the case ``dt = 0``, an
+    instantaneous impulse (the drift is then zero); the warm start takes
+    the OCP's ``dt_impact``.  The impulse comes from the module-level
+    name ``simulation.pgs_solve``, looked up when called.  Returns
+    (post_state, impulse); the equivalent constant contact force is
+    impulse / dt.
     """
     q, qd = state[:2], state[2:]
     J = contact_jacobian(q, p)
     Minv = np.linalg.inv(mass_matrix(q, p))
     G = J @ Minv @ J.T
     v = J @ qd
-    drift = Minv @ (np.array([tau, 0.0]) - bias_vector(q, qd, p)) * p.dt_impact
-    impulse = exact_cone_impulse(G, v, env.e, env.mu, bias=J @ drift)
+    drift = Minv @ (np.array([tau, 0.0]) - bias_vector(q, qd, p)) * dt
+    impulse = simulation.pgs_solve(G, v, env.e, env.mu, bias=J @ drift)
     qd_post = qd + Minv @ (J.T @ impulse) + drift
     post = np.concatenate([q, qd_post])
     return post, impulse
 
 
 def make_system(p: CartPoleParams, env: CartPoleEnv) -> HybridSystemDef:
-    """The cart-pole for the simulator and the gain design.
+    """The cart-pole for the simulator and the gain design: the flow
+    ``accel`` without contact forces, and ``impact_map`` at ``dt = 0``.
 
     ``env`` is not read: a rollout hands its env to ``simulate``.  The
     argument stays while ``perfbench/workloads.py`` passes it.
     """
     return HybridSystemDef(
-        n_q=2,
         n_u=1,
-        free_dynamics=lambda q, qd, u: forward_dynamics(q, qd, u, p),
+        derivative=lambda s, u: np.concatenate(
+            [s[2:], accel(s[1], s[3], u[0], 0.0, 0.0, p)]),
         # ``guard``'s expression on floats: math.sin is np.sin to the bit
         guard=lambda t, s, e: s[0] + p.l * math.sin(s[1]) - e.x_wall,
-        impact=rigid_impact(lambda q: contact_jacobian(q, p),
-                            lambda q: mass_matrix(q, p)),
+        impact=lambda s, e: impact_map(s, 0.0, 0.0, e, p),
         extras={"fast_derivative": _make_fast_derivative(p)},
     )
 

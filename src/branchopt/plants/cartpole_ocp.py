@@ -112,10 +112,10 @@ class CartPoleOcp(PlantOcp):
         builder.add_ineq("impact_friction_cone", self._cone_residual, F)
 
     def branch_seed(self, x_pre, u_pre):
-        post, impulse = impact_map(
-            np.asarray(x_pre, dtype=float), float(u_pre[0]), self.env, self.p
-        )
-        return post, {"F": impulse / self.p.dt_impact}
+        dt = self.p.dt_impact
+        post, impulse = impact_map(np.asarray(x_pre, dtype=float),
+                                   float(u_pre[0]), dt, self.env, self.p)
+        return post, {"F": impulse / dt}
 
     def initial_guess_extras(self, layout, x0):
         x0[layout.arrays["F"][:, 0]] = 1.0

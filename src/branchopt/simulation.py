@@ -5,9 +5,10 @@ against, and the one rollout loop of both plants.  Free motion is
 integrated with classical RK4; when the guard, which sees time and
 state, crosses zero within a step the event is located by bisection,
 the plant definition's impact law maps the state across it, and
-integration continues from the post-impact state.  ``rigid_impact``
-builds the cart-pole's law: the closed-form frictional impulse of
-``contact2d`` with positions frozen.
+integration continues from the post-impact state.  The cart-pole's law
+is ``cartpole.impact_map`` at a zero interval: the closed-form
+frictional impulse of ``contact2d``, called as ``pgs_solve``, with
+positions frozen.
 
 The loop carries every plant's state from step to step as a tuple of
 Python floats.  A plant with ``extras["fast_derivative"]`` (the
@@ -22,8 +23,8 @@ post-impact state is turned back into a tuple once.
 The benchmark's per-layer tracer (``perfbench/tracing.py``) times the
 loop by replacing what it calls, so a faster loop must keep these calls
 rather than inline them: ``sys.extras["fast_derivative"]`` at every RK4
-stage (``sys.state_derivative`` through ``rk4_step`` for a plant
-without one), ``sys.guard`` after every step, the controller once per
+stage (``sys.derivative`` through ``rk4_step`` for a plant without
+one), ``sys.guard`` after every step, the controller once per
 step, and the module-level names ``detect_crossing`` and ``pgs_solve``,
 looked up when they are called.  The tracking controller keeps its own
 seam: it calls ``control.sample_reference`` by that module-level name
@@ -37,12 +38,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# tracer seam, renamed with contact2d.pgs_* by the next benchmark change
+# tracer seam, renamed with contact2d.pgs_* by the next benchmark change;
+# the cart-pole's impact law calls it by this module-level name
 from .contact2d import exact_cone_impulse as pgs_solve
 from .hybrid import HybridSystemDef
 
 __all__ = ["SimTrace", "ContactEvent", "rk4_step", "detect_crossing",
-           "pgs_solve", "rigid_impact", "simulate"]
+           "pgs_solve", "simulate"]
 
 CROSSING_TOL = 1e-8  # |guard| accepted as the contact surface
 MAX_BISECT = 60
@@ -129,32 +131,6 @@ def detect_crossing(guard, state_a, state_b, t_a, t_b):
     return t_a + s * (t_b - t_a), state_a + s * (state_b - state_a)
 
 
-def rigid_impact(contact_jacobian, mass_matrix):
-    """Impact law of a rigid point contact, for ``HybridSystemDef.impact``.
-
-    ``contact_jacobian(q)`` maps velocities to the contact point's
-    (normal, tangential) velocity and ``mass_matrix(q)`` is the plant's
-    inertia.  The impulse is the closed-form solution of the contact
-    complementarity problem with the env's restitution ``e`` and friction
-    ``mu``, called through the module-level name ``pgs_solve``; positions
-    stay frozen.
-    """
-
-    def impact(state, env):
-        n_q = len(state) // 2
-        q, qd = state[:n_q], state[n_q:]
-        J = contact_jacobian(q)
-        Minv = np.linalg.inv(mass_matrix(q))
-        G = J @ Minv @ J.T
-        v = J @ qd
-        impulse = pgs_solve(G, v, env.e, env.mu)
-        post = np.array(state, dtype=float)
-        post[n_q:] = qd + Minv @ (J.T @ impulse)
-        return post, impulse
-
-    return impact
-
-
 def simulate(sys: HybridSystemDef, controller, x0, env, *, horizon,
              dt_sim, stop_condition=None):
     """Closed-loop rollout with guard-triggered impact events.
@@ -194,7 +170,7 @@ def simulate(sys: HybridSystemDef, controller, x0, env, *, horizon,
             return _rk4_fast(fast_deriv, x, u[0], dt)
     else:
         def step(x, u, dt):
-            return tuple(rk4_step(sys.state_derivative, x, u, dt).tolist())
+            return tuple(rk4_step(sys.derivative, x, u, dt).tolist())
 
     def carried(state):
         return tuple(state.tolist())

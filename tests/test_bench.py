@@ -181,8 +181,8 @@ def test_arm_default_gains_hold_the_level_pose_through_every_catch():
     adapter, p, _ = config.build_plant(run)
     gains = bench._controller_gains(run, adapter)
     dt_sim = run.experiment["dt_sim"]
-    assert bench._rk4_growth(adapter.system(), adapter.target, adapter.hold,
-                             gains, dt_sim) < 1.0
+    A, B = control.linearize(adapter.system(), adapter.target, adapter.hold)
+    assert bench._rk4_growth(A, B, gains, dt_sim) < 1.0
     z, half = p.p_ball0[1], run.experiment["sweep_half_range"]
     for h0 in (z - half, z, z + half):
         tc, dv = bench._catch_speed(adapter, _held_level_reference(p), gains,

@@ -98,7 +98,7 @@ def _digest(*arrays):
 
 def jacobian_fingerprints():
     """control.linearize at both plants' equilibria, and ad.jacobian of
-    the free dynamics at seeded states and inputs."""
+    the flow's accelerations at seeded states and inputs."""
     rng = np.random.default_rng(11)
     cp_p = cartpole.CartPoleParams()
     cp = cartpole.make_system(cp_p, cartpole.CartPoleEnv())
@@ -111,16 +111,15 @@ def jacobian_fingerprints():
         "linearize/arm": _digest(*control.linearize(
             am, pose, arm.gravity_torque(pose[:3], p))),
     }
-    for name, sys_def in (("cartpole", cp), ("arm", am)):
-        n_q, n_u = sys_def.n_q, sys_def.n_u
-
+    # the q̈ rows of the flow's Jacobian in (state, input), under the
+    # keys of the acceleration callbacks they were first recorded from
+    for name, sys_def, n_x in (("cartpole", cp, 4), ("arm", am, 6)):
         def f(v):
-            q, qd, u = v[:n_q], v[n_q:2 * n_q], v[2 * n_q:]
-            return list(sys_def.free_dynamics(q, qd, u))
+            return sys_def.derivative(v[:n_x], v[n_x:])
 
-        pts = rng.standard_normal((4, 2 * n_q + n_u))
+        pts = rng.standard_normal((4, n_x + sys_def.n_u))
         out[f"free_dynamics/{name}"] = _digest(
-            *[ad.jacobian(f, x) for x in pts])
+            *[ad.jacobian(f, x)[n_x // 2:] for x in pts])
     return out
 
 

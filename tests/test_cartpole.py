@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from branchopt import simulation
 from branchopt.plants import cartpole
+from branchopt.plants.cartpole_ocp import CONE_SMOOTHING, CartPoleOcp
 
 from gradient_check import check_gradient
 
@@ -49,8 +50,8 @@ def test_forward_dynamics_matches_independent_derivation():
 
 
 def test_upright_equilibrium():
-    qdd = cartpole.forward_dynamics(cartpole.X_EQ[:2], cartpole.X_EQ[2:],
-                                    np.zeros(1), p=P)
+    sys_def = cartpole.make_system(P, ENV)
+    qdd = sys_def.derivative(cartpole.X_EQ, np.zeros(1))[2:]
     assert qdd == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
@@ -70,7 +71,7 @@ def test_energy_drift_unforced_rk4():
     e0 = _total_energy(state, P)
     dt = 1e-4
     for _ in range(10000):  # 1 second
-        state = simulation.rk4_step(sys_def.state_derivative, state,
+        state = simulation.rk4_step(sys_def.derivative, state,
                                     np.zeros(1), dt)
     assert abs(_total_energy(state, P) - e0) <= 1e-5
 
@@ -88,6 +89,7 @@ def test_guard_formula_and_tip_kinematics():
     def tip(s):
         return np.array([s[0] + P.l * math.sin(s[1]), -P.l * math.cos(s[1])])
 
+    sys_def = cartpole.make_system(P, ENV)
     rng = np.random.default_rng(3)
     for _ in range(100):
         state = rng.uniform([-2, 0, -5, -10], [2, 2 * math.pi, 5, 10])
@@ -96,8 +98,7 @@ def test_guard_formula_and_tip_kinematics():
             state[0] + P.l * math.sin(state[1]) - ENV.x_wall)
         # tip velocity consistent with FD of tip position
         h = 1e-7
-        s2 = state + h * np.concatenate([state[2:], cartpole.forward_dynamics(
-            state[:2], state[2:], np.zeros(1), p=P)])
+        s2 = state + h * sys_def.derivative(state, np.zeros(1))
         fd = (tip(s2) - tip(state)) / h
         assert cartpole.contact_jacobian(state[:2], P) @ state[2:] == (
             pytest.approx(fd, abs=1e-5))
@@ -107,7 +108,7 @@ def test_impact_map_freezes_positions_and_restitutes():
     theta = 3.6
     x = ENV.x_wall - P.l * math.sin(theta)
     pre = np.array([x, theta, -1.5, 3.0])
-    post, impulse = cartpole.impact_map(pre, 0.0, ENV, P)
+    post, impulse = cartpole.impact_map(pre, 0.0, P.dt_impact, ENV, P)
     assert post[:2] == pytest.approx(pre[:2])
     J = cartpole.contact_jacobian(pre[:2], P)
     vn_pre = float(J[0] @ pre[2:])
@@ -123,9 +124,39 @@ def test_impact_dissipates_energy():
     theta = 3.6
     x = ENV.x_wall - P.l * math.sin(theta)
     pre = np.array([x, theta, -2.0, 4.0])
-    post, _ = cartpole.impact_map(pre, 0.0, ENV, P)
+    post, _ = cartpole.impact_map(pre, 0.0, P.dt_impact, ENV, P)
     assert (_total_energy(post, P)
             <= _total_energy(pre, P) + 1e-12)
+
+
+def test_warm_start_impact_solves_the_transcriptions_impact_block():
+    # the branch seed's post-state and force F, from the impact law at
+    # dt_impact, meet the OCP's restitution map and friction cone
+    rng = np.random.default_rng(37)
+    n = 0
+    for _ in range(1000):
+        env = cartpole.CartPoleEnv(x_wall=rng.uniform(-0.8, -0.3),
+                                   e=rng.uniform(0.0, 1.0),
+                                   mu=rng.uniform(0.0, 1.5))
+        ocp = CartPoleOcp(P, env)
+        theta = rng.uniform(math.pi, 2 * math.pi)  # tip left of the cart
+        qd = rng.uniform(-5.0, 5.0, size=2)
+        vn = cartpole.contact_jacobian([0.0, theta], P)[0] @ qd
+        # approaching by enough that the interval's drift cannot part it
+        if abs(vn) < 0.2:
+            continue
+        pre = np.array([env.x_wall - P.l * math.sin(theta), theta,
+                        *np.copysign(1.0, -vn) * qd])
+        tau = rng.uniform(-20.0, 20.0)
+        post, extra = ocp.branch_seed(pre, np.array([tau]))
+        F = extra["F"]
+        assert F[0] > 0.0
+        residual = ocp._impact_residual([*pre, tau, *post, *F])
+        speed = np.max(np.abs(np.concatenate([pre[2:], post[2:]])))
+        assert np.max(np.abs(residual)) <= 1e-12 * speed
+        assert ocp._cone_residual(F)[0] <= math.sqrt(CONE_SMOOTHING)
+        n += 1
+    assert n > 900
 
 
 def test_mirror_symmetry_of_free_dynamics():
@@ -138,9 +169,9 @@ def test_mirror_symmetry_of_free_dynamics():
         tau = rng.uniform(-10, 10)
         mirrored = np.array([-state[0], 2 * math.pi - state[1],
                              -state[2], -state[3]])
-        a = simulation.rk4_step(sys_def.state_derivative, state,
+        a = simulation.rk4_step(sys_def.derivative, state,
                                 np.array([tau]), 1e-3)
-        b = simulation.rk4_step(sys_def.state_derivative, mirrored,
+        b = simulation.rk4_step(sys_def.derivative, mirrored,
                                 np.array([-tau]), 1e-3)
         back = np.array([-b[0], 2 * math.pi - b[1], -b[2], -b[3]])
         assert a == pytest.approx(back, abs=1e-10)

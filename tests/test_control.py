@@ -37,7 +37,8 @@ from branchopt.transcription import SolutionBundle, Trajectory
 
 def test_scalar_care_closed_form():
     # A=0, b=1, Q=1, r=1: -P^2 + 1 = 0 with P > 0 gives P = 1.
-    P = control.solve_care(np.zeros((1, 1)), np.ones(1), np.eye(1), 1.0)
+    P = control.solve_care(np.zeros((1, 1)), np.ones((1, 1)), np.eye(1),
+                       1.0)
     assert P == pytest.approx(np.array([[1.0]]), abs=1e-10)
 
 
@@ -45,7 +46,7 @@ def test_double_integrator_care_closed_form():
     # A=[[0,1],[0,0]], b=[0,1], Q=I, r=1 has the known solution
     # P=[[sqrt(3),1],[1,sqrt(3)]], K = b'P = [1, sqrt(3)].
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    b = np.array([0.0, 1.0])
+    b = np.array([[0.0], [1.0]])
     P = control.solve_care(A, b, np.eye(2), 1.0)
     s3 = np.sqrt(3.0)
     assert P == pytest.approx(np.array([[s3, 1.0], [1.0, s3]]), abs=1e-10)
@@ -125,7 +126,7 @@ def test_linearize_rejects_non_equilibrium():
 
 
 def _central_differences(sys, x_eq, u_eq, h=1e-6):
-    """(A, B) of ``sys.state_derivative`` by central differences, in the
+    """(A, B) of ``sys.derivative`` by central differences, in the
     plant's state order [q; q̇]."""
     x_eq, u_eq = np.asarray(x_eq, dtype=float), np.asarray(u_eq, dtype=float)
 
@@ -135,10 +136,10 @@ def _central_differences(sys, x_eq, u_eq, h=1e-6):
         return (np.asarray(f(z + dz)) - np.asarray(f(z - dz))) / (2 * h)
 
     def of_x(x):
-        return sys.state_derivative(x, u_eq)
+        return sys.derivative(x, u_eq)
 
     def of_u(u):
-        return sys.state_derivative(x_eq, u)
+        return sys.derivative(x_eq, u)
 
     A = np.column_stack([column(of_x, x_eq, j) for j in range(len(x_eq))])
     B = np.column_stack([column(of_u, u_eq, j) for j in range(len(u_eq))])

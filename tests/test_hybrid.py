@@ -19,7 +19,7 @@ def sys_def():
 
 def test_state_derivative_layout(sys_def):
     state = np.array([0.1, 3.0, -0.2, 0.5])
-    ds = sys_def.state_derivative(state, np.array([0.3]))
+    ds = sys_def.derivative(state, np.array([0.3]))
     assert ds.shape == (4,)
     # position derivatives are the velocities
     assert ds[:2] == pytest.approx(state[2:])
@@ -46,7 +46,8 @@ def test_reset_freezes_positions_and_flips_normal_velocity(sys_def):
     pre = np.array([x, theta, -1.0, 2.0])
     g_pre = sys_def.guard(0.0, pre, env)
     assert abs(g_pre) < 1e-9
-    post, _ = cartpole.impact_map(pre, 0.0, env, p)
+    # the simulator's impact, impact_map at dt = 0: no drift
+    post, _ = sys_def.impact(pre, env)
     # positions unchanged
     assert post[:2] == pytest.approx(pre[:2])
     # normal (guard-direction) velocity reverses with restitution e

@@ -131,9 +131,9 @@ def _capture(name, tmp_path):
             _recorders(mp, log)
             growth = bench._rk4_growth
 
-            def rk4_growth(sys, x_eq, u_eq, gains, dt_sim):
-                log.append(["rk4_growth", x_eq, u_eq, _gains(gains), dt_sim])
-                return growth(sys, x_eq, u_eq, gains, dt_sim)
+            def rk4_growth(A, B, gains, dt_sim):
+                log.append(["rk4_growth", A, B, _gains(gains), dt_sim])
+                return growth(A, B, gains, dt_sim)
 
             def replay(adapter, refs, gains, heights, dt_sim,
                        progress=None):
@@ -265,5 +265,5 @@ def test_the_nominal_variant_is_the_first_stage_of_the_branched_solve(
 def test_the_hold_input_holds_the_target(name):
     # the gains are designed, and the solves end, at an equilibrium
     adapter, _, _ = config.build_plant(config.RunConfig(**CONFIGS[name]))
-    drift = adapter.system().state_derivative(adapter.target, adapter.hold)
+    drift = adapter.system().derivative(adapter.target, adapter.hold)
     assert np.max(np.abs(drift)) <= control.EQ_TOL

@@ -136,7 +136,7 @@ def _ncp_oracle(G, g_vel, e, mu):
 @example(G=np.array([[0.29900732, 0.45010223], [0.45010223, 0.71099268]]),
          g_vel=(-2.220446049250313e-16, 1.192092896e-07), e=0.0, mu=1.0)
 def test_pgs_matches_ncp_oracle_on_random_systems(G, g_vel, e, mu):
-    F = contact2d.exact_cone_impulse(G, g_vel, e, mu)
+    F = contact2d.exact_cone_impulse(G, g_vel, e, mu, np.zeros(2))
     assert any(F == pytest.approx(F_star, abs=1e-6)
                for F_star in _ncp_oracle(G, g_vel, e, mu))
     # of several modes, a separating contact takes no impulse
@@ -155,14 +155,15 @@ def test_pgs_restitution_ratio_frictionless_equivalent():
         vn = -rng.uniform(0.5, 4.0)
         g_vel = np.array([vn, 0.0])
         e = rng.uniform(0.1, 0.95)
-        F = contact2d.exact_cone_impulse(G, g_vel, e, 0.0)
+        F = contact2d.exact_cone_impulse(G, g_vel, e, 0.0, np.zeros(2))
         vn_post = vn + G[0, 0] * F[0]
         assert vn_post / (-vn) == pytest.approx(e, abs=1e-3)
 
 
 def test_pgs_separating_contact_zero_impulse():
     G = np.eye(2)
-    F = contact2d.exact_cone_impulse(G, np.array([1.0, 0.3]), 0.8, 0.7)
+    F = contact2d.exact_cone_impulse(G, np.array([1.0, 0.3]), 0.8, 0.7,
+                                     np.zeros(2))
     assert F == pytest.approx([0.0, 0.0])
 
 
@@ -171,11 +172,12 @@ def test_ambiguous_corner_returns_the_smallest_residual_candidate():
     # the cone and the +edge slide pushes the wrong way.  In the cone are
     # zero (residual 1) and that slide (1/3, 1/3) (residual 2/3).
     G = np.array([[1.0, 2.0], [2.0, 1.0]])
-    F = contact2d.exact_cone_impulse(G, np.array([-1.0, 0.0]), 0.0, 1.0)
+    F = contact2d.exact_cone_impulse(G, np.array([-1.0, 0.0]), 0.0, 1.0,
+                                     np.zeros(2))
     assert F == pytest.approx([1.0 / 3.0, 1.0 / 3.0], abs=1e-15)
     # a NaN velocity fails every mode; zero is the one candidate left
     F = contact2d.exact_cone_impulse(np.eye(2), np.array([np.nan, 0.0]),
-                                     0.5, 0.5)
+                                     0.5, 0.5, np.zeros(2))
     assert F.tolist() == [0.0, 0.0]
 
 

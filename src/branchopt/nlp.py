@@ -22,13 +22,19 @@ Each outer iteration minimizes the augmented Lagrangian
 
 which is itself a bound-constrained nonlinear least-squares problem;
 the inner solver is a projected Levenberg-Marquardt method
-(``_bounded_lm``) on the exact block-sparse Jacobian.  Its normal
+(``_bounded_lm``) on the exact block-sparse Jacobian.  Its residuals and
+Jacobian follow an evaluation plan (``_AlPlan``) made once per problem
+and free mask: blocks that share a callback replay as one tape over
+their stacked index rows, and each replay's outputs are gathered from
+the tape's slot buffer straight into the residual vector and the CSR
+data, with no per-block copy, concatenation or permutation.  The normal
 equations come from a product map planned once per Jacobian pattern
 (``_NormalPlan``): each iteration multiplies and adds ``J.data`` in the
 order of scipy's sparse product, row by row, and drops the exact zeros
 that product drops, so the iterates are bit for bit those of
-``Jf.T @ Jf``.  Variables with equal lower and upper bounds are
-eliminated from the inner problem.
+``Jf.T @ Jf``; what depends only on the free mask is kept for the last
+mask.  Variables with equal lower and upper bounds are eliminated from
+the inner problem.
 The restoration phase, which minimizes the constraint violation alone,
 runs a trust-region reflective method (``least_squares``) and, when
 that leaves the violation high, a second unit-scaled pass polished by
@@ -47,7 +53,8 @@ Jacobian, and the LM method's, call the compiled kernels that scipy's
 ``@`` ends in (``trf.matvec`` and ``trf.rmatvec``): the same floats,
 without the ``@`` dispatch or a transposed copy of J.
 ``perfbench/tracing.py`` patches ``nlp.least_squares`` to time and count
-the ``trf`` calls.
+the ``trf`` calls, and ``nlp.block_values_and_jac``, inside which every
+tape replay of the solver happens, to time the block evaluations.
 """
 
 from __future__ import annotations
@@ -236,10 +243,20 @@ def block_values(block: Block, x):
     return values
 
 
-def block_values_and_jac(block: Block, x):
-    """Values (batch, m) and local jacobian (batch, m, k) in one pass: a
-    replay of the block's tape."""
+def block_values_and_jac(block, x):
+    """Replay the tape of ``block`` at x and return the tape's flat slot
+    buffer, which its next replay overwrites.  ``block`` is a ``Block``,
+    or a group of an AL plan: anything with a ``tape`` and the
+    ``indices`` rows it replays over.  ``block_outputs`` copies the
+    values and the local jacobian out of the buffer; the AL evaluation
+    gathers them straight into its residual and CSR data."""
     return block.tape.evaluate(x[block.indices])
+
+
+def block_outputs(block: Block, x):
+    """Values (batch, m) and local jacobian (batch, m, k) in one pass: a
+    replay of the block's tape, copied out."""
+    return block.tape.outputs(block_values_and_jac(block, x))
 
 
 def eval_constraints(blocks, x):
@@ -258,7 +275,7 @@ def eval_objective(problem: NlpProblem, x):
 def objective_gradient(problem: NlpProblem, x):
     grad = np.zeros(problem.n_vars)
     for b in problem.cost_blocks:
-        vals, jac = block_values_and_jac(b, x)
+        vals, jac = block_outputs(b, x)
         grad += _scatter(jac, 2.0 * vals, b.indices, problem.n_vars)
     return grad
 
@@ -269,7 +286,7 @@ def constraint_jacobian_t_vec(blocks, x, w):
     offset = 0
     for b in blocks:
         wb = w[offset : offset + b.size].reshape(b.batch, b.n_out)
-        _, jac = block_values_and_jac(b, x)
+        _, jac = block_outputs(b, x)
         grad += _scatter(jac, wb, b.indices, x.size)
         offset += b.size
     return grad
@@ -279,19 +296,6 @@ def _scatter(jac, w, indices, n):
     out = np.zeros(n)
     np.add.at(out, indices, np.einsum("bmk,bm->bk", jac, w))
     return out
-
-
-def _block_coords(block, row_offset):
-    """Row and column of each entry of a block jacobian placed at
-    row_offset, in the order of ``jac.ravel()``."""
-    batch, k = block.indices.shape
-    m = block.n_out
-    rows = row_offset + (
-        np.arange(batch)[:, None, None] * m + np.arange(m)[None, :, None]
-    )
-    rows = np.broadcast_to(rows, (batch, m, k))
-    cols = np.broadcast_to(block.indices[:, None, :], (batch, m, k))
-    return rows.ravel(), cols.ravel()
 
 
 # -- KKT --------------------------------------------------------------------
@@ -344,91 +348,150 @@ class _CsrJacobian(NamedTuple):
     shape: tuple
 
 
+class _Group(NamedTuple):
+    """Blocks of one problem that replay as one tape: ``tape`` runs over
+    the blocks' stacked ``indices`` rows.  ``pieces`` has one entry per
+    block: its residual rows, its values' positions in the tape's flat
+    slot buffer, its range of CSR data entries and its derivatives'
+    positions, in CSR order."""
+
+    tape: ad.Tape
+    indices: np.ndarray
+    pieces: list
+
+
+class _AlPlan:
+    """How ``_AlResiduals`` evaluates one problem with one free mask,
+    made once per problem and mask.
+
+    Blocks that share a callback and its recorded program are one group,
+    replayed as one tape over their stacked index rows (the common and
+    branch dynamics of a branched transcription); every other block is a
+    group of its own, replayed on its own tape.  Each replay's outputs
+    are gathered straight from the tape's flat slot buffer into the
+    residual vector and into the Jacobian's data in CSR order, entries
+    of frozen columns left out.
+
+    The Jacobian's pattern depends only on the blocks' indices and the
+    free mask: CSR ``indptr`` and ``indices`` on the free columns, rows
+    in residual order (cost, equality, inequality), each row's columns
+    ascending.  A block never repeats a variable within a row, so every
+    CSR entry is exactly one block-jacobian entry, and the equality and
+    the inequality entries are two adjacent ranges of the data.
+    ``normal_plan``, built at first use, forms the LM normal equations on
+    the same pattern.
+    """
+
+    def __init__(self, problem, free):
+        self.free = free
+        blocks = problem.cost_blocks + problem.eq_blocks + problem.ineq_blocks
+        members = {}  # each group's positions in ``blocks``
+        for p, b in enumerate(blocks):
+            members.setdefault((id(b.fun), b.tape.program), []).append(p)
+        self.groups, at = [], {}  # per block: its group's pieces, positions
+        for ps in members.values():
+            group = tuple(blocks[p] for p in ps)
+            starts = np.cumsum([0] + [b.batch for b in group])
+            tape = group[0].tape
+            if len(group) > 1:
+                tape = tape.for_batch(int(starts[-1]))
+            val_at, der_at = tape.positions()
+            pieces = []
+            for p, a, z in zip(ps, starts[:-1], starts[1:]):
+                at[p] = (pieces, val_at[a:z], der_at[a:z])
+            self.groups.append(_Group(
+                tape, np.concatenate([b.indices for b in group]), pieces))
+        new = np.cumsum(free) - 1
+        counts, indices, row, nnz = [np.zeros(0, dtype=int)], [], 0, 0
+        for p, b in enumerate(blocks):
+            pieces, val_at, der_at = at[p]
+            # each row's columns ascending, frozen ones left out
+            order = np.argsort(b.indices, axis=1)
+            cols = np.take_along_axis(b.indices, order, axis=1)
+            keep = np.broadcast_to(free[cols][:, None, :], der_at.shape)
+            der_at = np.take_along_axis(der_at, order[:, None, :],
+                                        axis=2)[keep]
+            counts.append(np.repeat(free[cols].sum(axis=1), b.n_out))
+            indices.append(np.broadcast_to(new[cols][:, None, :],
+                                           keep.shape)[keep])
+            pieces.append((slice(row, row + b.size), val_at.ravel(),
+                           slice(nnz, nnz + der_at.size), der_at))
+            row += b.size
+            nnz += der_at.size
+        counts = np.concatenate(counts)
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        # residual rows [0, e0) cost, [e0, e1) equality, [e1, row)
+        # inequality
+        e0 = sum(b.size for b in problem.cost_blocks)
+        e1 = e0 + problem.n_eq
+        self.eq_rows, self.ineq_rows = slice(e0, e1), slice(e1, row)
+        self.eq_entries = slice(int(indptr[e0]), int(indptr[e1]))
+        self.ineq_entries = slice(int(indptr[e1]), int(indptr[-1]))
+        self.ineq_entry_rows = np.repeat(np.arange(row - e1), counts[e1:])
+        # scipy picks the index dtype once, here
+        pattern = sp.csr_matrix(
+            (np.zeros(indptr[-1]),
+             np.concatenate([np.zeros(0, dtype=int)] + indices), indptr),
+            shape=(row, int(np.sum(free))))
+        self.indices, self.indptr = pattern.indices, pattern.indptr
+        self.shape = pattern.shape
+
+    @cached_property
+    def normal_plan(self):
+        return _NormalPlan(self.indptr, self.indices, self.shape[1])
+
+
 class _AlResiduals:
     """Stacked least-squares form of the AL subproblem on free variables.
 
     Residuals: [cost residuals; sqrt(rho/2)(c_eq + lam/rho);
     sqrt(rho/2) max(0, c_ineq + mu/rho)].  Fixed variables (equal
-    bounds) are substituted and removed from the column space.
+    bounds, or frozen by the plan's mask) are substituted and removed
+    from the column space.
 
-    The Jacobian's sparsity pattern depends only on the blocks' indices
-    and the free mask, so it is built once: the CSR ``indptr`` and
-    ``indices`` on the free columns, and ``_perm``, which gathers the
-    concatenated block jacobians (``jac.ravel()`` per block, in residual
-    order) into CSR order.  A block never repeats a variable within a
-    row, so every CSR entry is exactly one block-jacobian entry and an
-    evaluation only computes the data.  Entries of inactive inequality
-    rows stay in the pattern as explicit zeros.  ``normal_plan``, built
-    at first use, forms the LM normal equations on the same pattern.
+    An evaluation follows ``plan``: one replay per group, gathered into a
+    fresh residual vector and a fresh CSR data array (callers hold a
+    Jacobian while they evaluate trial points), then the equality and
+    inequality scaling on their row and entry ranges.  Entries of
+    inactive inequality rows stay in the pattern as explicit zeros.
     """
 
-    def __init__(self, problem, lam, mu, rho, free, x_template):
+    def __init__(self, plan, lam, mu, rho, x_template):
+        self.plan = plan
         self._sq = np.sqrt(rho / 2.0)
         self._lam_rho = lam / rho
         self._mu_rho = mu / rho
-        self.free = free
         self.template = x_template
-        self._blocks = (problem.cost_blocks + problem.eq_blocks
-                        + problem.ineq_blocks)
-        empty = np.zeros(0, dtype=int)
-        rows, cols, row = [empty], [empty], 0
-        for b in self._blocks:
-            r, c = _block_coords(b, row)
-            rows.append(r)
-            cols.append(c)
-            row += b.size
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        # residual rows [0, e0) cost, [e0, e1) equality, [e1, row)
-        # inequality; block-jacobian entries [0, d0), [d0, d1), [d1, ...)
-        e0 = sum(b.size for b in problem.cost_blocks)
-        e1 = e0 + problem.n_eq
-        d0, d1 = np.searchsorted(rows, [e0, e1])
-        self._eq_rows, self._ineq_rows = slice(e0, e1), slice(e1, row)
-        self._eq_entries, self._ineq_entries = slice(d0, d1), slice(d1, None)
-        self._ineq_entry_rows = rows[d1:] - e1
-        keep = np.flatnonzero(free[cols])
-        rows, cols = rows[keep], (np.cumsum(free) - 1)[cols[keep]]
-        order = np.lexsort((cols, rows))
-        self._perm = keep[order]
-        counts = np.bincount(rows, minlength=row)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        # scipy picks the index dtype once, here
-        pattern = sp.csr_matrix((np.zeros(order.size), cols[order], indptr),
-                                shape=(row, int(np.sum(free))))
-        self._indices, self._indptr = pattern.indices, pattern.indptr
-        self._shape = pattern.shape
         self._cache_key = None
         self._cache = None
 
-    @cached_property
-    def normal_plan(self):
-        return _NormalPlan(self._indptr, self._indices, self._shape[1])
-
     def full_x(self, z):
         x = self.template.copy()
-        x[self.free] = z
+        x[self.plan.free] = z
         return x
 
     def _evaluate(self, z):
         key = z.tobytes()
         if self._cache_key == key:
             return self._cache
+        plan = self.plan
         x = self.full_x(z)
-        res, data = [np.zeros(0)], [np.zeros(0)]
-        for b in self._blocks:
-            vals, jac = block_values_and_jac(b, x)
-            res.append(vals.ravel())
-            data.append(jac.ravel())
-        res, data = np.concatenate(res), np.concatenate(data)
-        sq, eq, ineq = self._sq, self._eq_rows, self._ineq_rows
+        res = np.empty(plan.shape[0])
+        data = np.empty(plan.indices.size)
+        for group in plan.groups:
+            flat = block_values_and_jac(group, x)
+            for rows, val_at, entries, der_at in group.pieces:
+                res[rows] = flat[val_at]
+                data[entries] = flat[der_at]
+        sq, eq, ineq = self._sq, plan.eq_rows, plan.ineq_rows
         res[eq] = sq * (res[eq] + self._lam_rho)
-        data[self._eq_entries] *= sq
+        data[plan.eq_entries] *= sq
         shifted = res[ineq] + self._mu_rho
         res[ineq] = sq * np.clip(shifted, 0.0, None)
-        active = (shifted > 0).astype(float)[self._ineq_entry_rows]
-        data[self._ineq_entries] = (data[self._ineq_entries] * sq) * active
-        J = _CsrJacobian(data[self._perm], self._indices, self._indptr,
-                        self._shape)
+        active = (shifted > 0).astype(float)[plan.ineq_entry_rows]
+        entries = plan.ineq_entries
+        data[entries] = (data[entries] * sq) * active
+        J = _CsrJacobian(data, plan.indices, plan.indptr, plan.shape)
         self._cache_key = key
         self._cache = (res, J)
         return self._cache
@@ -458,10 +521,13 @@ class _NormalPlan:
     commute.  Exact zeros are dropped as scipy drops them: SuperLU's
     column ordering depends on the pattern, so a stored zero changes the
     step.  A frozen column changes no other column's sums, so one plan
-    serves every free mask.  Every diagonal entry is kept, with no pairs
-    where its column stores nothing, because the damping adds to all.
+    serves every free mask; what the mask alone decides of the result's
+    layout is kept for the last mask, so a call with the same mask as
+    the one before only tests for zeros, counts and gathers.  Every
+    diagonal entry is kept, with no pairs where its column stores
+    nothing, because the damping adds to all.
 
-    ``indices`` are sorted within each row, as ``_AlResiduals`` builds
+    ``indices`` are sorted within each row, as ``_AlPlan`` builds
     them.  Plan arrays are int32 to keep them small.
     """
 
@@ -501,29 +567,48 @@ class _NormalPlan:
         self._diag_at = np.flatnonzero(self._diag).astype(np.int32)
         self._col_end = (np.cumsum(np.bincount(self._cols, minlength=n))
                          - 1).astype(np.int32)
+        self._mask = None
+
+    def _layout(self, free):
+        """What the free mask alone fixes of the normal matrix: the
+        entries whose row and column are both free, those of them on the
+        diagonal, every entry's row renumbered over the free columns, the
+        free columns' last and diagonal positions, and their count.  The
+        last mask's layout is kept: most LM iterations freeze the same
+        columns as the one before."""
+        key = free.tobytes()
+        if key != self._mask:
+            both = np.take(free, self._rows)
+            both &= np.take(free, self._cols)
+            new = np.cumsum(free, dtype=np.int32) - 1
+            self._mask = key
+            self._mask_layout = (both, both & self._diag,
+                                 np.take(new, self._rows),
+                                 self._col_end[free], self._diag_at[free],
+                                 int(np.count_nonzero(free)))
+        return self._mask_layout
 
     def normal_matrix(self, data, free):
         """``(Jf.T @ Jf).tocsc()`` for ``Jf = J[:, free]``, with every
         diagonal entry stored, and the positions in its ``data`` of the
         diagonal, in column order."""
+        both, diag, rows, col_end, diag_at, n_free = self._layout(free)
         prod = np.take(data, self._pa)
         prod *= np.take(data, self._pb)
         # (bincount returns integers when J stores nothing)
         sums = np.bincount(self._entry, weights=prod,
                            minlength=self._n_tri).astype(float, copy=False)
         vals = np.take(sums, self._sum)
-        keep = (vals != 0) | self._diag
-        keep &= np.take(free, self._rows)
-        keep &= np.take(free, self._cols)
+        keep = vals != 0
+        keep &= both
+        keep |= diag
         # kept entries up to and including each entry
         kept = np.cumsum(keep, dtype=np.int32)
-        n_free = int(np.count_nonzero(free))
         indptr = np.zeros(n_free + 1, dtype=np.int32)
-        indptr[1:] = kept[self._col_end[free]]
-        new = np.cumsum(free, dtype=np.int32) - 1
-        A = sp.csc_matrix((vals[keep], np.take(new, self._rows[keep]),
-                           indptr), shape=(n_free, n_free))
-        return A, kept[self._diag_at[free]] - 1
+        indptr[1:] = kept[col_end]
+        A = sp.csc_matrix((vals[keep], rows[keep], indptr),
+                          shape=(n_free, n_free))
+        return A, kept[diag_at] - 1
 
 
 def _bounded_lm(helper, z0, lb, ub, max_iter, gtol):
@@ -535,7 +620,7 @@ def _bounded_lm(helper, z0, lb, ub, max_iter, gtol):
     Deterministic.
 
     Each iteration forms ``JᵀJ`` on the unfrozen columns from the
-    helper's ``normal_plan`` and takes the right-hand side from the
+    helper plan's ``normal_plan`` and takes the right-hand side from the
     gradient's product ``Jᵀr``: bit for bit what scipy's ``Jf.T @ Jf``
     and ``Jf.T @ r`` give, without re-slicing J.  ``Jᵀr`` and each
     trial's model product ``J @ (zt - z)`` call scipy's kernels through
@@ -562,7 +647,7 @@ def _bounded_lm(helper, z0, lb, ub, max_iter, gtol):
         if not np.any(free):
             break
         rhs = -jtr[free]
-        A, diag = helper.normal_plan.normal_matrix(J.data, free)
+        A, diag = helper.plan.normal_plan.normal_matrix(J.data, free)
         a = A.data[diag]
         d = np.maximum(a, 1e-10)
         accepted = False
@@ -597,14 +682,15 @@ def _bounded_lm(helper, z0, lb, ub, max_iter, gtol):
     return z, nfev
 
 
-def _inner_solve(problem, x, lam, mu, rho, opts):
-    """One bound-constrained Gauss-Newton minimization of the AL."""
-    free = problem.lower < problem.upper
+def _inner_solve(problem, plan, x, lam, mu, rho, opts):
+    """One bound-constrained Gauss-Newton minimization of the AL, on the
+    plan of the problem's free variables."""
+    free = plan.free
     template = x.copy()
     template[~free] = problem.lower[~free]
     if not np.any(free):
         return template, 0
-    helper = _AlResiduals(problem, lam, mu, rho, free, template)
+    helper = _AlResiduals(plan, lam, mu, rho, template)
     z, nfev = _bounded_lm(
         helper, x[free], problem.lower[free], problem.upper[free],
         opts.max_inner, INNER_GTOL,
@@ -635,10 +721,8 @@ def _restoration(problem, x, opts):
         eq_blocks=problem.eq_blocks,
         ineq_blocks=problem.ineq_blocks,
     )
-    helper = _AlResiduals(
-        feas, np.zeros(problem.n_eq), np.zeros(problem.n_ineq), 2.0, free,
-        x.copy(),
-    )
+    helper = _AlResiduals(_AlPlan(feas, free), np.zeros(problem.n_eq),
+                          np.zeros(problem.n_ineq), 2.0, x.copy())
     # variables no constraint touches cannot help; freeze them so the
     # trust-region column scaling stays finite
     J0 = helper.jac(x[free])
@@ -648,10 +732,8 @@ def _restoration(problem, x, opts):
         sub = free.copy()
         sub[np.where(free)[0][~touched]] = False
         free = sub
-        helper = _AlResiduals(
-            feas, np.zeros(problem.n_eq), np.zeros(problem.n_ineq), 2.0,
-            free, x.copy(),
-        )
+        helper = _AlResiduals(_AlPlan(feas, free), np.zeros(problem.n_eq),
+                              np.zeros(problem.n_ineq), 2.0, x.copy())
     if not np.any(free):
         return x, 0
     lb, ub = problem.lower[free], problem.upper[free]
@@ -701,9 +783,9 @@ def _restoration(problem, x, opts):
         z, lm_iters = _bounded_lm(helper, res.x, lb, ub,
                                   3 * opts.max_inner, 1e-12)
         nfev += lm_iters
-        if _violation(problem, helper.full_x(z)) < best_viol:
-            best_z = z
-            best_viol = _violation(problem, helper.full_x(z))
+        viol = _violation(problem, helper.full_x(z))
+        if viol < best_viol:
+            best_z, best_viol = z, viol
     x_new = helper.full_x(best_z)
     if best_viol < _violation(problem, x):
         return x_new, nfev
@@ -742,8 +824,10 @@ def solve(problem: NlpProblem, x0, opts: SolverOpts = None) -> NlpSolution:
         restored = True
         rho = max(rho, RHO_RESTORE)
 
+    # made after the restoration, whose own plans are gone by then
+    plan = _AlPlan(problem, problem.lower < problem.upper)
     for outer in range(opts.max_outer):
-        x, nfev = _inner_solve(problem, x, lam, mu, rho, opts)
+        x, nfev = _inner_solve(problem, plan, x, lam, mu, rho, opts)
         inner_total += nfev
         outer_done = outer + 1
         ceq = eval_constraints(problem.eq_blocks, x)

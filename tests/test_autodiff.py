@@ -13,8 +13,8 @@ from gradient_check import check_gradient
 
 def _value_and_derivs(f, x):
     """Value and gradient of a scalar callback at one point, by replay."""
-    vals, jac = ad.Tape(lambda v: [f(v)], len(x), 1, "f").evaluate(
-        np.array([x], dtype=float))
+    tape = ad.Tape(lambda v: [f(v)], len(x), 1, "f")
+    vals, jac = tape.outputs(tape.evaluate(np.array([x], dtype=float)))
     return vals[0, 0], jac[0, 0]
 
 
@@ -66,7 +66,7 @@ def test_gradient_scalar():
 def test_tape_block_jacobian():
     pts = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     tape = ad.Tape(lambda v: [v[0] * v[1]], 2, 3, "f")
-    vals, jac = tape.evaluate(pts)  # d/da = b, d/db = a
+    vals, jac = tape.outputs(tape.evaluate(pts))  # d/da = b, d/db = a
     assert vals[:, 0] == pytest.approx(pts[:, 0] * pts[:, 1])
     assert jac[:, 0] == pytest.approx(np.column_stack([pts[:, 1],
                                                        pts[:, 0]]))
@@ -92,8 +92,8 @@ def test_block_callback_is_recorded_once():
     rng = np.random.default_rng(3)
     for _ in range(5):
         x = rng.uniform(0.5, 2.0, size=3)
-        f_vals, _ = nlp.block_values_and_jac(f_block, x)
-        g_vals, _ = nlp.block_values_and_jac(g_block, x)
+        f_vals, _ = nlp.block_outputs(f_block, x)
+        g_vals, _ = nlp.block_outputs(g_block, x)
         # every replay is at the new point
         assert f_vals[:, 0] == pytest.approx(x[[0, 2]] * np.sin(x[1]))
         assert g_vals.tolist() == [[x[1] * (1.0 / x[2]), 2.0]]
@@ -117,9 +117,9 @@ def test_unsupported_operation_names_the_block(fun):
 
 def test_replayed_sqrt_rejects_a_negative_argument():
     block = nlp.Block("root", lambda v: [ad.sqrt(v[0])], np.array([[0]]))
-    assert nlp.block_values_and_jac(block, np.array([4.0]))[1][0, 0, 0] == 0.25
+    assert nlp.block_outputs(block, np.array([4.0]))[1][0, 0, 0] == 0.25
     with pytest.raises(ValueError, match="sqrt of negative value"):
-        nlp.block_values_and_jac(block, np.array([-1.0]))
+        nlp.block_outputs(block, np.array([-1.0]))
 
 
 def test_repeated_block_evaluation_is_identical():
@@ -127,14 +127,14 @@ def test_repeated_block_evaluation_is_identical():
         "f", lambda v: [v[0] * v[1], ad.sin(v[0]) / v[1], v[1], 2.0],
         np.array([[0, 1], [2, 1], [1, 0]]))
     x = np.array([0.3, -1.7, 2.5])
-    vals, jac = nlp.block_values_and_jac(block, x)
-    vals2, jac2 = nlp.block_values_and_jac(block, x)
+    vals, jac = nlp.block_outputs(block, x)
+    vals2, jac2 = nlp.block_outputs(block, x)
     assert vals.tobytes() == vals2.tobytes()
     assert jac.tobytes() == jac2.tobytes()
     # the output that is a seeded input is copied out, not aliased
     assert jac[:, 2, :].tolist() == [[0.0, 1.0]] * 3
     jac[:, 2, :] = 5.0
-    assert nlp.block_values_and_jac(block, x)[1].tobytes() == jac2.tobytes()
+    assert nlp.block_outputs(block, x)[1].tobytes() == jac2.tobytes()
 
 
 def test_check_gradient_random_functions():

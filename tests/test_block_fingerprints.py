@@ -67,7 +67,7 @@ def _block_digest(problem, x):
     for b in problem.cost_blocks + problem.eq_blocks + problem.ineq_blocks:
         h.update(b.name.encode())
         try:
-            vals, jac = nlp.block_values_and_jac(b, x)
+            vals, jac = nlp.block_outputs(b, x)
         except ValueError as exc:
             raised.append(b.name)
             h.update(f"ValueError: {exc}".encode())

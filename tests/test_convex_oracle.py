@@ -74,7 +74,7 @@ def _jacobian(blocks, x):
     """Dense constraint jacobian, assembled from each block's local one."""
     parts = []
     for b in blocks:
-        _, jac = nlp.block_values_and_jac(b, x)
+        _, jac = nlp.block_outputs(b, x)
         dense = np.zeros((b.batch, b.n_out, x.size))
         batch = np.arange(b.batch)[:, None, None]
         out = np.arange(b.n_out)[None, :, None]

@@ -227,7 +227,7 @@ def _coo_al_residuals(problem, lam, mu, rho, free, x):
                          ("eq", problem.eq_blocks),
                          ("ineq", problem.ineq_blocks)):
         for b in blocks:
-            vals, jac = nlp.block_values_and_jac(b, x)
+            vals, jac = nlp.block_outputs(b, x)
             if kind == "cost":
                 res.append(vals.ravel())
             elif kind == "eq":
@@ -266,39 +266,96 @@ def _plant_problems():
             yield problem, tr.default_initial_guess(adapter, layout)
 
 
+def _assert_al_matches_coo(problem, lam, mu, rho, free, x):
+    """``_AlResiduals`` at x against the COO assembly, byte for byte and
+    sign bit for sign bit; returns its helper."""
+    helper = nlp._AlResiduals(nlp._AlPlan(problem, free), lam, mu, rho, x)
+    res, J = helper.residuals(x[free]), helper.jac(x[free])
+    want_res, want_J = _coo_al_residuals(problem, lam, mu, rho, free, x)
+    assert np.array_equal(res, want_res)
+    assert J.shape == want_J.shape
+    assert np.array_equal(J.indptr, want_J.indptr)
+    assert np.array_equal(J.indices, want_J.indices)
+    assert np.array_equal(J.data, want_J.data)
+    assert np.signbit(J.data).tolist() == np.signbit(want_J.data).tolist()
+    return helper
+
+
 @pytest.mark.parametrize("freeze", [False, True])
 def test_al_jacobian_is_bit_identical_to_coo_assembly(freeze):
     rng = np.random.default_rng(7)
-    n_active = n_inactive = 0
+    n_active = n_inactive = n_branched = n_untouched = 0
     for problem, x0 in _plant_problems():
         free = problem.lower < problem.upper
         if freeze:
-            # as restoration's touched-column freeze: some free columns
-            # are held at their current value
+            # as the LM loop's bound freeze: some free columns are held
+            # at their current value
             free = free.copy()
             free[np.flatnonzero(free)[::4]] = False
+        feas = dataclasses.replace(problem, cost_blocks=[])
         for scale in (0.0, 0.05):
             x = np.clip(x0 + scale * rng.standard_normal(x0.size),
                         problem.lower, problem.upper)
             lam = rng.standard_normal(problem.n_eq)
             mu = np.abs(rng.standard_normal(problem.n_ineq))
             rho = 100.0
-            helper = nlp._AlResiduals(problem, lam, mu, rho, free, x)
-            res, J = helper.residuals(x[free]), helper.jac(x[free])
-            want_res, want_J = _coo_al_residuals(problem, lam, mu, rho,
-                                                 free, x)
+            helper = _assert_al_matches_coo(problem, lam, mu, rho, free, x)
             shifted = nlp.eval_constraints(problem.ineq_blocks, x) + mu / rho
             n_active += int(np.sum(shifted > 0))
             n_inactive += int(np.sum(shifted <= 0))
-            assert np.array_equal(res, want_res)
-            assert J.shape == want_J.shape
-            assert np.array_equal(J.indptr, want_J.indptr)
-            assert np.array_equal(J.indices, want_J.indices)
-            assert np.array_equal(J.data, want_J.data)
-            assert np.signbit(J.data).tolist() == \
-                np.signbit(want_J.data).tolist()
-    # both kinds of inequality rows were exercised
+            if any(b.name == "branch_dynamics" for b in problem.eq_blocks):
+                # the common and branch dynamics replay as one tape
+                groups = helper.plan.groups
+                assert max(len(group.pieces) for group in groups) > 1
+                n_branched += 1
+            # the restoration's cost-free problem, before and after its
+            # freeze of the columns that no constraint touches
+            zeros = (np.zeros(problem.n_eq), np.zeros(problem.n_ineq))
+            J0 = _assert_al_matches_coo(feas, *zeros, 2.0, free, x).jac(
+                x[free])
+            touched = np.zeros(J0.shape[1], dtype=bool)
+            touched[J0.indices[J0.data != 0]] = True
+            if not np.all(touched):
+                sub = free.copy()
+                sub[np.flatnonzero(free)[~touched]] = False
+                _assert_al_matches_coo(feas, *zeros, 2.0, sub, x)
+                n_untouched += 1
+    # both kinds of inequality rows were exercised, the sure and tree
+    # problems of both plants, and the touched-column freeze
     assert n_active > 0 and n_inactive > 0
+    assert n_branched == 8
+    assert n_untouched > 0
+
+
+def test_al_plan_gathers_a_group_whose_blocks_are_apart():
+    # one callback in a cost block, two equality blocks around another
+    # callback's, and an inequality block: the shared callback's blocks
+    # replay as one tape whose outputs land in rows apart from each other
+    # and of every kind, without running the callback again
+    calls = []
+
+    def f(v):
+        calls.append(v)
+        return [v[0] * ad.sin(v[1]) - v[2], v[2] / v[0]]
+
+    def g(v):
+        return [v[0] * v[1] - 1.0]
+
+    cost = _block("f_cost", f, [[0, 1, 2], [3, 4, 5]])
+    eq = [_block("f_a", f, [[2, 0, 5]]), _block("g", g, [[1, 3], [4, 0]]),
+          _block("f_b", f, [[5, 4, 3], [1, 2, 0]])]
+    ineq = [_block("f_c", f, [[3, 1, 2]])]
+    problem = _problem(6, cost=[cost], eq=eq, ineq=ineq)
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0.5, 2.0, size=6)
+    for free in (np.ones(6, dtype=bool),
+                 np.array([True, False, True, True, True, False])):
+        helper = _assert_al_matches_coo(
+            problem, rng.standard_normal(problem.n_eq),
+            np.array([0.0, 0.0]), 10.0, free, x)
+        groups = helper.plan.groups
+        assert sorted(len(group.pieces) for group in groups) == [1, 4]
+    assert len(calls) == 4
 
 
 def _csr(J):
@@ -325,8 +382,8 @@ def _normal_matrices():
         lam = rng.standard_normal(problem.n_eq)
         mu = np.abs(rng.standard_normal(problem.n_ineq))
         free = problem.lower < problem.upper
-        J = _csr(nlp._AlResiduals(problem, lam, mu, 100.0, free,
-                                  x0).jac(x0[free]))
+        J = _csr(nlp._AlResiduals(nlp._AlPlan(problem, free), lam, mu,
+                                  100.0, x0).jac(x0[free]))
         yield "free", J, np.ones(J.shape[1], dtype=bool)
         frozen = np.ones(J.shape[1], dtype=bool)
         frozen[::4] = False
@@ -351,19 +408,22 @@ def _normal_matrices():
     yield "zero_column", _stored(values, stored), free
 
 
-def _assert_normal_equations_match_scipy(J, free, r):
-    """The plan's damped normal matrix against scipy's product and sum,
-    damped as ``_bounded_lm`` damps it, and the step's right-hand side
-    against ``-(Jf.T @ r)``, byte for byte, for several dampings."""
+def _assert_normal_equations_match_scipy(
+        J, free, r, plan=None, sigmas=(1e-14, 1e-5, 0.37, 2e3, 1e9)):
+    """The damped normal matrix of ``plan`` (by default a new plan of J's
+    pattern) against scipy's product and sum, damped as ``_bounded_lm``
+    damps it, and the step's right-hand side against ``-(Jf.T @ r)``,
+    byte for byte, for each damping of ``sigmas``."""
+    if plan is None:
+        plan = nlp._NormalPlan(J.indptr, J.indices, J.shape[1])
     Jf = J.tocsc()[:, free]
     A_want = (Jf.T @ Jf).tocsc()
     d_want = np.maximum(A_want.diagonal(), 1e-10)
-    A, diag = nlp._NormalPlan(J.indptr, J.indices,
-                              J.shape[1]).normal_matrix(J.data, free)
+    A, diag = plan.normal_matrix(J.data, free)
     a = A.data[diag]
     d = np.maximum(a, 1e-10)
     assert d.tobytes() == d_want.tobytes()
-    for sigma in (1e-14, 1e-5, 0.37, 2e3, 1e9):
+    for sigma in sigmas:
         A.data[diag] = a + sigma * d
         want = (A_want + sp.diags(sigma * d_want)).tocsc()
         assert A.shape == want.shape
@@ -403,13 +463,35 @@ def test_damped_normal_matrix_matches_scipy_on_any_pattern(data):
     _assert_normal_equations_match_scipy(_stored(values, stored), free, r)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_one_normal_plan_matches_scipy_through_any_mask_sequence(data):
+    # one plan, as the LM loop uses it: each step draws new values on the
+    # pattern, so exact zeros come and go, and a free mask that is either
+    # one already used (the plan's kept layout, or an older one) or new
+    m = data.draw(st.integers(1, 12))
+    n = data.draw(st.integers(1, 7))
+    stored = data.draw(hnp.arrays(bool, (m, n)))
+    J = _stored(np.ones((m, n)), stored)
+    plan = nlp._NormalPlan(J.indptr, J.indices, n)
+    masks = []
+    for _ in range(data.draw(st.integers(2, 8))):
+        pick = data.draw(st.integers(0, len(masks)))
+        if pick == len(masks):
+            masks.append(data.draw(hnp.arrays(bool, n).filter(np.any)))
+        J.data = data.draw(hnp.arrays(float, J.nnz, elements=_ENTRIES))
+        _assert_normal_equations_match_scipy(J, masks[pick], np.ones(m),
+                                             plan, sigmas=(0.37,))
+
+
 def test_al_jacobian_survives_evaluating_another_point():
     problem, x0 = next(_plant_problems())
     rng = np.random.default_rng(2)
     free = problem.lower < problem.upper
-    helper = nlp._AlResiduals(problem, rng.standard_normal(problem.n_eq),
+    helper = nlp._AlResiduals(nlp._AlPlan(problem, free),
+                              rng.standard_normal(problem.n_eq),
                               np.abs(rng.standard_normal(problem.n_ineq)),
-                              100.0, free, x0)
+                              100.0, x0)
     z = x0[free]
     J = helper.jac(z)
     kept = [J.data.copy(), J.indices.copy(), J.indptr.copy()]
@@ -518,8 +600,8 @@ def _feasibility_problem():
                 problem.upper)
     free = problem.lower < problem.upper
     feas = dataclasses.replace(problem, cost_blocks=[])
-    helper = nlp._AlResiduals(feas, np.zeros(problem.n_eq),
-                              np.zeros(problem.n_ineq), 2.0, free, x)
+    helper = nlp._AlResiduals(nlp._AlPlan(feas, free), np.zeros(problem.n_eq),
+                              np.zeros(problem.n_ineq), 2.0, x)
     return helper, x[free], (problem.lower[free], problem.upper[free])
 
 

@@ -518,12 +518,19 @@ def _benchmark_config(variant):
 
 
 def _short_solve(adapter, cfg):
-    """A short solve from the default guess, as its record keeps it."""
+    """A short solve from the default guess, as its record keeps it: the
+    iterate, both multiplier vectors, the objective, the four KKT
+    residuals (whose stationarity sums every block's scattered
+    Jacobian-transpose products) and the iteration counts."""
     problem, layout = tr.build(adapter, cfg)
     sol = nlp.solve(problem, tr.default_initial_guess(adapter, layout),
                     nlp.SolverOpts(max_outer=1, max_inner=5))
     return {"x": sol.x.tolist(), "inner_iterations": sol.inner_iterations,
-            "objective_value": sol.objective_value}
+            "objective_value": sol.objective_value,
+            "multipliers_eq": sol.multipliers_eq.tolist(),
+            "multipliers_ineq": sol.multipliers_ineq.tolist(),
+            "kkt": dataclasses.asdict(sol.kkt),
+            "iterations": sol.iterations}
 
 
 def short_nominal_solve():

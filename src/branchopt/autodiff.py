@@ -16,11 +16,10 @@ callback returned.  :meth:`Tape.evaluate` replays the operations for a
 batch of points as numpy calls into buffers allocated with the tape, and
 returns those buffers as one flat array; :meth:`Tape.outputs` copies the
 outputs' values and derivatives out of it, and :meth:`Tape.positions`
-says where they are in it.  :meth:`Tape.for_batch` replays the same
-operations for another batch size without running the callback again.
-The rules are the usual forward-mode ones, with fixed
-formulas (``a / b`` is ``a * (1 / b)``; the derivative of ``a * b`` is
-``b·da + a·db``), so a replay gives the same bits at the same point.
+says where they are in it.  The rules are the usual forward-mode ones,
+with fixed formulas (``a / b`` is ``a * (1 / b)``; the derivative of
+``a * b`` is ``b·da + a·db``), so a replay gives the same bits at the
+same point.
 
 ``sin``, ``cos`` and ``sqrt`` also take plain floats and arrays, so the
 same callback runs on numbers.
@@ -28,7 +27,6 @@ same callback runs on numbers.
 
 from __future__ import annotations
 
-import copy
 from functools import partial
 
 import numpy as np
@@ -99,6 +97,8 @@ class Tape:
 
     def __init__(self, fun, n_in, batch, name):
         self.n_in = n_in
+        self.batch = batch
+        self._shape = (batch, max(n_in, 1))  # of a value or its derivatives
         self._ops = []  # (rule, operand slots + output slot, constant)
         self._n_slots = n_in
         consts = {}  # slot -> an output that is a constant
@@ -114,49 +114,21 @@ class Tape:
         except TypeError as exc:
             raise TypeError(f"{name}: {exc}") from exc
         self.n_out = len(outputs)
-        # from here on, operations, constants and outputs name buffers
         buffer = self._allocate(outputs, list(consts))
-        self._ops = [(rule, [buffer[s] for s in slots], const)
-                     for rule, slots, const in self._ops]
-        self._consts = {buffer[s]: c for s, c in consts.items()}
-        self._outputs = np.array([buffer[s] for s in outputs], dtype=int)
-        self._n_buffers = max(buffer.values(), default=-1) + 1
-        self._build(batch)
-
-    def _build(self, batch):
-        """The buffers and numpy calls of a replay for batches of
-        ``batch`` points."""
-        self.batch = batch
-        self._shape = (batch, max(self.n_in, 1))  # of a value or derivatives
-        self._slots = np.zeros((self._n_buffers, 2) + self._shape)
+        self._slots = np.zeros((max(buffer.values(), default=-1) + 1, 2)
+                               + self._shape)
         self._flat = self._slots.reshape(-1)
-        for j in range(self.n_in):
+        for j in range(n_in):
             self._slots[j, 1, :, j] = 1.0
-        for b, c in self._consts.items():
-            self._slots[b, 0] = c
+        for s, c in consts.items():
+            self._slots[buffer[s], 0] = c
+        self._outputs = np.array([buffer[s] for s in outputs], dtype=int)
         self._tmp = np.empty((2,) + self._shape)
         self._col = np.empty((2, batch))
         self._steps = []
-        for rule, buffers, const in self._ops:
-            views = [self._slots[b] for b in buffers]
+        for rule, slots, const in self._ops:
+            views = [self._slots[buffer[s]] for s in slots]
             self._steps += _RULES[rule](self, *views, const)
-
-    def for_batch(self, batch):
-        """The same recorded operations, replayed for batches of ``batch``
-        points; the callback does not run again."""
-        tape = copy.copy(self)
-        tape._build(batch)
-        return tape
-
-    @property
-    def program(self):
-        """What the tape replays, as a hashable value: equal programs
-        replay to equal bits at equal points."""
-        return (self.n_in, self._n_buffers, tuple(self._outputs),
-                tuple((b, c.tobytes()) for b, c in self._consts.items()),
-                tuple((rule, tuple(buffers),
-                       None if c is None else c.tobytes())
-                      for rule, buffers, c in self._ops))
 
     def _allocate(self, outputs, consts):
         """The buffer of each slot.

@@ -305,7 +305,11 @@ def load_config(path=None, overrides=None) -> RunConfig:
     data = {}
     if path is not None:
         with open(path) as fh:
-            data = yaml.safe_load(fh) or {}
+            data = yaml.safe_load(fh)
+        data = {} if data is None else data  # an empty file
+        if not isinstance(data, dict):
+            raise ValueError(f"config {path}: the top level must be a "
+                             f"mapping, not a {type(data).__name__}")
     version = data.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema_version {version}")

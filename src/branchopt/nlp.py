@@ -24,17 +24,16 @@ which is itself a bound-constrained nonlinear least-squares problem;
 the inner solver is a projected Levenberg-Marquardt method
 (``_bounded_lm``) on the exact block-sparse Jacobian.  Its residuals and
 Jacobian follow an evaluation plan (``_AlPlan``) made once per problem
-and free mask: blocks that share a callback replay as one tape over
-their stacked index rows, and each replay's outputs are gathered from
-the tape's slot buffer straight into the residual vector and the CSR
-data, with no per-block copy, concatenation or permutation.  The normal
-equations come from a product map planned once per Jacobian pattern
-(``_NormalPlan``): each iteration multiplies and adds ``J.data`` in the
-order of scipy's sparse product, row by row, and drops the exact zeros
-that product drops, so the iterates are bit for bit those of
-``Jf.T @ Jf``; what depends only on the free mask is kept for the last
-mask.  Variables with equal lower and upper bounds are eliminated from
-the inner problem.
+and free mask: each block replays its tape once, and the replay's
+outputs are gathered from the tape's slot buffer straight into the
+residual vector and the CSR data, with no per-block copy, concatenation
+or permutation.  The normal equations come from a product map planned
+once per Jacobian pattern (``_NormalPlan``): each iteration multiplies
+and adds ``J.data`` in the order of scipy's sparse product, row by row,
+and drops the exact zeros that product drops, so the iterates are bit
+for bit those of ``Jf.T @ Jf``; what depends only on the free mask is
+kept for the last mask.  Variables with equal lower and upper bounds
+are eliminated from the inner problem.
 The restoration phase, which minimizes the constraint violation alone,
 runs a trust-region reflective method (``least_squares``) and, when
 that leaves the violation high, a second unit-scaled pass polished by
@@ -146,7 +145,8 @@ class NlpProblem:
             raise ValueError(f"lower and upper must be vectors of one "
                              f"length, got shapes {self.lower.shape} and "
                              f"{self.upper.shape}")
-        if np.any(self.lower > self.upper):
+        # NaN compares False both ways, so test for the order it breaks
+        if not np.all(self.lower <= self.upper):
             raise ValueError("need lower <= upper elementwise")
 
     @property
@@ -245,11 +245,9 @@ def block_values(block: Block, x):
 
 def block_values_and_jac(block, x):
     """Replay the tape of ``block`` at x and return the tape's flat slot
-    buffer, which its next replay overwrites.  ``block`` is a ``Block``,
-    or a group of an AL plan: anything with a ``tape`` and the
-    ``indices`` rows it replays over.  ``block_outputs`` copies the
-    values and the local jacobian out of the buffer; the AL evaluation
-    gathers them straight into its residual and CSR data."""
+    buffer, which its next replay overwrites.  ``block_outputs`` copies
+    the values and the local jacobian out of the buffer; the AL
+    evaluation gathers them straight into its residual and CSR data."""
     return block.tape.evaluate(x[block.indices])
 
 
@@ -348,29 +346,17 @@ class _CsrJacobian(NamedTuple):
     shape: tuple
 
 
-class _Group(NamedTuple):
-    """Blocks of one problem that replay as one tape: ``tape`` runs over
-    the blocks' stacked ``indices`` rows.  ``pieces`` has one entry per
-    block: its residual rows, its values' positions in the tape's flat
-    slot buffer, its range of CSR data entries and its derivatives'
-    positions, in CSR order."""
-
-    tape: ad.Tape
-    indices: np.ndarray
-    pieces: list
-
-
 class _AlPlan:
     """How ``_AlResiduals`` evaluates one problem with one free mask,
     made once per problem and mask.
 
-    Blocks that share a callback and its recorded program are one group,
-    replayed as one tape over their stacked index rows (the common and
-    branch dynamics of a branched transcription); every other block is a
-    group of its own, replayed on its own tape.  Each replay's outputs
-    are gathered straight from the tape's flat slot buffer into the
-    residual vector and into the Jacobian's data in CSR order, entries
-    of frozen columns left out.
+    Every block replays its own tape, and the replay's outputs are
+    gathered straight from the tape's flat slot buffer into the residual
+    vector and into the Jacobian's data in CSR order, entries of frozen
+    columns left out.  ``pieces`` has one entry per block: the block,
+    its residual rows, its values' positions in the slot buffer, its
+    range of CSR data entries and its derivatives' positions, in CSR
+    order.
 
     The Jacobian's pattern depends only on the blocks' indices and the
     free mask: CSR ``indptr`` and ``indices`` on the free columns, rows
@@ -384,27 +370,11 @@ class _AlPlan:
 
     def __init__(self, problem, free):
         self.free = free
-        blocks = problem.cost_blocks + problem.eq_blocks + problem.ineq_blocks
-        members = {}  # each group's positions in ``blocks``
-        for p, b in enumerate(blocks):
-            members.setdefault((id(b.fun), b.tape.program), []).append(p)
-        self.groups, at = [], {}  # per block: its group's pieces, positions
-        for ps in members.values():
-            group = tuple(blocks[p] for p in ps)
-            starts = np.cumsum([0] + [b.batch for b in group])
-            tape = group[0].tape
-            if len(group) > 1:
-                tape = tape.for_batch(int(starts[-1]))
-            val_at, der_at = tape.positions()
-            pieces = []
-            for p, a, z in zip(ps, starts[:-1], starts[1:]):
-                at[p] = (pieces, val_at[a:z], der_at[a:z])
-            self.groups.append(_Group(
-                tape, np.concatenate([b.indices for b in group]), pieces))
         new = np.cumsum(free) - 1
         counts, indices, row, nnz = [np.zeros(0, dtype=int)], [], 0, 0
-        for p, b in enumerate(blocks):
-            pieces, val_at, der_at = at[p]
+        self.pieces = []
+        for b in problem.cost_blocks + problem.eq_blocks + problem.ineq_blocks:
+            val_at, der_at = b.tape.positions()
             # each row's columns ascending, frozen ones left out
             order = np.argsort(b.indices, axis=1)
             cols = np.take_along_axis(b.indices, order, axis=1)
@@ -414,8 +384,8 @@ class _AlPlan:
             counts.append(np.repeat(free[cols].sum(axis=1), b.n_out))
             indices.append(np.broadcast_to(new[cols][:, None, :],
                                            keep.shape)[keep])
-            pieces.append((slice(row, row + b.size), val_at.ravel(),
-                           slice(nnz, nnz + der_at.size), der_at))
+            self.pieces.append((b, slice(row, row + b.size), val_at.ravel(),
+                                slice(nnz, nnz + der_at.size), der_at))
             row += b.size
             nnz += der_at.size
         counts = np.concatenate(counts)
@@ -449,7 +419,7 @@ class _AlResiduals:
     bounds, or frozen by the plan's mask) are substituted and removed
     from the column space.
 
-    An evaluation follows ``plan``: one replay per group, gathered into a
+    An evaluation follows ``plan``: one replay per block, gathered into a
     fresh residual vector and a fresh CSR data array (callers hold a
     Jacobian while they evaluate trial points), then the equality and
     inequality scaling on their row and entry ranges.  Entries of
@@ -478,11 +448,10 @@ class _AlResiduals:
         x = self.full_x(z)
         res = np.empty(plan.shape[0])
         data = np.empty(plan.indices.size)
-        for group in plan.groups:
-            flat = block_values_and_jac(group, x)
-            for rows, val_at, entries, der_at in group.pieces:
-                res[rows] = flat[val_at]
-                data[entries] = flat[der_at]
+        for block, rows, val_at, entries, der_at in plan.pieces:
+            flat = block_values_and_jac(block, x)
+            res[rows] = flat[val_at]
+            data[entries] = flat[der_at]
         sq, eq, ineq = self._sq, plan.eq_rows, plan.ineq_rows
         res[eq] = sq * (res[eq] + self._lam_rho)
         data[plan.eq_entries] *= sq

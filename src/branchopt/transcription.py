@@ -454,6 +454,10 @@ def _interval_rows(arrays, prefix="", skip=None, with_next=False):
 
 
 def _emit_dynamics(builder, adapter, layout):
+    """One ``dynamics`` block over every interval that drives dynamics:
+    the common ones but ``skip_node``, then each branch's, in branch
+    order.  A branch leaves and rejoins under the common part's plant
+    dynamics, so one callback and one tape serve both."""
     n_x, n_u = adapter.n_x, adapter.n_u
 
     def defect(v):
@@ -465,11 +469,10 @@ def _emit_dynamics(builder, adapter, layout):
 
     rows = _interval_rows(layout.arrays, skip=layout.cfg.skip_node,
                           with_next=True)
-    builder.add_eq("common_dynamics", defect, rows)
-
     if layout.cfg.branched:
-        rows = _interval_rows(layout.arrays, "b", with_next=True)
-        builder.add_eq("branch_dynamics", defect, rows)
+        rows = np.concatenate(
+            [rows, _interval_rows(layout.arrays, "b", with_next=True)])
+    builder.add_eq("dynamics", defect, rows)
 
 
 def _emit_costs(builder, adapter, layout):

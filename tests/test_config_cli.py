@@ -59,6 +59,22 @@ def test_rejects_non_mapping_section(tmp_path):
         config.load_config(_write(tmp_path, "solver: [1, 2]\n"))
 
 
+@pytest.mark.parametrize("text, kind", [("- solver\n- plant\n", "list"),
+                                        ("3\n", "int")],
+                         ids=["list", "scalar"])
+def test_rejects_a_file_whose_top_level_is_not_a_mapping(tmp_path, text,
+                                                         kind):
+    # it used to fail with AttributeError on the list's or int's .get
+    with pytest.raises(ValueError, match=f"top level must be a mapping, "
+                                         f"not a {kind}"):
+        config.load_config(_write(tmp_path, text))
+
+
+def test_an_empty_file_is_all_defaults(tmp_path):
+    assert (config.load_config(_write(tmp_path, ""))
+            == config.load_config(None))
+
+
 def test_overrides_replace_experiment_keys(tmp_path):
     path = _write(tmp_path, "experiment:\n  seed: 3\n  workers: 2\n")
     run = config.load_config(path, {"seed": 9, "workers": None})

@@ -25,6 +25,9 @@ from branchopt.plants.cartpole_ocp import CartPoleOcp
 from branchopt.transcription import SolutionBundle, Trajectory
 
 import record
+from test_convex_oracle import X_END as PM_END
+from test_convex_oracle import X_INIT as PM_INIT
+from test_convex_oracle import PointMassOcp
 
 X_INIT = np.array([0.0, np.pi, 0.0, 5.5])
 X_END = np.array([0.0, np.pi, 0.0, 0.0])
@@ -200,9 +203,51 @@ def test_sure_has_guard_pinning_and_rejoin_blocks():
     problem, _ = tr.build_sure(CartPoleOcp(), _cfg("sure"))
     eq, ineq = _block_names(problem)
     assert "branch_rejoin_pinning" in eq
-    assert "common_dynamics" in eq and "branch_dynamics" in eq
+    assert "dynamics" in eq
     pin_blocks = {n for n in eq if "guard" in n}
     assert pin_blocks, f"no guard pinning equalities among {sorted(eq)}"
+
+
+_PLANTS = {"cartpole": (CartPoleOcp, {}),
+           "arm": (ArmCatchOcp, dict(x_init=ARM_INIT, x_end=ARM_END)),
+           "point_mass": (PointMassOcp, dict(x_init=PM_INIT, x_end=PM_END))}
+
+
+@st.composite
+def _small_configs(draw):
+    """A plant and a small config of any variant."""
+    plant = draw(st.sampled_from(sorted(_PLANTS)))
+    n = draw(st.integers(2, 9))
+    k_last = draw(st.integers(1, n - 1))
+    adapter, kw = _PLANTS[plant]
+    cfg = _cfg(draw(st.sampled_from(["nominal", "sure", "tree"])), N=n,
+               k_first=draw(st.integers(1, k_last)), k_last=k_last,
+               n_rejoin=draw(st.integers(1, 3)),
+               n_branch_full=draw(st.integers(1, 4)), **kw)
+    return adapter(), cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_small_configs())
+def test_dynamics_block_has_one_row_per_interval_that_drives_dynamics(case):
+    adapter, cfg = case
+    problem, layout = tr.build(adapter, cfg)
+    (block,) = [b for b in problem.eq_blocks if b.name == "dynamics"]
+    # each common interval but skip_node, then each branch's intervals in
+    # branch order, each exactly once: [x_i, u_i, dt_i, x_{i+1}]
+    x, u, dt = (layout.arrays[name] for name in ("x", "u", "dt"))
+    common = [[*x[i], *u[i], dt[i], *x[i + 1]]
+              for i in range(cfg.n_common) if i != cfg.skip_node]
+    branch = []
+    if cfg.branched:
+        bx, bu, bdt = (layout.arrays[name] for name in ("bx", "bu", "bdt"))
+        branch = [[*bx[k, j], *bu[k, j], bdt[k, j], *bx[k, j + 1]]
+                  for k in range(cfg.n_branches)
+                  for j in range(cfg.branch_len)]
+    assert block.indices.tolist() == common + branch
+    # the common and the branch rows read disjoint variables
+    assert not ({int(i) for r in common for i in r}
+                & {int(i) for r in branch for i in r})
 
 
 def test_tree_has_no_rejoin_block():

@@ -32,7 +32,13 @@ once per Jacobian pattern (``_NormalPlan``): each iteration multiplies
 and adds ``J.data`` in the order of scipy's sparse product, row by row,
 and drops the exact zeros that product drops, so the iterates are bit
 for bit those of ``Jf.T @ Jf``; what depends only on the free mask is
-kept for the last mask.  Variables with equal lower and upper bounds
+kept for the last mask.  The same plan solves the damped equations with
+SuperLU's column order computed once per pattern of the normal matrix:
+``spla.factorized`` factors a new pattern, and the damping trials and
+later iterations on that pattern factor its columns pre-permuted, with
+no COLAMD pass and no sparse matrix, which is what
+``spla.factorized(A)(b)`` gives unless pivot candidates tie exactly
+(``_NormalPlan.solve``).  Variables with equal lower and upper bounds
 are eliminated from the inner problem.
 The restoration phase, which minimizes the constraint violation alone,
 runs a trust-region reflective method (``least_squares``) and, when
@@ -52,8 +58,10 @@ Jacobian, and the LM method's, call the compiled kernels that scipy's
 ``@`` ends in (``trf.matvec`` and ``trf.rmatvec``): the same floats,
 without the ``@`` dispatch or a transposed copy of J.
 ``perfbench/tracing.py`` patches ``nlp.least_squares`` to time and count
-the ``trf`` calls, and ``nlp.block_values_and_jac``, inside which every
-tape replay of the solver happens, to time the block evaluations.
+the ``trf`` calls, ``nlp.block_values_and_jac``, inside which every
+tape replay of the solver happens, to time the block evaluations, and
+``spla.factorized``, which the LM method calls only on a new pattern
+of the normal matrix.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.linalg._dsolve import _superlu
 
 from . import autodiff as ad
 from .trf import least_squares, matvec, rmatvec
@@ -497,7 +506,10 @@ class _NormalPlan:
     nothing, because the damping adds to all.
 
     ``indices`` are sorted within each row, as ``_AlPlan`` builds
-    them.  Plan arrays are int32 to keep them small.
+    them.  Plan arrays are int32 to keep them small.  ``solve`` keeps
+    SuperLU's column order for the last pattern of the normal matrix:
+    the LM damping changes only the diagonal's values, and most
+    iterations keep the pattern of the one before.
     """
 
     def __init__(self, indptr, indices, n):
@@ -537,6 +549,7 @@ class _NormalPlan:
         self._col_end = (np.cumsum(np.bincount(self._cols, minlength=n))
                          - 1).astype(np.int32)
         self._mask = None
+        self._pattern = None
 
     def _layout(self, free):
         """What the free mask alone fixes of the normal matrix: the
@@ -558,9 +571,9 @@ class _NormalPlan:
         return self._mask_layout
 
     def normal_matrix(self, data, free):
-        """``(Jf.T @ Jf).tocsc()`` for ``Jf = J[:, free]``, with every
-        diagonal entry stored, and the positions in its ``data`` of the
-        diagonal, in column order."""
+        """The arrays ``(data, indices, indptr)`` of ``(Jf.T @ Jf).tocsc()``
+        for ``Jf = J[:, free]``, with every diagonal entry stored, and the
+        positions in its ``data`` of the diagonal, in column order."""
         both, diag, rows, col_end, diag_at, n_free = self._layout(free)
         prod = np.take(data, self._pa)
         prod *= np.take(data, self._pb)
@@ -575,9 +588,70 @@ class _NormalPlan:
         kept = np.cumsum(keep, dtype=np.int32)
         indptr = np.zeros(n_free + 1, dtype=np.int32)
         indptr[1:] = kept[col_end]
-        A = sp.csc_matrix((vals[keep], rows[keep], indptr),
-                          shape=(n_free, n_free))
-        return A, kept[diag_at] - 1
+        return (vals[keep], rows[keep], indptr), kept[diag_at] - 1
+
+    def solve(self, A, b):
+        """``spla.factorized(A)(b)`` for a normal matrix ``A = (data,
+        indices, indptr)`` from ``normal_matrix``, with SuperLU's column
+        order computed once per pattern.
+
+        A pattern other than the last one (a miss) is factored by
+        ``spla.factorized`` itself, and its final column order (COLAMD's,
+        post-ordered by the column elimination tree) is kept with the
+        gather that permutes A's columns into it; a miss that raises
+        keeps nothing.  On the kept pattern (a hit), ``_natural_lu``
+        factors the permuted columns in their given order, so SuperLU
+        runs no COLAMD pass and no sparse matrix is built, and
+        ``x[order] = y`` undoes the permutation as the COLAMD
+        factorization's solve does.  Both raise ``RuntimeError`` on an
+        exactly singular matrix, which ``_bounded_lm`` retries with more
+        damping.
+
+        A hit is bit for bit the miss's factorization unless a column's
+        pivot candidates tie exactly in magnitude.  At SuperLU's
+        ``DiagPivotThresh`` of 1.0 such a tie goes to the column's
+        "diagonal" row: under COLAMD the row of the column's original
+        index, on the permuted columns the row of its new position.  So
+        every divergence leaves an off-diagonal multiplier of magnitude
+        one in L.
+        Random integer-valued matrices diverge now and then; continuous
+        values, as the solver's, practically never.
+        """
+        data, indices, indptr = A
+        pattern = (indptr.tobytes(), indices.tobytes())
+        if pattern != self._pattern:
+            n = indptr.size - 1
+            solve = spla.factorized(sp.csc_matrix(A, shape=(n, n)))
+            x = solve(b)
+            order = np.argsort(solve.__self__.perm_c)
+            counts = np.diff(indptr)[order]
+            perm_indptr = np.zeros(n + 1, dtype=indptr.dtype)
+            np.cumsum(counts, out=perm_indptr[1:])
+            # column j of the permuted matrix is column order[j]
+            gather = (np.arange(indices.size)
+                      + np.repeat(indptr[order] - perm_indptr[:-1], counts))
+            self._pattern = pattern
+            self._order = (order, gather, indices[gather], perm_indptr)
+            return x
+        order, gather, perm_indices, perm_indptr = self._order
+        x = np.empty(order.size)
+        x[order] = _natural_lu(data[gather], perm_indices,
+                               perm_indptr).solve(b)
+        return x
+
+
+# the options spla.splu(B, permc_spec="NATURAL") gives SuperLU
+_NATURAL = dict(DiagPivotThresh=None, ColPerm="NATURAL", PanelSize=None,
+                Relax=None, SymmetricMode=True)
+
+
+def _natural_lu(data, indices, indptr):
+    """``spla.splu(B, permc_spec="NATURAL")`` on the CSC arrays of a
+    canonical B with int32 indices: the same call of SuperLU, without
+    the checks and the sparse matrix of ``splu``."""
+    return _superlu.gstrf(indptr.size - 1, data.size, data, indices, indptr,
+                          csc_construct_func=sp.csc_array, ilu=False,
+                          options=_NATURAL)
 
 
 def _bounded_lm(helper, z0, lb, ub, max_iter, gtol):
@@ -596,7 +670,12 @@ def _bounded_lm(helper, z0, lb, ub, max_iter, gtol):
     ``trf.rmatvec`` and ``trf.matvec``: scipy's floats, without a
     transposed copy of J per iteration or the dispatch of ``@``.
     Damping adds ``sigma * max(diag, 1e-10)`` to the stored diagonal, the
-    sums that ``A + sp.diags(...)`` forms.
+    sums that ``A + sp.diags(...)`` forms.  Each damping trial solves
+    through ``normal_plan.solve``: SuperLU with the column order kept for
+    the matrix's pattern, which is ``spla.factorized(A)(rhs)`` but for
+    exact pivot ties (see there).  An exactly singular matrix raises
+    ``RuntimeError`` there, and the trial retries with ten times the
+    damping.
     """
     z = np.clip(z0, lb, ub)
     r = helper.residuals(z)
@@ -616,14 +695,15 @@ def _bounded_lm(helper, z0, lb, ub, max_iter, gtol):
         if not np.any(free):
             break
         rhs = -jtr[free]
-        A, diag = helper.plan.normal_plan.normal_matrix(J.data, free)
-        a = A.data[diag]
+        normal = helper.plan.normal_plan
+        A, diag = normal.normal_matrix(J.data, free)
+        a = A[0][diag]
         d = np.maximum(a, 1e-10)
         accepted = False
         for _trial in range(30):
-            A.data[diag] = a + sigma * d
+            A[0][diag] = a + sigma * d
             try:
-                p = spla.factorized(A)(rhs)
+                p = normal.solve(A, rhs)
             except RuntimeError:
                 sigma *= 10.0
                 continue

@@ -41,7 +41,11 @@ def test_solver_layers_attribute_block_jacobians_and_factorizations():
     # evaluations and the LM factorizations are still counted per layer.
     # Every inner evaluation replays at least one tape, each inside a
     # call of nlp.block_values_and_jac, so an AL path that replays
-    # without that name has fewer block_jac spans than evaluations
+    # without that name has fewer block_jac spans than evaluations.
+    # The nlp.factorize span wraps spla.factorized, which the LM method
+    # calls only for a normal matrix whose pattern differs from the last
+    # one; a trial on the kept pattern factors through nlp._natural_lu,
+    # outside the span, so the span covers the misses alone
     run = config.load_config(None)
     adapter, _, _ = config.build_plant(run)
     cfg = pipeline.nominal_stage_config(config.transcription_config(

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -384,25 +385,26 @@ def _normal_matrices():
 
 def _assert_normal_equations_match_scipy(
         J, free, r, plan=None, sigmas=(1e-14, 1e-5, 0.37, 2e3, 1e9)):
-    """The damped normal matrix of ``plan`` (by default a new plan of J's
-    pattern) against scipy's product and sum, damped as ``_bounded_lm``
-    damps it, and the step's right-hand side against ``-(Jf.T @ r)``,
-    byte for byte, for each damping of ``sigmas``."""
+    """The CSC arrays of the damped normal matrix of ``plan`` (by default
+    a new plan of J's pattern) against those of scipy's product and sum,
+    damped as ``_bounded_lm`` damps it, and the step's right-hand side
+    against ``-(Jf.T @ r)``, byte for byte, for each damping of
+    ``sigmas``."""
     if plan is None:
         plan = nlp._NormalPlan(J.indptr, J.indices, J.shape[1])
     Jf = J.tocsc()[:, free]
     A_want = (Jf.T @ Jf).tocsc()
     d_want = np.maximum(A_want.diagonal(), 1e-10)
     A, diag = plan.normal_matrix(J.data, free)
-    a = A.data[diag]
+    a = A[0][diag]
     d = np.maximum(a, 1e-10)
     assert d.tobytes() == d_want.tobytes()
     for sigma in sigmas:
-        A.data[diag] = a + sigma * d
+        A[0][diag] = a + sigma * d
         want = (A_want + sp.diags(sigma * d_want)).tocsc()
-        assert A.shape == want.shape
-        for name in ("data", "indices", "indptr"):
-            got, exp = getattr(A, name), getattr(want, name)
+        assert (A[2].size - 1,) * 2 == want.shape
+        for name, got in zip(("data", "indices", "indptr"), A):
+            exp = getattr(want, name)
             assert got.dtype == exp.dtype, name
             assert got.tobytes() == exp.tobytes(), name
     rhs = -(J.T @ r)[free]
@@ -456,6 +458,121 @@ def test_one_normal_plan_matches_scipy_through_any_mask_sequence(data):
         J.data = data.draw(hnp.arrays(float, J.nnz, elements=_ENTRIES))
         _assert_normal_equations_match_scipy(J, masks[pick], np.ones(m),
                                              plan, sigmas=(0.37,))
+
+
+def _damped_normal_matrix(plan, data, free, sigma):
+    """The normal matrix's arrays, damped as ``_bounded_lm`` damps it."""
+    A, diag = plan.normal_matrix(data, free)
+    A[0][diag] += sigma * np.maximum(A[0][diag], 1e-10)
+    return A
+
+
+def _assert_solve_is_scipys(plan, A, b):
+    """``plan.solve(A, b)`` against ``spla.factorized(A)(b)``, byte for
+    byte; when scipy finds A exactly singular, the plan raises too and
+    keeps the pattern it had.  Returns whether the plan raised."""
+    n = A[2].size - 1
+    kept = plan._pattern
+    try:
+        want = spla.factorized(sp.csc_matrix(A, shape=(n, n)))(b)
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            plan.solve(A, b)
+        assert plan._pattern == kept
+        return True
+    got = plan.solve(A, b)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    # the last pattern that factored is the one kept
+    assert plan._pattern == (A[2].tobytes(), A[1].tobytes())
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_normal_plan_solve_is_scipys_through_hits_and_misses(data):
+    # one plan through a sequence of normal matrices, as the LM loop
+    # makes them: each step draws new continuous values on J's pattern
+    # (some exact zeros, so the normal matrix's pattern changes or not)
+    # or keeps the last ones, a used or new free mask, and one to three
+    # dampings; the first solve on a new pattern is a miss and the
+    # others hit the kept column order.  Continuous values keep the
+    # pivot candidates from tying in magnitude.
+    m = data.draw(st.integers(1, 12))
+    n = data.draw(st.integers(1, 8))
+    stored = data.draw(hnp.arrays(bool, (m, n)))
+    J = _stored(np.ones((m, n)), stored)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    plan = nlp._NormalPlan(J.indptr, J.indices, n)
+    masks = [np.ones(n, dtype=bool)]
+    for _ in range(data.draw(st.integers(1, 6))):
+        pick = data.draw(st.integers(0, len(masks)))
+        if pick == len(masks):
+            masks.append(data.draw(hnp.arrays(bool, n).filter(np.any)))
+        if data.draw(st.booleans()):
+            J.data = rng.standard_normal(J.nnz) * 10.0 ** rng.uniform(
+                -3, 3, J.nnz)
+            J.data[rng.random(J.nnz) < 0.2] = 0.0
+        sigmas = data.draw(st.lists(st.sampled_from(
+            [1e-14, 1e-5, 0.37, 2e3]), min_size=1, max_size=3))
+        b = rng.standard_normal(np.count_nonzero(masks[pick]))
+        for sigma in sigmas:
+            _assert_solve_is_scipys(
+                plan, _damped_normal_matrix(plan, J.data, masks[pick], sigma),
+                b)
+
+
+def test_normal_plan_raises_on_an_exactly_singular_matrix():
+    # J = [1, 1] makes [[1, 1], [1, 1]], and a damping below one ulp of
+    # the diagonal leaves it exactly singular: the plan raises as
+    # spla.factorized does, so _bounded_lm's retry with a larger sigma
+    # still runs, both when the pattern is new and when it is kept
+    J = sp.csr_matrix(np.ones((1, 2)))
+    plan = nlp._NormalPlan(J.indptr, J.indices, 2)
+    free = np.ones(2, dtype=bool)
+    b = np.array([1.0, -1.0])
+    singular = _damped_normal_matrix(plan, J.data, free, 1e-17)
+    assert singular[0].tolist() == [1.0, 1.0, 1.0, 1.0]
+    # a miss that raises keeps no column order
+    assert _assert_solve_is_scipys(plan, singular, b)
+    assert plan._pattern is None
+    assert not _assert_solve_is_scipys(
+        plan, _damped_normal_matrix(plan, J.data, free, 1.0), b)
+    # a hit
+    assert _assert_solve_is_scipys(plan, singular, b)
+    assert not _assert_solve_is_scipys(
+        plan, _damped_normal_matrix(plan, J.data, free, 0.5), b)
+
+
+def test_natural_lu_is_splus_natural_order():
+    # the hit path calls SuperLU's gstrf directly, with the options of
+    # splu(B, permc_spec="NATURAL"); a scipy whose splu calls it
+    # otherwise fails here.  B: damped normal matrices of the plants and
+    # the small cases, their columns in COLAMD's final order and in a
+    # random one
+    rng = np.random.default_rng(3)
+    for _, J, free in _normal_matrices():
+        plan = nlp._NormalPlan(J.indptr, J.indices, J.shape[1])
+        n = int(np.count_nonzero(free))
+        A = sp.csc_matrix(_damped_normal_matrix(plan, J.data, free, 1e-5),
+                          shape=(n, n))
+        b = rng.standard_normal(n)
+        for order in (np.argsort(spla.splu(A).perm_c), rng.permutation(n)):
+            B = A[:, order].tocsc()
+            indices, indptr = B.indices.astype(np.intc), B.indptr.astype(
+                np.intc)
+            got = nlp._natural_lu(B.data, indices, indptr)
+            want = spla.splu(B, permc_spec="NATURAL")
+            for name in ("perm_r", "perm_c"):
+                assert (getattr(got, name).tobytes()
+                        == getattr(want, name).tobytes()), name
+            for factor in ("L", "U"):
+                for name in ("data", "indices", "indptr"):
+                    g = getattr(getattr(got, factor), name)
+                    w = getattr(getattr(want, factor), name)
+                    assert g.dtype == w.dtype, (factor, name)
+                    assert g.tobytes() == w.tobytes(), (factor, name)
+            assert got.solve(b).tobytes() == want.solve(b).tobytes()
 
 
 def test_al_jacobian_survives_evaluating_another_point():
